@@ -1,10 +1,9 @@
 """Behavioral simulator and evaluation toolkit for waveform-sampling
 ring-oscillator PUFs."""
 
-from .errors import (ConfigurationError, DatasetError, DecodeFailure,
-                     ModelRangeError, TraceExhaustedError)
-from .ro import (Coupling, RoInstance, RoParams, RoTrace, apply_coupling,
-                 build_trace, level_at, period_at_voltage, realize_ro)
+from .errors import ConfigurationError, DatasetError, DecodeFailure, ModelRangeError
+from .ro import (Coupling, RoInstance, RoParams, apply_coupling, period_at_voltage,
+                 realize_ro)
 from .sampler import PufUnit, ResponseWord, compose_id, enroll_id, sample_word
 from .chipsim import (CampaignConfig, CampaignDataset, Chip, build_population,
                       correct_for_voltage, fit_sweep, load_dataset,
@@ -20,10 +19,9 @@ __all__ = [
     "CampaignConfig", "CampaignDataset", "Chip", "ConfigurationError",
     "CostParams", "Coupling", "DatasetError", "DecodeFailure", "HdHistogram",
     "MetricsReport", "ModelRangeError", "PufUnit", "ResponseWord",
-    "RoInstance", "RoParams", "RoTrace", "TraceExhaustedError",
-    "apply_coupling", "build_population", "build_trace", "compose_id",
+    "RoInstance", "RoParams", "apply_coupling", "build_population", "compose_id",
     "compute_report", "conventional_puf_cost", "correct_for_voltage",
-    "enroll_id", "fit_sweep", "hamming", "hd_distributions", "level_at",
+    "enroll_id", "fit_sweep", "hamming", "hd_distributions",
     "linear_fit", "load_dataset", "period_at_voltage", "realize_ro",
     "reliability", "run_campaign", "sample_word", "save_dataset",
     "uniformity", "uniqueness", "voltage_sweep", "waveform_puf_cost",

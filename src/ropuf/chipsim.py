@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bch, ro
 from .errors import ConfigurationError, DatasetError
-from .metrics import hamming, linear_fit
+from .metrics import linear_fit
 from .rng import TAG_ENROLL, TAG_REALIZE, TAG_SAMPLE, keyed_rng
 from .sampler import PufUnit, ResponseWord, compose_id, enroll_id, sample_word
 
@@ -29,7 +29,6 @@ class Chip:
 
     chip_id: int
     units: tuple[PufUnit, ...]
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,8 @@ class CampaignConfig:
             raise ConfigurationError("enroll_repetitions must be >= 1")
         if not self.voltages:
             raise ConfigurationError("voltages must be non-empty")
+        if len(set(self.voltages)) != len(self.voltages):
+            raise ConfigurationError(f"voltages_v has duplicates: {list(self.voltages)}")
         if params is not None:
             params.validate()
             # Reject configurations that could leave the linear voltage
@@ -72,6 +73,10 @@ class CampaignConfig:
             if gamma_max * dv_max >= 0.5:
                 raise ConfigurationError(
                     "voltages: |gamma*(V-V0)| may reach 0.5; outside model range")
+            if params.reference_voltage not in self.voltages:
+                raise ConfigurationError(
+                    f"voltages_v must include reference_voltage_v "
+                    f"{params.reference_voltage}: references are enrolled there")
 
 
 def build_population(config: CampaignConfig, params: ro.RoParams,
@@ -87,7 +92,7 @@ def build_population(config: CampaignConfig, params: ro.RoParams,
             units.append(PufUnit(ro1=ro1, ro2=ro2, coupling=coupling,
                                  word_length=config.word_length,
                                  reference_voltage=params.reference_voltage))
-        chips.append(Chip(chip_id=c, units=tuple(units), seed=config.master_seed))
+        chips.append(Chip(chip_id=c, units=tuple(units)))
     return chips
 
 
@@ -110,9 +115,6 @@ class CampaignDataset:
 
     def sample_array(self, chip_id: int, v: float) -> np.ndarray:
         return self.samples[chip_id][v]
-
-    def sample_words(self, chip_id: int, v: float) -> list[ResponseWord]:
-        return [ResponseWord(row) for row in self.samples[chip_id][v]]
 
     def check_complete(self) -> None:
         cfg = self.config
@@ -330,18 +332,27 @@ def save_dataset(dataset: CampaignDataset, csv_path: str | Path,
     Path(sidecar_path).write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
+def _references_from_dict(d, id_length: int) -> dict[int, dict[float, ResponseWord]]:
+    if not isinstance(d, dict) or not all(isinstance(p, dict) for p in d.values()):
+        raise DatasetError("sidecar 'references' must map chip ids to {voltage: hex word}")
+    try:
+        return {int(c): {float(v): ResponseWord.from_hex(h, id_length)
+                         for v, h in per_chip.items()}
+                for c, per_chip in d.items()}
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"bad sidecar reference: {exc}") from exc
+
+
 def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignDataset:
     try:
         sidecar = json.loads(Path(sidecar_path).read_text())
         params = ro_params_from_dict(sidecar["config"]["ro"])
         cfg = campaign_config_from_dict(sidecar["config"]["campaign"])
         coupling = coupling_from_dict(sidecar["config"]["coupling"])
-    except (KeyError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"bad sidecar: {exc}") from exc
     id_len = cfg.id_length
-    references = {
-        int(c): {float(v): ResponseWord.from_hex(h, id_len) for v, h in per_chip.items()}
-        for c, per_chip in sidecar["references"].items()}
+    references = _references_from_dict(sidecar.get("references"), id_len)
     samples: dict[int, dict[float, list]] = {}
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)

@@ -9,10 +9,6 @@ class ModelRangeError(ValueError):
     """A query fell outside the range where the timing model is valid."""
 
 
-class TraceExhaustedError(IndexError):
-    """A waveform was queried beyond its generated toggle events."""
-
-
 class DatasetError(ValueError):
     """A campaign dataset is incomplete or inconsistent."""
 

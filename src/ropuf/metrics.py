@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import bch
 from .errors import DecodeFailure
-from .rng import TAG_KEY, keyed_rng
 from .sampler import ResponseWord
 
 
@@ -28,41 +28,75 @@ def hamming(a: ResponseWord, b: ResponseWord) -> int:
     return int(np.count_nonzero(a.bits != b.bits))
 
 
-def uniqueness(references: list[ResponseWord], length: int) -> float:
+def _bit_rows(words, length: int) -> np.ndarray:
+    """Words as an (n, length) uint8 bit array.
+
+    An array (one word, or one word per row) passes through; a
+    ResponseWord or a list of them is stacked.
+    """
+    if isinstance(words, ResponseWord):
+        words = [words]
+    if not isinstance(words, np.ndarray):
+        if any(len(w) != length for w in words):
+            raise ValueError("all words must have the stated length")
+        return np.array([w.bits for w in words], dtype=np.uint8).reshape(len(words), length)
+    rows = np.atleast_2d(words)
+    if rows.ndim != 2 or rows.shape[1] != length:
+        raise ValueError("all words must have the stated length")
+    return rows
+
+
+def _distances(reference: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Hamming distance of each row from one reference word."""
+    return np.count_nonzero(rows != reference, axis=1)
+
+
+def _pair_distances(rows: np.ndarray) -> np.ndarray:
+    """Hamming distance of every row pair i < j, in row-major pair order."""
+    i, j = np.triu_indices(rows.shape[0], 1)
+    return np.count_nonzero(rows[i] != rows[j], axis=1)
+
+
+def uniqueness(references, length: int) -> float:
     """Mean pairwise fractional Hamming distance over all chip pairs, in %.
 
-    2/(N(N-1)) * sum_{i<j} HD(R_i, R_j)/L * 100.
+    2/(N(N-1)) * sum_{i<j} HD(R_i, R_j)/L * 100.  references is a list
+    of ResponseWords or an (N, L) bit array.
     """
-    n = len(references)
+    rows = _bit_rows(references, length)
+    n = rows.shape[0]
     if n < 2:
         raise ValueError("uniqueness needs at least 2 references")
-    if any(len(r) != length for r in references):
-        raise ValueError("all references must have the stated length")
     total = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            total += hamming(references[i], references[j]) / length
+    for hd in _pair_distances(rows).tolist():
+        total += hd / length
     return 2.0 / (n * (n - 1)) * total * 100.0
 
 
-def reliability(reference: ResponseWord, samples: list[ResponseWord],
-                length: int, t: int | None = None) -> float:
-    """[1 - mean fractional HD from the reference] * 100, over t samples."""
+def reliability(reference, samples, length: int, t: int | None = None) -> float:
+    """[1 - mean fractional HD from the reference] * 100, over t samples.
+
+    samples is a list of ResponseWords or a (T, L) bit array.
+    """
+    rows = _bit_rows(samples, length)
     if t is None:
-        t = len(samples)
-    if t < 1 or len(samples) < t:
+        t = rows.shape[0]
+    if t < 1 or rows.shape[0] < t:
         raise ValueError("need at least one sample (t <= len(samples))")
-    total = sum(hamming(reference, s) / length for s in samples[:t])
+    hd = _distances(_bit_rows(reference, length)[0], rows[:t])
+    total = sum(d / length for d in hd.tolist())
     return (1.0 - total / t) * 100.0
 
 
-def uniformity(responses: list[ResponseWord], length: int) -> float:
-    """Mean ones-fraction per response, averaged over responses, in %."""
-    if not responses:
+def uniformity(responses, length: int) -> float:
+    """Mean ones-fraction per response, averaged over responses, in %.
+
+    responses is a list of ResponseWords or an (n, L) bit array.
+    """
+    rows = _bit_rows(responses, length)
+    if rows.shape[0] == 0:
         raise ValueError("need at least one response")
-    if any(len(r) != length for r in responses):
-        raise ValueError("all responses must have the stated length")
-    return float(np.mean([r.bits.sum() / length for r in responses]) * 100.0)
+    return float(np.mean(rows.sum(axis=1) / length) * 100.0)
 
 
 @dataclass
@@ -75,8 +109,7 @@ class HdHistogram:
 
     @classmethod
     def from_distances(cls, population: str, length: int, distances) -> "HdHistogram":
-        counts = np.bincount(np.asarray(list(distances), dtype=np.int64),
-                             minlength=length + 1)
+        counts = np.bincount(np.asarray(distances, dtype=np.int64), minlength=length + 1)
         if counts.shape[0] > length + 1:
             raise ValueError("distance exceeds word length")
         return cls(population=population, length=length, counts=counts)
@@ -177,63 +210,64 @@ class MetricsReport:
 # --- campaign-level evaluation ------------------------------------------
 
 
-def _protected(word: ResponseWord) -> ResponseWord:
-    """First 31 bits of an ID: the part covered by the error-correcting
-    code (a 32-bit ID maps onto the 31-bit code by dropping its last bit,
-    which is carried unprotected)."""
-    from . import bch
-    if len(word) < bch.N:
-        raise ValueError(f"ID shorter than the {bch.N}-bit code")
-    return ResponseWord(word.bits[:bch.N])
+def corrected_sample_words(dataset, chip_id: int, v: float) -> np.ndarray:
+    """(T, 31) sample bits at voltage v after error correction toward the
+    chip's reference enrolled at the reference voltage.
 
-
-def corrected_sample_words(dataset, chip_id: int, v: float) -> list[ResponseWord]:
-    """Per-sample 31-bit words after error correction against the chip's
-    enrolled helper data (enrolled at the reference voltage).
-
+    Only the first 31 bits of an ID are covered by the code (a 32-bit ID
+    carries its last bit unprotected).  The reference serves as the code
+    offset: decoding sees only the syndrome of sample XOR reference, so
+    the result equals that of a fuzzy extractor enrolled with any key.
     Uncorrectable samples are passed through unchanged; correctable ones
-    land exactly on the enrolled response.
+    land exactly on the reference.
     """
-    from . import bch
-    v0 = dataset.reference_voltage
-    ref = _protected(dataset.reference(chip_id, v0))
-    _, helper = bch.fe_enroll(ref, keyed_rng(dataset.config.master_seed, TAG_KEY, chip_id))
-    out = []
-    for word in dataset.sample_words(chip_id, v):
-        raw = _protected(word)
+    if dataset.config.id_length < bch.N:
+        raise ValueError(f"ID shorter than the {bch.N}-bit code")
+    ref = dataset.reference(chip_id, dataset.reference_voltage)
+    helper = bch.HelperData(offset=ResponseWord(ref.bits[:bch.N]))
+    out = dataset.sample_array(chip_id, v)[:, :bch.N].copy()
+    for row in out:
         try:
-            out.append(bch.correct_response(raw, helper))
+            row[:] = bch.correct_response(ResponseWord(row), helper).bits
         except DecodeFailure:
-            out.append(raw)
+            pass
     return out
+
+
+def _stage(dataset, v: float, post_bch: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Reference matrix (one row per chip) and per-chip sample arrays at
+    voltage v, raw or after error correction."""
+    chips = range(dataset.config.n_chips)
+    if post_bch:
+        samples = [corrected_sample_words(dataset, c, v) for c in chips]
+        refs = np.stack([dataset.reference(c, v).bits[:bch.N] for c in chips])
+    else:
+        samples = [dataset.sample_array(c, v) for c in chips]
+        refs = np.stack([dataset.reference(c, v).bits for c in chips])
+    return refs, samples
+
+
+def _histograms(refs: np.ndarray, samples: list[np.ndarray]
+                ) -> tuple[HdHistogram, HdHistogram]:
+    """Intra (each reference against its chip's samples) and inter
+    (references of distinct chips) Hamming distance histograms."""
+    length = refs.shape[1]
+    intra = np.concatenate([_distances(ref, rows) for ref, rows in zip(refs, samples)])
+    return (HdHistogram.from_distances("intra", length, intra),
+            HdHistogram.from_distances("inter", length, _pair_distances(refs)))
 
 
 def hd_distributions(dataset, post_bch: bool = False) -> tuple[HdHistogram, HdHistogram]:
     """Intra- and inter-chip Hamming distance histograms at the reference
     voltage.
 
-    Intra pairs each chip's enrolled reference with its raw samples;
-    inter pairs the references of distinct chips.  With post_bch the
-    words first pass through the fuzzy extractor and re-encoding, so any
-    residual errors of weight <= 3 are removed and the histograms live
-    on the 31 protected bits.
+    Intra pairs each chip's enrolled reference with its samples; inter
+    pairs the references of distinct chips.  With post_bch the samples
+    are first error-corrected, so residual errors of weight <= 3 are
+    removed and the histograms live on the 31 protected bits.
     """
     dataset.check_complete()
-    cfg = dataset.config
-    v0 = dataset.reference_voltage
-    if post_bch:
-        length = 31
-        refs = [_protected(dataset.reference(c, v0)) for c in range(cfg.n_chips)]
-        per_chip = [corrected_sample_words(dataset, c, v0) for c in range(cfg.n_chips)]
-    else:
-        length = cfg.id_length
-        refs = [dataset.reference(c, v0) for c in range(cfg.n_chips)]
-        per_chip = [dataset.sample_words(c, v0) for c in range(cfg.n_chips)]
-    intra_d = [hamming(refs[c], w) for c in range(cfg.n_chips) for w in per_chip[c]]
-    inter_d = [hamming(refs[i], refs[j])
-               for i in range(cfg.n_chips - 1) for j in range(i + 1, cfg.n_chips)]
-    return (HdHistogram.from_distances("intra", length, intra_d),
-            HdHistogram.from_distances("inter", length, inter_d))
+    return _histograms(*_stage(dataset, dataset.reference_voltage, post_bch))
 
 
 def compute_report(dataset, voltage: float | None = None, post_bch: bool = False,
@@ -242,31 +276,27 @@ def compute_report(dataset, voltage: float | None = None, post_bch: bool = False
 
     Reliability and uniformity use the samples at the requested voltage
     against that voltage's own enrolled reference; intra/inter histograms
-    are always computed at the reference voltage.
+    are always computed at the reference voltage.  Each sample is
+    corrected at most once.
     """
     dataset.check_complete()
     cfg = dataset.config
-    v = dataset.reference_voltage if voltage is None else voltage
+    v0 = dataset.reference_voltage
+    v = v0 if voltage is None else voltage
     if v not in cfg.voltages:
         raise ValueError(f"voltage {v} not in dataset")
-    if post_bch:
-        length = 31
-        refs = {c: _protected(dataset.reference(c, v)) for c in range(cfg.n_chips)}
-        words = {c: corrected_sample_words(dataset, c, v) for c in range(cfg.n_chips)}
-    else:
-        length = cfg.id_length
-        refs = {c: dataset.reference(c, v) for c in range(cfg.n_chips)}
-        words = {c: dataset.sample_words(c, v) for c in range(cfg.n_chips)}
-    rel = {c: reliability(refs[c], words[c], length) for c in range(cfg.n_chips)}
-    unif = {c: uniformity(words[c], length) for c in range(cfg.n_chips)}
-    intra, inter = hd_distributions(dataset, post_bch=post_bch)
+    refs, samples = _stage(dataset, v, post_bch)
+    intra, inter = _histograms(*((refs, samples) if v == v0
+                                 else _stage(dataset, v0, post_bch)))
+    length = refs.shape[1]
+    chips = range(cfg.n_chips)
     return MetricsReport(
         voltage=v,
         bch_stage="post_bch" if post_bch else "raw",
         id_length=length,
-        uniqueness_pct=uniqueness(list(refs.values()), length),
-        reliability_pct_per_chip=rel,
-        uniformity_pct_per_chip=unif,
+        uniqueness_pct=uniqueness(refs, length),
+        reliability_pct_per_chip={c: reliability(refs[c], samples[c], length) for c in chips},
+        uniformity_pct_per_chip={c: uniformity(samples[c], length) for c in chips},
         intra=intra,
         inter=inter,
         voltage_fit=voltage_fit,

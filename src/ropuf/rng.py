@@ -14,7 +14,6 @@ import numpy as np
 TAG_REALIZE = 1
 TAG_SAMPLE = 2
 TAG_ENROLL = 3
-TAG_KEY = 4
 
 
 def keyed_rng(*key: int) -> np.random.Generator:

@@ -9,11 +9,11 @@ boundaries, the first rising edge landing one half-period after enable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, ModelRangeError, TraceExhaustedError
+from .errors import ConfigurationError, ModelRangeError
 from .rng import ensure_rng
 
 COUPLING_NONE = "none"
@@ -65,7 +65,6 @@ class RoInstance:
     period_at_ref: float
     gamma: float
     jitter_sigma: float
-    stream_id: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,7 @@ def realize_ro(params: RoParams, seed) -> RoInstance:
     while period <= 0.0:
         period = params.nominal_period * (1.0 + params.process_sigma * rng.standard_normal())
     gamma = params.voltage_sensitivity_mean + params.voltage_sensitivity_sigma * rng.standard_normal()
-    sid = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,) if isinstance(seed, int) else ()
-    return RoInstance(period_at_ref=period, gamma=gamma,
-                      jitter_sigma=params.jitter_sigma, stream_id=sid)
+    return RoInstance(period_at_ref=period, gamma=gamma, jitter_sigma=params.jitter_sigma)
 
 
 def period_at_voltage(inst: RoInstance, v: float, v0: float) -> float:
@@ -146,34 +143,6 @@ def apply_coupling(t1: float, t2: float, coupling: Coupling) -> tuple[float, flo
     return t1 - pull, t2 + pull, kappa
 
 
-@dataclass(frozen=True)
-class RoTrace:
-    """Realized toggle instants of one square wave after enable.
-
-    boundaries[i] is the (i+1)-th toggle time; the output is 0 before
-    boundaries[0], then alternates.  Sampling exactly at a toggle instant
-    reads the pre-toggle level (a flip-flop needs setup time, and the
-    campaign-level tie rule must be deterministic).
-    """
-
-    boundaries: np.ndarray = field(repr=False)
-
-    def covers(self, t: float) -> bool:
-        return t <= self.boundaries[-1]
-
-    def toggles_before(self, t: float) -> int:
-        """Number of toggle instants strictly below t."""
-        return int(np.searchsorted(self.boundaries, t, side="left"))
-
-    def level_at(self, t: float) -> int:
-        """Square-wave level at time t (pre-toggle value on exact hits)."""
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
-        if not self.covers(t):
-            raise TraceExhaustedError(f"trace ends at {self.boundaries[-1]!r}, queried {t!r}")
-        return self.toggles_before(t) & 1
-
-
 def jittered_half_periods(period: float, jitter_sigma: float, gaussians: np.ndarray) -> np.ndarray:
     """Half-period sequence h_i = (T/2) * (1 + sigma * g_i), floored positive."""
     half = 0.5 * period
@@ -181,27 +150,3 @@ def jittered_half_periods(period: float, jitter_sigma: float, gaussians: np.ndar
     np.maximum(out, half * _HALF_PERIOD_FLOOR, out=out)
     return out
 
-
-def build_trace(period: float, jitter_sigma: float, n_half_periods: int, seed=None) -> RoTrace:
-    """Generate a waveform trace of n_half_periods toggle instants.
-
-    With zero jitter the boundaries are exact multiples of T/2 (computed
-    multiplicatively, not by accumulation, so they carry one rounding
-    each).  With jitter they are cumulative sums of perturbed
-    half-periods drawn from seed.
-    """
-    if n_half_periods < 1:
-        raise ValueError("n_half_periods must be >= 1")
-    if jitter_sigma == 0.0:
-        boundaries = 0.5 * period * np.arange(1, n_half_periods + 1)
-    else:
-        rng = ensure_rng(seed)
-        halves = jittered_half_periods(period, jitter_sigma, rng.standard_normal(n_half_periods))
-        boundaries = np.cumsum(halves)
-    return RoTrace(boundaries=boundaries)
-
-
-def level_at(inst: RoInstance, t: float, trace: RoTrace) -> int:
-    """Level of inst's waveform at time t, given its realized trace."""
-    del inst  # the realized trace carries all timing information
-    return trace.level_at(t)

@@ -68,6 +68,8 @@ class ResponseWord:
     @classmethod
     def from_hex(cls, text: str, length: int) -> "ResponseWord":
         value = int(text, 16)
+        if not 0 <= value < 1 << length:
+            raise ValueError(f"hex word {text!r} does not fit in {length} bits")
         bits = [(value >> (length - 1 - i)) & 1 for i in range(length)]
         return cls(np.array(bits, dtype=np.uint8))
 

@@ -134,14 +134,14 @@ class TestVoltageCorrection:
         ds, cfg, _ = small_campaign(voltages=(1.25, 1.3, 1.35), params=params)
         for c in range(cfg.n_chips):
             calib = {v: ds.reference(c, v) for v in cfg.voltages}
-            raw = ds.sample_words(c, 1.25)[0]
+            raw = ResponseWord(ds.sample_array(c, 1.25)[0])
             assert chipsim.correct_for_voltage(raw, 1.25, calib) == calib[1.25]
 
     def test_single_entry_always_that_anchor(self):
         ds, cfg, _ = small_campaign(voltages=(1.3,))
         c = 0
         calib = {1.3: ds.reference(c, 1.3)}
-        raw = ds.sample_words(c, 1.3)[0]
+        raw = ResponseWord(ds.sample_array(c, 1.3)[0])
         corrected = chipsim.correct_for_voltage(raw, 1.05, calib)
         assert np.array_equal(corrected.bits[:31], calib[1.3].bits[:31])
 
@@ -174,10 +174,10 @@ class TestVoltageCorrection:
                 calib = {v: ds.reference(c, v) for v in calib_voltages}
                 anchor_v = min(calib, key=lambda vv: (abs(vv - 1.26), vv))
                 anchor31 = calib[anchor_v].bits[:31]
-                for w in ds.sample_words(c, 1.26):
+                for row in ds.sample_array(c, 1.26):
                     total += 1
                     try:
-                        got = chipsim.correct_for_voltage(w, 1.26, calib)
+                        got = chipsim.correct_for_voltage(ResponseWord(row), 1.26, calib)
                         ok += int(np.array_equal(got.bits[:31], anchor31))
                     except DecodeFailure:
                         pass

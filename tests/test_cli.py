@@ -63,6 +63,16 @@ class TestSimulate:
                        "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("voltages", [(1.25, 1.3, 1.25), (1.25, 1.35)],
+                             ids=["duplicate_voltage", "no_reference_voltage"])
+    def test_bad_voltage_grid_fails_before_writing(self, tmp_path, capsys, voltages):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, voltages=voltages)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "voltages_v" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = tmp_path / "run.json"
         write_config(cfg)
@@ -114,6 +124,21 @@ class TestMetrics:
 
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert cli.main(["metrics", str(tmp_path / "no.csv"), "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda s: s.pop("references"),
+        lambda s: s.update(references=list(s["references"].values())),
+        lambda s: s["references"]["0"].update({"1.3": "f" + s["references"]["0"]["1.3"]}),
+    ], ids=["missing_references", "references_as_list", "reference_hex_too_wide"])
+    def test_bad_sidecar_is_data_error(self, tmp_path, capsys, corrupt):
+        csv_path = self._simulated(tmp_path)
+        sidecar_path = csv_path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        corrupt(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
+        assert "data error:" in capsys.readouterr().err
 
     def test_post_bch_flag(self, tmp_path):
         csv_path = self._simulated(tmp_path)

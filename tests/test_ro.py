@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ropuf import ro
-from ropuf.errors import ConfigurationError, ModelRangeError, TraceExhaustedError
+from ropuf.errors import ConfigurationError, ModelRangeError
 
 
 class TestRealize:
@@ -93,48 +93,12 @@ class TestCoupling:
 
 
 class TestWaveform:
-    def test_ideal_square_wave(self):
-        t = 1e-9
-        trace = ro.build_trace(t, 0.0, 64)
-        assert trace.level_at(0.75 * t) == 1   # after first rising edge at T/2
-        assert trace.level_at(1.25 * t) == 0   # after falling edge at T
-        assert trace.level_at(0.25 * t) == 0
-
-    def test_exact_boundary_returns_pre_toggle(self):
-        t = 2.0 ** -30  # dyadic period: boundaries are exact
-        trace = ro.build_trace(t, 0.0, 64)
-        assert trace.level_at(0.5 * t) == 0
-        assert trace.level_at(1.0 * t) == 1
-        assert trace.level_at(1.5 * t) == 0
-
-    def test_periodic_when_noiseless(self):
-        t = 2.0 ** -30
-        trace = ro.build_trace(t, 0.0, 256)
-        for x in np.linspace(0.1, 20.3, 97) * t:  # off-boundary points
-            assert trace.level_at(float(x)) == trace.level_at(float(x) + t)
-
     def test_toggles_strictly_increasing(self):
-        trace = ro.build_trace(1e-9, 0.4, 4096, seed=3)
-        assert np.all(np.diff(trace.boundaries) > 0)
+        gaussians = np.random.default_rng(3).standard_normal(4096)
+        halves = ro.jittered_half_periods(1e-9, 0.4, gaussians)
+        assert np.all(np.diff(np.cumsum(halves)) > 0)
 
     def test_mean_half_period_preserved(self):
-        trace = ro.build_trace(1e-9, 0.1, 200_000, seed=7)
-        halves = np.diff(trace.boundaries, prepend=0.0)
+        gaussians = np.random.default_rng(7).standard_normal(200_000)
+        halves = ro.jittered_half_periods(1e-9, 0.1, gaussians)
         assert np.mean(halves) == pytest.approx(0.5e-9, rel=2e-3)
-
-    def test_trace_exhausted(self):
-        trace = ro.build_trace(1e-9, 0.0, 8)
-        with pytest.raises(TraceExhaustedError):
-            trace.level_at(5e-9)
-        with pytest.raises(ValueError):
-            trace.level_at(-1e-12)
-
-    def test_determinism_given_seed(self):
-        a = ro.build_trace(1e-9, 0.02, 500, seed=(1, 2, 3))
-        b = ro.build_trace(1e-9, 0.02, 500, seed=(1, 2, 3))
-        assert np.array_equal(a.boundaries, b.boundaries)
-
-    def test_level_at_op_matches_trace(self):
-        inst = ro.RoInstance(period_at_ref=1e-9, gamma=0.0, jitter_sigma=0.0)
-        trace = ro.build_trace(inst.period_at_ref, 0.0, 32)
-        assert ro.level_at(inst, 0.6e-9, trace) == trace.level_at(0.6e-9)

@@ -4,7 +4,8 @@ The field is built on the primitive polynomial x^5 + x^2 + 1 (0x25); any
 primitive choice gives an equivalent code, but fixing one makes helper
 data and test vectors bit-exact.  The generator polynomial is the lcm of
 the minimal polynomials of alpha, alpha^3 and alpha^5 (degree 15,
-designed distance 7, corrects t = 3 errors).
+designed distance 7, corrects t = 3 errors).  Decoding looks each word's
+syndrome up in a table of the coset leaders of weight <= 3.
 
 Bit layout of a 31-bit word: index i holds the coefficient of x^(30-i),
 so bits[0:16] are the 16 systematic message bits and bits[16:31] the
@@ -13,6 +14,7 @@ x^31 - 1.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -144,85 +146,82 @@ def encode(message: ResponseWord) -> ResponseWord:
     return _poly_int_to_word(shifted | _gf2_mod(shifted, GENERATOR), N)
 
 
-# Syndrome power tables: _SYN_POW[j][p] = alpha^(j*p) for x-power p.
-_SYN_POW = {j: np.array([GF.pow_alpha(j * p) for p in range(N)], dtype=np.int64)
-            for j in (1, 3, 5)}
+@functools.cache
+def _decoder_tables(generator: int) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome and coset-leader tables of the code generated by
+    `generator`, built on first use.
+
+    The syndrome of a word is its remainder modulo g(x), a 15-bit value.
+    byte_syn[k, b] is the syndrome contributed by packed byte value
+    b at byte position k of a row (np.packbits layout, bit 0 most
+    significant; the pad bit after bit 30 is zero).  leaders[s] is the
+    error pattern of weight <= T with syndrome s, as an integer whose bit
+    p is the coefficient of x^p, or -1 where no such pattern exists.
+    Minimum distance 7 makes those patterns' syndromes distinct.
+    """
+    bit_syn = np.array([_gf2_mod(1 << (N - 1 - i), generator) for i in range(N)] + [0],
+                       dtype=np.uint16)  # syndrome of bits[i]; index N is the pad
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    byte_syn = np.bitwise_xor.reduce(
+        byte_bits[None, :, :] * bit_syn.reshape(4, 1, 8), axis=2)
+
+    p = np.arange(N)
+    x_syn = bit_syn[N - 1 - p]  # syndrome of x^p
+    lt = p[:, None] < p
+    i, j = np.nonzero(lt)
+    a, b, c = np.nonzero(lt[:, :, None] & lt[None, :, :])
+    leaders = np.full(1 << (N - K), -1, dtype=np.int32)
+    leaders[0] = 0
+    leaders[x_syn] = 1 << p
+    leaders[x_syn[i] ^ x_syn[j]] = (1 << i) | (1 << j)
+    leaders[x_syn[a] ^ x_syn[b] ^ x_syn[c]] = (1 << a) | (1 << b) | (1 << c)
+    byte_syn.flags.writeable = leaders.flags.writeable = False
+    return byte_syn, leaders
 
 
-def _syndromes(bits: np.ndarray) -> tuple[int, int, int]:
-    powers = 30 - np.flatnonzero(bits)
-    if powers.size == 0:
-        return 0, 0, 0
-    return tuple(int(np.bitwise_xor.reduce(_SYN_POW[j][powers])) for j in (1, 3, 5))
+def _syndrome_of(rows: np.ndarray) -> np.ndarray:
+    """15-bit syndrome of each row of an (n, 31) bit array."""
+    byte_syn, _ = _decoder_tables(GENERATOR)
+    return np.bitwise_xor.reduce(
+        byte_syn[np.arange(4), np.packbits(rows, axis=1)], axis=1)
 
 
-def _berlekamp_massey(syn: list[int]) -> list[int]:
-    """Error locator polynomial from syndromes S1..S6 (ascending coeffs)."""
-    c, b = [1], [1]
-    L, m, bb = 0, 1, 1
-    for n, s in enumerate(syn):
-        d = s
-        for i in range(1, L + 1):
-            if i < len(c):
-                d ^= GF.mul(c[i], syn[n - i])
-        if d == 0:
-            m += 1
-            continue
-        coef = GF.mul(d, GF.inv(bb))
-        shifted = [0] * m + [GF.mul(coef, x) for x in b]
-        merged = [0] * max(len(c), len(shifted))
-        for i, x in enumerate(c):
-            merged[i] ^= x
-        for i, x in enumerate(shifted):
-            merged[i] ^= x
-        if 2 * L <= n:
-            b, bb, L, m = c, d, n + 1 - L, 1
-        else:
-            m += 1
-        c = merged
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
+def _pattern_rows(patterns: np.ndarray) -> np.ndarray:
+    """Error patterns (bit p = coefficient of x^p) as an (m, 31) bit array."""
+    # Big-endian bytes unpack most significant bit first; bit 31 is always 0.
+    return np.unpackbits(patterns.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 1:]
+
+
+def decode_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded-distance decoding of an (n, 31) uint8 bit array.
+
+    Returns the corrected rows and the number of bits flipped in each,
+    or -1 for a row with more than T errors, which passes through
+    unchanged.  A row within distance T of a codeword lands on it; a row
+    farther away fails, or lands on another codeword if one lies within
+    T (a miscorrection).
+    """
+    if rows.ndim != 2 or rows.shape[1] != N:
+        raise ValueError(f"rows must be (n, {N}) bits, got shape {rows.shape}")
+    leaders = _decoder_tables(GENERATOR)[1][_syndrome_of(rows)]
+    n_errors = np.where(leaders < 0, -1, 0)
+    fix = np.flatnonzero(leaders > 0)
+    out = rows.copy()
+    out[fix] ^= _pattern_rows(leaders[fix])
+    n_errors[fix] = np.bitwise_count(leaders[fix])
+    return out, n_errors
 
 
 def decode(received: ResponseWord) -> tuple[ResponseWord, int]:
     """Correct up to 3 bit errors; return (codeword, number corrected).
 
-    Raises DecodeFailure when the error locator is inconsistent (more
-    than t errors).  A 4-error pattern is never silently absorbed: at
-    most 3 positions are ever flipped.
+    Raises DecodeFailure for a word with more than t errors and no
+    codeword within distance t.  At most 3 positions are ever flipped.
     """
-    if len(received) != N:
-        raise ValueError(f"received word must be {N} bits, got {len(received)}")
-    bits = received.bits
-    s1, s3, s5 = _syndromes(bits)
-    if s1 == 0 and s3 == 0 and s5 == 0:
-        return received, 0
-    # Binary code: even syndromes are squares of the earlier ones.
-    s2 = GF.mul(s1, s1)
-    s4 = GF.mul(s2, s2)
-    s6 = GF.mul(s3, s3)
-    locator = _berlekamp_massey([s1, s2, s3, s4, s5, s6])
-    degree = len(locator) - 1
-    if degree > T:
-        raise DecodeFailure(f"locator degree {degree} exceeds t={T}")
-    positions = []
-    for p in range(N):  # Chien search: root alpha^-p marks an error at x^p
-        x = GF.pow_alpha(N - p)
-        acc, xp = locator[0], 1
-        for c in locator[1:]:
-            xp = GF.mul(xp, x)
-            acc ^= GF.mul(c, xp)
-        if acc == 0:
-            positions.append(p)
-    if len(positions) != degree:
-        raise DecodeFailure("error locator roots do not match its degree")
-    corrected = bits.copy()
-    for p in positions:
-        corrected[30 - p] ^= 1
-    if any(_syndromes(corrected)):
-        raise DecodeFailure("correction left a nonzero syndrome")
-    return ResponseWord(corrected), degree
+    fixed, n_errors = decode_rows(received.bits[None, :])
+    if n_errors[0] < 0:
+        raise DecodeFailure(f"more than t={T} errors")
+    return ResponseWord(fixed[0]), int(n_errors[0])
 
 
 @dataclass(frozen=True)
@@ -273,12 +272,6 @@ def fe_reproduce(response: ResponseWord, helper: HelperData) -> ResponseWord:
     return ResponseWord(codeword.bits[:K])
 
 
-def correct_response(response: ResponseWord, helper: HelperData) -> ResponseWord:
-    """Noisy response mapped back onto the enrolled one (error removal)."""
-    codeword, _ = decode(response ^ helper.offset)
-    return codeword ^ helper.offset
-
-
 def save_helper(helper: HelperData, path: str | Path) -> None:
     Path(path).write_text(json.dumps(helper.to_json_dict(), indent=2) + "\n")
 
@@ -324,42 +317,31 @@ def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str,
     results.append(("minimum nonzero codeword weight == 7",
                     int(weights[1:].min()) == 7 and int(weights[0]) == 0))
 
+    _, leaders = _decoder_tables(GENERATOR)
+    held = np.flatnonzero(leaders >= 0)
+    patterns = leaders[held]
+    results.append(("coset-leader table holds 1+31+465+4495 distinct leaders of weight <= 3",
+                    np.bincount(np.bitwise_count(patterns), minlength=T + 2).tolist()
+                    == [1, 31, 465, 4495, 0]
+                    and np.unique(patterns).size == held.size
+                    and np.array_equal(_syndrome_of(_pattern_rows(patterns)), held)))
+
     rng = ensure_rng(seed)
-    base = encode(ResponseWord(rng.integers(0, 2, K, dtype=np.uint8)))
-    ok = True
-    for i in range(N):
-        for j in range(i, N):  # i == j gives the 31 single-error cases
-            noisy = base.bits.copy()
-            noisy[i] ^= 1
-            if j != i:
-                noisy[j] ^= 1
-            try:
-                fixed, nerr = decode(ResponseWord(noisy))
-                ok &= fixed == base and nerr == (1 if j == i else 2)
-            except DecodeFailure:
-                ok = False
-    results.append(("exhaustive 1- and 2-error correction", ok))
+    base = (rng.integers(0, 2, K, dtype=np.uint8) @ g) % 2
+    i, j = np.triu_indices(N)  # i == j gives the 31 single-error cases
+    noise = np.eye(N, dtype=np.uint8)[i] | np.eye(N, dtype=np.uint8)[j]
+    fixed, n_errors = decode_rows(base ^ noise)
+    results.append(("exhaustive 1- and 2-error correction",
+                    bool((fixed == base).all()) and np.array_equal(n_errors, noise.sum(axis=1))))
 
-    ok = True
-    for _ in range(random_error_trials):
-        cw = encode(ResponseWord(rng.integers(0, 2, K, dtype=np.uint8)))
-        pos = rng.choice(N, size=3, replace=False)
-        noisy = cw.bits.copy()
-        noisy[pos] ^= 1
-        try:
-            fixed, nerr = decode(ResponseWord(noisy))
-            ok &= fixed == cw and nerr == 3
-        except DecodeFailure:
-            ok = False
-    results.append((f"{random_error_trials} random 3-error corrections", ok))
+    codewords = (rng.integers(0, 2, (random_error_trials, K), dtype=np.uint8) @ g) % 2
+    noise = (np.argsort(rng.random((random_error_trials, N)), axis=1) < 3).astype(np.uint8)
+    fixed, n_errors = decode_rows(codewords ^ noise)
+    results.append((f"{random_error_trials} random 3-error corrections",
+                    bool((fixed == codewords).all() and (n_errors == 3).all())))
 
-    ok = True
-    for _ in range(1000):
-        cw = encode(ResponseWord(rng.integers(0, 2, K, dtype=np.uint8)))
-        try:
-            fixed, nerr = decode(cw)
-            ok &= fixed == cw and nerr == 0
-        except DecodeFailure:
-            ok = False
-    results.append(("1000 zero-error decodes are identities", ok))
+    codewords = (rng.integers(0, 2, (1000, K), dtype=np.uint8) @ g) % 2
+    fixed, n_errors = decode_rows(codewords)
+    results.append(("1000 zero-error decodes are identities",
+                    bool((fixed == codewords).all() and (n_errors == 0).all())))
     return results

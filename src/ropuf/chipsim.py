@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bch, ro
-from .errors import ConfigurationError, DatasetError
+from .errors import ConfigurationError, DatasetError, DecodeFailure
 from .metrics import linear_fit
 from .rng import TAG_ENROLL, TAG_REALIZE, TAG_SAMPLE, keyed_rng
 from .sampler import PufUnit, ResponseWord, compose_id, enroll_id, sample_word
@@ -164,10 +165,14 @@ def run_campaign(chips: list[Chip], config: CampaignConfig,
     config.validate(ro_params)
     if len(chips) != config.n_chips:
         raise ConfigurationError("chip list does not match config.n_chips")
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
     jobs = [(chip, config.voltages, config.samples_per_chip,
              config.enroll_repetitions, config.master_seed) for chip in chips]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    # A fork pool starts all max_workers processes on the first submit.
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_chip_cells, jobs))
     else:
         results = [_chip_cells(job) for job in jobs]
@@ -231,9 +236,11 @@ def correct_for_voltage(raw_id: ResponseWord, v_measured: float,
         raise ValueError("raw ID and calibration reference lengths differ")
     if len(raw_id) < bch.N:
         raise ValueError(f"ID must be at least {bch.N} bits for correction")
-    helper = bch.HelperData(offset=ResponseWord(anchor.bits[:bch.N]))
-    corrected = bch.correct_response(ResponseWord(raw_id.bits[:bch.N]), helper)
-    return ResponseWord(np.concatenate([corrected.bits, raw_id.bits[bch.N:]]))
+    offset = anchor.bits[:bch.N]
+    fixed, n_errors = bch.decode_rows(raw_id.bits[None, :bch.N] ^ offset)
+    if n_errors[0] < 0:
+        raise DecodeFailure(f"raw ID is more than {bch.T} errors from the {anchor_v} V anchor")
+    return ResponseWord(np.concatenate([fixed[0] ^ offset, raw_id.bits[bch.N:]]))
 
 
 # --- dict (de)serialization with explicit units in field names ---------
@@ -359,9 +366,14 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
         if reader.fieldnames != ["chip_id", "voltage", "sample_index", "word_hex"]:
             raise DatasetError(f"unexpected CSV header: {reader.fieldnames}")
         for row in reader:
-            c, v = int(row["chip_id"]), float(row["voltage"])
-            samples.setdefault(c, {}).setdefault(v, []).append(
-                (int(row["sample_index"]), row["word_hex"]))
+            if None in row or None in row.values():
+                raise DatasetError(f"CSV line {reader.line_num}: expected 4 fields")
+            try:
+                c, v = int(row["chip_id"]), float(row["voltage"])
+                t = int(row["sample_index"])
+            except ValueError as exc:
+                raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
+            samples.setdefault(c, {}).setdefault(v, []).append((t, row["word_hex"]))
     arrays: dict[int, dict[float, np.ndarray]] = {}
     for c, per_chip in samples.items():
         arrays[c] = {}
@@ -369,7 +381,11 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
             rows.sort()
             if [t for t, _ in rows] != list(range(len(rows))):
                 raise DatasetError(f"sample indices not contiguous for chip {c} at {v} V")
-            arrays[c][v] = np.stack([ResponseWord.from_hex(h, id_len).bits for _, h in rows])
+            try:
+                arrays[c][v] = np.stack([ResponseWord.from_hex(h, id_len).bits
+                                         for _, h in rows])
+            except ValueError as exc:
+                raise DatasetError(f"bad sample for chip {c} at {v} V: {exc}") from exc
     dataset = CampaignDataset(config=cfg, ro_params=params, coupling=coupling,
                               references=references, samples=arrays)
     dataset.check_complete()

@@ -73,6 +73,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     cfg = RunConfig.from_json_dict(data)
     cfg.campaign.validate(cfg.ro_params)
+    if cfg.post_bch and cfg.emit_histograms and cfg.campaign.id_length < bch.N:
+        raise ConfigurationError(f"flags.post_bch needs id_length >= {bch.N} "
+                                 f"(the BCH code length), got {cfg.campaign.id_length}")
     return cfg
 
 

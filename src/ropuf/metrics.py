@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import bch
-from .errors import DecodeFailure
 from .sampler import ResponseWord
 
 
@@ -223,15 +222,8 @@ def corrected_sample_words(dataset, chip_id: int, v: float) -> np.ndarray:
     """
     if dataset.config.id_length < bch.N:
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
-    ref = dataset.reference(chip_id, dataset.reference_voltage)
-    helper = bch.HelperData(offset=ResponseWord(ref.bits[:bch.N]))
-    out = dataset.sample_array(chip_id, v)[:, :bch.N].copy()
-    for row in out:
-        try:
-            row[:] = bch.correct_response(ResponseWord(row), helper).bits
-        except DecodeFailure:
-            pass
-    return out
+    anchor = dataset.reference(chip_id, dataset.reference_voltage).bits[:bch.N]
+    return bch.decode_rows(dataset.sample_array(chip_id, v)[:, :bch.N] ^ anchor)[0] ^ anchor
 
 
 def _stage(dataset, v: float, post_bch: bool) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -64,3 +64,98 @@ def reliability_formula(reference: list[int], samples: list[list[int]],
 def uniformity_formula(responses: list[list[int]], length: int) -> float:
     per_response = [sum(r) / length * 100.0 for r in responses]
     return sum(per_response) / len(per_response)
+
+
+# --- BCH(31,16,7) algebraic decoder ------------------------------------
+# GF(2^5) on x^5 + x^2 + 1; a word's bits[i] is the coefficient of x^(30-i).
+
+GF_EXP = [0] * 62
+GF_LOG = [0] * 32
+_x = 1
+for _i in range(31):
+    GF_EXP[_i] = GF_EXP[_i + 31] = _x
+    GF_LOG[_x] = _i
+    _x <<= 1
+    if _x & 0x20:
+        _x ^= 0x25
+
+
+def gf_mul(a: int, b: int) -> int:
+    if a == 0 or b == 0:
+        return 0
+    return GF_EXP[GF_LOG[a] + GF_LOG[b]]
+
+
+def gf_inv(a: int) -> int:
+    return GF_EXP[31 - GF_LOG[a]]
+
+
+def bch_syndromes(bits) -> list[int]:
+    """S_1..S_6: the received polynomial evaluated at alpha^1..alpha^6."""
+    syn = []
+    for j in range(1, 7):
+        acc = 0
+        for i, b in enumerate(bits):
+            if b:
+                acc ^= GF_EXP[(j * (30 - i)) % 31]
+        syn.append(acc)
+    return syn
+
+
+def berlekamp_massey(syn: list[int]) -> list[int]:
+    """Error locator polynomial from S_1..S_6, ascending coefficients."""
+    c, b = [1], [1]
+    length, m, bb = 0, 1, 1
+    for n, s in enumerate(syn):
+        d = s
+        for i in range(1, length + 1):
+            if i < len(c):
+                d ^= gf_mul(c[i], syn[n - i])
+        if d == 0:
+            m += 1
+            continue
+        coef = gf_mul(d, gf_inv(bb))
+        shifted = [0] * m + [gf_mul(coef, x) for x in b]
+        merged = [0] * max(len(c), len(shifted))
+        for i, x in enumerate(c):
+            merged[i] ^= x
+        for i, x in enumerate(shifted):
+            merged[i] ^= x
+        if 2 * length <= n:
+            b, bb, length, m = c, d, n + 1 - length, 1
+        else:
+            m += 1
+        c = merged
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def bch_decode(bits) -> tuple[list[int], int] | None:
+    """Berlekamp-Massey plus a Chien search: (codeword bits, number of
+    errors corrected), or None for a word with more than 3 errors and
+    no codeword within distance 3."""
+    bits = [int(b) for b in bits]
+    syn = bch_syndromes(bits)
+    if not any(syn):
+        return bits, 0
+    locator = berlekamp_massey(syn)
+    degree = len(locator) - 1
+    if degree > 3:
+        return None
+    positions = []
+    for p in range(31):  # Chien search: a root alpha^-p marks an error at x^p
+        x = GF_EXP[(31 - p) % 31]
+        acc, xp = locator[0], 1
+        for coef in locator[1:]:
+            xp = gf_mul(xp, x)
+            acc ^= gf_mul(coef, xp)
+        if acc == 0:
+            positions.append(p)
+    if len(positions) != degree:
+        return None
+    for p in positions:
+        bits[30 - p] ^= 1
+    if any(bch_syndromes(bits)):
+        return None
+    return bits, degree

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import bch_decode
 from ropuf import bch
 from ropuf.errors import DecodeFailure
 from ropuf.sampler import ResponseWord
@@ -155,6 +156,44 @@ class TestDecode:
             bch.decode(ResponseWord.zeros(30))
 
 
+class TestDecodeRowsOracle:
+    """decode_rows against the Berlekamp-Massey/Chien decoder in oracles."""
+
+    @staticmethod
+    def check_oracle(rows):
+        """Assert row-by-row agreement; return the number of failed rows."""
+        fixed, n_errors = bch.decode_rows(rows)
+        failures = 0
+        for row, got, n in zip(rows.tolist(), fixed.tolist(), n_errors.tolist()):
+            want = bch_decode(row)
+            if want is None:
+                failures += 1
+                assert (got, n) == (row, -1)
+            else:
+                assert (got, n) == want
+        return failures
+
+    def test_every_pattern_up_to_weight_3(self, rng):
+        patterns = [p for w in range(4) for p in itertools.combinations(range(31), w)]
+        assert len(patterns) == 1 + 31 + 465 + 4495
+        noise = np.zeros((len(patterns), 31), dtype=np.uint8)
+        for k, p in enumerate(patterns):
+            noise[k, list(p)] = 1
+        for _ in range(3):
+            cw = bch.encode(rand_message(rng)).bits
+            rows = cw ^ noise
+            assert self.check_oracle(rows) == 0
+            assert (bch.decode_rows(rows)[0] == cw).all()
+
+    def test_random_weight_4_to_8(self, rng):
+        n = 20_000
+        codewords = (rng.integers(0, 2, (n, bch.K), dtype=np.uint8) @ bch.generator_matrix()) % 2
+        weights = rng.integers(4, 9, n)
+        noise = (np.argsort(rng.random((n, 31)), axis=1) < weights[:, None]).astype(np.uint8)
+        failures = self.check_oracle(codewords ^ noise)
+        assert 0 < failures < n  # both failures and miscorrections occur
+
+
 class TestFuzzyExtractor:
     def test_noiseless_round_trip(self, rng):
         response = ResponseWord(rng.integers(0, 2, 31, dtype=np.uint8))
@@ -198,7 +237,10 @@ class TestFuzzyExtractor:
         _, helper = bch.fe_enroll(response, 9)
         noisy = response.bits.copy()
         noisy[[0, 13, 30]] ^= 1
-        assert bch.correct_response(ResponseWord(noisy), helper) == response
+        offset = helper.offset.bits
+        fixed, n_errors = bch.decode_rows(noisy[None, :] ^ offset)
+        assert n_errors.tolist() == [3]
+        assert np.array_equal(fixed[0] ^ offset, response.bits)
 
     def test_helper_json_round_trip(self, tmp_path, rng):
         response = ResponseWord(rng.integers(0, 2, 31, dtype=np.uint8))

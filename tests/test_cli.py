@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
-from ropuf import cli, ro
+from ropuf import bch, chipsim, cli, ro
 
 
 def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
-                 coupling=None, **ro_overrides):
+                 coupling=None, pairs_per_id=2, post_bch=False, **ro_overrides):
     ro_params = {
         "nominal_period_s": 1e-9,
         "process_sigma": 0.04,
@@ -20,7 +21,7 @@ def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
         "ro": ro_params,
         "campaign": {
             "n_chips": n_chips,
-            "pairs_per_id": 2,
+            "pairs_per_id": pairs_per_id,
             "word_length": 16,
             "samples_per_chip": samples,
             "enroll_repetitions": 9,
@@ -28,7 +29,7 @@ def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
             "master_seed": seed,
         },
         "coupling": coupling or {"mode": "none"},
-        "flags": {"post_bch": False, "emit_histograms": True, "emit_sweep": False},
+        "flags": {"post_bch": post_bch, "emit_histograms": True, "emit_sweep": False},
     }
     path.write_text(json.dumps(config, indent=2))
     return config
@@ -72,6 +73,46 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert "voltages_v" in capsys.readouterr().err
         assert not (out / "dataset.csv").exists()
+
+    def test_post_bch_with_short_id_fails_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg, pairs_per_id=1, post_bch=True)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "post_bch" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--threads", "0"]) == 2
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads,cpus,workers", [(64, 8, 3), (64, 2, 2), (2, 8, 2)])
+    def test_worker_count_capped(self, tmp_path, monkeypatch, threads, cpus, workers):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(chipsim, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(chipsim.os, "cpu_count", lambda: cpus)
+        cfg = tmp_path / "run.json"
+        write_config(cfg, n_chips=3)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--threads", str(threads)]) == 0
+        assert started == [workers]
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -140,6 +181,26 @@ class TestMetrics:
         assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
         assert "data error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda line: "0,1.3",
+        lambda line: line + ",0",
+        lambda line: "x" + line,
+        lambda line: line.replace(",1.3,", ",volts,"),
+        lambda line: line.replace(",0,", ",first,"),
+        lambda line: line[:-1] + "z",
+        lambda line: line.rsplit(",", 1)[0] + ",1" + line.rsplit(",", 1)[1],
+    ], ids=["missing_fields", "extra_field", "non_numeric_chip", "non_numeric_voltage",
+            "non_numeric_index", "bad_hex", "hex_too_wide"])
+    def test_bad_csv_row_is_data_error(self, tmp_path, capsys, corrupt):
+        csv_path = self._simulated(tmp_path)
+        lines = csv_path.read_text().splitlines()
+        assert lines[1].startswith("0,1.3,0,")
+        lines[1] = corrupt(lines[1])
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
+        assert "data error:" in capsys.readouterr().err
+
     def test_post_bch_flag(self, tmp_path):
         csv_path = self._simulated(tmp_path)
         out = tmp_path / "m"
@@ -172,10 +233,24 @@ class TestBchSelftest:
         assert cli.main(["bch-selftest", "--trials", "200"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
+
+    @pytest.mark.parametrize("damage", ["drop_leader", "swap_leaders", "weight_4_leader"])
+    def test_broken_leader_table_exits_4(self, monkeypatch, capsys, damage):
+        byte_syn, leaders = bch._decoder_tables(bch.GENERATOR)
+        broken = leaders.copy()
+        held = np.flatnonzero(leaders > 0)
+        if damage == "drop_leader":
+            broken[held[-1]] = -1
+        elif damage == "swap_leaders":
+            broken[held[[0, 1]]] = leaders[held[[1, 0]]]
+        else:
+            broken[np.flatnonzero(leaders < 0)[0]] = 0b1111
+        monkeypatch.setattr(bch, "_decoder_tables", lambda generator: (byte_syn, broken))
+        assert cli.main(["bch-selftest", "--trials", "10"]) == 4
+        assert "FAIL  coset-leader table" in capsys.readouterr().out
 
     def test_tampered_generator_exits_4(self, monkeypatch, capsys):
-        from ropuf import bch
         monkeypatch.setattr(bch, "GENERATOR", bch.GENERATOR ^ (1 << 3))
         assert cli.main(["bch-selftest", "--trials", "10"]) == 4
         assert "FAIL" in capsys.readouterr().out

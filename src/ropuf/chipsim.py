@@ -12,12 +12,13 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import bch, ro
+from .config import CampaignConfig, RunConfig, from_dict, to_dict
 from .errors import ConfigurationError, DatasetError, DecodeFailure
 from .metrics import linear_fit
 from .rng import TAG_ENROLL, TAG_REALIZE, TAG_SAMPLE, keyed_rng
@@ -30,54 +31,6 @@ class Chip:
 
     chip_id: int
     units: tuple[PufUnit, ...]
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    n_chips: int = 10
-    pairs_per_id: int = 2
-    word_length: int = 16
-    samples_per_chip: int = 5000
-    enroll_repetitions: int = 99
-    voltages: tuple[float, ...] = (1.3,)
-    master_seed: int = 20260809
-    id_length: int | None = None
-
-    def __post_init__(self):
-        if self.id_length is None:
-            object.__setattr__(self, "id_length", self.pairs_per_id * self.word_length)
-
-    def validate(self, params: ro.RoParams | None = None) -> None:
-        if self.n_chips < 2:
-            raise ConfigurationError("n_chips must be >= 2 for inter-chip metrics")
-        if self.pairs_per_id < 1 or self.word_length < 1:
-            raise ConfigurationError("pairs_per_id and word_length must be >= 1")
-        if self.id_length != self.pairs_per_id * self.word_length:
-            raise ConfigurationError(
-                f"id_length {self.id_length} != pairs_per_id*word_length "
-                f"{self.pairs_per_id * self.word_length}")
-        if self.samples_per_chip < 1:
-            raise ConfigurationError("samples_per_chip must be >= 1")
-        if self.enroll_repetitions < 1:
-            raise ConfigurationError("enroll_repetitions must be >= 1")
-        if not self.voltages:
-            raise ConfigurationError("voltages must be non-empty")
-        if len(set(self.voltages)) != len(self.voltages):
-            raise ConfigurationError(f"voltages_v has duplicates: {list(self.voltages)}")
-        if params is not None:
-            params.validate()
-            # Reject configurations that could leave the linear voltage
-            # model (worst realistic sensitivity draw at the worst voltage).
-            gamma_max = abs(params.voltage_sensitivity_mean) + \
-                6.0 * params.voltage_sensitivity_sigma
-            dv_max = max(abs(v - params.reference_voltage) for v in self.voltages)
-            if gamma_max * dv_max >= 0.5:
-                raise ConfigurationError(
-                    "voltages: |gamma*(V-V0)| may reach 0.5; outside model range")
-            if params.reference_voltage not in self.voltages:
-                raise ConfigurationError(
-                    f"voltages_v must include reference_voltage_v "
-                    f"{params.reference_voltage}: references are enrolled there")
 
 
 def build_population(config: CampaignConfig, params: ro.RoParams,
@@ -243,73 +196,6 @@ def correct_for_voltage(raw_id: ResponseWord, v_measured: float,
     return ResponseWord(np.concatenate([fixed[0] ^ offset, raw_id.bits[bch.N:]]))
 
 
-# --- dict (de)serialization with explicit units in field names ---------
-
-def ro_params_to_dict(p: ro.RoParams) -> dict:
-    return {
-        "nominal_period_s": p.nominal_period,
-        "process_sigma": p.process_sigma,
-        "jitter_sigma": p.jitter_sigma,
-        "voltage_sensitivity_per_v": p.voltage_sensitivity_mean,
-        "voltage_sensitivity_sigma_per_v": p.voltage_sensitivity_sigma,
-        "reference_voltage_v": p.reference_voltage,
-    }
-
-
-def ro_params_from_dict(d: dict) -> ro.RoParams:
-    try:
-        return ro.RoParams(
-            nominal_period=d["nominal_period_s"],
-            process_sigma=d["process_sigma"],
-            jitter_sigma=d["jitter_sigma"],
-            voltage_sensitivity_mean=d["voltage_sensitivity_per_v"],
-            voltage_sensitivity_sigma=d["voltage_sensitivity_sigma_per_v"],
-            reference_voltage=d["reference_voltage_v"],
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"ro params missing field {exc.args[0]!r}") from exc
-
-
-def campaign_config_to_dict(c: CampaignConfig) -> dict:
-    return {
-        "n_chips": c.n_chips,
-        "pairs_per_id": c.pairs_per_id,
-        "word_length": c.word_length,
-        "samples_per_chip": c.samples_per_chip,
-        "enroll_repetitions": c.enroll_repetitions,
-        "voltages_v": list(c.voltages),
-        "master_seed": c.master_seed,
-        "id_length": c.id_length,
-    }
-
-
-def campaign_config_from_dict(d: dict) -> CampaignConfig:
-    try:
-        return CampaignConfig(
-            n_chips=d["n_chips"],
-            pairs_per_id=d["pairs_per_id"],
-            word_length=d["word_length"],
-            samples_per_chip=d["samples_per_chip"],
-            enroll_repetitions=d["enroll_repetitions"],
-            voltages=tuple(d["voltages_v"]),
-            master_seed=d["master_seed"],
-            id_length=d.get("id_length"),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"campaign config missing field {exc.args[0]!r}") from exc
-
-
-def coupling_to_dict(c: ro.Coupling) -> dict:
-    return {"mode": c.mode, "strength": c.strength}
-
-
-def coupling_from_dict(d: dict) -> ro.Coupling:
-    mode = d.get("mode", ro.COUPLING_NONE)
-    default_strength = (ro.DEFAULT_CAPACITIVE_STRENGTH
-                        if mode == ro.COUPLING_CAPACITIVE else 0.0)
-    return ro.Coupling(mode=mode, strength=d.get("strength", default_strength))
-
-
 # --- file round trip ---------------------------------------------------
 
 def save_dataset(dataset: CampaignDataset, csv_path: str | Path,
@@ -325,11 +211,8 @@ def save_dataset(dataset: CampaignDataset, csv_path: str | Path,
                 for t, row in enumerate(dataset.sample_array(c, v)):
                     writer.writerow([c, repr(v), t, ResponseWord(row).to_hex()])
     sidecar = {
-        "config": {
-            "ro": ro_params_to_dict(dataset.ro_params),
-            "campaign": campaign_config_to_dict(cfg),
-            "coupling": coupling_to_dict(dataset.coupling),
-        },
+        "config": to_dict(RunConfig(dataset.ro_params, cfg, dataset.coupling),
+                          ("ro", "campaign", "coupling")),
         "master_seed": cfg.master_seed,
         "references": {
             str(c): {repr(v): dataset.reference(c, v).to_hex() for v in cfg.voltages}
@@ -353,11 +236,13 @@ def _references_from_dict(d, id_length: int) -> dict[int, dict[float, ResponseWo
 def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignDataset:
     try:
         sidecar = json.loads(Path(sidecar_path).read_text())
-        params = ro_params_from_dict(sidecar["config"]["ro"])
-        cfg = campaign_config_from_dict(sidecar["config"]["campaign"])
-        coupling = coupling_from_dict(sidecar["config"]["coupling"])
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        run = from_dict(sidecar["config"])
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: JSON or schema
         raise DatasetError(f"bad sidecar: {exc}") from exc
+    cfg = run.campaign
+    seed = sidecar.get("master_seed")
+    if type(seed) is not int or seed != cfg.master_seed:
+        raise DatasetError(f"sidecar master_seed {seed!r} != config.campaign.master_seed")
     id_len = cfg.id_length
     references = _references_from_dict(sidecar.get("references"), id_len)
     samples: dict[int, dict[float, list]] = {}
@@ -386,11 +271,7 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
                                          for _, h in rows])
             except ValueError as exc:
                 raise DatasetError(f"bad sample for chip {c} at {v} V: {exc}") from exc
-    dataset = CampaignDataset(config=cfg, ro_params=params, coupling=coupling,
-                              references=references, samples=arrays)
+    dataset = CampaignDataset(cfg, run.ro_params, run.coupling, references, arrays)
     dataset.check_complete()
     return dataset
 
-
-def with_master_seed(config: CampaignConfig, master_seed: int) -> CampaignConfig:
-    return replace(config, master_seed=master_seed)

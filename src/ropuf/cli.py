@@ -13,10 +13,9 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import bch, chipsim, cost, metrics, ro
+from . import bch, chipsim, config, cost, metrics
 from .errors import ConfigurationError, DatasetError
 
 EXIT_OK = 0
@@ -25,86 +24,26 @@ EXIT_DATA = 3
 EXIT_SELFTEST = 4
 
 
-@dataclass
-class RunConfig:
-    """Everything one simulation run needs, round-trippable through JSON."""
-
-    ro_params: ro.RoParams = field(default_factory=ro.RoParams)
-    campaign: chipsim.CampaignConfig = field(default_factory=chipsim.CampaignConfig)
-    coupling: ro.Coupling = field(default_factory=ro.Coupling.none)
-    post_bch: bool = False
-    emit_histograms: bool = True
-    emit_sweep: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ro": chipsim.ro_params_to_dict(self.ro_params),
-            "campaign": chipsim.campaign_config_to_dict(self.campaign),
-            "coupling": chipsim.coupling_to_dict(self.coupling),
-            "flags": {
-                "post_bch": self.post_bch,
-                "emit_histograms": self.emit_histograms,
-                "emit_sweep": self.emit_sweep,
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunConfig":
-        for section in ("ro", "campaign"):
-            if section not in data:
-                raise ConfigurationError(f"config missing section {section!r}")
-        flags = data.get("flags", {})
-        return cls(
-            ro_params=chipsim.ro_params_from_dict(data["ro"]),
-            campaign=chipsim.campaign_config_from_dict(data["campaign"]),
-            coupling=chipsim.coupling_from_dict(data.get("coupling", {})),
-            post_bch=bool(flags.get("post_bch", False)),
-            emit_histograms=bool(flags.get("emit_histograms", True)),
-            emit_sweep=bool(flags.get("emit_sweep", False)),
-        )
-
-
-def load_run_config(path: str | Path) -> RunConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    cfg = RunConfig.from_json_dict(data)
-    cfg.campaign.validate(cfg.ro_params)
-    if cfg.post_bch and cfg.emit_histograms and cfg.campaign.id_length < bch.N:
-        raise ConfigurationError(f"flags.post_bch needs id_length >= {bch.N} "
-                                 f"(the BCH code length), got {cfg.campaign.id_length}")
-    return cfg
-
-
-def _run_campaign_from_config(cfg: RunConfig, threads: int) -> chipsim.CampaignDataset:
+def _run_campaign_from_config(cfg: config.RunConfig, threads: int) -> chipsim.CampaignDataset:
     chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
     return chipsim.run_campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling,
                                 threads=threads)
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg.campaign = chipsim.with_master_seed(cfg.campaign, args.seed)
-    return cfg
-
-
 def cmd_simulate(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = config.load(args.config, master_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dataset = _run_campaign_from_config(cfg, args.threads)
     chipsim.save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
     n_rows = cfg.campaign.n_chips * len(cfg.campaign.voltages) * cfg.campaign.samples_per_chip
     print(f"wrote {out / 'dataset.csv'} ({n_rows} rows) and {out / 'dataset.json'}")
-    if cfg.emit_histograms:
-        report = metrics.compute_report(dataset, post_bch=cfg.post_bch)
+    if cfg.flags.emit_histograms:
+        report = metrics.compute_report(dataset, post_bch=cfg.flags.post_bch)
         report.save_json(out / "report.json")
         metrics.write_histogram_csv(out / "histograms.csv", [report.intra, report.inter])
         print(f"wrote {out / 'report.json'} and {out / 'histograms.csv'}")
-    if cfg.emit_sweep and len(cfg.campaign.voltages) >= 2:
+    if cfg.flags.emit_sweep and len(cfg.campaign.voltages) >= 2:
         series = chipsim.voltage_sweep(dataset)
         _write_sweep_files(out, series)
     return EXIT_OK
@@ -143,7 +82,7 @@ def _write_sweep_files(out: Path, series) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _apply_overrides(load_run_config(args.config), args)
+    cfg = config.load(args.config, master_seed=args.seed)
     if len(cfg.campaign.voltages) < 2:
         raise ConfigurationError("voltages_v: sweep needs at least two voltages")
     out = Path(args.out)
@@ -156,6 +95,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bch_selftest(args) -> int:
+    if args.trials < 0:
+        raise ConfigurationError(f"--trials must be >= 0, got {args.trials}")
     results = bch.selftest(random_error_trials=args.trials)
     failed = False
     for name, passed in results:

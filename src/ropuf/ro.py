@@ -72,9 +72,12 @@ class Coupling:
     """Interaction mode between the two oscillators of a PUF unit."""
 
     mode: str = COUPLING_NONE
-    strength: float = 0.0  # kappa, only meaningful for capacitive mode
+    strength: float | None = None  # kappa, capacitive mode only; None: the mode default
 
     def __post_init__(self):
+        if self.strength is None:
+            object.__setattr__(self, "strength", DEFAULT_CAPACITIVE_STRENGTH
+                               if self.mode == COUPLING_CAPACITIVE else 0.0)
         if self.mode not in (COUPLING_NONE, COUPLING_INVERTER_LOOP, COUPLING_CAPACITIVE):
             raise ConfigurationError(f"unknown coupling mode: {self.mode!r}")
         if self.mode == COUPLING_CAPACITIVE and not 0.0 <= self.strength <= 1.0:

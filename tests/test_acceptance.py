@@ -15,7 +15,7 @@ import pytest
 from conftest import make_unit
 from oracles import (closed_form_word, reliability_formula, uniformity_formula,
                      uniqueness_formula)
-from ropuf import chipsim, cli, bch, metrics, ro, sampler
+from ropuf import chipsim, cli, bch, config, metrics, ro, sampler
 from ropuf.sampler import ResponseWord
 
 SEED = 20260809
@@ -241,15 +241,11 @@ def test_criterion_9_uniqueness_band(default_campaigns):
 
 
 def test_criterion_10_byte_determinism(tmp_path):
-    config = {
-        "ro": chipsim.ro_params_to_dict(ro.RoParams()),
-        "campaign": chipsim.campaign_config_to_dict(chipsim.CampaignConfig(
-            n_chips=N_CHIPS, samples_per_chip=T_SAMPLES,
-            enroll_repetitions=99, master_seed=SEED)),
-        "coupling": {"mode": "none"},
-    }
+    run = config.RunConfig(campaign=chipsim.CampaignConfig(
+        n_chips=N_CHIPS, samples_per_chip=T_SAMPLES,
+        enroll_repetitions=99, master_seed=SEED))
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(config, indent=2))
+    cfg_path.write_text(json.dumps(config.to_dict(run), indent=2))
     digests = {}
     for label, threads in (("a", 1), ("b", 2)):
         out = tmp_path / label

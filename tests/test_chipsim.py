@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ropuf import chipsim, metrics, ro
+from ropuf import chipsim, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError, DecodeFailure
 from ropuf.sampler import ResponseWord
 
@@ -217,12 +217,11 @@ class TestSerialization:
             chipsim.load_dataset(csv_path, json_path)
 
     def test_config_dict_round_trip(self):
-        cfg = chipsim.CampaignConfig(voltages=(1.2, 1.3), master_seed=3, **FAST)
-        assert chipsim.campaign_config_from_dict(chipsim.campaign_config_to_dict(cfg)) == cfg
-        params = ro.RoParams(jitter_sigma=0.002)
-        assert chipsim.ro_params_from_dict(chipsim.ro_params_to_dict(params)) == params
-        coup = ro.Coupling.capacitive(0.7)
-        assert chipsim.coupling_from_dict(chipsim.coupling_to_dict(coup)) == coup
+        run = config.RunConfig(
+            ro_params=ro.RoParams(jitter_sigma=0.002),
+            campaign=chipsim.CampaignConfig(voltages=(1.2, 1.3), master_seed=3, **FAST),
+            coupling=ro.Coupling.capacitive(0.7))
+        assert config.from_dict(config.to_dict(run)) == run
 
 
 class TestPostBchDistributions:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ropuf import bch, chipsim, cli, ro
+from ropuf.config import from_dict, load, to_dict
 
 
 def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
@@ -113,6 +114,15 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--threads", str(threads)]) == 0
         assert started == [workers]
+
+    def test_negative_seed_fails_before_any_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--seed", "-1"]) == 2
+        assert "master_seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -235,6 +245,10 @@ class TestBchSelftest:
         assert "FAIL" not in out
         assert out.count("PASS") == 8
 
+    def test_negative_trials_is_config_error(self, capsys):
+        assert cli.main(["bch-selftest", "--trials", "-1"]) == 2
+        assert "--trials" in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["drop_leader", "swap_leaders", "weight_4_leader"])
     def test_broken_leader_table_exits_4(self, monkeypatch, capsys, damage):
         byte_syn, leaders = bch._decoder_tables(bch.GENERATOR)
@@ -278,16 +292,52 @@ class TestCost:
         assert cli.main(["cost", "--per-ff", "-3"]) == 2
 
 
+# Each case exited 0, exited with the wrong code or message, or raised a
+# traceback before the run config and the sidecar shared one schema.
+RUN_CONFIG_CASES = {
+    "n_chips_string": (lambda c: c["campaign"].update(n_chips="3"), "n_chips"),
+    "n_chips_float": (lambda c: c["campaign"].update(n_chips=3.0), "n_chips"),
+    "samples_fractional": (lambda c: c["campaign"].update(samples_per_chip=10.5),
+                           "samples_per_chip"),
+    "voltages_string": (lambda c: c["campaign"].update(voltages_v="1.3"), "voltages_v"),
+    "voltages_number": (lambda c: c["campaign"].update(voltages_v=1.3), "voltages_v"),
+    "voltages_of_strings": (lambda c: c["campaign"].update(voltages_v=["1.3"]), "voltages_v"),
+    "ro_list": (lambda c: c.update(ro=[]), "config.ro"),
+    "campaign_list": (lambda c: c.update(campaign=[1]), "config.campaign"),
+    "jitter_string": (lambda c: c["ro"].update(jitter_sigma="0.01"), "jitter_sigma"),
+    "reference_voltage_string": (lambda c: c["ro"].update(reference_voltage_v="1.3"),
+                                 "reference_voltage_v"),
+    "flags_list": (lambda c: c.update(flags=[]), "config.flags"),
+    "coupling_list": (lambda c: c.update(coupling=[]), "config.coupling"),
+    "strength_string": (lambda c: c.update(coupling={"mode": "capacitive", "strength": "0.5"}),
+                        "strength"),
+    "post_bch_string": (lambda c: c["flags"].update(post_bch="false"), "post_bch"),
+    "master_seed_string": (lambda c: c["campaign"].update(master_seed="5"), "master_seed"),
+    "field_typo": (lambda c: c["campaign"].update(n_chip=3), "n_chip"),
+}
+SIDECAR_CASES = {
+    "id_length_40": (lambda s: s["config"]["campaign"].update(id_length=40), "id_length"),
+    "word_length_8": (lambda s: s["config"]["campaign"].update(word_length=8), "word_length"),
+    "jitter_string": (lambda s: s["config"]["ro"].update(jitter_sigma="x"), "jitter_sigma"),
+    "n_chips_string": (lambda s: s["config"]["campaign"].update(n_chips="3"), "n_chips"),
+    "bad_coupling_mode": (lambda s: s["config"]["coupling"].update(mode="sideways"),
+                          "coupling mode"),
+    "one_chip": (lambda s: s["config"]["campaign"].update(n_chips=1), "n_chips"),
+    "reference_voltage_off_grid": (lambda s: s["config"]["ro"].update(reference_voltage_v=1.25),
+                                   "reference_voltage_v"),
+    "master_seed_mismatch": (lambda s: s.update(master_seed=6), "master_seed"),
+}
+
+
 class TestRunConfig:
     def test_round_trip_identical_structure(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         write_config(cfg_path, coupling={"mode": "capacitive", "strength": 0.7})
-        parsed = cli.load_run_config(cfg_path)
-        again = cli.RunConfig.from_json_dict(parsed.to_json_dict())
-        assert again == parsed
+        parsed = load(cfg_path)
+        assert from_dict(to_dict(parsed)) == parsed
 
     def test_capacitive_defaults_documented_strength(self):
-        rc = cli.RunConfig.from_json_dict({
+        rc = from_dict({
             "ro": json.loads(json.dumps({
                 "nominal_period_s": 1e-9, "process_sigma": 0.04,
                 "jitter_sigma": 0.0003, "voltage_sensitivity_per_v": 0.5,
@@ -298,3 +348,28 @@ class TestRunConfig:
             "coupling": {"mode": "capacitive"},
         })
         assert rc.coupling.strength == ro.DEFAULT_CAPACITIVE_STRENGTH
+
+    @pytest.mark.parametrize("target,mutate,field", [
+        pytest.param(target, mutate, field, id=f"{target}-{name}")
+        for target, cases in (("config", RUN_CONFIG_CASES), ("sidecar", SIDECAR_CASES))
+        for name, (mutate, field) in cases.items()])
+    def test_malformed_config_names_field(self, tmp_path, capsys, target, mutate, field):
+        cfg_path, out = tmp_path / "run.json", tmp_path / "o"
+        config = write_config(cfg_path)
+        if target == "config":
+            mutate(config)
+            cfg_path.write_text(json.dumps(config))
+            assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+            assert not (out / "dataset.csv").exists()
+            err = capsys.readouterr().err
+        else:
+            assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            sidecar = json.loads((out / "dataset.json").read_text())
+            mutate(sidecar)
+            (out / "dataset.json").write_text(json.dumps(sidecar))
+            capsys.readouterr()
+            assert cli.main(["metrics", str(out / "dataset.csv"),
+                             "--out", str(tmp_path / "m")]) == 3
+            err = capsys.readouterr().err
+            assert "data error:" in err
+        assert field in err

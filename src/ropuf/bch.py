@@ -128,22 +128,12 @@ def generator_coefficients() -> list[int]:
     return [(GENERATOR >> i) & 1 for i in range(N - K + 1)]
 
 
-def _word_to_poly_int(word: ResponseWord) -> int:
-    # bits[i] is the coefficient of x^(30-i)
-    return word.to_int()
-
-
-def _poly_int_to_word(value: int, length: int) -> ResponseWord:
-    bits = [(value >> (length - 1 - i)) & 1 for i in range(length)]
-    return ResponseWord(np.array(bits, dtype=np.uint8))
-
-
 def encode(message: ResponseWord) -> ResponseWord:
     """Systematic encoding: parity is (message * x^15) mod g."""
     if len(message) != K:
         raise ValueError(f"message must be {K} bits, got {len(message)}")
-    shifted = _word_to_poly_int(message) << (N - K)
-    return _poly_int_to_word(shifted | _gf2_mod(shifted, GENERATOR), N)
+    shifted = message.to_int() << (N - K)  # bits[i] is the coefficient of x^(30-i)
+    return ResponseWord(_pattern_rows(np.array([shifted | _gf2_mod(shifted, GENERATOR)]))[0])
 
 
 @functools.cache

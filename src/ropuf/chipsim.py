@@ -12,6 +12,7 @@ import csv
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +23,8 @@ from .config import CampaignConfig, RunConfig, from_dict, to_dict
 from .errors import ConfigurationError, DatasetError, DecodeFailure
 from .metrics import linear_fit
 from .rng import TAG_ENROLL, TAG_REALIZE, TAG_SAMPLE, keyed_rng
-from .sampler import PufUnit, ResponseWord, compose_id, enroll_id, sample_word
+from .sampler import (PufUnit, ResponseWord, compose_id, enroll_id, hex_to_rows,
+                      rows_to_hex, sample_word)
 
 
 @dataclass(frozen=True)
@@ -52,59 +54,55 @@ def build_population(config: CampaignConfig, params: ro.RoParams,
 
 @dataclass
 class CampaignDataset:
-    """Complete (chip, voltage, sample) grid plus enrolled references."""
+    """Complete (chip, voltage, sample) grid plus enrolled references:
+    per voltage, an (n_chips, L) reference array and an (n_chips, T, L)
+    sample array."""
 
     config: CampaignConfig
     ro_params: ro.RoParams
     coupling: ro.Coupling
-    references: dict[int, dict[float, ResponseWord]]
-    samples: dict[int, dict[float, np.ndarray]] = field(repr=False)
+    references: dict[float, np.ndarray]
+    samples: dict[float, np.ndarray] = field(repr=False)
 
     @property
     def reference_voltage(self) -> float:
         return self.ro_params.reference_voltage
 
     def reference(self, chip_id: int, v: float) -> ResponseWord:
-        return self.references[chip_id][v]
+        return ResponseWord(self.references[v][chip_id])
 
     def sample_array(self, chip_id: int, v: float) -> np.ndarray:
-        return self.samples[chip_id][v]
+        return self.samples[v][chip_id]
 
     def check_complete(self) -> None:
         cfg = self.config
-        for c in range(cfg.n_chips):
-            for v in cfg.voltages:
-                if c not in self.references or v not in self.references[c]:
-                    raise DatasetError(f"missing reference for chip {c} at {v} V")
-                arr = self.samples.get(c, {}).get(v)
-                if arr is None or arr.shape != (cfg.samples_per_chip, cfg.id_length):
-                    raise DatasetError(f"missing or ragged samples for chip {c} at {v} V")
+        for v in cfg.voltages:
+            if np.shape(self.references.get(v)) != (cfg.n_chips, cfg.id_length):
+                raise DatasetError(f"missing or ragged references at {v} V")
+            if np.shape(self.samples.get(v)) != (cfg.n_chips, cfg.samples_per_chip, cfg.id_length):
+                raise DatasetError(f"missing or ragged samples at {v} V")
 
 
-def _chip_cells(args) -> tuple[int, dict, dict]:
+def _chip_cells(args) -> tuple[int, np.ndarray, np.ndarray]:
     # Jitter streams are keyed by (chip, unit, sample) but NOT by voltage:
     # sweeping a voltage grid re-measures the same enable cycles under
     # common random numbers, so a pair with equal voltage sensitivities
     # produces bit-identical words at every voltage (and the drift
     # statistic is exactly zero, not just zero in expectation).
     chip, voltages, t_samples, t_enroll, master_seed = args
-    refs: dict[float, ResponseWord] = {}
-    rows: dict[float, np.ndarray] = {}
-    n_units = len(chip.units)
     lw = chip.units[0].word_length
-    for v in voltages:
-        refs[v] = compose_id([
+    refs = np.empty((len(voltages), len(chip.units) * lw), dtype=np.uint8)
+    cells = np.empty((len(voltages), t_samples, refs.shape[1]), dtype=np.uint8)
+    for k, v in enumerate(voltages):
+        refs[k] = compose_id([
             enroll_id(unit, t_enroll, v,
                       keyed_rng(master_seed, TAG_ENROLL, chip.chip_id, u))
-            for u, unit in enumerate(chip.units)])
-        cell = np.empty((t_samples, n_units * lw), dtype=np.uint8)
+            for u, unit in enumerate(chip.units)]).bits
         for t in range(t_samples):
             for u, unit in enumerate(chip.units):
-                word = sample_word(
-                    unit, v, keyed_rng(master_seed, TAG_SAMPLE, chip.chip_id, u, t))
-                cell[t, u * lw:(u + 1) * lw] = word.bits
-        rows[v] = cell
-    return chip.chip_id, refs, rows
+                cells[k, t, u * lw:(u + 1) * lw] = sample_word(
+                    unit, v, keyed_rng(master_seed, TAG_SAMPLE, chip.chip_id, u, t)).bits
+    return chip.chip_id, refs, cells
 
 
 def run_campaign(chips: list[Chip], config: CampaignConfig,
@@ -113,7 +111,7 @@ def run_campaign(chips: list[Chip], config: CampaignConfig,
     """Enroll and sample every (chip, voltage) cell of the campaign grid.
 
     Results are identical for any threads value: cells are keyed by grid
-    indices, and assembly is ordered by chip id, not completion time.
+    indices, and each chip's block is stored at its chip id.
     """
     config.validate(ro_params)
     if len(chips) != config.n_chips:
@@ -122,19 +120,18 @@ def run_campaign(chips: list[Chip], config: CampaignConfig,
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
     jobs = [(chip, config.voltages, config.samples_per_chip,
              config.enroll_repetitions, config.master_seed) for chip in chips]
+    grid = (len(config.voltages), config.n_chips)
+    refs = np.empty(grid + (config.id_length,), dtype=np.uint8)
+    cells = np.empty(grid + (config.samples_per_chip, config.id_length), dtype=np.uint8)
     # A fork pool starts all max_workers processes on the first submit.
     workers = min(threads, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chip_cells, jobs))
-    else:
-        results = [_chip_cells(job) for job in jobs]
-    references, samples = {}, {}
-    for chip_id, refs, rows in sorted(results, key=lambda r: r[0]):
-        references[chip_id] = refs
-        samples[chip_id] = rows
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for chip_id, chip_refs, chip_cells in (pool.map(_chip_cells, jobs) if pool
+                                               else map(_chip_cells, jobs)):
+            refs[:, chip_id], cells[:, chip_id] = chip_refs, chip_cells
     dataset = CampaignDataset(config=config, ro_params=ro_params, coupling=coupling,
-                              references=references, samples=samples)
+                              references=dict(zip(config.voltages, refs)),
+                              samples=dict(zip(config.voltages, cells)))
     dataset.check_complete()
     return dataset
 
@@ -152,14 +149,11 @@ def voltage_sweep(dataset: CampaignDataset, reference_voltage: float | None = No
     if v0 not in dataset.config.voltages:
         raise ValueError(f"reference voltage {v0} not in dataset voltages")
 
+    refs = dataset.references[v0][:, None, :]
+
     def mean_hd(v: float) -> float:
-        total, count = 0, 0
-        for c in range(dataset.config.n_chips):
-            ref_bits = dataset.reference(c, v0).bits
-            arr = dataset.sample_array(c, v)
-            total += int(np.count_nonzero(arr != ref_bits[None, :]))
-            count += arr.shape[0]
-        return total / count
+        cells = dataset.samples[v]
+        return int(np.count_nonzero(cells != refs)) / (cells.shape[0] * cells.shape[1])
 
     base = mean_hd(v0)
     return [(v - v0, mean_hd(v) - base) for v in dataset.config.voltages]
@@ -198,39 +192,66 @@ def correct_for_voltage(raw_id: ResponseWord, v_measured: float,
 
 # --- file round trip ---------------------------------------------------
 
+CSV_HEADER = ["chip_id", "voltage", "sample_index", "word_hex"]
+
+
 def save_dataset(dataset: CampaignDataset, csv_path: str | Path,
                  sidecar_path: str | Path) -> None:
     """CSV of samples (hex words, bit 0 most significant) plus a JSON
     sidecar carrying the configuration, seed, and enrolled references."""
     cfg = dataset.config
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["chip_id", "voltage", "sample_index", "word_hex"])
+    with open(csv_path, "w", newline="") as fh:  # CSV lines end in \r\n
+        fh.write(",".join(CSV_HEADER) + "\r\n")
         for c in range(cfg.n_chips):
             for v in cfg.voltages:
-                for t, row in enumerate(dataset.sample_array(c, v)):
-                    writer.writerow([c, repr(v), t, ResponseWord(row).to_hex()])
+                fh.writelines(f"{c},{v!r},{t},{word}\r\n" for t, word in
+                              enumerate(rows_to_hex(dataset.sample_array(c, v))))
+    words = {v: rows_to_hex(dataset.references[v]) for v in cfg.voltages}
     sidecar = {
         "config": to_dict(RunConfig(dataset.ro_params, cfg, dataset.coupling),
                           ("ro", "campaign", "coupling")),
         "master_seed": cfg.master_seed,
-        "references": {
-            str(c): {repr(v): dataset.reference(c, v).to_hex() for v in cfg.voltages}
-            for c in range(cfg.n_chips)
-        },
+        "references": {str(c): {repr(v): words[v][c] for v in cfg.voltages}
+                       for c in range(cfg.n_chips)},
     }
     Path(sidecar_path).write_text(json.dumps(sidecar, indent=2) + "\n")
 
 
-def _references_from_dict(d, id_length: int) -> dict[int, dict[float, ResponseWord]]:
-    if not isinstance(d, dict) or not all(isinstance(p, dict) for p in d.values()):
-        raise DatasetError("sidecar 'references' must map chip ids to {voltage: hex word}")
+def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray:
+    """(n_voltages, n_chips, depth, L) bit array of the hex words in rows:
+    (place, (chip, voltage, index, word)) pairs, the four as strings, that
+    must hold exactly one word per grid cell."""
+    n = cfg.n_chips
+    index = {v: k for k, v in enumerate(cfg.voltages)}
+    words = [None] * (len(index) * n * depth)
+
+    def cell_name(c, v, t) -> str:
+        return f"chip {c} at {v} V" + (f", sample {t}" if depth > 1 else "")
+
+    for place, fields in rows:
+        try:
+            c, v, t, word = fields  # ValueError unless 4 fields
+            c, v, t = int(c), float(v), int(t)
+        except ValueError as exc:
+            raise DatasetError(f"{what} {place}: {exc}") from exc
+        k = index.get(v)
+        if k is None or not (0 <= c < n and 0 <= t < depth):
+            raise DatasetError(f"{what} {place}: {cell_name(c, v, t)} is outside the grid")
+        cell = (k * n + c) * depth + t
+        if words[cell] is not None:
+            raise DatasetError(f"{what} {place}: a second word for {cell_name(c, v, t)}")
+        words[cell] = word
     try:
-        return {int(c): {float(v): ResponseWord.from_hex(h, id_length)
-                         for v, h in per_chip.items()}
-                for c, per_chip in d.items()}
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"bad sidecar reference: {exc}") from exc
+        return hex_to_rows(words, cfg.id_length).reshape(len(index), n, depth, -1)
+    except (TypeError, ValueError):  # name the first missing or bad word
+        for cell, word in enumerate(words):
+            try:
+                hex_to_rows([word], cfg.id_length)
+            except (TypeError, ValueError) as exc:
+                (k, c), t = divmod(cell // depth, n), cell % depth
+                raise DatasetError(f"{what} for {cell_name(c, cfg.voltages[k], t)}: " + (
+                    "missing" if word is None else f"bad hex word {word!r}: {exc}")) from None
+        raise
 
 
 def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignDataset:
@@ -243,35 +264,19 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
     seed = sidecar.get("master_seed")
     if type(seed) is not int or seed != cfg.master_seed:
         raise DatasetError(f"sidecar master_seed {seed!r} != config.campaign.master_seed")
-    id_len = cfg.id_length
-    references = _references_from_dict(sidecar.get("references"), id_len)
-    samples: dict[int, dict[float, list]] = {}
+    refs = sidecar.get("references")
+    if not isinstance(refs, dict) or not all(isinstance(p, dict) for p in refs.values()):
+        raise DatasetError("sidecar 'references' must map chip ids to {voltage: hex word}")
+    refs = _decode_grid(((f"[{c!r}][{v!r}]", (c, v, "0", h)) for c, per_chip in refs.items()
+                         for v, h in per_chip.items()), cfg, 1, "sidecar reference")
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["chip_id", "voltage", "sample_index", "word_hex"]:
-            raise DatasetError(f"unexpected CSV header: {reader.fieldnames}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise DatasetError(f"CSV line {reader.line_num}: expected 4 fields")
-            try:
-                c, v = int(row["chip_id"]), float(row["voltage"])
-                t = int(row["sample_index"])
-            except ValueError as exc:
-                raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
-            samples.setdefault(c, {}).setdefault(v, []).append((t, row["word_hex"]))
-    arrays: dict[int, dict[float, np.ndarray]] = {}
-    for c, per_chip in samples.items():
-        arrays[c] = {}
-        for v, rows in per_chip.items():
-            rows.sort()
-            if [t for t, _ in rows] != list(range(len(rows))):
-                raise DatasetError(f"sample indices not contiguous for chip {c} at {v} V")
-            try:
-                arrays[c][v] = np.stack([ResponseWord.from_hex(h, id_len).bits
-                                         for _, h in rows])
-            except ValueError as exc:
-                raise DatasetError(f"bad sample for chip {c} at {v} V: {exc}") from exc
-    dataset = CampaignDataset(cfg, run.ro_params, run.coupling, references, arrays)
+        reader = csv.reader(fh)
+        if (header := next(reader, None)) != CSV_HEADER:
+            raise DatasetError(f"unexpected CSV header: {header}")
+        cells = _decode_grid(((reader.line_num, row) for row in reader if row),
+                             cfg, cfg.samples_per_chip, "CSV line")
+    dataset = CampaignDataset(cfg, run.ro_params, run.coupling,
+                              dict(zip(cfg.voltages, refs[:, :, 0])),
+                              dict(zip(cfg.voltages, cells)))
     dataset.check_complete()
     return dataset
-

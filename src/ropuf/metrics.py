@@ -209,9 +209,9 @@ class MetricsReport:
 # --- campaign-level evaluation ------------------------------------------
 
 
-def corrected_sample_words(dataset, chip_id: int, v: float) -> np.ndarray:
-    """(T, 31) sample bits at voltage v after error correction toward the
-    chip's reference enrolled at the reference voltage.
+def corrected_sample_words(dataset, v: float) -> np.ndarray:
+    """(n_chips, T, 31) sample bits at voltage v after error correction
+    toward each chip's reference enrolled at the reference voltage.
 
     Only the first 31 bits of an ID are covered by the code (a 32-bit ID
     carries its last bit unprotected).  The reference serves as the code
@@ -222,29 +222,25 @@ def corrected_sample_words(dataset, chip_id: int, v: float) -> np.ndarray:
     """
     if dataset.config.id_length < bch.N:
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
-    anchor = dataset.reference(chip_id, dataset.reference_voltage).bits[:bch.N]
-    return bch.decode_rows(dataset.sample_array(chip_id, v)[:, :bch.N] ^ anchor)[0] ^ anchor
+    anchor = dataset.references[dataset.reference_voltage][:, None, :bch.N]
+    offset = dataset.samples[v][:, :, :bch.N] ^ anchor
+    fixed = bch.decode_rows(offset.reshape(-1, bch.N))[0].reshape(offset.shape)
+    return np.bitwise_xor(fixed, anchor, out=fixed)
 
 
-def _stage(dataset, v: float, post_bch: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Reference matrix (one row per chip) and per-chip sample arrays at
+def _stage(dataset, v: float, post_bch: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Reference matrix (n_chips, L) and sample array (n_chips, T, L) at
     voltage v, raw or after error correction."""
-    chips = range(dataset.config.n_chips)
     if post_bch:
-        samples = [corrected_sample_words(dataset, c, v) for c in chips]
-        refs = np.stack([dataset.reference(c, v).bits[:bch.N] for c in chips])
-    else:
-        samples = [dataset.sample_array(c, v) for c in chips]
-        refs = np.stack([dataset.reference(c, v).bits for c in chips])
-    return refs, samples
+        return dataset.references[v][:, :bch.N], corrected_sample_words(dataset, v)
+    return dataset.references[v], dataset.samples[v]
 
 
-def _histograms(refs: np.ndarray, samples: list[np.ndarray]
-                ) -> tuple[HdHistogram, HdHistogram]:
+def _histograms(refs: np.ndarray, samples: np.ndarray) -> tuple[HdHistogram, HdHistogram]:
     """Intra (each reference against its chip's samples) and inter
     (references of distinct chips) Hamming distance histograms."""
     length = refs.shape[1]
-    intra = np.concatenate([_distances(ref, rows) for ref, rows in zip(refs, samples)])
+    intra = np.count_nonzero(samples != refs[:, None, :], axis=2).ravel()
     return (HdHistogram.from_distances("intra", length, intra),
             HdHistogram.from_distances("inter", length, _pair_distances(refs)))
 

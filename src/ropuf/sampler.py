@@ -23,6 +23,32 @@ from .errors import ConfigurationError
 from .rng import ensure_rng
 
 
+def rows_to_hex(rows: np.ndarray) -> list[str]:
+    """Hex word of each row of an (n, L) bit array: bit 0 most
+    significant, exactly ceil(L/4) lower-case digits."""
+    pad = -rows.shape[1] % 8  # zero bits above bit 0, up to whole bytes
+    text = np.packbits(np.pad(rows, ((0, 0), (pad, 0))), axis=1).tobytes().hex()
+    step = (rows.shape[1] + pad) // 4  # digits per padded word
+    return [text[i + pad // 4:i + step] for i in range(0, len(text), step)]
+
+
+def hex_to_rows(words: list[str], length: int) -> np.ndarray:
+    """(n, length) bit array of hex words of exactly ceil(length/4) digits
+    each (either case), the inverse of rows_to_hex.  The padding bits
+    above bit 0 must be zero."""
+    digits, pad = -(-length // 4), -length % 8
+    if any(len(w) != digits for w in words):
+        raise ValueError(f"hex words of a {length}-bit ID must have {digits} digits")
+    raw = bytes.fromhex("0".join(["", *words]) if digits % 2 else "".join(words))
+    if len(raw) * 8 != len(words) * (length + pad):  # fromhex skips whitespace
+        raise ValueError("hex words must hold hex digits only")
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), (length + pad) // 8)
+    bits = np.unpackbits(packed, axis=1)
+    if bits[:, :pad].any():
+        raise ValueError(f"hex word does not fit in {length} bits")
+    return bits[:, pad:]
+
+
 @dataclass(frozen=True)
 class ResponseWord:
     """Fixed-length bit vector in sample order (bit 0 first)."""
@@ -55,23 +81,14 @@ class ResponseWord:
 
     def to_int(self) -> int:
         """Big-endian integer value: bit 0 is the most significant bit."""
-        value = 0
-        for b in self.bits:
-            value = (value << 1) | int(b)
-        return value
+        return int(self.to_hex(), 16)
 
     def to_hex(self) -> str:
-        """Hex string, bit 0 most significant, width ceil(len/4) digits."""
-        width = -(-len(self) // 4)
-        return format(self.to_int(), f"0{width}x")
+        return rows_to_hex(self.bits[None, :])[0]
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "ResponseWord":
-        value = int(text, 16)
-        if not 0 <= value < 1 << length:
-            raise ValueError(f"hex word {text!r} does not fit in {length} bits")
-        bits = [(value >> (length - 1 - i)) & 1 for i in range(length)]
-        return cls(np.array(bits, dtype=np.uint8))
+        return cls(hex_to_rows([text], length)[0])
 
     @classmethod
     def zeros(cls, length: int) -> "ResponseWord":

@@ -61,6 +61,17 @@ def reliability_formula(reference: list[int], samples: list[list[int]],
     return (1.0 - total / t) * 100.0
 
 
+def hex_word(bits) -> str:
+    """ceil(L/4) hex digits of the integer whose binary digits, most
+    significant first, are the L bits."""
+    return format(int("".join(str(int(b)) for b in bits), 2), f"0{-(-len(bits) // 4)}x")
+
+
+def hex_word_bits(word: str, length: int) -> list[int]:
+    """The length low bits of a hex word's value, most significant first."""
+    return [int(c) for c in format(int(word, 16), f"0{length}b")]
+
+
 def uniformity_formula(responses: list[list[int]], length: int) -> float:
     per_response = [sum(r) / length * 100.0 for r in responses]
     return sum(per_response) / len(per_response)

@@ -134,6 +134,19 @@ class TestSimulate:
             (tmp_path / "b" / "dataset.csv").read_bytes()
 
 
+def _set_reference(chip, voltage, word):
+    """Sidecar edit: references[chip][voltage] = word(chip 0's 1.3 V reference)."""
+    def corrupt(sidecar):
+        hex_word = sidecar["references"]["0"]["1.3"]
+        sidecar["references"].setdefault(chip, {})[voltage] = word(hex_word)
+    return corrupt
+
+
+def _set_word(word):
+    """CSV row edit: the hex word w becomes word(w)."""
+    return lambda line: line.rsplit(",", 1)[0] + "," + word(line.rsplit(",", 1)[1])
+
+
 class TestMetrics:
     def _simulated(self, tmp_path, **kwargs):
         cfg = tmp_path / "run.json"
@@ -176,12 +189,21 @@ class TestMetrics:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert cli.main(["metrics", str(tmp_path / "no.csv"), "--out", str(tmp_path)]) == 3
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda s: s.pop("references"),
-        lambda s: s.update(references=list(s["references"].values())),
-        lambda s: s["references"]["0"].update({"1.3": "f" + s["references"]["0"]["1.3"]}),
-    ], ids=["missing_references", "references_as_list", "reference_hex_too_wide"])
-    def test_bad_sidecar_is_data_error(self, tmp_path, capsys, corrupt):
+    @pytest.mark.parametrize("corrupt,where", [
+        (lambda s: s.pop("references"), None),
+        (lambda s: s.update(references=list(s["references"].values())), None),
+        (_set_reference("0", "1.3", lambda w: "f" + w), None),
+        (_set_reference("0", "1.3", lambda w: "0x" + w), None),
+        (_set_reference("0", "1.3", lambda w: " " + w[:4] + "_" + w[4:]), None),
+        (_set_reference("0", "1.3", lambda w: w[1:]), None),
+        (_set_reference("99", "1.3", lambda w: w), "['99']['1.3']"),
+        (_set_reference("0", "1.35", lambda w: w), "['0']['1.35']"),
+        (_set_reference("0", "1.30", lambda w: w), "['0']['1.30']"),
+    ], ids=["missing_references", "references_as_list", "reference_hex_too_wide",
+            "reference_hex_0x_prefix", "reference_hex_space_underscore",
+            "reference_hex_one_digit_short", "reference_chip_outside_grid",
+            "reference_voltage_outside_grid", "reference_duplicate_voltage"])
+    def test_bad_sidecar_is_data_error(self, tmp_path, capsys, corrupt, where):
         csv_path = self._simulated(tmp_path)
         sidecar_path = csv_path.with_suffix(".json")
         sidecar = json.loads(sidecar_path.read_text())
@@ -189,19 +211,33 @@ class TestMetrics:
         sidecar_path.write_text(json.dumps(sidecar))
         capsys.readouterr()
         assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
-        assert "data error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert where is None or where in err
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda line: "0,1.3",
-        lambda line: line + ",0",
-        lambda line: "x" + line,
-        lambda line: line.replace(",1.3,", ",volts,"),
-        lambda line: line.replace(",0,", ",first,"),
-        lambda line: line[:-1] + "z",
-        lambda line: line.rsplit(",", 1)[0] + ",1" + line.rsplit(",", 1)[1],
+    # Line 2 of the file is the row edited; an appended row is line 3.
+    @pytest.mark.parametrize("corrupt,where", [
+        (lambda line: "0,1.3", None),
+        (lambda line: line + ",0", None),
+        (lambda line: "x" + line, None),
+        (lambda line: line.replace(",1.3,", ",volts,"), None),
+        (lambda line: line.replace(",0,", ",first,"), None),
+        (lambda line: line[:-1] + "z", None),
+        (_set_word(lambda w: "1" + w), None),
+        (_set_word(lambda w: "0x" + w), None),
+        (_set_word(lambda w: " " + w[:4] + "_" + w[4:]), None),
+        (_set_word(lambda w: w[1:]), None),
+        (lambda line: line + "\n99,1.3,0,ffffffff", "CSV line 3"),
+        (lambda line: line + "\n0,1.35,0,ffffffff", "CSV line 3"),
+        (lambda line: line + "\n0,1.3,10,ffffffff", "CSV line 3"),
+        (lambda line: line + "\n0,1.3,-1,ffffffff", "CSV line 3"),
+        (lambda line: line + "\n" + line, "CSV line 3"),
     ], ids=["missing_fields", "extra_field", "non_numeric_chip", "non_numeric_voltage",
-            "non_numeric_index", "bad_hex", "hex_too_wide"])
-    def test_bad_csv_row_is_data_error(self, tmp_path, capsys, corrupt):
+            "non_numeric_index", "bad_hex", "hex_too_wide", "hex_0x_prefix",
+            "hex_space_underscore", "hex_one_digit_short", "chip_outside_grid",
+            "voltage_outside_grid", "sample_outside_grid", "negative_sample",
+            "duplicate_row"])
+    def test_bad_csv_row_is_data_error(self, tmp_path, capsys, corrupt, where):
         csv_path = self._simulated(tmp_path)
         lines = csv_path.read_text().splitlines()
         assert lines[1].startswith("0,1.3,0,")
@@ -209,7 +245,9 @@ class TestMetrics:
         csv_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
-        assert "data error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error:" in err
+        assert where is None or where in err
 
     def test_post_bch_flag(self, tmp_path):
         csv_path = self._simulated(tmp_path)

@@ -3,7 +3,8 @@
 Three inputs are mutated: a run configuration, a dataset sidecar and a
 dataset CSV.  Mutations delete keys, replace values by other JSON types,
 corrupt hex words and truncate the text.  A `simulate` that succeeds must
-write a dataset its own `metrics` accepts.
+write a dataset its own `metrics` accepts, and a CSV whose only edits are
+non-hex characters in a word or repeated rows must be rejected (exit 3).
 """
 import copy
 import json
@@ -44,6 +45,7 @@ JSON_VALUES = st.sampled_from([
 CSV_TOKENS = st.sampled_from([
     "", "x", "-1", "0", "1", "2", "99", "1.3", "1.25", "nan", "inf", "zz", "0x1f",
     "ffffffff", "1ffffffff"])
+CSV_EDITS = ("delete", "duplicate", "drop_field", "replace_field", "bad_hex_digit")
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None)
 
 
@@ -78,13 +80,12 @@ def mutated_json(draw, doc) -> str:
     return _truncate(draw, json.dumps(doc, indent=2))
 
 
-def mutated_csv(draw, text: str) -> str:
+def mutated_csv(draw, text: str, ops=CSV_EDITS, truncate: bool = True) -> str:
     lines = text.splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         fields = lines[i].split(",")
-        op = draw(st.sampled_from(["delete", "duplicate", "drop_field", "replace_field",
-                                   "bad_hex_digit"]))
+        op = draw(st.sampled_from(ops))
         if op == "delete":
             del lines[i]
         elif op == "duplicate":
@@ -96,13 +97,15 @@ def mutated_csv(draw, text: str) -> str:
             fields[draw(st.integers(0, len(fields) - 1))] = draw(CSV_TOKENS)
             lines[i] = ",".join(fields)
         else:
+            # The ends of a word are where int(word, 16) forgives a sign or a space.
             word = fields[-1]
-            j = draw(st.integers(0, max(len(word) - 1, 0)))
+            j = draw(st.sampled_from(sorted({0, len(word) // 2, max(len(word) - 1, 0)})))
             fields[-1] = word[:j] + draw(st.sampled_from("g -+.")) + word[j + 1:]
             lines[i] = ",".join(fields)
         if not lines:
             break
-    return _truncate(draw, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    return _truncate(draw, text) if truncate else text
 
 
 @pytest.fixture(scope="module")
@@ -147,4 +150,11 @@ def test_fuzzed_dataset(dataset_files, data):
         tmp = Path(tmp)
         for name, text in files.items():
             (tmp / name).write_text(text)
-        assert _metrics(tmp, tmp / "m", data.draw(st.booleans())) in (0, 2, 3)
+        post_bch = data.draw(st.booleans())
+        assert _metrics(tmp, tmp / "m", post_bch) in (0, 2, 3)
+        # Non-hex characters in a word and repeated rows are always rejected.
+        files = {**dataset_files, "dataset.csv": mutated_csv(
+            data.draw, dataset_files["dataset.csv"], ("duplicate", "bad_hex_digit"), False)}
+        for name, text in files.items():
+            (tmp / name).write_text(text)
+        assert _metrics(tmp, tmp / "strict", post_bch) == 3

@@ -1,4 +1,4 @@
-"""Golden digests: a small fixed campaign must reproduce byte for byte.
+"""Golden digests: small fixed campaigns must reproduce byte for byte.
 
 The pins were computed once and are never re-derived from the code under
 test.  A mismatch means output bits changed; if that is deliberate, the
@@ -37,6 +37,10 @@ CONFIG = {
     "flags": {"post_bch": False, "emit_histograms": False, "emit_sweep": False},
 }
 
+# The same campaign with 9-bit unit words: an 18-bit ID is 5 hex digits,
+# the top one partial.  It is too short for the code, so raw only.
+ODD_CONFIG = {**CONFIG, "campaign": {**CONFIG["campaign"], "word_length": 9}}
+
 FILE_DIGESTS = {
     "sim/dataset.csv":
         "f3afc902d0b883ab2fd4d7b3a93c012715aec7df1c93241a7d03777e377ad95c",
@@ -50,6 +54,16 @@ FILE_DIGESTS = {
         "5fca83f86cd54aa7d3f96a0fd06f5b1013bda5518df82fa30b308b037d2bdcde",
     "post/histograms.csv":
         "3c200940e3000bdb8e85ce2f7835fb94f99f3bfc2026bff5c1166cc56d393593",
+    "sweep/sweep.csv":
+        "050724293abc99999ad5dae41453ad816677c1e74f2d42ddfa67d621fb3d6ffa",
+    "sweep/sweep.json":
+        "27b4a65b28981d42d25d6a15d5384160402c8eaaf3bf8b80a3106516076a12e9",
+    "odd/sim/dataset.csv":
+        "6559186c1afbb0dd091f6fdedd1c12f178d6da9ed03d627256acc41e6b48aeb2",
+    "odd/sim/dataset.json":
+        "637b6f5e98e25d57028f50371b8b8377b2caf937abfec34ae79b23cac746a199",
+    "odd/raw/report.json":
+        "9c3954775b4fc29f54302975d146c78cd6cddaea44b8152f1783e3c5876399d4",
 }
 
 # sha256 of json.dumps(compute_report(ds, voltage=1.25, post_bch=p).to_json_dict())
@@ -63,16 +77,25 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
-    root = tmp_path_factory.mktemp("golden")
+def _run(root, config, post_bch: bool, sweep: bool) -> None:
+    root.mkdir(exist_ok=True)
     cfg = root / "run.json"
-    cfg.write_text(json.dumps(CONFIG, indent=2))
+    cfg.write_text(json.dumps(config, indent=2))
     sim = root / "sim"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
     assert cli.main(["metrics", str(sim / "dataset.csv"), "--out", str(root / "raw")]) == 0
-    assert cli.main(["metrics", str(sim / "dataset.csv"), "--out", str(root / "post"),
-                     "--post-bch"]) == 0
+    if post_bch:
+        assert cli.main(["metrics", str(sim / "dataset.csv"), "--out", str(root / "post"),
+                         "--post-bch"]) == 0
+    if sweep:
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(root / "sweep")]) == 0
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    _run(root, CONFIG, post_bch=True, sweep=True)
+    _run(root / "odd", ODD_CONFIG, post_bch=False, sweep=False)
     return root
 
 

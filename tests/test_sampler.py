@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_unit, word_of
-from oracles import closed_form_word, event_walk_word
+from oracles import closed_form_word, event_walk_word, hex_word, hex_word_bits
 from ropuf import ro, sampler
 from ropuf.errors import ConfigurationError
 from ropuf.sampler import ResponseWord
@@ -34,6 +34,34 @@ class TestResponseWord:
         w = word_of([1, 0])
         with pytest.raises(ValueError):
             w.bits[0] = 0
+
+
+class TestHexCodec:
+    LENGTHS = range(1, 41)  # every digit width to 10, partial top nibbles included
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_agrees_with_int_oracle_and_round_trips(self, rng, length):
+        rows = rng.integers(0, 2, (12, length), dtype=np.uint8)
+        rows[0], rows[1] = 0, 1
+        words = sampler.rows_to_hex(rows)
+        assert words == [hex_word(r) for r in rows]
+        assert all(len(w) == -(-length // 4) for w in words)
+        back = sampler.hex_to_rows(words, length)
+        assert back.shape == rows.shape and np.array_equal(back, rows)
+        upper = sampler.hex_to_rows([w.upper() for w in words], length)
+        assert upper.tolist() == [hex_word_bits(w, length) for w in words]
+
+    @pytest.mark.parametrize("length", [n for n in LENGTHS if n % 4])
+    def test_one_bit_too_wide_rejected(self, length):
+        word = format(1 << length, f"0{-(-length // 4)}x")  # bit L set, same digit count
+        with pytest.raises(ValueError):
+            sampler.hex_to_rows([word], length)
+
+    @pytest.mark.parametrize("word", ["0xff", " fff", "fff ", "f_ff", "+fff", "fff", "fffff",
+                                      "ff.f", "    ", "fffé"])
+    def test_exact_width_hex_digits_only(self, word):
+        with pytest.raises(ValueError):
+            sampler.hex_to_rows(["0000", word], 16)
 
 
 class TestClosedFormAgreement:

@@ -15,7 +15,6 @@ x^31 - 1.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,6 +240,9 @@ class HelperData:
 
 
 def key_digest(key: ResponseWord) -> str:
+    # Imported here: hashlib loads OpenSSL (several MiB of resident memory),
+    # which no CLI command needs.
+    import hashlib
     return hashlib.sha256(np.packbits(key.bits).tobytes()).hexdigest()
 
 

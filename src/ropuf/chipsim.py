@@ -3,16 +3,16 @@
 A campaign realizes N chips from one parameter family, enrolls a
 reference ID per chip and voltage, then collects T fresh-jitter samples
 per (chip, voltage) cell.  Every stochastic draw comes from a stream
-keyed by (master seed, purpose, chip, unit, sample), so the full grid,
-any sub-grid, and any worker partitioning produce identical bits.
+keyed by (master seed, purpose, chip, unit), whose rows have a width that
+depends on the word length only, so the full grid and any sub-grid
+produce identical bits, and sample t is the same enable cycle at every
+voltage (common random numbers).
 """
 from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,9 +22,22 @@ from . import bch, ro
 from .config import CampaignConfig, RunConfig, from_dict, to_dict
 from .errors import ConfigurationError, DatasetError, DecodeFailure
 from .metrics import linear_fit
-from .rng import TAG_ENROLL, TAG_REALIZE, TAG_SAMPLE, keyed_rng
-from .sampler import (PufUnit, ResponseWord, compose_id, enroll_id, hex_to_rows,
-                      rows_to_hex, sample_word)
+from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
+                  keyed_rng)
+from .sampler import (PufUnit, ResponseWord, draw_rows, hex_to_rows, modal_row,
+                      normal_widths, rows_to_hex, sample_rows)
+# Not called here: perfbench/traced_cli.py wraps these names as chipsim
+# attributes, so they stay importable from this module.
+from .sampler import enroll_id, sample_word  # noqa: F401
+
+# Output bits of run_campaign follow version 2 of the stream layout:
+# per (chip, unit) streams for RO1, RO2 and enrollment.  Version 1 drew
+# one stream per sample, whose RO2 jitter moved with the voltage.
+STREAM_VERSION = 2
+
+# Sample rows are drawn this many at a time, which bounds the kernel's
+# working memory; rows have a fixed width, so the bits do not depend on it.
+CHUNK_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -63,6 +76,7 @@ class CampaignDataset:
     coupling: ro.Coupling
     references: dict[float, np.ndarray]
     samples: dict[float, np.ndarray] = field(repr=False)
+    stream_version: int = STREAM_VERSION
 
     @property
     def reference_voltage(self) -> float:
@@ -83,55 +97,46 @@ class CampaignDataset:
                 raise DatasetError(f"missing or ragged samples at {v} V")
 
 
-def _chip_cells(args) -> tuple[int, np.ndarray, np.ndarray]:
-    # Jitter streams are keyed by (chip, unit, sample) but NOT by voltage:
-    # sweeping a voltage grid re-measures the same enable cycles under
-    # common random numbers, so a pair with equal voltage sensitivities
-    # produces bit-identical words at every voltage (and the drift
-    # statistic is exactly zero, not just zero in expectation).
-    chip, voltages, t_samples, t_enroll, master_seed = args
-    lw = chip.units[0].word_length
-    refs = np.empty((len(voltages), len(chip.units) * lw), dtype=np.uint8)
-    cells = np.empty((len(voltages), t_samples, refs.shape[1]), dtype=np.uint8)
-    for k, v in enumerate(voltages):
-        refs[k] = compose_id([
-            enroll_id(unit, t_enroll, v,
-                      keyed_rng(master_seed, TAG_ENROLL, chip.chip_id, u))
-            for u, unit in enumerate(chip.units)]).bits
-        for t in range(t_samples):
-            for u, unit in enumerate(chip.units):
-                cells[k, t, u * lw:(u + 1) * lw] = sample_word(
-                    unit, v, keyed_rng(master_seed, TAG_SAMPLE, chip.chip_id, u, t)).bits
-    return chip.chip_id, refs, cells
-
-
 def run_campaign(chips: list[Chip], config: CampaignConfig,
                  ro_params: ro.RoParams, coupling: ro.Coupling = ro.Coupling.none(),
                  threads: int = 1) -> CampaignDataset:
     """Enroll and sample every (chip, voltage) cell of the campaign grid.
 
-    Results are identical for any threads value: cells are keyed by grid
-    indices, and each chip's block is stored at its chip id.
+    Each unit draws its enrollment block and its sample rows once and
+    evaluates them at every voltage, in this process; threads is checked
+    (>= 1) and otherwise ignored.
     """
     config.validate(ro_params)
     if len(chips) != config.n_chips:
         raise ConfigurationError("chip list does not match config.n_chips")
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    jobs = [(chip, config.voltages, config.samples_per_chip,
-             config.enroll_repetitions, config.master_seed) for chip in chips]
-    grid = (len(config.voltages), config.n_chips)
+    seed, voltages, lw = config.master_seed, config.voltages, config.word_length
+    b1w, n2 = normal_widths(lw)
+    n_samples = config.samples_per_chip
+    grid = (len(voltages), config.n_chips)
     refs = np.empty(grid + (config.id_length,), dtype=np.uint8)
-    cells = np.empty(grid + (config.samples_per_chip, config.id_length), dtype=np.uint8)
-    # A fork pool starts all max_workers processes on the first submit.
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for chip_id, chip_refs, chip_cells in (pool.map(_chip_cells, jobs) if pool
-                                               else map(_chip_cells, jobs)):
-            refs[:, chip_id], cells[:, chip_id] = chip_refs, chip_cells
+    cells = np.empty(grid + (n_samples, config.id_length), dtype=np.uint8)
+    for chip in chips:
+        c = chip.chip_id
+        for u, unit in enumerate(chip.units):
+            bits = slice(u * lw, (u + 1) * lw)
+            g1, g2 = draw_rows(keyed_rng(seed, TAG_ENROLL, c, u),
+                               config.enroll_repetitions, lw)
+            for k, v in enumerate(voltages):
+                refs[k, c, bits] = modal_row(sample_rows(
+                    unit, v, g1, g2, lambda r: keyed_rng(seed, TAG_ENROLL_EXTEND, c, u, r)))
+            ro1, ro2 = keyed_rng(seed, TAG_RO1, c, u), keyed_rng(seed, TAG_RO2, c, u)
+            for start in range(0, n_samples, CHUNK_ROWS):
+                n = min(CHUNK_ROWS, n_samples - start)
+                g1, g2 = ro1.standard_normal((n, b1w)), ro2.standard_normal((n, n2))
+                for k, v in enumerate(voltages):
+                    cells[k, c, start:start + n, bits] = sample_rows(
+                        unit, v, g1, g2,
+                        lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
     dataset = CampaignDataset(config=config, ro_params=ro_params, coupling=coupling,
-                              references=dict(zip(config.voltages, refs)),
-                              samples=dict(zip(config.voltages, cells)))
+                              references=dict(zip(voltages, refs)),
+                              samples=dict(zip(voltages, cells)))
     dataset.check_complete()
     return dataset
 
@@ -208,6 +213,7 @@ def save_dataset(dataset: CampaignDataset, csv_path: str | Path,
                               enumerate(rows_to_hex(dataset.sample_array(c, v))))
     words = {v: rows_to_hex(dataset.references[v]) for v in cfg.voltages}
     sidecar = {
+        "stream_version": dataset.stream_version,
         "config": to_dict(RunConfig(dataset.ro_params, cfg, dataset.coupling),
                           ("ro", "campaign", "coupling")),
         "master_seed": cfg.master_seed,
@@ -215,6 +221,13 @@ def save_dataset(dataset: CampaignDataset, csv_path: str | Path,
                        for c in range(cfg.n_chips)},
     }
     Path(sidecar_path).write_text(json.dumps(sidecar, indent=2) + "\n")
+
+
+# Grid fields as save_dataset writes them: chip and sample index in ASCII
+# digits, the voltage as repr writes a float or an int.  int() and
+# float() would also take a sign, spaces, '_' and non-ASCII digits.
+_INDEX = re.compile(r"[0-9]+")
+_VOLTS = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 
 
 def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray:
@@ -228,12 +241,20 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
     def cell_name(c, v, t) -> str:
         return f"chip {c} at {v} V" + (f", sample {t}" if depth > 1 else "")
 
+    indices, volts = {}, {}  # field text -> value: each distinct text is checked once
     for place, fields in rows:
         try:
             c, v, t, word = fields  # ValueError unless 4 fields
-            c, v, t = int(c), float(v), int(t)
         except ValueError as exc:
             raise DatasetError(f"{what} {place}: {exc}") from exc
+        try:
+            c, v, t = indices[c], volts[v], indices[t]
+        except KeyError:
+            if not (_INDEX.fullmatch(c) and _VOLTS.fullmatch(v) and _INDEX.fullmatch(t)):
+                raise DatasetError(f"{what} {place}: chip {c!r} and index {t!r} must be "
+                                   f"digits and voltage {v!r} a decimal number") from None
+            indices[c], volts[v], indices[t] = int(c), float(v), int(t)
+            c, v, t = indices[c], volts[v], indices[t]
         k = index.get(v)
         if k is None or not (0 <= c < n and 0 <= t < depth):
             raise DatasetError(f"{what} {place}: {cell_name(c, v, t)} is outside the grid")
@@ -261,6 +282,9 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: JSON or schema
         raise DatasetError(f"bad sidecar: {exc}") from exc
     cfg = run.campaign
+    version = sidecar.get("stream_version", 1)
+    if type(version) is not int or version not in (1, STREAM_VERSION):
+        raise DatasetError(f"sidecar stream_version {version!r} is not 1 or {STREAM_VERSION}")
     seed = sidecar.get("master_seed")
     if type(seed) is not int or seed != cfg.master_seed:
         raise DatasetError(f"sidecar master_seed {seed!r} != config.campaign.master_seed")
@@ -277,6 +301,6 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
                              cfg, cfg.samples_per_chip, "CSV line")
     dataset = CampaignDataset(cfg, run.ro_params, run.coupling,
                               dict(zip(cfg.voltages, refs[:, :, 0])),
-                              dict(zip(cfg.voltages, cells)))
+                              dict(zip(cfg.voltages, cells)), version)
     dataset.check_complete()
     return dataset

@@ -13,8 +13,8 @@ level.  Only the period ratio matters, never the absolute time scale.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -110,81 +110,102 @@ class PufUnit:
             raise ConfigurationError("word_length must be >= 1")
 
 
-def _rising_edge_index(word_length: int) -> np.ndarray:
-    # boundary index (0-based) of each rising edge: 0, 2, 4, ...
-    return 2 * np.arange(word_length)
+def normal_widths(word_length: int) -> tuple[int, int]:
+    """(B1, n2): standard normals per row for RO1 and RO2.
 
-
-def sample_word(unit: PufUnit, v: float, seed) -> ResponseWord:
-    """Sample one response word at supply voltage v.
-
-    Fresh jitter is drawn from seed for both oscillators; capacitive
-    coupling correlates the draws pairwise by kappa, and an inverter
-    loop collapses both oscillators onto a single shared waveform (full
-    injection lock), which the downstream tie rule turns into the
-    all-zero word.
+    RO2 needs n2 = 2L-1 half-periods to reach rising edge L-1.  RO1 gets
+    B1 = 4*n2 + 8, enough to cover them while T2/T1 stays below about 4;
+    both depend on L only, so a row is the same enable cycle at every
+    voltage (common random numbers across a sweep).
     """
-    rng = ensure_rng(seed)
+    n2 = 2 * word_length - 1
+    return 4 * n2 + 8, n2
+
+
+def draw_rows(rng: np.random.Generator, n: int, word_length: int
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """n rows of RO1 and RO2 normals from one stream, each row B1 then n2 wide."""
+    b1w, n2 = normal_widths(word_length)
+    g = rng.standard_normal((n, b1w + n2))
+    return g[:, :b1w], g[:, b1w:]
+
+
+def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
+                extension: Callable[[int], np.random.Generator]) -> np.ndarray:
+    """(n, L) words of n enable cycles at supply voltage v.
+
+    Row i of g1 (n, B1) and g2 (n, n2) holds the standard normals of
+    cycle i (see normal_widths).  Capacitive coupling correlates RO2's
+    jitter with RO1's by kappa; an inverter loop collapses both
+    oscillators onto RO1's waveform (full injection lock), which the tie
+    rule turns into the all-zero word.  A row whose RO1 boundaries end
+    before RO2's last rising edge extends them with normals from
+    extension(i), never from another row.
+    """
     v0 = unit.reference_voltage
     t1 = ro.period_at_voltage(unit.ro1, v, v0)
     t2 = ro.period_at_voltage(unit.ro2, v, v0)
     t1e, t2e, rho_j = ro.apply_coupling(t1, t2, unit.coupling)
-    h1 = 0.5 * t1e
-    h2 = 0.5 * t2e
     lw = unit.word_length
-    n2 = 2 * lw - 1  # boundaries needed to reach rising edge lw-1
+    n2 = 2 * lw - 1
     sigma1 = unit.ro1.jitter_sigma
     sigma2 = unit.ro2.jitter_sigma
 
     if sigma1 == 0.0 and sigma2 == 0.0:
         # Noiseless boundaries are exact multiples; build them by
         # multiplication so the word depends only on the period ratio.
+        h1, h2 = 0.5 * t1e, 0.5 * t2e
         edges = h2 * (2.0 * np.arange(lw) + 1.0)
-        n1 = int(np.ceil(edges[-1] / h1)) + 2
-        b1 = h1 * np.arange(1, n1 + 1)
-        counts = np.searchsorted(b1, edges, side="left")
-        return ResponseWord((counts & 1).astype(np.uint8))
+        b1 = h1 * np.arange(1, int(np.ceil(edges[-1] / h1)) + 3)
+        word = (np.count_nonzero(b1 < edges[:, None], axis=1) & 1).astype(np.uint8)
+        return np.tile(word, (len(g1), 1))
 
-    locked = unit.coupling.mode == ro.COUPLING_INVERTER_LOOP
-    n1 = max(int(np.ceil(n2 * h2 / h1 * (1.0 + 6.0 * sigma2))) + 8, n2)
-    g1 = rng.standard_normal(n1)
-    half1 = ro.jittered_half_periods(t1e, sigma1, g1)
-    if locked:
-        half2 = half1[:n2]
+    b1 = np.cumsum(ro.jittered_half_periods(t1e, sigma1, g1), axis=1)
+    if unit.coupling.mode == ro.COUPLING_INVERTER_LOOP:
+        b2 = b1[:, :n2]
     else:
-        w = rng.standard_normal(n2)
-        g2 = rho_j * g1[:n2] + np.sqrt(1.0 - rho_j * rho_j) * w
-        half2 = ro.jittered_half_periods(t2e, sigma2, g2)
-    b2 = np.cumsum(half2)
-    b1 = np.cumsum(half1)
-    t_last = b2[-1]
-    while b1[-1] <= t_last:  # jitter pushed RO1 short of coverage; extend
-        extra = ro.jittered_half_periods(t1e, sigma1, rng.standard_normal(16))
-        b1 = np.concatenate([b1, b1[-1] + np.cumsum(extra)])
-    edges = b2[_rising_edge_index(lw)]
-    counts = np.searchsorted(b1, edges, side="left")
-    return ResponseWord((counts & 1).astype(np.uint8))
+        mixed = rho_j * g1[:, :n2] + np.sqrt(1.0 - rho_j * rho_j) * g2
+        b2 = np.cumsum(ro.jittered_half_periods(t2e, sigma2, mixed), axis=1)
+    edges = b2[:, ::2]  # rising edges sit at boundaries 0, 2, ..., n2-1
+    # Toggles of RO1 before each edge.  Columns at or past every row's
+    # last edge count for no edge, so they are left out.
+    width = int(np.count_nonzero(b1 < edges[:, -1:], axis=1).max(initial=0))
+    counts = np.count_nonzero(b1[:, None, :width] < edges[:, :, None], axis=2)
+    for i in np.flatnonzero(b1[:, -1] <= edges[:, -1]):  # short of coverage
+        rng, row = extension(int(i)), b1[i]
+        while row[-1] <= edges[i, -1]:
+            extra = ro.jittered_half_periods(t1e, sigma1, rng.standard_normal(16))
+            row = np.concatenate([row, row[-1] + np.cumsum(extra)])
+        counts[i] = np.count_nonzero(row < edges[i, :, None], axis=1)
+    return (counts & 1).astype(np.uint8)
+
+
+def modal_row(words: np.ndarray) -> np.ndarray:
+    """The row of words (R, L) observed most often.  Modal ties fall back
+    to the bitwise majority of all rows; remaining per-bit ties resolve
+    to 0."""
+    rows, counts = np.unique(words, axis=0, return_counts=True)
+    if np.count_nonzero(counts == counts.max()) == 1:
+        return rows[counts.argmax()]
+    return (2 * words.sum(axis=0, dtype=np.int64) > len(words)).astype(np.uint8)
+
+
+def sample_word(unit: PufUnit, v: float, seed) -> ResponseWord:
+    """Sample one response word at supply voltage v: one row of
+    sample_rows, its normals (and any coverage extension) drawn from seed."""
+    rng = ensure_rng(seed)
+    return ResponseWord(sample_rows(unit, v, *draw_rows(rng, 1, unit.word_length),
+                                    lambda i: rng)[0])
 
 
 def enroll_id(unit: PufUnit, repetitions: int, v: float, seed) -> ResponseWord:
-    """Enrolled ID: the whole word observed most often over fresh samples.
-
-    Each repetition is a fresh enable cycle with new jitter.  Modal ties
-    fall back to bitwise majority across all repetitions; remaining
-    per-bit ties resolve to 0.
-    """
+    """Enrolled ID: the modal word (see modal_row) of a block of fresh
+    enable cycles drawn from seed."""
     if repetitions < 1:
         raise ConfigurationError("repetitions must be >= 1")
     rng = ensure_rng(seed)
-    words = [sample_word(unit, v, rng) for _ in range(repetitions)]
-    counts = Counter(words)
-    ranked = counts.most_common()
-    top = ranked[0][1]
-    leaders = [w for w, c in ranked if c == top]
-    if len(leaders) == 1:
-        return leaders[0]
-    ones = np.sum([w.bits for w in words], axis=0)
-    return ResponseWord((2 * ones > len(words)).astype(np.uint8))
+    return ResponseWord(modal_row(sample_rows(
+        unit, v, *draw_rows(rng, repetitions, unit.word_length), lambda i: rng)))
 
 
 def compose_id(words: list[ResponseWord]) -> ResponseWord:

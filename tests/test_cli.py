@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ropuf import bch, chipsim, cli, ro
+from ropuf import bch, cli, ro
 from ropuf.config import from_dict, load, to_dict
 
 
@@ -83,37 +83,21 @@ class TestSimulate:
         assert "post_bch" in capsys.readouterr().err
         assert not (out / "dataset.csv").exists()
 
+    def test_threads_accepted_and_ignored(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        for threads in ("1", "64"):
+            assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / threads),
+                             "--threads", threads]) == 0
+        for name in ("dataset.csv", "dataset.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
+
     def test_threads_below_one_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         write_config(cfg)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
                          "--threads", "0"]) == 2
         assert "threads" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("threads,cpus,workers", [(64, 8, 3), (64, 2, 2), (2, 8, 2)])
-    def test_worker_count_capped(self, tmp_path, monkeypatch, threads, cpus, workers):
-        started = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(chipsim, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(chipsim.os, "cpu_count", lambda: cpus)
-        cfg = tmp_path / "run.json"
-        write_config(cfg, n_chips=3)
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                         "--threads", str(threads)]) == 0
-        assert started == [workers]
 
     def test_negative_seed_fails_before_any_directory(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -232,11 +216,19 @@ class TestMetrics:
         (lambda line: line + "\n0,1.3,10,ffffffff", "CSV line 3"),
         (lambda line: line + "\n0,1.3,-1,ffffffff", "CSV line 3"),
         (lambda line: line + "\n" + line, "CSV line 3"),
+        (lambda line: "+" + line, "CSV line 2"),
+        (lambda line: "\u0660" + line[1:], "CSV line 2"),
+        (lambda line: line.replace(",1.3,", ", 1.30,"), "CSV line 2"),
+        (lambda line: line.replace(",1.3,", ",+1.3,"), "CSV line 2"),
+        (lambda line: line.replace(",1.3,", ",1.3 ,"), "CSV line 2"),
+        (lambda line: line.replace(",1.3,0,", ",1.3,0_0,"), "CSV line 2"),
     ], ids=["missing_fields", "extra_field", "non_numeric_chip", "non_numeric_voltage",
             "non_numeric_index", "bad_hex", "hex_too_wide", "hex_0x_prefix",
             "hex_space_underscore", "hex_one_digit_short", "chip_outside_grid",
             "voltage_outside_grid", "sample_outside_grid", "negative_sample",
-            "duplicate_row"])
+            "duplicate_row", "chip_plus_sign", "chip_non_ascii_digit",
+            "voltage_leading_space", "voltage_plus_sign", "voltage_trailing_space",
+            "index_underscore"])
     def test_bad_csv_row_is_data_error(self, tmp_path, capsys, corrupt, where):
         csv_path = self._simulated(tmp_path)
         lines = csv_path.read_text().splitlines()
@@ -248,6 +240,19 @@ class TestMetrics:
         err = capsys.readouterr().err
         assert "data error:" in err
         assert where is None or where in err
+
+    @pytest.mark.parametrize("version", [None, 1, 2])
+    def test_stream_versions_1_and_2_load(self, tmp_path, version):
+        csv_path = self._simulated(tmp_path)
+        sidecar_path = csv_path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        assert sidecar["stream_version"] == 2
+        if version is None:
+            del sidecar["stream_version"]  # written before the key existed: version 1
+        else:
+            sidecar["stream_version"] = version
+        sidecar_path.write_text(json.dumps(sidecar))
+        assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 0
 
     def test_post_bch_flag(self, tmp_path):
         csv_path = self._simulated(tmp_path)
@@ -364,6 +369,11 @@ SIDECAR_CASES = {
     "reference_voltage_off_grid": (lambda s: s["config"]["ro"].update(reference_voltage_v=1.25),
                                    "reference_voltage_v"),
     "master_seed_mismatch": (lambda s: s.update(master_seed=6), "master_seed"),
+    "stream_version_3": (lambda s: s.update(stream_version=3), "stream_version"),
+    "stream_version_0": (lambda s: s.update(stream_version=0), "stream_version"),
+    "stream_version_string": (lambda s: s.update(stream_version="2"), "stream_version"),
+    "stream_version_true": (lambda s: s.update(stream_version=True), "stream_version"),
+    "stream_version_float": (lambda s: s.update(stream_version=2.0), "stream_version"),
 }
 
 

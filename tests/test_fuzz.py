@@ -2,9 +2,11 @@
 
 Three inputs are mutated: a run configuration, a dataset sidecar and a
 dataset CSV.  Mutations delete keys, replace values by other JSON types,
-corrupt hex words and truncate the text.  A `simulate` that succeeds must
-write a dataset its own `metrics` accepts, and a CSV whose only edits are
-non-hex characters in a word or repeated rows must be rejected (exit 3).
+corrupt hex words and grid fields and truncate the text.  A `simulate`
+that succeeds must write a dataset its own `metrics` accepts, and a CSV
+whose only edits are non-hex characters in a word, a sign, space or '_'
+in a chip, voltage or sample field, or repeated rows must be rejected
+(exit 3).
 """
 import copy
 import json
@@ -44,8 +46,9 @@ JSON_VALUES = st.sampled_from([
     "3", "none", "zz", "0x1f", "ffffffffff", [], [1.3], ["1.3"], {}, {"mode": "none"}])
 CSV_TOKENS = st.sampled_from([
     "", "x", "-1", "0", "1", "2", "99", "1.3", "1.25", "nan", "inf", "zz", "0x1f",
-    "ffffffff", "1ffffffff"])
-CSV_EDITS = ("delete", "duplicate", "drop_field", "replace_field", "bad_hex_digit")
+    "ffffffff", "1ffffffff", "+0", " 0", "0_0", "+1.3", " 1.30", "1.3 ", "1_3", "1.2_5"])
+CSV_EDITS = ("delete", "duplicate", "drop_field", "replace_field", "bad_hex_digit",
+             "loose_grid_field")
 FUZZ = settings(max_examples=60, derandomize=True, deadline=None)
 
 
@@ -96,11 +99,17 @@ def mutated_csv(draw, text: str, ops=CSV_EDITS, truncate: bool = True) -> str:
         elif op == "replace_field":
             fields[draw(st.integers(0, len(fields) - 1))] = draw(CSV_TOKENS)
             lines[i] = ",".join(fields)
+        elif op == "loose_grid_field":
+            # Forms int() and float() take but a grid field must not have.
+            k = draw(st.integers(0, min(2, len(fields) - 1)))
+            loose = draw(st.sampled_from(["+{}", " {}", "{} ", "{0}_{0}"]))
+            fields[k] = loose.format(fields[k])
+            lines[i] = ",".join(fields)
         else:
             # The ends of a word are where int(word, 16) forgives a sign or a space.
             word = fields[-1]
             j = draw(st.sampled_from(sorted({0, len(word) // 2, max(len(word) - 1, 0)})))
-            fields[-1] = word[:j] + draw(st.sampled_from("g -+.")) + word[j + 1:]
+            fields[-1] = word[:j] + draw(st.sampled_from("g -+._")) + word[j + 1:]
             lines[i] = ",".join(fields)
         if not lines:
             break
@@ -152,9 +161,11 @@ def test_fuzzed_dataset(dataset_files, data):
             (tmp / name).write_text(text)
         post_bch = data.draw(st.booleans())
         assert _metrics(tmp, tmp / "m", post_bch) in (0, 2, 3)
-        # Non-hex characters in a word and repeated rows are always rejected.
+        # Non-hex characters in a word, loose grid fields and repeated rows
+        # are always rejected.
         files = {**dataset_files, "dataset.csv": mutated_csv(
-            data.draw, dataset_files["dataset.csv"], ("duplicate", "bad_hex_digit"), False)}
+            data.draw, dataset_files["dataset.csv"],
+            ("duplicate", "bad_hex_digit", "loose_grid_field"), False)}
         for name, text in files.items():
             (tmp / name).write_text(text)
         assert _metrics(tmp, tmp / "strict", post_bch) == 3

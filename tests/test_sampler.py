@@ -150,26 +150,26 @@ class TestEnroll:
         for reps in (1, 3, 99):
             assert sampler.enroll_id(unit, reps, 1.3, 17) == sampler.sample_word(unit, 1.3, 0)
 
+    @staticmethod
+    def _block(monkeypatch, words):
+        # enroll_id takes the modal row of one block of sample_rows
+        rows = np.array([w.bits for w in words])
+        monkeypatch.setattr(sampler, "sample_rows", lambda unit, v, g1, g2, ext: rows)
+
     def test_strict_majority_of_whole_words(self, monkeypatch):
-        words = [word_of([0, 0, 1]), word_of([0, 0, 1]), word_of([1, 1, 1])]
-        it = iter(words)
-        monkeypatch.setattr(sampler, "sample_word", lambda u, v, s: next(it))
+        self._block(monkeypatch, [word_of([0, 0, 1]), word_of([0, 0, 1]), word_of([1, 1, 1])])
         unit = make_unit(1e-9, 1e-9)
         assert sampler.enroll_id(unit, 3, 1.3, 0) == word_of([0, 0, 1])
 
     def test_modal_tie_falls_back_to_bitwise_majority(self, monkeypatch):
-        words = [word_of([1, 1, 0]), word_of([1, 0, 1]),
-                 word_of([0, 1, 1]), word_of([1, 1, 1])]
-        it = iter(words)
-        monkeypatch.setattr(sampler, "sample_word", lambda u, v, s: next(it))
+        self._block(monkeypatch, [word_of([1, 1, 0]), word_of([1, 0, 1]),
+                                  word_of([0, 1, 1]), word_of([1, 1, 1])])
         unit = make_unit(1e-9, 1e-9)
         # all four words tie at count 1 -> per-bit majority is 1,1,1
         assert sampler.enroll_id(unit, 4, 1.3, 0) == word_of([1, 1, 1])
 
     def test_per_bit_tie_resolves_to_zero(self, monkeypatch):
-        words = [word_of([1, 0]), word_of([0, 1])]
-        it = iter(words)
-        monkeypatch.setattr(sampler, "sample_word", lambda u, v, s: next(it))
+        self._block(monkeypatch, [word_of([1, 0]), word_of([0, 1])])
         unit = make_unit(1e-9, 1e-9)
         assert sampler.enroll_id(unit, 2, 1.3, 0) == word_of([0, 0])
 

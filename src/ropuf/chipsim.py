@@ -24,7 +24,7 @@ from .errors import ConfigurationError, DatasetError, DecodeFailure
 from .metrics import linear_fit
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
-from .sampler import (PufUnit, ResponseWord, draw_rows, hex_to_rows, modal_row,
+from .sampler import (PufUnit, ResponseWord, draw_rows, hex_slot, hex_to_rows, modal_row,
                       normal_widths, rows_to_hex, sample_rows)
 # Not called here: perfbench/traced_cli.py wraps these names as chipsim
 # attributes, so they stay importable from this module.
@@ -233,10 +233,16 @@ _VOLTS = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray:
     """(n_voltages, n_chips, depth, L) bit array of the hex words in rows:
     (place, (chip, voltage, index, word)) pairs, the four as strings, that
-    must hold exactly one word per grid cell."""
+    must hold exactly one word per grid cell.  Each word's digits go into
+    its cell's slot of one digit buffer, so no word outlives its row."""
     n = cfg.n_chips
     index = {v: k for k, v in enumerate(cfg.voltages)}
-    words = [None] * (len(index) * n * depth)
+    n_cells = len(index) * n * depth
+    digits, width = hex_slot(cfg.id_length)  # a word ends its slot
+    buffer = bytearray(b"0") * (n_cells * width)
+    slots = memoryview(buffer)  # slice writes through a view cost less, and never resize
+    filled = bytearray(n_cells)
+    unslotted = {}  # cell -> word that does not fit a slot: wrong length, not ASCII
 
     def cell_name(c, v, t) -> str:
         return f"chip {c} at {v} V" + (f", sample {t}" if depth > 1 else "")
@@ -259,19 +265,30 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
         if k is None or not (0 <= c < n and 0 <= t < depth):
             raise DatasetError(f"{what} {place}: {cell_name(c, v, t)} is outside the grid")
         cell = (k * n + c) * depth + t
-        if words[cell] is not None:
+        if filled[cell]:
             raise DatasetError(f"{what} {place}: a second word for {cell_name(c, v, t)}")
-        words[cell] = word
+        filled[cell] = 1
+        end = (cell + 1) * width
+        try:  # a slot takes exactly `digits` ASCII characters
+            slots[end - digits:end] = word.encode("ascii")
+        except (AttributeError, ValueError):  # not a str; not ASCII, or the wrong length
+            unslotted[cell] = word
     try:
-        return hex_to_rows(words, cfg.id_length).reshape(len(index), n, depth, -1)
-    except (TypeError, ValueError):  # name the first missing or bad word
-        for cell, word in enumerate(words):
+        if unslotted or 0 in filled:
+            raise ValueError("missing or malformed words")
+        return hex_to_rows(buffer, cfg.id_length).reshape(len(index), n, depth, -1)
+    except ValueError:  # name the first missing or bad word, in cell order
+        for cell in range(n_cells):
+            (k, c), t = divmod(cell // depth, n), cell % depth
+            name = f"{what} for {cell_name(c, cfg.voltages[k], t)}"
+            if not filled[cell]:
+                raise DatasetError(f"{name}: missing") from None
+            end = (cell + 1) * width
+            word = unslotted.get(cell, buffer[end - digits:end].decode())
             try:
                 hex_to_rows([word], cfg.id_length)
             except (TypeError, ValueError) as exc:
-                (k, c), t = divmod(cell // depth, n), cell % depth
-                raise DatasetError(f"{what} for {cell_name(c, cfg.voltages[k], t)}: " + (
-                    "missing" if word is None else f"bad hex word {word!r}: {exc}")) from None
+                raise DatasetError(f"{name}: bad hex word {word!r}: {exc}") from None
         raise
 
 

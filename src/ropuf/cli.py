@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run configuration JSON")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override master seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: campaigns run in one process; must be >= 1")
 
     p = sub.add_parser("simulate", help="run a campaign, write dataset CSV + sidecar")
     add_common(p)

@@ -82,9 +82,13 @@ def reliability(reference, samples, length: int, t: int | None = None) -> float:
         t = rows.shape[0]
     if t < 1 or rows.shape[0] < t:
         raise ValueError("need at least one sample (t <= len(samples))")
-    hd = _distances(_bit_rows(reference, length)[0], rows[:t])
-    total = sum(d / length for d in hd.tolist())
-    return (1.0 - total / t) * 100.0
+    return _reliability_pct(_distances(_bit_rows(reference, length)[0], rows[:t]), length)
+
+
+def _reliability_pct(distances: np.ndarray, length: int) -> float:
+    """Reliability in % from each sample's Hamming distance to the reference."""
+    total = sum(d / length for d in distances.tolist())
+    return (1.0 - total / distances.shape[0]) * 100.0
 
 
 def uniformity(responses, length: int) -> float:
@@ -209,9 +213,9 @@ class MetricsReport:
 # --- campaign-level evaluation ------------------------------------------
 
 
-def corrected_sample_words(dataset, v: float) -> np.ndarray:
-    """(n_chips, T, 31) sample bits at voltage v after error correction
-    toward each chip's reference enrolled at the reference voltage.
+def corrected_sample_words(dataset, v: float, chip: int) -> np.ndarray:
+    """(T, 31) sample bits of one chip at voltage v after error correction
+    toward its reference enrolled at the reference voltage.
 
     Only the first 31 bits of an ID are covered by the code (a 32-bit ID
     carries its last bit unprotected).  The reference serves as the code
@@ -222,40 +226,32 @@ def corrected_sample_words(dataset, v: float) -> np.ndarray:
     """
     if dataset.config.id_length < bch.N:
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
-    anchor = dataset.references[dataset.reference_voltage][:, None, :bch.N]
-    offset = dataset.samples[v][:, :, :bch.N] ^ anchor
-    fixed = bch.decode_rows(offset.reshape(-1, bch.N))[0].reshape(offset.shape)
+    anchor = dataset.references[dataset.reference_voltage][chip, :bch.N]
+    fixed = bch.decode_rows(dataset.samples[v][chip, :, :bch.N] ^ anchor)[0]
     return np.bitwise_xor(fixed, anchor, out=fixed)
 
 
-def _stage(dataset, v: float, post_bch: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Reference matrix (n_chips, L) and sample array (n_chips, T, L) at
-    voltage v, raw or after error correction."""
+def _chip_stage(dataset, v: float, chip: int, post_bch: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One chip's samples (T, L) at voltage v, raw or after error
+    correction, and their Hamming distances (T,) from its reference."""
     if post_bch:
-        return dataset.references[v][:, :bch.N], corrected_sample_words(dataset, v)
-    return dataset.references[v], dataset.samples[v]
-
-
-def _histograms(refs: np.ndarray, samples: np.ndarray) -> tuple[HdHistogram, HdHistogram]:
-    """Intra (each reference against its chip's samples) and inter
-    (references of distinct chips) Hamming distance histograms."""
-    length = refs.shape[1]
-    intra = np.count_nonzero(samples != refs[:, None, :], axis=2).ravel()
-    return (HdHistogram.from_distances("intra", length, intra),
-            HdHistogram.from_distances("inter", length, _pair_distances(refs)))
+        ref, rows = dataset.references[v][chip, :bch.N], corrected_sample_words(dataset, v, chip)
+    else:
+        ref, rows = dataset.references[v][chip], dataset.samples[v][chip]
+    return rows, _distances(ref, rows)
 
 
 def hd_distributions(dataset, post_bch: bool = False) -> tuple[HdHistogram, HdHistogram]:
     """Intra- and inter-chip Hamming distance histograms at the reference
-    voltage.
+    voltage, as compute_report counts them.
 
     Intra pairs each chip's enrolled reference with its samples; inter
     pairs the references of distinct chips.  With post_bch the samples
     are first error-corrected, so residual errors of weight <= 3 are
     removed and the histograms live on the 31 protected bits.
     """
-    dataset.check_complete()
-    return _histograms(*_stage(dataset, dataset.reference_voltage, post_bch))
+    report = compute_report(dataset, post_bch=post_bch)
+    return report.intra, report.inter
 
 
 def compute_report(dataset, voltage: float | None = None, post_bch: bool = False,
@@ -264,8 +260,9 @@ def compute_report(dataset, voltage: float | None = None, post_bch: bool = False
 
     Reliability and uniformity use the samples at the requested voltage
     against that voltage's own enrolled reference; intra/inter histograms
-    are always computed at the reference voltage.  Each sample is
-    corrected at most once.
+    are always computed at the reference voltage.  One pass takes the
+    chips one at a time, so only one chip's corrected samples are held;
+    each sample is corrected at most once.
     """
     dataset.check_complete()
     cfg = dataset.config
@@ -273,19 +270,25 @@ def compute_report(dataset, voltage: float | None = None, post_bch: bool = False
     v = v0 if voltage is None else voltage
     if v not in cfg.voltages:
         raise ValueError(f"voltage {v} not in dataset")
-    refs, samples = _stage(dataset, v, post_bch)
-    intra, inter = _histograms(*((refs, samples) if v == v0
-                                 else _stage(dataset, v0, post_bch)))
-    length = refs.shape[1]
-    chips = range(cfg.n_chips)
+    length = bch.N if post_bch else cfg.id_length
+    counts = np.zeros(length + 1, dtype=np.int64)
+    reliability_pct, uniformity_pct = {}, {}
+    for c in range(cfg.n_chips):
+        rows, hd = _chip_stage(dataset, v, c, post_bch)
+        reliability_pct[c] = _reliability_pct(hd, length)
+        uniformity_pct[c] = uniformity(rows, length)
+        if v != v0:
+            hd = _chip_stage(dataset, v0, c, post_bch)[1]
+        counts += np.bincount(hd, minlength=length + 1)
     return MetricsReport(
         voltage=v,
         bch_stage="post_bch" if post_bch else "raw",
         id_length=length,
-        uniqueness_pct=uniqueness(refs, length),
-        reliability_pct_per_chip={c: reliability(refs[c], samples[c], length) for c in chips},
-        uniformity_pct_per_chip={c: uniformity(samples[c], length) for c in chips},
-        intra=intra,
-        inter=inter,
+        uniqueness_pct=uniqueness(dataset.references[v][:, :length], length),
+        reliability_pct_per_chip=reliability_pct,
+        uniformity_pct_per_chip=uniformity_pct,
+        intra=HdHistogram("intra", length, counts),
+        inter=HdHistogram.from_distances(
+            "inter", length, _pair_distances(dataset.references[v0][:, :length])),
         voltage_fit=voltage_fit,
     )

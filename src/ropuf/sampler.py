@@ -32,18 +32,32 @@ def rows_to_hex(rows: np.ndarray) -> list[str]:
     return [text[i + pad // 4:i + step] for i in range(0, len(text), step)]
 
 
-def hex_to_rows(words: list[str], length: int) -> np.ndarray:
+def hex_slot(length: int) -> tuple[int, int]:
+    """Hex digits of a length-bit word, and its slot width in a digit
+    buffer: whole bytes, an odd count after a leading '0'."""
+    digits = -(-length // 4)
+    return digits, digits + digits % 2
+
+
+def hex_to_rows(words: list[str] | bytes | bytearray, length: int) -> np.ndarray:
     """(n, length) bit array of hex words of exactly ceil(length/4) digits
     each (either case), the inverse of rows_to_hex.  The padding bits
-    above bit 0 must be zero."""
-    digits, pad = -(-length // 4), -length % 8
-    if any(len(w) != digits for w in words):
+    above bit 0 must be zero.  words is a list, or a buffer of ASCII
+    slots as hex_slot lays them out; a list is joined into that layout."""
+    digits, width = hex_slot(length)
+    pad = -length % 8
+    if isinstance(words, (bytes, bytearray)):
+        text = words.decode("ascii")
+    elif any(len(w) != digits for w in words):
         raise ValueError(f"hex words of a {length}-bit ID must have {digits} digits")
-    raw = bytes.fromhex("0".join(["", *words]) if digits % 2 else "".join(words))
-    if len(raw) * 8 != len(words) * (length + pad):  # fromhex skips whitespace
+    else:
+        text = "0".join(["", *words]) if digits % 2 else "".join(words)
+    n = len(text) // width
+    raw = bytes.fromhex(text)
+    del text  # the digits are not needed once packed
+    if len(raw) * 8 != n * (length + pad):  # fromhex skips whitespace
         raise ValueError("hex words must hold hex digits only")
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), (length + pad) // 8)
-    bits = np.unpackbits(packed, axis=1)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, width // 2), axis=1)
     if bits[:, :pad].any():
         raise ValueError(f"hex word does not fit in {length} bits")
     return bits[:, pad:]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ropuf import chipsim, config, metrics, ro
+from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError, DecodeFailure
 from ropuf.sampler import ResponseWord
 
@@ -222,6 +222,63 @@ class TestSerialization:
             campaign=chipsim.CampaignConfig(voltages=(1.2, 1.3), master_seed=3, **FAST),
             coupling=ro.Coupling.capacitive(0.7))
         assert config.from_dict(config.to_dict(run)) == run
+
+
+def random_dataset(word_length=16, n_chips=3, samples=8, voltages=(1.25, 1.3), seed=11):
+    """A dataset of random bits (no sampling), for file round trips."""
+    rng = np.random.default_rng(seed)
+    cfg = chipsim.CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=word_length,
+                                 samples_per_chip=samples, voltages=voltages)
+    shape = (n_chips, cfg.id_length)
+    return chipsim.CampaignDataset(
+        cfg, ro.RoParams(), ro.Coupling.none(),
+        {v: rng.integers(0, 2, shape, dtype=np.uint8) for v in voltages},
+        {v: rng.integers(0, 2, (n_chips, samples, cfg.id_length), dtype=np.uint8)
+         for v in voltages})
+
+
+class TestDigitBuffer:
+    """load_dataset writes each word into its cell's slot of one digit
+    buffer and decodes the buffer at once."""
+
+    def _saved(self, tmp_path, **kwargs):
+        ds = random_dataset(**kwargs)
+        csv_path = tmp_path / "dataset.csv"
+        chipsim.save_dataset(ds, csv_path, tmp_path / "dataset.json")
+        return ds, csv_path, csv_path.read_text().splitlines()
+
+    def _metrics_error(self, tmp_path, csv_path, lines, capsys) -> str:
+        csv_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
+        return capsys.readouterr().err
+
+    def test_odd_digit_width_shuffled_rows_round_trip(self, tmp_path):
+        ds, csv_path, lines = self._saved(tmp_path, word_length=9)  # 18 bits, 5 digits
+        assert len(lines[1].split(",")[3]) == 5
+        body = lines[1:]
+        np.random.default_rng(3).shuffle(body)
+        csv_path.write_text("\n".join([lines[0], *body]) + "\n")
+        loaded = chipsim.load_dataset(csv_path, tmp_path / "dataset.json")
+        for v in ds.config.voltages:
+            assert np.array_equal(loaded.references[v], ds.references[v])
+            assert np.array_equal(loaded.samples[v], ds.samples[v])
+
+    @pytest.mark.parametrize("word", ["fffffe0\uff17", "fffffe0"],
+                             ids=["non_ascii", "seven_digits"])
+    def test_bad_word_mid_file_names_its_cell(self, tmp_path, capsys, word):
+        _, csv_path, lines = self._saved(tmp_path)
+        mid = len(lines) // 2
+        c, v, t, _ = lines[mid].split(",")
+        lines[mid] = ",".join([c, v, t, word])
+        err = self._metrics_error(tmp_path, csv_path, lines, capsys)
+        assert f"CSV line for chip {c} at {v} V, sample {t}: bad hex word {word!r}" in err
+
+    def test_missing_cell_named(self, tmp_path, capsys):
+        _, csv_path, lines = self._saved(tmp_path)
+        c, v, t, _ = lines.pop(len(lines) // 2).split(",")
+        err = self._metrics_error(tmp_path, csv_path, lines, capsys)
+        assert f"CSV line for chip {c} at {v} V, sample {t}: missing" in err
 
 
 class TestPostBchDistributions:

@@ -92,6 +92,13 @@ class TestSimulate:
         for name in ("dataset.csv", "dataset.json"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_threads_help_says_ignored(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "accepted and ignored" in help_text and "worker" not in help_text
+
     def test_threads_below_one_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         write_config(cfg)

@@ -5,7 +5,7 @@ from .errors import ConfigurationError, DatasetError, DecodeFailure, ModelRangeE
 from .ro import (Coupling, RoInstance, RoParams, apply_coupling, period_at_voltage,
                  realize_ro)
 from .sampler import PufUnit, ResponseWord, compose_id, enroll_id, sample_word
-from .chipsim import (CampaignConfig, CampaignDataset, Chip, build_population,
+from .chipsim import (Campaign, CampaignConfig, CampaignDataset, Chip, build_population,
                       correct_for_voltage, fit_sweep, load_dataset,
                       run_campaign, save_dataset, voltage_sweep)
 from .metrics import (HdHistogram, MetricsReport, compute_report, hamming,
@@ -16,7 +16,7 @@ from .cost import CostParams, conventional_puf_cost, waveform_puf_cost
 __version__ = "0.1.0"
 
 __all__ = [
-    "CampaignConfig", "CampaignDataset", "Chip", "ConfigurationError",
+    "Campaign", "CampaignConfig", "CampaignDataset", "Chip", "ConfigurationError",
     "CostParams", "Coupling", "DatasetError", "DecodeFailure", "HdHistogram",
     "MetricsReport", "ModelRangeError", "PufUnit", "ResponseWord",
     "RoInstance", "RoParams", "apply_coupling", "build_population", "compose_id",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -88,6 +89,12 @@ class CampaignDataset:
     def sample_array(self, chip_id: int, v: float) -> np.ndarray:
         return self.samples[v][chip_id]
 
+    def __iter__(self):
+        """Per chip, as a Campaign yields it: references and samples by voltage."""
+        vs = self.config.voltages
+        for c in range(self.config.n_chips):
+            yield np.array([self.references[v][c] for v in vs]), [self.samples[v][c] for v in vs]
+
     def check_complete(self) -> None:
         cfg = self.config
         for v in cfg.voltages:
@@ -97,71 +104,87 @@ class CampaignDataset:
                 raise DatasetError(f"missing or ragged samples at {v} V")
 
 
+@dataclass
+class Campaign:
+    """A campaign sampled on demand: iterating it yields, chip by chip, the
+    (n_voltages, L) references and (n_voltages, T, L) samples, so a consumer
+    holds one chip's block.  Each unit draws its enrollment block and sample
+    rows once and evaluates them at every voltage, in this process.  Every
+    check runs at creation; threads is checked (>= 1) and otherwise ignored."""
+
+    chips: list[Chip] = field(repr=False)
+    config: CampaignConfig
+    ro_params: ro.RoParams
+    coupling: ro.Coupling = ro.Coupling.none()
+    threads: int = 1
+    stream_version = STREAM_VERSION
+
+    def __post_init__(self):
+        self.config.validate(self.ro_params)
+        if len(self.chips) != self.config.n_chips:
+            raise ConfigurationError("chip list does not match config.n_chips")
+        if self.threads < 1:
+            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
+
+    def __iter__(self):
+        cfg = self.config
+        seed, voltages, lw = cfg.master_seed, cfg.voltages, cfg.word_length
+        b1w, n2 = normal_widths(lw)
+        n_samples = cfg.samples_per_chip
+        for chip in self.chips:
+            c = chip.chip_id
+            refs = np.empty((len(voltages), cfg.id_length), dtype=np.uint8)
+            cells = np.empty((len(voltages), n_samples, cfg.id_length), dtype=np.uint8)
+            for u, unit in enumerate(chip.units):
+                bits = slice(u * lw, (u + 1) * lw)
+                g1, g2 = draw_rows(keyed_rng(seed, TAG_ENROLL, c, u), cfg.enroll_repetitions, lw)
+                for k, v in enumerate(voltages):
+                    refs[k, bits] = modal_row(sample_rows(
+                        unit, v, g1, g2, lambda r: keyed_rng(seed, TAG_ENROLL_EXTEND, c, u, r)))
+                ro1, ro2 = keyed_rng(seed, TAG_RO1, c, u), keyed_rng(seed, TAG_RO2, c, u)
+                for start in range(0, n_samples, CHUNK_ROWS):
+                    n = min(CHUNK_ROWS, n_samples - start)
+                    g1, g2 = ro1.standard_normal((n, b1w)), ro2.standard_normal((n, n2))
+                    for k, v in enumerate(voltages):
+                        cells[k, start:start + n, bits] = sample_rows(
+                            unit, v, g1, g2,
+                            lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
+            yield refs, cells
+
+
 def run_campaign(chips: list[Chip], config: CampaignConfig,
                  ro_params: ro.RoParams, coupling: ro.Coupling = ro.Coupling.none(),
                  threads: int = 1) -> CampaignDataset:
-    """Enroll and sample every (chip, voltage) cell of the campaign grid.
-
-    Each unit draws its enrollment block and its sample rows once and
-    evaluates them at every voltage, in this process; threads is checked
-    (>= 1) and otherwise ignored.
-    """
-    config.validate(ro_params)
-    if len(chips) != config.n_chips:
-        raise ConfigurationError("chip list does not match config.n_chips")
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
-    seed, voltages, lw = config.master_seed, config.voltages, config.word_length
-    b1w, n2 = normal_widths(lw)
-    n_samples = config.samples_per_chip
-    grid = (len(voltages), config.n_chips)
+    """A Campaign collected: every (chip, voltage) cell of its grid, held."""
+    grid = (len(config.voltages), config.n_chips)
     refs = np.empty(grid + (config.id_length,), dtype=np.uint8)
-    cells = np.empty(grid + (n_samples, config.id_length), dtype=np.uint8)
-    for chip in chips:
-        c = chip.chip_id
-        for u, unit in enumerate(chip.units):
-            bits = slice(u * lw, (u + 1) * lw)
-            g1, g2 = draw_rows(keyed_rng(seed, TAG_ENROLL, c, u),
-                               config.enroll_repetitions, lw)
-            for k, v in enumerate(voltages):
-                refs[k, c, bits] = modal_row(sample_rows(
-                    unit, v, g1, g2, lambda r: keyed_rng(seed, TAG_ENROLL_EXTEND, c, u, r)))
-            ro1, ro2 = keyed_rng(seed, TAG_RO1, c, u), keyed_rng(seed, TAG_RO2, c, u)
-            for start in range(0, n_samples, CHUNK_ROWS):
-                n = min(CHUNK_ROWS, n_samples - start)
-                g1, g2 = ro1.standard_normal((n, b1w)), ro2.standard_normal((n, n2))
-                for k, v in enumerate(voltages):
-                    cells[k, c, start:start + n, bits] = sample_rows(
-                        unit, v, g1, g2,
-                        lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
-    dataset = CampaignDataset(config=config, ro_params=ro_params, coupling=coupling,
-                              references=dict(zip(voltages, refs)),
-                              samples=dict(zip(voltages, cells)))
-    dataset.check_complete()
-    return dataset
+    cells = np.empty(grid + (config.samples_per_chip, config.id_length), dtype=np.uint8)
+    for c, block in enumerate(Campaign(chips, config, ro_params, coupling, threads)):
+        refs[:, c], cells[:, c] = block
+    return CampaignDataset(config, ro_params, coupling, dict(zip(config.voltages, refs)),
+                           dict(zip(config.voltages, cells)))
 
 
-def voltage_sweep(dataset: CampaignDataset, reference_voltage: float | None = None
+def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float | None = None
                   ) -> list[tuple[float, float]]:
     """Shift of the mean Hamming distance at each voltage, vs. operation
     at the reference voltage.
 
     For each voltage V the mean of HD(R_i at V0, R'_{i,t} at V) is taken
     over chips and samples; the series reports that mean minus its value
-    at V0, paired with dV = V - V0.
+    at V0, paired with dV = V - V0.  Mismatches are counted chip by chip.
     """
-    v0 = dataset.reference_voltage if reference_voltage is None else reference_voltage
-    if v0 not in dataset.config.voltages:
+    cfg = campaign.config
+    v0 = campaign.ro_params.reference_voltage if reference_voltage is None else reference_voltage
+    if v0 not in cfg.voltages:
         raise ValueError(f"reference voltage {v0} not in dataset voltages")
-
-    refs = dataset.references[v0][:, None, :]
-
-    def mean_hd(v: float) -> float:
-        cells = dataset.samples[v]
-        return int(np.count_nonzero(cells != refs)) / (cells.shape[0] * cells.shape[1])
-
-    base = mean_hd(v0)
-    return [(v - v0, mean_hd(v) - base) for v in dataset.config.voltages]
+    k0 = cfg.voltages.index(v0)
+    mismatches = [0] * len(cfg.voltages)
+    for refs, cells in campaign:
+        for k, chip_cells in enumerate(cells):
+            mismatches[k] += int(np.count_nonzero(chip_cells != refs[k0]))
+    n = cfg.n_chips * cfg.samples_per_chip
+    return [(v - v0, m / n - mismatches[k0] / n) for v, m in zip(cfg.voltages, mismatches)]
 
 
 def fit_sweep(series: list[tuple[float, float]]) -> dict:
@@ -200,27 +223,38 @@ def correct_for_voltage(raw_id: ResponseWord, v_measured: float,
 CSV_HEADER = ["chip_id", "voltage", "sample_index", "word_hex"]
 
 
-def save_dataset(dataset: CampaignDataset, csv_path: str | Path,
+def save_dataset(campaign: CampaignDataset | Campaign, csv_path: str | Path,
                  sidecar_path: str | Path) -> None:
     """CSV of samples (hex words, bit 0 most significant) plus a JSON
-    sidecar carrying the configuration, seed, and enrolled references."""
-    cfg = dataset.config
-    with open(csv_path, "w", newline="") as fh:  # CSV lines end in \r\n
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        for c in range(cfg.n_chips):
-            for v in cfg.voltages:
-                fh.writelines(f"{c},{v!r},{t},{word}\r\n" for t, word in
-                              enumerate(rows_to_hex(dataset.sample_array(c, v))))
-    words = {v: rows_to_hex(dataset.references[v]) for v in cfg.voltages}
-    sidecar = {
-        "stream_version": dataset.stream_version,
-        "config": to_dict(RunConfig(dataset.ro_params, cfg, dataset.coupling),
-                          ("ro", "campaign", "coupling")),
-        "master_seed": cfg.master_seed,
-        "references": {str(c): {repr(v): words[v][c] for v in cfg.voltages}
-                       for c in range(cfg.n_chips)},
-    }
-    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2) + "\n")
+    sidecar carrying the configuration, seed, and enrolled references.
+    Rows are written chip by chip as the campaign yields them.  Both files
+    are renamed into place, the sidecar last, only once every chip is
+    written; on any error the partial files are removed."""
+    cfg = campaign.config
+    partial = [Path(f"{p}.partial") for p in (csv_path, sidecar_path)]
+    ref_words = []  # per chip, its hex reference at each voltage
+    try:
+        with open(partial[0], "w", newline="") as fh:  # CSV lines end in \r\n
+            fh.write(",".join(CSV_HEADER) + "\r\n")
+            for c, (refs, cells) in enumerate(campaign):
+                ref_words.append(rows_to_hex(refs))
+                for v, chip_cells in zip(cfg.voltages, cells):
+                    fh.writelines(f"{c},{v!r},{t},{word}\r\n"
+                                  for t, word in enumerate(rows_to_hex(chip_cells)))
+        sidecar = {
+            "stream_version": campaign.stream_version,
+            "config": to_dict(RunConfig(campaign.ro_params, cfg, campaign.coupling),
+                              ("ro", "campaign", "coupling")),
+            "master_seed": cfg.master_seed,
+            "references": {str(c): dict(zip(map(repr, cfg.voltages), words))
+                           for c, words in enumerate(ref_words)},
+        }
+        partial[1].write_text(json.dumps(sidecar, indent=2) + "\n")
+        os.replace(partial[0], csv_path)
+        os.replace(partial[1], sidecar_path)
+    finally:  # removes the partial files after an error; the renames leave none
+        for p in partial:
+            p.unlink(missing_ok=True)
 
 
 # Grid fields as save_dataset writes them: chip and sample index in ASCII

@@ -24,17 +24,21 @@ EXIT_DATA = 3
 EXIT_SELFTEST = 4
 
 
-def _run_campaign_from_config(cfg: config.RunConfig, threads: int) -> chipsim.CampaignDataset:
+def _campaign(cfg: config.RunConfig, threads: int) -> chipsim.Campaign:
+    """cfg's campaign, every check done and nothing sampled yet."""
     chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
-    return chipsim.run_campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling,
-                                threads=threads)
+    return chipsim.Campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling, threads)
 
 
 def cmd_simulate(args) -> int:
     cfg = config.load(args.config, master_seed=args.seed)
+    campaign = _campaign(cfg, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _run_campaign_from_config(cfg, args.threads)
+    emit_sweep = cfg.flags.emit_sweep and len(cfg.campaign.voltages) >= 2
+    # Streamed chip by chip unless a report or a sweep needs the whole grid.
+    dataset = (chipsim.run_campaign(campaign.chips, cfg.campaign, cfg.ro_params, cfg.coupling)
+               if cfg.flags.emit_histograms or emit_sweep else campaign)
     chipsim.save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
     n_rows = cfg.campaign.n_chips * len(cfg.campaign.voltages) * cfg.campaign.samples_per_chip
     print(f"wrote {out / 'dataset.csv'} ({n_rows} rows) and {out / 'dataset.json'}")
@@ -43,9 +47,8 @@ def cmd_simulate(args) -> int:
         report.save_json(out / "report.json")
         metrics.write_histogram_csv(out / "histograms.csv", [report.intra, report.inter])
         print(f"wrote {out / 'report.json'} and {out / 'histograms.csv'}")
-    if cfg.flags.emit_sweep and len(cfg.campaign.voltages) >= 2:
-        series = chipsim.voltage_sweep(dataset)
-        _write_sweep_files(out, series)
+    if emit_sweep:
+        _write_sweep_files(out, chipsim.voltage_sweep(dataset))
     return EXIT_OK
 
 
@@ -85,10 +88,10 @@ def cmd_sweep(args) -> int:
     cfg = config.load(args.config, master_seed=args.seed)
     if len(cfg.campaign.voltages) < 2:
         raise ConfigurationError("voltages_v: sweep needs at least two voltages")
+    campaign = _campaign(cfg, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _run_campaign_from_config(cfg, args.threads)
-    fit = _write_sweep_files(out, chipsim.voltage_sweep(dataset))
+    fit = _write_sweep_files(out, chipsim.voltage_sweep(campaign))
     print(f"HD shift vs |dV|: slope {fit['slope']:.3f} bits/V, "
           f"intercept {fit['intercept']:.3f}, R^2 {fit['r2']:.4f}")
     return EXIT_OK

@@ -81,6 +81,18 @@ class TestCampaign:
             assert seq.reference(c, 1.3) == par.reference(c, 1.3)
             assert np.array_equal(seq.sample_array(c, 1.3), par.sample_array(c, 1.3))
 
+    def test_campaign_checks_before_sampling(self, monkeypatch):
+        params = ro.RoParams()
+        cfg = chipsim.CampaignConfig(voltages=(1.3,), **FAST)
+        chips = chipsim.build_population(cfg, params)
+        monkeypatch.setattr(chipsim, "sample_rows", None)  # sampling would raise TypeError
+        for args, match in [((chips, cfg, params, ro.Coupling.none(), 0), "threads"),
+                            ((chips[:-1], cfg, params), "n_chips"),
+                            ((chips, chipsim.CampaignConfig(voltages=(2.8,), **FAST), params),
+                             "model range")]:
+            with pytest.raises(ConfigurationError, match=match):
+                chipsim.Campaign(*args)
+
     def test_streams_keyed_by_voltage_value(self):
         # shared voltages give identical words no matter what else is swept
         a, cfg, _ = small_campaign(master_seed=21, voltages=(1.3, 1.25))

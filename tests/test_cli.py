@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from ropuf import bch, cli, ro
+from ropuf import bch, chipsim, cli, ro
 from ropuf.config import from_dict, load, to_dict
+from ropuf.errors import ModelRangeError
 
 
 def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
@@ -101,10 +102,13 @@ class TestSimulate:
 
     def test_threads_below_one_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        write_config(cfg)
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                         "--threads", "0"]) == 2
-        assert "threads" in capsys.readouterr().err
+        write_config(cfg, voltages=(1.25, 1.3))
+        out = tmp_path / "o"
+        for command in ("simulate", "sweep"):
+            assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                             "--threads", "0"]) == 2
+            assert "threads" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_negative_seed_fails_before_any_directory(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -114,6 +118,52 @@ class TestSimulate:
                          "--seed", "-1"]) == 2
         assert "master_seed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_sampling_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.json"
+        write_config(cfg)
+        out = tmp_path / "o"
+        keyed_rng = chipsim.keyed_rng
+
+        def out_of_range_on_chip_1(seed, tag, chip, *key):
+            if chip == 1:
+                raise ModelRangeError("period is non-positive")
+            return keyed_rng(seed, tag, chip, *key)
+        monkeypatch.setattr(chipsim, "keyed_rng", out_of_range_on_chip_1)
+        for streamed in (False, True):  # with and without a report to emit
+            write_config(cfg)
+            if streamed:
+                config = json.loads(cfg.read_text())
+                config["flags"]["emit_histograms"] = False
+                cfg.write_text(json.dumps(config))
+            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
+            assert "non-positive" in capsys.readouterr().err
+            assert sorted(out.iterdir()) == []
+
+        monkeypatch.setattr(chipsim, "keyed_rng", keyed_rng)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(before) == {"dataset.csv", "dataset.json"}
+        monkeypatch.setattr(chipsim, "keyed_rng", out_of_range_on_chip_1)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--seed", "6"]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_streamed_dataset_matches_collected(self, tmp_path):
+        """Without report or sweep flags the dataset is written chip by chip
+        as sampled; with them the grid is collected first.  Same bytes."""
+        cfg = tmp_path / "run.json"
+        config = write_config(cfg, n_chips=4, voltages=(1.25, 1.3, 1.35))
+        config["flags"]["emit_sweep"] = True
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "held")]) == 0
+        config["flags"].update(emit_histograms=False, emit_sweep=False)
+        cfg.write_text(json.dumps(config))
+        streamed = tmp_path / "streamed"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(streamed)]) == 0
+        assert {p.name for p in streamed.iterdir()} == {"dataset.csv", "dataset.json"}
+        for name in ("dataset.csv", "dataset.json"):
+            assert (tmp_path / "held" / name).read_bytes() == (streamed / name).read_bytes()
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -1,18 +1,21 @@
-"""Memory bounds of the evaluation path: loading holds the dataset's bit
-arrays plus one digit buffer, and a report holds one chip's scratch.
+"""Memory bounds: loading holds the dataset's bit arrays plus one digit
+buffer, a report holds one chip's scratch, and `simulate` and `sweep`
+hold one chip's samples at a time, however many chips there are.
 
-The dataset is built from random bits, with no sampling, at acceptance
-scale (10 chips x 5000 samples x 32 bits).  Bounds are multiples of the
-sample array's size (one byte per bit) and are read with tracemalloc,
-which sees numpy's buffers as well as Python objects.
+The evaluation datasets are built from random bits, with no sampling, at
+acceptance scale (10 chips x 5000 samples x 32 bits).  Bounds are
+multiples of a sample array's size (one byte per bit) and are read with
+tracemalloc, which sees numpy's buffers as well as Python objects.
 """
+import gc
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ropuf import bch, chipsim, metrics, ro
-from ropuf.config import CampaignConfig
+from ropuf import bch, chipsim, cli, metrics, ro
+from ropuf.config import CampaignConfig, Flags, RunConfig, to_dict
 
 N_CHIPS, T, L = 10, 5000, 32
 
@@ -35,6 +38,7 @@ def saved(tmp_path_factory):
 
 def _traced(fn):
     """fn's result and the peak bytes it allocated above what was live."""
+    gc.collect()  # garbage left by earlier work is not fn's to free during the run
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -58,3 +62,40 @@ def test_post_bch_report_allocates_within_the_samples(saved):
     report, peak = _traced(lambda: metrics.compute_report(dataset, post_bch=True))
     assert report.intra.total == N_CHIPS * T
     assert peak <= nbytes, f"compute_report(post_bch=True) peak {peak / nbytes:.2f}x the samples"
+
+
+def test_voltage_sweep_counts_one_chip_at_a_time():
+    n_chips, t, voltages = 40, 200, (1.2, 1.25, 1.3, 1.35, 1.4)
+    rng = np.random.default_rng(8)
+    cfg = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
+                         samples_per_chip=t, voltages=voltages)
+    refs = {v: rng.integers(0, 2, (n_chips, L), dtype=np.uint8) for v in voltages}
+    samples = {v: rng.integers(0, 2, (n_chips, t, L), dtype=np.uint8) for v in voltages}
+    dataset = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(), refs, samples)
+    series, peak = _traced(lambda: chipsim.voltage_sweep(dataset))
+    assert len(series) == len(voltages)
+    nbytes = samples[1.3].nbytes
+    assert peak <= 0.1 * nbytes, f"voltage_sweep peak {peak / nbytes:.2f}x one voltage's samples"
+
+
+@pytest.mark.parametrize("command, voltages", [("simulate", (1.3,)), ("sweep", (1.25, 1.3))])
+def test_campaign_commands_hold_one_chip(tmp_path, command, voltages):
+    """A command's peak grows with the chip count by less than one chip's
+    (n_voltages, T, L) sample block (no report or sweep flags are set)."""
+    t = 1000
+
+    def peak(n_chips):
+        campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
+                                  samples_per_chip=t, voltages=voltages)
+        config = to_dict(RunConfig(campaign=campaign, flags=Flags(emit_histograms=False)))
+        path = tmp_path / f"run{n_chips}.json"
+        path.write_text(json.dumps(config))
+        code, peak = _traced(lambda: cli.main([command, "--config", str(path),
+                                               "--out", str(tmp_path / str(n_chips))]))
+        assert code == 0
+        return peak
+
+    block = len(voltages) * t * L
+    peak(2)  # first-use allocations (imports, caches) stay out of the comparison
+    growth = peak(16) - peak(4)
+    assert growth < block, f"{command}: 12 more chips took {growth / block:.2f} chip blocks"

@@ -11,7 +11,11 @@ Run every workload with tracing first, from the repository root:
 A traced run holds both parts of a record: the end-to-end medians of its
 untraced repeats and the per-layer metrics of its traced ones.  The file
 written keeps, per workload, those two parts, the failure count and the
-digest check, plus the machine record of the first workload.
+digest check, plus the machine record of the first workload and the
+absolute root path of the checkout that ran them (the parent of the work
+directory, where perfbench writes its records): peak RSS moves by a few
+tenths of a MiB with that path, so records compare only across checkouts
+whose paths have the same length.
 """
 from __future__ import annotations
 
@@ -40,7 +44,8 @@ def merge(work: Path, label: str) -> dict:
             "end_to_end": record["end_to_end"],
             "per_layer": {k: m["value"] for k, m in record["result"]["metrics"].items()},
         }
-    return {"label": label, "machine": machine, "workloads": workloads}
+    return {"label": label, "machine": machine, "checkout": str(work.resolve().parent),
+            "workloads": workloads}
 
 
 def main(argv=None) -> int:

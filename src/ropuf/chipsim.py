@@ -25,8 +25,8 @@ from .errors import ConfigurationError, DatasetError, DecodeFailure
 from .metrics import linear_fit
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
-from .sampler import (PufUnit, ResponseWord, draw_rows, hex_slot, hex_to_rows, modal_row,
-                      normal_widths, rows_to_hex, sample_rows)
+from .sampler import (PufUnit, ResponseWord, draw_rows, hex_slot, hex_to_packed, modal_row,
+                      normal_widths, pack_rows, rows_to_hex, sample_rows, unpack_rows)
 # Not called here: perfbench/traced_cli.py wraps these names as chipsim
 # attributes, so they stay importable from this module.
 from .sampler import enroll_id, sample_word  # noqa: F401
@@ -69,8 +69,9 @@ def build_population(config: CampaignConfig, params: ro.RoParams,
 @dataclass
 class CampaignDataset:
     """Complete (chip, voltage, sample) grid plus enrolled references:
-    per voltage, an (n_chips, L) reference array and an (n_chips, T, L)
-    sample array."""
+    per voltage, an (n_chips, L) reference bit array and an
+    (n_chips, T, ceil(L/8)) array of samples packed as pack_rows lays
+    them out, eight bits to a byte."""
 
     config: CampaignConfig
     ro_params: ro.RoParams
@@ -87,20 +88,24 @@ class CampaignDataset:
         return ResponseWord(self.references[v][chip_id])
 
     def sample_array(self, chip_id: int, v: float) -> np.ndarray:
-        return self.samples[v][chip_id]
+        """One chip's (T, L) sample bits at v: the one place samples are unpacked."""
+        return unpack_rows(self.samples[v][chip_id], self.config.id_length)
 
     def __iter__(self):
-        """Per chip, as a Campaign yields it: references and samples by voltage."""
+        """Per chip, as a Campaign yields it: references and samples by
+        voltage, each voltage's samples unpacked as they are reached."""
         vs = self.config.voltages
         for c in range(self.config.n_chips):
-            yield np.array([self.references[v][c] for v in vs]), [self.samples[v][c] for v in vs]
+            yield (np.array([self.references[v][c] for v in vs]),
+                   (self.sample_array(c, v) for v in vs))
 
     def check_complete(self) -> None:
         cfg = self.config
+        packed = (cfg.n_chips, cfg.samples_per_chip, -(-cfg.id_length // 8))
         for v in cfg.voltages:
             if np.shape(self.references.get(v)) != (cfg.n_chips, cfg.id_length):
                 raise DatasetError(f"missing or ragged references at {v} V")
-            if np.shape(self.samples.get(v)) != (cfg.n_chips, cfg.samples_per_chip, cfg.id_length):
+            if np.shape(self.samples.get(v)) != packed:
                 raise DatasetError(f"missing or ragged samples at {v} V")
 
 
@@ -155,12 +160,14 @@ class Campaign:
 def run_campaign(chips: list[Chip], config: CampaignConfig,
                  ro_params: ro.RoParams, coupling: ro.Coupling = ro.Coupling.none(),
                  threads: int = 1) -> CampaignDataset:
-    """A Campaign collected: every (chip, voltage) cell of its grid, held."""
+    """A Campaign collected: every (chip, voltage) cell of its grid, held
+    with each chip's samples packed as they arrive."""
     grid = (len(config.voltages), config.n_chips)
     refs = np.empty(grid + (config.id_length,), dtype=np.uint8)
-    cells = np.empty(grid + (config.samples_per_chip, config.id_length), dtype=np.uint8)
-    for c, block in enumerate(Campaign(chips, config, ro_params, coupling, threads)):
-        refs[:, c], cells[:, c] = block
+    cells = np.empty(grid + (config.samples_per_chip, -(-config.id_length // 8)), dtype=np.uint8)
+    campaign = Campaign(chips, config, ro_params, coupling, threads)
+    for c, (chip_refs, chip_cells) in enumerate(campaign):
+        refs[:, c], cells[:, c] = chip_refs, pack_rows(chip_cells)
     return CampaignDataset(config, ro_params, coupling, dict(zip(config.voltages, refs)),
                            dict(zip(config.voltages, cells)))
 
@@ -265,7 +272,7 @@ _VOLTS = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 
 
 def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray:
-    """(n_voltages, n_chips, depth, L) bit array of the hex words in rows:
+    """(n_voltages, n_chips, depth, ceil(L/8)) packed bytes of the hex words in rows:
     (place, (chip, voltage, index, word)) pairs, the four as strings, that
     must hold exactly one word per grid cell.  Each word's digits go into
     its cell's slot of one digit buffer, so no word outlives its row."""
@@ -307,10 +314,11 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
             slots[end - digits:end] = word.encode("ascii")
         except (AttributeError, ValueError):  # not a str; not ASCII, or the wrong length
             unslotted[cell] = word
+    del indices, volts  # freed before the decoded bytes are allocated
     try:
         if unslotted or 0 in filled:
             raise ValueError("missing or malformed words")
-        return hex_to_rows(buffer, cfg.id_length).reshape(len(index), n, depth, -1)
+        return hex_to_packed(buffer, cfg.id_length).reshape(len(index), n, depth, -1)
     except ValueError:  # name the first missing or bad word, in cell order
         for cell in range(n_cells):
             (k, c), t = divmod(cell // depth, n), cell % depth
@@ -320,7 +328,7 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
             end = (cell + 1) * width
             word = unslotted.get(cell, buffer[end - digits:end].decode())
             try:
-                hex_to_rows([word], cfg.id_length)
+                hex_to_packed([word], cfg.id_length)
             except (TypeError, ValueError) as exc:
                 raise DatasetError(f"{name}: bad hex word {word!r}: {exc}") from None
         raise
@@ -351,7 +359,7 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
         cells = _decode_grid(((reader.line_num, row) for row in reader if row),
                              cfg, cfg.samples_per_chip, "CSV line")
     dataset = CampaignDataset(cfg, run.ro_params, run.coupling,
-                              dict(zip(cfg.voltages, refs[:, :, 0])),
+                              dict(zip(cfg.voltages, unpack_rows(refs[:, :, 0], cfg.id_length))),
                               dict(zip(cfg.voltages, cells)), version)
     dataset.check_complete()
     return dataset

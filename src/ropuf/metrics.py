@@ -227,7 +227,7 @@ def corrected_sample_words(dataset, v: float, chip: int) -> np.ndarray:
     if dataset.config.id_length < bch.N:
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
     anchor = dataset.references[dataset.reference_voltage][chip, :bch.N]
-    fixed = bch.decode_rows(dataset.samples[v][chip, :, :bch.N] ^ anchor)[0]
+    fixed = bch.decode_rows(dataset.sample_array(chip, v)[:, :bch.N] ^ anchor)[0]
     return np.bitwise_xor(fixed, anchor, out=fixed)
 
 
@@ -237,7 +237,7 @@ def _chip_stage(dataset, v: float, chip: int, post_bch: bool) -> tuple[np.ndarra
     if post_bch:
         ref, rows = dataset.references[v][chip, :bch.N], corrected_sample_words(dataset, v, chip)
     else:
-        ref, rows = dataset.references[v][chip], dataset.samples[v][chip]
+        ref, rows = dataset.references[v][chip], dataset.sample_array(chip, v)
     return rows, _distances(ref, rows)
 
 

@@ -13,6 +13,7 @@ level.  Only the period ratio matters, never the absolute time scale.
 """
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -23,11 +24,23 @@ from .errors import ConfigurationError
 from .rng import ensure_rng
 
 
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """(..., ceil(L/8)) bytes of (..., L) bit rows, laid out as their hex
+    words: zero pad bits first, then bit 0 as the most significant bit."""
+    pad = -rows.shape[-1] % 8
+    return np.packbits(np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(pad, 0)]), axis=-1)
+
+
+def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
+    """(..., length) bit rows of pack_rows bytes, the pad bits dropped."""
+    return np.unpackbits(packed, axis=-1)[..., packed.shape[-1] * 8 - length:]
+
+
 def rows_to_hex(rows: np.ndarray) -> list[str]:
     """Hex word of each row of an (n, L) bit array: bit 0 most
     significant, exactly ceil(L/4) lower-case digits."""
     pad = -rows.shape[1] % 8  # zero bits above bit 0, up to whole bytes
-    text = np.packbits(np.pad(rows, ((0, 0), (pad, 0))), axis=1).tobytes().hex()
+    text = pack_rows(rows).tobytes().hex()
     step = (rows.shape[1] + pad) // 4  # digits per padded word
     return [text[i + pad // 4:i + step] for i in range(0, len(text), step)]
 
@@ -39,28 +52,30 @@ def hex_slot(length: int) -> tuple[int, int]:
     return digits, digits + digits % 2
 
 
-def hex_to_rows(words: list[str] | bytes | bytearray, length: int) -> np.ndarray:
-    """(n, length) bit array of hex words of exactly ceil(length/4) digits
-    each (either case), the inverse of rows_to_hex.  The padding bits
-    above bit 0 must be zero.  words is a list, or a buffer of ASCII
-    slots as hex_slot lays them out; a list is joined into that layout."""
+def hex_to_packed(words: list[str] | bytes | bytearray, length: int) -> np.ndarray:
+    """(n, ceil(length/8)) pack_rows bytes of hex words of exactly
+    ceil(length/4) digits each (either case).  The padding bits above
+    bit 0 must be zero.  words is a list, or a buffer of ASCII slots as
+    hex_slot lays them out; a list is joined into that layout."""
     digits, width = hex_slot(length)
-    pad = -length % 8
     if isinstance(words, (bytes, bytearray)):
-        text = words.decode("ascii")
+        raw = binascii.a2b_hex(words)  # no str copy; any non-hex byte raises
     elif any(len(w) != digits for w in words):
         raise ValueError(f"hex words of a {length}-bit ID must have {digits} digits")
     else:
-        text = "0".join(["", *words]) if digits % 2 else "".join(words)
-    n = len(text) // width
-    raw = bytes.fromhex(text)
-    del text  # the digits are not needed once packed
-    if len(raw) * 8 != n * (length + pad):  # fromhex skips whitespace
-        raise ValueError("hex words must hold hex digits only")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, width // 2), axis=1)
-    if bits[:, :pad].any():
+        raw = bytes.fromhex("0".join(["", *words]) if digits % 2 else "".join(words))
+        if len(raw) * 2 != len(words) * width:  # fromhex skips whitespace
+            raise ValueError("hex words must hold hex digits only")
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width // 2)
+    pad_bits = 0xFF00 >> (-length % 8) & 0xFF  # the high bits of byte 0
+    if (packed[:, 0] & pad_bits).any():
         raise ValueError(f"hex word does not fit in {length} bits")
-    return bits[:, pad:]
+    return packed
+
+
+def hex_to_rows(words: list[str], length: int) -> np.ndarray:
+    """(n, length) bit array of hex words, the inverse of rows_to_hex."""
+    return unpack_rows(hex_to_packed(words, length), length)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError, DecodeFailure
-from ropuf.sampler import ResponseWord
+from ropuf.sampler import ResponseWord, pack_rows
 
 FAST = dict(n_chips=4, samples_per_chip=20, enroll_repetitions=9)
 
@@ -237,7 +239,8 @@ class TestSerialization:
 
 
 def random_dataset(word_length=16, n_chips=3, samples=8, voltages=(1.25, 1.3), seed=11):
-    """A dataset of random bits (no sampling), for file round trips."""
+    """A dataset of random bits (no sampling), for file round trips; its
+    samples packed as CampaignDataset holds them."""
     rng = np.random.default_rng(seed)
     cfg = chipsim.CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=word_length,
                                  samples_per_chip=samples, voltages=voltages)
@@ -245,7 +248,7 @@ def random_dataset(word_length=16, n_chips=3, samples=8, voltages=(1.25, 1.3), s
     return chipsim.CampaignDataset(
         cfg, ro.RoParams(), ro.Coupling.none(),
         {v: rng.integers(0, 2, shape, dtype=np.uint8) for v in voltages},
-        {v: rng.integers(0, 2, (n_chips, samples, cfg.id_length), dtype=np.uint8)
+        {v: pack_rows(rng.integers(0, 2, (n_chips, samples, cfg.id_length), dtype=np.uint8))
          for v in voltages})
 
 
@@ -286,11 +289,61 @@ class TestDigitBuffer:
         err = self._metrics_error(tmp_path, csv_path, lines, capsys)
         assert f"CSV line for chip {c} at {v} V, sample {t}: bad hex word {word!r}" in err
 
+    @pytest.mark.parametrize("word_length, word, message", [
+        (9, "7ffff", "hex word does not fit in 18 bits"),
+        (16, "ffff fe0", "non-hexadecimal number found in fromhex() arg at position 8"),
+        (16, "fffffg07", "non-hexadecimal number found in fromhex() arg at position 5"),
+    ], ids=["pad_bit_set", "whitespace", "non_hex_digit"])
+    def test_undecodable_word_mid_file_names_its_cell(self, tmp_path, capsys, word_length,
+                                                      word, message):
+        _, csv_path, lines = self._saved(tmp_path, word_length=word_length)
+        mid = len(lines) // 2
+        c, v, t, _ = lines[mid].split(",")
+        lines[mid] = ",".join([c, v, t, word])
+        err = self._metrics_error(tmp_path, csv_path, lines, capsys)
+        cell = f"CSV line for chip {c} at {v} V, sample {t}"
+        assert f"{cell}: bad hex word {word!r}: {message}" in err
+
     def test_missing_cell_named(self, tmp_path, capsys):
         _, csv_path, lines = self._saved(tmp_path)
         c, v, t, _ = lines.pop(len(lines) // 2).split(",")
         err = self._metrics_error(tmp_path, csv_path, lines, capsys)
         assert f"CSV line for chip {c} at {v} V, sample {t}: missing" in err
+
+
+class BitGrid:
+    """ds read through a whole (n_chips, T, L) bit grid per voltage."""
+
+    def __init__(self, ds, grid):
+        self.config, self.references = ds.config, ds.references
+        self.reference_voltage, self.check_complete = ds.reference_voltage, ds.check_complete
+        self.grid = grid
+
+    def sample_array(self, chip_id, v):
+        return self.grid[v][chip_id]
+
+
+class TestPackedSamples:
+    @pytest.mark.parametrize("word_length", [9, 17])  # 18 and 34 bits: 6 pad bits per word
+    def test_loaded_reports_match_the_unpacked_grid(self, tmp_path, word_length):
+        rng = np.random.default_rng(word_length)
+        cfg = chipsim.CampaignConfig(n_chips=4, pairs_per_id=2, word_length=word_length,
+                                     samples_per_chip=60, voltages=(1.25, 1.3))
+        length = cfg.id_length
+        refs = {v: rng.integers(0, 2, (4, length), dtype=np.uint8) for v in cfg.voltages}
+        flips = {v: (rng.random((4, 60, length)) < 0.05).astype(np.uint8) for v in cfg.voltages}
+        grid = {v: refs[v][:, None] ^ flips[v] for v in cfg.voltages}
+        ds = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(), refs,
+                                     {v: pack_rows(cells) for v, cells in grid.items()})
+        chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
+        loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
+        assert loaded.samples[1.3].shape == (4, 60, -(-length // 8))
+        oracle = BitGrid(ds, grid)
+        for post_bch in (False, True) if length >= 31 else (False,):
+            for v in cfg.voltages:
+                got = metrics.compute_report(loaded, voltage=v, post_bch=post_bch)
+                want = metrics.compute_report(oracle, voltage=v, post_bch=post_bch)
+                assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
 
 class TestPostBchDistributions:

@@ -173,7 +173,7 @@ def test_stream_layout_rebuilt_row_by_row():
                 want = [oracle_row(unit, v, g1[t], g2[t],
                                    keyed.keyed_rng(seed, keyed.TAG_EXTEND, c, u, t))
                         for t in range(n_samples)]
-                got = ds.samples[v][c, :, u * 16:(u + 1) * 16]
+                got = ds.sample_array(c, v)[:, u * 16:(u + 1) * 16]
                 assert np.array_equal(got, want), (c, u, v)
                 words = [tuple(oracle_row(unit, v, row[:b1w], row[b1w:],
                                           keyed.keyed_rng(seed, keyed.TAG_ENROLL_EXTEND, c, u, r)))

@@ -1,11 +1,13 @@
-"""Memory bounds: loading holds the dataset's bit arrays plus one digit
-buffer, a report holds one chip's scratch, and `simulate` and `sweep`
-hold one chip's samples at a time, however many chips there are.
+"""Memory bounds: a loaded dataset holds its samples packed, eight bits
+to a byte, loading holds those bytes plus one digit buffer, a report
+holds one chip's scratch, and `simulate` and `sweep` hold one chip's
+samples at a time, however many chips there are.
 
 The evaluation datasets are built from random bits, with no sampling, at
 acceptance scale (10 chips x 5000 samples x 32 bits).  Bounds are
-multiples of a sample array's size (one byte per bit) and are read with
-tracemalloc, which sees numpy's buffers as well as Python objects.
+multiples of an unpacked sample array's size (one byte per bit) and are
+read with tracemalloc, which sees numpy's buffers as well as Python
+objects.
 """
 import gc
 import json
@@ -16,13 +18,14 @@ import pytest
 
 from ropuf import bch, chipsim, cli, metrics, ro
 from ropuf.config import CampaignConfig, Flags, RunConfig, to_dict
+from ropuf.sampler import pack_rows
 
 N_CHIPS, T, L = 10, 5000, 32
 
 
 @pytest.fixture(scope="module")
 def saved(tmp_path_factory):
-    """Paths of a saved random dataset, and its samples' size in bytes."""
+    """Paths of a saved random dataset, and its unpacked samples' size in bytes."""
     rng = np.random.default_rng(20170302)
     cfg = CampaignConfig(n_chips=N_CHIPS, pairs_per_id=2, word_length=L // 2,
                          samples_per_chip=T, voltages=(1.3,))
@@ -30,7 +33,7 @@ def saved(tmp_path_factory):
     # About 1.6 flipped bits per row: most rows decode, some fail.
     samples = refs[:, None, :] ^ (rng.random((N_CHIPS, T, L)) < 0.05).astype(np.uint8)
     dataset = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(),
-                                      {1.3: refs}, {1.3: samples})
+                                      {1.3: refs}, {1.3: pack_rows(samples)})
     out = tmp_path_factory.mktemp("memory")
     chipsim.save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
     return out / "dataset.csv", out / "dataset.json", samples.nbytes
@@ -48,11 +51,11 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def test_load_peak_within_twice_the_samples(saved):
+def test_load_holds_packed_samples_within_the_unpacked_size(saved):
     csv_path, sidecar, nbytes = saved
     dataset, peak = _traced(lambda: chipsim.load_dataset(csv_path, sidecar))
-    assert dataset.samples[1.3].nbytes == nbytes
-    assert peak <= 2 * nbytes, f"load_dataset peak {peak / nbytes:.2f}x the samples"
+    assert dataset.samples[1.3].nbytes == nbytes // 8
+    assert peak <= 0.8 * nbytes, f"load_dataset peak {peak / nbytes:.2f}x the unpacked samples"
 
 
 def test_post_bch_report_allocates_within_the_samples(saved):
@@ -71,23 +74,23 @@ def test_voltage_sweep_counts_one_chip_at_a_time():
                          samples_per_chip=t, voltages=voltages)
     refs = {v: rng.integers(0, 2, (n_chips, L), dtype=np.uint8) for v in voltages}
     samples = {v: rng.integers(0, 2, (n_chips, t, L), dtype=np.uint8) for v in voltages}
-    dataset = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(), refs, samples)
+    dataset = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(), refs,
+                                      {v: pack_rows(cells) for v, cells in samples.items()})
     series, peak = _traced(lambda: chipsim.voltage_sweep(dataset))
     assert len(series) == len(voltages)
     nbytes = samples[1.3].nbytes
     assert peak <= 0.1 * nbytes, f"voltage_sweep peak {peak / nbytes:.2f}x one voltage's samples"
 
 
-@pytest.mark.parametrize("command, voltages", [("simulate", (1.3,)), ("sweep", (1.25, 1.3))])
-def test_campaign_commands_hold_one_chip(tmp_path, command, voltages):
-    """A command's peak grows with the chip count by less than one chip's
-    (n_voltages, T, L) sample block (no report or sweep flags are set)."""
+def _chip_growth(tmp_path, command, voltages, flags) -> float:
+    """How much cli.main([command, ...]) peaks higher for 16 chips than for
+    4, in chip blocks: one chip's (n_voltages, T, L) unpacked samples."""
     t = 1000
 
     def peak(n_chips):
         campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
                                   samples_per_chip=t, voltages=voltages)
-        config = to_dict(RunConfig(campaign=campaign, flags=Flags(emit_histograms=False)))
+        config = to_dict(RunConfig(campaign=campaign, flags=flags))
         path = tmp_path / f"run{n_chips}.json"
         path.write_text(json.dumps(config))
         code, peak = _traced(lambda: cli.main([command, "--config", str(path),
@@ -97,5 +100,20 @@ def test_campaign_commands_hold_one_chip(tmp_path, command, voltages):
 
     block = len(voltages) * t * L
     peak(2)  # first-use allocations (imports, caches) stay out of the comparison
-    growth = peak(16) - peak(4)
-    assert growth < block, f"{command}: 12 more chips took {growth / block:.2f} chip blocks"
+    return (peak(16) - peak(4)) / block
+
+
+@pytest.mark.parametrize("command, voltages", [("simulate", (1.3,)), ("sweep", (1.25, 1.3))])
+def test_campaign_commands_hold_one_chip(tmp_path, command, voltages):
+    """A command's peak grows with the chip count by less than one chip's
+    (n_voltages, T, L) sample block (no report or sweep flags are set)."""
+    growth = _chip_growth(tmp_path, command, voltages, Flags(emit_histograms=False))
+    assert growth < 1, f"{command}: 12 more chips took {growth:.2f} chip blocks"
+
+
+def test_simulate_with_report_holds_the_grid_packed(tmp_path):
+    """With emit_histograms, simulate collects the grid for its report; the
+    12 more chips' samples are held packed (1.5 chip blocks), so the peak
+    grows by at most 3 chip blocks."""
+    growth = _chip_growth(tmp_path, "simulate", (1.3,), Flags(emit_histograms=True))
+    assert growth <= 3, f"simulate with a report: 12 more chips took {growth:.2f} chip blocks"

@@ -51,6 +51,21 @@ class TestHexCodec:
         upper = sampler.hex_to_rows([w.upper() for w in words], length)
         assert upper.tolist() == [hex_word_bits(w, length) for w in words]
 
+    @pytest.mark.parametrize("length", range(1, 71))
+    def test_packed_bytes_are_the_hex_words(self, rng, length):
+        rows = rng.integers(0, 2, (3, 5, length), dtype=np.uint8)
+        packed = sampler.pack_rows(rows)
+        assert packed.shape == (3, 5, -(-length // 8)) and packed.dtype == np.uint8
+        assert np.array_equal(sampler.unpack_rows(packed, length), rows)
+        flat, words = packed.reshape(15, -1), sampler.rows_to_hex(rows.reshape(15, length))
+        # Zero pad bits first, then bit 0 most significant: each row's bytes
+        # read as one big-endian integer are its hex word's value.
+        assert [int.from_bytes(r.tobytes(), "big") for r in flat] == [int(w, 16) for w in words]
+        assert np.array_equal(sampler.hex_to_packed(words, length), flat)
+        width = sampler.hex_slot(length)[1]
+        buffer = bytearray("".join(w.rjust(width, "0") for w in words).encode("ascii"))
+        assert np.array_equal(sampler.hex_to_packed(buffer, length), flat)
+
     @pytest.mark.parametrize("length", [n for n in LENGTHS if n % 4])
     def test_one_bit_too_wide_rejected(self, length):
         word = format(1 << length, f"0{-(-length // 4)}x")  # bit L set, same digit count

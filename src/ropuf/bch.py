@@ -4,8 +4,8 @@ The field is built on the primitive polynomial x^5 + x^2 + 1 (0x25); any
 primitive choice gives an equivalent code, but fixing one makes helper
 data and test vectors bit-exact.  The generator polynomial is the lcm of
 the minimal polynomials of alpha, alpha^3 and alpha^5 (degree 15,
-designed distance 7, corrects t = 3 errors).  Decoding looks each word's
-syndrome up in a table of the coset leaders of weight <= 3.
+designed distance 7, corrects t = 3 errors).  decode_words looks each
+word's syndrome up in a table of the coset leaders of weight <= 3.
 
 Bit layout of a 31-bit word: index i holds the coefficient of x^(30-i),
 so bits[0:16] are the 16 systematic message bits and bits[16:31] the
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DecodeFailure
 from .rng import ensure_rng
-from .sampler import ResponseWord
+from .sampler import ResponseWord, pack_rows
 
 N = 31
 K = 16
@@ -141,21 +141,18 @@ def _decoder_tables(generator: int) -> tuple[np.ndarray, np.ndarray]:
     `generator`, built on first use.
 
     The syndrome of a word is its remainder modulo g(x), a 15-bit value.
-    byte_syn[k, b] is the syndrome contributed by packed byte value
-    b at byte position k of a row (np.packbits layout, bit 0 most
-    significant; the pad bit after bit 30 is zero).  leaders[s] is the
-    error pattern of weight <= T with syndrome s, as an integer whose bit
-    p is the coefficient of x^p, or -1 where no such pattern exists.
-    Minimum distance 7 makes those patterns' syndromes distinct.
+    byte_syn[k, b] is the syndrome contributed by byte value b at bits
+    8k..8k+7 of a word (bit p the coefficient of x^p).  leaders[s] is
+    the error pattern of weight <= T with syndrome s, as such a word, or
+    -1 where no such pattern exists.  Minimum distance 7 makes those
+    patterns' syndromes distinct.
     """
-    bit_syn = np.array([_gf2_mod(1 << (N - 1 - i), generator) for i in range(N)] + [0],
-                       dtype=np.uint16)  # syndrome of bits[i]; index N is the pad
-    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    byte_syn = np.bitwise_xor.reduce(
-        byte_bits[None, :, :] * bit_syn.reshape(4, 1, 8), axis=2)
+    x_syn = np.array([_gf2_mod(1 << p, generator) for p in range(32)], dtype=np.uint16)
+    byte_bits = np.arange(256, dtype=np.uint16)[:, None] >> np.arange(8, dtype=np.uint16) & 1
+    byte_syn = np.bitwise_xor.reduce(byte_bits[None, :, :] * x_syn.reshape(4, 1, 8), axis=2)
 
     p = np.arange(N)
-    x_syn = bit_syn[N - 1 - p]  # syndrome of x^p
+    x_syn = x_syn[:N]  # syndrome of x^p
     lt = p[:, None] < p
     i, j = np.nonzero(lt)
     a, b, c = np.nonzero(lt[:, :, None] & lt[None, :, :])
@@ -168,11 +165,14 @@ def _decoder_tables(generator: int) -> tuple[np.ndarray, np.ndarray]:
     return byte_syn, leaders
 
 
-def _syndrome_of(rows: np.ndarray) -> np.ndarray:
-    """15-bit syndrome of each row of an (n, 31) bit array."""
-    byte_syn, _ = _decoder_tables(GENERATOR)
-    return np.bitwise_xor.reduce(
-        byte_syn[np.arange(4), np.packbits(rows, axis=1)], axis=1)
+def packed_words(packed: np.ndarray, length: int) -> np.ndarray:
+    """Bits 0..30 of each row of (..., ceil(length/8)) bytes laid out as
+    sampler.pack_rows lays out length-bit rows, as one integer per row
+    whose bit p is the coefficient of x^p: bit 0 of the row is x^30."""
+    head = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+    head[..., :min(packed.shape[-1], 8)] = packed[..., :8]
+    # Big-endian, row bit i is bit 63 - pad - i, and the pad bits are zero.
+    return head.view(">u8")[..., 0] >> np.uint64(33 - (packed.shape[-1] * 8 - length))
 
 
 def _pattern_rows(patterns: np.ndarray) -> np.ndarray:
@@ -181,24 +181,30 @@ def _pattern_rows(patterns: np.ndarray) -> np.ndarray:
     return np.unpackbits(patterns.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 1:]
 
 
-def decode_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded-distance decoding of an (n, 31) uint8 bit array.
+def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded-distance decoding of 31-bit words, one unsigned integer
+    each whose bit p is the coefficient of x^p (see packed_words).
 
-    Returns the corrected rows and the number of bits flipped in each,
-    or -1 for a row with more than T errors, which passes through
-    unchanged.  A row within distance T of a codeword lands on it; a row
-    farther away fails, or lands on another codeword if one lies within
-    T (a miscorrection).
+    Returns the corrected words and the number of bits flipped in each,
+    or -1 for a word with more than T errors, which passes through
+    unchanged.  A word within distance T of a codeword lands on it; a
+    word farther away fails, or lands on another codeword if one lies
+    within T (a miscorrection).
     """
+    byte_syn, leaders = _decoder_tables(GENERATOR)
+    word_bytes = words.astype("<u4").view(np.uint8).reshape(-1, 4)  # bits 8k..8k+7 at k
+    fix = leaders[np.bitwise_xor.reduce(byte_syn[np.arange(4), word_bytes], axis=1)]
+    flips = np.maximum(fix, 0).astype(words.dtype)
+    return words ^ flips, np.where(fix < 0, -1, np.bitwise_count(flips).astype(np.int64))
+
+
+def decode_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """decode_words over the rows of an (n, 31) uint8 bit array, each
+    returned as corrected bits, with its number of flips (-1 if failed)."""
     if rows.ndim != 2 or rows.shape[1] != N:
         raise ValueError(f"rows must be (n, {N}) bits, got shape {rows.shape}")
-    leaders = _decoder_tables(GENERATOR)[1][_syndrome_of(rows)]
-    n_errors = np.where(leaders < 0, -1, 0)
-    fix = np.flatnonzero(leaders > 0)
-    out = rows.copy()
-    out[fix] ^= _pattern_rows(leaders[fix])
-    n_errors[fix] = np.bitwise_count(leaders[fix])
-    return out, n_errors
+    fixed, n_errors = decode_words(packed_words(pack_rows(rows), N))
+    return _pattern_rows(fixed), n_errors
 
 
 def decode(received: ResponseWord) -> tuple[ResponseWord, int]:
@@ -316,7 +322,7 @@ def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str,
                     np.bincount(np.bitwise_count(patterns), minlength=T + 2).tolist()
                     == [1, 31, 465, 4495, 0]
                     and np.unique(patterns).size == held.size
-                    and np.array_equal(_syndrome_of(_pattern_rows(patterns)), held)))
+                    and not decode_words(patterns.astype(np.uint32))[0].any()))
 
     rng = ensure_rng(seed)
     base = (rng.integers(0, 2, K, dtype=np.uint8) @ g) % 2

@@ -25,8 +25,8 @@ from .errors import ConfigurationError, DatasetError, DecodeFailure
 from .metrics import linear_fit
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
-from .sampler import (PufUnit, ResponseWord, draw_rows, hex_slot, hex_to_packed, modal_row,
-                      normal_widths, pack_rows, rows_to_hex, sample_rows, unpack_rows)
+from .sampler import (PufUnit, ResponseWord, draw_rows, hex_to_packed, modal_row, normal_widths,
+                      pack_rows, rows_to_hex, sample_rows, unpack_rows)
 # Not called here: perfbench/traced_cli.py wraps these names as chipsim
 # attributes, so they stay importable from this module.
 from .sampler import enroll_id, sample_word  # noqa: F401
@@ -274,34 +274,34 @@ _VOLTS = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray:
     """(n_voltages, n_chips, depth, ceil(L/8)) packed bytes of the hex words in rows:
     (place, (chip, voltage, index, word)) pairs, the four as strings, that
-    must hold exactly one word per grid cell.  Each word's digits go into
-    its cell's slot of one digit buffer, so no word outlives its row."""
+    must hold exactly one word per grid cell.  Each word is decoded straight
+    into its cell's slot of the packed bytes, so no word outlives its row."""
     n = cfg.n_chips
     index = {v: k for k, v in enumerate(cfg.voltages)}
     n_cells = len(index) * n * depth
-    digits, width = hex_slot(cfg.id_length)  # a word ends its slot
-    buffer = bytearray(b"0") * (n_cells * width)
-    slots = memoryview(buffer)  # slice writes through a view cost less, and never resize
+    digits, n_bytes = -(-cfg.id_length // 4), -(-cfg.id_length // 8)
+    lead, top = "0" * (digits % 2), 256 >> (-cfg.id_length % 8)  # whole bytes; zero pad bits
+    packed = bytearray(n_cells * n_bytes)
+    slots = memoryview(packed)  # slice writes through a view cost less, and never resize
     filled = bytearray(n_cells)
-    unslotted = {}  # cell -> word that does not fit a slot: wrong length, not ASCII
+    bad = {}  # cell -> word that does not decode to a slot of zero pad bits
 
     def cell_name(c, v, t) -> str:
         return f"chip {c} at {v} V" + (f", sample {t}" if depth > 1 else "")
 
-    indices, volts = {}, {}  # field text -> value: each distinct text is checked once
+    chips, volts = {}, {}  # field text -> value: each distinct text is checked once
     for place, fields in rows:
         try:
             c, v, t, word = fields  # ValueError unless 4 fields
         except ValueError as exc:
             raise DatasetError(f"{what} {place}: {exc}") from exc
-        try:
-            c, v, t = indices[c], volts[v], indices[t]
-        except KeyError:
+        chip, volt = chips.get(c), volts.get(v)
+        if chip is None or volt is None or not (t.isascii() and t.isdigit()):  # as _INDEX
             if not (_INDEX.fullmatch(c) and _VOLTS.fullmatch(v) and _INDEX.fullmatch(t)):
                 raise DatasetError(f"{what} {place}: chip {c!r} and index {t!r} must be "
-                                   f"digits and voltage {v!r} a decimal number") from None
-            indices[c], volts[v], indices[t] = int(c), float(v), int(t)
-            c, v, t = indices[c], volts[v], indices[t]
+                                   f"digits and voltage {v!r} a decimal number")
+            chip, volt = chips.setdefault(c, int(c)), volts.setdefault(v, float(v))
+        c, v, t = chip, volt, int(t)
         k = index.get(v)
         if k is None or not (0 <= c < n and 0 <= t < depth):
             raise DatasetError(f"{what} {place}: {cell_name(c, v, t)} is outside the grid")
@@ -309,29 +309,26 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
         if filled[cell]:
             raise DatasetError(f"{what} {place}: a second word for {cell_name(c, v, t)}")
         filled[cell] = 1
-        end = (cell + 1) * width
-        try:  # a slot takes exactly `digits` ASCII characters
-            slots[end - digits:end] = word.encode("ascii")
-        except (AttributeError, ValueError):  # not a str; not ASCII, or the wrong length
-            unslotted[cell] = word
-    del indices, volts  # freed before the decoded bytes are allocated
-    try:
-        if unslotted or 0 in filled:
-            raise ValueError("missing or malformed words")
-        return hex_to_packed(buffer, cfg.id_length).reshape(len(index), n, depth, -1)
-    except ValueError:  # name the first missing or bad word, in cell order
-        for cell in range(n_cells):
-            (k, c), t = divmod(cell // depth, n), cell % depth
-            name = f"{what} for {cell_name(c, cfg.voltages[k], t)}"
-            if not filled[cell]:
-                raise DatasetError(f"{name}: missing") from None
-            end = (cell + 1) * width
-            word = unslotted.get(cell, buffer[end - digits:end].decode())
-            try:
-                hex_to_packed([word], cfg.id_length)
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{name}: bad hex word {word!r}: {exc}") from None
-        raise
+        try:
+            raw = bytes.fromhex(lead + word)  # skips whitespace, so lengths are checked
+        except (TypeError, ValueError):  # not a str; not hex
+            raw = b""
+        if len(raw) == n_bytes and len(word) == digits and raw[0] < top:
+            slots[cell * n_bytes:(cell + 1) * n_bytes] = raw
+        else:
+            bad[cell] = word
+    missing = filled.find(0)
+    first = min([*bad, n_cells if missing < 0 else missing])
+    if first < n_cells:  # name the first missing or bad word, in cell order
+        (k, c), t = divmod(first // depth, n), first % depth
+        name = f"{what} for {cell_name(c, cfg.voltages[k], t)}"
+        if not filled[first]:
+            raise DatasetError(f"{name}: missing")
+        try:
+            hex_to_packed([bad[first]], cfg.id_length)
+        except (TypeError, ValueError) as exc:
+            raise DatasetError(f"{name}: bad hex word {bad[first]!r}: {exc}") from None
+    return np.frombuffer(packed, dtype=np.uint8).reshape(len(index), n, depth, n_bytes)
 
 
 def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignDataset:

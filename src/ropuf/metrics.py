@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bch
-from .sampler import ResponseWord
+from .sampler import ResponseWord, pack_rows
 
 
 def hamming(a: ResponseWord, b: ResponseWord) -> int:
@@ -43,11 +43,6 @@ def _bit_rows(words, length: int) -> np.ndarray:
     if rows.ndim != 2 or rows.shape[1] != length:
         raise ValueError("all words must have the stated length")
     return rows
-
-
-def _distances(reference: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Hamming distance of each row from one reference word."""
-    return np.count_nonzero(rows != reference, axis=1)
 
 
 def _pair_distances(rows: np.ndarray) -> np.ndarray:
@@ -82,7 +77,8 @@ def reliability(reference, samples, length: int, t: int | None = None) -> float:
         t = rows.shape[0]
     if t < 1 or rows.shape[0] < t:
         raise ValueError("need at least one sample (t <= len(samples))")
-    return _reliability_pct(_distances(_bit_rows(reference, length)[0], rows[:t]), length)
+    distances = np.count_nonzero(rows[:t] != _bit_rows(reference, length)[0], axis=1)
+    return _reliability_pct(distances, length)
 
 
 def _reliability_pct(distances: np.ndarray, length: int) -> float:
@@ -99,7 +95,12 @@ def uniformity(responses, length: int) -> float:
     rows = _bit_rows(responses, length)
     if rows.shape[0] == 0:
         raise ValueError("need at least one response")
-    return float(np.mean(rows.sum(axis=1) / length) * 100.0)
+    return _uniformity_pct(rows.sum(axis=1), length)
+
+
+def _uniformity_pct(ones: np.ndarray, length: int) -> float:
+    """Uniformity in % from each response's count of ones."""
+    return float(np.mean(ones / length) * 100.0)
 
 
 @dataclass
@@ -214,8 +215,9 @@ class MetricsReport:
 
 
 def corrected_sample_words(dataset, v: float, chip: int) -> np.ndarray:
-    """(T, 31) sample bits of one chip at voltage v after error correction
-    toward its reference enrolled at the reference voltage.
+    """(T,) protected bits of one chip's samples at voltage v, as
+    bch.packed_words integers, after error correction toward its
+    reference enrolled at the reference voltage.
 
     Only the first 31 bits of an ID are covered by the code (a 32-bit ID
     carries its last bit unprotected).  The reference serves as the code
@@ -224,21 +226,25 @@ def corrected_sample_words(dataset, v: float, chip: int) -> np.ndarray:
     Uncorrectable samples are passed through unchanged; correctable ones
     land exactly on the reference.
     """
-    if dataset.config.id_length < bch.N:
+    length = dataset.config.id_length
+    if length < bch.N:
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
-    anchor = dataset.references[dataset.reference_voltage][chip, :bch.N]
-    fixed = bch.decode_rows(dataset.sample_array(chip, v)[:, :bch.N] ^ anchor)[0]
+    anchor = bch.packed_words(pack_rows(dataset.references[dataset.reference_voltage][chip]),
+                              length)
+    fixed = bch.decode_words(bch.packed_words(dataset.samples[v][chip], length) ^ anchor)[0]
     return np.bitwise_xor(fixed, anchor, out=fixed)
 
 
 def _chip_stage(dataset, v: float, chip: int, post_bch: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One chip's samples (T, L) at voltage v, raw or after error
-    correction, and their Hamming distances (T,) from its reference."""
+    """Ones count of each of one chip's samples at voltage v, raw or after
+    error correction, and its Hamming distance from the chip's reference,
+    both (T,), counted on the packed samples."""
+    rows, ref = dataset.samples[v][chip], pack_rows(dataset.references[v][chip])
     if post_bch:
-        ref, rows = dataset.references[v][chip, :bch.N], corrected_sample_words(dataset, v, chip)
-    else:
-        ref, rows = dataset.references[v][chip], dataset.sample_array(chip, v)
-    return rows, _distances(ref, rows)
+        rows = corrected_sample_words(dataset, v, chip)[:, None]
+        ref = bch.packed_words(ref, dataset.config.id_length)
+    return (np.bitwise_count(rows).sum(axis=1, dtype=np.intp),
+            np.bitwise_count(rows ^ ref).sum(axis=1, dtype=np.intp))
 
 
 def hd_distributions(dataset, post_bch: bool = False) -> tuple[HdHistogram, HdHistogram]:
@@ -261,8 +267,9 @@ def compute_report(dataset, voltage: float | None = None, post_bch: bool = False
     Reliability and uniformity use the samples at the requested voltage
     against that voltage's own enrolled reference; intra/inter histograms
     are always computed at the reference voltage.  One pass takes the
-    chips one at a time, so only one chip's corrected samples are held;
-    each sample is corrected at most once.
+    chips one at a time and scores their samples packed, eight bits to a
+    byte, so only one chip's counts and corrected words are held; each
+    sample is corrected at most once.
     """
     dataset.check_complete()
     cfg = dataset.config
@@ -274,9 +281,9 @@ def compute_report(dataset, voltage: float | None = None, post_bch: bool = False
     counts = np.zeros(length + 1, dtype=np.int64)
     reliability_pct, uniformity_pct = {}, {}
     for c in range(cfg.n_chips):
-        rows, hd = _chip_stage(dataset, v, c, post_bch)
+        ones, hd = _chip_stage(dataset, v, c, post_bch)
         reliability_pct[c] = _reliability_pct(hd, length)
-        uniformity_pct[c] = uniformity(rows, length)
+        uniformity_pct[c] = _uniformity_pct(ones, length)
         if v != v0:
             hd = _chip_stage(dataset, v0, c, post_bch)[1]
         counts += np.bincount(hd, minlength=length + 1)

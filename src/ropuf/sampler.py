@@ -13,7 +13,6 @@ level.  Only the period ratio matters, never the absolute time scale.
 """
 from __future__ import annotations
 
-import binascii
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,30 +44,18 @@ def rows_to_hex(rows: np.ndarray) -> list[str]:
     return [text[i + pad // 4:i + step] for i in range(0, len(text), step)]
 
 
-def hex_slot(length: int) -> tuple[int, int]:
-    """Hex digits of a length-bit word, and its slot width in a digit
-    buffer: whole bytes, an odd count after a leading '0'."""
-    digits = -(-length // 4)
-    return digits, digits + digits % 2
-
-
-def hex_to_packed(words: list[str] | bytes | bytearray, length: int) -> np.ndarray:
+def hex_to_packed(words: list[str], length: int) -> np.ndarray:
     """(n, ceil(length/8)) pack_rows bytes of hex words of exactly
     ceil(length/4) digits each (either case).  The padding bits above
-    bit 0 must be zero.  words is a list, or a buffer of ASCII slots as
-    hex_slot lays them out; a list is joined into that layout."""
-    digits, width = hex_slot(length)
-    if isinstance(words, (bytes, bytearray)):
-        raw = binascii.a2b_hex(words)  # no str copy; any non-hex byte raises
-    elif any(len(w) != digits for w in words):
+    bit 0 must be zero."""
+    digits, n_bytes = -(-length // 4), -(-length // 8)
+    if any(len(w) != digits for w in words):
         raise ValueError(f"hex words of a {length}-bit ID must have {digits} digits")
-    else:
-        raw = bytes.fromhex("0".join(["", *words]) if digits % 2 else "".join(words))
-        if len(raw) * 2 != len(words) * width:  # fromhex skips whitespace
-            raise ValueError("hex words must hold hex digits only")
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width // 2)
-    pad_bits = 0xFF00 >> (-length % 8) & 0xFF  # the high bits of byte 0
-    if (packed[:, 0] & pad_bits).any():
+    raw = bytes.fromhex("0".join(["", *words]) if digits % 2 else "".join(words))
+    if len(raw) != len(words) * n_bytes:  # fromhex skips whitespace
+        raise ValueError("hex words must hold hex digits only")
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)
+    if (packed[:, 0] >= 256 >> (-length % 8)).any():  # a pad bit above bit 0 is set
         raise ValueError(f"hex word does not fit in {length} bits")
     return packed
 

@@ -6,6 +6,8 @@ with the implementations under test.
 """
 from fractions import Fraction
 
+import numpy as np
+
 
 def closed_form_bit(k: int, rho) -> int:
     """floor((2k+1)/rho) mod 2, exact-integer arguments resolving to the
@@ -170,3 +172,57 @@ def bch_decode(bits) -> tuple[list[int], int] | None:
     if any(bch_syndromes(bits)):
         return None
     return bits, degree
+
+
+# --- campaign report ---------------------------------------------------
+
+
+def report_formula(references: dict, samples: dict, v: float, v0: float,
+                   post_bch: bool) -> dict:
+    """The JSON report of metrics.compute_report, from (n_chips, L)
+    reference and (n_chips, T, L) sample bit lists per voltage: distances
+    and ones counted bit by bit, post-BCH samples decoded row by row with
+    bch_decode toward the chip's reference at v0, and the floats reduced
+    as the report documents them (reliability and uniqueness summed in
+    order, uniformity and the per-chip means through numpy's mean)."""
+    length = 31 if post_bch else len(references[v][0])
+
+    def stage(volts, chip):  # the chip's samples at volts, each corrected if post_bch
+        rows = [row[:length] for row in samples[volts][chip]]
+        if post_bch:
+            anchor = references[v0][chip][:31]
+            for k, row in enumerate(rows):
+                received = [a ^ b for a, b in zip(row, anchor)]
+                decoded = bch_decode(received)
+                fixed = received if decoded is None else decoded[0]
+                rows[k] = [a ^ b for a, b in zip(fixed, anchor)]
+        return rows
+
+    reliability, uniformity, intra = {}, {}, [0] * (length + 1)
+    for chip in range(len(references[v])):
+        rows = stage(v, chip)
+        reliability[str(chip)] = reliability_formula(references[v][chip][:length], rows,
+                                                      length, len(rows))
+        uniformity[str(chip)] = float(np.mean(np.array([sum(r) for r in rows]) / length)
+                                      * 100.0)
+        ref0 = references[v0][chip][:length]
+        for row in stage(v0, chip):
+            intra[sum(a != b for a, b in zip(ref0, row))] += 1
+    refs0 = [r[:length] for r in references[v0]]
+    inter = [0] * (length + 1)
+    for i in range(len(refs0) - 1):
+        for j in range(i + 1, len(refs0)):
+            inter[sum(a != b for a, b in zip(refs0[i], refs0[j]))] += 1
+    return {
+        "voltage": v,
+        "bch_stage": "post_bch" if post_bch else "raw",
+        "id_length": length,
+        "uniqueness_pct": uniqueness_formula([r[:length] for r in references[v]], length),
+        "reliability_pct_mean": float(np.mean(list(reliability.values()))),
+        "reliability_pct_per_chip": reliability,
+        "uniformity_pct_mean": float(np.mean(list(uniformity.values()))),
+        "uniformity_pct_per_chip": uniformity,
+        "intra_hist": intra,
+        "inter_hist": inter,
+        "voltage_fit": None,
+    }

@@ -3,12 +3,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import bch_decode
 from ropuf import bch
 from ropuf.errors import DecodeFailure
-from ropuf.sampler import ResponseWord
+from ropuf.sampler import ResponseWord, pack_rows
 
 # g(x) = 1 + x + x^2 + x^3 + x^5 + x^7 + x^8 + x^9 + x^10 + x^11 + x^15,
 # frozen from the minimal-polynomial construction and cross-checked below
@@ -192,6 +192,34 @@ class TestDecodeRowsOracle:
         noise = (np.argsort(rng.random((n, 31)), axis=1) < weights[:, None]).astype(np.uint8)
         failures = self.check_oracle(codewords ^ noise)
         assert 0 < failures < n  # both failures and miscorrections occur
+
+
+class TestDecodeWordsOracle:
+    """decode_words on bits 0..30 of packed rows, against the oracle."""
+
+    @pytest.mark.parametrize("length", [*range(31, 41), 64, 70])  # every pad offset
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_protected_bits_of_packed_rows(self, length, seed):
+        rng = np.random.default_rng(seed)
+        n = 270
+        codewords = (rng.integers(0, 2, (n, bch.K), dtype=np.uint8) @ bch.generator_matrix()) % 2
+        noise = np.argsort(rng.random((n, 31)), axis=1) < (np.arange(n) % 9)[:, None]
+        rows = rng.integers(0, 2, (n, length), dtype=np.uint8)  # bits past 30 ride along
+        rows[:, :31] = codewords ^ noise
+        fixed, n_errors = bch.decode_words(bch.packed_words(pack_rows(rows), length))
+        got = (fixed[:, None] >> np.arange(30, -1, -1, dtype=np.uint64)) & 1  # bit 0 is x^30
+        failures = miscorrections = 0
+        for row, cw, bits, k in zip(rows[:, :31].tolist(), codewords.tolist(), got.tolist(),
+                                    n_errors.tolist()):
+            want = bch_decode(row)
+            if want is None:
+                failures += 1
+                assert (bits, k) == (row, -1)
+            else:
+                assert (bits, k) == want
+                miscorrections += want[0] != cw
+        assert failures > 0 and miscorrections > 0
 
 
 class TestFuzzyExtractor:

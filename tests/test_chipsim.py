@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import report_formula
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError, DecodeFailure
 from ropuf.sampler import ResponseWord, pack_rows
@@ -253,8 +254,8 @@ def random_dataset(word_length=16, n_chips=3, samples=8, voltages=(1.25, 1.3), s
 
 
 class TestDigitBuffer:
-    """load_dataset writes each word into its cell's slot of one digit
-    buffer and decodes the buffer at once."""
+    """load_dataset decodes each word into its cell's slot of the packed
+    samples, and names the first missing or bad word in cell order."""
 
     def _saved(self, tmp_path, **kwargs):
         ds = random_dataset(**kwargs)
@@ -293,7 +294,8 @@ class TestDigitBuffer:
         (9, "7ffff", "hex word does not fit in 18 bits"),
         (16, "ffff fe0", "non-hexadecimal number found in fromhex() arg at position 8"),
         (16, "fffffg07", "non-hexadecimal number found in fromhex() arg at position 5"),
-    ], ids=["pad_bit_set", "whitespace", "non_hex_digit"])
+        (16, "ffff ffff", "hex words of a 32-bit ID must have 8 digits"),
+    ], ids=["pad_bit_set", "whitespace", "non_hex_digit", "whitespace_all_digits"])
     def test_undecodable_word_mid_file_names_its_cell(self, tmp_path, capsys, word_length,
                                                       word, message):
         _, csv_path, lines = self._saved(tmp_path, word_length=word_length)
@@ -311,25 +313,13 @@ class TestDigitBuffer:
         assert f"CSV line for chip {c} at {v} V, sample {t}: missing" in err
 
 
-class BitGrid:
-    """ds read through a whole (n_chips, T, L) bit grid per voltage."""
-
-    def __init__(self, ds, grid):
-        self.config, self.references = ds.config, ds.references
-        self.reference_voltage, self.check_complete = ds.reference_voltage, ds.check_complete
-        self.grid = grid
-
-    def sample_array(self, chip_id, v):
-        return self.grid[v][chip_id]
-
-
 class TestPackedSamples:
-    @pytest.mark.parametrize("word_length", [9, 17])  # 18 and 34 bits: 6 pad bits per word
-    def test_loaded_reports_match_the_unpacked_grid(self, tmp_path, word_length):
-        rng = np.random.default_rng(word_length)
-        cfg = chipsim.CampaignConfig(n_chips=4, pairs_per_id=2, word_length=word_length,
+    @pytest.mark.parametrize("length", [18, 31, 32, 34])  # 6, 1, 0 and 6 pad bits per word
+    def test_loaded_reports_match_the_unpacked_grid(self, tmp_path, length):
+        pairs = 2 - length % 2
+        rng = np.random.default_rng(length)
+        cfg = chipsim.CampaignConfig(n_chips=4, pairs_per_id=pairs, word_length=length // pairs,
                                      samples_per_chip=60, voltages=(1.25, 1.3))
-        length = cfg.id_length
         refs = {v: rng.integers(0, 2, (4, length), dtype=np.uint8) for v in cfg.voltages}
         flips = {v: (rng.random((4, 60, length)) < 0.05).astype(np.uint8) for v in cfg.voltages}
         grid = {v: refs[v][:, None] ^ flips[v] for v in cfg.voltages}
@@ -338,12 +328,24 @@ class TestPackedSamples:
         chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
         assert loaded.samples[1.3].shape == (4, 60, -(-length // 8))
-        oracle = BitGrid(ds, grid)
+        ref_bits = {v: refs[v].tolist() for v in cfg.voltages}
+        grid_bits = {v: grid[v].tolist() for v in cfg.voltages}
         for post_bch in (False, True) if length >= 31 else (False,):
             for v in cfg.voltages:
                 got = metrics.compute_report(loaded, voltage=v, post_bch=post_bch)
-                want = metrics.compute_report(oracle, voltage=v, post_bch=post_bch)
-                assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+                want = report_formula(ref_bits, grid_bits, v, ds.reference_voltage, post_bch)
+                assert json.dumps(got.to_json_dict()) == json.dumps(want)
+
+    def test_reports_never_unpack_samples(self, monkeypatch):
+        ds = random_dataset(word_length=16)
+
+        def unpack(self, chip_id, v):
+            raise AssertionError("a report unpacked a chip's samples")
+
+        monkeypatch.setattr(chipsim.CampaignDataset, "sample_array", unpack)
+        for post_bch in (False, True):
+            for v in ds.config.voltages:
+                assert metrics.compute_report(ds, voltage=v, post_bch=post_bch).intra.total == 24
 
 
 class TestPostBchDistributions:

@@ -1,7 +1,7 @@
 """Memory bounds: a loaded dataset holds its samples packed, eight bits
-to a byte, loading holds those bytes plus one digit buffer, a report
-holds one chip's scratch, and `simulate` and `sweep` hold one chip's
-samples at a time, however many chips there are.
+to a byte, loading holds little more than those bytes, a report scores
+the packed samples with one chip's scratch, and `simulate` and `sweep`
+hold one chip's samples at a time, however many chips there are.
 
 The evaluation datasets are built from random bits, with no sampling, at
 acceptance scale (10 chips x 5000 samples x 32 bits).  Bounds are
@@ -55,7 +55,7 @@ def test_load_holds_packed_samples_within_the_unpacked_size(saved):
     csv_path, sidecar, nbytes = saved
     dataset, peak = _traced(lambda: chipsim.load_dataset(csv_path, sidecar))
     assert dataset.samples[1.3].nbytes == nbytes // 8
-    assert peak <= 0.8 * nbytes, f"load_dataset peak {peak / nbytes:.2f}x the unpacked samples"
+    assert peak <= 0.3 * nbytes, f"load_dataset peak {peak / nbytes:.2f}x the unpacked samples"
 
 
 def test_post_bch_report_allocates_within_the_samples(saved):
@@ -64,7 +64,8 @@ def test_post_bch_report_allocates_within_the_samples(saved):
     bch._decoder_tables(bch.GENERATOR)  # built once per process, whichever test runs first
     report, peak = _traced(lambda: metrics.compute_report(dataset, post_bch=True))
     assert report.intra.total == N_CHIPS * T
-    assert peak <= nbytes, f"compute_report(post_bch=True) peak {peak / nbytes:.2f}x the samples"
+    assert peak <= 0.25 * nbytes, \
+        f"compute_report(post_bch=True) peak {peak / nbytes:.2f}x the unpacked samples"
 
 
 def test_voltage_sweep_counts_one_chip_at_a_time():
@@ -100,7 +101,10 @@ def _chip_growth(tmp_path, command, voltages, flags) -> float:
 
     block = len(voltages) * t * L
     peak(2)  # first-use allocations (imports, caches) stay out of the comparison
-    return (peak(16) - peak(4)) / block
+    # 4 chips run first, so any first-use allocation the warm-up missed
+    # counts against the smaller run, never for the growth.
+    small = peak(4)
+    return (peak(16) - small) / block
 
 
 @pytest.mark.parametrize("command, voltages", [("simulate", (1.3,)), ("sweep", (1.25, 1.3))])

@@ -62,9 +62,6 @@ class TestHexCodec:
         # read as one big-endian integer are its hex word's value.
         assert [int.from_bytes(r.tobytes(), "big") for r in flat] == [int(w, 16) for w in words]
         assert np.array_equal(sampler.hex_to_packed(words, length), flat)
-        width = sampler.hex_slot(length)[1]
-        buffer = bytearray("".join(w.rjust(width, "0") for w in words).encode("ascii"))
-        assert np.array_equal(sampler.hex_to_packed(buffer, length), flat)
 
     @pytest.mark.parametrize("length", [n for n in LENGTHS if n % 4])
     def test_one_bit_too_wide_rejected(self, length):

@@ -14,13 +14,17 @@ path of the checkout, so both sides run from the same path.
 For each end-to-end metric of the change's BENCHMARK.json it prints each
 side's median and quartiles, the parent's interquartile range, the
 change of the median, and how many pairs the change wins (a tie counts
-for neither side).  It also says in how many pairs the two sides wrote
-the same output digests.  Exits 1 if any run failed or printed no
-result.
+for neither side).  For each side it names the command that set the
+workload's peak_rss_mib (the peak over its timed commands) in most runs,
+and that command's median peak over every timed run of it, read from
+the `commands` of each run record.  It also says in how many pairs the
+two sides wrote the same output digests.  Exits 1 if any run failed or
+printed no result.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import shutil
 import statistics
@@ -36,7 +40,8 @@ SKIP = shutil.ignore_patterns(".git", ".perfbench_work", "__pycache__", ".pytest
 
 def run_tree(tree: Path, dest: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run of tree, copied to dest: its printed result plus
-    the output digests of its run record; {"failed": 1} if it broke."""
+    the output digests and the per-command peak RSS of its run record;
+    {"failed": 1} if it broke."""
     shutil.rmtree(dest, ignore_errors=True)
     shutil.copytree(tree, dest, ignore=SKIP)
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
@@ -46,10 +51,14 @@ def run_tree(tree: Path, dest: Path, workload: str, seed: int, seconds: float) -
         result = json.loads(proc.stdout.splitlines()[-1])
         record = json.loads((dest / ".perfbench_work" / workload / "record.json").read_text())
         result["digests"] = record["digests"]
+        result["peaks"] = {}  # label -> peak RSS of each timed run of that command
+        for o in record["commands"]:
+            if o["repeat"] >= 0 and not o["traced"]:  # as peak_rss_mib counts them
+                result["peaks"].setdefault(o["label"], []).append(o["peak_rss_mib"])
     except (IndexError, ValueError, OSError, KeyError) as exc:
         print(f"    no result (exit {proc.returncode}): {exc!r}\n{proc.stderr[-400:]}",
               file=sys.stderr)
-        return {"failed": 1, "metrics": {}, "digests": None}
+        return {"failed": 1, "metrics": {}, "digests": None, "peaks": {}}
     if proc.returncode != 0:
         result["failed"] = max(1, result.get("failed", 0))
     return result
@@ -72,6 +81,18 @@ def summary(name: str, unit: str, lower_better: bool, parent: list[float],
             f"  change  median {cm:.4f}  Q1 {c1:.4f}  Q3 {c3:.4f}",
             f"  median change {cm - pm:+.4f}, parent IQR {p3 - p1:.4f}, "
             f"change wins {wins}/{len(parent)}"]
+
+
+def peak_command(runs: list[dict]) -> str:
+    """Which command set peak_rss_mib in most of these runs, and its median peak."""
+    setters = collections.Counter(max(r["peaks"], key=lambda label: max(r["peaks"][label]))
+                                  for r in runs if r["peaks"])
+    if not setters:
+        return "no run recorded its commands"
+    label, count = setters.most_common(1)[0]
+    peaks = [p for r in runs for p in r["peaks"].get(label, [])]
+    return (f"peak_rss_mib set by {label} in {count}/{len(runs)} runs, "
+            f"its median peak {statistics.median(peaks):.4f} MiB over {len(peaks)} runs of it")
 
 
 def main(argv=None) -> int:
@@ -112,6 +133,8 @@ def main(argv=None) -> int:
             parent, change = ([r["metrics"][name]["value"] for r in runs[side]]
                               for side in ("parent", "change"))
             print("\n".join(summary(name, m["unit"], m["better"] == "lower", parent, change)))
+    for side in ("parent", "change"):
+        print(f"{side}: {peak_command(runs[side])}")
     same = sum(p["digests"] is not None and p["digests"] == c["digests"]
                for p, c in zip(runs["parent"], runs["change"]))
     print(f"outputs: identical digests in {same}/{args.pairs} pairs")

@@ -247,7 +247,8 @@ class HelperData:
 
 def key_digest(key: ResponseWord) -> str:
     # Imported here: hashlib loads OpenSSL (several MiB of resident memory),
-    # which no CLI command needs.
+    # which no CLI command needs.  Where `_hashlib` is blocked, as the
+    # program does, hashlib's built-in SHA-256 gives the same digest.
     import hashlib
     return hashlib.sha256(np.packbits(key.bits).tobytes()).hexdigest()
 

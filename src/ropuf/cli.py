@@ -182,6 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        # Run as a program: keep OpenSSL (several MiB resident) out, which
+        # numpy.random would load through secrets -> hmac.  hashlib falls
+        # back to its built-in SHA-2 and draws are unchanged.  An in-process
+        # call, or a process that already loaded it, keeps the real one.
+        sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -50,6 +50,12 @@ class TestPopulation:
         with pytest.raises(ConfigurationError, match="model range"):
             chipsim.CampaignConfig(voltages=(2.8,)).validate(ro.RoParams())
 
+    def test_id_length_message_names_the_product(self):
+        cfg = chipsim.CampaignConfig(pairs_per_id=2, word_length=16, id_length=31)
+        with pytest.raises(ConfigurationError,
+                           match=r"^id_length 31 != pairs_per_id\*word_length 32$"):
+            cfg.validate()
+
 
 class TestCampaign:
     def test_grid_size_and_completeness(self):

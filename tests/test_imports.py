@@ -3,10 +3,13 @@
 Every command pays for what the package imports.  `multiprocessing` and
 `_hashlib` (OpenSSL, several MiB resident) serve no command: campaigns
 run in one process, and `bch.key_digest` imports hashlib when called.
-The commands that sample still load OpenSSL through `numpy.random`;
-`metrics` loads neither.
+`numpy.random`, which the sampling commands need, would load OpenSSL
+through `secrets`; run as a program, `cli.main` blocks `_hashlib` first,
+while `import ropuf` and an in-process `main([...])` leave the process's
+OpenSSL alone.  `metrics` loads neither.
 """
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +21,7 @@ import pytest
 import ropuf
 from ropuf import bch
 from ropuf.sampler import ResponseWord
+from test_golden import CONFIG, FILE_DIGESTS
 
 HEAVY = ("multiprocessing", "concurrent.futures.process", "_hashlib")
 # numpy.random alone adds about 5.8 MiB resident; evaluation draws nothing.
@@ -47,8 +51,48 @@ def test_metrics_loads_no_numpy_random_and_no_openssl(tmp_path, flags):
     assert (tmp_path / "report.json").exists()
 
 
+@pytest.fixture
+def config(tmp_path):
+    """The golden campaign's run configuration, as a file."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(CONFIG, indent=2))
+    return path
+
+
+@pytest.mark.parametrize("command, out", [("simulate", "sim"), ("sweep", "sweep")])
+def test_program_samples_without_openssl(tmp_path, config, command, out):
+    argv = ["ropuf", command, "--config", str(config), "--out", str(tmp_path / out)]
+    code = (f"import sys; sys.argv = {argv!r}; from ropuf.cli import main; rc = main(); "
+            "print(rc, 'numpy.random' in sys.modules, sys.modules.get('_hashlib'))")
+    assert _loaded(code).splitlines()[-1] == "0 True None"
+    # The draws without OpenSSL are the ones the golden pins were made from.
+    pinned = [name for name in FILE_DIGESTS if name.startswith(f"{out}/")]
+    assert len(pinned) == 2
+    for name in pinned:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == FILE_DIGESTS[name], name
+
+
+def test_in_process_main_keeps_openssl(tmp_path, config):
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
+    code = (f"import sys; from ropuf.cli import main; rc = main({argv!r}); "
+            "print(rc, sys.modules.get('_hashlib') is not None)")
+    assert _loaded(code).splitlines()[-1] == "0 True"
+
+
 def test_key_digest_is_sha256_of_packed_key(rng):
     for _ in range(20):
         key = ResponseWord(rng.integers(0, 2, bch.K, dtype=np.uint8))
         want = hashlib.sha256(np.packbits(key.bits).tobytes()).hexdigest()
         assert bch.key_digest(key) == want
+
+
+def test_key_digest_without_openssl_is_sha256_of_packed_key(rng):
+    keys = rng.integers(0, 2, (20, bch.K), dtype=np.uint8)
+    want = [hashlib.sha256(np.packbits(k).tobytes()).hexdigest() for k in keys]
+    code = ("import sys; sys.modules['_hashlib'] = None; import numpy as np; "
+            "from ropuf import bch; from ropuf.sampler import ResponseWord; "
+            f"keys = np.array({keys.tolist()!r}, dtype=np.uint8); "
+            "print(*(bch.key_digest(ResponseWord(k)) for k in keys)); "
+            "print(sys.modules['_hashlib'])")
+    assert _loaded(code).splitlines() == [" ".join(want), "None"]

@@ -150,6 +150,20 @@ class TestLinearFit:
         assert fit["slope"] == pytest.approx(20.0, rel=1e-9)
         assert fit["intercept"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_r2_of_scattered_points_is_squared_correlation(self):
+        # With an intercept, least squares R^2 is Pearson's r squared.
+        points = [(0.0, 1.0), (1.0, 3.0), (2.0, 2.0), (3.0, 6.0)]
+        n = len(points)
+        mx = sum(x for x, _ in points) / n
+        my = sum(y for _, y in points) / n
+        sxy = sum((x - mx) * (y - my) for x, y in points)
+        sxx = sum((x - mx) ** 2 for x, _ in points)
+        syy = sum((y - my) ** 2 for _, y in points)
+        fit = metrics.linear_fit(points)
+        assert fit["slope"] == pytest.approx(sxy / sxx, rel=1e-9)
+        assert fit["r2"] == pytest.approx(sxy * sxy / (sxx * syy), rel=1e-9)
+        assert fit["r2"] < 0.9
+
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError):
             metrics.linear_fit([(1.0, 2.0), (1.0, 3.0)])

@@ -180,6 +180,13 @@ class TestEnroll:
         # all four words tie at count 1 -> per-bit majority is 1,1,1
         assert sampler.enroll_id(unit, 4, 1.3, 0) == word_of([1, 1, 1])
 
+    def test_two_tied_modes_fall_back_to_bitwise_majority(self):
+        # [1,1,0] and [0,1,1] tie at two each, above the one [1,0,1]; the
+        # per-bit majority 1,1,1 is neither tied row.
+        words = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 1, 1]],
+                         dtype=np.uint8)
+        assert sampler.modal_row(words).tolist() == [1, 1, 1]
+
     def test_per_bit_tie_resolves_to_zero(self, monkeypatch):
         self._block(monkeypatch, [word_of([1, 0]), word_of([0, 1])])
         unit = make_unit(1e-9, 1e-9)

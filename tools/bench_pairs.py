@@ -14,12 +14,15 @@ path of the checkout, so both sides run from the same path.
 For each end-to-end metric of the change's BENCHMARK.json it prints each
 side's median and quartiles, the parent's interquartile range, the
 change of the median, and how many pairs the change wins (a tie counts
-for neither side).  For each side it names the command that set the
-workload's peak_rss_mib (the peak over its timed commands) in most runs,
-and that command's median peak over every timed run of it, read from
-the `commands` of each run record.  It also says in how many pairs the
-two sides wrote the same output digests.  Exits 1 if any run failed or
-printed no result.
+for neither side).  It then says whether the change's median is worse
+than the parent's by more than the metric's relative `bound`, and
+whether a gain may be claimed: at least nine tenths of the pairs won and
+a median gain larger than the parent's interquartile range.  For each
+side it names the command that set the workload's peak_rss_mib (the
+peak over its timed commands) in most runs, and that command's median
+peak over every timed run of it, read from the `commands` of each run
+record.  It also says in how many pairs the two sides wrote the same
+output digests.  Exits 1 if any run failed or printed no result.
 """
 from __future__ import annotations
 
@@ -71,16 +74,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(name: str, unit: str, lower_better: bool, parent: list[float],
+def summary(name: str, unit: str, lower_better: bool, bound: float, parent: list[float],
             change: list[float]) -> list[str]:
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
     wins = sum((c < p) if lower_better else (c > p) for p, c in zip(parent, change))
+    gain = pm - cm if lower_better else cm - pm  # > 0: the change's median is better
+    worse = -gain > bound * abs(pm)
+    claim = 10 * wins >= 9 * len(parent) and gain > p3 - p1
     return [f"{name} ({unit}, {'lower' if lower_better else 'higher'} is better)",
             f"  parent  median {pm:.4f}  Q1 {p1:.4f}  Q3 {p3:.4f}",
             f"  change  median {cm:.4f}  Q1 {c1:.4f}  Q3 {c3:.4f}",
             f"  median change {cm - pm:+.4f}, parent IQR {p3 - p1:.4f}, "
-            f"change wins {wins}/{len(parent)}"]
+            f"change wins {wins}/{len(parent)}",
+            f"  bound {bound:g} (relative): change median "
+            f"{'WORSE than the parent beyond it' if worse else 'within it'}",
+            f"  claim rule (>= 9/10 wins, median gain > parent IQR): "
+            f"{'holds' if claim else 'does not hold'}"]
 
 
 def peak_command(runs: list[dict]) -> str:
@@ -132,7 +142,8 @@ def main(argv=None) -> int:
         if all(name in r["metrics"] for side in runs.values() for r in side):
             parent, change = ([r["metrics"][name]["value"] for r in runs[side]]
                               for side in ("parent", "change"))
-            print("\n".join(summary(name, m["unit"], m["better"] == "lower", parent, change)))
+            print("\n".join(summary(name, m["unit"], m["better"] == "lower", m["bound"],
+                                     parent, change)))
     for side in ("parent", "change"):
         print(f"{side}: {peak_command(runs[side])}")
     same = sum(p["digests"] is not None and p["digests"] == c["digests"]

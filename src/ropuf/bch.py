@@ -1,8 +1,8 @@
 """Binary BCH(31,16,7) codec over GF(2^5) and a code-offset fuzzy extractor.
 
 The field is built on the primitive polynomial x^5 + x^2 + 1 (0x25); any
-primitive choice gives an equivalent code, but fixing one makes helper
-data and test vectors bit-exact.  The generator polynomial is the lcm of
+primitive choice gives an equivalent code, but fixing one makes offsets
+and test vectors bit-exact.  The generator polynomial is the lcm of
 the minimal polynomials of alpha, alpha^3 and alpha^5 (degree 15,
 designed distance 7, corrects t = 3 errors).  decode_words looks each
 word's syndrome up in a table of the coset leaders of weight <= 3.
@@ -10,20 +10,17 @@ word's syndrome up in a table of the coset leaders of weight <= 3.
 Bit layout of a 31-bit word: index i holds the coefficient of x^(30-i),
 so bits[0:16] are the 16 systematic message bits and bits[16:31] the
 parity bits, and rotating the vector is multiplication by x modulo
-x^31 - 1.
+x^31 - 1.  Words, keys and offsets are uint8 bit arrays in that layout.
 """
 from __future__ import annotations
 
 import functools
-import json
-from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import DecodeFailure
 from .rng import ensure_rng
-from .sampler import ResponseWord, pack_rows
+from .sampler import pack_rows
 
 N = 31
 K = 16
@@ -51,11 +48,6 @@ class Gf32:
         if a == 0 or b == 0:
             return 0
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0 in GF(32)")
-        return self.exp[N - self.log[a]]
 
     def pow_alpha(self, e: int) -> int:
         return self.exp[e % N]
@@ -122,17 +114,14 @@ def build_generator() -> int:
 GENERATOR = build_generator()
 
 
-def generator_coefficients() -> list[int]:
-    """Coefficients of g(x), ascending degree (length 16)."""
-    return [(GENERATOR >> i) & 1 for i in range(N - K + 1)]
-
-
-def encode(message: ResponseWord) -> ResponseWord:
-    """Systematic encoding: parity is (message * x^15) mod g."""
-    if len(message) != K:
-        raise ValueError(f"message must be {K} bits, got {len(message)}")
-    shifted = message.to_int() << (N - K)  # bits[i] is the coefficient of x^(30-i)
-    return ResponseWord(_pattern_rows(np.array([shifted | _gf2_mod(shifted, GENERATOR)]))[0])
+def encode(message: np.ndarray) -> np.ndarray:
+    """(31,) codeword of a (16,) message bit array, systematic: parity is
+    (message * x^15) mod g."""
+    if np.shape(message) != (K,):
+        raise ValueError(f"message must be {K} bits, got shape {np.shape(message)}")
+    # Two big-endian bytes: bits[i] is the coefficient of x^(30-i) once shifted.
+    shifted = int.from_bytes(np.packbits(message).tobytes(), "big") << (N - K)
+    return _pattern_rows(np.array([shifted | _gf2_mod(shifted, GENERATOR)]))[0]
 
 
 @functools.cache
@@ -207,76 +196,36 @@ def decode_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _pattern_rows(fixed), n_errors
 
 
-def decode(received: ResponseWord) -> tuple[ResponseWord, int]:
-    """Correct up to 3 bit errors; return (codeword, number corrected).
+def decode(received: np.ndarray) -> tuple[np.ndarray, int]:
+    """Correct up to 3 bit errors of a (31,) bit array; return (codeword,
+    number corrected).
 
     Raises DecodeFailure for a word with more than t errors and no
     codeword within distance t.  At most 3 positions are ever flipped.
     """
-    fixed, n_errors = decode_rows(received.bits[None, :])
+    fixed, n_errors = decode_rows(np.asarray(received)[None, :])
     if n_errors[0] < 0:
         raise DecodeFailure(f"more than t={T} errors")
-    return ResponseWord(fixed[0]), int(n_errors[0])
+    return fixed[0], int(n_errors[0])
 
 
-@dataclass(frozen=True)
-class HelperData:
-    """Public code-offset helper: offset = encode(key) XOR response.
-
-    The offset reveals at most the 15 parity bits' worth of information
-    about the response; key_hash is an optional integrity digest of the
-    enrolled key.
-    """
-
-    offset: ResponseWord
-    key_hash: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "offset_hex": self.offset.to_hex(),
-            "key_hash_hex": self.key_hash,
-            "code": "BCH(31,16,7)",
-            "primpoly": "0x25",
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HelperData":
-        return cls(offset=ResponseWord.from_hex(data["offset_hex"], N),
-                   key_hash=data.get("key_hash_hex"))
+def fe_enroll(response: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Enroll a (31,) response: draw a uniform (16,) key and return it with
+    the public offset encode(key) XOR response, which reveals at most the
+    15 parity bits' worth of information about the response."""
+    if np.shape(response) != (N,):
+        raise ValueError(f"response must be {N} bits, got shape {np.shape(response)}")
+    key = ensure_rng(seed).integers(0, 2, size=K, dtype=np.uint8)
+    return key, encode(key) ^ response
 
 
-def key_digest(key: ResponseWord) -> str:
-    # Imported here: hashlib loads OpenSSL (several MiB of resident memory),
-    # which no CLI command needs.  Where `_hashlib` is blocked, as the
-    # program does, hashlib's built-in SHA-256 gives the same digest.
-    import hashlib
-    return hashlib.sha256(np.packbits(key.bits).tobytes()).hexdigest()
-
-
-def fe_enroll(response: ResponseWord, seed) -> tuple[ResponseWord, HelperData]:
-    """Enroll a 31-bit response: draw a uniform 16-bit key, publish offset."""
-    if len(response) != N:
-        raise ValueError(f"response must be {N} bits, got {len(response)}")
-    rng = ensure_rng(seed)
-    key = ResponseWord(rng.integers(0, 2, size=K, dtype=np.uint8))
-    offset = encode(key) ^ response
-    return key, HelperData(offset=offset, key_hash=key_digest(key))
-
-
-def fe_reproduce(response: ResponseWord, helper: HelperData) -> ResponseWord:
-    """Recover the enrolled key from a noisy response (up to 3 bit errors)."""
-    if len(response) != N:
-        raise ValueError(f"response must be {N} bits, got {len(response)}")
-    codeword, _ = decode(response ^ helper.offset)
-    return ResponseWord(codeword.bits[:K])
-
-
-def save_helper(helper: HelperData, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(helper.to_json_dict(), indent=2) + "\n")
-
-
-def load_helper(path: str | Path) -> HelperData:
-    return HelperData.from_json_dict(json.loads(Path(path).read_text()))
+def fe_reproduce(response: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Recover the enrolled (16,) key from a noisy (31,) response (up to 3
+    bit errors) and the offset fe_enroll returned."""
+    if np.shape(response) != (N,):
+        raise ValueError(f"response must be {N} bits, got shape {np.shape(response)}")
+    codeword, _ = decode(response ^ offset)
+    return codeword[:K]
 
 
 # --- self-test ---------------------------------------------------------
@@ -284,12 +233,7 @@ def load_helper(path: str | Path) -> HelperData:
 
 def generator_matrix() -> np.ndarray:
     """Systematic generator matrix: row i encodes the i-th unit message."""
-    g = np.zeros((K, N), dtype=np.uint8)
-    for i in range(K):
-        unit = np.zeros(K, dtype=np.uint8)
-        unit[i] = 1
-        g[i] = encode(ResponseWord(unit)).bits
-    return g
+    return np.array([encode(unit) for unit in np.eye(K, dtype=np.uint8)])
 
 
 def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str, bool]]:

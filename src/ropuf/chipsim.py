@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bch, ro
+from . import ro
 from .config import CampaignConfig, RunConfig, from_dict, to_dict
-from .errors import ConfigurationError, DatasetError, DecodeFailure
+from .errors import ConfigurationError, DatasetError
 from .metrics import linear_fit
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
-from .sampler import (PufUnit, ResponseWord, draw_rows, hex_to_packed, modal_row, normal_widths,
-                      pack_rows, rows_to_hex, sample_rows, unpack_rows)
+from .sampler import (PufUnit, draw_rows, hex_to_packed, modal_row, normal_widths, pack_rows,
+                      rows_to_hex, sample_rows, unpack_rows)
 # Not called here: perfbench/traced_cli.py wraps these names as chipsim
 # attributes, so they stay importable from this module.
 from .sampler import enroll_id, sample_word  # noqa: F401
@@ -84,9 +84,6 @@ class CampaignDataset:
     def reference_voltage(self) -> float:
         return self.ro_params.reference_voltage
 
-    def reference(self, chip_id: int, v: float) -> ResponseWord:
-        return ResponseWord(self.references[v][chip_id])
-
     def sample_array(self, chip_id: int, v: float) -> np.ndarray:
         """One chip's (T, L) sample bits at v: the one place samples are unpacked."""
         return unpack_rows(self.samples[v][chip_id], self.config.id_length)
@@ -115,21 +112,18 @@ class Campaign:
     (n_voltages, L) references and (n_voltages, T, L) samples, so a consumer
     holds one chip's block.  Each unit draws its enrollment block and sample
     rows once and evaluates them at every voltage, in this process.  Every
-    check runs at creation; threads is checked (>= 1) and otherwise ignored."""
+    check runs at creation."""
 
     chips: list[Chip] = field(repr=False)
     config: CampaignConfig
     ro_params: ro.RoParams
     coupling: ro.Coupling = ro.Coupling.none()
-    threads: int = 1
     stream_version = STREAM_VERSION
 
     def __post_init__(self):
         self.config.validate(self.ro_params)
         if len(self.chips) != self.config.n_chips:
             raise ConfigurationError("chip list does not match config.n_chips")
-        if self.threads < 1:
-            raise ConfigurationError(f"threads must be >= 1, got {self.threads}")
 
     def __iter__(self):
         cfg = self.config
@@ -157,15 +151,14 @@ class Campaign:
             yield refs, cells
 
 
-def run_campaign(chips: list[Chip], config: CampaignConfig,
-                 ro_params: ro.RoParams, coupling: ro.Coupling = ro.Coupling.none(),
-                 threads: int = 1) -> CampaignDataset:
+def run_campaign(chips: list[Chip], config: CampaignConfig, ro_params: ro.RoParams,
+                 coupling: ro.Coupling = ro.Coupling.none()) -> CampaignDataset:
     """A Campaign collected: every (chip, voltage) cell of its grid, held
     with each chip's samples packed as they arrive."""
     grid = (len(config.voltages), config.n_chips)
     refs = np.empty(grid + (config.id_length,), dtype=np.uint8)
     cells = np.empty(grid + (config.samples_per_chip, -(-config.id_length // 8)), dtype=np.uint8)
-    campaign = Campaign(chips, config, ro_params, coupling, threads)
+    campaign = Campaign(chips, config, ro_params, coupling)
     for c, (chip_refs, chip_cells) in enumerate(campaign):
         refs[:, c], cells[:, c] = chip_refs, pack_rows(chip_cells)
     return CampaignDataset(config, ro_params, coupling, dict(zip(config.voltages, refs)),
@@ -198,31 +191,6 @@ def fit_sweep(series: list[tuple[float, float]]) -> dict:
     """OLS fit of the HD shift against |dV| (drift magnitude is symmetric
     in the sign of the voltage offset)."""
     return linear_fit([(abs(dv), shift) for dv, shift in series])
-
-
-def correct_for_voltage(raw_id: ResponseWord, v_measured: float,
-                        calibration: dict[float, ResponseWord]) -> ResponseWord:
-    """Correct a raw ID using the calibration entry nearest the measured
-    supply voltage (ties resolve to the lower voltage).
-
-    The selected enrolled reference serves as the decoding anchor: the
-    protected 31 bits are corrected toward it through the error-correcting
-    code, and any remaining bits ride along unprotected.  Raises
-    DecodeFailure if the raw ID is too far from the anchor.
-    """
-    if not calibration:
-        raise ValueError("calibration table is empty")
-    anchor_v = min(calibration, key=lambda vv: (abs(vv - v_measured), vv))
-    anchor = calibration[anchor_v]
-    if len(raw_id) != len(anchor):
-        raise ValueError("raw ID and calibration reference lengths differ")
-    if len(raw_id) < bch.N:
-        raise ValueError(f"ID must be at least {bch.N} bits for correction")
-    offset = anchor.bits[:bch.N]
-    fixed, n_errors = bch.decode_rows(raw_id.bits[None, :bch.N] ^ offset)
-    if n_errors[0] < 0:
-        raise DecodeFailure(f"raw ID is more than {bch.T} errors from the {anchor_v} V anchor")
-    return ResponseWord(np.concatenate([fixed[0] ^ offset, raw_id.bits[bch.N:]]))
 
 
 # --- file round trip ---------------------------------------------------

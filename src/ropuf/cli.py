@@ -25,9 +25,12 @@ EXIT_SELFTEST = 4
 
 
 def _campaign(cfg: config.RunConfig, threads: int) -> chipsim.Campaign:
-    """cfg's campaign, every check done and nothing sampled yet."""
+    """cfg's campaign, every check done and nothing sampled yet.  threads
+    is checked (>= 1) and otherwise ignored: a campaign runs in one process."""
     chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
-    return chipsim.Campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling, threads)
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    return chipsim.Campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling)
 
 
 def cmd_simulate(args) -> int:

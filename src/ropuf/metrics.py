@@ -17,28 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bch
-from .sampler import ResponseWord, pack_rows
-
-
-def hamming(a: ResponseWord, b: ResponseWord) -> int:
-    """Number of differing bit positions."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return int(np.count_nonzero(a.bits != b.bits))
+from .sampler import pack_rows
 
 
 def _bit_rows(words, length: int) -> np.ndarray:
-    """Words as an (n, length) uint8 bit array.
-
-    An array (one word, or one word per row) passes through; a
-    ResponseWord or a list of them is stacked.
-    """
-    if isinstance(words, ResponseWord):
-        words = [words]
-    if not isinstance(words, np.ndarray):
-        if any(len(w) != length for w in words):
-            raise ValueError("all words must have the stated length")
-        return np.array([w.bits for w in words], dtype=np.uint8).reshape(len(words), length)
+    """Words, one (length,) word or one word per row, as an (n, length)
+    bit array."""
     rows = np.atleast_2d(words)
     if rows.ndim != 2 or rows.shape[1] != length:
         raise ValueError("all words must have the stated length")
@@ -54,8 +38,8 @@ def _pair_distances(rows: np.ndarray) -> np.ndarray:
 def uniqueness(references, length: int) -> float:
     """Mean pairwise fractional Hamming distance over all chip pairs, in %.
 
-    2/(N(N-1)) * sum_{i<j} HD(R_i, R_j)/L * 100.  references is a list
-    of ResponseWords or an (N, L) bit array.
+    2/(N(N-1)) * sum_{i<j} HD(R_i, R_j)/L * 100.  references is an
+    (N, L) bit array.
     """
     rows = _bit_rows(references, length)
     n = rows.shape[0]
@@ -70,7 +54,7 @@ def uniqueness(references, length: int) -> float:
 def reliability(reference, samples, length: int, t: int | None = None) -> float:
     """[1 - mean fractional HD from the reference] * 100, over t samples.
 
-    samples is a list of ResponseWords or a (T, L) bit array.
+    reference is an (L,) bit array and samples a (T, L) one.
     """
     rows = _bit_rows(samples, length)
     if t is None:
@@ -90,7 +74,7 @@ def _reliability_pct(distances: np.ndarray, length: int) -> float:
 def uniformity(responses, length: int) -> float:
     """Mean ones-fraction per response, averaged over responses, in %.
 
-    responses is a list of ResponseWords or an (n, L) bit array.
+    responses is an (n, L) bit array.
     """
     rows = _bit_rows(responses, length)
     if rows.shape[0] == 0:
@@ -245,19 +229,6 @@ def _chip_stage(dataset, v: float, chip: int, post_bch: bool) -> tuple[np.ndarra
         ref = bch.packed_words(ref, dataset.config.id_length)
     return (np.bitwise_count(rows).sum(axis=1, dtype=np.intp),
             np.bitwise_count(rows ^ ref).sum(axis=1, dtype=np.intp))
-
-
-def hd_distributions(dataset, post_bch: bool = False) -> tuple[HdHistogram, HdHistogram]:
-    """Intra- and inter-chip Hamming distance histograms at the reference
-    voltage, as compute_report counts them.
-
-    Intra pairs each chip's enrolled reference with its samples; inter
-    pairs the references of distinct chips.  With post_bch the samples
-    are first error-corrected, so residual errors of weight <= 3 are
-    removed and the histograms live on the 31 protected bits.
-    """
-    report = compute_report(dataset, post_bch=post_bch)
-    return report.intra, report.inter
 
 
 def compute_report(dataset, voltage: float | None = None, post_bch: bool = False,

@@ -13,7 +13,7 @@ level.  Only the period ratio matters, never the absolute time scale.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,57 +58,6 @@ def hex_to_packed(words: list[str], length: int) -> np.ndarray:
     if (packed[:, 0] >= 256 >> (-length % 8)).any():  # a pad bit above bit 0 is set
         raise ValueError(f"hex word does not fit in {length} bits")
     return packed
-
-
-def hex_to_rows(words: list[str], length: int) -> np.ndarray:
-    """(n, length) bit array of hex words, the inverse of rows_to_hex."""
-    return unpack_rows(hex_to_packed(words, length), length)
-
-
-@dataclass(frozen=True)
-class ResponseWord:
-    """Fixed-length bit vector in sample order (bit 0 first)."""
-
-    bits: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.bits, dtype=np.uint8) & 1)
-        arr.flags.writeable = False
-        object.__setattr__(self, "bits", arr)
-
-    def __len__(self) -> int:
-        return self.bits.shape[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ResponseWord):
-            return NotImplemented
-        return len(self) == len(other) and bool(np.array_equal(self.bits, other.bits))
-
-    def __hash__(self) -> int:
-        return hash((len(self), self.bits.tobytes()))
-
-    def __xor__(self, other: "ResponseWord") -> "ResponseWord":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return ResponseWord(self.bits ^ other.bits)
-
-    def __repr__(self) -> str:
-        return f"ResponseWord({''.join(str(b) for b in self.bits)})"
-
-    def to_int(self) -> int:
-        """Big-endian integer value: bit 0 is the most significant bit."""
-        return int(self.to_hex(), 16)
-
-    def to_hex(self) -> str:
-        return rows_to_hex(self.bits[None, :])[0]
-
-    @classmethod
-    def from_hex(cls, text: str, length: int) -> "ResponseWord":
-        return cls(hex_to_rows([text], length)[0])
-
-    @classmethod
-    def zeros(cls, length: int) -> "ResponseWord":
-        return cls(np.zeros(length, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -206,26 +155,18 @@ def modal_row(words: np.ndarray) -> np.ndarray:
     return (2 * words.sum(axis=0, dtype=np.int64) > len(words)).astype(np.uint8)
 
 
-def sample_word(unit: PufUnit, v: float, seed) -> ResponseWord:
-    """Sample one response word at supply voltage v: one row of
-    sample_rows, its normals (and any coverage extension) drawn from seed."""
+def sample_word(unit: PufUnit, v: float, seed) -> np.ndarray:
+    """One (L,) response word at supply voltage v: one row of sample_rows,
+    its normals (and any coverage extension) drawn from seed."""
     rng = ensure_rng(seed)
-    return ResponseWord(sample_rows(unit, v, *draw_rows(rng, 1, unit.word_length),
-                                    lambda i: rng)[0])
+    return sample_rows(unit, v, *draw_rows(rng, 1, unit.word_length), lambda i: rng)[0]
 
 
-def enroll_id(unit: PufUnit, repetitions: int, v: float, seed) -> ResponseWord:
-    """Enrolled ID: the modal word (see modal_row) of a block of fresh
+def enroll_id(unit: PufUnit, repetitions: int, v: float, seed) -> np.ndarray:
+    """Enrolled (L,) ID: the modal word (see modal_row) of a block of fresh
     enable cycles drawn from seed."""
     if repetitions < 1:
         raise ConfigurationError("repetitions must be >= 1")
     rng = ensure_rng(seed)
-    return ResponseWord(modal_row(sample_rows(
-        unit, v, *draw_rows(rng, repetitions, unit.word_length), lambda i: rng)))
-
-
-def compose_id(words: list[ResponseWord]) -> ResponseWord:
-    """Concatenate unit words, in unit order, into one ID."""
-    if not words:
-        raise ValueError("at least one word required")
-    return ResponseWord(np.concatenate([w.bits for w in words]))
+    return modal_row(sample_rows(unit, v, *draw_rows(rng, repetitions, unit.word_length),
+                                 lambda i: rng))

@@ -25,8 +25,8 @@ def make_unit(t1: float, t2: float, coupling: ro.Coupling | None = None,
     )
 
 
-def word_of(bits) -> sampler.ResponseWord:
-    return sampler.ResponseWord(np.array(list(bits), dtype=np.uint8))
+def word_of(bits) -> np.ndarray:
+    return np.array(list(bits), dtype=np.uint8)
 
 
 @pytest.fixture

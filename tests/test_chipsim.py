@@ -5,8 +5,8 @@ import pytest
 
 from oracles import report_formula
 from ropuf import chipsim, cli, config, metrics, ro
-from ropuf.errors import ConfigurationError, DatasetError, DecodeFailure
-from ropuf.sampler import ResponseWord, pack_rows
+from ropuf.errors import ConfigurationError, DatasetError
+from ropuf.sampler import pack_rows
 
 FAST = dict(n_chips=4, samples_per_chip=20, enroll_repetitions=9)
 
@@ -38,8 +38,8 @@ class TestPopulation:
         params = ro.RoParams(process_sigma=0.0, jitter_sigma=0.0,
                              voltage_sensitivity_sigma=0.0)
         ds, cfg, _ = small_campaign(params=params)
-        refs = [ds.reference(c, 1.3) for c in range(cfg.n_chips)]
-        assert all(r == refs[0] for r in refs)
+        refs = ds.references[1.3]
+        assert all(np.array_equal(r, refs[0]) for r in refs)
         assert metrics.uniqueness(refs, cfg.id_length) == 0.0
 
     def test_config_validation(self):
@@ -49,6 +49,13 @@ class TestPopulation:
             chipsim.CampaignConfig(id_length=31).validate()
         with pytest.raises(ConfigurationError, match="model range"):
             chipsim.CampaignConfig(voltages=(2.8,)).validate(ro.RoParams())
+        # |gamma*(V-V0)| is exactly 0.5 at the bound (0.5/V * 1 V) and is
+        # rejected; just inside it (0.5/V * 0.9375 V) is accepted.
+        edge = ro.RoParams(voltage_sensitivity_mean=0.5, voltage_sensitivity_sigma=0.0,
+                           reference_voltage=1.0)
+        with pytest.raises(ConfigurationError, match="model range"):
+            chipsim.CampaignConfig(voltages=(1.0, 2.0)).validate(edge)
+        chipsim.CampaignConfig(voltages=(1.0, 1.9375)).validate(edge)
 
     def test_id_length_message_names_the_product(self):
         cfg = chipsim.CampaignConfig(pairs_per_id=2, word_length=16, id_length=31)
@@ -70,33 +77,21 @@ class TestCampaign:
         ds, cfg, _ = small_campaign(params=params)
         report = metrics.compute_report(ds)
         assert all(v == 100.0 for v in report.reliability_pct_per_chip.values())
-        intra, _ = metrics.hd_distributions(ds)
-        assert intra.mass_at(0) == 1.0
+        assert report.intra.mass_at(0) == 1.0
 
     def test_determinism(self):
         a, cfg, _ = small_campaign(master_seed=9)
         b, _, _ = small_campaign(master_seed=9)
         for c in range(cfg.n_chips):
-            assert a.reference(c, 1.3) == b.reference(c, 1.3)
+            assert np.array_equal(a.references[1.3][c], b.references[1.3][c])
             assert np.array_equal(a.sample_array(c, 1.3), b.sample_array(c, 1.3))
-
-    def test_threads_do_not_change_results(self):
-        params = ro.RoParams()
-        cfg = chipsim.CampaignConfig(voltages=(1.3,), master_seed=13, **FAST)
-        chips = chipsim.build_population(cfg, params)
-        seq = chipsim.run_campaign(chips, cfg, params, threads=1)
-        par = chipsim.run_campaign(chips, cfg, params, threads=3)
-        for c in range(cfg.n_chips):
-            assert seq.reference(c, 1.3) == par.reference(c, 1.3)
-            assert np.array_equal(seq.sample_array(c, 1.3), par.sample_array(c, 1.3))
 
     def test_campaign_checks_before_sampling(self, monkeypatch):
         params = ro.RoParams()
         cfg = chipsim.CampaignConfig(voltages=(1.3,), **FAST)
         chips = chipsim.build_population(cfg, params)
         monkeypatch.setattr(chipsim, "sample_rows", None)  # sampling would raise TypeError
-        for args, match in [((chips, cfg, params, ro.Coupling.none(), 0), "threads"),
-                            ((chips[:-1], cfg, params), "n_chips"),
+        for args, match in [((chips[:-1], cfg, params), "n_chips"),
                             ((chips, chipsim.CampaignConfig(voltages=(2.8,), **FAST), params),
                              "model range")]:
             with pytest.raises(ConfigurationError, match=match):
@@ -108,13 +103,12 @@ class TestCampaign:
         b, _, _ = small_campaign(master_seed=21, voltages=(1.25, 1.35, 1.3))
         for c in range(cfg.n_chips):
             for v in (1.25, 1.3):
-                assert a.reference(c, v) == b.reference(c, v)
+                assert np.array_equal(a.references[v][c], b.references[v][c])
                 assert np.array_equal(a.sample_array(c, v), b.sample_array(c, v))
 
     def test_inter_chip_words_look_independent(self):
         ds, cfg, _ = small_campaign(master_seed=2, n_chips=12)
-        refs = [ds.reference(c, 1.3) for c in range(cfg.n_chips)]
-        u = metrics.uniqueness(refs, cfg.id_length)
+        u = metrics.uniqueness(ds.references[1.3], cfg.id_length)
         assert 30.0 < u < 70.0
 
 
@@ -149,64 +143,6 @@ class TestVoltageSweep:
         assert fit["slope"] > 0.0
 
 
-class TestVoltageCorrection:
-    def test_exact_calibration_point_noiseless(self):
-        params = ro.RoParams(jitter_sigma=0.0)
-        ds, cfg, _ = small_campaign(voltages=(1.25, 1.3, 1.35), params=params)
-        for c in range(cfg.n_chips):
-            calib = {v: ds.reference(c, v) for v in cfg.voltages}
-            raw = ResponseWord(ds.sample_array(c, 1.25)[0])
-            assert chipsim.correct_for_voltage(raw, 1.25, calib) == calib[1.25]
-
-    def test_single_entry_always_that_anchor(self):
-        ds, cfg, _ = small_campaign(voltages=(1.3,))
-        c = 0
-        calib = {1.3: ds.reference(c, 1.3)}
-        raw = ResponseWord(ds.sample_array(c, 1.3)[0])
-        corrected = chipsim.correct_for_voltage(raw, 1.05, calib)
-        assert np.array_equal(corrected.bits[:31], calib[1.3].bits[:31])
-
-    def test_nearest_tie_resolves_to_lower(self):
-        ref_low = ResponseWord(np.zeros(32, dtype=np.uint8))
-        high = np.zeros(32, dtype=np.uint8)
-        high[:7] = 1
-        calib = {1.25: ref_low, 1.35: ResponseWord(high)}
-        raw = ResponseWord(np.zeros(32, dtype=np.uint8))
-        corrected = chipsim.correct_for_voltage(raw, 1.30, calib)
-        assert np.array_equal(corrected.bits[:31], ref_low.bits[:31])
-
-    def test_empty_calibration(self):
-        with pytest.raises(ValueError):
-            chipsim.correct_for_voltage(ResponseWord(np.zeros(32, dtype=np.uint8)),
-                                        1.3, {})
-
-    def test_nearest_anchor_beats_distant_anchor(self):
-        params = ro.RoParams()
-        cfg = chipsim.CampaignConfig(n_chips=10, samples_per_chip=60,
-                                     enroll_repetitions=19,
-                                     voltages=(1.25, 1.26, 1.30, 1.35),
-                                     master_seed=11)
-        chips = chipsim.build_population(cfg, params)
-        ds = chipsim.run_campaign(chips, cfg, params)
-
-        def successes(calib_voltages):
-            ok = total = 0
-            for c in range(cfg.n_chips):
-                calib = {v: ds.reference(c, v) for v in calib_voltages}
-                anchor_v = min(calib, key=lambda vv: (abs(vv - 1.26), vv))
-                anchor31 = calib[anchor_v].bits[:31]
-                for row in ds.sample_array(c, 1.26):
-                    total += 1
-                    try:
-                        got = chipsim.correct_for_voltage(ResponseWord(row), 1.26, calib)
-                        ok += int(np.array_equal(got.bits[:31], anchor31))
-                    except DecodeFailure:
-                        pass
-            return ok / total
-
-        assert successes([1.25, 1.30, 1.35]) > successes([1.30])
-
-
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         ds, cfg, _ = small_campaign(voltages=(1.25, 1.3))
@@ -218,7 +154,7 @@ class TestSerialization:
         assert loaded.coupling == ds.coupling
         for c in range(cfg.n_chips):
             for v in cfg.voltages:
-                assert loaded.reference(c, v) == ds.reference(c, v)
+                assert np.array_equal(loaded.references[v][c], ds.references[v][c])
                 assert np.array_equal(loaded.sample_array(c, v), ds.sample_array(c, v))
 
     def test_rewrite_is_byte_identical(self, tmp_path):
@@ -359,8 +295,9 @@ class TestPostBchDistributions:
         params = ro.RoParams(jitter_sigma=0.001)
         ds, _, _ = small_campaign(params=params, n_chips=6,
                                   samples_per_chip=80, master_seed=20260809)
-        raw_intra, _ = metrics.hd_distributions(ds, post_bch=False)
-        post_intra, post_inter = metrics.hd_distributions(ds, post_bch=True)
+        raw_intra = metrics.compute_report(ds, post_bch=False).intra
+        post = metrics.compute_report(ds, post_bch=True)
+        post_intra, post_inter = post.intra, post.inter
         assert post_intra.mass_at(0) > raw_intra.mass_at(0)
         assert post_intra.length == 31 and post_inter.length == 31
 

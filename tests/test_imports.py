@@ -2,12 +2,13 @@
 
 Every command pays for what the package imports.  `multiprocessing` and
 `_hashlib` (OpenSSL, several MiB resident) serve no command: campaigns
-run in one process, and `bch.key_digest` imports hashlib when called.
+run in one process, and no module of the package imports hashlib.
 `numpy.random`, which the sampling commands need, would load OpenSSL
 through `secrets`; run as a program, `cli.main` blocks `_hashlib` first,
 while `import ropuf` and an in-process `main([...])` leave the process's
 OpenSSL alone.  `metrics` loads neither.
 """
+import ast
 import hashlib
 import json
 import os
@@ -15,12 +16,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import ropuf
-from ropuf import bch
-from ropuf.sampler import ResponseWord
 from test_golden import CONFIG, FILE_DIGESTS
 
 HEAVY = ("multiprocessing", "concurrent.futures.process", "_hashlib")
@@ -80,19 +78,16 @@ def test_in_process_main_keeps_openssl(tmp_path, config):
     assert _loaded(code).splitlines()[-1] == "0 True"
 
 
-def test_key_digest_is_sha256_of_packed_key(rng):
-    for _ in range(20):
-        key = ResponseWord(rng.integers(0, 2, bch.K, dtype=np.uint8))
-        want = hashlib.sha256(np.packbits(key.bits).tobytes()).hexdigest()
-        assert bch.key_digest(key) == want
-
-
-def test_key_digest_without_openssl_is_sha256_of_packed_key(rng):
-    keys = rng.integers(0, 2, (20, bch.K), dtype=np.uint8)
-    want = [hashlib.sha256(np.packbits(k).tobytes()).hexdigest() for k in keys]
-    code = ("import sys; sys.modules['_hashlib'] = None; import numpy as np; "
-            "from ropuf import bch; from ropuf.sampler import ResponseWord; "
-            f"keys = np.array({keys.tolist()!r}, dtype=np.uint8); "
-            "print(*(bch.key_digest(ResponseWord(k)) for k in keys)); "
-            "print(sys.modules['_hashlib'])")
-    assert _loaded(code).splitlines() == [" ".join(want), "None"]
+def test_no_module_imports_hashlib():
+    sources = sorted(Path(ropuf.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] in ("hashlib", "_hashlib") for n in names), \
+                (path.name, node.lineno)

@@ -1,10 +1,10 @@
 """Invariants of a campaign's streams (stream version 2).
 
 Metamorphic properties over small random campaigns: a sub-grid of
-voltages, a prefix of the samples, a prefix of the chips, the worker
-count and the row chunk never change a cell.  Then common random
-numbers across a voltage sweep, and the stream layout itself, rebuilt
-row by row from the documented keys.
+voltages, a prefix of the samples, a prefix of the chips and the row
+chunk never change a cell.  Then common random numbers across a voltage
+sweep, and the stream layout itself, rebuilt row by row from the
+documented keys.
 """
 from collections import Counter
 from dataclasses import replace
@@ -43,13 +43,13 @@ def campaigns(draw):
     return cfg, params, coupling, draw(st.sampled_from([6.0, 1.0]))
 
 
-def run(cfg, params, coupling, squeeze, threads=1):
+def run(cfg, params, coupling, squeeze):
     chips = []
     for chip in chipsim.build_population(cfg, params, coupling):
         first = chip.units[0]
         fast = replace(first.ro1, period_at_ref=first.ro1.period_at_ref / squeeze)
         chips.append(chipsim.Chip(chip.chip_id, (replace(first, ro1=fast),) + chip.units[1:]))
-    return chipsim.run_campaign(chips, cfg, params, coupling, threads=threads)
+    return chipsim.run_campaign(chips, cfg, params, coupling)
 
 
 def assert_cells_equal(a, b, voltages, chips=slice(None), samples=slice(None)):
@@ -94,7 +94,6 @@ def test_fewer_chips_are_a_prefix(campaign, data):
 def test_threads_and_chunk_rows_change_nothing(campaign):
     cfg = campaign[0]
     base = run(*campaign)
-    assert_cells_equal(base, run(*campaign, threads=2), cfg.voltages)
     for rows in (1, 7, 128):
         with mock.patch.object(chipsim, "CHUNK_ROWS", rows):
             assert_cells_equal(base, run(*campaign), cfg.voltages)

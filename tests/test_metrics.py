@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from conftest import word_of
 from oracles import reliability_formula, uniformity_formula, uniqueness_formula
 from ropuf import metrics
-from ropuf.sampler import ResponseWord
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=24)
 
@@ -16,30 +15,38 @@ def words_strategy(length, n):
         min_size=n, max_size=n)
 
 
+def hamming(a: np.ndarray, b: np.ndarray) -> int:
+    """Hamming distance of two words, as the pairwise kernel behind
+    uniqueness and the inter-chip histogram counts it."""
+    return int(metrics._pair_distances(np.array([a, b]))[0])
+
+
 class TestHamming:
     def test_identity(self):
         w = word_of([1, 0, 1, 1])
-        assert metrics.hamming(w, w) == 0
+        assert hamming(w, w) == 0
 
     def test_complement(self):
-        assert metrics.hamming(word_of([0, 0, 0, 0]), word_of([1, 1, 1, 1])) == 4
+        assert hamming(word_of([0, 0, 0, 0]), word_of([1, 1, 1, 1])) == 4
 
     def test_alternating_complement(self):
         a = word_of([1, 0] * 8)
         b = word_of([0, 1] * 8)
-        assert metrics.hamming(a, b) == 16
+        assert hamming(a, b) == 16
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            metrics.hamming(word_of([1]), word_of([1, 0]))
+            metrics.uniqueness(np.array([word_of([1]), word_of([0])]), 2)  # 1 bit, not 2
 
     @given(bits_lists, bits_lists, bits_lists)
     def test_metric_axioms(self, a, b, c):
         n = min(len(a), len(b), len(c))
         wa, wb, wc = word_of(a[:n]), word_of(b[:n]), word_of(c[:n])
-        assert metrics.hamming(wa, wb) == metrics.hamming(wb, wa)
-        assert (metrics.hamming(wa, wb) == 0) == (wa == wb)
-        assert metrics.hamming(wa, wc) <= metrics.hamming(wa, wb) + metrics.hamming(wb, wc)
+        assert hamming(wa, wb) == hamming(wb, wa)
+        assert (hamming(wa, wb) == 0) == np.array_equal(wa, wb)
+        assert hamming(wa, wc) <= hamming(wa, wb) + hamming(wb, wc)
+        assert metrics._pair_distances(np.array([wa, wb, wc])).tolist() == [
+            hamming(wa, wb), hamming(wa, wc), hamming(wb, wc)]
 
 
 class TestUniqueness:
@@ -95,7 +102,7 @@ class TestReliability:
 
     def test_needs_samples(self):
         with pytest.raises(ValueError):
-            metrics.reliability(word_of([1]), [], 1)
+            metrics.reliability(word_of([1]), np.zeros((0, 1), dtype=np.uint8), 1)
 
 
 class TestUniformity:
@@ -103,7 +110,7 @@ class TestUniformity:
         assert metrics.uniformity([word_of([0] * 8)], 8) == 0.0
 
     def test_alternating(self):
-        w = ResponseWord.from_hex("aaaa", 16)
+        w = word_of([1, 0] * 8)  # hex word aaaa
         assert metrics.uniformity([w], 16) == 50.0
 
     def test_hand_average(self):

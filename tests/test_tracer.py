@@ -1,0 +1,54 @@
+"""The benchmark tracer still finds the functions it wraps.
+
+`perfbench/traced_cli.py` looks up the function at each layer boundary
+by name (its `BOUNDARIES` table) and wraps it, so a deleted or renamed
+boundary breaks only the traced benchmark runs, which this suite does
+not otherwise run.  These checks read `perfbench/` and change nothing
+in it.
+"""
+import hashlib
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import ropuf
+from test_golden import CONFIG, FILE_DIGESTS
+
+TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+
+
+def _boundaries() -> tuple:
+    """BOUNDARIES of traced_cli.py, which patches nothing at import."""
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BOUNDARIES
+
+
+def test_every_boundary_resolves_to_a_callable():
+    boundaries = _boundaries()
+    assert boundaries
+    for module, attr, _ in boundaries:
+        owner = importlib.import_module(f"ropuf.{module}")
+        assert callable(getattr(owner, attr, None)), f"ropuf.{module}.{attr}"
+
+
+def test_traced_simulate_writes_the_golden_files(tmp_path):
+    config, spans = tmp_path / "run.json", tmp_path / "spans.json"
+    config.write_text(json.dumps(CONFIG, indent=2))
+    src = str(Path(ropuf.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(TRACED_CLI), str(spans), "simulate",
+                           "--config", str(config), "--out", str(tmp_path / "sim"),
+                           "--threads", "1"],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    pinned = [name for name in FILE_DIGESTS if name.startswith("sim/")]
+    assert len(pinned) == 2
+    for name in pinned:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == FILE_DIGESTS[name], name
+    assert "chipsim.save_dataset" in json.loads(spans.read_text())["names"]

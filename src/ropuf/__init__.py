@@ -1,26 +1,43 @@
 """Behavioral simulator and evaluation toolkit for waveform-sampling
-ring-oscillator PUFs."""
+ring-oscillator PUFs.
 
-from .errors import ConfigurationError, DatasetError, DecodeFailure, ModelRangeError
-from .ro import (Coupling, RoInstance, RoParams, apply_coupling, period_at_voltage,
-                 realize_ro)
-from .sampler import PufUnit, enroll_id, sample_word
-from .chipsim import (Campaign, CampaignConfig, CampaignDataset, Chip, build_population,
-                      fit_sweep, load_dataset, run_campaign, save_dataset, voltage_sweep)
-from .metrics import (HdHistogram, MetricsReport, compute_report, linear_fit, reliability,
-                      uniformity, uniqueness)
-from .cost import CostParams, conventional_puf_cost, waveform_puf_cost
+`import ropuf` loads no submodule (and so no numpy).  Each public name,
+and each submodule, is imported on first access through the module
+`__getattr__` of PEP 562.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Campaign", "CampaignConfig", "CampaignDataset", "Chip", "ConfigurationError",
-    "CostParams", "Coupling", "DatasetError", "DecodeFailure", "HdHistogram",
-    "MetricsReport", "ModelRangeError", "PufUnit",
-    "RoInstance", "RoParams", "apply_coupling", "build_population",
-    "compute_report", "conventional_puf_cost",
-    "enroll_id", "fit_sweep",
-    "linear_fit", "load_dataset", "period_at_voltage", "realize_ro",
-    "reliability", "run_campaign", "sample_word", "save_dataset",
-    "uniformity", "uniqueness", "voltage_sweep", "waveform_puf_cost",
-]
+# Each public name -> the submodule that defines it.
+_HOME = {
+    "ConfigurationError": "errors", "DatasetError": "errors", "DecodeFailure": "errors",
+    "ModelRangeError": "errors",
+    "Coupling": "ro", "RoInstance": "ro", "RoParams": "ro", "apply_coupling": "ro",
+    "period_at_voltage": "ro", "realize_ro": "ro",
+    "PufUnit": "sampler", "enroll_id": "sampler", "sample_word": "sampler",
+    "CampaignConfig": "config",
+    "Campaign": "chipsim", "CampaignDataset": "chipsim", "Chip": "chipsim",
+    "build_population": "chipsim", "fit_sweep": "chipsim", "load_dataset": "chipsim",
+    "run_campaign": "chipsim", "save_dataset": "chipsim", "voltage_sweep": "chipsim",
+    "HdHistogram": "metrics", "MetricsReport": "metrics", "compute_report": "metrics",
+    "linear_fit": "metrics", "reliability": "metrics", "uniformity": "metrics",
+    "uniqueness": "metrics",
+    "CostParams": "cost", "conventional_puf_cost": "cost", "waveform_puf_cost": "cost",
+}
+_SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "config", "bch", "metrics",
+               "cost")
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME, *_SUBMODULES})

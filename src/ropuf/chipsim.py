@@ -293,6 +293,8 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
         if not filled[first]:
             raise DatasetError(f"{name}: missing")
         try:
+            if not isinstance(bad[first], str):  # a sidecar reference can be any JSON value
+                raise TypeError("must be a hex string")
             hex_to_packed([bad[first]], cfg.id_length)
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"{name}: bad hex word {bad[first]!r}: {exc}") from None
@@ -302,6 +304,10 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
 def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignDataset:
     try:
         sidecar = json.loads(Path(sidecar_path).read_text())
+        if type(sidecar) is not dict:
+            raise ValueError(f"must be a JSON object, not {type(sidecar).__name__}")
+        if "config" not in sidecar:
+            raise ValueError("missing key 'config'")
         run = from_dict(sidecar["config"])
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: JSON or schema
         raise DatasetError(f"bad sidecar: {exc}") from exc

@@ -6,6 +6,9 @@ timestamps or environment state.
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 self-test failure.
+
+Each command imports the modules it runs, so `cost`, `--help` and a
+usage error never load numpy.
 """
 from __future__ import annotations
 
@@ -15,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import bch, chipsim, config, cost, metrics
 from .errors import ConfigurationError, DatasetError
 
 EXIT_OK = 0
@@ -24,9 +26,11 @@ EXIT_DATA = 3
 EXIT_SELFTEST = 4
 
 
-def _campaign(cfg: config.RunConfig, threads: int) -> chipsim.Campaign:
-    """cfg's campaign, every check done and nothing sampled yet.  threads
-    is checked (>= 1) and otherwise ignored: a campaign runs in one process."""
+def _campaign(cfg, threads: int):
+    """The chipsim.Campaign of run configuration cfg, every check done and
+    nothing sampled yet.  threads is checked (>= 1) and otherwise ignored:
+    a campaign runs in one process."""
+    from . import chipsim
     chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
@@ -34,6 +38,7 @@ def _campaign(cfg: config.RunConfig, threads: int) -> chipsim.Campaign:
 
 
 def cmd_simulate(args) -> int:
+    from . import chipsim, config, metrics
     cfg = config.load(args.config, master_seed=args.seed)
     campaign = _campaign(cfg, args.threads)
     out = Path(args.out)
@@ -56,6 +61,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from . import chipsim, metrics
     csv_path = Path(args.dataset)
     sidecar = Path(args.sidecar) if args.sidecar else csv_path.with_suffix(".json")
     if not csv_path.exists() or not sidecar.exists():
@@ -75,6 +81,7 @@ def cmd_metrics(args) -> int:
 
 
 def _write_sweep_files(out: Path, series) -> dict:
+    from . import chipsim
     fit = chipsim.fit_sweep(series)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -88,6 +95,7 @@ def _write_sweep_files(out: Path, series) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    from . import chipsim, config
     cfg = config.load(args.config, master_seed=args.seed)
     if len(cfg.campaign.voltages) < 2:
         raise ConfigurationError("voltages_v: sweep needs at least two voltages")
@@ -101,6 +109,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bch_selftest(args) -> int:
+    from . import bch
     if args.trials < 0:
         raise ConfigurationError(f"--trials must be >= 0, got {args.trials}")
     results = bch.selftest(random_error_trials=args.trials)
@@ -112,6 +121,7 @@ def cmd_bch_selftest(args) -> int:
 
 
 def cmd_cost(args) -> int:
+    from . import cost
     params = cost.CostParams(
         transistors_per_ro=args.per_ro,
         transistors_per_ff=args.per_ff,

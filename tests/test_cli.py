@@ -231,7 +231,7 @@ class TestMetrics:
         assert cli.main(["metrics", str(tmp_path / "no.csv"), "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("corrupt,where", [
-        (lambda s: s.pop("references"), None),
+        (lambda s: s.__delitem__("references"), None),
         (lambda s: s.update(references=list(s["references"].values())), None),
         (_set_reference("0", "1.3", lambda w: "f" + w), None),
         (_set_reference("0", "1.3", lambda w: "0x" + w), None),
@@ -240,16 +240,23 @@ class TestMetrics:
         (_set_reference("99", "1.3", lambda w: w), "['99']['1.3']"),
         (_set_reference("0", "1.35", lambda w: w), "['0']['1.35']"),
         (_set_reference("0", "1.30", lambda w: w), "['0']['1.30']"),
+        (lambda s: "x", "bad sidecar: must be a JSON object, not str"),
+        (lambda s: [1], "bad sidecar: must be a JSON object, not list"),
+        (lambda s: {}, "bad sidecar: missing key 'config'"),
+        (_set_reference("0", "1.3", lambda w: 5),
+         "sidecar reference for chip 0 at 1.3 V: bad hex word 5: must be a hex string"),
     ], ids=["missing_references", "references_as_list", "reference_hex_too_wide",
             "reference_hex_0x_prefix", "reference_hex_space_underscore",
             "reference_hex_one_digit_short", "reference_chip_outside_grid",
-            "reference_voltage_outside_grid", "reference_duplicate_voltage"])
+            "reference_voltage_outside_grid", "reference_duplicate_voltage",
+            "sidecar_string", "sidecar_list", "sidecar_empty_object", "reference_int"])
     def test_bad_sidecar_is_data_error(self, tmp_path, capsys, corrupt, where):
+        """corrupt edits the sidecar in place, or returns a whole new one."""
         csv_path = self._simulated(tmp_path)
         sidecar_path = csv_path.with_suffix(".json")
         sidecar = json.loads(sidecar_path.read_text())
-        corrupt(sidecar)
-        sidecar_path.write_text(json.dumps(sidecar))
+        replaced = corrupt(sidecar)
+        sidecar_path.write_text(json.dumps(sidecar if replaced is None else replaced))
         capsys.readouterr()
         assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
         err = capsys.readouterr().err

@@ -1,6 +1,14 @@
-"""What `import ropuf.cli` costs: no process pool and no OpenSSL.
+"""What `import ropuf` and its commands cost.
 
-Every command pays for what the package imports.  `multiprocessing` and
+`import ropuf` is lazy: it imports no submodule and no numpy.  Each
+public name in `__all__` is imported from the submodule that defines it
+on first access (a module `__getattr__`, PEP 562), and so is each
+submodule named as an attribute, so `ropuf.X` and `from ropuf import X`
+work as if the package had imported everything.  `ropuf.cli` imports
+inside each command what that command runs: `cost`, `--help` and a
+usage error load no numpy.
+
+Every command pays for what it imports.  `multiprocessing` and
 `_hashlib` (OpenSSL, several MiB resident) serve no command: campaigns
 run in one process, and no module of the package imports hashlib.
 `numpy.random`, which the sampling commands need, would load OpenSSL
@@ -33,6 +41,64 @@ def _loaded(code: str) -> str:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     return out.stdout.strip()
+
+
+SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "config", "bch", "metrics", "cost")
+
+
+def test_import_ropuf_loads_no_submodule_and_no_numpy():
+    code = ("import sys, ropuf; "
+            "print(sorted(m for m in sys.modules if m.startswith(('ropuf.', 'numpy'))))")
+    assert _loaded(code) == "[]"
+
+
+def test_each_public_name_is_its_defining_modules_object():
+    assert ropuf.CampaignConfig is ropuf.config.CampaignConfig
+    assert ropuf.linear_fit is ropuf.metrics.linear_fit
+    for name in ropuf.__all__:
+        value = getattr(ropuf, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("ropuf."), name
+        assert getattr(home, name) is value, name
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    assert set(ropuf.__all__) | set(SUBMODULES) | {"__version__"} <= set(dir(ropuf))
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from ropuf import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ropuf.__all__)
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        ropuf.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        exec("from ropuf import no_such_name", {})
+
+
+def test_submodules_resolve_after_a_bare_import():
+    code = ("import ropuf; "
+            f"print(ropuf.__version__, [getattr(ropuf, m).__name__ for m in {SUBMODULES!r}])")
+    assert _loaded(code) == f"{ropuf.__version__} {[f'ropuf.{m}' for m in SUBMODULES]}"
+
+
+@pytest.mark.parametrize("argv, rc", [(["cost"], 0), (["--help"], 0), (["no-such-command"], 2)],
+                         ids=["cost", "help", "usage_error"])
+def test_program_without_numpy(argv, rc):
+    code = (f"import sys; sys.argv = {['ropuf', *argv]!r}; from ropuf.cli import main\n"
+            "try:\n    rc = main()\nexcept SystemExit as exc:\n    rc = exc.code\n"
+            "print(rc, 'numpy' in sys.modules)")
+    assert _loaded(code).splitlines()[-1] == f"{rc} False"
+
+
+def test_bch_selftest_loads_no_campaign_code():
+    code = ("import sys; from ropuf.cli import main; "
+            "rc = main(['bch-selftest', '--trials', '10']); "
+            "print(rc, [m for m in ('ropuf.chipsim', 'ropuf.config') if m in sys.modules])")
+    assert _loaded(code).splitlines()[-1] == "0 []"
 
 
 def test_cli_import_loads_no_pool_and_no_openssl():

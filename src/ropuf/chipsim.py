@@ -293,8 +293,6 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
         if not filled[first]:
             raise DatasetError(f"{name}: missing")
         try:
-            if not isinstance(bad[first], str):  # a sidecar reference can be any JSON value
-                raise TypeError("must be a hex string")
             hex_to_packed([bad[first]], cfg.id_length)
         except (TypeError, ValueError) as exc:
             raise DatasetError(f"{name}: bad hex word {bad[first]!r}: {exc}") from None
@@ -321,6 +319,10 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
     refs = sidecar.get("references")
     if not isinstance(refs, dict) or not all(isinstance(p, dict) for p in refs.values()):
         raise DatasetError("sidecar 'references' must map chip ids to {voltage: hex word}")
+    for c, per_chip in refs.items():
+        for v, h in per_chip.items():
+            if not isinstance(h, str):
+                raise DatasetError(f"sidecar reference [{c!r}][{v!r}]: {h!r} must be a hex string")
     refs = _decode_grid(((f"[{c!r}][{v!r}]", (c, v, "0", h)) for c, per_chip in refs.items()
                          for v, h in per_chip.items()), cfg, 1, "sidecar reference")
     with open(csv_path, newline="") as fh:

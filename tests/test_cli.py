@@ -244,7 +244,7 @@ class TestMetrics:
         (lambda s: [1], "bad sidecar: must be a JSON object, not list"),
         (lambda s: {}, "bad sidecar: missing key 'config'"),
         (_set_reference("0", "1.3", lambda w: 5),
-         "sidecar reference for chip 0 at 1.3 V: bad hex word 5: must be a hex string"),
+         "sidecar reference ['0']['1.3']: 5 must be a hex string"),
     ], ids=["missing_references", "references_as_list", "reference_hex_too_wide",
             "reference_hex_0x_prefix", "reference_hex_space_underscore",
             "reference_hex_one_digit_short", "reference_chip_outside_grid",

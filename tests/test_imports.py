@@ -57,8 +57,8 @@ def test_each_public_name_is_its_defining_modules_object():
     assert ropuf.linear_fit is ropuf.metrics.linear_fit
     for name in ropuf.__all__:
         value = getattr(ropuf, name)
+        assert ropuf._HOME[name] == value.__module__.removeprefix("ropuf."), name
         home = sys.modules[value.__module__]
-        assert home.__name__.startswith("ropuf."), name
         assert getattr(home, name) is value, name
 
 

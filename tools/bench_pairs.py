@@ -21,8 +21,12 @@ a median gain larger than the parent's interquartile range.  For each
 side it names the command that set the workload's peak_rss_mib (the
 peak over its timed commands) in most runs, and that command's median
 peak over every timed run of it, read from the `commands` of each run
-record.  It also says in how many pairs the two sides wrote the same
-output digests.  Exits 1 if any run failed or printed no result.
+record.  For every other end-to-end figure of the run record (the
+command times and `pipeline_s`, which no bound gates) it prints each
+side's median, the change of the median, the parent's interquartile
+range and in how many pairs the change read lower.  It also says in how
+many pairs the two sides wrote the same output digests.  Exits 1 if any
+run failed or printed no result.
 """
 from __future__ import annotations
 
@@ -54,6 +58,7 @@ def run_tree(tree: Path, dest: Path, workload: str, seed: int, seconds: float) -
         result = json.loads(proc.stdout.splitlines()[-1])
         record = json.loads((dest / ".perfbench_work" / workload / "record.json").read_text())
         result["digests"] = record["digests"]
+        result["e2e"] = record["end_to_end"]
         result["peaks"] = {}  # label -> peak RSS of each timed run of that command
         for o in record["commands"]:
             if o["repeat"] >= 0 and not o["traced"]:  # as peak_rss_mib counts them
@@ -61,7 +66,7 @@ def run_tree(tree: Path, dest: Path, workload: str, seed: int, seconds: float) -
     except (IndexError, ValueError, OSError, KeyError) as exc:
         print(f"    no result (exit {proc.returncode}): {exc!r}\n{proc.stderr[-400:]}",
               file=sys.stderr)
-        return {"failed": 1, "metrics": {}, "digests": None, "peaks": {}}
+        return {"failed": 1, "metrics": {}, "e2e": {}, "digests": None, "peaks": {}}
     if proc.returncode != 0:
         result["failed"] = max(1, result.get("failed", 0))
     return result
@@ -91,6 +96,14 @@ def summary(name: str, unit: str, lower_better: bool, bound: float, parent: list
             f"{'WORSE than the parent beyond it' if worse else 'within it'}",
             f"  claim rule (>= 9/10 wins, median gain > parent IQR): "
             f"{'holds' if claim else 'does not hold'}"]
+
+
+def ungated(name: str, parent: list[float], change: list[float]) -> str:
+    p1, pm, p3 = quartiles(parent)
+    cm = statistics.median(change)
+    lower = sum(c < p for p, c in zip(parent, change))
+    return (f"  {name:20s} parent {pm:.4f}  change {cm:.4f}  ({cm - pm:+.4f}, "
+            f"parent IQR {p3 - p1:.4f}, change lower in {lower}/{len(parent)})")
 
 
 def peak_command(runs: list[dict]) -> str:
@@ -144,6 +157,13 @@ def main(argv=None) -> int:
                               for side in ("parent", "change"))
             print("\n".join(summary(name, m["unit"], m["better"] == "lower", m["bound"],
                                      parent, change)))
+    gated = {m["name"] for m in spec}
+    print("not gated (medians):")
+    for name in runs["parent"][0]["e2e"]:
+        if name not in gated and all(name in r["e2e"] for side in runs.values()
+                                     for r in side):
+            print(ungated(name, *([r["e2e"][name] for r in runs[side]]
+                                  for side in ("parent", "change"))))
     for side in ("parent", "change"):
         print(f"{side}: {peak_command(runs[side])}")
     same = sum(p["digests"] is not None and p["digests"] == c["digests"]

@@ -2,10 +2,14 @@
 
 The field is built on the primitive polynomial x^5 + x^2 + 1 (0x25); any
 primitive choice gives an equivalent code, but fixing one makes offsets
-and test vectors bit-exact.  The generator polynomial is the lcm of
-the minimal polynomials of alpha, alpha^3 and alpha^5 (degree 15,
-designed distance 7, corrects t = 3 errors).  decode_words looks each
-word's syndrome up in a table of the coset leaders of weight <= 3.
+and test vectors bit-exact.  Field elements are 5-bit polynomials in
+alpha, multiplied as GF(2) polynomials and reduced modulo 0x25 (the
+same carry-less arithmetic that reduces words modulo g).  The generator
+polynomial g is the product of (x + alpha^e) over the conjugates of
+alpha, alpha^3 and alpha^5, the lcm of their minimal polynomials
+(degree 15, designed distance 7, corrects t = 3 errors).  decode_words
+looks each word's syndrome up in a table of the coset leaders of
+weight <= 3.
 
 Bit layout of a 31-bit word: index i holds the coefficient of x^(30-i),
 so bits[0:16] are the 16 systematic message bits and bits[16:31] the
@@ -28,59 +32,6 @@ T = 3
 PRIMITIVE_POLY = 0x25  # x^5 + x^2 + 1
 
 
-class Gf32:
-    """GF(2^5) arithmetic via exp/log tables."""
-
-    def __init__(self, prim_poly: int = PRIMITIVE_POLY):
-        self.exp = [0] * (2 * N)
-        self.log = [0] * (N + 1)
-        x = 1
-        for i in range(N):
-            self.exp[i] = x
-            self.log[x] = i
-            x <<= 1
-            if x & 0x20:
-                x ^= prim_poly
-        for i in range(N, 2 * N):
-            self.exp[i] = self.exp[i - N]
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def pow_alpha(self, e: int) -> int:
-        return self.exp[e % N]
-
-
-GF = Gf32()
-
-
-def _minimal_polynomial(power: int) -> list[int]:
-    """Minimal polynomial of alpha^power over GF(2), coefficients ascending."""
-    cls, e = [], power % N
-    while e not in cls:
-        cls.append(e)
-        e = (2 * e) % N
-    poly = [1]  # product of (x + alpha^e) over the conjugacy class
-    for e in cls:
-        root = GF.pow_alpha(e)
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] ^= c
-            nxt[i] ^= GF.mul(c, root)
-        poly = nxt
-    assert all(c in (0, 1) for c in poly)
-    return poly
-
-
-def _poly_to_mask(coeffs: list[int]) -> int:
-    mask = 0
-    for i, c in enumerate(coeffs):
-        mask |= (c & 1) << i
-    return mask
-
-
 def _gf2_mul(a: int, b: int) -> int:
     out = 0
     while b:
@@ -98,17 +49,26 @@ def _gf2_mod(a: int, m: int) -> int:
     return a
 
 
+def _gf_mul(a: int, b: int) -> int:
+    """Product of two GF(2^5) elements held as 5-bit polynomials in alpha."""
+    return _gf2_mod(_gf2_mul(a, b), PRIMITIVE_POLY)
+
+
 def build_generator() -> int:
     """Generator polynomial g(x) as a GF(2) coefficient bitmask.
 
-    g = lcm of the minimal polynomials of alpha, alpha^3, alpha^5; the
-    three are distinct and irreducible, so the lcm is their product.
+    g is the product of (x + alpha^e) over the 15 conjugates e = p*2^k mod 31
+    of alpha, alpha^3 and alpha^5, i.e. the lcm of their minimal polynomials.
     """
-    g = 1
-    for p in (1, 3, 5):
-        g = _gf2_mul(g, _poly_to_mask(_minimal_polynomial(p)))
-    assert g.bit_length() - 1 == N - K
-    return g
+    roots = {p * (1 << k) % N for p in (1, 3, 5) for k in range(5)}
+    coeffs = [1]  # ascending, in GF(2^5)
+    for e in roots:
+        root, nxt = _gf2_mod(1 << e, PRIMITIVE_POLY), [0] + coeffs  # alpha^e; x * coeffs
+        for i, c in enumerate(coeffs):
+            nxt[i] ^= _gf_mul(c, root)
+        coeffs = nxt
+    assert len(roots) == N - K and all(c in (0, 1) for c in coeffs)
+    return sum(c << i for i, c in enumerate(coeffs))
 
 
 GENERATOR = build_generator()
@@ -245,18 +205,20 @@ def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str,
         for i in range(GENERATOR.bit_length()):
             if (GENERATOR >> i) & 1:
                 acc ^= xp
-            xp = GF.mul(xp, elem)
+            xp = _gf_mul(xp, elem)
         return acc
 
     results.append(("generator degree 15", GENERATOR.bit_length() - 1 == N - K))
     results.append(("generator roots alpha^1..6",
-                    all(eval_gen(GF.pow_alpha(i)) == 0 for i in range(1, 7))))
+                    all(eval_gen(_gf2_mod(1 << i, PRIMITIVE_POLY)) == 0 for i in range(1, 7))))
     results.append(("generator divides x^31 + 1",
                     _gf2_mod((1 << N) | 1, GENERATOR) == 0))
 
     g = generator_matrix()
-    msgs = ((np.arange(1 << K)[:, None] >> np.arange(K - 1, -1, -1)) & 1).astype(np.uint8)
-    weights = ((msgs @ g) % 2).sum(axis=1)
+    codewords = np.zeros(1, dtype=np.uint32)  # all 2^16, one word each, by doubling
+    for row in packed_words(pack_rows(g), N).astype(np.uint32):
+        codewords = np.concatenate([codewords, codewords ^ row])
+    weights = np.bitwise_count(codewords)
     results.append(("minimum nonzero codeword weight == 7",
                     int(weights[1:].min()) == 7 and int(weights[0]) == 0))
 

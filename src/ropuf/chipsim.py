@@ -25,8 +25,8 @@ from .errors import ConfigurationError, DatasetError
 from .metrics import linear_fit
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
-from .sampler import (PufUnit, draw_rows, hex_to_packed, modal_row, normal_widths, pack_rows,
-                      rows_to_hex, sample_rows, unpack_rows)
+from .sampler import (PufUnit, draw_rows, modal_row, normal_widths, pack_rows, rows_to_hex,
+                      sample_rows, unpack_rows)
 # Not called here: perfbench/traced_cli.py wraps these names as chipsim
 # attributes, so they stay importable from this module.
 from .sampler import enroll_id, sample_word  # noqa: F401
@@ -243,7 +243,9 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
     """(n_voltages, n_chips, depth, ceil(L/8)) packed bytes of the hex words in rows:
     (place, (chip, voltage, index, word)) pairs, the four as strings, that
     must hold exactly one word per grid cell.  Each word is decoded straight
-    into its cell's slot of the packed bytes, so no word outlives its row."""
+    into its cell's slot of the packed bytes, so no word outlives its row.
+    A bad word keeps the message of the first check it fails, in the order
+    digit count, hex digits, byte count (fromhex skips whitespace), pad bits."""
     n = cfg.n_chips
     index = {v: k for k, v in enumerate(cfg.voltages)}
     n_cells = len(index) * n * depth
@@ -252,7 +254,7 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
     packed = bytearray(n_cells * n_bytes)
     slots = memoryview(packed)  # slice writes through a view cost less, and never resize
     filled = bytearray(n_cells)
-    bad = {}  # cell -> word that does not decode to a slot of zero pad bits
+    bad = {}  # cell -> (word, why it does not decode to a slot of zero pad bits)
 
     def cell_name(c, v, t) -> str:
         return f"chip {c} at {v} V" + (f", sample {t}" if depth > 1 else "")
@@ -279,12 +281,16 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
         filled[cell] = 1
         try:
             raw = bytes.fromhex(lead + word)  # skips whitespace, so lengths are checked
-        except (TypeError, ValueError):  # not a str; not hex
-            raw = b""
-        if len(raw) == n_bytes and len(word) == digits and raw[0] < top:
-            slots[cell * n_bytes:(cell + 1) * n_bytes] = raw
-        else:
-            bad[cell] = word
+            if len(raw) == n_bytes and len(word) == digits and raw[0] < top:
+                slots[cell * n_bytes:(cell + 1) * n_bytes] = raw
+                continue
+            fault = ("hex words must hold hex digits only" if len(raw) != n_bytes
+                     else f"hex word does not fit in {cfg.id_length} bits")  # a pad bit is set
+        except ValueError as exc:  # not hex
+            fault = str(exc)
+        if len(word) != digits:  # checked first, so its message wins
+            fault = f"hex words of a {cfg.id_length}-bit ID must have {digits} digits"
+        bad[cell] = word, fault
     missing = filled.find(0)
     first = min([*bad, n_cells if missing < 0 else missing])
     if first < n_cells:  # name the first missing or bad word, in cell order
@@ -292,10 +298,8 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray
         name = f"{what} for {cell_name(c, cfg.voltages[k], t)}"
         if not filled[first]:
             raise DatasetError(f"{name}: missing")
-        try:
-            hex_to_packed([bad[first]], cfg.id_length)
-        except (TypeError, ValueError) as exc:
-            raise DatasetError(f"{name}: bad hex word {bad[first]!r}: {exc}") from None
+        word, fault = bad[first]
+        raise DatasetError(f"{name}: bad hex word {word!r}: {fault}")
     return np.frombuffer(packed, dtype=np.uint8).reshape(len(index), n, depth, n_bytes)
 
 
@@ -307,7 +311,7 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
         if "config" not in sidecar:
             raise ValueError("missing key 'config'")
         run = from_dict(sidecar["config"])
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: JSON or schema
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # JSON or schema
         raise DatasetError(f"bad sidecar: {exc}") from exc
     cfg = run.campaign
     version = sidecar.get("stream_version", 1)
@@ -327,10 +331,13 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
                          for v, h in per_chip.items()), cfg, 1, "sidecar reference")
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        if (header := next(reader, None)) != CSV_HEADER:
-            raise DatasetError(f"unexpected CSV header: {header}")
-        cells = _decode_grid(((reader.line_num, row) for row in reader if row),
-                             cfg, cfg.samples_per_chip, "CSV line")
+        try:
+            if (header := next(reader, None)) != CSV_HEADER:
+                raise DatasetError(f"unexpected CSV header: {header}")
+            cells = _decode_grid(((reader.line_num, row) for row in reader if row),
+                                 cfg, cfg.samples_per_chip, "CSV line")
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
     dataset = CampaignDataset(cfg, run.ro_params, run.coupling,
                               dict(zip(cfg.voltages, unpack_rows(refs[:, :, 0], cfg.id_length))),
                               dict(zip(cfg.voltages, cells)), version)

@@ -169,6 +169,6 @@ def load(path: str | Path, master_seed: int | None = None) -> RunConfig:
     """Read a run configuration file; see from_dict."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # unreadable, bad UTF-8 or bad JSON
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or JSON
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
     return from_dict(data, master_seed)

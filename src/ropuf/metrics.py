@@ -156,7 +156,6 @@ class MetricsReport:
     uniformity_pct_per_chip: dict[int, float]
     intra: HdHistogram
     inter: HdHistogram
-    voltage_fit: dict | None = None
 
     @property
     def reliability_pct_mean(self) -> float:
@@ -180,7 +179,7 @@ class MetricsReport:
                                         self.uniformity_pct_per_chip.items()},
             "intra_hist": [int(c) for c in self.intra.counts],
             "inter_hist": [int(c) for c in self.inter.counts],
-            "voltage_fit": self.voltage_fit,
+            "voltage_fit": None,  # kept so reports keep their keys
         }
 
     def save_json(self, path: str | Path) -> None:
@@ -231,8 +230,7 @@ def _chip_stage(dataset, v: float, chip: int, post_bch: bool) -> tuple[np.ndarra
             np.bitwise_count(rows ^ ref).sum(axis=1, dtype=np.intp))
 
 
-def compute_report(dataset, voltage: float | None = None, post_bch: bool = False,
-                   voltage_fit: dict | None = None) -> MetricsReport:
+def compute_report(dataset, voltage: float | None = None, post_bch: bool = False) -> MetricsReport:
     """Full metrics report for one campaign at one voltage.
 
     Reliability and uniformity use the samples at the requested voltage
@@ -268,5 +266,4 @@ def compute_report(dataset, voltage: float | None = None, post_bch: bool = False
         intra=HdHistogram("intra", length, counts),
         inter=HdHistogram.from_distances(
             "inter", length, _pair_distances(dataset.references[v0][:, :length])),
-        voltage_fit=voltage_fit,
     )

@@ -44,22 +44,6 @@ def rows_to_hex(rows: np.ndarray) -> list[str]:
     return [text[i + pad // 4:i + step] for i in range(0, len(text), step)]
 
 
-def hex_to_packed(words: list[str], length: int) -> np.ndarray:
-    """(n, ceil(length/8)) pack_rows bytes of hex words of exactly
-    ceil(length/4) digits each (either case).  The padding bits above
-    bit 0 must be zero."""
-    digits, n_bytes = -(-length // 4), -(-length // 8)
-    if any(len(w) != digits for w in words):
-        raise ValueError(f"hex words of a {length}-bit ID must have {digits} digits")
-    raw = bytes.fromhex("0".join(["", *words]) if digits % 2 else "".join(words))
-    if len(raw) != len(words) * n_bytes:  # fromhex skips whitespace
-        raise ValueError("hex words must hold hex digits only")
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)
-    if (packed[:, 0] >= 256 >> (-length % 8)).any():  # a pad bit above bit 0 is set
-        raise ValueError(f"hex word does not fit in {length} bits")
-    return packed
-
-
 @dataclass(frozen=True)
 class PufUnit:
     """One RO pair with its coupling mode and output word length."""

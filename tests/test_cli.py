@@ -286,13 +286,14 @@ class TestMetrics:
         (lambda line: line.replace(",1.3,", ",+1.3,"), "CSV line 2"),
         (lambda line: line.replace(",1.3,", ",1.3 ,"), "CSV line 2"),
         (lambda line: line.replace(",1.3,0,", ",1.3,0_0,"), "CSV line 2"),
+        (lambda line: line + "f" * 131072, "CSV line 2: field larger than field limit"),
     ], ids=["missing_fields", "extra_field", "non_numeric_chip", "non_numeric_voltage",
             "non_numeric_index", "bad_hex", "hex_too_wide", "hex_0x_prefix",
             "hex_space_underscore", "hex_one_digit_short", "chip_outside_grid",
             "voltage_outside_grid", "sample_outside_grid", "negative_sample",
             "duplicate_row", "chip_plus_sign", "chip_non_ascii_digit",
             "voltage_leading_space", "voltage_plus_sign", "voltage_trailing_space",
-            "index_underscore"])
+            "index_underscore", "field_over_size_limit"])
     def test_bad_csv_row_is_data_error(self, tmp_path, capsys, corrupt, where):
         csv_path = self._simulated(tmp_path)
         lines = csv_path.read_text().splitlines()
@@ -400,7 +401,9 @@ class TestCost:
 
 
 # Each case exited 0, exited with the wrong code or message, or raised a
-# traceback before the run config and the sidecar shared one schema.
+# traceback before the run config and the sidecar shared one schema.  A
+# case edits the parsed file in place, or returns the file's whole text.
+NESTED_JSON = "[" * 200000 + "]" * 200000  # deeper than json.loads can recurse
 RUN_CONFIG_CASES = {
     "n_chips_string": (lambda c: c["campaign"].update(n_chips="3"), "n_chips"),
     "n_chips_float": (lambda c: c["campaign"].update(n_chips=3.0), "n_chips"),
@@ -421,6 +424,7 @@ RUN_CONFIG_CASES = {
     "post_bch_string": (lambda c: c["flags"].update(post_bch="false"), "post_bch"),
     "master_seed_string": (lambda c: c["campaign"].update(master_seed="5"), "master_seed"),
     "field_typo": (lambda c: c["campaign"].update(n_chip=3), "n_chip"),
+    "deeply_nested": (lambda c: NESTED_JSON, "cannot read config"),
 }
 SIDECAR_CASES = {
     "id_length_40": (lambda s: s["config"]["campaign"].update(id_length=40), "id_length"),
@@ -438,6 +442,7 @@ SIDECAR_CASES = {
     "stream_version_string": (lambda s: s.update(stream_version="2"), "stream_version"),
     "stream_version_true": (lambda s: s.update(stream_version=True), "stream_version"),
     "stream_version_float": (lambda s: s.update(stream_version=2.0), "stream_version"),
+    "deeply_nested": (lambda s: NESTED_JSON, "bad sidecar"),
 }
 
 
@@ -469,16 +474,14 @@ class TestRunConfig:
         cfg_path, out = tmp_path / "run.json", tmp_path / "o"
         config = write_config(cfg_path)
         if target == "config":
-            mutate(config)
-            cfg_path.write_text(json.dumps(config))
+            cfg_path.write_text(mutate(config) or json.dumps(config))
             assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
             assert not (out / "dataset.csv").exists()
             err = capsys.readouterr().err
         else:
             assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
             sidecar = json.loads((out / "dataset.json").read_text())
-            mutate(sidecar)
-            (out / "dataset.json").write_text(json.dumps(sidecar))
+            (out / "dataset.json").write_text(mutate(sidecar) or json.dumps(sidecar))
             capsys.readouterr()
             assert cli.main(["metrics", str(out / "dataset.csv"),
                              "--out", str(tmp_path / "m")]) == 3

@@ -1,7 +1,8 @@
 """Memory bounds: a loaded dataset holds its samples packed, eight bits
 to a byte, loading holds little more than those bytes, a report scores
 the packed samples with one chip's scratch, and `simulate` and `sweep`
-hold one chip's samples at a time, however many chips there are.
+hold one chip's samples at a time, however many chips there are.  The
+BCH self-test enumerates the code's 2^16 codewords as 32-bit words.
 
 The evaluation datasets are built from random bits, with no sampling, at
 acceptance scale (10 chips x 5000 samples x 32 bits).  Bounds are
@@ -66,6 +67,15 @@ def test_post_bch_report_allocates_within_the_samples(saved):
     assert report.intra.total == N_CHIPS * T
     assert peak <= 0.25 * nbytes, \
         f"compute_report(post_bch=True) peak {peak / nbytes:.2f}x the unpacked samples"
+
+
+def test_bch_selftest_enumerates_codewords_as_words():
+    """The minimum-weight check holds the 2^16 codewords as uint32 (256 KiB),
+    not a (65536, 16) message matrix and its product (8 MiB and more)."""
+    bch._decoder_tables(bch.GENERATOR)  # built once per process, whichever test runs first
+    results, peak = _traced(lambda: bch.selftest(random_error_trials=0))
+    assert all(ok for _, ok in results), results
+    assert peak <= 3 * 2 ** 20, f"selftest(random_error_trials=0) peak {peak / 2 ** 20:.2f} MiB"
 
 
 def test_voltage_sweep_counts_one_chip_at_a_time():

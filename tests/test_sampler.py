@@ -5,8 +5,8 @@ import pytest
 
 from conftest import make_unit, word_of
 from oracles import closed_form_word, event_walk_word, hex_word, hex_word_bits
-from ropuf import ro, sampler
-from ropuf.errors import ConfigurationError
+from ropuf import chipsim, ro, sampler
+from ropuf.errors import ConfigurationError, DatasetError
 
 # Patterns for the two ratios of the waveform figure, frozen from the
 # exact closed-form oracle (floor((2k+1)/rho) mod 2 on the float64 ratios).
@@ -16,15 +16,34 @@ PATTERN_1_2 = "0001110001110001"
 
 def hex_to_rows(words: list[str], length: int) -> np.ndarray:
     """(n, length) bit rows of hex words, the inverse of rows_to_hex."""
-    return sampler.unpack_rows(sampler.hex_to_packed(words, length), length)
+    return np.array([hex_word_bits(w, length) for w in words], dtype=np.uint8).reshape(-1, length)
+
+
+def loaded_words(tmp_path, words: list[str], length: int) -> np.ndarray:
+    """(n, ceil(length/8)) packed bytes that load_dataset, the one hex
+    decoder, reads from words written as chip 0's samples of a saved
+    2-chip dataset of length-bit IDs; raises DatasetError for a bad word."""
+    cfg = chipsim.CampaignConfig(n_chips=2, pairs_per_id=1, word_length=length,
+                                 samples_per_chip=len(words), voltages=(1.3,))
+    zeros = np.zeros((2, len(words), length), dtype=np.uint8)
+    dataset = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(),
+                                      {1.3: zeros[:, 0]}, {1.3: sampler.pack_rows(zeros)})
+    csv_path, sidecar = tmp_path / "dataset.csv", tmp_path / "dataset.json"
+    chipsim.save_dataset(dataset, csv_path, sidecar)
+    lines = csv_path.read_text().splitlines()
+    lines[1:1 + len(words)] = [f"0,1.3,{t},{w}" for t, w in enumerate(words)]
+    csv_path.write_text("\n".join(lines) + "\n")
+    return chipsim.load_dataset(csv_path, sidecar).samples[1.3][0]
 
 
 class TestResponseWord:
     """One response word, an (L,) bit array, as its hex word."""
 
-    def test_hex_round_trip(self, rng):
+    def test_hex_round_trip(self, rng, tmp_path):
         w = rng.integers(0, 2, 32, dtype=np.uint8)
-        assert np.array_equal(hex_to_rows(sampler.rows_to_hex(w[None, :]), 32)[0], w)
+        words = sampler.rows_to_hex(w[None, :])
+        assert np.array_equal(hex_to_rows(words, 32)[0], w)
+        assert np.array_equal(sampler.unpack_rows(loaded_words(tmp_path, words, 32), 32)[0], w)
 
     def test_hex_is_msb_first(self):
         w = word_of([1] + [0] * 15)
@@ -32,22 +51,25 @@ class TestResponseWord:
 
 
 class TestHexCodec:
+    """rows_to_hex writes the words; load_dataset decodes them."""
+
     LENGTHS = range(1, 41)  # every digit width to 10, partial top nibbles included
 
     @pytest.mark.parametrize("length", LENGTHS)
-    def test_agrees_with_int_oracle_and_round_trips(self, rng, length):
+    def test_agrees_with_int_oracle_and_round_trips(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (12, length), dtype=np.uint8)
         rows[0], rows[1] = 0, 1
         words = sampler.rows_to_hex(rows)
         assert words == [hex_word(r) for r in rows]
         assert all(len(w) == -(-length // 4) for w in words)
-        back = hex_to_rows(words, length)
+        assert np.array_equal(hex_to_rows(words, length), rows)
+        back = sampler.unpack_rows(loaded_words(tmp_path, words, length), length)
         assert back.shape == rows.shape and np.array_equal(back, rows)
-        upper = hex_to_rows([w.upper() for w in words], length)
-        assert upper.tolist() == [hex_word_bits(w, length) for w in words]
+        upper = loaded_words(tmp_path, [w.upper() for w in words], length)
+        assert np.array_equal(sampler.unpack_rows(upper, length), rows)
 
     @pytest.mark.parametrize("length", range(1, 71))
-    def test_packed_bytes_are_the_hex_words(self, rng, length):
+    def test_packed_bytes_are_the_hex_words(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (3, 5, length), dtype=np.uint8)
         packed = sampler.pack_rows(rows)
         assert packed.shape == (3, 5, -(-length // 8)) and packed.dtype == np.uint8
@@ -56,19 +78,19 @@ class TestHexCodec:
         # Zero pad bits first, then bit 0 most significant: each row's bytes
         # read as one big-endian integer are its hex word's value.
         assert [int.from_bytes(r.tobytes(), "big") for r in flat] == [int(w, 16) for w in words]
-        assert np.array_equal(sampler.hex_to_packed(words, length), flat)
+        assert np.array_equal(loaded_words(tmp_path, words, length), flat)
 
     @pytest.mark.parametrize("length", [n for n in LENGTHS if n % 4])
-    def test_one_bit_too_wide_rejected(self, length):
+    def test_one_bit_too_wide_rejected(self, tmp_path, length):
         word = format(1 << length, f"0{-(-length // 4)}x")  # bit L set, same digit count
-        with pytest.raises(ValueError):
-            sampler.hex_to_packed([word], length)
+        with pytest.raises(DatasetError, match=f"does not fit in {length} bits"):
+            loaded_words(tmp_path, [word], length)
 
     @pytest.mark.parametrize("word", ["0xff", " fff", "fff ", "f_ff", "+fff", "fff", "fffff",
                                       "ff.f", "    ", "fffé"])
-    def test_exact_width_hex_digits_only(self, word):
-        with pytest.raises(ValueError):
-            sampler.hex_to_packed(["0000", word], 16)
+    def test_exact_width_hex_digits_only(self, tmp_path, word):
+        with pytest.raises(DatasetError, match="sample 1: bad hex word"):
+            loaded_words(tmp_path, ["0000", word], 16)
 
 
 class TestClosedFormAgreement:

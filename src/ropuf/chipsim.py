@@ -216,6 +216,9 @@ def save_dataset(campaign: CampaignDataset | Campaign, csv_path: str | Path,
                 for v, chip_cells in zip(cfg.voltages, cells):
                     fh.writelines(f"{c},{v!r},{t},{word}\r\n"
                                   for t, word in enumerate(rows_to_hex(chip_cells)))
+                # Otherwise the text layer keeps up to 8192 characters of these
+                # lines, as separate strings, while the next chip is sampled.
+                fh.flush()
         sidecar = {
             "stream_version": campaign.stream_version,
             "config": to_dict(RunConfig(campaign.ro_params, cfg, campaign.coupling),
@@ -239,16 +242,22 @@ _INDEX = re.compile(r"[0-9]+")
 _VOLTS = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 
 
-def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str) -> np.ndarray:
+def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str, room: int) -> np.ndarray:
     """(n_voltages, n_chips, depth, ceil(L/8)) packed bytes of the hex words in rows:
     (place, (chip, voltage, index, word)) pairs, the four as strings, that
     must hold exactly one word per grid cell.  Each word is decoded straight
     into its cell's slot of the packed bytes, so no word outlives its row.
     A bad word keeps the message of the first check it fails, in the order
-    digit count, hex digits, byte count (fromhex skips whitespace), pad bits."""
+    digit count, hex digits, byte count (fromhex skips whitespace), pad bits.
+    The grid is claimed by the sidecar; a claim of more cells than room,
+    the most words the input can hold, is refused before any allocation."""
     n = cfg.n_chips
     index = {v: k for k, v in enumerate(cfg.voltages)}
     n_cells = len(index) * n * depth
+    if n_cells > room:
+        grid = f"{len(index)} voltages x {n} chips" + (f" x {depth} samples" if depth > 1 else "")
+        raise DatasetError(f"{what}s: the sidecar claims {grid} = {n_cells} words, "
+                           f"but the input holds at most {room}")
     digits, n_bytes = -(-cfg.id_length // 4), -(-cfg.id_length // 8)
     lead, top = "0" * (digits % 2), 256 >> (-cfg.id_length % 8)  # whole bytes; zero pad bits
     packed = bytearray(n_cells * n_bytes)
@@ -328,14 +337,20 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
             if not isinstance(h, str):
                 raise DatasetError(f"sidecar reference [{c!r}][{v!r}]: {h!r} must be a hex string")
     refs = _decode_grid(((f"[{c!r}][{v!r}]", (c, v, "0", h)) for c, per_chip in refs.items()
-                         for v, h in per_chip.items()), cfg, 1, "sidecar reference")
-    with open(csv_path, newline="") as fh:
+                         for v, h in per_chip.items()), cfg, 1, "sidecar reference",
+                        sum(map(len, refs.values())))
+    # A byte that is not UTF-8 decodes to a lone surrogate, which no field
+    # check accepts, so it is reported with its line or cell.
+    with open(csv_path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
+        # A row holds its word plus at least 7 bytes: three 1-character
+        # fields, three commas and a newline.
+        room = os.fstat(fh.fileno()).st_size // (-(-cfg.id_length // 4) + 7)
         try:
             if (header := next(reader, None)) != CSV_HEADER:
                 raise DatasetError(f"unexpected CSV header: {header}")
             cells = _decode_grid(((reader.line_num, row) for row in reader if row),
-                                 cfg, cfg.samples_per_chip, "CSV line")
+                                 cfg, cfg.samples_per_chip, "CSV line", room)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
     dataset = CampaignDataset(cfg, run.ro_params, run.coupling,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -129,19 +130,28 @@ def write_histogram_csv(path: str | Path, histograms: list[HdHistogram]) -> None
 
 
 def linear_fit(points: list[tuple[float, float]]) -> dict:
-    """Ordinary least squares y = slope*x + intercept with R^2."""
+    """Ordinary least squares y = slope*x + intercept with R^2, in closed
+    form from the centred sums Sxx, Sxy and Syy of the points."""
     if len(points) < 2:
         raise ValueError("need at least 2 points")
-    x = np.array([p[0] for p in points], dtype=np.float64)
-    y = np.array([p[1] for p in points], dtype=np.float64)
-    if np.ptp(x) == 0.0:
+    xs, ys = [float(x) for x, _ in points], [float(y) for _, y in points]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("every coordinate must be finite")
+    try:
+        mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        dx, dy = [x - mx for x in xs], [y - my for y in ys]
+        sxx, sxy, syy = (math.fsum(a * b for a, b in zip(u, w))
+                         for u, w in ((dx, dx), (dx, dy), (dy, dy)))
+    except OverflowError:  # a partial sum past the float range
+        sxx = syy = math.inf
+    if not math.isfinite(sxx + syy):
+        raise ValueError("coordinates too large for a float fit")
+    if min(xs) == max(xs) or sxx == 0.0:
         raise ValueError("degenerate abscissae: all x equal")
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return {"slope": float(slope), "intercept": float(intercept), "r2": float(r2)}
+    slope = sxy / sxx
+    # slope * Sxy = Sxy^2 / Sxx <= Syy, so neither product overflows.
+    r2 = 1.0 if syy == 0.0 else min(1.0, slope * sxy / syy)
+    return {"slope": slope, "intercept": my - slope * mx, "r2": r2}
 
 
 @dataclass

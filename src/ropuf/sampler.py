@@ -13,6 +13,7 @@ level.  Only the period ratio matters, never the absolute time scale.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -130,13 +131,13 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
 
 
 def modal_row(words: np.ndarray) -> np.ndarray:
-    """The row of words (R, L) observed most often.  Modal ties fall back
-    to the bitwise majority of all rows; remaining per-bit ties resolve
-    to 0."""
-    rows, counts = np.unique(words, axis=0, return_counts=True)
-    if np.count_nonzero(counts == counts.max()) == 1:
-        return rows[counts.argmax()]
-    return (2 * words.sum(axis=0, dtype=np.int64) > len(words)).astype(np.uint8)
+    """A fresh copy of the row of words (R, L) observed most often, rows
+    counted by their bytes.  Modal ties fall back to the bitwise majority
+    of all rows; remaining per-bit ties resolve to 0."""
+    top = Counter(row.tobytes() for row in words).most_common(2)
+    if len(top) == 1 or top[0][1] > top[1][1]:
+        return np.frombuffer(top[0][0], dtype=words.dtype).copy()
+    return (2 * words.sum(axis=0, dtype=np.int64) > len(words)).astype(words.dtype)
 
 
 def sample_word(unit: PufUnit, v: float, seed) -> np.ndarray:

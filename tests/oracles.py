@@ -93,6 +93,27 @@ for _i in range(31):
         _x ^= 0x25
 
 
+def modal_row_by_unique(words: np.ndarray) -> np.ndarray:
+    """The modal row of words (R, L) by numpy's sort of whole rows: the
+    unique most frequent row, else the bitwise majority, ties to 0."""
+    rows, counts = np.unique(words, axis=0, return_counts=True)
+    if np.count_nonzero(counts == counts.max()) == 1:
+        return rows[counts.argmax()]
+    return (2 * words.sum(axis=0, dtype=np.int64) > len(words)).astype(words.dtype)
+
+
+def line_fit_by_polyfit(points) -> dict:
+    """Least-squares line and R^2 by np.polyfit (LAPACK's SVD), R^2 from
+    the residuals."""
+    x = np.array([p[0] for p in points], dtype=np.float64)
+    y = np.array([p[1] for p in points], dtype=np.float64)
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return {"slope": float(slope), "intercept": float(intercept),
+            "r2": 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot}
+
+
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0

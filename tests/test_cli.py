@@ -245,11 +245,20 @@ class TestMetrics:
         (lambda s: {}, "bad sidecar: missing key 'config'"),
         (_set_reference("0", "1.3", lambda w: 5),
          "sidecar reference ['0']['1.3']: 5 must be a hex string"),
+        # Claims refused before any buffer is sized from them.
+        (lambda s: s["config"]["campaign"].update(samples_per_chip=2**61),
+         f"CSV lines: the sidecar claims 1 voltages x 3 chips x {2**61} samples"),
+        (lambda s: s["config"]["campaign"].update(samples_per_chip=2**40),
+         f"= {3 * 2**40} words, but the input holds at most"),
+        (lambda s: s["config"]["campaign"].update(n_chips=2**61),
+         f"sidecar references: the sidecar claims 1 voltages x {2**61} chips = {2**61} words, "
+         "but the input holds at most 3"),
     ], ids=["missing_references", "references_as_list", "reference_hex_too_wide",
             "reference_hex_0x_prefix", "reference_hex_space_underscore",
             "reference_hex_one_digit_short", "reference_chip_outside_grid",
             "reference_voltage_outside_grid", "reference_duplicate_voltage",
-            "sidecar_string", "sidecar_list", "sidecar_empty_object", "reference_int"])
+            "sidecar_string", "sidecar_list", "sidecar_empty_object", "reference_int",
+            "samples_claim_past_index_size", "samples_claim_past_file", "chips_claim"])
     def test_bad_sidecar_is_data_error(self, tmp_path, capsys, corrupt, where):
         """corrupt edits the sidecar in place, or returns a whole new one."""
         csv_path = self._simulated(tmp_path)
@@ -287,19 +296,23 @@ class TestMetrics:
         (lambda line: line.replace(",1.3,", ",1.3 ,"), "CSV line 2"),
         (lambda line: line.replace(",1.3,0,", ",1.3,0_0,"), "CSV line 2"),
         (lambda line: line + "f" * 131072, "CSV line 2: field larger than field limit"),
+        # A byte that is not UTF-8, written as the surrogate that stands for it.
+        (lambda line: "\udcff" + line, "CSV line 2: chip '\\udcff0'"),
+        (_set_word(lambda w: w[:3] + "\udcff" + w[4:]),
+         "CSV line for chip 0 at 1.3 V, sample 0: bad hex word"),
     ], ids=["missing_fields", "extra_field", "non_numeric_chip", "non_numeric_voltage",
             "non_numeric_index", "bad_hex", "hex_too_wide", "hex_0x_prefix",
             "hex_space_underscore", "hex_one_digit_short", "chip_outside_grid",
             "voltage_outside_grid", "sample_outside_grid", "negative_sample",
             "duplicate_row", "chip_plus_sign", "chip_non_ascii_digit",
             "voltage_leading_space", "voltage_plus_sign", "voltage_trailing_space",
-            "index_underscore", "field_over_size_limit"])
+            "index_underscore", "field_over_size_limit", "chip_not_utf8", "hex_not_utf8"])
     def test_bad_csv_row_is_data_error(self, tmp_path, capsys, corrupt, where):
         csv_path = self._simulated(tmp_path)
         lines = csv_path.read_text().splitlines()
         assert lines[1].startswith("0,1.3,0,")
         lines[1] = corrupt(lines[1])
-        csv_path.write_text("\n".join(lines) + "\n")
+        csv_path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
         capsys.readouterr()
         assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
         err = capsys.readouterr().err

@@ -12,6 +12,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ropuf import chipsim, cli, metrics
@@ -64,8 +65,12 @@ FILE_DIGESTS = {
         "b27a0ff55206a3dd5cb4d4d74f4491f75bf44a939c3bf74f1ba8d5a753d1bb95",
     "sweep/sweep.csv":
         "947b52973b61b032d3e09d586be5ad9ad70fe6fc4a34f3f4dbd7564c0cfad28b",
+    # Re-pinned when linear_fit became closed-form OLS (the sweep's bits and
+    # series are unchanged): the two-point fit now reads slope
+    # 80.93333333333327 and intercept 0.0, which np.polyfit's SVD gave as
+    # 80.93333333333325 and -8.121099789368994e-18.
     "sweep/sweep.json":
-        "c2047d52a3ccec770f9410af07dae930cc27b06631bf52802e86282187237f6c",
+        "d4f1abe066e9dacb4044e00bda459e857b17287ff94bfcfb4adad956b6f9695d",
     "odd/sim/dataset.csv":
         "57f28037c393bdd8fde37070b56154e1269e02bb49cf37f4b09b86e46c57235e",
     "odd/sim/dataset.json":
@@ -148,3 +153,20 @@ def frozen_evaluation(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
 def test_frozen_dataset_evaluation_digest(frozen_evaluation, name):
     assert _sha256((frozen_evaluation / name).read_bytes()) == FROZEN_DIGESTS[name]
+
+
+def test_sampling_runs_without_polyfit_lstsq_or_unique(tmp_path, monkeypatch):
+    """simulate and sweep enroll and fit without numpy's general routines
+    (np.polyfit reaches LAPACK through np.linalg.lstsq; np.unique(axis=0)
+    sorts rows as a void dtype), and still write the pinned files."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.polyfit, np.linalg.lstsq or np.unique called")
+
+    for owner, name in ((np, "polyfit"), (np.linalg, "lstsq"), (np, "unique")):
+        monkeypatch.setattr(owner, name, refuse)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(CONFIG, indent=2))
+    for command, out in (("simulate", "sim"), ("sweep", "sweep")):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 0
+    for name in [n for n in FILE_DIGESTS if n.startswith(("sim/", "sweep/"))]:
+        assert _sha256((tmp_path / name).read_bytes()) == FILE_DIGESTS[name], name

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import word_of
-from oracles import reliability_formula, uniformity_formula, uniqueness_formula
+from oracles import (line_fit_by_polyfit, reliability_formula, uniformity_formula,
+                     uniqueness_formula)
 from ropuf import metrics
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=24)
@@ -178,6 +179,37 @@ class TestLinearFit:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             metrics.linear_fit([(0.0, 0.0)])
+
+    def test_exact_line_is_exact(self):
+        assert metrics.linear_fit([(0, 1), (1, 3)]) == {"slope": 2.0, "intercept": 1.0,
+                                                         "r2": 1.0}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_coordinate(self, bad, axis):
+        points = [[0.0, 1.0], [1.0, 3.0], [2.0, 4.0]]
+        points[1][axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            metrics.linear_fit([tuple(p) for p in points])
+
+    @pytest.mark.parametrize("points", [[(0.0, 0.0), (1e200, 1e200)],
+                                        [(-1e154, 0.0), (1e154, 1.0), (0.0, 2.0)],
+                                        [(0.0, 1e308), (1.0, -1e308)]])
+    def test_sums_past_the_float_range(self, points):
+        with pytest.raises(ValueError, match="too large"):
+            metrics.linear_fit(points)
+
+    def test_matches_polyfit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            x = rng.choice([0.0, 0.05, 0.1, 0.15, 0.2], n, replace=False) * rng.uniform(0.1, 10)
+            y = rng.normal(0.0, 1.0, n) + rng.normal(0.0, 50.0) * x
+            points = list(zip(x.tolist(), y.tolist()))
+            got, want = metrics.linear_fit(points), line_fit_by_polyfit(points)
+            assert got["slope"] == pytest.approx(want["slope"], rel=1e-12, abs=1e-12)
+            assert got["intercept"] == pytest.approx(want["intercept"], rel=1e-12, abs=1e-12)
+            assert got["r2"] == pytest.approx(want["r2"], rel=1e-12, abs=1e-12)
 
 
 class TestHistogram:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_unit, word_of
-from oracles import closed_form_word, event_walk_word, hex_word, hex_word_bits
+from oracles import (closed_form_word, event_walk_word, hex_word, hex_word_bits,
+                     modal_row_by_unique)
 from ropuf import chipsim, ro, sampler
 from ropuf.errors import ConfigurationError, DatasetError
 
@@ -205,6 +206,33 @@ class TestEnroll:
         words = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0], [0, 1, 1]],
                          dtype=np.uint8)
         assert sampler.modal_row(words).tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("length", [1, 16, 70])
+    def test_modal_row_matches_unique_rows(self, length):
+        # Blocks drawn from a few distinct rows, so modes often tie.
+        rng = np.random.default_rng(length)
+        ties = 0
+        for _ in range(200):
+            pool = rng.integers(0, 2, (int(rng.integers(1, 5)), length), dtype=np.uint8)
+            words = pool[rng.integers(0, len(pool), int(rng.integers(1, 10)))]
+            counts = np.unique(words, axis=0, return_counts=True)[1]
+            ties += np.count_nonzero(counts == counts.max()) > 1
+            got = sampler.modal_row(words)
+            assert got.dtype == words.dtype and got.shape == (length,)
+            assert np.array_equal(got, modal_row_by_unique(words))
+            got[:] ^= 1  # a fresh array: the block is untouched
+            assert not np.shares_memory(got, words)
+            assert np.array_equal(sampler.modal_row(np.asfortranarray(words)), got ^ 1)
+        assert ties >= 10
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.bool_, ">u2"])
+    def test_modal_row_keeps_dtype(self, dtype):
+        rng = np.random.default_rng(7)
+        for block in ([[1, 0, 1]] * 2 + [[0, 0, 1]], rng.integers(0, 2, (6, 16))):
+            words = np.asarray(block).astype(dtype)
+            got = sampler.modal_row(words)
+            assert got.dtype == words.dtype
+            assert np.array_equal(got, modal_row_by_unique(words))
 
     def test_per_bit_tie_resolves_to_zero(self, monkeypatch):
         self._block(monkeypatch, [word_of([1, 0]), word_of([0, 1])])

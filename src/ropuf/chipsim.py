@@ -25,7 +25,7 @@ from .errors import ConfigurationError, DatasetError
 from .metrics import linear_fit
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
-from .sampler import (PufUnit, draw_rows, modal_row, normal_widths, pack_rows, rows_to_hex,
+from .sampler import (PufUnit, draw_rows, hex_words, modal_row, normal_widths, pack_rows,
                       sample_rows, unpack_rows)
 # Not called here: perfbench/traced_cli.py wraps these names as chipsim
 # attributes, so they stay importable from this module.
@@ -71,7 +71,8 @@ class CampaignDataset:
     """Complete (chip, voltage, sample) grid plus enrolled references:
     per voltage, an (n_chips, L) reference bit array and an
     (n_chips, T, ceil(L/8)) array of samples packed as pack_rows lays
-    them out, eight bits to a byte."""
+    them out, eight bits to a byte.  Iterating it yields the chip blocks
+    a Campaign yields."""
 
     config: CampaignConfig
     ro_params: ro.RoParams
@@ -80,21 +81,13 @@ class CampaignDataset:
     samples: dict[float, np.ndarray] = field(repr=False)
     stream_version: int = STREAM_VERSION
 
-    @property
-    def reference_voltage(self) -> float:
-        return self.ro_params.reference_voltage
-
-    def sample_array(self, chip_id: int, v: float) -> np.ndarray:
-        """One chip's (T, L) sample bits at v: the one place samples are unpacked."""
-        return unpack_rows(self.samples[v][chip_id], self.config.id_length)
-
     def __iter__(self):
-        """Per chip, as a Campaign yields it: references and samples by
-        voltage, each voltage's samples unpacked as they are reached."""
+        """Per chip, once the grid is checked complete: its references and
+        views of its held packed samples, by voltage."""
+        self.check_complete()
         vs = self.config.voltages
         for c in range(self.config.n_chips):
-            yield (np.array([self.references[v][c] for v in vs]),
-                   (self.sample_array(c, v) for v in vs))
+            yield np.array([self.references[v][c] for v in vs]), [self.samples[v][c] for v in vs]
 
     def check_complete(self) -> None:
         cfg = self.config
@@ -108,8 +101,9 @@ class CampaignDataset:
 
 @dataclass
 class Campaign:
-    """A campaign sampled on demand: iterating it yields, chip by chip, the
-    (n_voltages, L) references and (n_voltages, T, L) samples, so a consumer
+    """A campaign sampled on demand: iterating it yields, chip by chip, a
+    block (refs, cells) of the (n_voltages, L) reference bits and the
+    (n_voltages, T, ceil(L/8)) samples packed by pack_rows, so a consumer
     holds one chip's block.  Each unit draws its enrollment block and sample
     rows once and evaluates them at every voltage, in this process.  Every
     check runs at creation."""
@@ -148,19 +142,19 @@ class Campaign:
                         cells[k, start:start + n, bits] = sample_rows(
                             unit, v, g1, g2,
                             lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
-            yield refs, cells
+            yield refs, pack_rows(cells)
 
 
 def run_campaign(chips: list[Chip], config: CampaignConfig, ro_params: ro.RoParams,
                  coupling: ro.Coupling = ro.Coupling.none()) -> CampaignDataset:
-    """A Campaign collected: every (chip, voltage) cell of its grid, held
-    with each chip's samples packed as they arrive."""
+    """A Campaign collected: every (chip, voltage) cell of its grid, its
+    samples held packed as each chip's block arrives."""
     grid = (len(config.voltages), config.n_chips)
     refs = np.empty(grid + (config.id_length,), dtype=np.uint8)
     cells = np.empty(grid + (config.samples_per_chip, -(-config.id_length // 8)), dtype=np.uint8)
     campaign = Campaign(chips, config, ro_params, coupling)
     for c, (chip_refs, chip_cells) in enumerate(campaign):
-        refs[:, c], cells[:, c] = chip_refs, pack_rows(chip_cells)
+        refs[:, c], cells[:, c] = chip_refs, chip_cells
     return CampaignDataset(config, ro_params, coupling, dict(zip(config.voltages, refs)),
                            dict(zip(config.voltages, cells)))
 
@@ -172,7 +166,8 @@ def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float
 
     For each voltage V the mean of HD(R_i at V0, R'_{i,t} at V) is taken
     over chips and samples; the series reports that mean minus its value
-    at V0, paired with dV = V - V0.  Mismatches are counted chip by chip.
+    at V0, paired with dV = V - V0.  Mismatches are counted chip by chip
+    on the packed samples.
     """
     cfg = campaign.config
     v0 = campaign.ro_params.reference_voltage if reference_voltage is None else reference_voltage
@@ -181,8 +176,9 @@ def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float
     k0 = cfg.voltages.index(v0)
     mismatches = [0] * len(cfg.voltages)
     for refs, cells in campaign:
+        ref = pack_rows(refs[k0])
         for k, chip_cells in enumerate(cells):
-            mismatches[k] += int(np.count_nonzero(chip_cells != refs[k0]))
+            mismatches[k] += int(np.bitwise_count(chip_cells ^ ref).sum())
     n = cfg.n_chips * cfg.samples_per_chip
     return [(v - v0, m / n - mismatches[k0] / n) for v, m in zip(cfg.voltages, mismatches)]
 
@@ -212,10 +208,10 @@ def save_dataset(campaign: CampaignDataset | Campaign, csv_path: str | Path,
         with open(partial[0], "w", newline="") as fh:  # CSV lines end in \r\n
             fh.write(",".join(CSV_HEADER) + "\r\n")
             for c, (refs, cells) in enumerate(campaign):
-                ref_words.append(rows_to_hex(refs))
+                ref_words.append(hex_words(pack_rows(refs), cfg.id_length))
                 for v, chip_cells in zip(cfg.voltages, cells):
                     fh.writelines(f"{c},{v!r},{t},{word}\r\n"
-                                  for t, word in enumerate(rows_to_hex(chip_cells)))
+                                  for t, word in enumerate(hex_words(chip_cells, cfg.id_length)))
                 # Otherwise the text layer keeps up to 8192 characters of these
                 # lines, as separate strings, while the next chip is sampled.
                 fh.flush()

@@ -4,8 +4,8 @@ Subcommands: simulate, metrics, sweep, bch-selftest, cost.  Every
 command is deterministic given its inputs; data files never contain
 timestamps or environment state.
 
-Exit codes: 0 success, 2 configuration error, 3 data error,
-4 self-test failure.
+Exit codes: 0 success, 2 configuration error (a configuration too
+large to allocate included), 3 data error, 4 self-test failure.
 
 Each command imports the modules it runs, so `cost`, `--help` and a
 usage error never load numpy.
@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:
+    except (ConfigurationError, MemoryError) as exc:  # e.g. a grid too large to hold
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DatasetError as exc:

@@ -207,10 +207,11 @@ class MetricsReport:
 # --- campaign-level evaluation ------------------------------------------
 
 
-def corrected_sample_words(dataset, v: float, chip: int) -> np.ndarray:
-    """(T,) protected bits of one chip's samples at voltage v, as
-    bch.packed_words integers, after error correction toward its
-    reference enrolled at the reference voltage.
+def corrected_sample_words(samples: np.ndarray, anchor: np.ndarray, length: int) -> np.ndarray:
+    """(T,) protected bits of one chip's (T, ceil(length/8)) packed
+    samples, as bch.packed_words integers, after error correction toward
+    anchor, the chip's reference enrolled at the reference voltage, as
+    pack_rows bytes.
 
     Only the first 31 bits of an ID are covered by the code (a 32-bit ID
     carries its last bit unprotected).  The reference serves as the code
@@ -219,61 +220,64 @@ def corrected_sample_words(dataset, v: float, chip: int) -> np.ndarray:
     Uncorrectable samples are passed through unchanged; correctable ones
     land exactly on the reference.
     """
-    length = dataset.config.id_length
     if length < bch.N:
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
-    anchor = bch.packed_words(pack_rows(dataset.references[dataset.reference_voltage][chip]),
-                              length)
-    fixed = bch.decode_words(bch.packed_words(dataset.samples[v][chip], length) ^ anchor)[0]
+    anchor = bch.packed_words(anchor, length)
+    fixed = bch.decode_words(bch.packed_words(samples, length) ^ anchor)[0]
     return np.bitwise_xor(fixed, anchor, out=fixed)
 
 
-def _chip_stage(dataset, v: float, chip: int, post_bch: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Ones count of each of one chip's samples at voltage v, raw or after
-    error correction, and its Hamming distance from the chip's reference,
-    both (T,), counted on the packed samples."""
-    rows, ref = dataset.samples[v][chip], pack_rows(dataset.references[v][chip])
+def _chip_stage(samples: np.ndarray, ref: np.ndarray, anchor: np.ndarray, length: int,
+                post_bch: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Ones count of each of one chip's packed samples at one voltage, raw
+    or after error correction toward anchor, and its Hamming distance from
+    ref, that voltage's reference, both (T,), counted on the packed bytes."""
     if post_bch:
-        rows = corrected_sample_words(dataset, v, chip)[:, None]
-        ref = bch.packed_words(ref, dataset.config.id_length)
-    return (np.bitwise_count(rows).sum(axis=1, dtype=np.intp),
-            np.bitwise_count(rows ^ ref).sum(axis=1, dtype=np.intp))
+        samples = corrected_sample_words(samples, anchor, length)[:, None]
+        ref = bch.packed_words(ref, length)
+    return (np.bitwise_count(samples).sum(axis=1, dtype=np.intp),
+            np.bitwise_count(samples ^ ref).sum(axis=1, dtype=np.intp))
 
 
-def compute_report(dataset, voltage: float | None = None, post_bch: bool = False) -> MetricsReport:
-    """Full metrics report for one campaign at one voltage.
+def compute_report(campaign, voltage: float | None = None,
+                   post_bch: bool = False) -> MetricsReport:
+    """Full metrics report for one campaign at one voltage, from the chip
+    blocks that iterating a chipsim Campaign or CampaignDataset yields.
 
     Reliability and uniformity use the samples at the requested voltage
     against that voltage's own enrolled reference; intra/inter histograms
     are always computed at the reference voltage.  One pass takes the
     chips one at a time and scores their samples packed, eight bits to a
-    byte, so only one chip's counts and corrected words are held; each
-    sample is corrected at most once.
+    byte, so only one chip's counts and corrected words are held, plus
+    every chip's references at the two voltages; each sample is corrected
+    at most once.
     """
-    dataset.check_complete()
-    cfg = dataset.config
-    v0 = dataset.reference_voltage
+    cfg = campaign.config
+    v0 = campaign.ro_params.reference_voltage
     v = v0 if voltage is None else voltage
     if v not in cfg.voltages:
         raise ValueError(f"voltage {v} not in dataset")
+    k, k0 = cfg.voltages.index(v), cfg.voltages.index(v0)
     length = bch.N if post_bch else cfg.id_length
     counts = np.zeros(length + 1, dtype=np.int64)
-    reliability_pct, uniformity_pct = {}, {}
-    for c in range(cfg.n_chips):
-        ones, hd = _chip_stage(dataset, v, c, post_bch)
+    reliability_pct, uniformity_pct, ref_pairs = {}, {}, []  # each chip's refs at v, v0
+    for c, (refs, cells) in enumerate(campaign):
+        ref, anchor = pack_rows(refs[k]), pack_rows(refs[k0])
+        ones, hd = _chip_stage(cells[k], ref, anchor, cfg.id_length, post_bch)
         reliability_pct[c] = _reliability_pct(hd, length)
         uniformity_pct[c] = _uniformity_pct(ones, length)
-        if v != v0:
-            hd = _chip_stage(dataset, v0, c, post_bch)[1]
+        if k != k0:
+            hd = _chip_stage(cells[k0], anchor, anchor, cfg.id_length, post_bch)[1]
         counts += np.bincount(hd, minlength=length + 1)
+        ref_pairs.append(refs[[k, k0], :length])
+    ref_pairs = np.array(ref_pairs)
     return MetricsReport(
         voltage=v,
         bch_stage="post_bch" if post_bch else "raw",
         id_length=length,
-        uniqueness_pct=uniqueness(dataset.references[v][:, :length], length),
+        uniqueness_pct=uniqueness(ref_pairs[:, 0], length),
         reliability_pct_per_chip=reliability_pct,
         uniformity_pct_per_chip=uniformity_pct,
         intra=HdHistogram("intra", length, counts),
-        inter=HdHistogram.from_distances(
-            "inter", length, _pair_distances(dataset.references[v0][:, :length])),
+        inter=HdHistogram.from_distances("inter", length, _pair_distances(ref_pairs[:, 1])),
     )

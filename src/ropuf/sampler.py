@@ -36,13 +36,13 @@ def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
     return np.unpackbits(packed, axis=-1)[..., packed.shape[-1] * 8 - length:]
 
 
-def rows_to_hex(rows: np.ndarray) -> list[str]:
-    """Hex word of each row of an (n, L) bit array: bit 0 most
-    significant, exactly ceil(L/4) lower-case digits."""
-    pad = -rows.shape[1] % 8  # zero bits above bit 0, up to whole bytes
-    text = pack_rows(rows).tobytes().hex()
-    step = (rows.shape[1] + pad) // 4  # digits per padded word
-    return [text[i + pad // 4:i + step] for i in range(0, len(text), step)]
+def hex_words(packed: np.ndarray, length: int) -> list[str]:
+    """Hex word of each row of (n, ceil(length/8)) pack_rows bytes: bit 0
+    most significant, exactly ceil(length/4) lower-case digits."""
+    text = packed.tobytes().hex()
+    step = 2 * packed.shape[-1]  # digits per padded word
+    lead = step - (length + 3) // 4  # leading digits that hold only pad bits
+    return [text[i + lead:i + step] for i in range(0, len(text), step)]
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from oracles import report_formula
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError
-from ropuf.sampler import pack_rows
+from ropuf.sampler import pack_rows, unpack_rows
 
 FAST = dict(n_chips=4, samples_per_chip=20, enroll_repetitions=9)
 
@@ -70,7 +71,7 @@ class TestCampaign:
         ds.check_complete()
         for c in range(cfg.n_chips):
             for v in cfg.voltages:
-                assert ds.sample_array(c, v).shape == (20, 32)
+                assert unpack_rows(ds.samples[v][c], cfg.id_length).shape == (20, 32)
 
     def test_zero_jitter_reliability_exact_100(self):
         params = ro.RoParams(jitter_sigma=0.0)
@@ -84,7 +85,7 @@ class TestCampaign:
         b, _, _ = small_campaign(master_seed=9)
         for c in range(cfg.n_chips):
             assert np.array_equal(a.references[1.3][c], b.references[1.3][c])
-            assert np.array_equal(a.sample_array(c, 1.3), b.sample_array(c, 1.3))
+            assert np.array_equal(a.samples[1.3][c], b.samples[1.3][c])
 
     def test_campaign_checks_before_sampling(self, monkeypatch):
         params = ro.RoParams()
@@ -104,7 +105,7 @@ class TestCampaign:
         for c in range(cfg.n_chips):
             for v in (1.25, 1.3):
                 assert np.array_equal(a.references[v][c], b.references[v][c])
-                assert np.array_equal(a.sample_array(c, v), b.sample_array(c, v))
+                assert np.array_equal(a.samples[v][c], b.samples[v][c])
 
     def test_inter_chip_words_look_independent(self):
         ds, cfg, _ = small_campaign(master_seed=2, n_chips=12)
@@ -155,7 +156,7 @@ class TestSerialization:
         for c in range(cfg.n_chips):
             for v in cfg.voltages:
                 assert np.array_equal(loaded.references[v][c], ds.references[v][c])
-                assert np.array_equal(loaded.sample_array(c, v), ds.sample_array(c, v))
+                assert np.array_equal(loaded.samples[v][c], ds.samples[v][c])
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         ds, _, _ = small_campaign()
@@ -275,19 +276,64 @@ class TestPackedSamples:
         for post_bch in (False, True) if length >= 31 else (False,):
             for v in cfg.voltages:
                 got = metrics.compute_report(loaded, voltage=v, post_bch=post_bch)
-                want = report_formula(ref_bits, grid_bits, v, ds.reference_voltage, post_bch)
+                want = report_formula(ref_bits, grid_bits, v, ds.ro_params.reference_voltage,
+                                      post_bch)
                 assert json.dumps(got.to_json_dict()) == json.dumps(want)
 
-    def test_reports_never_unpack_samples(self, monkeypatch):
+    def test_reports_never_unpack_samples(self, monkeypatch, tmp_path):
         ds = random_dataset(word_length=16)
 
-        def unpack(self, chip_id, v):
-            raise AssertionError("a report unpacked a chip's samples")
+        def unpack(*args, **kwargs):
+            raise AssertionError("samples were unpacked")
 
-        monkeypatch.setattr(chipsim.CampaignDataset, "sample_array", unpack)
+        monkeypatch.setattr(np, "unpackbits", unpack)
         for post_bch in (False, True):
             for v in ds.config.voltages:
                 assert metrics.compute_report(ds, voltage=v, post_bch=post_bch).intra.total == 24
+        assert len(chipsim.voltage_sweep(ds)) == 2
+        chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
+        assert len((tmp_path / "d.csv").read_text().splitlines()) == 1 + 3 * 2 * 8
+
+
+class TestChipBlocks:
+    """A lazy Campaign, the dataset run_campaign collects and the dataset
+    load_dataset reads back yield the same chip blocks, so every consumer
+    gives the same output from any of them."""
+
+    def test_every_source_gives_the_same_outputs(self, tmp_path):
+        params = ro.RoParams()
+        cfg = chipsim.CampaignConfig(voltages=(1.25, 1.3, 1.35), master_seed=31, **FAST)
+        chips = chipsim.build_population(cfg, params)
+        lazy = chipsim.Campaign(chips, cfg, params)
+        held = chipsim.run_campaign(chips, cfg, params)
+        chipsim.save_dataset(held, tmp_path / "held.csv", tmp_path / "held.json")
+        chipsim.save_dataset(lazy, tmp_path / "lazy.csv", tmp_path / "lazy.json")
+        for suffix in ("csv", "json"):
+            assert (tmp_path / f"lazy.{suffix}").read_bytes() == \
+                (tmp_path / f"held.{suffix}").read_bytes()
+        loaded = chipsim.load_dataset(tmp_path / "held.csv", tmp_path / "held.json")
+        sources = [lazy, held, loaded]
+        for a, b in zip(lazy, loaded):  # blocks: (n_voltages, L) bits, packed cells
+            assert a[0].shape == (3, 32) and np.array_equal(a[0], b[0])
+            assert a[1].shape == (3, 20, 4) and np.array_equal(a[1], b[1])
+        for post_bch in (False, True):
+            for v in (1.3, 1.35):
+                dumps = {json.dumps(metrics.compute_report(s, voltage=v, post_bch=post_bch)
+                                    .to_json_dict()) for s in sources}
+                assert len(dumps) == 1, (post_bch, v)
+        sweeps = [chipsim.voltage_sweep(s) for s in sources]
+        assert sweeps[0] == sweeps[1] == sweeps[2]
+        assert [dv for dv, _ in sweeps[0]] == [1.25 - 1.3, 0.0, 1.35 - 1.3]
+
+    def test_incomplete_dataset_refused_when_iterated(self, tmp_path):
+        ds = random_dataset()
+        del ds.samples[1.25]
+        save = functools.partial(chipsim.save_dataset, csv_path=tmp_path / "d.csv",
+                                 sidecar_path=tmp_path / "d.json")
+        for consume in (metrics.compute_report, chipsim.voltage_sweep, save):
+            with pytest.raises(DatasetError, match="samples at 1.25 V"):
+                consume(ds)
+        assert sorted(tmp_path.iterdir()) == []
 
 
 class TestPostBchDistributions:

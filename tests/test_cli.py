@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -389,6 +390,75 @@ class TestBchSelftest:
         monkeypatch.setattr(bch, "GENERATOR", bch.GENERATOR ^ (1 << 3))
         assert cli.main(["bch-selftest", "--trials", "10"]) == 4
         assert "FAIL" in capsys.readouterr().out
+
+
+# Draws and arrays of more elements than this are refused below, as numpy
+# refuses an allocation the host cannot hold, so no test asks for the memory.
+HUGE = 2 ** 32
+
+
+def refusing(alloc):
+    """alloc, raising MemoryError in place of any call with a tuple shape or
+    an int count of more than HUGE elements."""
+    def guarded(*args, **kwargs):
+        for arg in [*args, *kwargs.values()]:
+            n = math.prod(arg) if isinstance(arg, tuple) else arg if type(arg) is int else 0
+            if n > HUGE:
+                raise MemoryError(f"Unable to allocate {n} elements for an array with shape "
+                                  f"{arg} and data type float64")
+        return alloc(*args, **kwargs)
+    return guarded
+
+
+class RefusingRng:
+    """A numpy Generator whose draws are refusing (see above)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def __getattr__(self, name):
+        return refusing(getattr(self.rng, name))
+
+
+class TestOutOfMemory:
+    """A schema-valid configuration too large to allocate is a configuration
+    error (exit 2) with numpy's message, and leaves no output behind."""
+
+    def _huge_config(self, tmp_path, field, emit_histograms=True):
+        cfg = tmp_path / "run.json"
+        config = write_config(cfg, voltages=(1.25, 1.3))
+        config["campaign"][field] = 2 ** 40
+        config["flags"]["emit_histograms"] = emit_histograms
+        cfg.write_text(json.dumps(config))
+        return cfg
+
+    @pytest.mark.parametrize("emit_histograms", [True, False], ids=["collected", "streamed"])
+    def test_simulate(self, tmp_path, monkeypatch, capsys, emit_histograms):
+        cfg = self._huge_config(tmp_path, "samples_per_chip", emit_histograms)
+        monkeypatch.setattr(np, "empty", refusing(np.empty))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: Unable to allocate "), err
+        assert sorted(out.iterdir()) == []  # no dataset, no .partial file
+
+    def test_sweep(self, tmp_path, monkeypatch, capsys):
+        cfg = self._huge_config(tmp_path, "enroll_repetitions")
+        keyed_rng = chipsim.keyed_rng
+        monkeypatch.setattr(chipsim, "keyed_rng", lambda *key: RefusingRng(keyed_rng(*key)))
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: Unable to allocate "), err
+        assert sorted(out.iterdir()) == []
+
+    def test_bch_selftest(self, monkeypatch, capsys):
+        ensure_rng = bch.ensure_rng
+        monkeypatch.setattr(bch, "ensure_rng", lambda seed: RefusingRng(ensure_rng(seed)))
+        assert cli.main(["bch-selftest", "--trials", str(10 ** 12)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: Unable to allocate "), captured.err
+        assert "FAIL" not in captured.out
 
 
 class TestCost:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_unit
 from ropuf import chipsim, ro, rng as keyed
-from ropuf.sampler import PufUnit
+from ropuf.sampler import PufUnit, unpack_rows
 
 V0 = 1.3
 OFF_V0 = (1.2, 1.25, 1.28, 1.35, 1.4)
@@ -172,7 +172,7 @@ def test_stream_layout_rebuilt_row_by_row():
                 want = [oracle_row(unit, v, g1[t], g2[t],
                                    keyed.keyed_rng(seed, keyed.TAG_EXTEND, c, u, t))
                         for t in range(n_samples)]
-                got = ds.sample_array(c, v)[:, u * 16:(u + 1) * 16]
+                got = unpack_rows(ds.samples[v][c], 32)[:, u * 16:(u + 1) * 16]
                 assert np.array_equal(got, want), (c, u, v)
                 words = [tuple(oracle_row(unit, v, row[:b1w], row[b1w:],
                                           keyed.keyed_rng(seed, keyed.TAG_ENROLL_EXTEND, c, u, r)))

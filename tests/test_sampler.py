@@ -16,7 +16,7 @@ PATTERN_1_2 = "0001110001110001"
 
 
 def hex_to_rows(words: list[str], length: int) -> np.ndarray:
-    """(n, length) bit rows of hex words, the inverse of rows_to_hex."""
+    """(n, length) bit rows of hex words, the inverse of hex_words."""
     return np.array([hex_word_bits(w, length) for w in words], dtype=np.uint8).reshape(-1, length)
 
 
@@ -42,17 +42,17 @@ class TestResponseWord:
 
     def test_hex_round_trip(self, rng, tmp_path):
         w = rng.integers(0, 2, 32, dtype=np.uint8)
-        words = sampler.rows_to_hex(w[None, :])
+        words = sampler.hex_words(sampler.pack_rows(w[None, :]), 32)
         assert np.array_equal(hex_to_rows(words, 32)[0], w)
         assert np.array_equal(sampler.unpack_rows(loaded_words(tmp_path, words, 32), 32)[0], w)
 
     def test_hex_is_msb_first(self):
         w = word_of([1] + [0] * 15)
-        assert sampler.rows_to_hex(w[None, :]) == ["8000"]
+        assert sampler.hex_words(sampler.pack_rows(w[None, :]), 16) == ["8000"]
 
 
 class TestHexCodec:
-    """rows_to_hex writes the words; load_dataset decodes them."""
+    """hex_words writes the words; load_dataset decodes them."""
 
     LENGTHS = range(1, 41)  # every digit width to 10, partial top nibbles included
 
@@ -60,7 +60,7 @@ class TestHexCodec:
     def test_agrees_with_int_oracle_and_round_trips(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (12, length), dtype=np.uint8)
         rows[0], rows[1] = 0, 1
-        words = sampler.rows_to_hex(rows)
+        words = sampler.hex_words(sampler.pack_rows(rows), length)
         assert words == [hex_word(r) for r in rows]
         assert all(len(w) == -(-length // 4) for w in words)
         assert np.array_equal(hex_to_rows(words, length), rows)
@@ -75,7 +75,8 @@ class TestHexCodec:
         packed = sampler.pack_rows(rows)
         assert packed.shape == (3, 5, -(-length // 8)) and packed.dtype == np.uint8
         assert np.array_equal(sampler.unpack_rows(packed, length), rows)
-        flat, words = packed.reshape(15, -1), sampler.rows_to_hex(rows.reshape(15, length))
+        flat = packed.reshape(15, -1)
+        words = sampler.hex_words(flat, length)
         # Zero pad bits first, then bit 0 most significant: each row's bytes
         # read as one big-endian integer are its hex word's value.
         assert [int.from_bytes(r.tobytes(), "big") for r in flat] == [int(w, 16) for w in words]

@@ -17,16 +17,16 @@ _HOME = {
     "period_at_voltage": "ro", "realize_ro": "ro",
     "PufUnit": "sampler", "enroll_id": "sampler", "sample_word": "sampler",
     "CampaignConfig": "config",
-    "Campaign": "chipsim", "CampaignDataset": "chipsim", "Chip": "chipsim",
-    "build_population": "chipsim", "fit_sweep": "chipsim", "load_dataset": "chipsim",
-    "run_campaign": "chipsim", "save_dataset": "chipsim", "voltage_sweep": "chipsim",
+    "Campaign": "chipsim", "Chip": "chipsim", "build_population": "chipsim",
+    "fit_sweep": "chipsim", "run_campaign": "chipsim", "voltage_sweep": "chipsim",
+    "CampaignDataset": "dataset", "load_dataset": "dataset", "save_dataset": "dataset",
     "HdHistogram": "metrics", "MetricsReport": "metrics", "compute_report": "metrics",
     "linear_fit": "metrics", "reliability": "metrics", "uniformity": "metrics",
     "uniqueness": "metrics",
     "CostParams": "cost", "conventional_puf_cost": "cost", "waveform_puf_cost": "cost",
 }
-_SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "config", "bch", "metrics",
-               "cost")
+_SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "dataset", "config", "bch",
+               "metrics", "cost")
 
 __all__ = sorted(_HOME)
 

@@ -14,17 +14,26 @@ weight <= 3.
 Bit layout of a 31-bit word: index i holds the coefficient of x^(30-i),
 so bits[0:16] are the 16 systematic message bits and bits[16:31] the
 parity bits, and rotating the vector is multiplication by x modulo
-x^31 - 1.  Words, keys and offsets are uint8 bit arrays in that layout.
+x^31 - 1.  decode_words, the one decoder, takes and returns words as
+integers whose bit p is the coefficient of x^p, so importing this
+module loads no numpy.  The bit-array forms (encode, decode_rows,
+decode, the extractor) take uint8 arrays in the layout above and import
+numpy when called.
 """
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+from array import array
+from collections import Counter
+from itertools import combinations
+from typing import TYPE_CHECKING
 
 from .errors import DecodeFailure
-from .rng import ensure_rng
-from .sampler import pack_rows
+
+if TYPE_CHECKING:
+    from collections.abc import Iterable
+
+    import numpy as np
 
 N = 31
 K = 16
@@ -74,65 +83,68 @@ def build_generator() -> int:
 GENERATOR = build_generator()
 
 
+def _encode_word(message: int) -> int:
+    """Codeword of a 16-bit message as a word, systematic: message * x^15
+    plus its remainder modulo g, so bit 15 of the message is x^30."""
+    shifted = message << (N - K)
+    return shifted | _gf2_mod(shifted, GENERATOR)
+
+
+def _word_rows(words) -> np.ndarray:
+    """Words (bit p = coefficient of x^p) as an (m, 31) bit array."""
+    import numpy as np
+    # Big-endian bytes unpack most significant bit first; bit 31 is always 0.
+    return np.unpackbits(np.array(words, dtype=">u4").view(np.uint8).reshape(-1, 4),
+                         axis=1)[:, 1:]
+
+
+def _row_words(rows: np.ndarray) -> list[int]:
+    """The rows of an (m, 31) bit array as words: bit 0 of a row is x^30."""
+    import numpy as np
+    return (np.packbits(rows, axis=1).view(">u4")[:, 0] >> 1).tolist()
+
+
 def encode(message: np.ndarray) -> np.ndarray:
     """(31,) codeword of a (16,) message bit array, systematic: parity is
     (message * x^15) mod g."""
+    import numpy as np
     if np.shape(message) != (K,):
         raise ValueError(f"message must be {K} bits, got shape {np.shape(message)}")
-    # Two big-endian bytes: bits[i] is the coefficient of x^(30-i) once shifted.
-    shifted = int.from_bytes(np.packbits(message).tobytes(), "big") << (N - K)
-    return _pattern_rows(np.array([shifted | _gf2_mod(shifted, GENERATOR)]))[0]
+    return _word_rows([_encode_word(int.from_bytes(np.packbits(message).tobytes(), "big"))])[0]
 
 
 @functools.cache
-def _decoder_tables(generator: int) -> tuple[np.ndarray, np.ndarray]:
+def _decoder_tables(generator: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Syndrome and coset-leader tables of the code generated by
-    `generator`, built on first use.
+    `generator`, as tuples of ints, built on first use.
 
     The syndrome of a word is its remainder modulo g(x), a 15-bit value.
-    byte_syn[k, b] is the syndrome contributed by byte value b at bits
+    byte_syn[k][b] is the syndrome contributed by byte value b at bits
     8k..8k+7 of a word (bit p the coefficient of x^p).  leaders[s] is
     the error pattern of weight <= T with syndrome s, as such a word, or
     -1 where no such pattern exists.  Minimum distance 7 makes those
     patterns' syndromes distinct.
     """
-    x_syn = np.array([_gf2_mod(1 << p, generator) for p in range(32)], dtype=np.uint16)
-    byte_bits = np.arange(256, dtype=np.uint16)[:, None] >> np.arange(8, dtype=np.uint16) & 1
-    byte_syn = np.bitwise_xor.reduce(byte_bits[None, :, :] * x_syn.reshape(4, 1, 8), axis=2)
-
-    p = np.arange(N)
-    x_syn = x_syn[:N]  # syndrome of x^p
-    lt = p[:, None] < p
-    i, j = np.nonzero(lt)
-    a, b, c = np.nonzero(lt[:, :, None] & lt[None, :, :])
-    leaders = np.full(1 << (N - K), -1, dtype=np.int32)
-    leaders[0] = 0
-    leaders[x_syn] = 1 << p
-    leaders[x_syn[i] ^ x_syn[j]] = (1 << i) | (1 << j)
-    leaders[x_syn[a] ^ x_syn[b] ^ x_syn[c]] = (1 << a) | (1 << b) | (1 << c)
-    byte_syn.flags.writeable = leaders.flags.writeable = False
-    return byte_syn, leaders
-
-
-def packed_words(packed: np.ndarray, length: int) -> np.ndarray:
-    """Bits 0..30 of each row of (..., ceil(length/8)) bytes laid out as
-    sampler.pack_rows lays out length-bit rows, as one integer per row
-    whose bit p is the coefficient of x^p: bit 0 of the row is x^30."""
-    head = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
-    head[..., :min(packed.shape[-1], 8)] = packed[..., :8]
-    # Big-endian, row bit i is bit 63 - pad - i, and the pad bits are zero.
-    return head.view(">u8")[..., 0] >> np.uint64(33 - (packed.shape[-1] * 8 - length))
+    x_syn = [_gf2_mod(1 << p, generator) for p in range(32)]  # syndrome of x^p
+    byte_syn = []
+    for k in range(4):
+        table = [0]  # each bit of the byte doubles the table: bit b is x^(8k+b)
+        for syn in x_syn[8 * k:8 * k + 8]:
+            table += [s ^ syn for s in table]
+        byte_syn.append(tuple(table))
+    leaders = [-1] * (1 << (N - K))
+    for weight in range(T + 1):
+        for positions in combinations(range(N), weight):
+            syndrome = 0
+            for p in positions:
+                syndrome ^= x_syn[p]
+            leaders[syndrome] = sum(1 << p for p in positions)
+    return tuple(byte_syn), tuple(leaders)
 
 
-def _pattern_rows(patterns: np.ndarray) -> np.ndarray:
-    """Error patterns (bit p = coefficient of x^p) as an (m, 31) bit array."""
-    # Big-endian bytes unpack most significant bit first; bit 31 is always 0.
-    return np.unpackbits(patterns.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 1:]
-
-
-def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bounded-distance decoding of 31-bit words, one unsigned integer
-    each whose bit p is the coefficient of x^p (see packed_words).
+def decode_words(words: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Bounded-distance decoding of 31-bit words, each an integer whose
+    bit p is the coefficient of x^p.
 
     Returns the corrected words and the number of bits flipped in each,
     or -1 for a word with more than T errors, which passes through
@@ -140,20 +152,28 @@ def decode_words(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     word farther away fails, or lands on another codeword if one lies
     within T (a miscorrection).
     """
-    byte_syn, leaders = _decoder_tables(GENERATOR)
-    word_bytes = words.astype("<u4").view(np.uint8).reshape(-1, 4)  # bits 8k..8k+7 at k
-    fix = leaders[np.bitwise_xor.reduce(byte_syn[np.arange(4), word_bytes], axis=1)]
-    flips = np.maximum(fix, 0).astype(words.dtype)
-    return words ^ flips, np.where(fix < 0, -1, np.bitwise_count(flips).astype(np.int64))
+    (syn0, syn1, syn2, syn3), leaders = _decoder_tables(GENERATOR)
+    fixed, flips = [], []
+    for word in words:
+        error = leaders[syn0[word & 255] ^ syn1[word >> 8 & 255] ^ syn2[word >> 16 & 255]
+                        ^ syn3[word >> 24 & 255]]
+        if error < 0:
+            fixed.append(word)
+            flips.append(-1)
+        else:
+            fixed.append(word ^ error)
+            flips.append(error.bit_count())
+    return fixed, flips
 
 
 def decode_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """decode_words over the rows of an (n, 31) uint8 bit array, each
     returned as corrected bits, with its number of flips (-1 if failed)."""
+    import numpy as np
     if rows.ndim != 2 or rows.shape[1] != N:
         raise ValueError(f"rows must be (n, {N}) bits, got shape {rows.shape}")
-    fixed, n_errors = decode_words(packed_words(pack_rows(rows), N))
-    return _pattern_rows(fixed), n_errors
+    fixed, n_errors = decode_words(_row_words(rows))
+    return _word_rows(fixed), np.array(n_errors, dtype=np.int64)
 
 
 def decode(received: np.ndarray) -> tuple[np.ndarray, int]:
@@ -163,6 +183,7 @@ def decode(received: np.ndarray) -> tuple[np.ndarray, int]:
     Raises DecodeFailure for a word with more than t errors and no
     codeword within distance t.  At most 3 positions are ever flipped.
     """
+    import numpy as np
     fixed, n_errors = decode_rows(np.asarray(received)[None, :])
     if n_errors[0] < 0:
         raise DecodeFailure(f"more than t={T} errors")
@@ -173,6 +194,8 @@ def fe_enroll(response: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
     """Enroll a (31,) response: draw a uniform (16,) key and return it with
     the public offset encode(key) XOR response, which reveals at most the
     15 parity bits' worth of information about the response."""
+    import numpy as np
+    from .rng import ensure_rng
     if np.shape(response) != (N,):
         raise ValueError(f"response must be {N} bits, got shape {np.shape(response)}")
     key = ensure_rng(seed).integers(0, 2, size=K, dtype=np.uint8)
@@ -182,6 +205,7 @@ def fe_enroll(response: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
 def fe_reproduce(response: np.ndarray, offset: np.ndarray) -> np.ndarray:
     """Recover the enrolled (16,) key from a noisy (31,) response (up to 3
     bit errors) and the offset fe_enroll returned."""
+    import numpy as np
     if np.shape(response) != (N,):
         raise ValueError(f"response must be {N} bits, got shape {np.shape(response)}")
     codeword, _ = decode(response ^ offset)
@@ -193,11 +217,13 @@ def fe_reproduce(response: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 def generator_matrix() -> np.ndarray:
     """Systematic generator matrix: row i encodes the i-th unit message."""
-    return np.array([encode(unit) for unit in np.eye(K, dtype=np.uint8)])
+    return _word_rows([_encode_word(1 << (K - 1 - i)) for i in range(K)])
 
 
 def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str, bool]]:
     """Battery of codec checks; returns (name, passed) per check."""
+    import numpy as np
+    from .rng import ensure_rng
     results = []
 
     def eval_gen(elem: int) -> int:
@@ -214,23 +240,22 @@ def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str,
     results.append(("generator divides x^31 + 1",
                     _gf2_mod((1 << N) | 1, GENERATOR) == 0))
 
-    g = generator_matrix()
-    codewords = np.zeros(1, dtype=np.uint32)  # all 2^16, one word each, by doubling
-    for row in packed_words(pack_rows(g), N).astype(np.uint32):
-        codewords = np.concatenate([codewords, codewords ^ row])
-    weights = np.bitwise_count(codewords)
+    codewords = array("I", [0])  # all 2^16 as 32-bit words, by doubling over a basis
+    for i in range(K):
+        row = _encode_word(1 << i)
+        codewords += array("I", (c ^ row for c in codewords))
     results.append(("minimum nonzero codeword weight == 7",
-                    int(weights[1:].min()) == 7 and int(weights[0]) == 0))
+                    codewords[0] == 0 and min(map(int.bit_count, codewords[1:])) == 7))
 
     _, leaders = _decoder_tables(GENERATOR)
-    held = np.flatnonzero(leaders >= 0)
-    patterns = leaders[held]
+    patterns = [p for p in leaders if p >= 0]
     results.append(("coset-leader table holds 1+31+465+4495 distinct leaders of weight <= 3",
-                    np.bincount(np.bitwise_count(patterns), minlength=T + 2).tolist()
-                    == [1, 31, 465, 4495, 0]
-                    and np.unique(patterns).size == held.size
-                    and not decode_words(patterns.astype(np.uint32))[0].any()))
+                    Counter(map(int.bit_count, patterns)) == Counter({0: 1, 1: 31, 2: 465,
+                                                                      3: 4495})
+                    and len(set(patterns)) == len(patterns)
+                    and not any(decode_words(patterns)[0])))
 
+    g = generator_matrix()
     rng = ensure_rng(seed)
     base = (rng.integers(0, 2, K, dtype=np.uint8) @ g) % 2
     i, j = np.triu_indices(N)  # i == j gives the 31 single-error cases

@@ -7,8 +7,8 @@ timestamps or environment state.
 Exit codes: 0 success, 2 configuration error (a configuration too
 large to allocate included), 3 data error, 4 self-test failure.
 
-Each command imports the modules it runs, so `cost`, `--help` and a
-usage error never load numpy.
+Each command imports the modules it runs, so `cost`, `--help`, a
+usage error and `metrics` never load numpy.
 """
 from __future__ import annotations
 
@@ -61,12 +61,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from . import chipsim, metrics
+    from . import metrics
+    from .dataset import load_dataset
     csv_path = Path(args.dataset)
     sidecar = Path(args.sidecar) if args.sidecar else csv_path.with_suffix(".json")
     if not csv_path.exists() or not sidecar.exists():
         raise DatasetError(f"dataset files not found: {csv_path}, {sidecar}")
-    dataset = chipsim.load_dataset(csv_path, sidecar)
+    dataset = load_dataset(csv_path, sidecar)
     report = metrics.compute_report(dataset, post_bch=args.post_bch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import bch, ro
+from . import ro
 from .errors import ConfigurationError
 
 
@@ -153,9 +153,11 @@ def from_dict(data, master_seed: int | None = None) -> RunConfig:
     if master_seed is not None:
         cfg = replace(cfg, campaign=replace(cfg.campaign, master_seed=master_seed))
     cfg.campaign.validate(cfg.ro_params)
-    if cfg.flags.post_bch and cfg.flags.emit_histograms and cfg.campaign.id_length < bch.N:
-        raise ConfigurationError(f"flags.post_bch needs id_length >= {bch.N} "
-                                 f"(the BCH code length), got {cfg.campaign.id_length}")
+    if cfg.flags.post_bch and cfg.flags.emit_histograms:
+        from .bch import N  # imported on use: sampling and sweeps never decode
+        if cfg.campaign.id_length < N:
+            raise ConfigurationError(f"flags.post_bch needs id_length >= {N} "
+                                     f"(the BCH code length), got {cfg.campaign.id_length}")
     return cfg
 
 

@@ -6,6 +6,11 @@ References R_i are always the enrolled (modal) IDs, never a designated
 first sample.  Every metric in a report is labelled with the voltage and
 the error-correction stage it was computed at, since the same formulas
 apply before and after decoding.
+
+Words are Python integers, each an ID's hex word's value, so distances
+and ones counts are int.bit_count of XORs and of words, and the module
+imports no numpy (and bch only when a report is computed).  The metric
+functions also take bit rows at the API edge.
 """
 from __future__ import annotations
 
@@ -15,25 +20,62 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from . import bch
-from .sampler import pack_rows
 
 
-def _bit_rows(words, length: int) -> np.ndarray:
-    """Words, one (length,) word or one word per row, as an (n, length)
-    bit array."""
-    rows = np.atleast_2d(words)
-    if rows.ndim != 2 or rows.shape[1] != length:
-        raise ValueError("all words must have the stated length")
-    return rows
+def _bit_words(words, length: int) -> list[int]:
+    """Words of bits, one (length,) word or a sequence of them, as
+    integers whose most significant of length bits is bit 0, as in the
+    word's hex form."""
+    rows = list(words)
+    if rows and not hasattr(rows[0], "__len__"):  # one word
+        rows = [rows]
+    values = []
+    for row in rows:
+        if len(row) != length:
+            raise ValueError("all words must have the stated length")
+        value = 0
+        for bit in row:
+            value = value << 1 | bool(bit)
+        values.append(value)
+    return values
 
 
-def _pair_distances(rows: np.ndarray) -> np.ndarray:
-    """Hamming distance of every row pair i < j, in row-major pair order."""
-    i, j = np.triu_indices(rows.shape[0], 1)
-    return np.count_nonzero(rows[i] != rows[j], axis=1)
+def _words(packed, width: int):
+    """Each width-byte word of packed bytes as an integer, its hex word's
+    value, one at a time."""
+    return (int.from_bytes(packed[i:i + width], "big") for i in range(0, len(packed), width))
+
+
+def _pair_distances(words: list[int]) -> list[int]:
+    """Hamming distance of every word pair i < j, in row-major pair order."""
+    return [(a ^ b).bit_count() for i, a in enumerate(words) for b in words[i + 1:]]
+
+
+def _pairwise_sum(values: list[float], lo: int, n: int) -> float:
+    """Sum of values[lo:lo + n] in the order numpy sums float64 (pairwise
+    summation), so a mean equals np.mean's to the last bit."""
+    if n < 8:
+        total = 0.0
+        for x in values[lo:lo + n]:
+            total += x
+        return total
+    if n <= 128:  # eight running sums over whole groups of 8, then the rest
+        end = lo + n - n % 8
+        r = values[lo:lo + 8]
+        for i in range(lo + 8, end, 8):
+            r = [a + b for a, b in zip(r, values[i:i + 8])]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in values[end:lo + n]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, lo, half) + _pairwise_sum(values, lo + half, n - half)
+
+
+def _mean(values: list[float]) -> float:
+    """np.mean of values, to the last bit."""
+    return _pairwise_sum(values, 0, len(values)) / len(values)
 
 
 def uniqueness(references, length: int) -> float:
@@ -42,12 +84,16 @@ def uniqueness(references, length: int) -> float:
     2/(N(N-1)) * sum_{i<j} HD(R_i, R_j)/L * 100.  references is an
     (N, L) bit array.
     """
-    rows = _bit_rows(references, length)
-    n = rows.shape[0]
+    return _uniqueness_pct(_bit_words(references, length), length)
+
+
+def _uniqueness_pct(words: list[int], length: int) -> float:
+    """Uniqueness in % of the references as words."""
+    n = len(words)
     if n < 2:
         raise ValueError("uniqueness needs at least 2 references")
     total = 0.0
-    for hd in _pair_distances(rows).tolist():
+    for hd in _pair_distances(words):
         total += hd / length
     return 2.0 / (n * (n - 1)) * total * 100.0
 
@@ -57,19 +103,19 @@ def reliability(reference, samples, length: int, t: int | None = None) -> float:
 
     reference is an (L,) bit array and samples a (T, L) one.
     """
-    rows = _bit_rows(samples, length)
+    words = _bit_words(samples, length)
     if t is None:
-        t = rows.shape[0]
-    if t < 1 or rows.shape[0] < t:
+        t = len(words)
+    if t < 1 or len(words) < t:
         raise ValueError("need at least one sample (t <= len(samples))")
-    distances = np.count_nonzero(rows[:t] != _bit_rows(reference, length)[0], axis=1)
-    return _reliability_pct(distances, length)
+    ref = _bit_words(reference, length)[0]
+    return _reliability_pct([(w ^ ref).bit_count() for w in words[:t]], length)
 
 
-def _reliability_pct(distances: np.ndarray, length: int) -> float:
+def _reliability_pct(distances: list[int], length: int) -> float:
     """Reliability in % from each sample's Hamming distance to the reference."""
-    total = sum(d / length for d in distances.tolist())
-    return (1.0 - total / distances.shape[0]) * 100.0
+    total = sum(d / length for d in distances)
+    return (1.0 - total / len(distances)) * 100.0
 
 
 def uniformity(responses, length: int) -> float:
@@ -77,15 +123,16 @@ def uniformity(responses, length: int) -> float:
 
     responses is an (n, L) bit array.
     """
-    rows = _bit_rows(responses, length)
-    if rows.shape[0] == 0:
+    words = _bit_words(responses, length)
+    if not words:
         raise ValueError("need at least one response")
-    return _uniformity_pct(rows.sum(axis=1), length)
+    return _uniformity_pct([w.bit_count() for w in words], length)
 
 
-def _uniformity_pct(ones: np.ndarray, length: int) -> float:
+def _uniformity_pct(ones: list[int], length: int) -> float:
     """Uniformity in % from each response's count of ones."""
-    return float(np.mean(ones / length) * 100.0)
+    fractions = [k / length for k in range(length + 1)]
+    return _mean([fractions[k] for k in ones]) * 100.0
 
 
 @dataclass
@@ -94,29 +141,30 @@ class HdHistogram:
 
     population: str  # "intra" | "inter"
     length: int
-    counts: np.ndarray = field(repr=False)
+    counts: list[int] = field(repr=False)
 
     @classmethod
     def from_distances(cls, population: str, length: int, distances) -> "HdHistogram":
-        counts = np.bincount(np.asarray(distances, dtype=np.int64), minlength=length + 1)
-        if counts.shape[0] > length + 1:
-            raise ValueError("distance exceeds word length")
+        counts = [0] * (length + 1)
+        for d in distances:
+            if not 0 <= d <= length:
+                raise ValueError(f"distance {d} is not in 0..{length}")
+            counts[d] += 1
         return cls(population=population, length=length, counts=counts)
 
     @property
     def total(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts)
 
     def mass_at(self, distance: int) -> float:
         """Fraction of the population at exactly this distance."""
-        return float(self.counts[distance] / self.total) if self.total else 0.0
+        return self.counts[distance] / self.total if self.total else 0.0
 
     def mean(self) -> float:
-        d = np.arange(self.counts.shape[0])
-        return float((d * self.counts).sum() / self.total) if self.total else 0.0
+        return sum(d * c for d, c in enumerate(self.counts)) / self.total if self.total else 0.0
 
     def to_rows(self) -> list[dict]:
-        return [{"population": self.population, "distance": int(d), "count": int(c)}
+        return [{"population": self.population, "distance": d, "count": c}
                 for d, c in enumerate(self.counts)]
 
 
@@ -169,11 +217,11 @@ class MetricsReport:
 
     @property
     def reliability_pct_mean(self) -> float:
-        return float(np.mean(list(self.reliability_pct_per_chip.values())))
+        return _mean(list(self.reliability_pct_per_chip.values()))
 
     @property
     def uniformity_pct_mean(self) -> float:
-        return float(np.mean(list(self.uniformity_pct_per_chip.values())))
+        return _mean(list(self.uniformity_pct_per_chip.values()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,8 +235,8 @@ class MetricsReport:
             "uniformity_pct_mean": self.uniformity_pct_mean,
             "uniformity_pct_per_chip": {str(k): v for k, v in
                                         self.uniformity_pct_per_chip.items()},
-            "intra_hist": [int(c) for c in self.intra.counts],
-            "inter_hist": [int(c) for c in self.inter.counts],
+            "intra_hist": self.intra.counts,
+            "inter_hist": self.inter.counts,
             "voltage_fit": None,  # kept so reports keep their keys
         }
 
@@ -207,11 +255,11 @@ class MetricsReport:
 # --- campaign-level evaluation ------------------------------------------
 
 
-def corrected_sample_words(samples: np.ndarray, anchor: np.ndarray, length: int) -> np.ndarray:
-    """(T,) protected bits of one chip's (T, ceil(length/8)) packed
-    samples, as bch.packed_words integers, after error correction toward
-    anchor, the chip's reference enrolled at the reference voltage, as
-    pack_rows bytes.
+def corrected_sample_words(samples, anchor, length: int) -> list[int]:
+    """Protected bits of each of one chip's samples, packed length-bit
+    words, as bch words (bit 0 of the ID is x^30), after error correction
+    toward anchor, the chip's reference enrolled at the reference voltage,
+    as packed bytes.
 
     Only the first 31 bits of an ID are covered by the code (a 32-bit ID
     carries its last bit unprotected).  The reference serves as the code
@@ -220,38 +268,44 @@ def corrected_sample_words(samples: np.ndarray, anchor: np.ndarray, length: int)
     Uncorrectable samples are passed through unchanged; correctable ones
     land exactly on the reference.
     """
+    from . import bch  # imported on use: sampling and sweeps never decode
     if length < bch.N:
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
-    anchor = bch.packed_words(anchor, length)
-    fixed = bch.decode_words(bch.packed_words(samples, length) ^ anchor)[0]
-    return np.bitwise_xor(fixed, anchor, out=fixed)
+    shift = length - bch.N
+    anchor = int.from_bytes(anchor, "big") >> shift
+    fixed = bch.decode_words((w >> shift) ^ anchor for w in _words(samples, -(-length // 8)))[0]
+    for i, w in enumerate(fixed):  # in place: one chip's words are held once
+        fixed[i] = w ^ anchor
+    return fixed
 
 
-def _chip_stage(samples: np.ndarray, ref: np.ndarray, anchor: np.ndarray, length: int,
-                post_bch: bool) -> tuple[np.ndarray, np.ndarray]:
+def _chip_stage(samples, ref: int, anchor, length: int,
+                post_bch: bool) -> tuple[list[int], list[int]]:
     """Ones count of each of one chip's packed samples at one voltage, raw
     or after error correction toward anchor, and its Hamming distance from
-    ref, that voltage's reference, both (T,), counted on the packed bytes."""
+    ref, that voltage's reference as a word of the same stage.  Only the
+    counts outlive the call, not the chip's words."""
     if post_bch:
-        samples = corrected_sample_words(samples, anchor, length)[:, None]
-        ref = bch.packed_words(ref, length)
-    return (np.bitwise_count(samples).sum(axis=1, dtype=np.intp),
-            np.bitwise_count(samples ^ ref).sum(axis=1, dtype=np.intp))
+        words = corrected_sample_words(samples, anchor, length)
+    else:
+        words = list(_words(samples, -(-length // 8)))
+    return [w.bit_count() for w in words], [(w ^ ref).bit_count() for w in words]
 
 
 def compute_report(campaign, voltage: float | None = None,
                    post_bch: bool = False) -> MetricsReport:
     """Full metrics report for one campaign at one voltage, from the chip
-    blocks that iterating a chipsim Campaign or CampaignDataset yields.
+    blocks that iterating a chipsim.Campaign or a dataset.CampaignDataset
+    yields.
 
     Reliability and uniformity use the samples at the requested voltage
     against that voltage's own enrolled reference; intra/inter histograms
     are always computed at the reference voltage.  One pass takes the
-    chips one at a time and scores their samples packed, eight bits to a
-    byte, so only one chip's counts and corrected words are held, plus
-    every chip's references at the two voltages; each sample is corrected
-    at most once.
+    chips one at a time and reads each packed sample as one integer, so
+    only one chip's words and counts are held, plus every chip's
+    references at the two voltages; each sample is corrected at most once.
     """
+    from . import bch  # for the code length; see corrected_sample_words
     cfg = campaign.config
     v0 = campaign.ro_params.reference_voltage
     v = v0 if voltage is None else voltage
@@ -259,25 +313,28 @@ def compute_report(campaign, voltage: float | None = None,
         raise ValueError(f"voltage {v} not in dataset")
     k, k0 = cfg.voltages.index(v), cfg.voltages.index(v0)
     length = bch.N if post_bch else cfg.id_length
-    counts = np.zeros(length + 1, dtype=np.int64)
-    reliability_pct, uniformity_pct, ref_pairs = {}, {}, []  # each chip's refs at v, v0
-    for c, (refs, cells) in enumerate(campaign):
-        ref, anchor = pack_rows(refs[k]), pack_rows(refs[k0])
-        ones, hd = _chip_stage(cells[k], ref, anchor, cfg.id_length, post_bch)
+    shift = cfg.id_length - length  # post-BCH words are the top 31 bits of an ID
+    intra = [0] * (length + 1)
+    reliability_pct, uniformity_pct, refs, anchors = {}, {}, [], []
+    for c, (chip_refs, cells) in enumerate(campaign):
+        ref, anchor = (int.from_bytes(chip_refs[i], "big") >> shift for i in (k, k0))
+        ones, hd = _chip_stage(cells[k], ref, chip_refs[k0], cfg.id_length, post_bch)
         reliability_pct[c] = _reliability_pct(hd, length)
         uniformity_pct[c] = _uniformity_pct(ones, length)
         if k != k0:
-            hd = _chip_stage(cells[k0], anchor, anchor, cfg.id_length, post_bch)[1]
-        counts += np.bincount(hd, minlength=length + 1)
-        ref_pairs.append(refs[[k, k0], :length])
-    ref_pairs = np.array(ref_pairs)
+            hd = _chip_stage(cells[k0], anchor, chip_refs[k0], cfg.id_length, post_bch)[1]
+        for d in hd:
+            intra[d] += 1
+        del ones, hd  # freed before the next chip's words are read
+        refs.append(ref)
+        anchors.append(anchor)
     return MetricsReport(
         voltage=v,
         bch_stage="post_bch" if post_bch else "raw",
         id_length=length,
-        uniqueness_pct=uniqueness(ref_pairs[:, 0], length),
+        uniqueness_pct=_uniqueness_pct(refs, length),
         reliability_pct_per_chip=reliability_pct,
         uniformity_pct_per_chip=uniformity_pct,
-        intra=HdHistogram("intra", length, counts),
-        inter=HdHistogram.from_distances("inter", length, _pair_distances(ref_pairs[:, 1])),
+        intra=HdHistogram("intra", length, intra),
+        inter=HdHistogram.from_distances("inter", length, _pair_distances(anchors)),
     )

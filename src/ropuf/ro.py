@@ -10,11 +10,12 @@ boundaries, the first rising edge landing one half-period after enable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigurationError, ModelRangeError
-from .rng import ensure_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COUPLING_NONE = "none"
 COUPLING_INVERTER_LOOP = "inverter_loop"
@@ -102,6 +103,7 @@ def realize_ro(params: RoParams, seed) -> RoInstance:
     period = nominal * (1 + N(0, process_sigma)); the measure-zero event
     of a non-positive period is redrawn.  Deterministic given seed.
     """
+    from .rng import ensure_rng  # numpy's; `metrics` imports this module without it
     params.validate()
     rng = ensure_rng(seed)
     period = params.nominal_period * (1.0 + params.process_sigma * rng.standard_normal())
@@ -150,6 +152,5 @@ def jittered_half_periods(period: float, jitter_sigma: float, gaussians: np.ndar
     """Half-period sequence h_i = (T/2) * (1 + sigma * g_i), floored positive."""
     half = 0.5 * period
     out = half * (1.0 + jitter_sigma * gaussians)
-    np.maximum(out, half * _HALF_PERIOD_FLOOR, out=out)
-    return out
+    return out.clip(half * _HALF_PERIOD_FLOOR, None, out=out)
 

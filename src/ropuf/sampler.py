@@ -28,21 +28,14 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     """(..., ceil(L/8)) bytes of (..., L) bit rows, laid out as their hex
     words: zero pad bits first, then bit 0 as the most significant bit."""
     pad = -rows.shape[-1] % 8
-    return np.packbits(np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(pad, 0)]), axis=-1)
+    if pad:  # np.pad copies the rows, so only a partial byte pays for it
+        rows = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(pad, 0)])
+    return np.packbits(rows, axis=-1)
 
 
 def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
     """(..., length) bit rows of pack_rows bytes, the pad bits dropped."""
     return np.unpackbits(packed, axis=-1)[..., packed.shape[-1] * 8 - length:]
-
-
-def hex_words(packed: np.ndarray, length: int) -> list[str]:
-    """Hex word of each row of (n, ceil(length/8)) pack_rows bytes: bit 0
-    most significant, exactly ceil(length/4) lower-case digits."""
-    text = packed.tobytes().hex()
-    step = 2 * packed.shape[-1]  # digits per padded word
-    lead = step - (length + 3) // 4  # leading digits that hold only pad bits
-    return [text[i + lead:i + step] for i in range(0, len(text), step)]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from ropuf import ro, sampler
+from ropuf.dataset import CampaignDataset
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -27,6 +28,24 @@ def make_unit(t1: float, t2: float, coupling: ro.Coupling | None = None,
 
 def word_of(bits) -> np.ndarray:
     return np.array(list(bits), dtype=np.uint8)
+
+
+def packed_dataset(cfg, references: dict, samples: dict) -> CampaignDataset:
+    """A dataset of per-voltage (n_chips, L) reference bits and
+    (n_chips, T, L) sample bits, packed into bytes as it holds them."""
+    return CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(),
+                           {v: sampler.pack_rows(r).tobytes() for v, r in references.items()},
+                           {v: sampler.pack_rows(s).tobytes() for v, s in samples.items()})
+
+
+def held(dataset, v) -> tuple[np.ndarray, np.ndarray]:
+    """A dataset's grid at voltage v as arrays viewed from its bytes: the
+    (n_chips, L) reference bits and the (n_chips, T, ceil(L/8)) packed samples."""
+    cfg = dataset.config
+    refs = np.frombuffer(dataset.references[v], dtype=np.uint8).reshape(cfg.n_chips, -1)
+    cells = np.frombuffer(dataset.samples[v], dtype=np.uint8).reshape(
+        cfg.n_chips, cfg.samples_per_chip, -1)
+    return sampler.unpack_rows(refs, cfg.id_length), cells
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ Everything here is exact (Fraction arithmetic) or a direct transcription
 of the defining formulas with explicit loops; none of it shares code
 with the implementations under test.
 """
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,11 @@ def hex_word_bits(word: str, length: int) -> list[int]:
 def uniformity_formula(responses: list[list[int]], length: int) -> float:
     per_response = [sum(r) / length * 100.0 for r in responses]
     return sum(per_response) / len(per_response)
+
+
+def mean_by_numpy(values) -> float:
+    """np.mean of floats: numpy's pairwise sum over float64, over the count."""
+    return float(np.mean(np.asarray(values, dtype=np.float64)))
 
 
 # --- BCH(31,16,7) algebraic decoder ------------------------------------
@@ -193,6 +199,47 @@ def bch_decode(bits) -> tuple[list[int], int] | None:
     if any(bch_syndromes(bits)):
         return None
     return bits, degree
+
+
+def _poly_mod(a: int, m: int) -> int:
+    """Remainder of GF(2) polynomial a (bit p = coefficient of x^p) modulo m."""
+    while a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
+@functools.cache
+def _syndrome_tables(generator: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numpy syndrome byte tables and coset-leader table of the code
+    generated by `generator`, as the package built them before its tables
+    became tuples of ints."""
+    x_syn = np.array([_poly_mod(1 << p, generator) for p in range(32)], dtype=np.uint16)
+    byte_bits = np.arange(256, dtype=np.uint16)[:, None] >> np.arange(8, dtype=np.uint16) & 1
+    byte_syn = np.bitwise_xor.reduce(byte_bits[None, :, :] * x_syn.reshape(4, 1, 8), axis=2)
+    p = np.arange(31)
+    x_syn = x_syn[:31]  # syndrome of x^p
+    lt = p[:, None] < p
+    i, j = np.nonzero(lt)
+    a, b, c = np.nonzero(lt[:, :, None] & lt[None, :, :])
+    leaders = np.full(1 << 15, -1, dtype=np.int32)
+    leaders[0] = 0
+    leaders[x_syn] = 1 << p
+    leaders[x_syn[i] ^ x_syn[j]] = (1 << i) | (1 << j)
+    leaders[x_syn[a] ^ x_syn[b] ^ x_syn[c]] = (1 << a) | (1 << b) | (1 << c)
+    return byte_syn, leaders
+
+
+def table_decode(words: list[int], generator: int) -> tuple[list[int], list[int]]:
+    """Coset-leader decoding of 31-bit words (bit p = coefficient of x^p)
+    with numpy tables, vectorized over the words: (corrected words, bits
+    flipped in each or -1 for a failure)."""
+    byte_syn, leaders = _syndrome_tables(generator)
+    words = np.asarray(words, dtype=np.uint32)
+    word_bytes = words.astype("<u4").view(np.uint8).reshape(-1, 4)  # bits 8k..8k+7 at k
+    fix = leaders[np.bitwise_xor.reduce(byte_syn[np.arange(4), word_bytes], axis=1)]
+    flips = np.maximum(fix, 0).astype(words.dtype)
+    return ((words ^ flips).tolist(),
+            np.where(fix < 0, -1, np.bitwise_count(flips).astype(np.int64)).tolist())
 
 
 # --- campaign report ---------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_unit
+from conftest import held, make_unit
 from oracles import (closed_form_word, reliability_formula, uniformity_formula,
                      uniqueness_formula)
 from ropuf import chipsim, cli, bch, config, metrics, ro, sampler
@@ -187,7 +187,7 @@ def test_criterion_7_inverter_loop_degeneracy():
     coupling = ro.Coupling.inverter_loop()
     chips = chipsim.build_population(cfg, params, coupling)
     ds = chipsim.run_campaign(chips, cfg, params, coupling)
-    refs = ds.references[1.3]
+    refs = held(ds, 1.3)[0]
     constant = all(np.array_equal(r, refs[0]) for r in refs)
     all_zero = not refs[0].any()
     inter = metrics.compute_report(ds).inter
@@ -232,7 +232,7 @@ def test_criterion_8_voltage_linearity():
 def test_criterion_9_uniqueness_band(default_campaigns):
     datasets, cfg, _ = default_campaigns
     ds = datasets["none"]
-    refs = ds.references[1.3]
+    refs = held(ds, 1.3)[0]
     uniq = metrics.uniqueness(refs, cfg.id_length)
     ok = 40.0 <= uniq <= 60.0
     announce(9, ok, f"uncoupled uniqueness {uniq:.2f}% within 50 +- 10 at "

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import GF_EXP, bch_decode, gf_mul
-from ropuf import bch
+from oracles import GF_EXP, bch_decode, gf_mul, table_decode
+from ropuf import bch, metrics
 from ropuf.errors import DecodeFailure
 from ropuf.sampler import pack_rows
 
@@ -27,6 +27,16 @@ def message_of(value: int) -> np.ndarray:
 def generator_coefficients() -> list[int]:
     """Coefficients of g(x), ascending degree (length 16)."""
     return [(bch.GENERATOR >> i) & 1 for i in range(bch.N - bch.K + 1)]
+
+
+def word_bits(word: int) -> list[int]:
+    """The 31 bits of a word, bit 0 (x^30) first."""
+    return [(word >> (30 - i)) & 1 for i in range(31)]
+
+
+def bits_word(bits) -> int:
+    """The word of 31 bits, bit 0 (x^30) first."""
+    return int("".join(str(int(b)) for b in bits), 2)
 
 
 def assert_decodes(received: np.ndarray, codeword: np.ndarray, n_errors: int) -> None:
@@ -220,11 +230,15 @@ class TestDecodeWordsOracle:
         noise = np.argsort(rng.random((n, 31)), axis=1) < (np.arange(n) % 9)[:, None]
         rows = rng.integers(0, 2, (n, length), dtype=np.uint8)  # bits past 30 ride along
         rows[:, :31] = codewords ^ noise
-        fixed, n_errors = bch.decode_words(bch.packed_words(pack_rows(rows), length))
-        got = (fixed[:, None] >> np.arange(30, -1, -1, dtype=np.uint64)) & 1  # bit 0 is x^30
+        packed = pack_rows(rows)
+        # Zero pad bits, then bit 0 most significant: bits 0..30 are the top 31 of length.
+        words = [int.from_bytes(r.tobytes(), "big") >> (length - 31) for r in packed]
+        fixed, n_errors = bch.decode_words(words)
+        zero = bytes(packed.shape[1])  # a zero anchor leaves the decoded words as they are
+        assert metrics.corrected_sample_words(packed.tobytes(), zero, length) == fixed
+        got = [word_bits(f) for f in fixed]
         failures = miscorrections = 0
-        for row, cw, bits, k in zip(rows[:, :31].tolist(), codewords.tolist(), got.tolist(),
-                                    n_errors.tolist()):
+        for row, cw, bits, k in zip(rows[:, :31].tolist(), codewords.tolist(), got, n_errors):
             want = bch_decode(row)
             if want is None:
                 failures += 1
@@ -233,6 +247,40 @@ class TestDecodeWordsOracle:
                 assert (bits, k) == want
                 miscorrections += want[0] != cw
         assert failures > 0 and miscorrections > 0
+
+
+class TestDecodeWordsTableOracle:
+    """decode_words, on ints, against the numpy table decoder it replaced
+    and against the Berlekamp-Massey/Chien decoder."""
+
+    @staticmethod
+    def check_oracles(words: list[int], bm_every: int = 1) -> tuple[int, int]:
+        """Assert agreement word by word (Berlekamp-Massey on every
+        bm_every-th word); return the failures and the nonzero corrections."""
+        fixed, n_errors = bch.decode_words(words)
+        assert (fixed, n_errors) == table_decode(words, bch.GENERATOR)
+        for word, got, n in list(zip(words, fixed, n_errors))[::bm_every]:
+            want = bch_decode(word_bits(word))
+            assert (got, n) == ((word, -1) if want is None else (bits_word(want[0]), want[1]))
+        return n_errors.count(-1), sum(n > 0 for n in n_errors)
+
+    def test_every_pattern_up_to_weight_3(self, rng):
+        patterns = [sum(1 << p for p in positions)
+                    for w in range(4) for positions in itertools.combinations(range(31), w)]
+        for _ in range(3):
+            cw = bits_word(bch.encode(rand_message(rng)))
+            words = [cw ^ e for e in patterns]
+            assert self.check_oracles(words) == (0, len(patterns) - 1)
+            assert bch.decode_words(words)[0] == [cw] * len(patterns)
+
+    def test_random_weight_4_and_more(self, rng):
+        n = 20_000
+        codewords = (rng.integers(0, 2, (n, bch.K), dtype=np.uint8) @ bch.generator_matrix()) % 2
+        weights = rng.integers(4, 16, n)
+        noise = np.argsort(rng.random((n, 31)), axis=1) < weights[:, None]
+        words = [bits_word(row) for row in codewords ^ noise]
+        failures, corrections = self.check_oracles(words, bm_every=10)
+        assert 0 < failures < n and corrections > 0  # failures and miscorrections both occur
 
 
 class TestFuzzyExtractor:

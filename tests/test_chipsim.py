@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import held, packed_dataset
 from oracles import report_formula
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError
-from ropuf.sampler import pack_rows, unpack_rows
+from ropuf.sampler import unpack_rows
 
 FAST = dict(n_chips=4, samples_per_chip=20, enroll_repetitions=9)
 
@@ -39,7 +40,7 @@ class TestPopulation:
         params = ro.RoParams(process_sigma=0.0, jitter_sigma=0.0,
                              voltage_sensitivity_sigma=0.0)
         ds, cfg, _ = small_campaign(params=params)
-        refs = ds.references[1.3]
+        refs = held(ds, 1.3)[0]
         assert all(np.array_equal(r, refs[0]) for r in refs)
         assert metrics.uniqueness(refs, cfg.id_length) == 0.0
 
@@ -71,7 +72,7 @@ class TestCampaign:
         ds.check_complete()
         for c in range(cfg.n_chips):
             for v in cfg.voltages:
-                assert unpack_rows(ds.samples[v][c], cfg.id_length).shape == (20, 32)
+                assert unpack_rows(held(ds, v)[1][c], cfg.id_length).shape == (20, 32)
 
     def test_zero_jitter_reliability_exact_100(self):
         params = ro.RoParams(jitter_sigma=0.0)
@@ -83,9 +84,10 @@ class TestCampaign:
     def test_determinism(self):
         a, cfg, _ = small_campaign(master_seed=9)
         b, _, _ = small_campaign(master_seed=9)
+        (a_refs, a_cells), (b_refs, b_cells) = held(a, 1.3), held(b, 1.3)
         for c in range(cfg.n_chips):
-            assert np.array_equal(a.references[1.3][c], b.references[1.3][c])
-            assert np.array_equal(a.samples[1.3][c], b.samples[1.3][c])
+            assert np.array_equal(a_refs[c], b_refs[c])
+            assert np.array_equal(a_cells[c], b_cells[c])
 
     def test_campaign_checks_before_sampling(self, monkeypatch):
         params = ro.RoParams()
@@ -104,12 +106,13 @@ class TestCampaign:
         b, _, _ = small_campaign(master_seed=21, voltages=(1.25, 1.35, 1.3))
         for c in range(cfg.n_chips):
             for v in (1.25, 1.3):
-                assert np.array_equal(a.references[v][c], b.references[v][c])
-                assert np.array_equal(a.samples[v][c], b.samples[v][c])
+                (a_refs, a_cells), (b_refs, b_cells) = held(a, v), held(b, v)
+                assert np.array_equal(a_refs[c], b_refs[c])
+                assert np.array_equal(a_cells[c], b_cells[c])
 
     def test_inter_chip_words_look_independent(self):
         ds, cfg, _ = small_campaign(master_seed=2, n_chips=12)
-        u = metrics.uniqueness(ds.references[1.3], cfg.id_length)
+        u = metrics.uniqueness(held(ds, 1.3)[0], cfg.id_length)
         assert 30.0 < u < 70.0
 
 
@@ -155,8 +158,9 @@ class TestSerialization:
         assert loaded.coupling == ds.coupling
         for c in range(cfg.n_chips):
             for v in cfg.voltages:
-                assert np.array_equal(loaded.references[v][c], ds.references[v][c])
-                assert np.array_equal(loaded.samples[v][c], ds.samples[v][c])
+                (got_refs, got_cells), (refs, cells) = held(loaded, v), held(ds, v)
+                assert np.array_equal(got_refs[c], refs[c])
+                assert np.array_equal(got_cells[c], cells[c])
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         ds, _, _ = small_campaign()
@@ -183,16 +187,15 @@ class TestSerialization:
 
 
 def random_dataset(word_length=16, n_chips=3, samples=8, voltages=(1.25, 1.3), seed=11):
-    """A dataset of random bits (no sampling), for file round trips; its
-    samples packed as CampaignDataset holds them."""
+    """A dataset of random bits (no sampling), for file round trips,
+    packed as CampaignDataset holds them."""
     rng = np.random.default_rng(seed)
     cfg = chipsim.CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=word_length,
                                  samples_per_chip=samples, voltages=voltages)
     shape = (n_chips, cfg.id_length)
-    return chipsim.CampaignDataset(
-        cfg, ro.RoParams(), ro.Coupling.none(),
-        {v: rng.integers(0, 2, shape, dtype=np.uint8) for v in voltages},
-        {v: pack_rows(rng.integers(0, 2, (n_chips, samples, cfg.id_length), dtype=np.uint8))
+    return packed_dataset(
+        cfg, {v: rng.integers(0, 2, shape, dtype=np.uint8) for v in voltages},
+        {v: rng.integers(0, 2, (n_chips, samples, cfg.id_length), dtype=np.uint8)
          for v in voltages})
 
 
@@ -220,8 +223,9 @@ class TestDigitBuffer:
         csv_path.write_text("\n".join([lines[0], *body]) + "\n")
         loaded = chipsim.load_dataset(csv_path, tmp_path / "dataset.json")
         for v in ds.config.voltages:
-            assert np.array_equal(loaded.references[v], ds.references[v])
-            assert np.array_equal(loaded.samples[v], ds.samples[v])
+            (got_refs, got_cells), (refs, cells) = held(loaded, v), held(ds, v)
+            assert np.array_equal(got_refs, refs)
+            assert np.array_equal(got_cells, cells)
 
     @pytest.mark.parametrize("word", ["fffffe0\uff17", "fffffe0"],
                              ids=["non_ascii", "seven_digits"])
@@ -266,11 +270,11 @@ class TestPackedSamples:
         refs = {v: rng.integers(0, 2, (4, length), dtype=np.uint8) for v in cfg.voltages}
         flips = {v: (rng.random((4, 60, length)) < 0.05).astype(np.uint8) for v in cfg.voltages}
         grid = {v: refs[v][:, None] ^ flips[v] for v in cfg.voltages}
-        ds = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(), refs,
-                                     {v: pack_rows(cells) for v, cells in grid.items()})
+        ds = packed_dataset(cfg, refs, grid)
         chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
-        assert loaded.samples[1.3].shape == (4, 60, -(-length // 8))
+        assert held(loaded, 1.3)[1].shape == (4, 60, -(-length // 8))
+        assert len(loaded.samples[1.3]) == 4 * 60 * -(-length // 8)
         ref_bits = {v: refs[v].tolist() for v in cfg.voltages}
         grid_bits = {v: grid[v].tolist() for v in cfg.voltages}
         for post_bch in (False, True) if length >= 31 else (False,):
@@ -313,9 +317,11 @@ class TestChipBlocks:
                 (tmp_path / f"held.{suffix}").read_bytes()
         loaded = chipsim.load_dataset(tmp_path / "held.csv", tmp_path / "held.json")
         sources = [lazy, held, loaded]
-        for a, b in zip(lazy, loaded):  # blocks: (n_voltages, L) bits, packed cells
-            assert a[0].shape == (3, 32) and np.array_equal(a[0], b[0])
-            assert a[1].shape == (3, 20, 4) and np.array_equal(a[1], b[1])
+        for a, b in zip(lazy, loaded):  # blocks: per voltage, packed reference and cells
+            assert [len(r) for r in a[0]] == [4] * 3
+            assert [bytes(r) for r in a[0]] == [bytes(r) for r in b[0]]
+            assert [len(cells) for cells in a[1]] == [20 * 4] * 3
+            assert [bytes(cells) for cells in a[1]] == [bytes(cells) for cells in b[1]]
         for post_bch in (False, True):
             for v in (1.3, 1.35):
                 dumps = {json.dumps(metrics.compute_report(s, voltage=v, post_bch=post_bch)

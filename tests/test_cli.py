@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ropuf import bch, chipsim, cli, ro
+from ropuf import bch, chipsim, cli, ro, rng as keyed
 from ropuf.config import from_dict, load, to_dict
 from ropuf.errors import ModelRangeError
 
@@ -374,15 +374,15 @@ class TestBchSelftest:
     @pytest.mark.parametrize("damage", ["drop_leader", "swap_leaders", "weight_4_leader"])
     def test_broken_leader_table_exits_4(self, monkeypatch, capsys, damage):
         byte_syn, leaders = bch._decoder_tables(bch.GENERATOR)
-        broken = leaders.copy()
-        held = np.flatnonzero(leaders > 0)
+        broken = list(leaders)
+        held = [s for s, pattern in enumerate(leaders) if pattern > 0]
         if damage == "drop_leader":
             broken[held[-1]] = -1
         elif damage == "swap_leaders":
-            broken[held[[0, 1]]] = leaders[held[[1, 0]]]
+            broken[held[0]], broken[held[1]] = leaders[held[1]], leaders[held[0]]
         else:
-            broken[np.flatnonzero(leaders < 0)[0]] = 0b1111
-        monkeypatch.setattr(bch, "_decoder_tables", lambda generator: (byte_syn, broken))
+            broken[leaders.index(-1)] = 0b1111
+        monkeypatch.setattr(bch, "_decoder_tables", lambda generator: (byte_syn, tuple(broken)))
         assert cli.main(["bch-selftest", "--trials", "10"]) == 4
         assert "FAIL  coset-leader table" in capsys.readouterr().out
 
@@ -453,8 +453,8 @@ class TestOutOfMemory:
         assert sorted(out.iterdir()) == []
 
     def test_bch_selftest(self, monkeypatch, capsys):
-        ensure_rng = bch.ensure_rng
-        monkeypatch.setattr(bch, "ensure_rng", lambda seed: RefusingRng(ensure_rng(seed)))
+        ensure_rng = keyed.ensure_rng  # bch.selftest imports it when called
+        monkeypatch.setattr(keyed, "ensure_rng", lambda seed: RefusingRng(ensure_rng(seed)))
         assert cli.main(["bch-selftest", "--trials", str(10 ** 12)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: Unable to allocate "), captured.err

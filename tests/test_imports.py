@@ -14,7 +14,8 @@ run in one process, and no module of the package imports hashlib.
 `numpy.random`, which the sampling commands need, would load OpenSSL
 through `secrets`; run as a program, `cli.main` blocks `_hashlib` first,
 while `import ropuf` and an in-process `main([...])` leave the process's
-OpenSSL alone.  `metrics` loads neither.
+OpenSSL alone.  `metrics` loads neither, nor any numpy module: it scores
+words as Python integers.
 """
 import ast
 import hashlib
@@ -24,9 +25,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ropuf
+from conftest import packed_dataset
+from ropuf.config import CampaignConfig
+from ropuf.dataset import save_dataset
 from test_golden import CONFIG, FILE_DIGESTS
 
 HEAVY = ("multiprocessing", "concurrent.futures.process", "_hashlib")
@@ -43,7 +48,8 @@ def _loaded(code: str) -> str:
     return out.stdout.strip()
 
 
-SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "config", "bch", "metrics", "cost")
+SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "dataset", "config", "bch", "metrics",
+              "cost")
 
 
 def test_import_ropuf_loads_no_submodule_and_no_numpy():
@@ -115,6 +121,38 @@ def test_metrics_loads_no_numpy_random_and_no_openssl(tmp_path, flags):
     assert (tmp_path / "report.json").exists()
 
 
+@pytest.fixture(scope="module")
+def odd_dataset(tmp_path_factory):
+    """An 18-bit dataset of random bits: 5 hex digits, the top one partial."""
+    rng = np.random.default_rng(18)
+    cfg = CampaignConfig(n_chips=3, pairs_per_id=2, word_length=9, samples_per_chip=40,
+                         voltages=(1.25, 1.3))
+    path = tmp_path_factory.mktemp("odd") / "dataset.csv"
+    save_dataset(packed_dataset(cfg, {v: rng.integers(0, 2, (3, 18), dtype=np.uint8)
+                                      for v in cfg.voltages},
+                                {v: rng.integers(0, 2, (3, 40, 18), dtype=np.uint8)
+                                 for v in cfg.voltages}),
+                 path, path.with_suffix(".json"))
+    return path
+
+
+@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
+@pytest.mark.parametrize("data, flags, rc", [
+    ("frozen", [], 0), ("frozen", ["--post-bch"], 0),
+    ("odd", [], 0), ("odd", ["--post-bch"], 3),  # 18 bits are too short for the code
+], ids=["frozen_raw", "frozen_post_bch", "odd_raw", "odd_post_bch_refused"])
+def test_metrics_loads_no_numpy(tmp_path, odd_dataset, as_program, data, flags, rc):
+    """`metrics` loads no numpy module, on the frozen stream-version-1
+    dataset and on an odd-length one, run as a program or called in-process."""
+    argv = ["metrics", str(DATASET if data == "frozen" else odd_dataset),
+            "--out", str(tmp_path), *flags]
+    run = f"sys.argv = {['ropuf', *argv]!r}; rc = main()" if as_program else f"rc = main({argv!r})"
+    code = (f"import sys; from ropuf.cli import main; {run}; "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
+    assert _loaded(code).splitlines()[-1] == f"{rc} []"
+    assert (tmp_path / "report.json").exists() == (rc == 0)
+
+
 @pytest.fixture
 def config(tmp_path):
     """The golden campaign's run configuration, as a file."""
@@ -127,8 +165,10 @@ def config(tmp_path):
 def test_program_samples_without_openssl(tmp_path, config, command, out):
     argv = ["ropuf", command, "--config", str(config), "--out", str(tmp_path / out)]
     code = (f"import sys; sys.argv = {argv!r}; from ropuf.cli import main; rc = main(); "
-            "print(rc, 'numpy.random' in sys.modules, sys.modules.get('_hashlib'))")
-    assert _loaded(code).splitlines()[-1] == "0 True None"
+            "print(rc, 'numpy.random' in sys.modules, sys.modules.get('_hashlib'), "
+            "'ropuf.bch' in sys.modules)")
+    # Sampling decodes nothing, so it never compiles the codec either.
+    assert _loaded(code).splitlines()[-1] == "0 True None False"
     # The draws without OpenSSL are the ones the golden pins were made from.
     pinned = [name for name in FILE_DIGESTS if name.startswith(f"{out}/")]
     assert len(pinned) == 2

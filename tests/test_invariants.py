@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_unit
+from conftest import held, make_unit
 from ropuf import chipsim, ro, rng as keyed
 from ropuf.sampler import PufUnit, unpack_rows
 
@@ -54,8 +54,9 @@ def run(cfg, params, coupling, squeeze):
 
 def assert_cells_equal(a, b, voltages, chips=slice(None), samples=slice(None)):
     for v in voltages:
-        assert np.array_equal(a.references[v][chips], b.references[v][chips]), v
-        assert np.array_equal(a.samples[v][chips, samples], b.samples[v][chips, samples]), v
+        (a_refs, a_cells), (b_refs, b_cells) = held(a, v), held(b, v)
+        assert np.array_equal(a_refs[chips], b_refs[chips]), v
+        assert np.array_equal(a_cells[chips, samples], b_cells[chips, samples]), v
 
 
 @INVARIANT
@@ -162,6 +163,7 @@ def test_stream_layout_rebuilt_row_by_row():
     ds = chipsim.run_campaign(chips, cfg, ro.RoParams())
     b1w, n2 = 4 * 31 + 8, 31
     assert b1w * 0.21e-9 < n2 * 1.19e-9  # unit 0: B1 half-periods of RO1 fall short
+    grid = {v: held(ds, v) for v in voltages}
     for chip in chips:
         c = chip.chip_id
         for u, unit in enumerate(chip.units):
@@ -172,7 +174,7 @@ def test_stream_layout_rebuilt_row_by_row():
                 want = [oracle_row(unit, v, g1[t], g2[t],
                                    keyed.keyed_rng(seed, keyed.TAG_EXTEND, c, u, t))
                         for t in range(n_samples)]
-                got = unpack_rows(ds.samples[v][c], 32)[:, u * 16:(u + 1) * 16]
+                got = unpack_rows(grid[v][1][c], 32)[:, u * 16:(u + 1) * 16]
                 assert np.array_equal(got, want), (c, u, v)
                 words = [tuple(oracle_row(unit, v, row[:b1w], row[b1w:],
                                           keyed.keyed_rng(seed, keyed.TAG_ENROLL_EXTEND, c, u, r)))
@@ -181,4 +183,4 @@ def test_stream_layout_rebuilt_row_by_row():
                 leaders = [w for w, n in counts if n == counts[0][1]]
                 want = leaders[0] if len(leaders) == 1 else tuple(
                     int(2 * ones > reps) for ones in np.sum(words, axis=0))
-                assert tuple(ds.references[v][c, u * 16:(u + 1) * 16]) == want, (c, u, v)
+                assert tuple(grid[v][0][c, u * 16:(u + 1) * 16]) == want, (c, u, v)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import word_of
-from oracles import (line_fit_by_polyfit, reliability_formula, uniformity_formula,
-                     uniqueness_formula)
+from oracles import (line_fit_by_polyfit, mean_by_numpy, reliability_formula,
+                     uniformity_formula, uniqueness_formula)
 from ropuf import metrics
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=24)
@@ -19,7 +19,7 @@ def words_strategy(length, n):
 def hamming(a: np.ndarray, b: np.ndarray) -> int:
     """Hamming distance of two words, as the pairwise kernel behind
     uniqueness and the inter-chip histogram counts it."""
-    return int(metrics._pair_distances(np.array([a, b]))[0])
+    return metrics._pair_distances(metrics._bit_words([a, b], len(a)))[0]
 
 
 class TestHamming:
@@ -46,7 +46,7 @@ class TestHamming:
         assert hamming(wa, wb) == hamming(wb, wa)
         assert (hamming(wa, wb) == 0) == np.array_equal(wa, wb)
         assert hamming(wa, wc) <= hamming(wa, wb) + hamming(wb, wc)
-        assert metrics._pair_distances(np.array([wa, wb, wc])).tolist() == [
+        assert metrics._pair_distances(metrics._bit_words([wa, wb, wc], n)) == [
             hamming(wa, wb), hamming(wa, wc), hamming(wb, wc)]
 
 
@@ -144,6 +144,31 @@ class TestFormulaOracle:
             got = metrics.uniformity([word_of(s) for s in samples], length)
             want = uniformity_formula(samples, length)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+class TestPairwiseMean:
+    """metrics._mean, a port of numpy's pairwise float64 sum, against
+    np.mean itself: every size below 300, then the sizes around the
+    128-value blocks and the splits at multiples of 8."""
+
+    SIZES = [*range(1, 300), 511, 512, 513, 1000, 1023, 1024, 1025, 4999, 5000, 5001, 20000]
+
+    def test_random_floats_across_ten_decades(self):
+        rng = np.random.default_rng(17)
+        for n in self.SIZES:
+            for _ in range(20):
+                values = (rng.random(n) * 10.0 ** rng.integers(-5, 5, n)).tolist()
+                assert metrics._mean(values) == mean_by_numpy(values), n
+
+    def test_ones_fractions_as_uniformity_averages_them(self):
+        rng = np.random.default_rng(18)
+        for n in self.SIZES:
+            for _ in range(20):
+                length = int(rng.choice([3, 17, 31, 32, 70]))
+                ones = rng.integers(0, length + 1, n)
+                assert metrics._mean((ones / length).tolist()) == mean_by_numpy(ones / length)
+                assert metrics._uniformity_pct(ones.tolist(), length) == \
+                    float(np.mean(ones / length) * 100.0), (n, length)
 
 
 class TestLinearFit:

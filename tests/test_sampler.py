@@ -3,10 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import make_unit, word_of
+from conftest import held, make_unit, packed_dataset, word_of
 from oracles import (closed_form_word, event_walk_word, hex_word, hex_word_bits,
                      modal_row_by_unique)
 from ropuf import chipsim, ro, sampler
+from ropuf.dataset import hex_words
 from ropuf.errors import ConfigurationError, DatasetError
 
 # Patterns for the two ratios of the waveform figure, frozen from the
@@ -27,14 +28,12 @@ def loaded_words(tmp_path, words: list[str], length: int) -> np.ndarray:
     cfg = chipsim.CampaignConfig(n_chips=2, pairs_per_id=1, word_length=length,
                                  samples_per_chip=len(words), voltages=(1.3,))
     zeros = np.zeros((2, len(words), length), dtype=np.uint8)
-    dataset = chipsim.CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(),
-                                      {1.3: zeros[:, 0]}, {1.3: sampler.pack_rows(zeros)})
     csv_path, sidecar = tmp_path / "dataset.csv", tmp_path / "dataset.json"
-    chipsim.save_dataset(dataset, csv_path, sidecar)
+    chipsim.save_dataset(packed_dataset(cfg, {1.3: zeros[:, 0]}, {1.3: zeros}), csv_path, sidecar)
     lines = csv_path.read_text().splitlines()
     lines[1:1 + len(words)] = [f"0,1.3,{t},{w}" for t, w in enumerate(words)]
     csv_path.write_text("\n".join(lines) + "\n")
-    return chipsim.load_dataset(csv_path, sidecar).samples[1.3][0]
+    return held(chipsim.load_dataset(csv_path, sidecar), 1.3)[1][0]
 
 
 class TestResponseWord:
@@ -42,13 +41,13 @@ class TestResponseWord:
 
     def test_hex_round_trip(self, rng, tmp_path):
         w = rng.integers(0, 2, 32, dtype=np.uint8)
-        words = sampler.hex_words(sampler.pack_rows(w[None, :]), 32)
+        words = hex_words(sampler.pack_rows(w[None, :]).tobytes(), 32)
         assert np.array_equal(hex_to_rows(words, 32)[0], w)
         assert np.array_equal(sampler.unpack_rows(loaded_words(tmp_path, words, 32), 32)[0], w)
 
     def test_hex_is_msb_first(self):
         w = word_of([1] + [0] * 15)
-        assert sampler.hex_words(sampler.pack_rows(w[None, :]), 16) == ["8000"]
+        assert hex_words(sampler.pack_rows(w[None, :]).tobytes(), 16) == ["8000"]
 
 
 class TestHexCodec:
@@ -60,7 +59,7 @@ class TestHexCodec:
     def test_agrees_with_int_oracle_and_round_trips(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (12, length), dtype=np.uint8)
         rows[0], rows[1] = 0, 1
-        words = sampler.hex_words(sampler.pack_rows(rows), length)
+        words = hex_words(sampler.pack_rows(rows).tobytes(), length)
         assert words == [hex_word(r) for r in rows]
         assert all(len(w) == -(-length // 4) for w in words)
         assert np.array_equal(hex_to_rows(words, length), rows)
@@ -76,11 +75,28 @@ class TestHexCodec:
         assert packed.shape == (3, 5, -(-length // 8)) and packed.dtype == np.uint8
         assert np.array_equal(sampler.unpack_rows(packed, length), rows)
         flat = packed.reshape(15, -1)
-        words = sampler.hex_words(flat, length)
+        words = hex_words(flat.tobytes(), length)
         # Zero pad bits first, then bit 0 most significant: each row's bytes
         # read as one big-endian integer are its hex word's value.
         assert [int.from_bytes(r.tobytes(), "big") for r in flat] == [int(w, 16) for w in words]
         assert np.array_equal(loaded_words(tmp_path, words, length), flat)
+
+    def test_only_a_partial_byte_is_padded(self, rng, monkeypatch):
+        """Whole-byte rows pack without np.pad's copy; 18-bit rows need it."""
+        rows = rng.integers(0, 2, (5, 32), dtype=np.uint8)
+        want = [sampler.pack_rows(rows), sampler.pack_rows(rows[:, :18])]
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad called")
+
+        monkeypatch.setattr(np, "pad", no_pad)
+        assert np.array_equal(sampler.pack_rows(rows), want[0])
+        with pytest.raises(AssertionError, match="np.pad called"):
+            sampler.pack_rows(rows[:, :18])
+        monkeypatch.undo()
+        assert want[1].shape == (5, 3)
+        assert [int.from_bytes(r.tobytes(), "big") for r in want[1]] == \
+            [int.from_bytes(r.tobytes(), "big") >> 14 for r in want[0]]
 
     @pytest.mark.parametrize("length", [n for n in LENGTHS if n % 4])
     def test_one_bit_too_wide_rejected(self, tmp_path, length):

@@ -11,14 +11,12 @@ alpha, alpha^3 and alpha^5, the lcm of their minimal polynomials
 looks each word's syndrome up in a table of the coset leaders of
 weight <= 3.
 
-Bit layout of a 31-bit word: index i holds the coefficient of x^(30-i),
-so bits[0:16] are the 16 systematic message bits and bits[16:31] the
-parity bits, and rotating the vector is multiplication by x modulo
-x^31 - 1.  decode_words, the one decoder, takes and returns words as
-integers whose bit p is the coefficient of x^p, so importing this
-module loads no numpy.  The bit-array forms (encode, decode_rows,
-decode, the extractor) take uint8 arrays in the layout above and import
-numpy when called.
+Every word is a Python int whose bit p is the coefficient of x^p: a
+31-bit word's bits 15..30 are the 16 systematic message bits (message
+bit i at x^(15+i)) and bits 0..14 the parity bits, and rotating the 31
+bits left by one is multiplication by x modulo x^31 - 1.  Messages and
+keys are 16-bit ints.  decode_words is the one decoder; decode is its
+one-word form.  Nothing here imports numpy.
 """
 from __future__ import annotations
 
@@ -26,14 +24,13 @@ import functools
 from array import array
 from collections import Counter
 from itertools import combinations
+from random import Random
 from typing import TYPE_CHECKING
 
 from .errors import DecodeFailure
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
-
-    import numpy as np
 
 N = 31
 K = 16
@@ -83,34 +80,13 @@ def build_generator() -> int:
 GENERATOR = build_generator()
 
 
-def _encode_word(message: int) -> int:
-    """Codeword of a 16-bit message as a word, systematic: message * x^15
-    plus its remainder modulo g, so bit 15 of the message is x^30."""
+def encode(message: int) -> int:
+    """Codeword of a 16-bit message, systematic: message * x^15 plus its
+    remainder modulo g, so bit 15 of the message is x^30."""
+    if not 0 <= message < 1 << K:
+        raise ValueError(f"message must be a {K}-bit int, got {message!r}")
     shifted = message << (N - K)
     return shifted | _gf2_mod(shifted, GENERATOR)
-
-
-def _word_rows(words) -> np.ndarray:
-    """Words (bit p = coefficient of x^p) as an (m, 31) bit array."""
-    import numpy as np
-    # Big-endian bytes unpack most significant bit first; bit 31 is always 0.
-    return np.unpackbits(np.array(words, dtype=">u4").view(np.uint8).reshape(-1, 4),
-                         axis=1)[:, 1:]
-
-
-def _row_words(rows: np.ndarray) -> list[int]:
-    """The rows of an (m, 31) bit array as words: bit 0 of a row is x^30."""
-    import numpy as np
-    return (np.packbits(rows, axis=1).view(">u4")[:, 0] >> 1).tolist()
-
-
-def encode(message: np.ndarray) -> np.ndarray:
-    """(31,) codeword of a (16,) message bit array, systematic: parity is
-    (message * x^15) mod g."""
-    import numpy as np
-    if np.shape(message) != (K,):
-        raise ValueError(f"message must be {K} bits, got shape {np.shape(message)}")
-    return _word_rows([_encode_word(int.from_bytes(np.packbits(message).tobytes(), "big"))])[0]
 
 
 @functools.cache
@@ -166,64 +142,42 @@ def decode_words(words: Iterable[int]) -> tuple[list[int], list[int]]:
     return fixed, flips
 
 
-def decode_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """decode_words over the rows of an (n, 31) uint8 bit array, each
-    returned as corrected bits, with its number of flips (-1 if failed)."""
-    import numpy as np
-    if rows.ndim != 2 or rows.shape[1] != N:
-        raise ValueError(f"rows must be (n, {N}) bits, got shape {rows.shape}")
-    fixed, n_errors = decode_words(_row_words(rows))
-    return _word_rows(fixed), np.array(n_errors, dtype=np.int64)
-
-
-def decode(received: np.ndarray) -> tuple[np.ndarray, int]:
-    """Correct up to 3 bit errors of a (31,) bit array; return (codeword,
-    number corrected).
+def decode(word: int) -> tuple[int, int]:
+    """decode_words on one 31-bit word: (codeword, number of bits flipped).
 
     Raises DecodeFailure for a word with more than t errors and no
-    codeword within distance t.  At most 3 positions are ever flipped.
+    codeword within distance t.  At most 3 bits are ever flipped.
     """
-    import numpy as np
-    fixed, n_errors = decode_rows(np.asarray(received)[None, :])
-    if n_errors[0] < 0:
+    if not 0 <= word < 1 << N:
+        raise ValueError(f"word must be a {N}-bit int, got {word!r}")
+    (fixed,), (flips,) = decode_words([word])
+    if flips < 0:
         raise DecodeFailure(f"more than t={T} errors")
-    return fixed[0], int(n_errors[0])
+    return fixed, flips
 
 
-def fe_enroll(response: np.ndarray, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Enroll a (31,) response: draw a uniform (16,) key and return it with
-    the public offset encode(key) XOR response, which reveals at most the
-    15 parity bits' worth of information about the response."""
-    import numpy as np
-    from .rng import ensure_rng
-    if np.shape(response) != (N,):
-        raise ValueError(f"response must be {N} bits, got shape {np.shape(response)}")
-    key = ensure_rng(seed).integers(0, 2, size=K, dtype=np.uint8)
+def fe_enroll(response: int, seed: int) -> tuple[int, int]:
+    """Enroll a 31-bit response: draw a uniform 16-bit key from seed and
+    return it with the public offset encode(key) XOR response, which
+    reveals at most the 15 parity bits' worth of information about the
+    response."""
+    if not 0 <= response < 1 << N:
+        raise ValueError(f"response must be a {N}-bit int, got {response!r}")
+    key = Random(seed).getrandbits(K)
     return key, encode(key) ^ response
 
 
-def fe_reproduce(response: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Recover the enrolled (16,) key from a noisy (31,) response (up to 3
-    bit errors) and the offset fe_enroll returned."""
-    import numpy as np
-    if np.shape(response) != (N,):
-        raise ValueError(f"response must be {N} bits, got shape {np.shape(response)}")
-    codeword, _ = decode(response ^ offset)
-    return codeword[:K]
+def fe_reproduce(response: int, offset: int) -> int:
+    """Recover the enrolled 16-bit key from a noisy 31-bit response (up to
+    3 bit errors) and the offset fe_enroll returned."""
+    return decode(response ^ offset)[0] >> (N - K)
 
 
 # --- self-test ---------------------------------------------------------
 
 
-def generator_matrix() -> np.ndarray:
-    """Systematic generator matrix: row i encodes the i-th unit message."""
-    return _word_rows([_encode_word(1 << (K - 1 - i)) for i in range(K)])
-
-
 def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str, bool]]:
     """Battery of codec checks; returns (name, passed) per check."""
-    import numpy as np
-    from .rng import ensure_rng
     results = []
 
     def eval_gen(elem: int) -> int:
@@ -240,9 +194,10 @@ def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str,
     results.append(("generator divides x^31 + 1",
                     _gf2_mod((1 << N) | 1, GENERATOR) == 0))
 
-    codewords = array("I", [0])  # all 2^16 as 32-bit words, by doubling over a basis
+    # All 2^16 codewords, by doubling over a basis: codewords[m] == encode(m).
+    codewords = array("I", [0])
     for i in range(K):
-        row = _encode_word(1 << i)
+        row = encode(1 << i)
         codewords += array("I", (c ^ row for c in codewords))
     results.append(("minimum nonzero codeword weight == 7",
                     codewords[0] == 0 and min(map(int.bit_count, codewords[1:])) == 7))
@@ -255,23 +210,24 @@ def selftest(random_error_trials: int = 10000, seed: int = 1) -> list[tuple[str,
                     and len(set(patterns)) == len(patterns)
                     and not any(decode_words(patterns)[0])))
 
-    g = generator_matrix()
-    rng = ensure_rng(seed)
-    base = (rng.integers(0, 2, K, dtype=np.uint8) @ g) % 2
-    i, j = np.triu_indices(N)  # i == j gives the 31 single-error cases
-    noise = np.eye(N, dtype=np.uint8)[i] | np.eye(N, dtype=np.uint8)[j]
-    fixed, n_errors = decode_rows(base ^ noise)
+    rnd = Random(seed)
+    base = codewords[rnd.getrandbits(K)]
+    noise = [1 << i | 1 << j for i in range(N) for j in range(i, N)]  # i == j: one error
+    fixed, flips = decode_words([base ^ e for e in noise])
     results.append(("exhaustive 1- and 2-error correction",
-                    bool((fixed == base).all()) and np.array_equal(n_errors, noise.sum(axis=1))))
+                    fixed == [base] * len(noise) and flips == [e.bit_count() for e in noise]))
 
-    codewords = (rng.integers(0, 2, (random_error_trials, K), dtype=np.uint8) @ g) % 2
-    noise = (np.argsort(rng.random((random_error_trials, N)), axis=1) < 3).astype(np.uint8)
-    fixed, n_errors = decode_rows(codewords ^ noise)
+    try:  # every trial's message in one draw: too many trials fail before any runs
+        messages = memoryview(rnd.randbytes(2 * random_error_trials)).cast("H")
+    except OverflowError as exc:  # randbytes counts its bits in a C int
+        raise MemoryError(f"cannot draw {random_error_trials} random messages") from exc
+    sent = [codewords[m] for m in messages]
+    fixed, flips = decode_words([c ^ sum(1 << p for p in rnd.sample(range(N), T)) for c in sent])
     results.append((f"{random_error_trials} random 3-error corrections",
-                    bool((fixed == codewords).all() and (n_errors == 3).all())))
+                    fixed == sent and set(flips) <= {T}))
 
-    codewords = (rng.integers(0, 2, (1000, K), dtype=np.uint8) @ g) % 2
-    fixed, n_errors = decode_rows(codewords)
+    sent = [codewords[m] for m in memoryview(rnd.randbytes(2 * 1000)).cast("H")]
+    fixed, flips = decode_words(sent)
     results.append(("1000 zero-error decodes are identities",
-                    bool((fixed == codewords).all() and (n_errors == 0).all())))
+                    fixed == sent and not any(flips)))
     return results

@@ -8,7 +8,7 @@ Exit codes: 0 success, 2 configuration error (a configuration too
 large to allocate included), 3 data error, 4 self-test failure.
 
 Each command imports the modules it runs, so `cost`, `--help`, a
-usage error and `metrics` never load numpy.
+usage error, `metrics` and `bch-selftest` never load numpy.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ def _campaign(cfg, threads: int):
     """The chipsim.Campaign of run configuration cfg, every check done and
     nothing sampled yet.  threads is checked (>= 1) and otherwise ignored:
     a campaign runs in one process."""
-    from . import chipsim
-    chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
     if threads < 1:
         raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    from . import chipsim
+    chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
     return chipsim.Campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling)
 
 

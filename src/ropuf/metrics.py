@@ -158,6 +158,8 @@ class HdHistogram:
 
     def mass_at(self, distance: int) -> float:
         """Fraction of the population at exactly this distance."""
+        if not 0 <= distance <= self.length:
+            raise ValueError(f"distance {distance} is not in 0..{self.length}")
         return self.counts[distance] / self.total if self.total else 0.0
 
     def mean(self) -> float:

@@ -208,6 +208,39 @@ def _poly_mod(a: int, m: int) -> int:
     return a
 
 
+def word_bits(word: int) -> list[int]:
+    """The 31 bits of a word (bit p = coefficient of x^p), x^30 first."""
+    return [(word >> (30 - i)) & 1 for i in range(31)]
+
+
+def bits_word(bits) -> int:
+    """The integer whose binary digits, most significant first, are bits:
+    the word of 31 bits x^30 first, or the message of 16."""
+    return int("".join(str(int(b)) for b in bits), 2)
+
+
+def error_word(positions) -> int:
+    """The word flipping the bits at array indices positions (index i is
+    the coefficient of x^(30-i), as in word_bits)."""
+    return sum(1 << (30 - int(i)) for i in positions)
+
+
+def generator_rows(generator: int) -> list[int]:
+    """Systematic generator matrix of the (31,16) code of `generator`, as
+    words: row i, the codeword of message bit i, is x^(15+i) plus its
+    remainder modulo g."""
+    return [1 << (15 + i) | _poly_mod(1 << (15 + i), generator) for i in range(16)]
+
+
+def codebook(rows: list[int]) -> list[int]:
+    """Every XOR of a subset of rows, entry m the XOR of the rows at m's
+    set bits: all 2^16 codewords, each at its message, for generator_rows."""
+    words = [0]
+    for row in rows:
+        words += [w ^ row for w in words]
+    return words
+
+
 @functools.cache
 def _syndrome_tables(generator: int) -> tuple[np.ndarray, np.ndarray]:
     """The numpy syndrome byte tables and coset-leader table of the code

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from conftest import held, make_unit
-from oracles import (closed_form_word, reliability_formula, uniformity_formula,
-                     uniqueness_formula)
+from oracles import (bits_word, closed_form_word, error_word, reliability_formula,
+                     uniformity_formula, uniqueness_formula)
 from ropuf import chipsim, cli, bch, config, metrics, ro, sampler
 
 SEED = 20260809
@@ -99,26 +99,18 @@ def test_criterion_2_waveform_figure_behavior(sampling_grid):
 
 def test_criterion_3_bch_exactness(rng):
     t0 = time.perf_counter()
-    g = bch.generator_matrix()
-    msgs = ((np.arange(1 << 16)[:, None] >> np.arange(15, -1, -1)) & 1).astype(np.uint8)
-    weights = ((msgs @ g) % 2).sum(axis=1)
-    min_weight = int(weights[1:].min())
+    min_weight = min(bch.encode(m).bit_count() for m in range(1, 1 << 16))
 
-    base = bch.encode(rng.integers(0, 2, 16, dtype=np.uint8))
+    base = bch.encode(bits_word(rng.integers(0, 2, 16, dtype=np.uint8)))
     small_patterns = [(i,) for i in range(31)] + \
         list(itertools.combinations(range(31), 2))
-    exact_small = all(np.array_equal(bch.decode(np.bitwise_xor(
-        base, np.isin(np.arange(31), p).astype(np.uint8)))[0], base)
-        for p in small_patterns)
+    exact_small = all(bch.decode(base ^ error_word(p))[0] == base for p in small_patterns)
 
     three_ok = 0
     trials = 10_000
     for _ in range(trials):
-        cw = bch.encode(rng.integers(0, 2, 16, dtype=np.uint8))
-        noisy = cw.copy()
-        noisy[rng.choice(31, size=3, replace=False)] ^= 1
-        fixed, nerr = bch.decode(noisy)
-        three_ok += np.array_equal(fixed, cw) and nerr == 3
+        cw = bch.encode(bits_word(rng.integers(0, 2, 16, dtype=np.uint8)))
+        three_ok += bch.decode(cw ^ error_word(rng.choice(31, size=3, replace=False))) == (cw, 3)
     elapsed = time.perf_counter() - t0
     ok = (min_weight == 7 and exact_small and len(small_patterns) == 496
           and three_ok == trials and elapsed < 30.0)

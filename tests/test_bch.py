@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import GF_EXP, bch_decode, gf_mul, table_decode
+from oracles import (GF_EXP, bch_decode, bits_word, codebook, error_word, generator_rows,
+                     gf_mul, table_decode, word_bits)
 from ropuf import bch, metrics
 from ropuf.errors import DecodeFailure
 from ropuf.sampler import pack_rows
@@ -15,13 +16,13 @@ from ropuf.sampler import pack_rows
 GENERATOR_COEFFS = [1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0, 1]
 
 
-def rand_message(rng) -> np.ndarray:
-    return rng.integers(0, 2, bch.K, dtype=np.uint8)
+def rand_message(rng) -> int:
+    return int(rng.integers(0, 1 << bch.K))
 
 
-def message_of(value: int) -> np.ndarray:
-    """The 16 bits of value, most significant first (bit 0 is x^30 once encoded)."""
-    return ((value >> np.arange(bch.K - 1, -1, -1)) & 1).astype(np.uint8)
+def rand_codewords(rng, n: int) -> list[int]:
+    """n random codewords, from the same draws as n random message bit rows."""
+    return [bch.encode(bits_word(m)) for m in rng.integers(0, 2, (n, bch.K), dtype=np.uint8)]
 
 
 def generator_coefficients() -> list[int]:
@@ -29,19 +30,8 @@ def generator_coefficients() -> list[int]:
     return [(bch.GENERATOR >> i) & 1 for i in range(bch.N - bch.K + 1)]
 
 
-def word_bits(word: int) -> list[int]:
-    """The 31 bits of a word, bit 0 (x^30) first."""
-    return [(word >> (30 - i)) & 1 for i in range(31)]
-
-
-def bits_word(bits) -> int:
-    """The word of 31 bits, bit 0 (x^30) first."""
-    return int("".join(str(int(b)) for b in bits), 2)
-
-
-def assert_decodes(received: np.ndarray, codeword: np.ndarray, n_errors: int) -> None:
-    fixed, nerr = bch.decode(received)
-    assert np.array_equal(fixed, codeword) and nerr == n_errors
+def assert_decodes(received: int, codeword: int, n_errors: int) -> None:
+    assert bch.decode(received) == (codeword, n_errors)
 
 
 class TestField:
@@ -98,42 +88,35 @@ class TestGenerator:
 
 class TestEncode:
     def test_zero_message_zero_codeword(self):
-        cw = bch.encode(np.zeros(bch.K, dtype=np.uint8))
-        assert not cw.any()
+        assert bch.encode(0) == 0
 
     def test_systematic_layout(self, rng):
         m = rand_message(rng)
-        cw = bch.encode(m)
-        assert np.array_equal(cw[:16], m)
+        assert bch.encode(m) >> 15 == m
 
     @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 16 - 1))
     def test_linearity(self, a, b):
-        wa, wb = message_of(a), message_of(b)
-        assert np.array_equal(bch.encode(wa) ^ bch.encode(wb), bch.encode(wa ^ wb))
+        assert bch.encode(a) ^ bch.encode(b) == bch.encode(a ^ b)
 
     def test_cyclic_shift_is_codeword(self, rng):
         for _ in range(50):
             cw = bch.encode(rand_message(rng))
-            rotated = np.roll(cw, 1)
-            fixed, nerr = bch.decode(rotated)
-            assert nerr == 0 and np.array_equal(fixed, rotated)
+            rotated = cw >> 1 | (cw & 1) << 30  # division by x modulo x^31 - 1
+            assert_decodes(rotated, rotated, 0)
 
     def test_minimum_weight_exhaustive(self):
-        g = bch.generator_matrix()
-        msgs = ((np.arange(1 << 16)[:, None] >> np.arange(15, -1, -1)) & 1).astype(np.uint8)
-        weights = ((msgs @ g) % 2).sum(axis=1)
-        assert int(weights[0]) == 0
-        assert int(weights[1:].min()) == 7
+        weights = [bch.encode(m).bit_count() for m in range(1 << 16)]
+        assert weights[0] == 0
+        assert min(weights[1:]) == 7
 
-    def test_matrix_matches_encode(self, rng):
-        g = bch.generator_matrix()
-        for _ in range(20):
-            m = rand_message(rng)
-            assert np.array_equal((m @ g) % 2, bch.encode(m))
+    def test_matrix_matches_encode(self):
+        want = codebook(generator_rows(bch.GENERATOR))
+        assert [bch.encode(m) for m in range(1 << 16)] == want
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            bch.encode(np.zeros(15, dtype=np.uint8))
+        for message in [-1, 1 << 16]:
+            with pytest.raises(ValueError, match="16-bit"):
+                bch.encode(message)
 
 
 class TestDecode:
@@ -145,76 +128,31 @@ class TestDecode:
     def test_all_one_and_two_error_patterns(self, rng):
         cw = bch.encode(rand_message(rng))
         for i in range(31):
-            noisy = cw.copy()
-            noisy[i] ^= 1
-            assert_decodes(noisy, cw, 1)
+            assert_decodes(cw ^ 1 << i, cw, 1)
         for i, j in itertools.combinations(range(31), 2):
-            noisy = cw.copy()
-            noisy[[i, j]] ^= 1
-            assert_decodes(noisy, cw, 2)
+            assert_decodes(cw ^ 1 << i ^ 1 << j, cw, 2)
 
     def test_random_three_error_patterns(self, rng):
         for _ in range(2000):
             cw = bch.encode(rand_message(rng))
-            noisy = cw.copy()
-            noisy[rng.choice(31, size=3, replace=False)] ^= 1
-            assert_decodes(noisy, cw, 3)
+            assert_decodes(cw ^ error_word(rng.choice(31, size=3, replace=False)), cw, 3)
 
     def test_four_errors_never_silently_absorbed(self, rng):
-        zero = np.zeros(31, dtype=np.uint8)
         for _ in range(500):
-            noisy = zero.copy()
-            noisy[rng.choice(31, size=4, replace=False)] ^= 1
+            noisy = error_word(rng.choice(31, size=4, replace=False))
             try:
                 fixed, nerr = bch.decode(noisy)
             except DecodeFailure:
                 continue
             # a miscorrection must be a nonzero codeword within distance 3
-            assert not np.array_equal(fixed, zero)
+            assert fixed != 0
             assert nerr <= 3
-            assert int(np.count_nonzero(fixed != noisy)) <= 3
+            assert (fixed ^ noisy).bit_count() <= 3
 
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            bch.decode(np.zeros(30, dtype=np.uint8))
-
-
-class TestDecodeRowsOracle:
-    """decode_rows against the Berlekamp-Massey/Chien decoder in oracles."""
-
-    @staticmethod
-    def check_oracle(rows):
-        """Assert row-by-row agreement; return the number of failed rows."""
-        fixed, n_errors = bch.decode_rows(rows)
-        failures = 0
-        for row, got, n in zip(rows.tolist(), fixed.tolist(), n_errors.tolist()):
-            want = bch_decode(row)
-            if want is None:
-                failures += 1
-                assert (got, n) == (row, -1)
-            else:
-                assert (got, n) == want
-        return failures
-
-    def test_every_pattern_up_to_weight_3(self, rng):
-        patterns = [p for w in range(4) for p in itertools.combinations(range(31), w)]
-        assert len(patterns) == 1 + 31 + 465 + 4495
-        noise = np.zeros((len(patterns), 31), dtype=np.uint8)
-        for k, p in enumerate(patterns):
-            noise[k, list(p)] = 1
-        for _ in range(3):
-            cw = bch.encode(rand_message(rng))
-            rows = cw ^ noise
-            assert self.check_oracle(rows) == 0
-            assert (bch.decode_rows(rows)[0] == cw).all()
-
-    def test_random_weight_4_to_8(self, rng):
-        n = 20_000
-        codewords = (rng.integers(0, 2, (n, bch.K), dtype=np.uint8) @ bch.generator_matrix()) % 2
-        weights = rng.integers(4, 9, n)
-        noise = (np.argsort(rng.random((n, 31)), axis=1) < weights[:, None]).astype(np.uint8)
-        failures = self.check_oracle(codewords ^ noise)
-        assert 0 < failures < n  # both failures and miscorrections occur
+        for word in [-1, 1 << 31]:
+            with pytest.raises(ValueError, match="31-bit"):
+                bch.decode(word)
 
 
 class TestDecodeWordsOracle:
@@ -226,7 +164,7 @@ class TestDecodeWordsOracle:
     def test_protected_bits_of_packed_rows(self, length, seed):
         rng = np.random.default_rng(seed)
         n = 270
-        codewords = (rng.integers(0, 2, (n, bch.K), dtype=np.uint8) @ bch.generator_matrix()) % 2
+        codewords = np.array([word_bits(c) for c in rand_codewords(rng, n)], dtype=np.uint8)
         noise = np.argsort(rng.random((n, 31)), axis=1) < (np.arange(n) % 9)[:, None]
         rows = rng.integers(0, 2, (n, length), dtype=np.uint8)  # bits past 30 ride along
         rows[:, :31] = codewords ^ noise
@@ -267,15 +205,16 @@ class TestDecodeWordsTableOracle:
     def test_every_pattern_up_to_weight_3(self, rng):
         patterns = [sum(1 << p for p in positions)
                     for w in range(4) for positions in itertools.combinations(range(31), w)]
+        assert len(patterns) == 1 + 31 + 465 + 4495
         for _ in range(3):
-            cw = bits_word(bch.encode(rand_message(rng)))
+            cw = bch.encode(rand_message(rng))
             words = [cw ^ e for e in patterns]
             assert self.check_oracles(words) == (0, len(patterns) - 1)
             assert bch.decode_words(words)[0] == [cw] * len(patterns)
 
     def test_random_weight_4_and_more(self, rng):
         n = 20_000
-        codewords = (rng.integers(0, 2, (n, bch.K), dtype=np.uint8) @ bch.generator_matrix()) % 2
+        codewords = np.array([word_bits(c) for c in rand_codewords(rng, n)], dtype=np.uint8)
         weights = rng.integers(4, 16, n)
         noise = np.argsort(rng.random((n, 31)), axis=1) < weights[:, None]
         words = [bits_word(row) for row in codewords ^ noise]
@@ -285,49 +224,51 @@ class TestDecodeWordsTableOracle:
 
 class TestFuzzyExtractor:
     def test_noiseless_round_trip(self, rng):
-        response = rng.integers(0, 2, 31, dtype=np.uint8)
+        response = int(rng.integers(0, 1 << 31))
         key, offset = bch.fe_enroll(response, 42)
-        assert np.array_equal(bch.fe_reproduce(response, offset), key)
+        assert 0 <= key < 1 << 16
+        assert bch.fe_reproduce(response, offset) == key
 
     def test_key_recovered_iff_within_three_errors(self, rng):
-        response = rng.integers(0, 2, 31, dtype=np.uint8)
+        response = int(rng.integers(0, 1 << 31))
         key, offset = bch.fe_enroll(response, 7)
         for weight in range(8):
             for _ in range(40):
-                noisy = response.copy()
-                if weight:
-                    noisy[rng.choice(31, size=weight, replace=False)] ^= 1
+                noisy = response ^ error_word(rng.choice(31, size=weight, replace=False))
                 try:
                     recovered = bch.fe_reproduce(noisy, offset)
                 except DecodeFailure:
                     recovered = None
                 if weight <= 3:
-                    assert np.array_equal(recovered, key)
+                    assert recovered == key
                 else:
-                    assert recovered is None or not np.array_equal(recovered, key)
+                    assert recovered != key
 
     def test_seven_flips_along_codeword_switch_key(self, rng):
         # flipping a weight-7 codeword's support lands on another codeword
-        response = rng.integers(0, 2, 31, dtype=np.uint8)
+        response = int(rng.integers(0, 1 << 31))
         key, offset = bch.fe_enroll(response, 3)
-        g = bch.generator_matrix()
-        weights = ((((np.arange(1, 1 << 16)[:, None] >> np.arange(15, -1, -1)) & 1)
-                    .astype(np.uint8) @ g) % 2).sum(axis=1)
-        m = int(np.flatnonzero(weights == 7)[0]) + 1
-        light = bch.encode(message_of(m))
-        shifted = response ^ light
-        recovered = bch.fe_reproduce(shifted, offset)
-        assert np.array_equal(recovered, key ^ light[:16])
-        assert not np.array_equal(recovered, key)
+        light = next(c for c in map(bch.encode, range(1, 1 << 16)) if c.bit_count() == 7)
+        recovered = bch.fe_reproduce(response ^ light, offset)
+        assert recovered == key ^ light >> 15
+        assert recovered != key
 
     def test_correct_response_round_trip(self, rng):
-        response = rng.integers(0, 2, 31, dtype=np.uint8)
+        response = int(rng.integers(0, 1 << 31))
         _, offset = bch.fe_enroll(response, 9)
-        noisy = response.copy()
-        noisy[[0, 13, 30]] ^= 1
-        fixed, n_errors = bch.decode_rows(noisy[None, :] ^ offset)
-        assert n_errors.tolist() == [3]
-        assert np.array_equal(fixed[0] ^ offset, response)
+        fixed, n_errors = bch.decode(response ^ error_word([0, 13, 30]) ^ offset)
+        assert n_errors == 3
+        assert fixed ^ offset == response
+
+    def test_key_depends_on_seed_only(self):
+        key, _ = bch.fe_enroll(0, 5)
+        assert bch.fe_enroll((1 << 31) - 1, 5)[0] == key
+        assert bch.fe_enroll(0, 6)[0] != key
+
+    def test_response_out_of_range_rejected(self):
+        for response in [-1, 1 << 31]:
+            with pytest.raises(ValueError, match="31-bit"):
+                bch.fe_enroll(response, 1)
 
 
 class TestSelftest:

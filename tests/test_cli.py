@@ -1,10 +1,11 @@
 import json
 import math
+from random import Random
 
 import numpy as np
 import pytest
 
-from ropuf import bch, chipsim, cli, ro, rng as keyed
+from ropuf import bch, chipsim, cli, ro
 from ropuf.config import from_dict, load, to_dict
 from ropuf.errors import ModelRangeError
 
@@ -101,14 +102,18 @@ class TestSimulate:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "accepted and ignored" in help_text and "worker" not in help_text
 
-    def test_threads_below_one_rejected(self, tmp_path, capsys):
+    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "run.json"
         write_config(cfg, voltages=(1.25, 1.3))
         out = tmp_path / "o"
+
+        def unreachable(*args):  # --threads is checked before the population is built
+            raise AssertionError("population built before --threads was checked")
+        monkeypatch.setattr(chipsim, "build_population", unreachable)
         for command in ("simulate", "sweep"):
             assert cli.main([command, "--config", str(cfg), "--out", str(out),
                              "--threads", "0"]) == 2
-            assert "threads" in capsys.readouterr().err
+            assert capsys.readouterr().err == "configuration error: threads must be >= 1, got 0\n"
             assert not out.exists()
 
     def test_negative_seed_fails_before_any_directory(self, tmp_path, capsys):
@@ -386,6 +391,22 @@ class TestBchSelftest:
         assert cli.main(["bch-selftest", "--trials", "10"]) == 4
         assert "FAIL  coset-leader table" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("damage", ["miscount_flips", "return_input"])
+    def test_broken_decoder_fails_the_correction_checks(self, monkeypatch, capsys, damage):
+        decode_words = bch.decode_words
+
+        def broken(words):
+            words = list(words)
+            fixed, flips = decode_words(words)
+            if damage == "miscount_flips":
+                return fixed, [n + 1 for n in flips]
+            return words, flips
+        monkeypatch.setattr(bch, "decode_words", broken)
+        assert cli.main(["bch-selftest", "--trials", "10"]) == 4
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL  exhaustive 1- and 2-error correction" in out
+        assert "FAIL  10 random 3-error corrections" in out
+
     def test_tampered_generator_exits_4(self, monkeypatch, capsys):
         monkeypatch.setattr(bch, "GENERATOR", bch.GENERATOR ^ (1 << 3))
         assert cli.main(["bch-selftest", "--trials", "10"]) == 4
@@ -411,13 +432,23 @@ def refusing(alloc):
 
 
 class RefusingRng:
-    """A numpy Generator whose draws are refusing (see above)."""
+    """A numpy Generator or random.Random whose draws are refusing (see above)."""
 
     def __init__(self, rng):
         self.rng = rng
 
     def __getattr__(self, name):
         return refusing(getattr(self.rng, name))
+
+
+class CIntRandom(Random):
+    """random.Random whose randbytes refuses a bit count past a C int, as
+    Python 3.11's does before it allocates anything."""
+
+    def randbytes(self, n):
+        if 8 * n >= 2 ** 31:
+            raise OverflowError("Python int too large to convert to C int")
+        return super().randbytes(n)
 
 
 class TestOutOfMemory:
@@ -452,13 +483,31 @@ class TestOutOfMemory:
         assert err.startswith("configuration error: Unable to allocate "), err
         assert sorted(out.iterdir()) == []
 
-    def test_bch_selftest(self, monkeypatch, capsys):
-        ensure_rng = keyed.ensure_rng  # bch.selftest imports it when called
-        monkeypatch.setattr(keyed, "ensure_rng", lambda seed: RefusingRng(ensure_rng(seed)))
+    @staticmethod
+    def _selftest_refused(monkeypatch, capsys, fake) -> str:
+        """stderr of a 10**12-trial bch-selftest whose draws come from fake,
+        checking that it exits 2 before any trial runs."""
+        monkeypatch.setattr(bch, "Random", fake)
+        decoded, decode_words = [], bch.decode_words
+
+        def recording(words):
+            words = list(words)
+            decoded.append(len(words))
+            return decode_words(words)
+        monkeypatch.setattr(bch, "decode_words", recording)
         assert cli.main(["bch-selftest", "--trials", str(10 ** 12)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("configuration error: Unable to allocate "), captured.err
         assert "FAIL" not in captured.out
+        assert decoded == [4992, 496]  # the leader table and the 1- and 2-error patterns
+        return captured.err
+
+    def test_bch_selftest(self, monkeypatch, capsys):
+        err = self._selftest_refused(monkeypatch, capsys, lambda seed: RefusingRng(Random(seed)))
+        assert err.startswith("configuration error: Unable to allocate "), err
+
+    def test_bch_selftest_draw_past_c_int(self, monkeypatch, capsys):
+        err = self._selftest_refused(monkeypatch, capsys, CIntRandom)
+        assert err == "configuration error: cannot draw 1000000000000 random messages\n", err
 
 
 class TestCost:

@@ -15,7 +15,7 @@ run in one process, and no module of the package imports hashlib.
 through `secrets`; run as a program, `cli.main` blocks `_hashlib` first,
 while `import ropuf` and an in-process `main([...])` leave the process's
 OpenSSL alone.  `metrics` loads neither, nor any numpy module: it scores
-words as Python integers.
+words as Python integers, as `bch-selftest` checks the codec.
 """
 import ast
 import hashlib
@@ -104,6 +104,16 @@ def test_bch_selftest_loads_no_campaign_code():
     code = ("import sys; from ropuf.cli import main; "
             "rc = main(['bch-selftest', '--trials', '10']); "
             "print(rc, [m for m in ('ropuf.chipsim', 'ropuf.config') if m in sys.modules])")
+    assert _loaded(code).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
+def test_bch_selftest_loads_no_numpy(as_program):
+    """The codec and its self-test are integers throughout."""
+    argv = ["bch-selftest", "--trials", "10"]
+    run = f"sys.argv = {['ropuf', *argv]!r}; rc = main()" if as_program else f"rc = main({argv!r})"
+    code = (f"import sys; from ropuf.cli import main; {run}; "
+            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
     assert _loaded(code).splitlines()[-1] == "0 []"
 
 

@@ -249,6 +249,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             metrics.HdHistogram.from_distances("intra", 2, [3])
 
+    def test_mass_at_distance_outside_length_rejected(self):
+        h = metrics.HdHistogram.from_distances("intra", 4, [0, 0, 1, 4])
+        assert h.mass_at(4) == 0.25
+        for distance in (-1, 5):
+            with pytest.raises(ValueError, match=f"distance {distance} is not in 0..4"):
+                h.mass_at(distance)
+
     def test_csv_emission(self, tmp_path):
         h = metrics.HdHistogram.from_distances("inter", 2, [0, 1, 1, 2])
         path = tmp_path / "hist.csv"

@@ -29,9 +29,10 @@ from .sampler import PufUnit, draw_rows, modal_row, normal_widths, pack_rows, sa
 from .dataset import load_dataset, save_dataset  # noqa: F401
 from .sampler import enroll_id, sample_word  # noqa: F401
 
-# Sample rows are drawn this many at a time, which bounds the kernel's
-# working memory; rows have a fixed width, so the bits do not depend on it.
-CHUNK_ROWS = 128
+# Enrollment and sample rows are drawn this many at a time, which bounds
+# the kernel's working memory; rows have a fixed width, so the bits do not
+# depend on it.
+CHUNK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -82,29 +83,46 @@ class Campaign:
     def __iter__(self):
         cfg = self.config
         seed, voltages, lw = cfg.master_seed, cfg.voltages, cfg.word_length
-        n_volts = len(voltages)
         b1w, n2 = normal_widths(lw)
-        n_samples = cfg.samples_per_chip
+        n_volts, n_samples = len(voltages), cfg.samples_per_chip
         for chip in self.chips:
             c = chip.chip_id
-            refs = np.empty((n_volts, cfg.id_length), dtype=np.uint8)
-            cells = np.empty((n_volts, n_samples, cfg.id_length), dtype=np.uint8)
-            for u, unit in enumerate(chip.units):
-                bits = slice(u * lw, (u + 1) * lw)
-                g1, g2 = draw_rows(keyed_rng(seed, TAG_ENROLL, c, u), cfg.enroll_repetitions, lw)
-                for k, v in enumerate(voltages):
-                    refs[k, bits] = modal_row(sample_rows(
-                        unit, v, g1, g2, lambda r: keyed_rng(seed, TAG_ENROLL_EXTEND, c, u, r)))
-                ro1, ro2 = keyed_rng(seed, TAG_RO1, c, u), keyed_rng(seed, TAG_RO2, c, u)
-                for start in range(0, n_samples, CHUNK_ROWS):
-                    n = min(CHUNK_ROWS, n_samples - start)
-                    g1, g2 = ro1.standard_normal((n, b1w)), ro2.standard_normal((n, n2))
-                    for k, v in enumerate(voltages):
-                        cells[k, start:start + n, bits] = sample_rows(
-                            unit, v, g1, g2,
-                            lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
-            yield (split(pack_rows(refs).tobytes(), n_volts),
-                   split(pack_rows(cells).tobytes(), n_volts))
+            refs = pack_rows(np.concatenate([self._enroll(unit, c, u)
+                                             for u, unit in enumerate(chip.units)], axis=-1))
+            streams = [(keyed_rng(seed, TAG_RO1, c, u), keyed_rng(seed, TAG_RO2, c, u))
+                       for u in range(len(chip.units))]
+            cells = np.empty((n_volts, n_samples, refs.shape[-1]), dtype=np.uint8)
+            for start in range(0, n_samples, CHUNK_ROWS):
+                n = min(CHUNK_ROWS, n_samples - start)
+                cells[:, start:start + n] = pack_rows(np.concatenate([
+                    _at_voltages(unit, voltages, ro1.standard_normal((n, b1w)),
+                                 ro2.standard_normal((n, n2)),
+                                 lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
+                    for u, (unit, (ro1, ro2)) in enumerate(zip(chip.units, streams))], axis=-1))
+            yield split(refs.reshape(-1), n_volts), split(cells.reshape(-1), n_volts)
+
+    def _enroll(self, unit: PufUnit, c: int, u: int) -> np.ndarray:
+        """(n_voltages, L) enrolled words of unit u of chip c: at each
+        voltage, the modal row of its enrollment block, whose rows are
+        drawn CHUNK_ROWS at a time from the unit's one enrollment stream."""
+        cfg = self.config
+        seed, reps = cfg.master_seed, cfg.enroll_repetitions
+        rng = keyed_rng(seed, TAG_ENROLL, c, u)
+        # Allocated first: a block too large to hold fails before any draw.
+        words = np.empty((len(cfg.voltages), reps, cfg.word_length), dtype=np.uint8)
+        for start in range(0, reps, CHUNK_ROWS):
+            g1, g2 = draw_rows(rng, min(CHUNK_ROWS, reps - start), cfg.word_length)
+            words[:, start:start + len(g1)] = _at_voltages(
+                unit, cfg.voltages, g1, g2,
+                lambda r: keyed_rng(seed, TAG_ENROLL_EXTEND, c, u, start + r))
+        return np.stack([modal_row(w) for w in words])
+
+
+def _at_voltages(unit: PufUnit, voltages, g1: np.ndarray, g2: np.ndarray,
+                 extension) -> np.ndarray:
+    """(n_voltages, n, L) words of the n enable cycles of g1 and g2 (see
+    sampler.sample_rows), the same normals at every voltage."""
+    return np.stack([sample_rows(unit, v, g1, g2, extension) for v in voltages])
 
 
 def run_campaign(chips: list[Chip], config: CampaignConfig, ro_params: ro.RoParams,

@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,13 +36,14 @@ def split(packed, parts: int) -> list[memoryview]:
     return [view[i * size:(i + 1) * size] for i in range(parts)]
 
 
-def hex_words(packed, length: int) -> list[str]:
+def hex_words(packed, length: int) -> Iterator[str]:
     """Hex word of each ceil(length/8)-byte word of packed bytes: bit 0
-    most significant, exactly ceil(length/4) lower-case digits."""
+    most significant, exactly ceil(length/4) lower-case digits.  Each is
+    sliced from packed.hex() as it is taken, so no list of words is built."""
     text = packed.hex()
     step = 2 * -(-length // 8)  # digits per padded word
     lead = step - (length + 3) // 4  # leading digits that hold only pad bits
-    return [text[i + lead:i + step] for i in range(0, len(text), step)]
+    return (text[i + lead:i + step] for i in range(0, len(text), step))
 
 
 @dataclass
@@ -96,7 +98,7 @@ def save_dataset(campaign, csv_path: str | Path, sidecar_path: str | Path) -> No
         with open(partial[0], "w", newline="") as fh:  # CSV lines end in \r\n
             fh.write(",".join(CSV_HEADER) + "\r\n")
             for c, (refs, cells) in enumerate(campaign):
-                ref_words.append(hex_words(b"".join(refs), cfg.id_length))
+                ref_words.append(list(hex_words(b"".join(refs), cfg.id_length)))
                 for v, chip_cells in zip(cfg.voltages, cells):
                     fh.writelines(f"{c},{v!r},{t},{word}\r\n"
                                   for t, word in enumerate(hex_words(chip_cells, cfg.id_length)))

@@ -149,8 +149,11 @@ def apply_coupling(t1: float, t2: float, coupling: Coupling) -> tuple[float, flo
 
 
 def jittered_half_periods(period: float, jitter_sigma: float, gaussians: np.ndarray) -> np.ndarray:
-    """Half-period sequence h_i = (T/2) * (1 + sigma * g_i), floored positive."""
+    """Half-period sequence h_i = (T/2) * (1 + sigma * g_i), floored positive,
+    in one new array: gaussians are never written."""
     half = 0.5 * period
-    out = half * (1.0 + jitter_sigma * gaussians)
+    out = gaussians * jitter_sigma
+    out += 1.0
+    out *= half
     return out.clip(half * _HALF_PERIOD_FLOOR, None, out=out)
 

@@ -103,23 +103,35 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
         word = (np.count_nonzero(b1 < edges[:, None], axis=1) & 1).astype(np.uint8)
         return np.tile(word, (len(g1), 1))
 
-    b1 = np.cumsum(ro.jittered_half_periods(t1e, sigma1, g1), axis=1)
+    # Each cumsum runs in place in the one array jittered_half_periods
+    # returns, so g1 and g2 are only read: a chunk's normals serve every voltage.
+    b1 = ro.jittered_half_periods(t1e, sigma1, g1)
+    np.cumsum(b1, axis=1, out=b1)
     if unit.coupling.mode == ro.COUPLING_INVERTER_LOOP:
         b2 = b1[:, :n2]
     else:
-        mixed = rho_j * g1[:, :n2] + np.sqrt(1.0 - rho_j * rho_j) * g2
-        b2 = np.cumsum(ro.jittered_half_periods(t2e, sigma2, mixed), axis=1)
+        # Without coupling the mix is g2 itself, bit for bit.
+        mixed = g2 if rho_j == 0.0 else rho_j * g1[:, :n2] + np.sqrt(1.0 - rho_j * rho_j) * g2
+        b2 = ro.jittered_half_periods(t2e, sigma2, mixed)
+        np.cumsum(b2, axis=1, out=b2)
     edges = b2[:, ::2]  # rising edges sit at boundaries 0, 2, ..., n2-1
     # Toggles of RO1 before each edge.  Columns at or past every row's
     # last edge count for no edge, so they are left out.
     width = int(np.count_nonzero(b1 < edges[:, -1:], axis=1).max(initial=0))
     counts = np.count_nonzero(b1[:, None, :width] < edges[:, :, None], axis=2)
-    for i in np.flatnonzero(b1[:, -1] <= edges[:, -1]):  # short of coverage
-        rng, row = extension(int(i)), b1[i]
-        while row[-1] <= edges[i, -1]:
-            extra = ro.jittered_half_periods(t1e, sigma1, rng.standard_normal(16))
-            row = np.concatenate([row, row[-1] + np.cumsum(extra)])
-        counts[i] = np.count_nonzero(row < edges[i, :, None], axis=1)
+    short = np.flatnonzero(b1[:, -1] <= edges[:, -1])  # rows short of coverage
+    if short.size:
+        # All short rows extend together, 16 normals a round, each from its
+        # own stream; a row already covered gains only boundaries past its
+        # last edge, which count for no edge.
+        streams, last_edge = [extension(int(i)) for i in short], edges[short, -1:]
+        parts = [b1[short]]
+        while (parts[-1][:, -1:] <= last_edge).any():
+            extra = ro.jittered_half_periods(
+                t1e, sigma1, np.array([rng.standard_normal(16) for rng in streams]))
+            parts.append(parts[-1][:, -1:] + np.cumsum(extra, axis=1, out=extra))
+        rows = np.concatenate(parts, axis=1)
+        counts[short] = np.count_nonzero(rows[:, None, :] < edges[short, :, None], axis=2)
     return (counts & 1).astype(np.uint8)
 
 

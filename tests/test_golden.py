@@ -4,9 +4,9 @@ The pins were computed once and are never re-derived from the code under
 test.  A mismatch means output bits changed; if that is deliberate, the
 change has to say why and re-pin here.
 
-Evaluation has its own pins over a dataset committed under tests/data
-(the campaign below, as stream version 1 wrote it): they hold across any
-change of the sampling streams.
+Evaluation has its own pins over datasets committed under tests/data
+(the campaign below, as stream versions 1 and 2 wrote it): they hold
+across any change of the sampling streams.
 """
 import hashlib
 import json
@@ -99,6 +99,20 @@ FROZEN_DIGESTS = {
 }
 
 
+# tests/data/v2 holds sim/dataset.{csv,json} of CONFIG as stream version 2
+# wrote them, and these are the files `metrics` wrote over them, raw and
+# post-BCH, before the stream changed again.
+FROZEN_V2 = FROZEN / "v2"
+FROZEN_V2_DIGESTS = {
+    "dataset.csv": "1a87c65607bfe16d368cf053fb02baad1770483e05829f5bbaadb5dfa045d6f6",
+    "dataset.json": "163bcf84bdb81eb6471facdd0067013ad423f8fca3a1c36181d60836b1fbc219",
+    "raw/report.json": "47d002dca03cf31ce23aeb2eb7094de83b89c6c953e1365712f79ad4a91f9b69",
+    "raw/histograms.csv": "64c24948adb77f7845e04fca0dafb2c0712b1780f6a5ce8303dec7a2b7f25928",
+    "post/report.json": "f3000d18653c413a4419e36a720ef3816bbcc1a4eb00b53bab955ec0aa777a6b",
+    "post/histograms.csv": "b27a0ff55206a3dd5cb4d4d74f4491f75bf44a939c3bf74f1ba8d5a753d1bb95",
+}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -139,20 +153,36 @@ def test_off_reference_report_digest(golden_run, post_bch):
     assert _sha256(text.encode()) == OFF_REFERENCE_DIGESTS[post_bch]
 
 
-@pytest.fixture(scope="module")
-def frozen_evaluation(tmp_path_factory):
-    root = tmp_path_factory.mktemp("frozen")
+def _evaluate_frozen(root, frozen):
+    """root, holding a copy of the dataset in frozen and `metrics`' raw and
+    post-BCH outputs over it."""
     for name in ("dataset.csv", "dataset.json"):
-        (root / name).write_bytes((FROZEN / name).read_bytes())
+        (root / name).write_bytes((frozen / name).read_bytes())
     for out, flags in (("raw", []), ("post", ["--post-bch"])):
         assert cli.main(["metrics", str(root / "dataset.csv"), "--out", str(root / out),
                          *flags]) == 0
     return root
 
 
+@pytest.fixture(scope="module")
+def frozen_evaluation(tmp_path_factory):
+    return _evaluate_frozen(tmp_path_factory.mktemp("frozen"), FROZEN)
+
+
+@pytest.fixture(scope="module")
+def frozen_v2_evaluation(tmp_path_factory):
+    return _evaluate_frozen(tmp_path_factory.mktemp("frozen_v2"), FROZEN_V2)
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
 def test_frozen_dataset_evaluation_digest(frozen_evaluation, name):
     assert _sha256((frozen_evaluation / name).read_bytes()) == FROZEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_V2_DIGESTS))
+def test_frozen_v2_dataset_evaluation_digest(frozen_v2_evaluation, name):
+    assert json.loads((FROZEN_V2 / "dataset.json").read_text())["stream_version"] == 2
+    assert _sha256((frozen_v2_evaluation / name).read_bytes()) == FROZEN_V2_DIGESTS[name]
 
 
 def test_sampling_runs_without_polyfit_lstsq_or_unique(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import held, make_unit
 from ropuf import chipsim, ro, rng as keyed
-from ropuf.sampler import PufUnit, unpack_rows
+from ropuf.sampler import PufUnit, normal_widths, unpack_rows
 
 V0 = 1.3
 OFF_V0 = (1.2, 1.25, 1.28, 1.35, 1.4)
@@ -95,9 +95,26 @@ def test_fewer_chips_are_a_prefix(campaign, data):
 def test_threads_and_chunk_rows_change_nothing(campaign):
     cfg = campaign[0]
     base = run(*campaign)
-    for rows in (1, 7, 128):
+    for rows in (1, 7, 64, 128, max(cfg.samples_per_chip, cfg.enroll_repetitions) + 1):
         with mock.patch.object(chipsim, "CHUNK_ROWS", rows):
             assert_cells_equal(base, run(*campaign), cfg.voltages)
+
+
+@INVARIANT
+@given(campaigns(), st.integers(1, 7))
+def test_campaign_never_writes_a_chunks_normals(campaign, rows):
+    """Enrollment and sample chunks pass the same normals to sample_rows at
+    every voltage; marked read-only, they sample the same grid."""
+    cfg, real = campaign[0], chipsim.sample_rows
+
+    def read_only(unit, v, g1, g2, extension):
+        g1.flags.writeable = g2.flags.writeable = False  # any later write raises
+        return real(unit, v, g1, g2, extension)
+
+    base = run(*campaign)
+    with mock.patch.object(chipsim, "CHUNK_ROWS", rows), \
+            mock.patch.object(chipsim, "sample_rows", read_only):
+        assert_cells_equal(base, run(*campaign), cfg.voltages)
 
 
 def test_ro2_jitter_is_common_across_voltages():
@@ -151,7 +168,7 @@ def oracle_row(unit, v, g1, g2, extension):
 
 def test_stream_layout_rebuilt_row_by_row():
     # Unit 0 has T2 = 6 T1: every row needs more RO1 boundaries than its
-    # 4*(2L-1)+8 normals give, and extends from (chip, unit, sample).
+    # B1 normals give, and extends from (chip, unit, sample).
     seed, voltages, n_samples, reps = 11, (1.25, 1.3), 300, 7
     cfg = chipsim.CampaignConfig(n_chips=2, pairs_per_id=2, word_length=16,
                                  samples_per_chip=n_samples, enroll_repetitions=reps,
@@ -161,7 +178,7 @@ def test_stream_layout_rebuilt_row_by_row():
                               make_unit(1.1e-9, 1.0e-9 - 0.02e-9 * c, coupling, jitter=0.004)))
              for c in range(2)]
     ds = chipsim.run_campaign(chips, cfg, ro.RoParams())
-    b1w, n2 = 4 * 31 + 8, 31
+    b1w, n2 = normal_widths(16)
     assert b1w * 0.21e-9 < n2 * 1.19e-9  # unit 0: B1 half-periods of RO1 fall short
     grid = {v: held(ds, v) for v in voltages}
     for chip in chips:

@@ -41,13 +41,13 @@ class TestResponseWord:
 
     def test_hex_round_trip(self, rng, tmp_path):
         w = rng.integers(0, 2, 32, dtype=np.uint8)
-        words = hex_words(sampler.pack_rows(w[None, :]).tobytes(), 32)
+        words = list(hex_words(sampler.pack_rows(w[None, :]).tobytes(), 32))
         assert np.array_equal(hex_to_rows(words, 32)[0], w)
         assert np.array_equal(sampler.unpack_rows(loaded_words(tmp_path, words, 32), 32)[0], w)
 
     def test_hex_is_msb_first(self):
         w = word_of([1] + [0] * 15)
-        assert hex_words(sampler.pack_rows(w[None, :]).tobytes(), 16) == ["8000"]
+        assert list(hex_words(sampler.pack_rows(w[None, :]).tobytes(), 16)) == ["8000"]
 
 
 class TestHexCodec:
@@ -59,7 +59,7 @@ class TestHexCodec:
     def test_agrees_with_int_oracle_and_round_trips(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (12, length), dtype=np.uint8)
         rows[0], rows[1] = 0, 1
-        words = hex_words(sampler.pack_rows(rows).tobytes(), length)
+        words = list(hex_words(sampler.pack_rows(rows).tobytes(), length))
         assert words == [hex_word(r) for r in rows]
         assert all(len(w) == -(-length // 4) for w in words)
         assert np.array_equal(hex_to_rows(words, length), rows)
@@ -75,7 +75,7 @@ class TestHexCodec:
         assert packed.shape == (3, 5, -(-length // 8)) and packed.dtype == np.uint8
         assert np.array_equal(sampler.unpack_rows(packed, length), rows)
         flat = packed.reshape(15, -1)
-        words = hex_words(flat.tobytes(), length)
+        words = list(hex_words(flat.tobytes(), length))
         # Zero pad bits first, then bit 0 most significant: each row's bytes
         # read as one big-endian integer are its hex word's value.
         assert [int.from_bytes(r.tobytes(), "big") for r in flat] == [int(w, 16) for w in words]
@@ -190,6 +190,27 @@ class TestCoupledSampling:
         w_loose = sampler.sample_word(loose, 1.3, 0)
         w_tight = sampler.sample_word(tight, 1.3, 0)
         assert w_tight.sum() < w_loose.sum()
+
+
+class TestKernelInputs:
+    """A chunk's normals are reused at every voltage, so sample_rows only
+    reads g1 and g2: read-only inputs sample the same words."""
+
+    @pytest.mark.parametrize("coupling", [ro.Coupling.none(), ro.Coupling.capacitive(0.5),
+                                          ro.Coupling.inverter_loop()],
+                             ids=["none", "capacitive", "inverter_loop"])
+    @pytest.mark.parametrize("t1", [0.2e-9, 1.1e-9], ids=["extends", "covered"])
+    def test_sample_rows_never_writes_its_normals(self, rng, coupling, t1):
+        unit = make_unit(t1, 1.2e-9, coupling, jitter=0.004)
+        b1w, n2 = sampler.normal_widths(unit.word_length)
+        g1, g2 = rng.standard_normal((9, b1w)), rng.standard_normal((9, n2))
+        kept = g1.copy(), g2.copy()
+        want = sampler.sample_rows(unit, 1.3, g1, g2, np.random.default_rng)
+        assert np.array_equal(g1, kept[0]) and np.array_equal(g2, kept[1])
+        g1.flags.writeable = g2.flags.writeable = False  # any write now raises
+        for v in (1.25, 1.3):
+            got = sampler.sample_rows(unit, v, g1, g2, np.random.default_rng)
+        assert np.array_equal(got, want)
 
 
 class TestEnroll:

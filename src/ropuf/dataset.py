@@ -21,10 +21,12 @@ from . import ro
 from .config import CampaignConfig, RunConfig, from_dict, to_dict
 from .errors import DatasetError
 
-# Output bits of chipsim.run_campaign follow version 2 of the stream
-# layout: per (chip, unit) streams for RO1, RO2 and enrollment.  Version 1
-# drew one stream per sample, whose RO2 jitter moved with the voltage.
-STREAM_VERSION = 2
+# Output bits of chipsim.run_campaign follow version 3 of the stream
+# layout: per (chip, unit) streams for RO1, RO2 and enrollment, with rows
+# of B1 = (3*(2L-1)+1)//2 + 8 RO1 normals.  Version 2 drew 4*(2L-1)+8 of
+# them per row, and version 1 one stream per sample, whose RO2 jitter
+# moved with the voltage.  Datasets of every version load.
+STREAM_VERSION = 3
 
 CSV_HEADER = ["chip_id", "voltage", "sample_index", "word_hex"]
 
@@ -211,8 +213,9 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
         raise DatasetError(f"bad sidecar: {exc}") from exc
     cfg = run.campaign
     version = sidecar.get("stream_version", 1)
-    if type(version) is not int or version not in (1, STREAM_VERSION):
-        raise DatasetError(f"sidecar stream_version {version!r} is not 1 or {STREAM_VERSION}")
+    if type(version) is not int or not 1 <= version <= STREAM_VERSION:
+        raise DatasetError(f"sidecar stream_version {version!r} is not an integer "
+                           f"from 1 to {STREAM_VERSION}")
     seed = sidecar.get("master_seed")
     if type(seed) is not int or seed != cfg.master_seed:
         raise DatasetError(f"sidecar master_seed {seed!r} != config.campaign.master_seed")

@@ -57,12 +57,13 @@ def normal_widths(word_length: int) -> tuple[int, int]:
     """(B1, n2): standard normals per row for RO1 and RO2.
 
     RO2 needs n2 = 2L-1 half-periods to reach rising edge L-1.  RO1 gets
-    B1 = 4*n2 + 8, enough to cover them while T2/T1 stays below about 4;
-    both depend on L only, so a row is the same enable cycle at every
-    voltage (common random numbers across a sweep).
+    B1 = (3*n2+1)//2 + 8 (55 for L = 16), enough to cover them while T2/T1
+    stays below about 1.5; a row that runs short extends from its own
+    stream (see sample_rows).  Both depend on L only, so a row is the same
+    enable cycle at every voltage (common random numbers across a sweep).
     """
     n2 = 2 * word_length - 1
-    return 4 * n2 + 8, n2
+    return (3 * n2 + 1) // 2 + 8, n2
 
 
 def draw_rows(rng: np.random.Generator, n: int, word_length: int

@@ -330,7 +330,7 @@ class TestMetrics:
         csv_path = self._simulated(tmp_path)
         sidecar_path = csv_path.with_suffix(".json")
         sidecar = json.loads(sidecar_path.read_text())
-        assert sidecar["stream_version"] == 2
+        assert sidecar["stream_version"] == 3
         if version is None:
             del sidecar["stream_version"]  # written before the key existed: version 1
         else:
@@ -569,9 +569,9 @@ SIDECAR_CASES = {
     "reference_voltage_off_grid": (lambda s: s["config"]["ro"].update(reference_voltage_v=1.25),
                                    "reference_voltage_v"),
     "master_seed_mismatch": (lambda s: s.update(master_seed=6), "master_seed"),
-    "stream_version_3": (lambda s: s.update(stream_version=3), "stream_version"),
+    "stream_version_4": (lambda s: s.update(stream_version=4), "stream_version"),
     "stream_version_0": (lambda s: s.update(stream_version=0), "stream_version"),
-    "stream_version_string": (lambda s: s.update(stream_version="2"), "stream_version"),
+    "stream_version_string": (lambda s: s.update(stream_version="3"), "stream_version"),
     "stream_version_true": (lambda s: s.update(stream_version=True), "stream_version"),
     "stream_version_float": (lambda s: s.update(stream_version=2.0), "stream_version"),
     "deeply_nested": (lambda s: NESTED_JSON, "bad sidecar"),

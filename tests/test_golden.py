@@ -18,9 +18,9 @@ import pytest
 from ropuf import chipsim, cli, metrics
 
 # Jitter is far above the paper's so that samples at the reference
-# voltage carry 1-5 bit errors: the post-BCH outputs then cover clean
-# words, corrected words and decode failures, and at 1.25 V most of one
-# chip's samples are uncorrectable.
+# voltage carry up to 3 bit errors: the post-BCH outputs then cover clean
+# and corrected words, and at 1.25 V most of one chip's samples are
+# uncorrectable (decode failures).
 CONFIG = {
     "ro": {
         "nominal_period_s": 1e-9,
@@ -47,42 +47,39 @@ CONFIG = {
 # the top one partial.  It is too short for the code, so raw only.
 ODD_CONFIG = {**CONFIG, "campaign": {**CONFIG["campaign"], "word_length": 9}}
 
-# Re-pinned for stream version 2 (per (chip, unit) RO1, RO2 and
-# enrollment streams of fixed row width): every file below is computed
-# from freshly sampled bits, so all of them changed with the streams.
+# Re-pinned for stream version 3 (rows of (3*(2L-1)+1)//2 + 8 RO1 normals,
+# 55 for L = 16, where version 2 drew 4*(2L-1)+8): every file below is
+# computed from freshly sampled bits, so all of them changed with the
+# streams.  The sweep's fit reads slope 63.06666666666661 and intercept 0.0.
 FILE_DIGESTS = {
     "sim/dataset.csv":
-        "1a87c65607bfe16d368cf053fb02baad1770483e05829f5bbaadb5dfa045d6f6",
+        "14931f4f033903a51f9bbddcc1ed96166d37c920a1f88c638bff3da1c1d386f2",
     "sim/dataset.json":
-        "163bcf84bdb81eb6471facdd0067013ad423f8fca3a1c36181d60836b1fbc219",
+        "72aac7036f320a2a53c0cf0f538b51d78a4288b5cc0c2dd20853809ea58a9970",
     "raw/report.json":
-        "47d002dca03cf31ce23aeb2eb7094de83b89c6c953e1365712f79ad4a91f9b69",
+        "101ed0ca026d4642344b5a73ef427131239385fcb82ce35a3d8b40f47e9c08c7",
     "raw/histograms.csv":
-        "64c24948adb77f7845e04fca0dafb2c0712b1780f6a5ce8303dec7a2b7f25928",
+        "7892ddbab56781cf7087449fa97e985e36272db6b557bc969241db1a8cd8b8b0",
     "post/report.json":
-        "f3000d18653c413a4419e36a720ef3816bbcc1a4eb00b53bab955ec0aa777a6b",
+        "46caaea2a7b6c0a2a9756c7f14a8eed42bddc5becce37b60bd16d7e813af4439",
     "post/histograms.csv":
-        "b27a0ff55206a3dd5cb4d4d74f4491f75bf44a939c3bf74f1ba8d5a753d1bb95",
+        "b70b5401d9873ac60d9d14d889451c3932697657ccf73a629add5cc5c3556b79",
     "sweep/sweep.csv":
-        "947b52973b61b032d3e09d586be5ad9ad70fe6fc4a34f3f4dbd7564c0cfad28b",
-    # Re-pinned when linear_fit became closed-form OLS (the sweep's bits and
-    # series are unchanged): the two-point fit now reads slope
-    # 80.93333333333327 and intercept 0.0, which np.polyfit's SVD gave as
-    # 80.93333333333325 and -8.121099789368994e-18.
+        "df7784359926f77234bd43f5ae94a8ae4573bab7aecb9593ba3cbb29c1392b3b",
     "sweep/sweep.json":
-        "d4f1abe066e9dacb4044e00bda459e857b17287ff94bfcfb4adad956b6f9695d",
+        "1a66921ff75fb2fc279539e971b194b080d56ec3905dfd6cd3a1878ac531da9b",
     "odd/sim/dataset.csv":
-        "57f28037c393bdd8fde37070b56154e1269e02bb49cf37f4b09b86e46c57235e",
+        "91c4f9cbf028a5c7cc5f80c048706c9efc6499a926793bca1d805a37699c9f09",
     "odd/sim/dataset.json":
-        "569696db7d329204d6d0fd8d2fb865be082c2f2dd5e2c8737c3022304814e4ed",
+        "5aae60703f294fc6056b2a72efc362a0e241cdf6d1c257834a3b9fe7f4da8ebf",
     "odd/raw/report.json":
-        "076bc001ebb550aa9a6a13706b9c7fd5e4612086a96d142e3b5f6dd85bdbdc1d",
+        "953294cb80ddd827b2f5bf53834066883833563f5fed1e08bad6219b56d42210",
 }
 
 # sha256 of json.dumps(compute_report(ds, voltage=1.25, post_bch=p).to_json_dict())
 OFF_REFERENCE_DIGESTS = {
-    False: "cf2b10fc0330cf20c9802663d51476b5c0b2e9107e4c33c562e6295bf861d59a",
-    True: "09b7eff4420d4ac4a2fed1d216bb6385dfee4750be3788b3c5a18b473e9f953c",
+    False: "2c0d1abdeea9e1935525f03c2f4577f0aeed881d701eef57e18c6bfedd3c0764",
+    True: "556119a452114b30b873d2a97881eac9a0e4985bdf0afb4d2156ec17b8f4419a",
 }
 
 # tests/data holds sim/dataset.{csv,json} of CONFIG as stream version 1

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import packed_dataset
-from ropuf import bch, chipsim, cli, metrics
+from ropuf import bch, chipsim, cli, metrics, ro
 from ropuf.config import CampaignConfig, Flags, RunConfig, to_dict
 
 N_CHIPS, T, L = 10, 5000, 32
@@ -90,6 +90,20 @@ def test_voltage_sweep_counts_one_chip_at_a_time():
     assert len(series) == len(voltages)
     nbytes = samples[1.3].nbytes
     assert peak <= 0.1 * nbytes, f"voltage_sweep peak {peak / nbytes:.2f}x one voltage's samples"
+
+
+def test_campaign_samples_a_chip_in_chunks():
+    """Sampling one chip block (1 voltage x 5000 samples x 32 bits, 99
+    enrollment repetitions) peaks within 350 KiB: the kernel works on one
+    chunk of rows at a time and packs each chunk as it is sampled."""
+    cfg = CampaignConfig(n_chips=2, pairs_per_id=2, word_length=L // 2, samples_per_chip=T,
+                         enroll_repetitions=99, voltages=(1.3,))
+    params = ro.RoParams()
+    chips = iter(chipsim.Campaign(chipsim.build_population(cfg, params), cfg, params))
+    next(chips)  # first-use allocations (caches, the streams' setup) stay out
+    (refs, cells), peak = _traced(lambda: next(chips))
+    assert [len(r) for r in refs] == [L // 8] and [len(s) for s in cells] == [T * L // 8]
+    assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
 
 
 def _chip_growth(tmp_path, command, voltages, flags) -> float:

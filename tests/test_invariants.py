@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import held, make_unit
-from ropuf import chipsim, ro, rng as keyed
+from ropuf import chipsim, ro, rng as keyed, sampler
 from ropuf.sampler import PufUnit, normal_widths, unpack_rows
 
 V0 = 1.3
@@ -164,6 +164,55 @@ def oracle_row(unit, v, g1, g2, extension):
                                          extension.standard_normal(16))
         b1 += list(b1[-1] + np.cumsum(extra))
     return np.searchsorted(np.array(b1), edges, side="left") & 1
+
+
+class _CountingRng:
+    """A generator that counts its standard_normal calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return self.rng.standard_normal(size)
+
+
+def test_short_rows_extending_by_different_rounds_match_the_row_oracle():
+    # T2/T1 = 2.79: RO2's last rising edge falls near RO1 boundary 87,
+    # which jitter puts on either side of B1 + 32, so rows that extend
+    # together need 2 or 3 rounds of 16 normals.
+    b1w, n2 = normal_widths(16)
+    unit = make_unit(1e-9, 2.79e-9, jitter=0.05)
+    rng = np.random.default_rng(4)
+    g1, g2 = rng.standard_normal((200, b1w)), rng.standard_normal((200, n2))
+    got = sampler.sample_rows(unit, 1.3, g1, g2, lambda i: keyed.keyed_rng(9, i))
+    streams = [_CountingRng(keyed.keyed_rng(9, i)) for i in range(200)]
+    want = [oracle_row(unit, 1.3, g1[i], g2[i], streams[i]) for i in range(200)]
+    assert len({s.calls for s in streams}) > 1  # rows extend by different rounds
+    assert np.array_equal(got, want)
+
+
+def test_chunks_extend_rows_from_their_own_keys():
+    """With one row per chunk, every extended enrollment repetition and
+    sample still draws from the stream keyed by its own index."""
+    seed, reps, n_samples = 5, 4, 6
+    cfg = chipsim.CampaignConfig(n_chips=2, pairs_per_id=1, word_length=16,
+                                 samples_per_chip=n_samples, enroll_repetitions=reps,
+                                 voltages=(1.3,), master_seed=seed)
+    # T2 = 6 T1: every row runs short of its B1 RO1 boundaries and extends.
+    chips = [chipsim.Chip(c, (make_unit(0.2e-9, 1.2e-9, jitter=0.004),)) for c in range(2)]
+    keys, real = [], chipsim.keyed_rng
+
+    def recording(*key):
+        keys.append(key)
+        return real(*key)
+
+    with mock.patch.object(chipsim, "CHUNK_ROWS", 1), \
+            mock.patch.object(chipsim, "keyed_rng", recording):
+        chipsim.run_campaign(chips, cfg, ro.RoParams())
+    for tag, n in ((keyed.TAG_ENROLL_EXTEND, reps), (keyed.TAG_EXTEND, n_samples)):
+        assert sorted(k[2:] for k in keys if k[:2] == (seed, tag)) == \
+            [(c, 0, i) for c in range(2) for i in range(n)], tag
 
 
 def test_stream_layout_rebuilt_row_by_row():

@@ -104,17 +104,21 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
         word = (np.count_nonzero(b1 < edges[:, None], axis=1) & 1).astype(np.uint8)
         return np.tile(word, (len(g1), 1))
 
-    # Each cumsum runs in place in the one array jittered_half_periods
-    # returns, so g1 and g2 are only read: a chunk's normals serve every voltage.
+    # Each running sum is taken in place in the one array
+    # jittered_half_periods returns, so g1 and g2 are only read: a chunk's
+    # normals serve every voltage.  np.add.accumulate gives np.cumsum's
+    # sums, but np.cumsum(..., out=) leaves small allocations behind, a
+    # number that varies with the hash seed, which grow a campaign's
+    # traced peak chip by chip.
     b1 = ro.jittered_half_periods(t1e, sigma1, g1)
-    np.cumsum(b1, axis=1, out=b1)
+    np.add.accumulate(b1, axis=1, out=b1)
     if unit.coupling.mode == ro.COUPLING_INVERTER_LOOP:
         b2 = b1[:, :n2]
     else:
         # Without coupling the mix is g2 itself, bit for bit.
         mixed = g2 if rho_j == 0.0 else rho_j * g1[:, :n2] + np.sqrt(1.0 - rho_j * rho_j) * g2
         b2 = ro.jittered_half_periods(t2e, sigma2, mixed)
-        np.cumsum(b2, axis=1, out=b2)
+        np.add.accumulate(b2, axis=1, out=b2)
     edges = b2[:, ::2]  # rising edges sit at boundaries 0, 2, ..., n2-1
     # Toggles of RO1 before each edge.  Columns at or past every row's
     # last edge count for no edge, so they are left out.
@@ -130,7 +134,7 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
         while (parts[-1][:, -1:] <= last_edge).any():
             extra = ro.jittered_half_periods(
                 t1e, sigma1, np.array([rng.standard_normal(16) for rng in streams]))
-            parts.append(parts[-1][:, -1:] + np.cumsum(extra, axis=1, out=extra))
+            parts.append(parts[-1][:, -1:] + np.add.accumulate(extra, axis=1, out=extra))
         rows = np.concatenate(parts, axis=1)
         counts[short] = np.count_nonzero(rows[:, None, :] < edges[short, :, None], axis=2)
     return (counts & 1).astype(np.uint8)

@@ -1,4 +1,4 @@
-"""Invariants of a campaign's streams (stream version 2).
+"""Invariants of a campaign's streams (stream version 3).
 
 Metamorphic properties over small random campaigns: a sub-grid of
 voltages, a prefix of the samples, a prefix of the chips and the row

@@ -18,7 +18,6 @@ from . import ro
 from .config import CampaignConfig
 from .dataset import STREAM_VERSION, CampaignDataset, split
 from .errors import ConfigurationError
-from .metrics import linear_fit
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
 from .sampler import PufUnit, draw_rows, modal_row, normal_widths, pack_rows, sample_rows
@@ -172,4 +171,5 @@ def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float
 def fit_sweep(series: list[tuple[float, float]]) -> dict:
     """OLS fit of the HD shift against |dV| (drift magnitude is symmetric
     in the sign of the voltage offset)."""
+    from .metrics import linear_fit  # `simulate` without a sweep scores nothing
     return linear_fit([(abs(dv), shift) for dv, shift in series])

@@ -35,8 +35,14 @@ from ropuf.dataset import save_dataset
 from test_golden import CONFIG, FILE_DIGESTS
 
 HEAVY = ("multiprocessing", "concurrent.futures.process", "_hashlib")
-# numpy.random alone adds about 5.8 MiB resident; evaluation draws nothing.
+# With _hashlib blocked, the package numpy.random adds about 2.8 MiB
+# resident over `import numpy` (26.8 -> 29.6 MiB); the SeedSequence, PCG64
+# and Generator that ropuf.rng loads alone add about 1.6 MiB.  Evaluation
+# draws nothing.
 EVALUATION_FREE = ("numpy.random", "_hashlib")
+# What the package numpy.random loads besides the three classes.
+UNUSED_RANDOM = ("numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
+                 "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle")
 DATASET = Path(__file__).parent / "data" / "dataset.csv"
 
 
@@ -175,10 +181,10 @@ def config(tmp_path):
 def test_program_samples_without_openssl(tmp_path, config, command, out):
     argv = ["ropuf", command, "--config", str(config), "--out", str(tmp_path / out)]
     code = (f"import sys; sys.argv = {argv!r}; from ropuf.cli import main; rc = main(); "
-            "print(rc, 'numpy.random' in sys.modules, sys.modules.get('_hashlib'), "
-            "'ropuf.bch' in sys.modules)")
+            f"print(rc, [m for m in {UNUSED_RANDOM!r} if m in sys.modules], "
+            "sys.modules.get('_hashlib'), 'ropuf.bch' in sys.modules)")
     # Sampling decodes nothing, so it never compiles the codec either.
-    assert _loaded(code).splitlines()[-1] == "0 True None False"
+    assert _loaded(code).splitlines()[-1] == "0 [] None False"
     # The draws without OpenSSL are the ones the golden pins were made from.
     pinned = [name for name in FILE_DIGESTS if name.startswith(f"{out}/")]
     assert len(pinned) == 2
@@ -192,6 +198,79 @@ def test_in_process_main_keeps_openssl(tmp_path, config):
     code = (f"import sys; from ropuf.cli import main; rc = main({argv!r}); "
             "print(rc, sys.modules.get('_hashlib') is not None)")
     assert _loaded(code).splitlines()[-1] == "0 True"
+
+
+def test_simulate_without_a_report_loads_no_metrics(tmp_path, config):
+    """The golden campaign sets every flag off: no report, no sweep."""
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
+    code = (f"import sys; from ropuf.cli import main; rc = main({argv!r}); "
+            "print(rc, 'ropuf.metrics' in sys.modules)")
+    assert _loaded(code).splitlines()[-1] == "0 False"
+
+
+# Seeds as expressions over SeedSequence, PCG64 and Generator, one of each
+# kind default_rng accepts.
+SEEDS = ("7", "(3, 1, 4)", "SeedSequence([2, 7])", "PCG64(9)", "Generator(PCG64(11))")
+
+
+def test_partial_load_draws_as_default_rng():
+    code = ("import json, sys\n"
+            "from ropuf.rng import Generator, PCG64, SeedSequence, ensure_rng, keyed_rng\n"
+            f"draws = [ensure_rng(seed).random(3).tolist() for seed in [{', '.join(SEEDS)}]]\n"
+            "draws.append(keyed_rng(3, 1, 4).random(3).tolist())\n"
+            "print(json.dumps(['numpy.random' in sys.modules, draws]))")
+    package, draws = json.loads(_loaded(code))
+    assert not package
+    expected = [np.random.default_rng(eval(seed, vars(np.random))).random(3).tolist()
+                for seed in SEEDS]
+    expected.append(np.random.default_rng(np.random.SeedSequence([3, 1, 4])).random(3).tolist())
+    assert draws == expected
+
+
+def test_numpy_random_imports_after_the_partial_load():
+    code = ("import sys; from ropuf.rng import keyed_rng; partial = 'numpy.random' not in sys.modules; "
+            "import numpy as np, numpy.random; "
+            "print(partial, type(keyed_rng(1)) is np.random.Generator, "
+            "np.random.default_rng(0).random(2).tolist())")
+    assert _loaded(code) == f"True True {np.random.default_rng(0).random(2).tolist()}"
+
+
+def test_keyed_rng_is_the_loaded_packages_generator():
+    from ropuf import rng
+    generator = np.random.default_rng(5)
+    assert type(rng.keyed_rng(1)) is np.random.Generator
+    assert rng.ensure_rng(generator) is generator
+
+
+def _numpy_random_uses(path: Path) -> list[int]:
+    """Lines of path that import from numpy.random or read np.random
+    outside an annotation."""
+    tree = ast.parse(path.read_text(), str(path))
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign))]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    exempt = {id(node) for a in annotations if a is not None for node in ast.walk(a)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr == "random" and id(node) not in exempt
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            names = ["numpy.random"]
+        else:
+            continue
+        if any(n == "numpy.random" or n.startswith("numpy.random.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_rng_loads_numpy_random():
+    """sampler's np.random.Generator annotations stay legal."""
+    sources = sorted(Path(ropuf.__file__).parent.glob("*.py"))
+    assert {path.name for path in sources if _numpy_random_uses(path)} == {"rng.py"}
 
 
 def test_no_module_imports_hashlib():

@@ -18,11 +18,11 @@ _HOME = {
     "PufUnit": "sampler", "enroll_id": "sampler", "sample_word": "sampler",
     "CampaignConfig": "config",
     "Campaign": "chipsim", "Chip": "chipsim", "build_population": "chipsim",
-    "fit_sweep": "chipsim", "run_campaign": "chipsim", "voltage_sweep": "chipsim",
+    "fit_sweep": "chipsim", "linear_fit": "chipsim", "run_campaign": "chipsim",
+    "voltage_sweep": "chipsim",
     "CampaignDataset": "dataset", "load_dataset": "dataset", "save_dataset": "dataset",
     "HdHistogram": "metrics", "MetricsReport": "metrics", "compute_report": "metrics",
-    "linear_fit": "metrics", "reliability": "metrics", "uniformity": "metrics",
-    "uniqueness": "metrics",
+    "reliability": "metrics", "uniformity": "metrics", "uniqueness": "metrics",
     "CostParams": "cost", "conventional_puf_cost": "cost", "waveform_puf_cost": "cost",
 }
 _SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "dataset", "config", "bch",

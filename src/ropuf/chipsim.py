@@ -10,6 +10,7 @@ voltage (common random numbers).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,25 +152,49 @@ def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float
     For each voltage V the mean of HD(R_i at V0, R'_{i,t} at V) is taken
     over chips and samples; the series reports that mean minus its value
     at V0, paired with dV = V - V0.  Mismatches are counted chip by chip
-    on the packed samples.
+    on the packed samples, each cell as one Python int: the XOR of its
+    bytes with its reference repeated T times (pad bits are zero in both).
     """
     cfg = campaign.config
     v0 = campaign.ro_params.reference_voltage if reference_voltage is None else reference_voltage
     if v0 not in cfg.voltages:
         raise ValueError(f"reference voltage {v0} not in dataset voltages")
-    k0 = cfg.voltages.index(v0)
+    k0, n_samples = cfg.voltages.index(v0), cfg.samples_per_chip
     mismatches = [0] * len(cfg.voltages)
     for refs, cells in campaign:
-        ref = np.frombuffer(refs[k0], dtype=np.uint8)
-        for k, chip_cells in enumerate(cells):
-            rows = np.frombuffer(chip_cells, dtype=np.uint8).reshape(-1, ref.size)
-            mismatches[k] += int(np.bitwise_count(rows ^ ref).sum())
-    n = cfg.n_chips * cfg.samples_per_chip
+        ref = int.from_bytes(bytes(refs[k0]) * n_samples, "big")
+        for k, cell in enumerate(cells):
+            mismatches[k] += (int.from_bytes(cell, "big") ^ ref).bit_count()
+    n = cfg.n_chips * n_samples
     return [(v - v0, m / n - mismatches[k0] / n) for v, m in zip(cfg.voltages, mismatches)]
 
 
 def fit_sweep(series: list[tuple[float, float]]) -> dict:
     """OLS fit of the HD shift against |dV| (drift magnitude is symmetric
     in the sign of the voltage offset)."""
-    from .metrics import linear_fit  # `simulate` without a sweep scores nothing
     return linear_fit([(abs(dv), shift) for dv, shift in series])
+
+
+def linear_fit(points: list[tuple[float, float]]) -> dict:
+    """Ordinary least squares y = slope*x + intercept with R^2, in closed
+    form from the centred sums Sxx, Sxy and Syy of the points."""
+    if len(points) < 2:
+        raise ValueError("need at least 2 points")
+    xs, ys = [float(x) for x, _ in points], [float(y) for _, y in points]
+    if not all(map(math.isfinite, xs + ys)):
+        raise ValueError("every coordinate must be finite")
+    try:
+        mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        dx, dy = [x - mx for x in xs], [y - my for y in ys]
+        sxx, sxy, syy = (math.fsum(a * b for a, b in zip(u, w))
+                         for u, w in ((dx, dx), (dx, dy), (dy, dy)))
+    except OverflowError:  # a partial sum past the float range
+        sxx = syy = math.inf
+    if not math.isfinite(sxx + syy):
+        raise ValueError("coordinates too large for a float fit")
+    if min(xs) == max(xs) or sxx == 0.0:
+        raise ValueError("degenerate abscissae: all x equal")
+    slope = sxy / sxx
+    # slope * Sxy = Sxy^2 / Sxx <= Syy, so neither product overflows.
+    r2 = 1.0 if syy == 0.0 else min(1.0, slope * sxy / syy)
+    return {"slope": slope, "intercept": my - slope * mx, "r2": r2}

@@ -97,9 +97,6 @@ def _write_sweep_files(out: Path, series) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    # metrics (the fit) first: without cached bytecode, compiling it after
-    # the sampling has grown the heap adds about 0.5 MiB to the peak RSS.
-    from . import metrics  # noqa: F401
     from . import chipsim, config
     cfg = config.load(args.config, master_seed=args.seed)
     if len(cfg.campaign.voltages) < 2:

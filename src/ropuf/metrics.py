@@ -1,6 +1,5 @@
 """Evaluation mathematics: Hamming-distance statistics and the three
-standard PUF percentages (uniqueness, reliability, uniformity), plus the
-least-squares fit used for the supply-voltage drift analysis.
+standard PUF percentages (uniqueness, reliability, uniformity).
 
 References R_i are always the enrolled (modal) IDs, never a designated
 first sample.  Every metric in a report is labelled with the voltage and
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,31 +175,6 @@ def write_histogram_csv(path: str | Path, histograms: list[HdHistogram]) -> None
         writer.writeheader()
         for h in histograms:
             writer.writerows(h.to_rows())
-
-
-def linear_fit(points: list[tuple[float, float]]) -> dict:
-    """Ordinary least squares y = slope*x + intercept with R^2, in closed
-    form from the centred sums Sxx, Sxy and Syy of the points."""
-    if len(points) < 2:
-        raise ValueError("need at least 2 points")
-    xs, ys = [float(x) for x, _ in points], [float(y) for _, y in points]
-    if not all(map(math.isfinite, xs + ys)):
-        raise ValueError("every coordinate must be finite")
-    try:
-        mx, my = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
-        dx, dy = [x - mx for x in xs], [y - my for y in ys]
-        sxx, sxy, syy = (math.fsum(a * b for a, b in zip(u, w))
-                         for u, w in ((dx, dx), (dx, dy), (dy, dy)))
-    except OverflowError:  # a partial sum past the float range
-        sxx = syy = math.inf
-    if not math.isfinite(sxx + syy):
-        raise ValueError("coordinates too large for a float fit")
-    if min(xs) == max(xs) or sxx == 0.0:
-        raise ValueError("degenerate abscissae: all x equal")
-    slope = sxy / sxx
-    # slope * Sxy = Sxy^2 / Sxx <= Syy, so neither product overflows.
-    r2 = 1.0 if syy == 0.0 else min(1.0, slope * sxy / syy)
-    return {"slope": slope, "intercept": my - slope * mx, "r2": r2}
 
 
 @dataclass

@@ -120,6 +120,23 @@ def line_fit_by_polyfit(points) -> dict:
             "r2": 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot}
 
 
+def sweep_by_numpy(campaign, reference_voltage=None) -> list[tuple[float, float]]:
+    """chipsim.voltage_sweep with each cell's mismatches counted by numpy:
+    the packed samples viewed as (T, ceil(L/8)) bytes, XORed with the
+    packed reference at V0 and their set bits summed."""
+    cfg = campaign.config
+    v0 = campaign.ro_params.reference_voltage if reference_voltage is None else reference_voltage
+    k0 = cfg.voltages.index(v0)
+    mismatches = [0] * len(cfg.voltages)
+    for refs, cells in campaign:
+        ref = np.frombuffer(refs[k0], dtype=np.uint8)
+        for k, chip_cells in enumerate(cells):
+            rows = np.frombuffer(chip_cells, dtype=np.uint8).reshape(-1, ref.size)
+            mismatches[k] += int(np.bitwise_count(rows ^ ref).sum())
+    n = cfg.n_chips * cfg.samples_per_chip
+    return [(v - v0, m / n - mismatches[k0] / n) for v, m in zip(cfg.voltages, mismatches)]
+
+
 def gf_mul(a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import held, packed_dataset
-from oracles import report_formula
+from oracles import report_formula, sweep_by_numpy
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError
 from ropuf.sampler import unpack_rows
@@ -145,6 +145,27 @@ class TestVoltageSweep:
         assert shifts[-0.1] > 0.0 and shifts[0.1] > 0.0
         fit = chipsim.fit_sweep(list(series.items()))
         assert fit["slope"] > 0.0
+
+    @pytest.mark.parametrize("word_length", [9, 16, 17])  # 18, 32 and 34 bits: 6, 0, 6 pad
+    def test_random_datasets_match_the_numpy_count(self, word_length):
+        volts = (1.2, 1.25, 1.3, 1.35, 1.4)
+        for seed in range(5):
+            ds = random_dataset(word_length=word_length, n_chips=4, samples=30,
+                                voltages=volts, seed=seed)
+            for v0 in (None, 1.2, 1.4):
+                assert chipsim.voltage_sweep(ds, v0) == sweep_by_numpy(ds, v0), (seed, v0)
+
+    def test_campaign_and_loaded_sources_match_the_numpy_count(self, tmp_path):
+        params = ro.RoParams()
+        cfg = chipsim.CampaignConfig(voltages=(1.2, 1.25, 1.3, 1.35, 1.4), master_seed=8,
+                                     **FAST)
+        lazy = chipsim.Campaign(chipsim.build_population(cfg, params), cfg, params)
+        chipsim.save_dataset(lazy, tmp_path / "d.csv", tmp_path / "d.json")
+        loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
+        for source in (lazy, loaded):
+            series = chipsim.voltage_sweep(source)
+            assert series == sweep_by_numpy(source)
+            assert any(shift != 0.0 for _, shift in series)
 
 
 class TestSerialization:
@@ -360,3 +381,30 @@ class TestPostBchDistributions:
         assert raw.bch_stage == "raw" and raw.id_length == 32
         assert post.bch_stage == "post_bch" and post.id_length == 31
         assert raw.voltage == post.voltage == 1.3
+
+    def test_decode_failure_at_the_reference_voltage(self, tmp_path):
+        """A hand-built 32-bit dataset at V0 = 1.3 V: chip 0's sample 1
+        carries 4 errors and its sample 4 carries 3, all within the 31
+        protected bits.  The 3 errors are corrected; the 4 are more than
+        the code's T = 3, so the word fails to decode and passes through."""
+        rng = np.random.default_rng(21)
+        cfg = chipsim.CampaignConfig(n_chips=2, pairs_per_id=2, word_length=16,
+                                     samples_per_chip=6, voltages=(1.3,))
+        refs = rng.integers(0, 2, (2, 32), dtype=np.uint8)
+        samples = np.repeat(refs[:, None], 6, axis=1)
+        samples[0, 1, [0, 7, 15, 30]] ^= 1
+        samples[0, 4, [3, 12, 28]] ^= 1
+        ds = packed_dataset(cfg, {1.3: refs}, {1.3: samples})
+        raw = metrics.compute_report(ds, post_bch=False)
+        post = metrics.compute_report(ds, post_bch=True)
+        assert raw.intra.counts[0] == 10 and raw.intra.counts[3] == raw.intra.counts[4] == 1
+        assert post.intra.counts[0] == 11 and post.intra.counts[4] == 1
+        assert post.reliability_pct_per_chip == {0: 100.0 * (1 - 4 / (31 * 6)), 1: 100.0}
+        assert post.reliability_pct_mean < 100.0
+        want = report_formula({1.3: refs.tolist()}, {1.3: samples.tolist()}, 1.3, 1.3, True)
+        assert post.to_json_dict() == want
+        chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
+        out = tmp_path / "post"
+        assert cli.main(["metrics", str(tmp_path / "d.csv"), "--out", str(out),
+                         "--post-bch"]) == 0
+        assert (out / "report.json").read_text() == json.dumps(want, indent=2) + "\n"

@@ -66,7 +66,7 @@ def test_import_ropuf_loads_no_submodule_and_no_numpy():
 
 def test_each_public_name_is_its_defining_modules_object():
     assert ropuf.CampaignConfig is ropuf.config.CampaignConfig
-    assert ropuf.linear_fit is ropuf.metrics.linear_fit
+    assert ropuf.linear_fit is ropuf.chipsim.linear_fit
     for name in ropuf.__all__:
         value = getattr(ropuf, name)
         assert ropuf._HOME[name] == value.__module__.removeprefix("ropuf."), name
@@ -182,9 +182,11 @@ def test_program_samples_without_openssl(tmp_path, config, command, out):
     argv = ["ropuf", command, "--config", str(config), "--out", str(tmp_path / out)]
     code = (f"import sys; sys.argv = {argv!r}; from ropuf.cli import main; rc = main(); "
             f"print(rc, [m for m in {UNUSED_RANDOM!r} if m in sys.modules], "
-            "sys.modules.get('_hashlib'), 'ropuf.bch' in sys.modules)")
-    # Sampling decodes nothing, so it never compiles the codec either.
-    assert _loaded(code).splitlines()[-1] == "0 [] None False"
+            "sys.modules.get('_hashlib'), 'ropuf.bch' in sys.modules, "
+            "'ropuf.metrics' in sys.modules)")
+    # Sampling decodes and scores nothing, so it never compiles the codec
+    # or the evaluation code either; the sweep's fit lives in chipsim.
+    assert _loaded(code).splitlines()[-1] == "0 [] None False False"
     # The draws without OpenSSL are the ones the golden pins were made from.
     pinned = [name for name in FILE_DIGESTS if name.startswith(f"{out}/")]
     assert len(pinned) == 2

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from conftest import word_of
 from oracles import (line_fit_by_polyfit, mean_by_numpy, reliability_formula,
                      uniformity_formula, uniqueness_formula)
-from ropuf import metrics
+from ropuf import chipsim, metrics
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=24)
 
@@ -173,13 +173,13 @@ class TestPairwiseMean:
 
 class TestLinearFit:
     def test_collinear_points(self):
-        fit = metrics.linear_fit([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)])
+        fit = chipsim.linear_fit([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)])
         assert fit["slope"] == pytest.approx(2.0, rel=1e-9)
         assert fit["intercept"] == pytest.approx(1.0, rel=1e-9)
         assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
 
     def test_constructed_line(self):
-        fit = metrics.linear_fit([(0.0, 0.0), (0.1, 2.0), (0.2, 4.0)])
+        fit = chipsim.linear_fit([(0.0, 0.0), (0.1, 2.0), (0.2, 4.0)])
         assert fit["slope"] == pytest.approx(20.0, rel=1e-9)
         assert fit["intercept"] == pytest.approx(0.0, abs=1e-9)
 
@@ -192,21 +192,21 @@ class TestLinearFit:
         sxy = sum((x - mx) * (y - my) for x, y in points)
         sxx = sum((x - mx) ** 2 for x, _ in points)
         syy = sum((y - my) ** 2 for _, y in points)
-        fit = metrics.linear_fit(points)
+        fit = chipsim.linear_fit(points)
         assert fit["slope"] == pytest.approx(sxy / sxx, rel=1e-9)
         assert fit["r2"] == pytest.approx(sxy * sxy / (sxx * syy), rel=1e-9)
         assert fit["r2"] < 0.9
 
     def test_degenerate_abscissae(self):
         with pytest.raises(ValueError):
-            metrics.linear_fit([(1.0, 2.0), (1.0, 3.0)])
+            chipsim.linear_fit([(1.0, 2.0), (1.0, 3.0)])
 
     def test_too_few_points(self):
         with pytest.raises(ValueError):
-            metrics.linear_fit([(0.0, 0.0)])
+            chipsim.linear_fit([(0.0, 0.0)])
 
     def test_exact_line_is_exact(self):
-        assert metrics.linear_fit([(0, 1), (1, 3)]) == {"slope": 2.0, "intercept": 1.0,
+        assert chipsim.linear_fit([(0, 1), (1, 3)]) == {"slope": 2.0, "intercept": 1.0,
                                                          "r2": 1.0}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -215,14 +215,14 @@ class TestLinearFit:
         points = [[0.0, 1.0], [1.0, 3.0], [2.0, 4.0]]
         points[1][axis] = bad
         with pytest.raises(ValueError, match="finite"):
-            metrics.linear_fit([tuple(p) for p in points])
+            chipsim.linear_fit([tuple(p) for p in points])
 
     @pytest.mark.parametrize("points", [[(0.0, 0.0), (1e200, 1e200)],
                                         [(-1e154, 0.0), (1e154, 1.0), (0.0, 2.0)],
                                         [(0.0, 1e308), (1.0, -1e308)]])
     def test_sums_past_the_float_range(self, points):
         with pytest.raises(ValueError, match="too large"):
-            metrics.linear_fit(points)
+            chipsim.linear_fit(points)
 
     def test_matches_polyfit(self):
         rng = np.random.default_rng(15)
@@ -231,7 +231,7 @@ class TestLinearFit:
             x = rng.choice([0.0, 0.05, 0.1, 0.15, 0.2], n, replace=False) * rng.uniform(0.1, 10)
             y = rng.normal(0.0, 1.0, n) + rng.normal(0.0, 50.0) * x
             points = list(zip(x.tolist(), y.tolist()))
-            got, want = metrics.linear_fit(points), line_fit_by_polyfit(points)
+            got, want = chipsim.linear_fit(points), line_fit_by_polyfit(points)
             assert got["slope"] == pytest.approx(want["slope"], rel=1e-12, abs=1e-12)
             assert got["intercept"] == pytest.approx(want["intercept"], rel=1e-12, abs=1e-12)
             assert got["r2"] == pytest.approx(want["r2"], rel=1e-12, abs=1e-12)

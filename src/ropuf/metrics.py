@@ -6,10 +6,12 @@ first sample.  Every metric in a report is labelled with the voltage and
 the error-correction stage it was computed at, since the same formulas
 apply before and after decoding.
 
-Words are Python integers, each an ID's hex word's value, so distances
-and ones counts are int.bit_count of XORs and of words, and the module
-imports no numpy (and bch only when a report is computed).  The metric
-functions also take bit rows at the API edge.
+A word is a Python integer, an ID's hex word's value: bit 0 of the ID is
+the most significant of its length bits, as int.from_bytes reads a
+dataset's packed word.  Distances and ones counts are int.bit_count of
+XORs and of words, so the module imports no numpy (and bch only when a
+report is computed), and a report runs the same three metric functions
+that callers do.
 """
 from __future__ import annotations
 
@@ -17,25 +19,6 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-
-
-
-def _bit_words(words, length: int) -> list[int]:
-    """Words of bits, one (length,) word or a sequence of them, as
-    integers whose most significant of length bits is bit 0, as in the
-    word's hex form."""
-    rows = list(words)
-    if rows and not hasattr(rows[0], "__len__"):  # one word
-        rows = [rows]
-    values = []
-    for row in rows:
-        if len(row) != length:
-            raise ValueError("all words must have the stated length")
-        value = 0
-        for bit in row:
-            value = value << 1 | bool(bit)
-        values.append(value)
-    return values
 
 
 def _words(packed, width: int):
@@ -79,58 +62,34 @@ def _mean(values: list[float]) -> float:
 def uniqueness(references, length: int) -> float:
     """Mean pairwise fractional Hamming distance over all chip pairs, in %.
 
-    2/(N(N-1)) * sum_{i<j} HD(R_i, R_j)/L * 100.  references is an
-    (N, L) bit array.
+    2/(N(N-1)) * sum_{i<j} HD(R_i, R_j)/L * 100, references a sequence
+    of N words.
     """
-    return _uniqueness_pct(_bit_words(references, length), length)
-
-
-def _uniqueness_pct(words: list[int], length: int) -> float:
-    """Uniqueness in % of the references as words."""
-    n = len(words)
+    n = len(references)
     if n < 2:
         raise ValueError("uniqueness needs at least 2 references")
     total = 0.0
-    for hd in _pair_distances(words):
+    for hd in _pair_distances(references):
         total += hd / length
     return 2.0 / (n * (n - 1)) * total * 100.0
 
 
-def reliability(reference, samples, length: int, t: int | None = None) -> float:
-    """[1 - mean fractional HD from the reference] * 100, over t samples.
-
-    reference is an (L,) bit array and samples a (T, L) one.
-    """
-    words = _bit_words(samples, length)
-    if t is None:
-        t = len(words)
-    if t < 1 or len(words) < t:
-        raise ValueError("need at least one sample (t <= len(samples))")
-    ref = _bit_words(reference, length)[0]
-    return _reliability_pct([(w ^ ref).bit_count() for w in words[:t]], length)
-
-
-def _reliability_pct(distances: list[int], length: int) -> float:
-    """Reliability in % from each sample's Hamming distance to the reference."""
-    total = sum(d / length for d in distances)
-    return (1.0 - total / len(distances)) * 100.0
+def reliability(reference: int, samples, length: int) -> float:
+    """[1 - mean fractional HD from the reference] * 100, over a sequence
+    of sample words."""
+    if not samples:
+        raise ValueError("need at least one sample")
+    total = sum((w ^ reference).bit_count() / length for w in samples)
+    return (1.0 - total / len(samples)) * 100.0
 
 
 def uniformity(responses, length: int) -> float:
-    """Mean ones-fraction per response, averaged over responses, in %.
-
-    responses is an (n, L) bit array.
-    """
-    words = _bit_words(responses, length)
-    if not words:
+    """Mean ones-fraction per response, averaged over a sequence of
+    response words, in %."""
+    if not responses:
         raise ValueError("need at least one response")
-    return _uniformity_pct([w.bit_count() for w in words], length)
-
-
-def _uniformity_pct(ones: list[int], length: int) -> float:
-    """Uniformity in % from each response's count of ones."""
     fractions = [k / length for k in range(length + 1)]
-    return _mean([fractions[k] for k in ones]) * 100.0
+    return _mean([fractions[w.bit_count()] for w in responses]) * 100.0
 
 
 @dataclass
@@ -159,9 +118,6 @@ class HdHistogram:
         if not 0 <= distance <= self.length:
             raise ValueError(f"distance {distance} is not in 0..{self.length}")
         return self.counts[distance] / self.total if self.total else 0.0
-
-    def mean(self) -> float:
-        return sum(d * c for d, c in enumerate(self.counts)) / self.total if self.total else 0.0
 
     def to_rows(self) -> list[dict]:
         return [{"population": self.population, "distance": d, "count": c}
@@ -254,17 +210,12 @@ def corrected_sample_words(samples, anchor, length: int) -> list[int]:
     return fixed
 
 
-def _chip_stage(samples, ref: int, anchor, length: int,
-                post_bch: bool) -> tuple[list[int], list[int]]:
-    """Ones count of each of one chip's packed samples at one voltage, raw
-    or after error correction toward anchor, and its Hamming distance from
-    ref, that voltage's reference as a word of the same stage.  Only the
-    counts outlive the call, not the chip's words."""
+def _chip_words(samples, anchor, length: int, post_bch: bool) -> list[int]:
+    """One chip's packed samples at one voltage as words, raw or after
+    error correction toward anchor (see corrected_sample_words)."""
     if post_bch:
-        words = corrected_sample_words(samples, anchor, length)
-    else:
-        words = list(_words(samples, -(-length // 8)))
-    return [w.bit_count() for w in words], [(w ^ ref).bit_count() for w in words]
+        return corrected_sample_words(samples, anchor, length)
+    return list(_words(samples, -(-length // 8)))
 
 
 def compute_report(campaign, voltage: float | None = None,
@@ -276,9 +227,9 @@ def compute_report(campaign, voltage: float | None = None,
     Reliability and uniformity use the samples at the requested voltage
     against that voltage's own enrolled reference; intra/inter histograms
     are always computed at the reference voltage.  One pass takes the
-    chips one at a time and reads each packed sample as one integer, so
-    only one chip's words and counts are held, plus every chip's
-    references at the two voltages; each sample is corrected at most once.
+    chips one at a time and reads each packed sample as one word, so only
+    one chip's words are held, plus every chip's references at the two
+    voltages; each sample is corrected at most once.
     """
     from . import bch  # for the code length; see corrected_sample_words
     cfg = campaign.config
@@ -293,21 +244,21 @@ def compute_report(campaign, voltage: float | None = None,
     reliability_pct, uniformity_pct, refs, anchors = {}, {}, [], []
     for c, (chip_refs, cells) in enumerate(campaign):
         ref, anchor = (int.from_bytes(chip_refs[i], "big") >> shift for i in (k, k0))
-        ones, hd = _chip_stage(cells[k], ref, chip_refs[k0], cfg.id_length, post_bch)
-        reliability_pct[c] = _reliability_pct(hd, length)
-        uniformity_pct[c] = _uniformity_pct(ones, length)
+        words = _chip_words(cells[k], chip_refs[k0], cfg.id_length, post_bch)
+        reliability_pct[c] = reliability(ref, words, length)
+        uniformity_pct[c] = uniformity(words, length)
         if k != k0:
-            hd = _chip_stage(cells[k0], anchor, chip_refs[k0], cfg.id_length, post_bch)[1]
-        for d in hd:
-            intra[d] += 1
-        del ones, hd  # freed before the next chip's words are read
+            words = _chip_words(cells[k0], chip_refs[k0], cfg.id_length, post_bch)
+        for w in words:
+            intra[(w ^ anchor).bit_count()] += 1
+        del words  # freed before the next chip's words are read
         refs.append(ref)
         anchors.append(anchor)
     return MetricsReport(
         voltage=v,
         bch_stage="post_bch" if post_bch else "raw",
         id_length=length,
-        uniqueness_pct=_uniqueness_pct(refs, length),
+        uniqueness_pct=uniqueness(refs, length),
         reliability_pct_per_chip=reliability_pct,
         uniformity_pct_per_chip=uniformity_pct,
         intra=HdHistogram("intra", length, intra),

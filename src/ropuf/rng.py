@@ -3,7 +3,8 @@
 Every stochastic quantity in a campaign draws from its own stream keyed by
 integers (master seed, purpose tag, chip, unit[, row]).  Any sub-grid of
 a campaign therefore reproduces exactly, independent of iteration order
-or which other grid cells are simulated.
+or which other grid cells are simulated.  A stream is always given by its
+integer key.
 
 This is the one module that loads numpy's random machinery, and it loads
 only what the streams use: SeedSequence, PCG64 and Generator.  The
@@ -22,8 +23,8 @@ import sys
 
 
 def _load():
-    """numpy's SeedSequence, BitGenerator, PCG64 and Generator, without
-    executing the `numpy.random` package when it is not imported yet."""
+    """numpy's SeedSequence, PCG64 and Generator, without executing the
+    `numpy.random` package when it is not imported yet."""
     package = None
     if "numpy.random" not in sys.modules:
         package = importlib.util.module_from_spec(importlib.util.find_spec("numpy.random"))
@@ -33,11 +34,10 @@ def _load():
     finally:
         if package is not None and sys.modules.get("numpy.random") is package:
             del sys.modules["numpy.random"]
-    return (bit_generator.SeedSequence, bit_generator.BitGenerator, _pcg64.PCG64,
-            _generator.Generator)
+    return bit_generator.SeedSequence, _pcg64.PCG64, _generator.Generator
 
 
-SeedSequence, BitGenerator, PCG64, Generator = _load()
+SeedSequence, PCG64, Generator = _load()
 
 # Purpose tags keep unrelated streams apart even when the rest of the key
 # collides.
@@ -54,15 +54,3 @@ def keyed_rng(*key: int) -> Generator:
     """Generator seeded from an integer key tuple: the one that
     default_rng(SeedSequence(key)) builds."""
     return Generator(PCG64(SeedSequence([int(k) for k in key])))
-
-
-def ensure_rng(seed) -> Generator:
-    """A Generator as default_rng(seed) returns it: seed itself if it is a
-    Generator, a Generator over it if it is a bit generator, otherwise a
-    PCG64 stream seeded from it (an int, a sequence of ints, a
-    SeedSequence or None)."""
-    if isinstance(seed, Generator):
-        return seed
-    if isinstance(seed, BitGenerator):
-        return Generator(seed)
-    return Generator(PCG64(seed))

@@ -97,15 +97,16 @@ class Coupling:
         return cls(COUPLING_CAPACITIVE, strength)
 
 
-def realize_ro(params: RoParams, seed) -> RoInstance:
+def realize_ro(params: RoParams, key: tuple[int, ...]) -> RoInstance:
     """Draw one oscillator instance from the process-variation model.
 
     period = nominal * (1 + N(0, process_sigma)); the measure-zero event
-    of a non-positive period is redrawn.  Deterministic given seed.
+    of a non-positive period is redrawn.  The draws come from the stream
+    keyed_rng(*key), so the instance is a function of the integer key.
     """
-    from .rng import ensure_rng  # numpy's; `metrics` imports this module without it
+    from .rng import keyed_rng  # numpy's; `metrics` imports this module without it
     params.validate()
-    rng = ensure_rng(seed)
+    rng = keyed_rng(*key)
     period = params.nominal_period * (1.0 + params.process_sigma * rng.standard_normal())
     while period <= 0.0:
         period = params.nominal_period * (1.0 + params.process_sigma * rng.standard_normal())

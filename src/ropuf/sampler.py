@@ -10,6 +10,10 @@ jitter and no coupling this reduces to the closed form
 where an exact-integer argument resolves to the parity of that integer
 minus one: sampling exactly on a toggle instant reads the pre-toggle
 level.  Only the period ratio matters, never the absolute time scale.
+
+Words here are (L,) rows of bits; a campaign packs them with pack_rows,
+and evaluation reads each packed word as an integer.  Every draw comes
+from a stream given by an integer key (see rng).
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import ro
 from .errors import ConfigurationError
-from .rng import ensure_rng
+from .rng import keyed_rng
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:
@@ -150,18 +154,18 @@ def modal_row(words: np.ndarray) -> np.ndarray:
     return (2 * words.sum(axis=0, dtype=np.int64) > len(words)).astype(words.dtype)
 
 
-def sample_word(unit: PufUnit, v: float, seed) -> np.ndarray:
+def sample_word(unit: PufUnit, v: float, seed: int) -> np.ndarray:
     """One (L,) response word at supply voltage v: one row of sample_rows,
-    its normals (and any coverage extension) drawn from seed."""
-    rng = ensure_rng(seed)
+    its normals (and any coverage extension) drawn from keyed_rng(seed)."""
+    rng = keyed_rng(seed)
     return sample_rows(unit, v, *draw_rows(rng, 1, unit.word_length), lambda i: rng)[0]
 
 
-def enroll_id(unit: PufUnit, repetitions: int, v: float, seed) -> np.ndarray:
+def enroll_id(unit: PufUnit, repetitions: int, v: float, seed: int) -> np.ndarray:
     """Enrolled (L,) ID: the modal word (see modal_row) of a block of fresh
-    enable cycles drawn from seed."""
+    enable cycles drawn from keyed_rng(seed)."""
     if repetitions < 1:
         raise ConfigurationError("repetitions must be >= 1")
-    rng = ensure_rng(seed)
+    rng = keyed_rng(seed)
     return modal_row(sample_rows(unit, v, *draw_rows(rng, repetitions, unit.word_length),
                                  lambda i: rng))

@@ -232,7 +232,8 @@ def word_bits(word: int) -> list[int]:
 
 def bits_word(bits) -> int:
     """The integer whose binary digits, most significant first, are bits:
-    the word of 31 bits x^30 first, or the message of 16."""
+    an ID's word (bit 0 the most significant), the bch word of 31 bits
+    x^30 first, or the message of 16."""
     return int("".join(str(int(b)) for b in bits), 2)
 
 

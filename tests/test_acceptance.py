@@ -142,11 +142,11 @@ def test_criterion_5_metric_formula_oracle():
         t = int(rng.integers(1, 5))
         refs = [[int(b) for b in rng.integers(0, 2, length)] for _ in range(n)]
         samples = [[int(b) for b in rng.integers(0, 2, length)] for _ in range(t)]
-        as_words = np.array(refs, dtype=np.uint8)
-        sample_words = np.array(samples, dtype=np.uint8)
+        as_words = [bits_word(r) for r in refs]
+        sample_words = [bits_word(s) for s in samples]
         for got, want in (
                 (metrics.uniqueness(as_words, length), uniqueness_formula(refs, length)),
-                (metrics.reliability(as_words[0], sample_words, length, t),
+                (metrics.reliability(as_words[0], sample_words, length),
                  reliability_formula(refs[0], samples, length, t)),
                 (metrics.uniformity(sample_words, length),
                  uniformity_formula(samples, length))):
@@ -183,7 +183,7 @@ def test_criterion_7_inverter_loop_degeneracy():
     constant = all(np.array_equal(r, refs[0]) for r in refs)
     all_zero = not refs[0].any()
     inter = metrics.compute_report(ds).inter
-    uniq = metrics.uniqueness(refs, cfg.id_length)
+    uniq = metrics.uniqueness([bits_word(r) for r in refs], cfg.id_length)
     ok = constant and all_zero and inter.mass_at(0) == 1.0 and uniq == 0.0
     announce(7, ok, f"inverter-loop coupling: every chip enrolls the constant "
                     f"all-zero word, inter-HD == 0, uniqueness {uniq:.2f}%")
@@ -225,7 +225,7 @@ def test_criterion_9_uniqueness_band(default_campaigns):
     datasets, cfg, _ = default_campaigns
     ds = datasets["none"]
     refs = held(ds, 1.3)[0]
-    uniq = metrics.uniqueness(refs, cfg.id_length)
+    uniq = metrics.uniqueness([bits_word(r) for r in refs], cfg.id_length)
     ok = 40.0 <= uniq <= 60.0
     announce(9, ok, f"uncoupled uniqueness {uniq:.2f}% within 50 +- 10 at "
                     f"N={cfg.n_chips}, L={cfg.id_length}")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import held, packed_dataset
-from oracles import report_formula, sweep_by_numpy
+from oracles import bits_word, line_fit_by_polyfit, report_formula, sweep_by_numpy
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError
 from ropuf.sampler import unpack_rows
@@ -42,7 +42,7 @@ class TestPopulation:
         ds, cfg, _ = small_campaign(params=params)
         refs = held(ds, 1.3)[0]
         assert all(np.array_equal(r, refs[0]) for r in refs)
-        assert metrics.uniqueness(refs, cfg.id_length) == 0.0
+        assert metrics.uniqueness([bits_word(r) for r in refs], cfg.id_length) == 0.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="n_chips"):
@@ -112,7 +112,7 @@ class TestCampaign:
 
     def test_inter_chip_words_look_independent(self):
         ds, cfg, _ = small_campaign(master_seed=2, n_chips=12)
-        u = metrics.uniqueness(held(ds, 1.3)[0], cfg.id_length)
+        u = metrics.uniqueness([bits_word(r) for r in held(ds, 1.3)[0]], cfg.id_length)
         assert 30.0 < u < 70.0
 
 
@@ -408,3 +408,69 @@ class TestPostBchDistributions:
         assert cli.main(["metrics", str(tmp_path / "d.csv"), "--out", str(out),
                          "--post-bch"]) == 0
         assert (out / "report.json").read_text() == json.dumps(want, indent=2) + "\n"
+
+
+class TestLinearFit:
+    def test_collinear_points(self):
+        fit = chipsim.linear_fit([(0.0, 1.0), (1.0, 3.0), (2.0, 5.0)])
+        assert fit["slope"] == pytest.approx(2.0, rel=1e-9)
+        assert fit["intercept"] == pytest.approx(1.0, rel=1e-9)
+        assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_constructed_line(self):
+        fit = chipsim.linear_fit([(0.0, 0.0), (0.1, 2.0), (0.2, 4.0)])
+        assert fit["slope"] == pytest.approx(20.0, rel=1e-9)
+        assert fit["intercept"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_r2_of_scattered_points_is_squared_correlation(self):
+        # With an intercept, least squares R^2 is Pearson's r squared.
+        points = [(0.0, 1.0), (1.0, 3.0), (2.0, 2.0), (3.0, 6.0)]
+        n = len(points)
+        mx = sum(x for x, _ in points) / n
+        my = sum(y for _, y in points) / n
+        sxy = sum((x - mx) * (y - my) for x, y in points)
+        sxx = sum((x - mx) ** 2 for x, _ in points)
+        syy = sum((y - my) ** 2 for _, y in points)
+        fit = chipsim.linear_fit(points)
+        assert fit["slope"] == pytest.approx(sxy / sxx, rel=1e-9)
+        assert fit["r2"] == pytest.approx(sxy * sxy / (sxx * syy), rel=1e-9)
+        assert fit["r2"] < 0.9
+
+    def test_degenerate_abscissae(self):
+        with pytest.raises(ValueError):
+            chipsim.linear_fit([(1.0, 2.0), (1.0, 3.0)])
+
+    def test_too_few_points(self):
+        with pytest.raises(ValueError):
+            chipsim.linear_fit([(0.0, 0.0)])
+
+    def test_exact_line_is_exact(self):
+        assert chipsim.linear_fit([(0, 1), (1, 3)]) == {"slope": 2.0, "intercept": 1.0,
+                                                         "r2": 1.0}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_coordinate(self, bad, axis):
+        points = [[0.0, 1.0], [1.0, 3.0], [2.0, 4.0]]
+        points[1][axis] = bad
+        with pytest.raises(ValueError, match="finite"):
+            chipsim.linear_fit([tuple(p) for p in points])
+
+    @pytest.mark.parametrize("points", [[(0.0, 0.0), (1e200, 1e200)],
+                                        [(-1e154, 0.0), (1e154, 1.0), (0.0, 2.0)],
+                                        [(0.0, 1e308), (1.0, -1e308)]])
+    def test_sums_past_the_float_range(self, points):
+        with pytest.raises(ValueError, match="too large"):
+            chipsim.linear_fit(points)
+
+    def test_matches_polyfit(self):
+        rng = np.random.default_rng(15)
+        for _ in range(300):
+            n = int(rng.integers(2, 6))
+            x = rng.choice([0.0, 0.05, 0.1, 0.15, 0.2], n, replace=False) * rng.uniform(0.1, 10)
+            y = rng.normal(0.0, 1.0, n) + rng.normal(0.0, 50.0) * x
+            points = list(zip(x.tolist(), y.tolist()))
+            got, want = chipsim.linear_fit(points), line_fit_by_polyfit(points)
+            assert got["slope"] == pytest.approx(want["slope"], rel=1e-12, abs=1e-12)
+            assert got["intercept"] == pytest.approx(want["intercept"], rel=1e-12, abs=1e-12)
+            assert got["r2"] == pytest.approx(want["r2"], rel=1e-12, abs=1e-12)

@@ -9,17 +9,17 @@ from ropuf.errors import ConfigurationError, ModelRangeError
 class TestRealize:
     def test_zero_variance_gives_nominal(self):
         params = ro.RoParams(process_sigma=0.0, voltage_sensitivity_sigma=0.0)
-        inst = ro.realize_ro(params, 5)
+        inst = ro.realize_ro(params, (5,))
         assert inst.period_at_ref == params.nominal_period
         assert inst.gamma == params.voltage_sensitivity_mean
 
     def test_same_seed_same_instance(self):
         params = ro.RoParams()
-        assert ro.realize_ro(params, 99) == ro.realize_ro(params, 99)
+        assert ro.realize_ro(params, (99,)) == ro.realize_ro(params, (99,))
 
     def test_different_seeds_differ(self):
         params = ro.RoParams()
-        assert ro.realize_ro(params, 1) != ro.realize_ro(params, 2)
+        assert ro.realize_ro(params, (1,)) != ro.realize_ro(params, (2,))
 
     def test_sample_stddev_matches_process_sigma(self):
         # 1e4 draws at sigma=0.03: sample std of T/nominal within 0.03 +- 0.003
@@ -30,9 +30,9 @@ class TestRealize:
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigurationError):
-            ro.realize_ro(ro.RoParams(nominal_period=0.0), 0)
+            ro.realize_ro(ro.RoParams(nominal_period=0.0), (0,))
         with pytest.raises(ConfigurationError):
-            ro.realize_ro(ro.RoParams(process_sigma=-0.1), 0)
+            ro.realize_ro(ro.RoParams(process_sigma=-0.1), (0,))
 
 
 class TestVoltage:

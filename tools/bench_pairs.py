@@ -15,7 +15,10 @@ For each end-to-end metric of the change's BENCHMARK.json it prints each
 side's median and quartiles, the parent's interquartile range, the
 change of the median, and how many pairs the change wins (a tie counts
 for neither side).  It then says whether the change's median is worse
-than the parent's by more than the metric's relative `bound`, and
+than the parent's by more than the metric's relative `bound`, or that
+this is unresolved: the parent's interquartile range is wider than
+`bound` times its median, so the runs spread too widely to tell, and not
+every run of the change beats every run of the parent.  It also says
 whether a gain may be claimed: at least nine tenths of the pairs won and
 a median gain larger than the parent's interquartile range.  For each
 side it names the command that set the workload's peak_rss_mib (the
@@ -86,14 +89,19 @@ def summary(name: str, unit: str, lower_better: bool, bound: float, parent: list
     wins = sum((c < p) if lower_better else (c > p) for p, c in zip(parent, change))
     gain = pm - cm if lower_better else cm - pm  # > 0: the change's median is better
     worse = -gain > bound * abs(pm)
+    beats_all = max(change) < min(parent) if lower_better else min(change) > max(parent)
+    if p3 - p1 > bound * abs(pm) and not beats_all:
+        verdict = (f"unresolved, parent IQR wider than {bound * abs(pm):.4f}"
+                   f"{' (median WORSE beyond it)' if worse else ''}")
+    else:
+        verdict = "WORSE than the parent beyond it" if worse else "within it"
     claim = 10 * wins >= 9 * len(parent) and gain > p3 - p1
     return [f"{name} ({unit}, {'lower' if lower_better else 'higher'} is better)",
             f"  parent  median {pm:.4f}  Q1 {p1:.4f}  Q3 {p3:.4f}",
             f"  change  median {cm:.4f}  Q1 {c1:.4f}  Q3 {c3:.4f}",
             f"  median change {cm - pm:+.4f}, parent IQR {p3 - p1:.4f}, "
             f"change wins {wins}/{len(parent)}",
-            f"  bound {bound:g} (relative): change median "
-            f"{'WORSE than the parent beyond it' if worse else 'within it'}",
+            f"  bound {bound:g} (relative): change median {verdict}",
             f"  claim rule (>= 9/10 wins, median gain > parent IQR): "
             f"{'holds' if claim else 'does not hold'}"]
 

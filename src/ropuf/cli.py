@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 configuration error (a configuration too
 large to allocate included), 3 data error, 4 self-test failure.
 
 Each command imports the modules it runs, so `cost`, `--help`, a
-usage error, `metrics` and `bch-selftest` never load numpy.
+usage error, `metrics` and `bch-selftest` never load numpy, and no
+command loads hashlib.  `main` runs alike as a program and in-process.
 """
 from __future__ import annotations
 
@@ -197,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        # Run as a program: keep OpenSSL (several MiB resident) out, which
-        # numpy.random would load through secrets -> hmac.  hashlib falls
-        # back to its built-in SHA-2 and draws are unchanged.  An in-process
-        # call, or a process that already loaded it, keeps the real one.
-        sys.modules.setdefault("_hashlib", None)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

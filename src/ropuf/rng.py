@@ -9,31 +9,40 @@ integer key.
 This is the one module that loads numpy's random machinery, and it loads
 only what the streams use: SeedSequence, PCG64 and Generator.  The
 package `numpy.random` would also load the legacy RandomState, MT19937,
-Philox, SFC64 and the pickling helpers, which no command runs.  When
-`numpy.random` is not imported yet, an unexecuted package module stands
-in for it while the three submodules load, and is removed again; a later
-`import numpy.random` runs the real package and reuses the same classes.
+Philox, SFC64 and the pickling helpers, and `bit_generator` imports
+`secrets.randbits`, which would load `hmac`, `hashlib` and its digests.
+While the three submodules load, an unexecuted package module stands in
+for `numpy.random`, and a module holding only `randbits` (as the stdlib
+defines it: `random.SystemRandom().getrandbits`, which only an unseeded
+`SeedSequence()` calls) for `secrets`, each if the real one is not loaded
+yet; both are removed again, so a later import loads the real module.
 That load, made on the first import of this module, is not thread-safe
-against another thread importing `numpy.random` at the same time.
+against another thread importing `numpy.random` or `secrets` at once.
 """
 from __future__ import annotations
 
-import importlib.util
+import random
 import sys
+import types
+from importlib.util import find_spec, module_from_spec
 
 
 def _load():
     """numpy's SeedSequence, PCG64 and Generator, without executing the
-    `numpy.random` package when it is not imported yet."""
-    package = None
+    `numpy.random` package or `secrets` when they are not imported yet."""
+    stand_ins = {}
     if "numpy.random" not in sys.modules:
-        package = importlib.util.module_from_spec(importlib.util.find_spec("numpy.random"))
-        sys.modules["numpy.random"] = package
+        stand_ins["numpy.random"] = module_from_spec(find_spec("numpy.random"))
+    if "secrets" not in sys.modules and "numpy.random.bit_generator" not in sys.modules:
+        stand_ins["secrets"] = types.ModuleType("secrets")
+        stand_ins["secrets"].randbits = random.SystemRandom().getrandbits
+    sys.modules.update(stand_ins)
     try:
         from numpy.random import _generator, _pcg64, bit_generator
     finally:
-        if package is not None and sys.modules.get("numpy.random") is package:
-            del sys.modules["numpy.random"]
+        for name, module in stand_ins.items():
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
     return bit_generator.SeedSequence, _pcg64.PCG64, _generator.Generator
 
 

@@ -148,7 +148,7 @@ def modal_row(words: np.ndarray) -> np.ndarray:
     """A fresh copy of the row of words (R, L) observed most often, rows
     counted by their bytes.  Modal ties fall back to the bitwise majority
     of all rows; remaining per-bit ties resolve to 0."""
-    top = Counter(row.tobytes() for row in words).most_common(2)
+    top = Counter(row.tobytes() for row in words).most_common()[:2]
     if len(top) == 1 or top[0][1] > top[1][1]:
         return np.frombuffer(top[0][0], dtype=words.dtype).copy()
     return (2 * words.sum(axis=0, dtype=np.int64) > len(words)).astype(words.dtype)

@@ -8,14 +8,15 @@ work as if the package had imported everything.  `ropuf.cli` imports
 inside each command what that command runs: `cost`, `--help` and a
 usage error load no numpy.
 
-Every command pays for what it imports.  `multiprocessing` and
-`_hashlib` (OpenSSL, several MiB resident) serve no command: campaigns
-run in one process, and no module of the package imports hashlib.
-`numpy.random`, which the sampling commands need, would load OpenSSL
-through `secrets`; run as a program, `cli.main` blocks `_hashlib` first,
-while `import ropuf` and an in-process `main([...])` leave the process's
-OpenSSL alone.  `metrics` loads neither, nor any numpy module: it scores
-words as Python integers, as `bch-selftest` checks the codec.
+Every command pays for what it imports.  `multiprocessing` and hashlib
+(with OpenSSL's `_hashlib`, several MiB resident) serve no command:
+campaigns run in one process, and no module of the package imports
+hashlib.  `numpy.random.bit_generator` would load it through `secrets`;
+`ropuf.rng` loads it under a stand-in `secrets` that holds only
+`randbits`, so no command loads hashlib, run as a program or in-process,
+and none writes to `sys.modules` after that load.  `metrics` loads no
+numpy module: it scores words as Python integers, as `bch-selftest`
+checks the codec.
 """
 import ast
 import hashlib
@@ -34,12 +35,18 @@ from ropuf.config import CampaignConfig
 from ropuf.dataset import save_dataset
 from test_golden import CONFIG, FILE_DIGESTS
 
-HEAVY = ("multiprocessing", "concurrent.futures.process", "_hashlib")
-# With _hashlib blocked, the package numpy.random adds about 2.8 MiB
-# resident over `import numpy` (26.8 -> 29.6 MiB); the SeedSequence, PCG64
-# and Generator that ropuf.rng loads alone add about 1.6 MiB.  Evaluation
+# What `secrets` would load: hmac, hashlib, its encodings and digests.
+HASHING = ("secrets", "hmac", "hashlib", "_hashlib", "base64",
+           "_md5", "_sha1", "_sha256", "_sha3", "_blake2")
+HEAVY = ("multiprocessing", "concurrent.futures.process", *HASHING)
+# The package numpy.random adds about 6.2 MiB resident over `import numpy`
+# (26.9 -> 33.0 MiB), 3.4 MiB of it OpenSSL; the SeedSequence, PCG64 and
+# Generator that ropuf.rng loads alone add about 1.5 MiB.  Evaluation
 # draws nothing.
-EVALUATION_FREE = ("numpy.random", "_hashlib")
+EVALUATION_FREE = ("numpy.random", *HASHING)
+# Loaded by nothing that samples: the codec, the evaluation code, and
+# Counter.most_common(n)'s heapq.
+SAMPLING_FREE = (*HASHING, "heapq", "ropuf.bch", "ropuf.metrics")
 # What the package numpy.random loads besides the three classes.
 UNUSED_RANDOM = ("numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
                  "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle")
@@ -52,6 +59,13 @@ def _loaded(code: str) -> str:
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     return out.stdout.strip()
+
+
+def _run(argv: list[str], as_program: bool) -> str:
+    """Code that runs `ropuf argv` as the script does, or calls `main(argv)`
+    in-process, leaving the exit code in rc."""
+    run = f"sys.argv = {['ropuf', *argv]!r}; rc = main()" if as_program else f"rc = main({argv!r})"
+    return f"import sys; from ropuf.cli import main; {run}"
 
 
 SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "dataset", "config", "bch", "metrics",
@@ -117,8 +131,7 @@ def test_bch_selftest_loads_no_campaign_code():
 def test_bch_selftest_loads_no_numpy(as_program):
     """The codec and its self-test are integers throughout."""
     argv = ["bch-selftest", "--trials", "10"]
-    run = f"sys.argv = {['ropuf', *argv]!r}; rc = main()" if as_program else f"rc = main({argv!r})"
-    code = (f"import sys; from ropuf.cli import main; {run}; "
+    code = (f"{_run(argv, as_program)}; "
             "print(rc, [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
     assert _loaded(code).splitlines()[-1] == "0 []"
 
@@ -162,8 +175,7 @@ def test_metrics_loads_no_numpy(tmp_path, odd_dataset, as_program, data, flags, 
     dataset and on an odd-length one, run as a program or called in-process."""
     argv = ["metrics", str(DATASET if data == "frozen" else odd_dataset),
             "--out", str(tmp_path), *flags]
-    run = f"sys.argv = {['ropuf', *argv]!r}; rc = main()" if as_program else f"rc = main({argv!r})"
-    code = (f"import sys; from ropuf.cli import main; {run}; "
+    code = (f"{_run(argv, as_program)}; "
             "print(rc, [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
     assert _loaded(code).splitlines()[-1] == f"{rc} []"
     assert (tmp_path / "report.json").exists() == (rc == 0)
@@ -177,16 +189,17 @@ def config(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("command, out", [("simulate", "sim"), ("sweep", "sweep")])
-def test_program_samples_without_openssl(tmp_path, config, command, out):
-    argv = ["ropuf", command, "--config", str(config), "--out", str(tmp_path / out)]
-    code = (f"import sys; sys.argv = {argv!r}; from ropuf.cli import main; rc = main(); "
-            f"print(rc, [m for m in {UNUSED_RANDOM!r} if m in sys.modules], "
-            "sys.modules.get('_hashlib'), 'ropuf.bch' in sys.modules, "
-            "'ropuf.metrics' in sys.modules)")
+@pytest.mark.parametrize("command, out, as_program", [
+    ("simulate", "sim", True), ("sweep", "sweep", True),
+    ("simulate", "sim", False), ("sweep", "sweep", False),
+], ids=["simulate-sim", "sweep-sweep", "simulate-sim-in_process", "sweep-sweep-in_process"])
+def test_program_samples_without_openssl(tmp_path, config, command, out, as_program):
+    argv = [command, "--config", str(config), "--out", str(tmp_path / out)]
+    code = (f"{_run(argv, as_program)}; "
+            f"print(rc, [m for m in {UNUSED_RANDOM + SAMPLING_FREE!r} if m in sys.modules])")
     # Sampling decodes and scores nothing, so it never compiles the codec
     # or the evaluation code either; the sweep's fit lives in chipsim.
-    assert _loaded(code).splitlines()[-1] == "0 [] None False False"
+    assert _loaded(code).splitlines()[-1] == "0 []"
     # The draws without OpenSSL are the ones the golden pins were made from.
     pinned = [name for name in FILE_DIGESTS if name.startswith(f"{out}/")]
     assert len(pinned) == 2
@@ -195,11 +208,14 @@ def test_program_samples_without_openssl(tmp_path, config, command, out):
         assert digest == FILE_DIGESTS[name], name
 
 
-def test_in_process_main_keeps_openssl(tmp_path, config):
+@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
+def test_sampling_leaves_openssl_loadable(tmp_path, config, as_program):
+    """No module is blocked: a later `import hashlib` loads OpenSSL."""
     argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
-    code = (f"import sys; from ropuf.cli import main; rc = main({argv!r}); "
-            "print(rc, sys.modules.get('_hashlib') is not None)")
-    assert _loaded(code).splitlines()[-1] == "0 True"
+    code = (f"{_run(argv, as_program)}; "
+            "blocked = [m for m, v in sys.modules.items() if v is None]; import hashlib; "
+            "print(rc, blocked, hashlib.sha256.__name__)")
+    assert _loaded(code).splitlines()[-1] == "0 [] openssl_sha256"
 
 
 def test_simulate_without_a_report_loads_no_metrics(tmp_path, config):
@@ -229,8 +245,39 @@ def test_numpy_random_imports_after_the_partial_load():
     code = ("import sys; from ropuf.rng import keyed_rng; partial = 'numpy.random' not in sys.modules; "
             "import numpy as np, numpy.random; "
             "print(partial, type(keyed_rng(1)) is np.random.Generator, "
-            "np.random.default_rng(0).random(2).tolist())")
-    assert _loaded(code) == f"True True {np.random.default_rng(0).random(2).tolist()}"
+            "0 <= np.random.default_rng().random() < 1, np.random.default_rng(0).random(2).tolist())")
+    assert _loaded(code) == f"True True True {np.random.default_rng(0).random(2).tolist()}"
+
+
+def test_rng_leaves_secrets_unloaded():
+    assert _loaded("import sys, ropuf.rng; print('secrets' in sys.modules)") == "False"
+
+
+def test_unseeded_seed_sequences_draw_128_fresh_bits():
+    code = ("from ropuf.rng import SeedSequence; a, b = SeedSequence().entropy, SeedSequence().entropy; "
+            "print(a != b, 0 <= a < 2 ** 128, 0 <= b < 2 ** 128)")
+    assert _loaded(code) == "True True True"
+
+
+def test_stand_in_randbits_is_system_random():
+    code = ("import random, sys, ropuf.rng; "
+            "randbits = sys.modules['numpy.random.bit_generator'].randbits; "
+            "print(isinstance(randbits.__self__, random.SystemRandom), "
+            "randbits.__func__ is random.SystemRandom.getrandbits)")
+    assert _loaded(code) == "True True"
+
+
+def test_secrets_imports_after_the_partial_load():
+    code = ("import sys, sysconfig, ropuf.rng, secrets; from pathlib import Path; "
+            "print(Path(secrets.__file__) == Path(sysconfig.get_paths()['stdlib'], 'secrets.py'), "
+            "len(secrets.token_bytes(8)))")
+    assert _loaded(code) == "True 8"
+
+
+def test_secrets_imported_first_is_the_one_numpy_uses():
+    code = ("import secrets, sys, ropuf.rng; "
+            "print(sys.modules['numpy.random.bit_generator'].randbits is secrets.randbits)")
+    assert _loaded(code) == "True"
 
 
 def test_keyed_rng_is_the_loaded_packages_generator():

@@ -10,13 +10,17 @@ Each run starts a fresh interpreter on a small launcher that registers an
 from /proc/self/status.  That figure belongs to the child's address space
 alone, so unlike `ru_maxrss` it does not inherit the high-water mark of
 the process that started it, and it can read below the starting
-process's RSS.
+process's RSS.  The hook also prints `RssAnon` (heap and other private
+memory) and `RssFile` (mapped files: the interpreter's and numpy's code
+pages) from the same file, as they stand at exit, which shows whether a
+change cut heap or mapped code.
 
 The package is copied from `--src` to a temporary directory without
 `__pycache__`.  By default each run compiles ropuf from source
 (PYTHONDONTWRITEBYTECODE=1), as the benchmark's children do; `--warm`
 compiles the copy once first, so the runs load cached bytecode.  Prints
-each run's peak and their median, in MiB; exits 1 if a run fails.
+each run's peak, `RssAnon` and `RssFile` and their medians, in MiB; exits
+1 if a run fails.
 """
 from __future__ import annotations
 
@@ -30,13 +34,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-MARK = "peak_rss.py VmHWM kB"
+MARK = "peak_rss.py kB"
+FIELDS = ("VmHWM", "RssAnon", "RssFile")
 LAUNCHER = f"""\
 import atexit, sys
 def _report():
     with open("/proc/self/status") as fh:
-        kib = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
-    print({MARK!r}, kib, file=sys.stderr, flush=True)
+        kib = dict(line.split()[:2] for line in fh if line.startswith({FIELDS!r}))
+    print({MARK!r}, *(kib[f + ":"] for f in {FIELDS!r}), file=sys.stderr, flush=True)
 atexit.register(_report)
 sys.argv = ["ropuf", *sys.argv[1:]]
 from ropuf.cli import main
@@ -44,8 +49,8 @@ sys.exit(main())
 """
 
 
-def peaks(src: Path, command: list[str], runs: int, warm: bool) -> list[float]:
-    """VmHWM in MiB of each of runs runs of command on a copy of src/ropuf."""
+def peaks(src: Path, command: list[str], runs: int, warm: bool) -> list[tuple[float, ...]]:
+    """The FIELDS in MiB of each of runs runs of command on a copy of src/ropuf."""
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(src / "ropuf", Path(tmp) / "ropuf",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -60,7 +65,7 @@ def peaks(src: Path, command: list[str], runs: int, warm: bool) -> list[float]:
             lines = [line for line in proc.stderr.splitlines() if line.startswith(MARK)]
             if proc.returncode != 0 or not lines:
                 sys.exit(f"run {i} failed (exit {proc.returncode}):\n{proc.stderr[-800:]}")
-            out.append(int(lines[-1].split()[-1]) / 1024)
+            out.append(tuple(int(kib) / 1024 for kib in lines[-1].split()[-len(FIELDS):]))
     return out
 
 
@@ -74,10 +79,12 @@ def main() -> int:
     args = parser.parse_args()
     if args.runs < 1 or not args.command:
         parser.error("need --runs >= 1 and a ropuf command")
-    values = peaks(args.src, args.command, args.runs, args.warm)
-    print("runs (MiB):", " ".join(f"{v:.2f}" for v in values))
-    print(f"median {statistics.median(values):.2f} MiB "
-          f"({'warm' if args.warm else 'cold'} bytecode, {args.runs} runs)")
+    runs = peaks(args.src, args.command, args.runs, args.warm)
+    for name, values in zip(FIELDS, zip(*runs)):
+        print(f"{name:7} runs (MiB):", " ".join(f"{v:.2f}" for v in values))
+    print("median", ", ".join(f"{name} {statistics.median(values):.2f}"
+                              for name, values in zip(FIELDS, zip(*runs))),
+          f"MiB ({'warm' if args.warm else 'cold'} bytecode, {args.runs} runs)")
     return 0
 
 

@@ -79,11 +79,10 @@ def main() -> int:
     args = parser.parse_args()
     if args.runs < 1 or not args.command:
         parser.error("need --runs >= 1 and a ropuf command")
-    runs = peaks(args.src, args.command, args.runs, args.warm)
-    for name, values in zip(FIELDS, zip(*runs)):
+    columns = dict(zip(FIELDS, zip(*peaks(args.src, args.command, args.runs, args.warm))))
+    for name, values in columns.items():
         print(f"{name:7} runs (MiB):", " ".join(f"{v:.2f}" for v in values))
-    print("median", ", ".join(f"{name} {statistics.median(values):.2f}"
-                              for name, values in zip(FIELDS, zip(*runs))),
+    print("median", ", ".join(f"{name} {statistics.median(v):.2f}" for name, v in columns.items()),
           f"MiB ({'warm' if args.warm else 'cold'} bytecode, {args.runs} runs)")
     return 0
 

@@ -12,22 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import ro
-from .config import CampaignConfig
-from .dataset import STREAM_VERSION, CampaignDataset, split
+from .config import STREAM_VERSION, CampaignConfig
 from .errors import ConfigurationError
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
 from .sampler import PufUnit, draw_rows, modal_row, normal_widths, pack_rows, sample_rows
-# Not called here: `ropuf simulate` saves through chipsim.save_dataset, and
-# perfbench/traced_cli.py wraps these names as chipsim attributes, so they
-# stay importable from this module.  `ropuf metrics` loads through the
-# dataset module, which imports no numpy.
-from .dataset import load_dataset, save_dataset  # noqa: F401
+# Not called here: perfbench/traced_cli.py wraps these names as chipsim
+# attributes, so they stay importable from this module.
 from .sampler import enroll_id, sample_word  # noqa: F401
+
+if TYPE_CHECKING:
+    from .dataset import CampaignDataset
 
 # Enrollment and sample rows are drawn this many at a time, which bounds
 # the kernel's working memory; rows have a fixed width, so the bits do not
@@ -99,7 +99,7 @@ class Campaign:
                                  ro2.standard_normal((n, n2)),
                                  lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
                     for u, (unit, (ro1, ro2)) in enumerate(zip(chip.units, streams))], axis=-1))
-            yield split(refs.reshape(-1), n_volts), split(cells.reshape(-1), n_volts)
+            yield list(map(memoryview, refs)), list(map(memoryview, cells.reshape(n_volts, -1)))
 
     def _enroll(self, unit: PufUnit, c: int, u: int) -> np.ndarray:
         """(n_voltages, L) enrolled words of unit u of chip c: at each
@@ -130,18 +130,20 @@ def run_campaign(chips: list[Chip], config: CampaignConfig, ro_params: ro.RoPara
     """A Campaign collected: every (chip, voltage) cell of its grid, held
     packed in one byte grid per kind (references, samples) as each chip's
     block arrives."""
+    from .dataset import CampaignDataset
     n_volts, width = len(config.voltages), -(-config.id_length // 8)
     size = config.samples_per_chip * width
     # np.empty maps pages only as chips fill them, and a grid too large to
     # hold fails here with numpy's message, before any chip is sampled.
-    refs = split(np.empty(n_volts * config.n_chips * width, dtype=np.uint8), n_volts)
-    cells = split(np.empty(n_volts * config.n_chips * size, dtype=np.uint8), n_volts)
+    refs = np.empty((n_volts, config.n_chips * width), dtype=np.uint8)
+    cells = np.empty((n_volts, config.n_chips * size), dtype=np.uint8)
     for c, (chip_refs, chip_cells) in enumerate(Campaign(chips, config, ro_params, coupling)):
         for k in range(n_volts):
-            refs[k][c * width:(c + 1) * width] = chip_refs[k]
-            cells[k][c * size:(c + 1) * size] = chip_cells[k]
-    return CampaignDataset(config, ro_params, coupling, dict(zip(config.voltages, refs)),
-                           dict(zip(config.voltages, cells)))
+            refs[k, c * width:(c + 1) * width] = chip_refs[k]
+            cells[k, c * size:(c + 1) * size] = chip_cells[k]
+    return CampaignDataset(config, ro_params, coupling,
+                           dict(zip(config.voltages, map(memoryview, refs))),
+                           dict(zip(config.voltages, map(memoryview, cells))))
 
 
 def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float | None = None
@@ -198,3 +200,15 @@ def linear_fit(points: list[tuple[float, float]]) -> dict:
     # slope * Sxy = Sxy^2 / Sxx <= Syy, so neither product overflows.
     r2 = 1.0 if syy == 0.0 else min(1.0, slope * sxy / syy)
     return {"slope": slope, "intercept": my - slope * mx, "r2": r2}
+
+
+def __getattr__(name: str):
+    # Lazy re-exports of the dataset module's load_dataset and save_dataset,
+    # which exist for perfbench/traced_cli.py: it wraps them as chipsim
+    # attributes, and `ropuf simulate` saves through chipsim.save_dataset.
+    # Resolved on first access (PEP 562), so a sweep, which writes no
+    # dataset, never compiles that module.
+    if name in ("load_dataset", "save_dataset"):
+        from . import dataset
+        return getattr(dataset, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,14 +7,16 @@ timestamps or environment state.
 Exit codes: 0 success, 2 configuration error (a configuration too
 large to allocate included), 3 data error, 4 self-test failure.
 
-Each command imports the modules it runs, so `cost`, `--help`, a
-usage error, `metrics` and `bch-selftest` never load numpy, and no
-command loads hashlib.  `main` runs alike as a program and in-process.
+Each command imports the modules it runs and nothing else, so `cost`,
+`--help`, a usage error, `metrics` and `bch-selftest` never load numpy,
+`sweep` loads neither the dataset module nor `csv`, and no command loads
+hashlib.  The modules a command runs that need no numpy are imported
+before `chipsim`, which loads numpy: a module compiled after numpy can
+raise the peak RSS.  `main` runs alike as a program and in-process.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -39,26 +41,30 @@ def _campaign(cfg, threads: int):
 
 
 def cmd_simulate(args) -> int:
-    from . import chipsim, config
+    # The numpy-free modules first (see the module docstring): dataset is
+    # chipsim.save_dataset's home, and metrics writes the report.
+    from . import config, dataset  # noqa: F401
     cfg = config.load(args.config, master_seed=args.seed)
+    if cfg.flags.emit_histograms:
+        from . import metrics
+    from . import chipsim
     campaign = _campaign(cfg, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_sweep = cfg.flags.emit_sweep and len(cfg.campaign.voltages) >= 2
     # Streamed chip by chip unless a report or a sweep needs the whole grid.
-    dataset = (chipsim.run_campaign(campaign.chips, cfg.campaign, cfg.ro_params, cfg.coupling)
-               if cfg.flags.emit_histograms or emit_sweep else campaign)
-    chipsim.save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
+    data = (chipsim.run_campaign(campaign.chips, cfg.campaign, cfg.ro_params, cfg.coupling)
+            if cfg.flags.emit_histograms or emit_sweep else campaign)
+    chipsim.save_dataset(data, out / "dataset.csv", out / "dataset.json")
     n_rows = cfg.campaign.n_chips * len(cfg.campaign.voltages) * cfg.campaign.samples_per_chip
     print(f"wrote {out / 'dataset.csv'} ({n_rows} rows) and {out / 'dataset.json'}")
     if cfg.flags.emit_histograms:
-        from . import metrics
-        report = metrics.compute_report(dataset, post_bch=cfg.flags.post_bch)
+        report = metrics.compute_report(data, post_bch=cfg.flags.post_bch)
         report.save_json(out / "report.json")
         metrics.write_histogram_csv(out / "histograms.csv", [report.intra, report.inter])
         print(f"wrote {out / 'report.json'} and {out / 'histograms.csv'}")
     if emit_sweep:
-        _write_sweep_files(out, chipsim.voltage_sweep(dataset))
+        _write_sweep_files(out, chipsim.voltage_sweep(data))
     return EXIT_OK
 
 
@@ -86,11 +92,10 @@ def cmd_metrics(args) -> int:
 def _write_sweep_files(out: Path, series) -> dict:
     from . import chipsim
     fit = chipsim.fit_sweep(series)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta_v", "abs_delta_v", "hd_shift"])
-        for dv, shift in series:
-            writer.writerow([repr(dv), repr(abs(dv)), repr(shift)])
+    # The lines csv.writer would write: no repr of a number needs quotes.
+    with open(out / "sweep.csv", "w", newline="") as fh:  # CSV lines end in \r\n
+        fh.write("delta_v,abs_delta_v,hd_shift\r\n")
+        fh.writelines(f"{dv!r},{abs(dv)!r},{shift!r}\r\n" for dv, shift in series)
     (out / "sweep.json").write_text(json.dumps(
         {"series": [[dv, shift] for dv, shift in series], "fit_vs_abs_dv": fit},
         indent=2) + "\n")
@@ -98,7 +103,7 @@ def _write_sweep_files(out: Path, series) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    from . import chipsim, config
+    from . import config, chipsim  # in this order (see the module docstring)
     cfg = config.load(args.config, master_seed=args.seed)
     if len(cfg.campaign.voltages) < 2:
         raise ConfigurationError("voltages_v: sweep needs at least two voltages")

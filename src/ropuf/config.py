@@ -1,9 +1,11 @@
 """One schema for run configurations and dataset sidecars.
 
 A run configuration has the sections `ro`, `campaign`, `coupling` and
-`flags`; `dataset.json` carries the first three under `config`.  `SCHEMA`
-lists each field of each section once, and `from_dict` and `to_dict`
-read and write every section from it, so both files pass the same checks.
+`flags`; `dataset.json` carries the first three under `config`, next to
+its `stream_version`, whose current value, `STREAM_VERSION`, is kept
+here.  `SCHEMA` lists each field of each section once, and `from_dict`
+and `to_dict` read and write every section from it, so both files pass
+the same checks.
 """
 from __future__ import annotations
 
@@ -14,6 +16,13 @@ from pathlib import Path
 
 from . import ro
 from .errors import ConfigurationError
+
+# Output bits of chipsim.run_campaign follow version 3 of the stream
+# layout: per (chip, unit) streams for RO1, RO2 and enrollment, with rows
+# of B1 = (3*(2L-1)+1)//2 + 8 RO1 normals.  Version 2 drew 4*(2L-1)+8 of
+# them per row, and version 1 one stream per sample, whose RO2 jitter
+# moved with the voltage.  Datasets of every version load.
+STREAM_VERSION = 3
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ A dataset holds, per voltage, every chip's enrolled reference and every
 bits first, then bit 0 as the most significant bit, so a word's bytes
 read big-endian are its hex word's value.  This is the layout
 sampler.pack_rows writes.  Nothing here imports numpy, so evaluating a
-saved dataset never loads it.
+saved dataset never loads it.  A sidecar records the stream version of
+its samples; the current one, STREAM_VERSION, is defined in config with
+the rest of the sidecar's schema.
 """
 from __future__ import annotations
 
-import csv
 import json
 import os
 import re
@@ -18,15 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import ro
-from .config import CampaignConfig, RunConfig, from_dict, to_dict
+from .config import STREAM_VERSION, CampaignConfig, RunConfig, from_dict, to_dict
 from .errors import DatasetError
-
-# Output bits of chipsim.run_campaign follow version 3 of the stream
-# layout: per (chip, unit) streams for RO1, RO2 and enrollment, with rows
-# of B1 = (3*(2L-1)+1)//2 + 8 RO1 normals.  Version 2 drew 4*(2L-1)+8 of
-# them per row, and version 1 one stream per sample, whose RO2 jitter
-# moved with the voltage.  Datasets of every version load.
-STREAM_VERSION = 3
 
 CSV_HEADER = ["chip_id", "voltage", "sample_index", "word_hex"]
 
@@ -202,6 +196,8 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str, room: int) ->
 
 
 def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignDataset:
+    import csv  # only loading parses CSV: save_dataset writes its lines by hand
+
     try:
         sidecar = json.loads(Path(sidecar_path).read_text())
         if type(sidecar) is not dict:

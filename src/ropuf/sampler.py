@@ -124,10 +124,9 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
         b2 = ro.jittered_half_periods(t2e, sigma2, mixed)
         np.add.accumulate(b2, axis=1, out=b2)
     edges = b2[:, ::2]  # rising edges sit at boundaries 0, 2, ..., n2-1
-    # Toggles of RO1 before each edge.  Columns at or past every row's
-    # last edge count for no edge, so they are left out.
-    width = int(np.count_nonzero(b1 < edges[:, -1:], axis=1).max(initial=0))
-    counts = np.count_nonzero(b1[:, None, :width] < edges[:, :, None], axis=2)
+    # Toggles of RO1 before each edge, summed in uint8: a count past 255
+    # wraps modulo 256, which is even, so its parity, the bit, is exact.
+    counts = (b1[:, None, :] < edges[:, :, None]).sum(axis=2, dtype=np.uint8)
     short = np.flatnonzero(b1[:, -1] <= edges[:, -1])  # rows short of coverage
     if short.size:
         # All short rows extend together, 16 normals a round, each from its
@@ -140,8 +139,9 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
                 t1e, sigma1, np.array([rng.standard_normal(16) for rng in streams]))
             parts.append(parts[-1][:, -1:] + np.add.accumulate(extra, axis=1, out=extra))
         rows = np.concatenate(parts, axis=1)
-        counts[short] = np.count_nonzero(rows[:, None, :] < edges[short, :, None], axis=2)
-    return (counts & 1).astype(np.uint8)
+        counts[short] = (rows[:, None, :] < edges[short, :, None]).sum(axis=2, dtype=np.uint8)
+    counts &= 1
+    return counts
 
 
 def modal_row(words: np.ndarray) -> np.ndarray:

@@ -45,6 +45,35 @@ def event_walk_word(t1, t2, length: int) -> list[int]:
     return bits
 
 
+def toggle_counts(unit, v: float, g1, g2, extension) -> np.ndarray:
+    """RO1 toggles before each of RO2's L rising edges in one enable cycle
+    at supply voltage v, unit uncoupled or capacitively coupled, rebuilt
+    row by row from the model: periods T (1 - gamma (v - v0)), pulled
+    together by kappa/2 of their difference; half-periods (T/2)(1 + sigma g),
+    floored at 1e-12 of T/2; RO1's normals are g1, then 16 at a time from
+    the generator extension while RO1's last boundary is not past RO2's
+    last rising edge; RO2's are g2 mixed with g1[:2L-1] by kappa.  One
+    searchsorted per row, so no count wraps; the row's word is their parity."""
+    def half_periods(period, sigma, g):
+        half = 0.5 * period
+        return np.maximum((g * sigma + 1.0) * half, half * 1e-12)
+
+    v0, n2 = unit.reference_voltage, 2 * unit.word_length - 1
+    t1, t2 = (r.period_at_ref * (1.0 - r.gamma * (v - v0)) for r in (unit.ro1, unit.ro2))
+    assert unit.coupling.mode in ("none", "capacitive")
+    kappa = unit.coupling.strength
+    pull = 0.5 * kappa * (t1 - t2)
+    t1, t2 = t1 - pull, t2 + pull
+    s1, s2 = unit.ro1.jitter_sigma, unit.ro2.jitter_sigma
+    b1 = np.cumsum(half_periods(t1, s1, g1))
+    mixed = kappa * g1[:n2] + np.sqrt(1.0 - kappa * kappa) * g2
+    edges = np.cumsum(half_periods(t2, s2, mixed))[::2]
+    while b1[-1] <= edges[-1]:
+        extra = np.cumsum(half_periods(t1, s1, extension.standard_normal(16)))
+        b1 = np.concatenate([b1, b1[-1] + extra])
+    return np.searchsorted(b1, edges, side="left")
+
+
 def uniqueness_formula(references: list[list[int]], length: int) -> float:
     """Direct transcription of the pairwise-distance average."""
     n = len(references)

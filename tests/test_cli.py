@@ -1,9 +1,15 @@
+import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ropuf import bch, chipsim, cli, ro
 from ropuf.config import from_dict, load, to_dict
@@ -363,6 +369,22 @@ class TestSweep:
         cfg = tmp_path / "run.json"
         write_config(cfg, voltages=(1.3,))
         assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+
+    @given(st.lists(st.tuples(st.one_of(st.floats(), st.integers()), st.floats()), max_size=6))
+    @example([(-0.05, 0.0), (0.0, -0.0), (-0.0, 5e-324), (1e300, -1.7976931348623157e308),
+              (-2.5e-308, 1e-300)])
+    def test_csv_bytes_are_csv_writers(self, series):
+        """sweep.csv's lines are written by hand: its bytes are those
+        csv.writer wrote for the same fields, for any numbers."""
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["delta_v", "abs_delta_v", "hd_shift"])
+        writer.writerows([repr(dv), repr(abs(dv)), repr(shift)] for dv, shift in series)
+        # The fit refuses most of these series; only the CSV is checked.
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(chipsim, "fit_sweep", lambda series: {}):
+            cli._write_sweep_files(Path(tmp), series)
+            assert (Path(tmp) / "sweep.csv").read_bytes() == want.getvalue().encode()
 
 
 class TestBchSelftest:

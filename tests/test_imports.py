@@ -16,7 +16,10 @@ hashlib.  `numpy.random.bit_generator` would load it through `secrets`;
 `randbits`, so no command loads hashlib, run as a program or in-process,
 and none writes to `sys.modules` after that load.  `metrics` loads no
 numpy module: it scores words as Python integers, as `bch-selftest`
-checks the codec.
+checks the codec.  `sweep` loads neither the dataset module nor `csv`,
+`simulate` writes its dataset without `csv`, and both import the modules
+they run that need no numpy before numpy: `simulate` imports the dataset
+module before `chipsim`.
 """
 import ast
 import hashlib
@@ -224,6 +227,27 @@ def test_simulate_without_a_report_loads_no_metrics(tmp_path, config):
     code = (f"import sys; from ropuf.cli import main; rc = main({argv!r}); "
             "print(rc, 'ropuf.metrics' in sys.modules)")
     assert _loaded(code).splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
+def test_sweep_loads_no_dataset_module_and_no_csv(tmp_path, config, as_program):
+    """A sweep writes no dataset, and writes sweep.csv's lines by hand."""
+    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")]
+    code = (f"{_run(argv, as_program)}; "
+            "print(rc, [m for m in ('ropuf.dataset', 'csv', '_csv') if m in sys.modules])")
+    assert _loaded(code).splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
+def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(tmp_path, config, as_program):
+    """`simulate` writes its dataset's lines by hand, and imports the
+    dataset module before numpy: compiled after `chipsim` had loaded numpy,
+    that module raised the command's peak RSS by about 0.5 MiB."""
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
+    code = (f"{_run(argv, as_program)}; loaded = list(sys.modules); "
+            "print(rc, [m for m in ('csv', '_csv') if m in loaded], "
+            "loaded.index('ropuf.dataset') < loaded.index('numpy'))")
+    assert _loaded(code).splitlines()[-1] == "0 [] True"
 
 
 # Integer keys of one, two and five parts, one past 32 bits.

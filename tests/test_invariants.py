@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import held, make_unit
+from oracles import toggle_counts
 from ropuf import chipsim, ro, rng as keyed, sampler
 from ropuf.sampler import PufUnit, normal_widths, unpack_rows
 
@@ -147,23 +148,9 @@ def test_ro2_jitter_is_common_across_voltages():
 
 
 def oracle_row(unit, v, g1, g2, extension):
-    """One row's word, by the per-row rule of the stream layout: RO1
-    boundaries from g1 (then 16 normals at a time from extension while
-    short of RO2's last rising edge), RO2 boundaries from g2 mixed with
-    g1 by the coupling's jitter correlation, one searchsorted per row."""
-    v0 = unit.reference_voltage
-    t1e, t2e, kappa = ro.apply_coupling(ro.period_at_voltage(unit.ro1, v, v0),
-                                        ro.period_at_voltage(unit.ro2, v, v0), unit.coupling)
-    n2 = 2 * unit.word_length - 1
-    b1 = list(np.cumsum(ro.jittered_half_periods(t1e, unit.ro1.jitter_sigma, g1)))
-    g2 = kappa * g1[:n2] + np.sqrt(1.0 - kappa * kappa) * g2
-    b2 = np.cumsum(ro.jittered_half_periods(t2e, unit.ro2.jitter_sigma, g2))
-    edges = b2[0::2]
-    while b1[-1] <= edges[-1]:
-        extra = ro.jittered_half_periods(t1e, unit.ro1.jitter_sigma,
-                                         extension.standard_normal(16))
-        b1 += list(b1[-1] + np.cumsum(extra))
-    return np.searchsorted(np.array(b1), edges, side="left") & 1
+    """One row's word, by the per-row rule of the stream layout: the
+    parity of the toggle counts oracles.toggle_counts rebuilds."""
+    return toggle_counts(unit, v, g1, g2, extension) & 1
 
 
 class _CountingRng:

@@ -5,10 +5,11 @@ import pytest
 
 from conftest import held, make_unit, packed_dataset, word_of
 from oracles import (closed_form_word, event_walk_word, hex_word, hex_word_bits,
-                     modal_row_by_unique)
+                     modal_row_by_unique, toggle_counts)
 from ropuf import chipsim, ro, sampler
 from ropuf.dataset import hex_words
 from ropuf.errors import ConfigurationError, DatasetError
+from ropuf.rng import keyed_rng
 
 # Patterns for the two ratios of the waveform figure, frozen from the
 # exact closed-form oracle (floor((2k+1)/rho) mod 2 on the float64 ratios).
@@ -190,6 +191,31 @@ class TestCoupledSampling:
         w_loose = sampler.sample_word(loose, 1.3, 0)
         w_tight = sampler.sample_word(tight, 1.3, 0)
         assert w_tight.sum() < w_loose.sum()
+
+
+class TestToggleCount:
+    """sample_rows sums each edge's toggles in uint8, which wraps past
+    255: the bits stay the parity of the searchsorted oracle's counts,
+    which do not wrap, on rows wider than 255 columns (B1 = 307 at
+    L = 100, 427 at L = 140) and on rows that extend."""
+
+    @pytest.mark.parametrize("length", [16, 100, 140])
+    @pytest.mark.parametrize("coupling", [ro.Coupling.none(), ro.Coupling.capacitive(0.2)],
+                             ids=["none", "capacitive"])
+    @pytest.mark.parametrize("t2", [1.45e-9, 2.5e-9], ids=["covered", "extends"])
+    def test_parity_of_the_searchsorted_count(self, length, coupling, t2):
+        unit = make_unit(1e-9, t2, coupling, word_length=length, jitter=0.01)
+        b1w, n2 = sampler.normal_widths(length)
+        rng = np.random.default_rng(length)
+        g1, g2 = rng.standard_normal((64, b1w)), rng.standard_normal((64, n2))
+        got = sampler.sample_rows(unit, 1.3, g1, g2, lambda i: keyed_rng(3, i))
+        counts = np.array([toggle_counts(unit, 1.3, g1[i], g2[i], keyed_rng(3, i))
+                           for i in range(64)])
+        assert np.array_equal(got, counts & 1)
+        # Every row counts all B1 boundaries of g1 before its last edge
+        # only if it extends; past L = 16 some count wraps.
+        assert set(counts[:, -1] >= b1w) == {t2 > 2e-9}
+        assert (counts.max() > 255) == (length > 16)
 
 
 class TestKernelInputs:

@@ -15,18 +15,16 @@ _HOME = {
     "ModelRangeError": "errors",
     "Coupling": "ro", "RoInstance": "ro", "RoParams": "ro", "apply_coupling": "ro",
     "period_at_voltage": "ro", "realize_ro": "ro",
-    "PufUnit": "sampler", "enroll_id": "sampler", "sample_word": "sampler",
     "CampaignConfig": "config",
-    "Campaign": "chipsim", "Chip": "chipsim", "build_population": "chipsim",
-    "fit_sweep": "chipsim", "linear_fit": "chipsim", "run_campaign": "chipsim",
-    "voltage_sweep": "chipsim",
+    "Campaign": "chipsim", "Chip": "chipsim", "PufUnit": "chipsim", "build_population": "chipsim",
+    "enroll_id": "chipsim", "fit_sweep": "chipsim", "linear_fit": "chipsim",
+    "run_campaign": "chipsim", "sample_word": "chipsim", "voltage_sweep": "chipsim",
     "CampaignDataset": "dataset", "load_dataset": "dataset", "save_dataset": "dataset",
     "HdHistogram": "metrics", "MetricsReport": "metrics", "compute_report": "metrics",
     "reliability": "metrics", "uniformity": "metrics", "uniqueness": "metrics",
     "CostParams": "cost", "conventional_puf_cost": "cost", "waveform_puf_cost": "cost",
 }
-_SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "dataset", "config", "bch",
-               "metrics", "cost")
+_SUBMODULES = ("errors", "ro", "rng", "chipsim", "dataset", "config", "bch", "metrics", "cost")
 
 __all__ = sorted(_HOME)
 

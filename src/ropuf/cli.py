@@ -12,7 +12,9 @@ Each command imports the modules it runs and nothing else, so `cost`,
 `sweep` loads neither the dataset module nor `csv`, and no command loads
 hashlib.  The modules a command runs that need no numpy are imported
 before `chipsim`, which loads numpy: a module compiled after numpy can
-raise the peak RSS.  `main` runs alike as a program and in-process.
+raise the peak RSS.  `simulate` and `sweep` load and check their
+configuration first, so a configuration they refuse loads no numpy.
+`main` runs alike as a program and in-process.
 """
 from __future__ import annotations
 
@@ -103,10 +105,11 @@ def _write_sweep_files(out: Path, series) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    from . import config, chipsim  # in this order (see the module docstring)
+    from . import config
     cfg = config.load(args.config, master_seed=args.seed)
     if len(cfg.campaign.voltages) < 2:
         raise ConfigurationError("voltages_v: sweep needs at least two voltages")
+    from . import chipsim
     campaign = _campaign(cfg, args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from ropuf import ro, sampler
+from oracles import unpack_rows
+from ropuf import chipsim, ro
 from ropuf.dataset import CampaignDataset
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -16,9 +17,9 @@ settings.load_profile("ci")
 
 def make_unit(t1: float, t2: float, coupling: ro.Coupling | None = None,
               word_length: int = 16, jitter: float = 0.0,
-              gamma1: float = 0.0, gamma2: float = 0.0) -> sampler.PufUnit:
+              gamma1: float = 0.0, gamma2: float = 0.0) -> chipsim.PufUnit:
     """Unit with explicitly pinned periods, for oracle-style tests."""
-    return sampler.PufUnit(
+    return chipsim.PufUnit(
         ro1=ro.RoInstance(period_at_ref=t1, gamma=gamma1, jitter_sigma=jitter),
         ro2=ro.RoInstance(period_at_ref=t2, gamma=gamma2, jitter_sigma=jitter),
         coupling=coupling or ro.Coupling.none(),
@@ -34,8 +35,8 @@ def packed_dataset(cfg, references: dict, samples: dict) -> CampaignDataset:
     """A dataset of per-voltage (n_chips, L) reference bits and
     (n_chips, T, L) sample bits, packed into bytes as it holds them."""
     return CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(),
-                           {v: sampler.pack_rows(r).tobytes() for v, r in references.items()},
-                           {v: sampler.pack_rows(s).tobytes() for v, s in samples.items()})
+                           {v: chipsim.pack_rows(r).tobytes() for v, r in references.items()},
+                           {v: chipsim.pack_rows(s).tobytes() for v, s in samples.items()})
 
 
 def held(dataset, v) -> tuple[np.ndarray, np.ndarray]:
@@ -45,7 +46,7 @@ def held(dataset, v) -> tuple[np.ndarray, np.ndarray]:
     refs = np.frombuffer(dataset.references[v], dtype=np.uint8).reshape(cfg.n_chips, -1)
     cells = np.frombuffer(dataset.samples[v], dtype=np.uint8).reshape(
         cfg.n_chips, cfg.samples_per_chip, -1)
-    return sampler.unpack_rows(refs, cfg.id_length), cells
+    return unpack_rows(refs, cfg.id_length), cells
 
 
 @pytest.fixture

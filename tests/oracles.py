@@ -74,6 +74,11 @@ def toggle_counts(unit, v: float, g1, g2, extension) -> np.ndarray:
     return np.searchsorted(b1, edges, side="left")
 
 
+def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
+    """(..., length) bit rows of chipsim.pack_rows bytes, the pad bits dropped."""
+    return np.unpackbits(packed, axis=-1)[..., packed.shape[-1] * 8 - length:]
+
+
 def uniqueness_formula(references: list[list[int]], length: int) -> float:
     """Direct transcription of the pairwise-distance average."""
     n = len(references)

@@ -15,7 +15,7 @@ import pytest
 from conftest import held, make_unit
 from oracles import (bits_word, closed_form_word, error_word, reliability_formula,
                      uniformity_formula, uniqueness_formula)
-from ropuf import chipsim, cli, bch, config, metrics, ro, sampler
+from ropuf import chipsim, cli, bch, config, metrics, ro
 
 SEED = 20260809
 T_SAMPLES = 5000
@@ -39,17 +39,17 @@ def sampling_grid():
     for rho in rng.uniform(0.5, 2.0, 10_000):
         rho = float(rho)
         unit = make_unit(rho * 2.0 ** -30, 2.0 ** -30)
-        points.append((Fraction(rho), list(sampler.sample_word(unit, 1.3, 0))))
+        points.append((Fraction(rho), list(chipsim.sample_word(unit, 1.3, 0))))
     for i in range(1, 512):  # dyadic ratios k/2^9 inside (0.5, 2)
         rho = 0.5 + i / 512 * 1.5
         unit = make_unit(rho * 2.0 ** -30, 2.0 ** -30)
-        points.append((Fraction(rho), list(sampler.sample_word(unit, 1.3, 0))))
+        points.append((Fraction(rho), list(chipsim.sample_word(unit, 1.3, 0))))
     for p in range(2, 14):
         for q in range(2, 14):
             if 0.5 < p / q < 2.0:
                 unit = make_unit(p * 2.0 ** -34, q * 2.0 ** -34)
                 points.append((Fraction(p, q),
-                               list(sampler.sample_word(unit, 1.3, 0))))
+                               list(chipsim.sample_word(unit, 1.3, 0))))
     elapsed = time.perf_counter() - t0
     return points, elapsed
 
@@ -84,8 +84,8 @@ def test_criterion_1_sampling_oracle(sampling_grid):
 
 def test_criterion_2_waveform_figure_behavior(sampling_grid):
     points, _ = sampling_grid
-    w11 = sampler.sample_word(make_unit(1.1 * 2.0 ** -30, 2.0 ** -30), 1.3, 0)
-    w12 = sampler.sample_word(make_unit(1.2 * 2.0 ** -30, 2.0 ** -30), 1.3, 0)
+    w11 = chipsim.sample_word(make_unit(1.1 * 2.0 ** -30, 2.0 ** -30), 1.3, 0)
+    w12 = chipsim.sample_word(make_unit(1.2 * 2.0 ** -30, 2.0 ** -30), 1.3, 0)
     law_violations = 0
     for rho, bits in points:
         if rho > 1:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import held, packed_dataset
-from oracles import bits_word, line_fit_by_polyfit, report_formula, sweep_by_numpy
+from oracles import bits_word, line_fit_by_polyfit, report_formula, sweep_by_numpy, unpack_rows
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.errors import ConfigurationError, DatasetError
-from ropuf.sampler import unpack_rows
 
 FAST = dict(n_chips=4, samples_per_chip=20, enroll_repetitions=9)
 

@@ -71,8 +71,7 @@ def _run(argv: list[str], as_program: bool) -> str:
     return f"import sys; from ropuf.cli import main; {run}"
 
 
-SUBMODULES = ("errors", "ro", "rng", "sampler", "chipsim", "dataset", "config", "bch", "metrics",
-              "cost")
+SUBMODULES = ("errors", "ro", "rng", "chipsim", "dataset", "config", "bch", "metrics", "cost")
 
 
 def test_import_ropuf_loads_no_submodule_and_no_numpy():
@@ -238,16 +237,43 @@ def test_sweep_loads_no_dataset_module_and_no_csv(tmp_path, config, as_program):
     assert _loaded(code).splitlines()[-1] == "0 []"
 
 
-@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(tmp_path, config, as_program):
+@pytest.mark.parametrize("command, as_program", [
+    ("simulate", True), ("simulate", False), ("sweep", True), ("sweep", False),
+], ids=["program", "in_process", "sweep-program", "sweep-in_process"])
+def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(tmp_path, config, command,
+                                                                   as_program):
     """`simulate` writes its dataset's lines by hand, and imports the
     dataset module before numpy: compiled after `chipsim` had loaded numpy,
-    that module raised the command's peak RSS by about 0.5 MiB."""
-    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
+    that module raised the command's peak RSS by about 0.5 MiB.  In both
+    sampling commands only `chipsim`, which imports numpy, and `rng`,
+    which `chipsim` imports after it, finish loading after numpy (a module
+    takes its place in `sys.modules` when its import completes): the whole
+    sampling path is `chipsim`'s, compiled before its body runs."""
+    argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
     code = (f"{_run(argv, as_program)}; loaded = list(sys.modules); "
             "print(rc, [m for m in ('csv', '_csv') if m in loaded], "
-            "loaded.index('ropuf.dataset') < loaded.index('numpy'))")
-    assert _loaded(code).splitlines()[-1] == "0 [] True"
+            "[m for m in loaded[loaded.index('numpy'):] if m.startswith('ropuf.')])")
+    assert _loaded(code).splitlines()[-1] == "0 [] ['ropuf.rng', 'ropuf.chipsim']"
+
+
+@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
+@pytest.mark.parametrize("voltages, message", [
+    (None, "No such file"), ([1.3], "sweep needs at least two voltages"),
+], ids=["missing_file", "one_voltage"])
+def test_sweep_refuses_a_bad_config_before_numpy(tmp_path, as_program, voltages, message):
+    """A configuration `sweep` refuses exits 2 with a message and loads no numpy."""
+    path = tmp_path / "run.json"
+    if voltages is not None:
+        path.write_text(json.dumps({**CONFIG, "campaign": {**CONFIG["campaign"],
+                                                           "voltages_v": voltages}}))
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]
+    code = (f"import contextlib, io, json; err = io.StringIO()\n"
+            f"with contextlib.redirect_stderr(err):\n    {_run(argv, as_program)}\n"
+            "print(json.dumps([rc, 'numpy' in sys.modules, err.getvalue()]))")
+    rc, numpy_loaded, err = json.loads(_loaded(code).splitlines()[-1])
+    assert (rc, numpy_loaded) == (2, False)
+    assert err.startswith("configuration error: ") and message in err
+    assert not (tmp_path / "sweep").exists()
 
 
 # Integer keys of one, two and five parts, one past 32 bits.
@@ -263,6 +289,29 @@ def test_partial_load_draws_as_default_rng():
     assert not package
     assert draws == [np.random.default_rng(np.random.SeedSequence(key)).random(3).tolist()
                      for key in KEYS]
+
+
+# A short sha256 of each key's first 256 normals, and of one running sum
+# as sample_rows takes it, drawn with numpy 2.4.6.  The golden pins rest
+# on these: PCG64, SeedSequence, the ziggurat and accumulate's sums
+# (NEP 19 does not promise them stable across numpy versions).
+NORMALS = ("5b8673dd44c50b5f", "36c055736b71173e", "afbda5f3aefee614", "eb154a64af5d2df6",
+           "95883c6c758f0be7")
+RUNNING_SUM = "2a1cab082eac4c49"
+
+
+def test_numpy_streams_are_the_pinned_ones():
+    """keyed_rng is numpy's own Generator (see the test above), so a
+    mismatch here means numpy's streams moved, not the sampler."""
+    from ropuf.rng import keyed_rng
+    moved = f"numpy's stream moved (numpy {'.'.join(np.__version__.split('.')[:2])})"
+
+    def digest(array):
+        return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+    assert [digest(keyed_rng(*key).standard_normal(256)) for key in KEYS] == list(NORMALS), moved
+    row = keyed_rng(*KEYS[0]).standard_normal((1, 256))
+    np.add.accumulate(row, axis=1, out=row)
+    assert digest(row) == RUNNING_SUM, moved
 
 
 def test_numpy_random_imports_after_the_partial_load():
@@ -335,7 +384,7 @@ def _numpy_random_uses(path: Path) -> list[int]:
 
 
 def test_only_rng_loads_numpy_random():
-    """sampler's np.random.Generator annotations stay legal."""
+    """chipsim's np.random.Generator annotations stay legal."""
     sources = sorted(Path(ropuf.__file__).parent.glob("*.py"))
     assert {path.name for path in sources if _numpy_random_uses(path)} == {"rng.py"}
 

@@ -14,9 +14,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import held, make_unit
-from oracles import toggle_counts
-from ropuf import chipsim, ro, rng as keyed, sampler
-from ropuf.sampler import PufUnit, normal_widths, unpack_rows
+from oracles import toggle_counts, unpack_rows
+from ropuf import chipsim, ro, rng as keyed
+from ropuf.chipsim import PufUnit, normal_widths
 
 V0 = 1.3
 OFF_V0 = (1.2, 1.25, 1.28, 1.35, 1.4)
@@ -172,7 +172,7 @@ def test_short_rows_extending_by_different_rounds_match_the_row_oracle():
     unit = make_unit(1e-9, 2.79e-9, jitter=0.05)
     rng = np.random.default_rng(4)
     g1, g2 = rng.standard_normal((200, b1w)), rng.standard_normal((200, n2))
-    got = sampler.sample_rows(unit, 1.3, g1, g2, lambda i: keyed.keyed_rng(9, i))
+    got = chipsim.sample_rows(unit, 1.3, g1, g2, lambda i: keyed.keyed_rng(9, i))
     streams = [_CountingRng(keyed.keyed_rng(9, i)) for i in range(200)]
     want = [oracle_row(unit, 1.3, g1[i], g2[i], streams[i]) for i in range(200)]
     assert len({s.calls for s in streams}) > 1  # rows extend by different rounds

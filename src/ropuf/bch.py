@@ -16,7 +16,8 @@ Every word is a Python int whose bit p is the coefficient of x^p: a
 bit i at x^(15+i)) and bits 0..14 the parity bits, and rotating the 31
 bits left by one is multiplication by x modulo x^31 - 1.  Messages and
 keys are 16-bit ints.  decode_words is the one decoder; decode is its
-one-word form.  Nothing here imports numpy.
+one-word form, and a key is reproduced as decode(response ^ offset)'s
+message bits.  Nothing here imports numpy.
 """
 from __future__ import annotations
 
@@ -165,12 +166,6 @@ def fe_enroll(response: int, seed: int) -> tuple[int, int]:
         raise ValueError(f"response must be a {N}-bit int, got {response!r}")
     key = Random(seed).getrandbits(K)
     return key, encode(key) ^ response
-
-
-def fe_reproduce(response: int, offset: int) -> int:
-    """Recover the enrolled 16-bit key from a noisy 31-bit response (up to
-    3 bit errors) and the offset fe_enroll returned."""
-    return decode(response ^ offset)[0] >> (N - K)
 
 
 # --- self-test ---------------------------------------------------------

@@ -278,23 +278,10 @@ def _at_voltages(unit: PufUnit, voltages, g1: np.ndarray, g2: np.ndarray,
 
 def run_campaign(chips: list[Chip], config: CampaignConfig, ro_params: ro.RoParams,
                  coupling: ro.Coupling = ro.Coupling.none()) -> CampaignDataset:
-    """A Campaign collected: every (chip, voltage) cell of its grid, held
-    packed in one byte grid per kind (references, samples) as each chip's
-    block arrives."""
+    """A Campaign collected: every chip's block, held as it arrives."""
     from .dataset import CampaignDataset
-    n_volts, width = len(config.voltages), -(-config.id_length // 8)
-    size = config.samples_per_chip * width
-    # np.empty maps pages only as chips fill them, and a grid too large to
-    # hold fails here with numpy's message, before any chip is sampled.
-    refs = np.empty((n_volts, config.n_chips * width), dtype=np.uint8)
-    cells = np.empty((n_volts, config.n_chips * size), dtype=np.uint8)
-    for c, (chip_refs, chip_cells) in enumerate(Campaign(chips, config, ro_params, coupling)):
-        for k in range(n_volts):
-            refs[k, c * width:(c + 1) * width] = chip_refs[k]
-            cells[k, c * size:(c + 1) * size] = chip_cells[k]
     return CampaignDataset(config, ro_params, coupling,
-                           dict(zip(config.voltages, map(memoryview, refs))),
-                           dict(zip(config.voltages, map(memoryview, cells))))
+                           list(Campaign(chips, config, ro_params, coupling)))
 
 
 def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float | None = None

@@ -13,7 +13,7 @@ Each command imports the modules it runs and nothing else, so `cost`,
 hashlib.  The modules a command runs that need no numpy are imported
 before `chipsim`, which loads numpy: a module compiled after numpy can
 raise the peak RSS.  `simulate` and `sweep` load and check their
-configuration first, so a configuration they refuse loads no numpy.
+configuration and `--threads` first, so a run they refuse loads no numpy.
 `main` runs alike as a program and in-process.
 """
 from __future__ import annotations
@@ -31,12 +31,20 @@ EXIT_DATA = 3
 EXIT_SELFTEST = 4
 
 
-def _campaign(cfg, threads: int):
+def _run_config(args):
+    """The run configuration of a sampling command, loaded and checked
+    with its --threads (>= 1, and otherwise ignored: a campaign runs in one
+    process) before the command imports chipsim, which loads numpy."""
+    from . import config
+    cfg = config.load(args.config, master_seed=args.seed)
+    if args.threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {args.threads}")
+    return cfg
+
+
+def _campaign(cfg):
     """The chipsim.Campaign of run configuration cfg, every check done and
-    nothing sampled yet.  threads is checked (>= 1) and otherwise ignored:
-    a campaign runs in one process."""
-    if threads < 1:
-        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+    nothing sampled yet."""
     from . import chipsim
     chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
     return chipsim.Campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling)
@@ -45,16 +53,16 @@ def _campaign(cfg, threads: int):
 def cmd_simulate(args) -> int:
     # The numpy-free modules first (see the module docstring): dataset is
     # chipsim.save_dataset's home, and metrics writes the report.
-    from . import config, dataset  # noqa: F401
-    cfg = config.load(args.config, master_seed=args.seed)
+    from . import dataset  # noqa: F401
+    cfg = _run_config(args)
     if cfg.flags.emit_histograms:
         from . import metrics
     from . import chipsim
-    campaign = _campaign(cfg, args.threads)
+    campaign = _campaign(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     emit_sweep = cfg.flags.emit_sweep and len(cfg.campaign.voltages) >= 2
-    # Streamed chip by chip unless a report or a sweep needs the whole grid.
+    # Streamed chip by chip unless a report or a sweep needs every block.
     data = (chipsim.run_campaign(campaign.chips, cfg.campaign, cfg.ro_params, cfg.coupling)
             if cfg.flags.emit_histograms or emit_sweep else campaign)
     chipsim.save_dataset(data, out / "dataset.csv", out / "dataset.json")
@@ -105,12 +113,11 @@ def _write_sweep_files(out: Path, series) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    from . import config
-    cfg = config.load(args.config, master_seed=args.seed)
+    cfg = _run_config(args)
     if len(cfg.campaign.voltages) < 2:
         raise ConfigurationError("voltages_v: sweep needs at least two voltages")
     from . import chipsim
-    campaign = _campaign(cfg, args.threads)
+    campaign = _campaign(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fit = _write_sweep_files(out, chipsim.voltage_sweep(campaign))

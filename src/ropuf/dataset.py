@@ -1,9 +1,9 @@
 """Campaign datasets held as packed bytes, and their file round trip.
 
-A dataset holds, per voltage, every chip's enrolled reference and every
-(chip, sample) word as packed bytes: ceil(L/8) bytes per word, zero pad
-bits first, then bit 0 as the most significant bit, so a word's bytes
-read big-endian are its hex word's value.  This is the layout
+A dataset holds, per chip, its enrolled reference and its samples at
+every voltage as packed bytes: ceil(L/8) bytes per word, zero pad bits
+first, then bit 0 as the most significant bit, so a word's bytes read
+big-endian are its hex word's value.  This is the layout
 chipsim.pack_rows writes.  Nothing here imports numpy, so evaluating a
 saved dataset never loads it.  A sidecar records the stream version of
 its samples; the current one, STREAM_VERSION, is defined in config with
@@ -25,13 +25,6 @@ from .errors import DatasetError
 CSV_HEADER = ["chip_id", "voltage", "sample_index", "word_hex"]
 
 
-def split(packed, parts: int) -> list[memoryview]:
-    """packed bytes cut into `parts` equal views, none of them a copy."""
-    view = memoryview(packed)
-    size = len(view) // parts
-    return [view[i * size:(i + 1) * size] for i in range(parts)]
-
-
 def hex_words(packed, length: int) -> Iterator[str]:
     """Hex word of each ceil(length/8)-byte word of packed bytes: bit 0
     most significant, exactly ceil(length/4) lower-case digits.  Each is
@@ -44,40 +37,37 @@ def hex_words(packed, length: int) -> Iterator[str]:
 
 @dataclass
 class CampaignDataset:
-    """Complete (chip, voltage, sample) grid plus enrolled references:
-    per voltage, the n_chips references and then the n_chips * T samples,
-    chip by chip, each as packed bytes (any bytes-like object).  Iterating
-    it yields the chip blocks a chipsim.Campaign yields."""
+    """Complete (chip, voltage, sample) grid plus enrolled references, as
+    the chip blocks a chipsim.Campaign yields: per chip, (refs, cells),
+    its reference and its T samples at each voltage, each as packed bytes
+    (any bytes-like object)."""
 
     config: CampaignConfig
     ro_params: ro.RoParams
     coupling: ro.Coupling
-    references: dict[float, bytes]
-    samples: dict[float, bytes] = field(repr=False)
+    blocks: list[tuple[list, list]] = field(repr=False)
     stream_version: int = STREAM_VERSION
 
     def __iter__(self):
-        """Per chip, once the grid is checked complete: (refs, cells), its
-        reference and its T samples at each voltage, as views of the held
-        bytes."""
+        """The held chip blocks, once they are checked complete."""
         self.check_complete()
-        cfg = self.config
-        width = -(-cfg.id_length // 8)
-        size = cfg.samples_per_chip * width
-        refs = [memoryview(self.references[v]) for v in cfg.voltages]
-        cells = [memoryview(self.samples[v]) for v in cfg.voltages]
-        for c in range(cfg.n_chips):
-            yield ([r[c * width:(c + 1) * width] for r in refs],
-                   [s[c * size:(c + 1) * size] for s in cells])
+        return iter(self.blocks)
 
     def check_complete(self) -> None:
         cfg = self.config
         width = -(-cfg.id_length // 8)
-        for v in cfg.voltages:
-            if len(self.references.get(v, b"")) != cfg.n_chips * width:
-                raise DatasetError(f"missing or ragged references at {v} V")
-            if len(self.samples.get(v, b"")) != cfg.n_chips * cfg.samples_per_chip * width:
-                raise DatasetError(f"missing or ragged samples at {v} V")
+        sizes = {"references": width, "samples": cfg.samples_per_chip * width}
+        # A missing chip, or the first one past n_chips, is an empty block.
+        blocks = self.blocks[:cfg.n_chips] + [((), ())] * abs(cfg.n_chips - len(self.blocks))
+        for c, block in enumerate(blocks):
+            for (what, size), parts in zip(sizes.items(), block):
+                lengths = [len(part) for part in parts]
+                if lengths != [size] * len(cfg.voltages):
+                    # The first voltage that is missing or ragged, or the
+                    # last one if only parts past every voltage are.
+                    k = next((k for k, n in enumerate(lengths) if n != size), len(lengths))
+                    v = cfg.voltages[min(k, len(cfg.voltages) - 1)]
+                    raise DatasetError(f"missing or ragged {what} at {v} V for chip {c}")
 
 
 def save_dataset(campaign, csv_path: str | Path, sidecar_path: str | Path) -> None:
@@ -239,9 +229,13 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
                                  cfg, cfg.samples_per_chip, "CSV line", room)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
-    n_volts = len(cfg.voltages)
-    dataset = CampaignDataset(cfg, run.ro_params, run.coupling,
-                              dict(zip(cfg.voltages, split(refs, n_volts))),
-                              dict(zip(cfg.voltages, split(cells, n_volts))), version)
-    dataset.check_complete()
-    return dataset
+    # Both grids are voltage-major, cell (k * n_chips + c) for voltage k
+    # and chip c (see _decode_grid): a chip's block is views of its cells.
+    n, n_volts, width = cfg.n_chips, len(cfg.voltages), -(-cfg.id_length // 8)
+
+    def block(grid, size: int, c: int) -> list[memoryview]:
+        return [grid[(k * n + c) * size:(k * n + c + 1) * size] for k in range(n_volts)]
+    refs, cells = memoryview(refs), memoryview(cells)
+    return CampaignDataset(cfg, run.ro_params, run.coupling,
+                           [(block(refs, width, c), block(cells, cfg.samples_per_chip * width, c))
+                            for c in range(n)], version)

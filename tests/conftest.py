@@ -33,20 +33,26 @@ def word_of(bits) -> np.ndarray:
 
 def packed_dataset(cfg, references: dict, samples: dict) -> CampaignDataset:
     """A dataset of per-voltage (n_chips, L) reference bits and
-    (n_chips, T, L) sample bits, packed into bytes as it holds them."""
+    (n_chips, T, L) sample bits, packed into the chip blocks it holds."""
+    refs = {v: chipsim.pack_rows(r) for v, r in references.items()}
+    cells = {v: chipsim.pack_rows(s) for v, s in samples.items()}
     return CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(),
-                           {v: chipsim.pack_rows(r).tobytes() for v, r in references.items()},
-                           {v: chipsim.pack_rows(s).tobytes() for v, s in samples.items()})
+                           [([refs[v][c].tobytes() for v in cfg.voltages],
+                             [cells[v][c].tobytes() for v in cfg.voltages])
+                            for c in range(cfg.n_chips)])
 
 
 def held(dataset, v) -> tuple[np.ndarray, np.ndarray]:
-    """A dataset's grid at voltage v as arrays viewed from its bytes: the
-    (n_chips, L) reference bits and the (n_chips, T, ceil(L/8)) packed samples."""
+    """A dataset's grid at voltage v as arrays read from its chip blocks:
+    the (n_chips, L) reference bits and the (n_chips, T, ceil(L/8)) packed
+    samples."""
     cfg = dataset.config
-    refs = np.frombuffer(dataset.references[v], dtype=np.uint8).reshape(cfg.n_chips, -1)
-    cells = np.frombuffer(dataset.samples[v], dtype=np.uint8).reshape(
-        cfg.n_chips, cfg.samples_per_chip, -1)
-    return unpack_rows(refs, cfg.id_length), cells
+    k = cfg.voltages.index(v)
+    blocks = list(dataset)
+    refs = np.frombuffer(b"".join(refs[k] for refs, _ in blocks), dtype=np.uint8)
+    cells = np.frombuffer(b"".join(cells[k] for _, cells in blocks), dtype=np.uint8)
+    return (unpack_rows(refs.reshape(cfg.n_chips, -1), cfg.id_length),
+            cells.reshape(cfg.n_chips, cfg.samples_per_chip, -1))
 
 
 @pytest.fixture

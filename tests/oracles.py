@@ -277,6 +277,13 @@ def error_word(positions) -> int:
     return sum(1 << (30 - int(i)) for i in positions)
 
 
+def fe_reproduce(decode, response: int, offset: int) -> int:
+    """The 16-bit key a code-offset fuzzy extractor recovers from a noisy
+    31-bit response and its enrollment offset: the message bits 15..30 of
+    the codeword decode corrects response ^ offset to."""
+    return decode(response ^ offset)[0] >> 15
+
+
 def generator_rows(generator: int) -> list[int]:
     """Systematic generator matrix of the (31,16) code of `generator`, as
     words: row i, the codeword of message bit i, is x^(15+i) plus its

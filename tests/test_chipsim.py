@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -294,7 +295,7 @@ class TestPackedSamples:
         chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
         assert held(loaded, 1.3)[1].shape == (4, 60, -(-length // 8))
-        assert len(loaded.samples[1.3]) == 4 * 60 * -(-length // 8)
+        assert sum(len(cells[1]) for _, cells in loaded) == 4 * 60 * -(-length // 8)
         ref_bits = {v: refs[v].tolist() for v in cfg.voltages}
         grid_bits = {v: grid[v].tolist() for v in cfg.voltages}
         for post_bch in (False, True) if length >= 31 else (False,):
@@ -351,13 +352,27 @@ class TestChipBlocks:
         assert sweeps[0] == sweeps[1] == sweeps[2]
         assert [dv for dv, _ in sweeps[0]] == [1.25 - 1.3, 0.0, 1.35 - 1.3]
 
-    def test_incomplete_dataset_refused_when_iterated(self, tmp_path):
-        ds = random_dataset()
-        del ds.samples[1.25]
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blocks: blocks.pop(), "references at 1.25 V for chip 2"),
+        (lambda blocks: blocks.append(blocks[0]), "references at 1.25 V for chip 3"),
+        (lambda blocks: blocks[1][1].pop(), "samples at 1.3 V for chip 1"),
+        (lambda blocks: blocks[1][0].append(blocks[1][0][0]), "references at 1.3 V for chip 1"),
+        (lambda blocks: blocks[2][0].__setitem__(0, blocks[2][0][0][:-1]),
+         "references at 1.25 V for chip 2"),
+        (lambda blocks: blocks[0][1].__setitem__(1, blocks[0][1][1] + b"\0"),
+         "samples at 1.3 V for chip 0"),
+    ], ids=["missing_chip", "extra_chip", "missing_voltage", "extra_voltage",
+            "short_reference", "long_cell"])
+    def test_incomplete_dataset_refused_when_iterated(self, tmp_path, edit, message):
+        """Blocks that do not match the config, in number, in voltages or
+        in the length of a reference or cell, are refused by every consumer
+        before it yields a result or leaves a file."""
+        ds = random_dataset()  # 3 chips at (1.25, 1.3) V, 8 samples of 4 bytes
+        edit(ds.blocks)
         save = functools.partial(chipsim.save_dataset, csv_path=tmp_path / "d.csv",
                                  sidecar_path=tmp_path / "d.json")
         for consume in (metrics.compute_report, chipsim.voltage_sweep, save):
-            with pytest.raises(DatasetError, match="samples at 1.25 V"):
+            with pytest.raises(DatasetError, match=f"^missing or ragged {re.escape(message)}$"):
                 consume(ds)
         assert sorted(tmp_path.iterdir()) == []
 

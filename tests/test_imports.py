@@ -257,23 +257,30 @@ def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(tmp_path, con
 
 
 @pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-@pytest.mark.parametrize("voltages, message", [
-    (None, "No such file"), ([1.3], "sweep needs at least two voltages"),
-], ids=["missing_file", "one_voltage"])
-def test_sweep_refuses_a_bad_config_before_numpy(tmp_path, as_program, voltages, message):
-    """A configuration `sweep` refuses exits 2 with a message and loads no numpy."""
+@pytest.mark.parametrize("command, voltages, threads, message", [
+    ("sweep", None, "1", "No such file"),
+    ("sweep", [1.3], "1", "sweep needs at least two voltages"),
+    ("sweep", [1.25, 1.3], "0", "threads must be >= 1, got 0"),
+    ("simulate", None, "1", "No such file"),
+    ("simulate", [1.25, 1.3], "0", "threads must be >= 1, got 0"),
+], ids=["missing_file", "one_voltage", "threads_zero", "simulate-missing_file",
+        "simulate-threads_zero"])
+def test_sweep_refuses_a_bad_config_before_numpy(tmp_path, as_program, command, voltages,
+                                                 threads, message):
+    """A configuration or `--threads` that `sweep` or `simulate` refuses
+    exits 2 with a message and loads no numpy."""
     path = tmp_path / "run.json"
     if voltages is not None:
         path.write_text(json.dumps({**CONFIG, "campaign": {**CONFIG["campaign"],
                                                            "voltages_v": voltages}}))
-    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--threads", threads]
     code = (f"import contextlib, io, json; err = io.StringIO()\n"
             f"with contextlib.redirect_stderr(err):\n    {_run(argv, as_program)}\n"
             "print(json.dumps([rc, 'numpy' in sys.modules, err.getvalue()]))")
     rc, numpy_loaded, err = json.loads(_loaded(code).splitlines()[-1])
     assert (rc, numpy_loaded) == (2, False)
     assert err.startswith("configuration error: ") and message in err
-    assert not (tmp_path / "sweep").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # Integer keys of one, two and five parts, one past 32 bits.

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import ropuf
+from ropuf import cli
 from test_golden import CONFIG, FILE_DIGESTS
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
@@ -37,18 +38,36 @@ def test_every_boundary_resolves_to_a_callable():
         assert callable(getattr(owner, attr, None)), f"ropuf.{module}.{attr}"
 
 
-def test_traced_simulate_writes_the_golden_files(tmp_path):
-    config, spans = tmp_path / "run.json", tmp_path / "spans.json"
-    config.write_text(json.dumps(CONFIG, indent=2))
+def _traced_simulate(tmp_path, config: dict, out: Path) -> list[str]:
+    """The span names of a traced `simulate` of config, written to out."""
+    path, spans = tmp_path / "run.json", tmp_path / "spans.json"
+    path.write_text(json.dumps(config, indent=2))
     src = str(Path(ropuf.__file__).resolve().parents[1])
     proc = subprocess.run([sys.executable, str(TRACED_CLI), str(spans), "simulate",
-                           "--config", str(config), "--out", str(tmp_path / "sim"),
-                           "--threads", "1"],
+                           "--config", str(path), "--out", str(out), "--threads", "1"],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
+    return json.loads(spans.read_text())["names"]
+
+
+def test_traced_simulate_writes_the_golden_files(tmp_path):
+    names = _traced_simulate(tmp_path, CONFIG, tmp_path / "sim")
     pinned = [name for name in FILE_DIGESTS if name.startswith("sim/")]
     assert len(pinned) == 2
     for name in pinned:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == FILE_DIGESTS[name], name
-    assert "chipsim.save_dataset" in json.loads(spans.read_text())["names"]
+    assert "chipsim.save_dataset" in names
+
+
+def test_traced_simulate_with_a_report_collects_through_run_campaign(tmp_path):
+    """With emit_histograms, simulate collects its chip blocks through
+    run_campaign, whose span the tracer records; the report is the
+    untraced run's, byte for byte."""
+    config = {**CONFIG, "flags": {**CONFIG["flags"], "emit_histograms": True}}
+    names = _traced_simulate(tmp_path, config, tmp_path / "traced")
+    assert "chipsim.run_campaign" in names
+    assert cli.main(["simulate", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "untraced")]) == 0
+    assert (tmp_path / "traced" / "report.json").read_bytes() == \
+        (tmp_path / "untraced" / "report.json").read_bytes()

@@ -278,7 +278,7 @@ def _at_voltages(unit: PufUnit, voltages, g1: np.ndarray, g2: np.ndarray,
 
 def run_campaign(chips: list[Chip], config: CampaignConfig, ro_params: ro.RoParams,
                  coupling: ro.Coupling = ro.Coupling.none()) -> CampaignDataset:
-    """A Campaign collected: every chip's block, held as it arrives."""
+    """A Campaign collected, each chip's block held as it arrives (no command calls it)."""
     from .dataset import CampaignDataset
     return CampaignDataset(config, ro_params, coupling,
                            list(Campaign(chips, config, ro_params, coupling)))

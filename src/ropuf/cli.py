@@ -2,7 +2,9 @@
 
 Subcommands: simulate, metrics, sweep, bch-selftest, cost.  Every
 command is deterministic given its inputs; data files never contain
-timestamps or environment state.
+timestamps or environment state.  `simulate` streams its dataset to disk
+chip by chip, then scores any report or sweep from the files it wrote,
+so they are the files `metrics` and `sweep` write.
 
 Exit codes: 0 success, 2 configuration error (a configuration too
 large to allocate included), 3 data error, 4 self-test failure.
@@ -10,11 +12,10 @@ large to allocate included), 3 data error, 4 self-test failure.
 Each command imports the modules it runs and nothing else, so `cost`,
 `--help`, a usage error, `metrics` and `bch-selftest` never load numpy,
 `sweep` loads neither the dataset module nor `csv`, and no command loads
-hashlib.  The modules a command runs that need no numpy are imported
-before `chipsim`, which loads numpy: a module compiled after numpy can
-raise the peak RSS.  `simulate` and `sweep` load and check their
-configuration and `--threads` first, so a run they refuse loads no numpy.
-`main` runs alike as a program and in-process.
+hashlib.  Modules that need no numpy are imported before `chipsim`, which
+loads numpy: one compiled after numpy can raise the peak RSS.  `simulate`
+and `sweep` check their configuration and `--threads` first, so a run
+they refuse loads no numpy.  `main` runs alike as a program and in-process.
 """
 from __future__ import annotations
 
@@ -51,9 +52,8 @@ def _campaign(cfg):
 
 
 def cmd_simulate(args) -> int:
-    # The numpy-free modules first (see the module docstring): dataset is
-    # chipsim.save_dataset's home, and metrics writes the report.
-    from . import dataset  # noqa: F401
+    # The numpy-free modules first (see the module docstring).
+    from . import dataset
     cfg = _run_config(args)
     if cfg.flags.emit_histograms:
         from . import metrics
@@ -61,19 +61,16 @@ def cmd_simulate(args) -> int:
     campaign = _campaign(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    emit_sweep = cfg.flags.emit_sweep and len(cfg.campaign.voltages) >= 2
-    # Streamed chip by chip unless a report or a sweep needs every block.
-    data = (chipsim.run_campaign(campaign.chips, cfg.campaign, cfg.ro_params, cfg.coupling)
-            if cfg.flags.emit_histograms or emit_sweep else campaign)
-    chipsim.save_dataset(data, out / "dataset.csv", out / "dataset.json")
+    csv_path, sidecar = out / "dataset.csv", out / "dataset.json"
+    chipsim.save_dataset(campaign, csv_path, sidecar)  # streamed chip by chip
     n_rows = cfg.campaign.n_chips * len(cfg.campaign.voltages) * cfg.campaign.samples_per_chip
-    print(f"wrote {out / 'dataset.csv'} ({n_rows} rows) and {out / 'dataset.json'}")
+    print(f"wrote {csv_path} ({n_rows} rows) and {sidecar}")
+    if cfg.flags.emit_histograms or cfg.flags.emit_sweep:
+        data = dataset.load_dataset(csv_path, sidecar)  # as `metrics` reads them
     if cfg.flags.emit_histograms:
-        report = metrics.compute_report(data, post_bch=cfg.flags.post_bch)
-        report.save_json(out / "report.json")
-        metrics.write_histogram_csv(out / "histograms.csv", [report.intra, report.inter])
+        metrics.compute_report(data, post_bch=cfg.flags.post_bch).save(out)
         print(f"wrote {out / 'report.json'} and {out / 'histograms.csv'}")
-    if emit_sweep:
+    if cfg.flags.emit_sweep:
         _write_sweep_files(out, chipsim.voltage_sweep(data))
     return EXIT_OK
 
@@ -89,9 +86,7 @@ def cmd_metrics(args) -> int:
     report = metrics.compute_report(dataset, post_bch=args.post_bch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report.save_json(out / "report.json")
-    if args.histograms:
-        metrics.write_histogram_csv(out / "histograms.csv", [report.intra, report.inter])
+    report.save(out, args.histograms)
     stage = "post-BCH" if args.post_bch else "raw"
     print(f"metrics at {report.voltage} V ({stage}, L={report.id_length}):")
     for line in report.summary_lines():

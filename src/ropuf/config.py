@@ -17,7 +17,7 @@ from pathlib import Path
 from . import ro
 from .errors import ConfigurationError
 
-# Output bits of chipsim.run_campaign follow version 3 of the stream
+# Output bits of chipsim.Campaign follow version 3 of the stream
 # layout: per (chip, unit) streams for RO1, RO2 and enrollment, with rows
 # of B1 = (3*(2L-1)+1)//2 + 8 RO1 normals.  Version 2 drew 4*(2L-1)+8 of
 # them per row, and version 1 one stream per sample, whose RO2 jitter
@@ -162,6 +162,8 @@ def from_dict(data, master_seed: int | None = None) -> RunConfig:
     if master_seed is not None:
         cfg = replace(cfg, campaign=replace(cfg.campaign, master_seed=master_seed))
     cfg.campaign.validate(cfg.ro_params)
+    if cfg.flags.emit_sweep and len(cfg.campaign.voltages) < 2:
+        raise ConfigurationError("flags.emit_sweep: a sweep needs at least two voltages")
     if cfg.flags.post_bch and cfg.flags.emit_histograms:
         from .bch import N  # imported on use: sampling and sweeps never decode
         if cfg.campaign.id_length < N:

@@ -171,8 +171,11 @@ class MetricsReport:
             "voltage_fit": None,  # kept so reports keep their keys
         }
 
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+    def save(self, out: Path, histograms: bool = True) -> None:
+        """out/report.json, and out/histograms.csv unless histograms is false."""
+        (out / "report.json").write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
+        if histograms:
+            write_histogram_csv(out / "histograms.csv", [self.intra, self.inter])
 
     def summary_lines(self) -> list[str]:
         """Three-row layout, percentages at two decimals."""

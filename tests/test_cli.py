@@ -162,8 +162,9 @@ class TestSimulate:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_streamed_dataset_matches_collected(self, tmp_path):
-        """Without report or sweep flags the dataset is written chip by chip
-        as sampled; with them the grid is collected first.  Same bytes."""
+        """The dataset is written chip by chip as sampled whatever the
+        flags; with a report and a sweep asked for, simulate then reads it
+        back to score them.  Same dataset bytes either way."""
         cfg = tmp_path / "run.json"
         config = write_config(cfg, n_chips=4, voltages=(1.25, 1.3, 1.35))
         config["flags"]["emit_sweep"] = True
@@ -176,6 +177,28 @@ class TestSimulate:
         assert {p.name for p in streamed.iterdir()} == {"dataset.csv", "dataset.json"}
         for name in ("dataset.csv", "dataset.json"):
             assert (tmp_path / "held" / name).read_bytes() == (streamed / name).read_bytes()
+
+    @pytest.mark.parametrize("flags, command, files", [
+        ({}, ["metrics"], ("report.json", "histograms.csv")),
+        ({"post_bch": True}, ["metrics", "--post-bch"], ("report.json", "histograms.csv")),
+        ({"emit_histograms": False, "emit_sweep": True}, ["sweep"], ("sweep.json", "sweep.csv")),
+    ], ids=["raw", "post_bch", "sweep"])
+    def test_reports_match_the_commands(self, tmp_path, flags, command, files):
+        """simulate scores the dataset files it wrote: its report and
+        histograms are those `ropuf metrics` writes for its dataset.csv, and
+        its sweep is the one `ropuf sweep` writes for the same configuration."""
+        cfg = tmp_path / "run.json"
+        config = write_config(cfg, n_chips=4, samples=50, voltages=(1.25, 1.3, 1.35),
+                              jitter_sigma=0.008)
+        config["flags"].update(flags)
+        cfg.write_text(json.dumps(config))
+        sim, out = tmp_path / "sim", tmp_path / "cmd"
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+        assert {p.name for p in sim.iterdir()} == {"dataset.csv", "dataset.json", *files}
+        source = [str(sim / "dataset.csv")] if command[0] == "metrics" else ["--config", str(cfg)]
+        assert cli.main([command[0], *source, *command[1:], "--out", str(out)]) == 0
+        for name in files:
+            assert (sim / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -487,6 +510,8 @@ class TestOutOfMemory:
 
     @pytest.mark.parametrize("emit_histograms", [True, False], ids=["collected", "streamed"])
     def test_simulate(self, tmp_path, monkeypatch, capsys, emit_histograms):
+        """With a report asked for or not, the campaign is streamed: the
+        first chip's block is refused before any file is written."""
         cfg = self._huge_config(tmp_path, "samples_per_chip", emit_histograms)
         monkeypatch.setattr(np, "empty", refusing(np.empty))
         out = tmp_path / "o"

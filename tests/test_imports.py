@@ -257,22 +257,25 @@ def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(tmp_path, con
 
 
 @pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-@pytest.mark.parametrize("command, voltages, threads, message", [
-    ("sweep", None, "1", "No such file"),
-    ("sweep", [1.3], "1", "sweep needs at least two voltages"),
-    ("sweep", [1.25, 1.3], "0", "threads must be >= 1, got 0"),
-    ("simulate", None, "1", "No such file"),
-    ("simulate", [1.25, 1.3], "0", "threads must be >= 1, got 0"),
+@pytest.mark.parametrize("command, voltages, flags, threads, message", [
+    ("sweep", None, {}, "1", "No such file"),
+    ("sweep", [1.3], {}, "1", "sweep needs at least two voltages"),
+    ("sweep", [1.25, 1.3], {}, "0", "threads must be >= 1, got 0"),
+    ("simulate", None, {}, "1", "No such file"),
+    ("simulate", [1.25, 1.3], {}, "0", "threads must be >= 1, got 0"),
+    ("simulate", [1.3], {"emit_sweep": True}, "1",
+     "flags.emit_sweep: a sweep needs at least two voltages"),
 ], ids=["missing_file", "one_voltage", "threads_zero", "simulate-missing_file",
-        "simulate-threads_zero"])
-def test_sweep_refuses_a_bad_config_before_numpy(tmp_path, as_program, command, voltages,
+        "simulate-threads_zero", "simulate-emit_sweep_one_voltage"])
+def test_sweep_refuses_a_bad_config_before_numpy(tmp_path, as_program, command, voltages, flags,
                                                  threads, message):
     """A configuration or `--threads` that `sweep` or `simulate` refuses
     exits 2 with a message and loads no numpy."""
     path = tmp_path / "run.json"
     if voltages is not None:
         path.write_text(json.dumps({**CONFIG, "campaign": {**CONFIG["campaign"],
-                                                           "voltages_v": voltages}}))
+                                                           "voltages_v": voltages},
+                                    "flags": {**CONFIG["flags"], **flags}}))
     argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--threads", threads]
     code = (f"import contextlib, io, json; err = io.StringIO()\n"
             f"with contextlib.redirect_stderr(err):\n    {_run(argv, as_program)}\n"

@@ -143,8 +143,9 @@ def test_campaign_commands_hold_one_chip(tmp_path, command, voltages):
 
 
 def test_simulate_with_report_holds_the_grid_packed(tmp_path):
-    """With emit_histograms, simulate collects the grid for its report; the
-    12 more chips' samples are held packed (1.5 chip blocks), so the peak
+    """With emit_histograms, simulate streams the campaign to its dataset
+    files, then loads them to score its report, as `metrics` does; the 12
+    more chips' samples are held packed (1.5 chip blocks), so the peak
     grows by at most 3 chip blocks."""
     growth = _chip_growth(tmp_path, "simulate", (1.3,), Flags(emit_histograms=True))
     assert growth <= 3, f"simulate with a report: 12 more chips took {growth:.2f} chip blocks"

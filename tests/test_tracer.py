@@ -38,8 +38,10 @@ def test_every_boundary_resolves_to_a_callable():
         assert callable(getattr(owner, attr, None)), f"ropuf.{module}.{attr}"
 
 
-def _traced_simulate(tmp_path, config: dict, out: Path) -> list[str]:
-    """The span names of a traced `simulate` of config, written to out."""
+def _traced_simulate(tmp_path, config: dict, out: Path) -> set[str]:
+    """The names of the spans that a traced `simulate` of config, written
+    to out, records.  The trace's `names` lists every boundary the tracer
+    patched, whether it ran or not, so only its spans tell what ran."""
     path, spans = tmp_path / "run.json", tmp_path / "spans.json"
     path.write_text(json.dumps(config, indent=2))
     src = str(Path(ropuf.__file__).resolve().parents[1])
@@ -47,26 +49,30 @@ def _traced_simulate(tmp_path, config: dict, out: Path) -> list[str]:
                            "--config", str(path), "--out", str(out), "--threads", "1"],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    return json.loads(spans.read_text())["names"]
+    trace = json.loads(spans.read_text())
+    return {trace["names"][row[0]] for row in trace["spans"]}
 
 
 def test_traced_simulate_writes_the_golden_files(tmp_path):
-    names = _traced_simulate(tmp_path, CONFIG, tmp_path / "sim")
+    ran = _traced_simulate(tmp_path, CONFIG, tmp_path / "sim")
     pinned = [name for name in FILE_DIGESTS if name.startswith("sim/")]
     assert len(pinned) == 2
     for name in pinned:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == FILE_DIGESTS[name], name
-    assert "chipsim.save_dataset" in names
+    assert "chipsim.save_dataset" in ran
+    assert not ran & {"chipsim.run_campaign", "metrics.compute_report"}
 
 
-def test_traced_simulate_with_a_report_collects_through_run_campaign(tmp_path):
-    """With emit_histograms, simulate collects its chip blocks through
-    run_campaign, whose span the tracer records; the report is the
-    untraced run's, byte for byte."""
+def test_traced_simulate_with_a_report_scores_the_files_it_wrote(tmp_path):
+    """With emit_histograms, simulate streams its chip blocks to the
+    dataset files and scores the files: save_dataset and compute_report
+    run, run_campaign does not, and the report is the untraced run's, byte
+    for byte."""
     config = {**CONFIG, "flags": {**CONFIG["flags"], "emit_histograms": True}}
-    names = _traced_simulate(tmp_path, config, tmp_path / "traced")
-    assert "chipsim.run_campaign" in names
+    ran = _traced_simulate(tmp_path, config, tmp_path / "traced")
+    assert {"chipsim.save_dataset", "metrics.compute_report"} <= ran
+    assert "chipsim.run_campaign" not in ran
     assert cli.main(["simulate", "--config", str(tmp_path / "run.json"),
                      "--out", str(tmp_path / "untraced")]) == 0
     assert (tmp_path / "traced" / "report.json").read_bytes() == \

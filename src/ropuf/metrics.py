@@ -27,9 +27,9 @@ def _words(packed, width: int):
     return (int.from_bytes(packed[i:i + width], "big") for i in range(0, len(packed), width))
 
 
-def _pair_distances(words: list[int]) -> list[int]:
+def _pair_distances(words: list[int]):
     """Hamming distance of every word pair i < j, in row-major pair order."""
-    return [(a ^ b).bit_count() for i, a in enumerate(words) for b in words[i + 1:]]
+    return ((a ^ b).bit_count() for i, a in enumerate(words) for b in words[i + 1:])
 
 
 def _pairwise_sum(values: list[float], lo: int, n: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ropuf import bch, chipsim, cli, ro
+from ropuf import bch, chipsim, cli, metrics, ro
 from ropuf.config import from_dict, load, to_dict
 from ropuf.errors import ModelRangeError
 
@@ -132,33 +132,43 @@ class TestSimulate:
         assert not out.exists()
 
     def test_failed_sampling_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
+        """A run that fails while sampling leaves no file in --out and any
+        dataset already there as it was; one that fails while scoring its
+        report, after the dataset is in place, leaves that whole dataset and
+        no report."""
         cfg = tmp_path / "run.json"
-        write_config(cfg)
+        write_config(cfg)  # with a report to emit
         out = tmp_path / "o"
-        keyed_rng = chipsim.keyed_rng
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        keyed_rng, compute_report = chipsim.keyed_rng, metrics.compute_report
 
         def out_of_range_on_chip_1(seed, tag, chip, *key):
             if chip == 1:
                 raise ModelRangeError("period is non-positive")
             return keyed_rng(seed, tag, chip, *key)
         monkeypatch.setattr(chipsim, "keyed_rng", out_of_range_on_chip_1)
-        for streamed in (False, True):  # with and without a report to emit
-            write_config(cfg)
-            if streamed:
-                config = json.loads(cfg.read_text())
-                config["flags"]["emit_histograms"] = False
-                cfg.write_text(json.dumps(config))
-            assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 3
-            assert "non-positive" in capsys.readouterr().err
-            assert sorted(out.iterdir()) == []
+        assert cli.main(argv) == 3
+        assert "non-positive" in capsys.readouterr().err
+        assert sorted(out.iterdir()) == []
 
+        def unscorable(*args, **kwargs):
+            raise ValueError("cannot score")
         monkeypatch.setattr(chipsim, "keyed_rng", keyed_rng)
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        monkeypatch.setattr(metrics, "compute_report", unscorable)
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == "error: cannot score\n"
+        unscored = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(unscored) == {"dataset.csv", "dataset.json"}
+
+        monkeypatch.setattr(metrics, "compute_report", compute_report)
+        config = json.loads(cfg.read_text())
+        config["flags"]["emit_histograms"] = False
+        cfg.write_text(json.dumps(config))
+        assert cli.main(argv) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert set(before) == {"dataset.csv", "dataset.json"}
+        assert before == unscored
         monkeypatch.setattr(chipsim, "keyed_rng", out_of_range_on_chip_1)
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
-                         "--seed", "6"]) == 3
+        assert cli.main([*argv, "--seed", "6"]) == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_streamed_dataset_matches_collected(self, tmp_path):

@@ -1,32 +1,43 @@
-"""What `import ropuf` and its commands cost.
+"""What `import ropuf` and each of its commands load.
 
 `import ropuf` is lazy: it imports no submodule and no numpy.  Each
-public name in `__all__` is imported from the submodule that defines it
-on first access (a module `__getattr__`, PEP 562), and so is each
-submodule named as an attribute, so `ropuf.X` and `from ropuf import X`
-work as if the package had imported everything.  `ropuf.cli` imports
-inside each command what that command runs: `cost`, `--help` and a
-usage error load no numpy.
+public name in `__all__`, and each submodule named as an attribute, is
+imported on first access (a module `__getattr__`, PEP 562), so `ropuf.X`
+and `from ropuf import X` work as if the package had imported everything.
 
-Every command pays for what it imports.  `multiprocessing` and hashlib
-(with OpenSSL's `_hashlib`, several MiB resident) serve no command:
-campaigns run in one process, and no module of the package imports
-hashlib.  `numpy.random.bit_generator` would load it through `secrets`;
-`ropuf.rng` loads it under a stand-in `secrets` that holds only
-`randbits`, so no command loads hashlib, run as a program or in-process,
-and none writes to `sys.modules` after that load.  `metrics` loads no
-numpy module: it scores words as Python integers, as `bch-selftest`
-checks the codec.  `sweep` loads neither the dataset module nor `csv`,
-`simulate` writes its dataset without `csv`, and both import the modules
-they run that need no numpy before numpy: `simulate` imports the dataset
-module before `chipsim`.
+`COMMANDS` is the table of what each command loads, one row per command
+case.  `test_command` runs each row once per mode, as the `ropuf` script
+runs it (`sys.argv`, then `main()`) and in-process (`main(argv)`), in one
+fresh interpreter, and checks every column against that run: exit code,
+stderr, the modules that must not load, the `ropuf` modules that finish
+loading after numpy (a module takes its place in `sys.modules` when its
+import completes), and the files left behind, the sampling rows' against
+the golden digests.  The rows pin that no command loads `multiprocessing`
+or hashlib (with OpenSSL's `_hashlib`, several MiB resident), which
+`numpy.random.bit_generator` would load through `secrets` had `ropuf.rng`
+not loaded it under a stand-in that holds only `randbits`, and that none
+leaves a module blocked, so a later `import hashlib` loads OpenSSL.
+`cost`, `--help`, a usage error, `metrics` and `bch-selftest` load no
+numpy: `metrics` scores words as Python integers, as `bch-selftest` checks
+the codec.  `simulate` and `sweep` load three `numpy.random` classes and
+not the package, and neither the codec, the evaluation code, `csv` nor
+heapq; `sweep` loads no dataset module, and in both only `chipsim`, which
+imports numpy, and `rng` finish loading after numpy.  A configuration or
+`--threads` they refuse exits 2 before numpy loads and `--out` is made.
+
+The other tests check the lazy package, the partial load of
+`numpy.random`, numpy's streams, and two scans of the sources: only
+`ropuf.rng` loads `numpy.random`, and no module imports hashlib.
 """
 import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import dataclass
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import numpy as np
@@ -42,42 +53,188 @@ from test_golden import CONFIG, FILE_DIGESTS
 HASHING = ("secrets", "hmac", "hashlib", "_hashlib", "base64",
            "_md5", "_sha1", "_sha256", "_sha3", "_blake2")
 HEAVY = ("multiprocessing", "concurrent.futures.process", *HASHING)
+NO_NUMPY = ("numpy*", *HEAVY)
 # The package numpy.random adds about 6.2 MiB resident over `import numpy`
 # (26.9 -> 33.0 MiB), 3.4 MiB of it OpenSSL; the SeedSequence, PCG64 and
-# Generator that ropuf.rng loads alone add about 1.5 MiB.  Evaluation
-# draws nothing.
-EVALUATION_FREE = ("numpy.random", *HASHING)
-# Loaded by nothing that samples: the codec, the evaluation code, and
-# Counter.most_common(n)'s heapq.
-SAMPLING_FREE = (*HASHING, "heapq", "ropuf.bch", "ropuf.metrics")
-# What the package numpy.random loads besides the three classes.
-UNUSED_RANDOM = ("numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
-                 "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle")
+# Generator that ropuf.rng loads alone add about 1.5 MiB.  Sampling never
+# loads the package or what it loads besides the three classes, and never
+# compiles the codec, the evaluation code or heapq: it decodes and scores
+# nothing, and the sweep's fit lives in chipsim.
+SAMPLING_FREE = (*HEAVY, "numpy.random", "numpy.random.mtrand", "numpy.random._mt19937",
+                 "numpy.random._philox", "numpy.random._sfc64", "numpy.random._pickle",
+                 "heapq", "ropuf.bch", "ropuf.metrics", "csv", "_csv")
+SAMPLED_LAST = ("ropuf.rng", "ropuf.chipsim")
 DATASET = Path(__file__).parent / "data" / "dataset.csv"
+SRC = str(Path(ropuf.__file__).resolve().parents[1])
 
 
-def _loaded(code: str) -> str:
-    """stdout of code run in a fresh interpreter that imports ropuf from here."""
-    src = str(Path(ropuf.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    return out.stdout.strip()
+def _child(code: str, *args: str, cwd: Path | None = None) -> str:
+    """Last stdout line of code run with args in a fresh interpreter that
+    imports ropuf from here."""
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         check=True, cwd=cwd, env={**os.environ, "PYTHONPATH": SRC})
+    return out.stdout.strip().splitlines()[-1]
 
 
-def _run(argv: list[str], as_program: bool) -> str:
-    """Code that runs `ropuf argv` as the script does, or calls `main(argv)`
-    in-process, leaving the exit code in rc."""
-    run = f"sys.argv = {['ropuf', *argv]!r}; rc = main()" if as_program else f"rc = main({argv!r})"
-    return f"import sys; from ropuf.cli import main; {run}"
+# Runs `ropuf argv` as the script does, or calls main(argv), and prints
+# what it returned or exited with, its stderr, the modules loaded in load
+# order, the modules set to None, and which sha256 a later hashlib gives.
+PROBE = """\
+import io, sys
+mode, argv = sys.argv[1], sys.argv[2:]
+from ropuf.cli import main
+stderr, sys.stderr = sys.stderr, io.StringIO()
+try:
+    if mode == "program":
+        sys.argv = ["ropuf", *argv]
+        rc = main()
+    else:
+        rc = main(argv)
+except SystemExit as exc:
+    rc = exc.code
+err, sys.stderr = sys.stderr.getvalue(), stderr
+loaded = list(sys.modules)
+blocked = [m for m, v in sys.modules.items() if v is None]
+import hashlib, json
+print(json.dumps([rc, err, loaded, blocked, hashlib.sha256.__name__]))
+"""
+
+# The run configurations each command case finds in its directory.
+ONE_VOLTAGE = {**CONFIG["campaign"], "voltages_v": [1.3]}
+CONFIGS = {
+    "run.json": CONFIG,
+    "one_voltage.json": {**CONFIG, "campaign": ONE_VOLTAGE},
+    "emit_sweep_one_voltage.json": {**CONFIG, "campaign": ONE_VOLTAGE,
+                                    "flags": {**CONFIG["flags"], "emit_sweep": True}},
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command case, run in a directory that holds the CONFIGS files;
+    {frozen} and {odd} in argv name the two metrics datasets."""
+
+    argv: tuple[str, ...]
+    rc: int = 0
+    stderr: str = ""  # a pattern the whole stderr matches
+    absent: tuple[str, ...] = NO_NUMPY  # fnmatch patterns of modules that must not load
+    after_numpy: tuple[str, ...] = ()  # the ropuf modules that finish loading after numpy
+    files: tuple[str, ...] = ()  # must exist afterwards, and match FILE_DIGESTS where pinned
+    no_files: tuple[str, ...] = ()  # must not exist afterwards
+    modes: tuple[str, ...] = ("program", "in_process")
+
+
+def _metrics(dataset: str, *flags: str) -> Command:
+    return Command(("metrics", dataset, "--out", "out", *flags),
+                   files=("out/report.json", "out/histograms.csv"))
+
+
+def _refused(command: str, config: str, threads: str, message: str) -> Command:
+    return Command((command, "--config", config, "--out", "out", "--threads", threads), rc=2,
+                   stderr=f"configuration error: {message}\n", no_files=("out",))
+
+
+COMMANDS = {
+    "cost": Command(("cost",), modes=("program",)),
+    "help": Command(("--help",), modes=("program",)),
+    "usage_error": Command(("no-such-command",), rc=2, modes=("program",),
+                           stderr=r"usage: ropuf .*: error: argument command: invalid choice: .*"),
+    "bch_selftest": Command(("bch-selftest", "--trials", "10"),
+                            absent=(*NO_NUMPY, "ropuf.chipsim", "ropuf.config")),
+    "metrics_frozen_raw": _metrics("{frozen}"),
+    "metrics_frozen_post_bch": _metrics("{frozen}", "--post-bch"),
+    "metrics_odd_raw": _metrics("{odd}"),
+    # 18 bits are too short for the code.
+    "metrics_odd_post_bch_refused": Command(("metrics", "{odd}", "--out", "out", "--post-bch"),
+                                            rc=3, stderr="error: .+\n", no_files=("out",)),
+    # The golden campaign sets every flag off: no report, no sweep.
+    "simulate": Command(("simulate", "--config", "run.json", "--out", "sim"),
+                        absent=SAMPLING_FREE, after_numpy=SAMPLED_LAST,
+                        files=("sim/dataset.csv", "sim/dataset.json"),
+                        no_files=("sim/report.json", "sim/sweep.csv")),
+    "sweep": Command(("sweep", "--config", "run.json", "--out", "sweep"),
+                     absent=(*SAMPLING_FREE, "ropuf.dataset"), after_numpy=SAMPLED_LAST,
+                     files=("sweep/sweep.csv", "sweep/sweep.json"),
+                     no_files=("sweep/dataset.csv",)),
+    "sweep_missing_file": _refused("sweep", "missing.json", "1",
+                                   r"cannot read config missing\.json: .*No such file.*"),
+    "sweep_one_voltage": _refused("sweep", "one_voltage.json", "1",
+                                  "voltages_v: sweep needs at least two voltages"),
+    "sweep_threads_zero": _refused("sweep", "run.json", "0", "threads must be >= 1, got 0"),
+    "simulate_missing_file": _refused("simulate", "missing.json", "1",
+                                      r"cannot read config missing\.json: .*No such file.*"),
+    "simulate_threads_zero": _refused("simulate", "run.json", "0",
+                                      "threads must be >= 1, got 0"),
+    "simulate_emit_sweep_one_voltage": _refused(
+        "simulate", "emit_sweep_one_voltage.json", "1",
+        r"flags\.emit_sweep: a sweep needs at least two voltages"),
+}
+CASES = [(name, mode) for name, row in COMMANDS.items() for mode in row.modes]
+
+
+@pytest.fixture(scope="module")
+def odd_dataset(tmp_path_factory):
+    """An 18-bit dataset of random bits: 5 hex digits, the top one partial."""
+    rng = np.random.default_rng(18)
+    cfg = CampaignConfig(n_chips=3, pairs_per_id=2, word_length=9, samples_per_chip=40,
+                         voltages=(1.25, 1.3))
+    path = tmp_path_factory.mktemp("odd") / "dataset.csv"
+    save_dataset(packed_dataset(cfg, {v: rng.integers(0, 2, (3, 18), dtype=np.uint8)
+                                      for v in cfg.voltages},
+                                {v: rng.integers(0, 2, (3, 40, 18), dtype=np.uint8)
+                                 for v in cfg.voltages}),
+                 path, path.with_suffix(".json"))
+    return path
+
+
+@pytest.mark.parametrize("name, mode", CASES, ids=[f"{name}-{mode}" for name, mode in CASES])
+def test_command(tmp_path, odd_dataset, name, mode):
+    row = COMMANDS[name]
+    for file, config in CONFIGS.items():
+        (tmp_path / file).write_text(json.dumps(config))
+    argv = [arg.format(frozen=DATASET, odd=odd_dataset) for arg in row.argv]
+    rc, err, loaded, blocked, sha256 = json.loads(_child(PROBE, mode, *argv, cwd=tmp_path))
+    assert rc == row.rc, err
+    assert re.fullmatch(row.stderr, err, re.DOTALL), err
+    assert [m for m in loaded if any(fnmatchcase(m, p) for p in row.absent)] == []
+    after = loaded[loaded.index("numpy"):] if "numpy" in loaded else []
+    assert tuple(m for m in after if m.startswith("ropuf.")) == row.after_numpy
+    assert (blocked, sha256) == ([], "openssl_sha256")
+    for file in row.files:
+        digest = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        assert digest == FILE_DIGESTS.get(file, digest), file
+    assert [file for file in row.no_files if (tmp_path / file).exists()] == []
 
 
 SUBMODULES = ("errors", "ro", "rng", "chipsim", "dataset", "config", "bch", "metrics", "cost")
 
 
-def test_import_ropuf_loads_no_submodule_and_no_numpy():
-    code = ("import sys, ropuf; "
-            "print(sorted(m for m in sys.modules if m.startswith(('ropuf.', 'numpy'))))")
-    assert _loaded(code) == "[]"
+@pytest.fixture(scope="module")
+def package():
+    """What one fresh interpreter loads with `import ropuf`, then with
+    `import ropuf.cli`, and what each submodule attribute then names."""
+    code = f"""\
+import sys, ropuf
+bare = [m for m in sys.modules if m.startswith(("ropuf.", "numpy"))]
+import ropuf.cli
+cli = [m for m in {HEAVY!r} if m in sys.modules]
+names = [getattr(ropuf, m).__name__ for m in {SUBMODULES!r}]
+import json
+print(json.dumps([bare, cli, ropuf.__version__, names]))
+"""
+    return json.loads(_child(code))
+
+
+def test_import_ropuf_loads_no_submodule_and_no_numpy(package):
+    assert package[0] == []
+
+
+def test_cli_import_loads_no_pool_and_no_openssl(package):
+    assert package[1] == []
+
+
+def test_submodules_resolve_after_a_bare_import(package):
+    assert package[2:] == [ropuf.__version__, [f"ropuf.{m}" for m in SUBMODULES]]
 
 
 def test_each_public_name_is_its_defining_modules_object():
@@ -107,198 +264,42 @@ def test_unknown_name_is_attribute_error():
         exec("from ropuf import no_such_name", {})
 
 
-def test_submodules_resolve_after_a_bare_import():
-    code = ("import ropuf; "
-            f"print(ropuf.__version__, [getattr(ropuf, m).__name__ for m in {SUBMODULES!r}])")
-    assert _loaded(code) == f"{ropuf.__version__} {[f'ropuf.{m}' for m in SUBMODULES]}"
-
-
-@pytest.mark.parametrize("argv, rc", [(["cost"], 0), (["--help"], 0), (["no-such-command"], 2)],
-                         ids=["cost", "help", "usage_error"])
-def test_program_without_numpy(argv, rc):
-    code = (f"import sys; sys.argv = {['ropuf', *argv]!r}; from ropuf.cli import main\n"
-            "try:\n    rc = main()\nexcept SystemExit as exc:\n    rc = exc.code\n"
-            "print(rc, 'numpy' in sys.modules)")
-    assert _loaded(code).splitlines()[-1] == f"{rc} False"
-
-
-def test_bch_selftest_loads_no_campaign_code():
-    code = ("import sys; from ropuf.cli import main; "
-            "rc = main(['bch-selftest', '--trials', '10']); "
-            "print(rc, [m for m in ('ropuf.chipsim', 'ropuf.config') if m in sys.modules])")
-    assert _loaded(code).splitlines()[-1] == "0 []"
-
-
-@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-def test_bch_selftest_loads_no_numpy(as_program):
-    """The codec and its self-test are integers throughout."""
-    argv = ["bch-selftest", "--trials", "10"]
-    code = (f"{_run(argv, as_program)}; "
-            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
-    assert _loaded(code).splitlines()[-1] == "0 []"
-
-
-def test_cli_import_loads_no_pool_and_no_openssl():
-    code = f"import sys, ropuf.cli; print([m for m in {HEAVY!r} if m in sys.modules])"
-    assert _loaded(code) == "[]"
-
-
-@pytest.mark.parametrize("flags", [[], ["--post-bch"]], ids=["raw", "post_bch"])
-def test_metrics_loads_no_numpy_random_and_no_openssl(tmp_path, flags):
-    argv = ["metrics", str(DATASET), "--out", str(tmp_path), *flags]
-    code = (f"import sys; from ropuf.cli import main; rc = main({argv!r}); "
-            f"print(rc, [m for m in {EVALUATION_FREE!r} if m in sys.modules])")
-    assert _loaded(code).splitlines()[-1] == "0 []"
-    assert (tmp_path / "report.json").exists()
-
-
-@pytest.fixture(scope="module")
-def odd_dataset(tmp_path_factory):
-    """An 18-bit dataset of random bits: 5 hex digits, the top one partial."""
-    rng = np.random.default_rng(18)
-    cfg = CampaignConfig(n_chips=3, pairs_per_id=2, word_length=9, samples_per_chip=40,
-                         voltages=(1.25, 1.3))
-    path = tmp_path_factory.mktemp("odd") / "dataset.csv"
-    save_dataset(packed_dataset(cfg, {v: rng.integers(0, 2, (3, 18), dtype=np.uint8)
-                                      for v in cfg.voltages},
-                                {v: rng.integers(0, 2, (3, 40, 18), dtype=np.uint8)
-                                 for v in cfg.voltages}),
-                 path, path.with_suffix(".json"))
-    return path
-
-
-@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-@pytest.mark.parametrize("data, flags, rc", [
-    ("frozen", [], 0), ("frozen", ["--post-bch"], 0),
-    ("odd", [], 0), ("odd", ["--post-bch"], 3),  # 18 bits are too short for the code
-], ids=["frozen_raw", "frozen_post_bch", "odd_raw", "odd_post_bch_refused"])
-def test_metrics_loads_no_numpy(tmp_path, odd_dataset, as_program, data, flags, rc):
-    """`metrics` loads no numpy module, on the frozen stream-version-1
-    dataset and on an odd-length one, run as a program or called in-process."""
-    argv = ["metrics", str(DATASET if data == "frozen" else odd_dataset),
-            "--out", str(tmp_path), *flags]
-    code = (f"{_run(argv, as_program)}; "
-            "print(rc, [m for m in sys.modules if m.split('.')[0] == 'numpy'])")
-    assert _loaded(code).splitlines()[-1] == f"{rc} []"
-    assert (tmp_path / "report.json").exists() == (rc == 0)
-
-
-@pytest.fixture
-def config(tmp_path):
-    """The golden campaign's run configuration, as a file."""
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(CONFIG, indent=2))
-    return path
-
-
-@pytest.mark.parametrize("command, out, as_program", [
-    ("simulate", "sim", True), ("sweep", "sweep", True),
-    ("simulate", "sim", False), ("sweep", "sweep", False),
-], ids=["simulate-sim", "sweep-sweep", "simulate-sim-in_process", "sweep-sweep-in_process"])
-def test_program_samples_without_openssl(tmp_path, config, command, out, as_program):
-    argv = [command, "--config", str(config), "--out", str(tmp_path / out)]
-    code = (f"{_run(argv, as_program)}; "
-            f"print(rc, [m for m in {UNUSED_RANDOM + SAMPLING_FREE!r} if m in sys.modules])")
-    # Sampling decodes and scores nothing, so it never compiles the codec
-    # or the evaluation code either; the sweep's fit lives in chipsim.
-    assert _loaded(code).splitlines()[-1] == "0 []"
-    # The draws without OpenSSL are the ones the golden pins were made from.
-    pinned = [name for name in FILE_DIGESTS if name.startswith(f"{out}/")]
-    assert len(pinned) == 2
-    for name in pinned:
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == FILE_DIGESTS[name], name
-
-
-@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-def test_sampling_leaves_openssl_loadable(tmp_path, config, as_program):
-    """No module is blocked: a later `import hashlib` loads OpenSSL."""
-    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
-    code = (f"{_run(argv, as_program)}; "
-            "blocked = [m for m, v in sys.modules.items() if v is None]; import hashlib; "
-            "print(rc, blocked, hashlib.sha256.__name__)")
-    assert _loaded(code).splitlines()[-1] == "0 [] openssl_sha256"
-
-
-def test_simulate_without_a_report_loads_no_metrics(tmp_path, config):
-    """The golden campaign sets every flag off: no report, no sweep."""
-    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
-    code = (f"import sys; from ropuf.cli import main; rc = main({argv!r}); "
-            "print(rc, 'ropuf.metrics' in sys.modules)")
-    assert _loaded(code).splitlines()[-1] == "0 False"
-
-
-@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-def test_sweep_loads_no_dataset_module_and_no_csv(tmp_path, config, as_program):
-    """A sweep writes no dataset, and writes sweep.csv's lines by hand."""
-    argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")]
-    code = (f"{_run(argv, as_program)}; "
-            "print(rc, [m for m in ('ropuf.dataset', 'csv', '_csv') if m in sys.modules])")
-    assert _loaded(code).splitlines()[-1] == "0 []"
-
-
-@pytest.mark.parametrize("command, as_program", [
-    ("simulate", True), ("simulate", False), ("sweep", True), ("sweep", False),
-], ids=["program", "in_process", "sweep-program", "sweep-in_process"])
-def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(tmp_path, config, command,
-                                                                   as_program):
-    """`simulate` writes its dataset's lines by hand, and imports the
-    dataset module before numpy: compiled after `chipsim` had loaded numpy,
-    that module raised the command's peak RSS by about 0.5 MiB.  In both
-    sampling commands only `chipsim`, which imports numpy, and `rng`,
-    which `chipsim` imports after it, finish loading after numpy (a module
-    takes its place in `sys.modules` when its import completes): the whole
-    sampling path is `chipsim`'s, compiled before its body runs."""
-    argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
-    code = (f"{_run(argv, as_program)}; loaded = list(sys.modules); "
-            "print(rc, [m for m in ('csv', '_csv') if m in loaded], "
-            "[m for m in loaded[loaded.index('numpy'):] if m.startswith('ropuf.')])")
-    assert _loaded(code).splitlines()[-1] == "0 [] ['ropuf.rng', 'ropuf.chipsim']"
-
-
-@pytest.mark.parametrize("as_program", [True, False], ids=["program", "in_process"])
-@pytest.mark.parametrize("command, voltages, flags, threads, message", [
-    ("sweep", None, {}, "1", "No such file"),
-    ("sweep", [1.3], {}, "1", "sweep needs at least two voltages"),
-    ("sweep", [1.25, 1.3], {}, "0", "threads must be >= 1, got 0"),
-    ("simulate", None, {}, "1", "No such file"),
-    ("simulate", [1.25, 1.3], {}, "0", "threads must be >= 1, got 0"),
-    ("simulate", [1.3], {"emit_sweep": True}, "1",
-     "flags.emit_sweep: a sweep needs at least two voltages"),
-], ids=["missing_file", "one_voltage", "threads_zero", "simulate-missing_file",
-        "simulate-threads_zero", "simulate-emit_sweep_one_voltage"])
-def test_sweep_refuses_a_bad_config_before_numpy(tmp_path, as_program, command, voltages, flags,
-                                                 threads, message):
-    """A configuration or `--threads` that `sweep` or `simulate` refuses
-    exits 2 with a message and loads no numpy."""
-    path = tmp_path / "run.json"
-    if voltages is not None:
-        path.write_text(json.dumps({**CONFIG, "campaign": {**CONFIG["campaign"],
-                                                           "voltages_v": voltages},
-                                    "flags": {**CONFIG["flags"], **flags}}))
-    argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), "--threads", threads]
-    code = (f"import contextlib, io, json; err = io.StringIO()\n"
-            f"with contextlib.redirect_stderr(err):\n    {_run(argv, as_program)}\n"
-            "print(json.dumps([rc, 'numpy' in sys.modules, err.getvalue()]))")
-    rc, numpy_loaded, err = json.loads(_loaded(code).splitlines()[-1])
-    assert (rc, numpy_loaded) == (2, False)
-    assert err.startswith("configuration error: ") and message in err
-    assert not (tmp_path / "out").exists()
-
-
 # Integer keys of one, two and five parts, one past 32 bits.
 KEYS = ((7,), (3, 1, 4), (2 ** 40,), (777, 3), (20260809, 1, 0, 1, 0))
 
 
-def test_partial_load_draws_as_default_rng():
-    code = ("import json, sys\n"
-            "from ropuf.rng import keyed_rng\n"
-            f"draws = [keyed_rng(*key).random(3).tolist() for key in {KEYS!r}]\n"
-            "print(json.dumps(['numpy.random' in sys.modules, draws]))")
-    package, draws = json.loads(_loaded(code))
-    assert not package
-    assert draws == [np.random.default_rng(np.random.SeedSequence(key)).random(3).tolist()
-                     for key in KEYS]
+@pytest.fixture(scope="module")
+def partial_load():
+    """What one fresh interpreter sees after `ropuf.rng`'s partial load of
+    numpy.random: keyed draws, the stand-in's randbits and two unseeded
+    entropies, then `import numpy.random`, then `import secrets`."""
+    code = f"""\
+import random, sys
+from ropuf.rng import SeedSequence, keyed_rng
+draws = [keyed_rng(*key).random(3).tolist() for key in {KEYS!r}]
+randbits = sys.modules["numpy.random.bit_generator"].randbits
+stand_in = [isinstance(randbits.__self__, random.SystemRandom),
+            randbits.__func__ is random.SystemRandom.getrandbits]
+a, b = SeedSequence().entropy, SeedSequence().entropy
+entropy = [a != b, 0 <= a < 2 ** 128, 0 <= b < 2 ** 128]
+unloaded = ["numpy.random" in sys.modules, "secrets" in sys.modules]
+import numpy as np, numpy.random
+package = [type(keyed_rng(1)) is np.random.Generator, 0 <= np.random.default_rng().random() < 1,
+           np.random.default_rng(0).random(2).tolist()]
+import json, secrets, sysconfig
+from pathlib import Path
+real = [Path(secrets.__file__) == Path(sysconfig.get_paths()["stdlib"], "secrets.py"),
+        len(secrets.token_bytes(8))]
+print(json.dumps(dict(draws=draws, stand_in=stand_in, entropy=entropy, unloaded=unloaded,
+                      package=package, secrets=real)))
+"""
+    return json.loads(_child(code))
+
+
+def test_partial_load_draws_as_default_rng(partial_load):
+    assert not partial_load["unloaded"][0]
+    assert partial_load["draws"] == [
+        np.random.default_rng(np.random.SeedSequence(key)).random(3).tolist() for key in KEYS]
 
 
 # A short sha256 of each key's first 256 normals, and of one running sum
@@ -324,43 +325,30 @@ def test_numpy_streams_are_the_pinned_ones():
     assert digest(row) == RUNNING_SUM, moved
 
 
-def test_numpy_random_imports_after_the_partial_load():
-    code = ("import sys; from ropuf.rng import keyed_rng; partial = 'numpy.random' not in sys.modules; "
-            "import numpy as np, numpy.random; "
-            "print(partial, type(keyed_rng(1)) is np.random.Generator, "
-            "0 <= np.random.default_rng().random() < 1, np.random.default_rng(0).random(2).tolist())")
-    assert _loaded(code) == f"True True True {np.random.default_rng(0).random(2).tolist()}"
+def test_numpy_random_imports_after_the_partial_load(partial_load):
+    assert partial_load["package"] == [True, True, np.random.default_rng(0).random(2).tolist()]
 
 
-def test_rng_leaves_secrets_unloaded():
-    assert _loaded("import sys, ropuf.rng; print('secrets' in sys.modules)") == "False"
+def test_rng_leaves_secrets_unloaded(partial_load):
+    assert not partial_load["unloaded"][1]
 
 
-def test_unseeded_seed_sequences_draw_128_fresh_bits():
-    code = ("from ropuf.rng import SeedSequence; a, b = SeedSequence().entropy, SeedSequence().entropy; "
-            "print(a != b, 0 <= a < 2 ** 128, 0 <= b < 2 ** 128)")
-    assert _loaded(code) == "True True True"
+def test_unseeded_seed_sequences_draw_128_fresh_bits(partial_load):
+    assert partial_load["entropy"] == [True, True, True]
 
 
-def test_stand_in_randbits_is_system_random():
-    code = ("import random, sys, ropuf.rng; "
-            "randbits = sys.modules['numpy.random.bit_generator'].randbits; "
-            "print(isinstance(randbits.__self__, random.SystemRandom), "
-            "randbits.__func__ is random.SystemRandom.getrandbits)")
-    assert _loaded(code) == "True True"
+def test_stand_in_randbits_is_system_random(partial_load):
+    assert partial_load["stand_in"] == [True, True]
 
 
-def test_secrets_imports_after_the_partial_load():
-    code = ("import sys, sysconfig, ropuf.rng, secrets; from pathlib import Path; "
-            "print(Path(secrets.__file__) == Path(sysconfig.get_paths()['stdlib'], 'secrets.py'), "
-            "len(secrets.token_bytes(8)))")
-    assert _loaded(code) == "True 8"
+def test_secrets_imports_after_the_partial_load(partial_load):
+    assert partial_load["secrets"] == [True, 8]
 
 
 def test_secrets_imported_first_is_the_one_numpy_uses():
     code = ("import secrets, sys, ropuf.rng; "
             "print(sys.modules['numpy.random.bit_generator'].randbits is secrets.randbits)")
-    assert _loaded(code) == "True"
+    assert _child(code) == "True"
 
 
 def test_keyed_rng_is_the_loaded_packages_generator():

@@ -1,12 +1,14 @@
 """Memory bounds: a loaded dataset holds its samples packed, eight bits
 to a byte, loading holds little more than those bytes, a report scores
-the packed samples with one chip's scratch, and `simulate` and `sweep`
-hold one chip's samples at a time, however many chips there are, and
-sample that chip one chunk of rows at a time.  The BCH self-test
-enumerates the code's 2^16 codewords as 32-bit words.
+the packed samples with one chip's scratch and holds no list of chip
+pairs, and `simulate` and `sweep` hold one chip's samples at a time,
+however many chips there are, and sample that chip one chunk of rows at a
+time.  The BCH self-test enumerates the code's 2^16 codewords as 32-bit
+words.
 
 The evaluation datasets are built from random bits, with no sampling, at
-acceptance scale (10 chips x 5000 samples x 32 bits).  Bounds are
+acceptance scale (10 chips x 5000 samples x 32 bits), or with many chips
+of two samples each where the chip count is what grows.  Bounds are
 multiples of an unpacked sample array's size (one byte per bit) and are
 read with tracemalloc, which sees numpy's buffers as well as Python
 objects.
@@ -106,10 +108,11 @@ def test_campaign_samples_a_chip_in_chunks():
     assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
 
 
-def _chip_growth(tmp_path, command, voltages, flags) -> float:
+def _chip_growth(tmp_path, command, voltages, flags, phases=None) -> float:
     """How much a command's run, its arguments parsed, peaks higher for 16
     chips than for 4, in chip blocks: one chip's (n_voltages, T, L)
-    unpacked samples."""
+    unpacked samples.  Given a list, each run reads the last peak appended
+    to phases in place of its own."""
     t = 1000
 
     def peak(n_chips):
@@ -124,7 +127,7 @@ def _chip_growth(tmp_path, command, voltages, flags) -> float:
                                               "--out", str(tmp_path / str(n_chips))])
         code, peak = _traced(lambda: args.func(args))
         assert code == 0
-        return peak
+        return peak if phases is None else phases[-1]
 
     block = len(voltages) * t * L
     peak(2)  # first-use allocations (imports, caches) stay out of the comparison
@@ -149,3 +152,49 @@ def test_simulate_with_report_holds_the_grid_packed(tmp_path):
     grows by at most 3 chip blocks."""
     growth = _chip_growth(tmp_path, "simulate", (1.3,), Flags(emit_histograms=True))
     assert growth <= 3, f"simulate with a report: 12 more chips took {growth:.2f} chip blocks"
+
+
+def test_simulate_scores_its_files_within_the_grid_packed(tmp_path, monkeypatch):
+    """The phase from `dataset.load_dataset`'s entry to `compute_report`'s
+    return, which the run's peak above does not see (sampling sets it),
+    grows by at most 3 chip blocks for 12 more chips: the loaded grid is
+    held packed, and the report scores one chip at a time."""
+    phases = []
+    # chipsim.load_dataset is the dataset module's, which simulate calls.
+    load_dataset, compute_report = chipsim.load_dataset, metrics.compute_report
+
+    def load_from_a_fresh_peak(*args):
+        tracemalloc.reset_peak()
+        phases.append(tracemalloc.get_traced_memory()[0])
+        return load_dataset(*args)
+
+    def score_and_read_the_peak(*args, **kwargs):
+        report = compute_report(*args, **kwargs)
+        phases[-1] = tracemalloc.get_traced_memory()[1] - phases[-1]
+        return report
+    monkeypatch.setattr("ropuf.dataset.load_dataset", load_from_a_fresh_peak)
+    monkeypatch.setattr(metrics, "compute_report", score_and_read_the_peak)
+    growth = _chip_growth(tmp_path, "simulate", (1.3,), Flags(emit_histograms=True), phases)
+    assert len(phases) == 3
+    assert growth <= 3, f"loading and scoring: 12 more chips took {growth:.2f} chip blocks"
+
+
+def test_report_holds_no_chip_pair_list():
+    """compute_report's peak grows with the chip count by at most 1 KiB a
+    chip, from 50 to 800 chips: their 319,600 distances are counted as they
+    are computed, where a list of them would hold 8 bytes a pair (over 3 KiB
+    a chip)."""
+    rng = np.random.default_rng(800)
+
+    def peak(n_chips):
+        cfg = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
+                             samples_per_chip=2, voltages=(1.3,))
+        refs = rng.integers(0, 2, (n_chips, L), dtype=np.uint8)
+        data = packed_dataset(cfg, {1.3: refs}, {1.3: np.stack([refs, refs], axis=1)})
+        report, peak = _traced(lambda: metrics.compute_report(data))
+        assert report.inter.total == n_chips * (n_chips - 1) // 2
+        return peak
+
+    peak(10)  # first-use allocations stay out of the comparison
+    growth = (peak(800) - peak(50)) / 750
+    assert growth <= 1024, f"compute_report took {growth:.0f} bytes a chip"

@@ -20,7 +20,7 @@ def words_strategy(length, n):
 def hamming(a: int, b: int) -> int:
     """Hamming distance of two words, as the pairwise kernel behind
     uniqueness and the inter-chip histogram counts it."""
-    return metrics._pair_distances([a, b])[0]
+    return list(metrics._pair_distances([a, b]))[0]
 
 
 class TestHamming:
@@ -43,7 +43,7 @@ class TestHamming:
         assert hamming(wa, wb) == hamming(wb, wa)
         assert (hamming(wa, wb) == 0) == (a[:n] == b[:n])
         assert hamming(wa, wc) <= hamming(wa, wb) + hamming(wb, wc)
-        assert metrics._pair_distances([wa, wb, wc]) == [
+        assert list(metrics._pair_distances([wa, wb, wc])) == [
             hamming(wa, wb), hamming(wa, wc), hamming(wb, wc)]
 
 

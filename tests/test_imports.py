@@ -24,6 +24,8 @@ not the package, and neither the codec, the evaluation code, `csv` nor
 heapq; `sweep` loads no dataset module, and in both only `chipsim`, which
 imports numpy, and `rng` finish loading after numpy.  A configuration or
 `--threads` they refuse exits 2 before numpy loads and `--out` is made.
+The tests that held these pins before the table keep their names and
+read the same runs: `probe` starts one interpreter per (row, mode).
 
 The other tests check the lazy package, the partial load of
 `numpy.random`, numpy's streams, and two scans of the sources: only
@@ -36,6 +38,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -66,6 +69,7 @@ SAMPLING_FREE = (*HEAVY, "numpy.random", "numpy.random.mtrand", "numpy.random._m
 SAMPLED_LAST = ("ropuf.rng", "ropuf.chipsim")
 DATASET = Path(__file__).parent / "data" / "dataset.csv"
 SRC = str(Path(ropuf.__file__).resolve().parents[1])
+MODES = ("program", "in_process")  # as the `ropuf` script runs main, and main(argv)
 
 
 def _child(code: str, *args: str, cwd: Path | None = None) -> str:
@@ -121,7 +125,7 @@ class Command:
     after_numpy: tuple[str, ...] = ()  # the ropuf modules that finish loading after numpy
     files: tuple[str, ...] = ()  # must exist afterwards, and match FILE_DIGESTS where pinned
     no_files: tuple[str, ...] = ()  # must not exist afterwards
-    modes: tuple[str, ...] = ("program", "in_process")
+    modes: tuple[str, ...] = MODES
 
 
 def _metrics(dataset: str, *flags: str) -> Command:
@@ -187,23 +191,123 @@ def odd_dataset(tmp_path_factory):
     return path
 
 
+# A row's run: its directory, and what PROBE printed (`loaded` in load order).
+Run = namedtuple("Run", "cwd rc err loaded blocked sha256")
+
+
+@pytest.fixture(scope="module")
+def probe(tmp_path_factory, odd_dataset):
+    """The one run of each (row, mode), in its own directory with the
+    CONFIGS files, made on first use and shared by the tests that read it."""
+    runs = {}
+
+    def run(name: str, mode: str) -> Run:
+        if (name, mode) not in runs:
+            cwd = tmp_path_factory.mktemp(f"{name}-{mode}")
+            for file, config in CONFIGS.items():
+                (cwd / file).write_text(json.dumps(config))
+            argv = [arg.format(frozen=DATASET, odd=odd_dataset) for arg in COMMANDS[name].argv]
+            runs[name, mode] = Run(cwd, *json.loads(_child(PROBE, mode, *argv, cwd=cwd)))
+        return runs[name, mode]
+    return run
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name, mode", CASES, ids=[f"{name}-{mode}" for name, mode in CASES])
-def test_command(tmp_path, odd_dataset, name, mode):
-    row = COMMANDS[name]
-    for file, config in CONFIGS.items():
-        (tmp_path / file).write_text(json.dumps(config))
-    argv = [arg.format(frozen=DATASET, odd=odd_dataset) for arg in row.argv]
-    rc, err, loaded, blocked, sha256 = json.loads(_child(PROBE, mode, *argv, cwd=tmp_path))
-    assert rc == row.rc, err
-    assert re.fullmatch(row.stderr, err, re.DOTALL), err
-    assert [m for m in loaded if any(fnmatchcase(m, p) for p in row.absent)] == []
-    after = loaded[loaded.index("numpy"):] if "numpy" in loaded else []
+def test_command(probe, name, mode):
+    row, run = COMMANDS[name], probe(name, mode)
+    assert run.rc == row.rc, run.err
+    assert re.fullmatch(row.stderr, run.err, re.DOTALL), run.err
+    assert [m for m in run.loaded if any(fnmatchcase(m, p) for p in row.absent)] == []
+    after = run.loaded[run.loaded.index("numpy"):] if "numpy" in run.loaded else []
     assert tuple(m for m in after if m.startswith("ropuf.")) == row.after_numpy
-    assert (blocked, sha256) == ([], "openssl_sha256")
+    assert (run.blocked, run.sha256) == ([], "openssl_sha256")
     for file in row.files:
-        digest = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
-        assert digest == FILE_DIGESTS.get(file, digest), file
-    assert [file for file in row.no_files if (tmp_path / file).exists()] == []
+        assert _digest(run.cwd / file) == FILE_DIGESTS.get(file, _digest(run.cwd / file)), file
+    assert [file for file in row.no_files if (run.cwd / file).exists()] == []
+
+
+# The pins of the tests that came before the table, each under its own
+# name and read from its row's one run.
+def _present(run: Run, modules) -> list[str]:
+    return [m for m in modules if m in run.loaded]
+
+
+def test_bch_selftest_loads_no_campaign_code(probe):
+    run = probe("bch_selftest", "in_process")
+    assert (run.rc, _present(run, ("ropuf.chipsim", "ropuf.config"))) == (0, [])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bch_selftest_loads_no_numpy(probe, mode):
+    """The codec and its self-test are integers throughout."""
+    run = probe("bch_selftest", mode)
+    assert (run.rc, [m for m in run.loaded if m.split(".")[0] == "numpy"]) == (0, [])
+
+
+@pytest.mark.parametrize("flags", ["raw", "post_bch"])
+def test_metrics_loads_no_numpy_random_and_no_openssl(probe, flags):
+    run = probe(f"metrics_frozen_{flags}", "in_process")
+    assert (run.rc, _present(run, ("numpy.random", *HASHING))) == (0, [])
+    assert (run.cwd / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("data", ["frozen_raw", "frozen_post_bch", "odd_raw",
+                                  "odd_post_bch_refused"])
+def test_metrics_loads_no_numpy(probe, mode, data):
+    """On the frozen dataset and on an odd-length one."""
+    run = probe(f"metrics_{data}", mode)
+    assert [m for m in run.loaded if m.split(".")[0] == "numpy"] == []
+    assert (run.cwd / "out" / "report.json").exists() == (run.rc == 0)
+
+
+SAMPLING = [("simulate", "program"), ("sweep", "program"),
+            ("simulate", "in_process"), ("sweep", "in_process")]
+
+
+@pytest.mark.parametrize("name, mode", SAMPLING, ids=["simulate-sim", "sweep-sweep",
+                                                      "simulate-sim-in_process",
+                                                      "sweep-sweep-in_process"])
+def test_program_samples_without_openssl(probe, name, mode):
+    """The draws without OpenSSL are the ones the golden pins were made from."""
+    run = probe(name, mode)
+    assert (run.rc, _present(run, SAMPLING_FREE)) == (0, [])
+    pinned = [file for file in COMMANDS[name].files if file in FILE_DIGESTS]
+    assert len(pinned) == 2
+    assert [file for file in pinned if _digest(run.cwd / file) != FILE_DIGESTS[file]] == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sampling_leaves_openssl_loadable(probe, mode):
+    """No module is blocked: a later `import hashlib` loads OpenSSL."""
+    run = probe("simulate", mode)
+    assert (run.rc, run.blocked, run.sha256) == (0, [], "openssl_sha256")
+
+
+def test_simulate_without_a_report_loads_no_metrics(probe):
+    run = probe("simulate", "in_process")
+    assert (run.rc, "ropuf.metrics" in run.loaded) == (0, False)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sweep_loads_no_dataset_module_and_no_csv(probe, mode):
+    """A sweep writes no dataset, and writes sweep.csv's lines by hand."""
+    run = probe("sweep", mode)
+    assert (run.rc, _present(run, ("ropuf.dataset", "csv", "_csv"))) == (0, [])
+
+
+@pytest.mark.parametrize("name, mode", [(n, m) for n in ("simulate", "sweep") for m in MODES],
+                         ids=["program", "in_process", "sweep-program", "sweep-in_process"])
+def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(probe, name, mode):
+    """Only `chipsim`, which imports numpy, and `rng` finish loading after
+    numpy: `simulate` compiles its dataset module before numpy loads."""
+    run = probe(name, mode)
+    after = [m for m in run.loaded[run.loaded.index("numpy"):] if m.startswith("ropuf.")]
+    assert (run.rc, _present(run, ("csv", "_csv")), after) == (0, [], list(SAMPLED_LAST))
 
 
 SUBMODULES = ("errors", "ro", "rng", "chipsim", "dataset", "config", "bch", "metrics", "cost")

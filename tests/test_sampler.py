@@ -37,6 +37,20 @@ def loaded_words(tmp_path, words: list[str], length: int) -> np.ndarray:
     return held(chipsim.load_dataset(csv_path, sidecar), 1.3)[1][0]
 
 
+class TestResponseWord:
+    """One response word, an (L,) bit array, as its hex word."""
+
+    def test_hex_round_trip(self, rng, tmp_path):
+        w = rng.integers(0, 2, 32, dtype=np.uint8)
+        words = list(hex_words(chipsim.pack_rows(w[None, :]).tobytes(), 32))
+        assert np.array_equal(hex_to_rows(words, 32)[0], w)
+        assert np.array_equal(unpack_rows(loaded_words(tmp_path, words, 32), 32)[0], w)
+
+    def test_hex_is_msb_first(self):
+        w = word_of([1] + [0] * 15)
+        assert list(hex_words(chipsim.pack_rows(w[None, :]).tobytes(), 16)) == ["8000"]
+
+
 class TestHexCodec:
     """hex_words writes the words; load_dataset decodes them."""
 
@@ -45,11 +59,9 @@ class TestHexCodec:
     @pytest.mark.parametrize("length", LENGTHS)
     def test_agrees_with_int_oracle_and_round_trips(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (12, length), dtype=np.uint8)
-        rows[0], rows[1], rows[2] = 0, 1, 0
-        rows[2, 0] = 1  # bit 0 alone: the word's most significant bit
+        rows[0], rows[1] = 0, 1
         words = list(hex_words(chipsim.pack_rows(rows).tobytes(), length))
         assert words == [hex_word(r) for r in rows]
-        assert words[2] == format(1 << length - 1, f"0{-(-length // 4)}x")  # "8000" at L = 16
         assert all(len(w) == -(-length // 4) for w in words)
         assert np.array_equal(hex_to_rows(words, length), rows)
         back = unpack_rows(loaded_words(tmp_path, words, length), length)

@@ -16,9 +16,9 @@ _HOME = {
     "Coupling": "ro", "RoInstance": "ro", "RoParams": "ro", "apply_coupling": "ro",
     "period_at_voltage": "ro", "realize_ro": "ro",
     "CampaignConfig": "config",
-    "Campaign": "chipsim", "Chip": "chipsim", "PufUnit": "chipsim", "build_population": "chipsim",
-    "enroll_id": "chipsim", "fit_sweep": "chipsim", "linear_fit": "chipsim",
-    "run_campaign": "chipsim", "sample_word": "chipsim", "voltage_sweep": "chipsim",
+    "Campaign": "chipsim", "PufUnit": "chipsim", "enroll_id": "chipsim", "fit_sweep": "chipsim",
+    "linear_fit": "chipsim", "run_campaign": "chipsim", "sample_word": "chipsim",
+    "voltage_sweep": "chipsim",
     "CampaignDataset": "dataset", "load_dataset": "dataset", "save_dataset": "dataset",
     "HdHistogram": "metrics", "MetricsReport": "metrics", "compute_report": "metrics",
     "reliability": "metrics", "uniformity": "metrics", "uniqueness": "metrics",

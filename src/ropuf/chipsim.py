@@ -13,19 +13,20 @@ level.  Only the period ratio matters, never the absolute time scale.
 Words here are (L,) rows of bits; a campaign packs them with pack_rows,
 and evaluation reads each packed word as an integer.
 
-A campaign realizes N chips from one parameter family, enrolls a
-reference ID per chip and voltage, then collects T fresh-jitter samples
-per (chip, voltage) cell.  Every stochastic draw comes from a stream
-keyed by (master seed, purpose, chip, unit) through rng.keyed_rng, whose
-rows have a width that depends on the word length only, so the full grid
-and any sub-grid produce identical bits, and sample t is the same enable
-cycle at every voltage (common random numbers).
+A campaign realizes N chips from one parameter family, each as it
+reaches it, enrolls a reference ID per chip and voltage, then collects
+T fresh-jitter samples per (chip, voltage) cell.  Every stochastic draw
+comes from a stream keyed by (master seed, purpose, chip, unit) through
+rng.keyed_rng, whose rows have a width that depends on the word length
+only, so the full grid and any sub-grid produce identical bits, and
+sample t is the same enable cycle at every voltage (common random
+numbers).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -186,41 +187,15 @@ def enroll_id(unit: PufUnit, repetitions: int, v: float, seed: int) -> np.ndarra
 CHUNK_ROWS = 64
 
 
-@dataclass(frozen=True)
-class Chip:
-    """One simulated die: an ordered list of PUF units."""
-
-    chip_id: int
-    units: tuple[PufUnit, ...]
-
-
-def build_population(config: CampaignConfig, params: ro.RoParams,
-                     coupling: ro.Coupling = ro.Coupling.none()) -> list[Chip]:
-    """Realize n_chips chips, each with pairs_per_id independent RO pairs."""
-    config.validate(params)
-    chips = []
-    for c in range(config.n_chips):
-        units = []
-        for u in range(config.pairs_per_id):
-            ro1 = ro.realize_ro(params, (config.master_seed, TAG_REALIZE, c, u, 0))
-            ro2 = ro.realize_ro(params, (config.master_seed, TAG_REALIZE, c, u, 1))
-            units.append(PufUnit(ro1=ro1, ro2=ro2, coupling=coupling,
-                                 word_length=config.word_length,
-                                 reference_voltage=params.reference_voltage))
-        chips.append(Chip(chip_id=c, units=tuple(units)))
-    return chips
-
-
 @dataclass
 class Campaign:
-    """A campaign sampled on demand: iterating it yields, chip by chip, a
-    block (refs, cells) that holds, per voltage, the chip's reference and
-    its T samples as bytes packed by pack_rows, so a consumer holds one
-    chip's block.  Each unit draws its enrollment block and sample rows
-    once and evaluates them at every voltage, in this process.  Every
-    check runs at creation."""
+    """A campaign sampled on demand: iterating it realizes each chip (see
+    units) and yields, chip by chip, a block (refs, cells) that holds, per
+    voltage, the chip's reference and its T samples as bytes packed by
+    pack_rows, so a consumer holds one chip and its block.  Each unit
+    draws its enrollment block and sample rows once and evaluates them at
+    every voltage, in this process.  Every check runs at creation."""
 
-    chips: list[Chip] = field(repr=False)
     config: CampaignConfig
     ro_params: ro.RoParams
     coupling: ro.Coupling = ro.Coupling.none()
@@ -228,20 +203,30 @@ class Campaign:
 
     def __post_init__(self):
         self.config.validate(self.ro_params)
-        if len(self.chips) != self.config.n_chips:
-            raise ConfigurationError("chip list does not match config.n_chips")
+
+    def units(self, c: int) -> tuple[PufUnit, ...]:
+        """The pairs_per_id RO pairs of chip c: oscillator i (0 for RO1, 1
+        for RO2) of unit u is realized from the stream keyed by
+        (master seed, TAG_REALIZE, c, u, i), so chip c is the same whenever
+        it is drawn."""
+        cfg, params = self.config, self.ro_params
+        return tuple(PufUnit(ro1=ro.realize_ro(params, (cfg.master_seed, TAG_REALIZE, c, u, 0)),
+                             ro2=ro.realize_ro(params, (cfg.master_seed, TAG_REALIZE, c, u, 1)),
+                             coupling=self.coupling, word_length=cfg.word_length,
+                             reference_voltage=params.reference_voltage)
+                     for u in range(cfg.pairs_per_id))
 
     def __iter__(self):
         cfg = self.config
         seed, voltages, lw = cfg.master_seed, cfg.voltages, cfg.word_length
         b1w, n2 = normal_widths(lw)
         n_volts, n_samples = len(voltages), cfg.samples_per_chip
-        for chip in self.chips:
-            c = chip.chip_id
+        for c in range(cfg.n_chips):
+            units = self.units(c)
             refs = pack_rows(np.concatenate([self._enroll(unit, c, u)
-                                             for u, unit in enumerate(chip.units)], axis=-1))
+                                             for u, unit in enumerate(units)], axis=-1))
             streams = [(keyed_rng(seed, TAG_RO1, c, u), keyed_rng(seed, TAG_RO2, c, u))
-                       for u in range(len(chip.units))]
+                       for u in range(len(units))]
             cells = np.empty((n_volts, n_samples, refs.shape[-1]), dtype=np.uint8)
             for start in range(0, n_samples, CHUNK_ROWS):
                 n = min(CHUNK_ROWS, n_samples - start)
@@ -249,7 +234,7 @@ class Campaign:
                     _at_voltages(unit, voltages, ro1.standard_normal((n, b1w)),
                                  ro2.standard_normal((n, n2)),
                                  lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
-                    for u, (unit, (ro1, ro2)) in enumerate(zip(chip.units, streams))], axis=-1))
+                    for u, (unit, (ro1, ro2)) in enumerate(zip(units, streams))], axis=-1))
             yield list(map(memoryview, refs)), list(map(memoryview, cells.reshape(n_volts, -1)))
 
     def _enroll(self, unit: PufUnit, c: int, u: int) -> np.ndarray:
@@ -276,12 +261,13 @@ def _at_voltages(unit: PufUnit, voltages, g1: np.ndarray, g2: np.ndarray,
     return np.stack([sample_rows(unit, v, g1, g2, extension) for v in voltages])
 
 
-def run_campaign(chips: list[Chip], config: CampaignConfig, ro_params: ro.RoParams,
+def run_campaign(config: CampaignConfig, ro_params: ro.RoParams,
                  coupling: ro.Coupling = ro.Coupling.none()) -> CampaignDataset:
-    """A Campaign collected, each chip's block held as it arrives (no command calls it)."""
+    """The Campaign of config collected: every chip's block, held as it
+    arrives (no command calls it)."""
     from .dataset import CampaignDataset
     return CampaignDataset(config, ro_params, coupling,
-                           list(Campaign(chips, config, ro_params, coupling)))
+                           list(Campaign(config, ro_params, coupling)))
 
 
 def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float | None = None

@@ -43,14 +43,6 @@ def _run_config(args):
     return cfg
 
 
-def _campaign(cfg):
-    """The chipsim.Campaign of run configuration cfg, every check done and
-    nothing sampled yet."""
-    from . import chipsim
-    chips = chipsim.build_population(cfg.campaign, cfg.ro_params, cfg.coupling)
-    return chipsim.Campaign(chips, cfg.campaign, cfg.ro_params, cfg.coupling)
-
-
 def cmd_simulate(args) -> int:
     # The numpy-free modules first (see the module docstring).
     from . import dataset
@@ -58,7 +50,7 @@ def cmd_simulate(args) -> int:
     if cfg.flags.emit_histograms:
         from . import metrics
     from . import chipsim
-    campaign = _campaign(cfg)
+    campaign = chipsim.Campaign(cfg.campaign, cfg.ro_params, cfg.coupling)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path, sidecar = out / "dataset.csv", out / "dataset.json"
@@ -112,7 +104,7 @@ def cmd_sweep(args) -> int:
     if len(cfg.campaign.voltages) < 2:
         raise ConfigurationError("voltages_v: sweep needs at least two voltages")
     from . import chipsim
-    campaign = _campaign(cfg)
+    campaign = chipsim.Campaign(cfg.campaign, cfg.ro_params, cfg.coupling)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     fit = _write_sweep_files(out, chipsim.voltage_sweep(campaign))

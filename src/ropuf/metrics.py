@@ -241,6 +241,8 @@ def compute_report(campaign, voltage: float | None = None,
     if v not in cfg.voltages:
         raise ValueError(f"voltage {v} not in dataset")
     k, k0 = cfg.voltages.index(v), cfg.voltages.index(v0)
+    if post_bch and cfg.id_length < bch.N:  # before the shift below goes negative
+        raise ValueError(f"ID shorter than the {bch.N}-bit code")
     length = bch.N if post_bch else cfg.id_length
     shift = cfg.id_length - length  # post-BCH words are the top 31 bits of an ID
     intra = [0] * (length + 1)

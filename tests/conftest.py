@@ -1,5 +1,7 @@
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -25,6 +27,20 @@ def make_unit(t1: float, t2: float, coupling: ro.Coupling | None = None,
         coupling=coupling or ro.Coupling.none(),
         word_length=word_length,
     )
+
+
+@dataclass
+class HandMadeCampaign(chipsim.Campaign):
+    """A campaign whose chip c has the units chip_units(c) in place of the
+    ones Campaign.units realizes; collect() holds every chip block."""
+
+    chip_units: Callable[[int], tuple[chipsim.PufUnit, ...]] = field(kw_only=True)
+
+    def units(self, c: int) -> tuple[chipsim.PufUnit, ...]:
+        return self.chip_units(c)
+
+    def collect(self) -> CampaignDataset:
+        return CampaignDataset(self.config, self.ro_params, self.coupling, list(self))
 
 
 def word_of(bits) -> np.ndarray:

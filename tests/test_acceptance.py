@@ -66,8 +66,7 @@ def default_campaigns():
     for label, coupling in (("none", ro.Coupling.none()),
                             ("capacitive",
                              ro.Coupling.capacitive(ro.DEFAULT_CAPACITIVE_STRENGTH))):
-        chips = chipsim.build_population(cfg, params, coupling)
-        datasets[label] = chipsim.run_campaign(chips, cfg, params, coupling)
+        datasets[label] = chipsim.run_campaign(cfg, params, coupling)
     return datasets, cfg, time.perf_counter() - t0
 
 
@@ -177,8 +176,7 @@ def test_criterion_7_inverter_loop_degeneracy():
     cfg = chipsim.CampaignConfig(n_chips=N_CHIPS, samples_per_chip=50,
                                  enroll_repetitions=25, master_seed=SEED)
     coupling = ro.Coupling.inverter_loop()
-    chips = chipsim.build_population(cfg, params, coupling)
-    ds = chipsim.run_campaign(chips, cfg, params, coupling)
+    ds = chipsim.run_campaign(cfg, params, coupling)
     refs = held(ds, 1.3)[0]
     constant = all(np.array_equal(r, refs[0]) for r in refs)
     all_zero = not refs[0].any()
@@ -195,8 +193,7 @@ def test_criterion_8_voltage_linearity():
                                  enroll_repetitions=49,
                                  voltages=(1.20, 1.25, 1.30, 1.35, 1.40),
                                  master_seed=SEED)
-    chips = chipsim.build_population(cfg, params)
-    ds = chipsim.run_campaign(chips, cfg, params)
+    ds = chipsim.run_campaign(cfg, params)
     series = chipsim.voltage_sweep(ds)
     fit = chipsim.fit_sweep(series)
     by_level: dict[float, list[float]] = {}
@@ -211,8 +208,7 @@ def test_criterion_8_voltage_linearity():
                                       enroll_repetitions=9,
                                       voltages=(1.20, 1.25, 1.30, 1.35, 1.40),
                                       master_seed=SEED)
-    flat_chips = chipsim.build_population(flat_cfg, flat_params)
-    flat_ds = chipsim.run_campaign(flat_chips, flat_cfg, flat_params)
+    flat_ds = chipsim.run_campaign(flat_cfg, flat_params)
     flat_zero = all(shift == 0.0 for _, shift in chipsim.voltage_sweep(flat_ds))
 
     ok = monotone and fit["r2"] > 0.9 and flat_zero

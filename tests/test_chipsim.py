@@ -18,28 +18,31 @@ def small_campaign(master_seed=5, voltages=(1.3,), params=None,
     params = params or ro.RoParams()
     cfg = chipsim.CampaignConfig(voltages=voltages, master_seed=master_seed,
                                  **{**FAST, **overrides})
-    chips = chipsim.build_population(cfg, params, coupling)
-    return chipsim.run_campaign(chips, cfg, params, coupling), cfg, params
+    return chipsim.run_campaign(cfg, params, coupling), cfg, params
 
 
 class TestPopulation:
     def test_shapes(self):
         cfg = chipsim.CampaignConfig(n_chips=10, pairs_per_id=2, word_length=16)
-        chips = chipsim.build_population(cfg, ro.RoParams())
+        campaign = chipsim.Campaign(cfg, ro.RoParams())
+        chips = [campaign.units(c) for c in range(cfg.n_chips)]
         assert len(chips) == 10
-        assert all(len(c.units) == 2 for c in chips)
+        assert all(len(units) == 2 for units in chips)
         assert cfg.id_length == 32
 
     def test_same_seed_identical_population(self):
         cfg = chipsim.CampaignConfig(master_seed=77, **FAST)
-        a = chipsim.build_population(cfg, ro.RoParams())
-        b = chipsim.build_population(cfg, ro.RoParams())
-        assert a == b
+        a = chipsim.Campaign(cfg, ro.RoParams())
+        b = chipsim.Campaign(cfg, ro.RoParams())
+        assert [a.units(c) for c in range(cfg.n_chips)] == \
+            [b.units(c) for c in range(cfg.n_chips)]
 
     def test_zero_process_variation_clones_chips(self):
         params = ro.RoParams(process_sigma=0.0, jitter_sigma=0.0,
                              voltage_sensitivity_sigma=0.0)
         ds, cfg, _ = small_campaign(params=params)
+        campaign = chipsim.Campaign(cfg, params)
+        assert all(campaign.units(c) == campaign.units(0) for c in range(cfg.n_chips))
         refs = held(ds, 1.3)[0]
         assert all(np.array_equal(r, refs[0]) for r in refs)
         assert metrics.uniqueness([bits_word(r) for r in refs], cfg.id_length) == 0.0
@@ -90,15 +93,11 @@ class TestCampaign:
             assert np.array_equal(a_cells[c], b_cells[c])
 
     def test_campaign_checks_before_sampling(self, monkeypatch):
-        params = ro.RoParams()
-        cfg = chipsim.CampaignConfig(voltages=(1.3,), **FAST)
-        chips = chipsim.build_population(cfg, params)
         monkeypatch.setattr(chipsim, "sample_rows", None)  # sampling would raise TypeError
-        for args, match in [((chips[:-1], cfg, params), "n_chips"),
-                            ((chips, chipsim.CampaignConfig(voltages=(2.8,), **FAST), params),
-                             "model range")]:
+        for overrides, match in [({"n_chips": 1, "voltages": (1.3,)}, "n_chips"),
+                                 ({"voltages": (2.8,)}, "model range")]:
             with pytest.raises(ConfigurationError, match=match):
-                chipsim.Campaign(*args)
+                chipsim.Campaign(chipsim.CampaignConfig(**{**FAST, **overrides}), ro.RoParams())
 
     def test_streams_keyed_by_voltage_value(self):
         # shared voltages give identical words no matter what else is swept
@@ -138,8 +137,7 @@ class TestVoltageSweep:
         cfg = chipsim.CampaignConfig(n_chips=20, samples_per_chip=40,
                                      enroll_repetitions=19,
                                      voltages=(1.2, 1.3, 1.4), master_seed=6)
-        chips = chipsim.build_population(cfg, params)
-        ds = chipsim.run_campaign(chips, cfg, params)
+        ds = chipsim.run_campaign(cfg, params)
         series = dict(chipsim.voltage_sweep(ds))
         shifts = {round(dv, 2): s for dv, s in series.items()}
         assert shifts[-0.1] > 0.0 and shifts[0.1] > 0.0
@@ -159,7 +157,7 @@ class TestVoltageSweep:
         params = ro.RoParams()
         cfg = chipsim.CampaignConfig(voltages=(1.2, 1.25, 1.3, 1.35, 1.4), master_seed=8,
                                      **FAST)
-        lazy = chipsim.Campaign(chipsim.build_population(cfg, params), cfg, params)
+        lazy = chipsim.Campaign(cfg, params)
         chipsim.save_dataset(lazy, tmp_path / "d.csv", tmp_path / "d.json")
         loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
         for source in (lazy, loaded):
@@ -328,9 +326,8 @@ class TestChipBlocks:
     def test_every_source_gives_the_same_outputs(self, tmp_path):
         params = ro.RoParams()
         cfg = chipsim.CampaignConfig(voltages=(1.25, 1.3, 1.35), master_seed=31, **FAST)
-        chips = chipsim.build_population(cfg, params)
-        lazy = chipsim.Campaign(chips, cfg, params)
-        held = chipsim.run_campaign(chips, cfg, params)
+        lazy = chipsim.Campaign(cfg, params)
+        held = chipsim.run_campaign(cfg, params)
         chipsim.save_dataset(held, tmp_path / "held.csv", tmp_path / "held.json")
         chipsim.save_dataset(lazy, tmp_path / "lazy.csv", tmp_path / "lazy.json")
         for suffix in ("csv", "json"):

@@ -113,9 +113,9 @@ class TestSimulate:
         write_config(cfg, voltages=(1.25, 1.3))
         out = tmp_path / "o"
 
-        def unreachable(*args):  # --threads is checked before the population is built
-            raise AssertionError("population built before --threads was checked")
-        monkeypatch.setattr(chipsim, "build_population", unreachable)
+        def unreachable(*args):  # --threads is checked before the campaign is built
+            raise AssertionError("campaign built before --threads was checked")
+        monkeypatch.setattr(chipsim, "Campaign", unreachable)
         for command in ("simulate", "sweep"):
             assert cli.main([command, "--config", str(cfg), "--out", str(out),
                              "--threads", "0"]) == 2

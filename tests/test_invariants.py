@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import held, make_unit
+from conftest import HandMadeCampaign, held, make_unit
 from oracles import toggle_counts, unpack_rows
 from ropuf import chipsim, ro, rng as keyed
 from ropuf.chipsim import PufUnit, normal_widths
@@ -45,12 +45,13 @@ def campaigns(draw):
 
 
 def run(cfg, params, coupling, squeeze):
-    chips = []
-    for chip in chipsim.build_population(cfg, params, coupling):
-        first = chip.units[0]
+    realized = chipsim.Campaign(cfg, params, coupling)
+
+    def squeezed(c):
+        first, *rest = realized.units(c)
         fast = replace(first.ro1, period_at_ref=first.ro1.period_at_ref / squeeze)
-        chips.append(chipsim.Chip(chip.chip_id, (replace(first, ro1=fast),) + chip.units[1:]))
-    return chipsim.run_campaign(chips, cfg, params, coupling)
+        return (replace(first, ro1=fast), *rest)
+    return HandMadeCampaign(cfg, params, coupling, chip_units=squeezed).collect()
 
 
 def assert_cells_equal(a, b, voltages, chips=slice(None), samples=slice(None)):
@@ -128,7 +129,6 @@ def test_ro2_jitter_is_common_across_voltages():
     # RO2 alone has jitter 0.002, which tells its calls from RO1's
     units = [PufUnit(ro.RoInstance(t1, g1, 0.001), ro.RoInstance(t2, g2, 0.002))
              for t1, g1, t2, g2 in ((1.07e-9, 0.2, 1.0e-9, 0.8), (0.91e-9, 0.9, 1.03e-9, 0.1))]
-    chips = [chipsim.Chip(c, (unit,)) for c, unit in enumerate(units)]
     calls, real = [], ro.jittered_half_periods  # RO2's (period, one row of normals)
 
     def record(period, sigma, gaussians):
@@ -137,7 +137,7 @@ def test_ro2_jitter_is_common_across_voltages():
         return real(period, sigma, gaussians)
 
     with mock.patch.object(ro, "jittered_half_periods", record):
-        chipsim.run_campaign(chips, cfg, ro.RoParams())
+        HandMadeCampaign(cfg, ro.RoParams(), chip_units=lambda c: (units[c],)).collect()
     for unit in units:
         draws = [np.array([row for period, row in calls
                            if period == ro.period_at_voltage(unit.ro2, v, V0)])
@@ -187,7 +187,7 @@ def test_chunks_extend_rows_from_their_own_keys():
                                  samples_per_chip=n_samples, enroll_repetitions=reps,
                                  voltages=(1.3,), master_seed=seed)
     # T2 = 6 T1: every row runs short of its B1 RO1 boundaries and extends.
-    chips = [chipsim.Chip(c, (make_unit(0.2e-9, 1.2e-9, jitter=0.004),)) for c in range(2)]
+    unit = make_unit(0.2e-9, 1.2e-9, jitter=0.004)
     keys, real = [], chipsim.keyed_rng
 
     def recording(*key):
@@ -196,7 +196,7 @@ def test_chunks_extend_rows_from_their_own_keys():
 
     with mock.patch.object(chipsim, "CHUNK_ROWS", 1), \
             mock.patch.object(chipsim, "keyed_rng", recording):
-        chipsim.run_campaign(chips, cfg, ro.RoParams())
+        HandMadeCampaign(cfg, ro.RoParams(), chip_units=lambda c: (unit,)).collect()
     for tag, n in ((keyed.TAG_ENROLL_EXTEND, reps), (keyed.TAG_EXTEND, n_samples)):
         assert sorted(k[2:] for k in keys if k[:2] == (seed, tag)) == \
             [(c, 0, i) for c in range(2) for i in range(n)], tag
@@ -210,16 +210,15 @@ def test_stream_layout_rebuilt_row_by_row():
                                  samples_per_chip=n_samples, enroll_repetitions=reps,
                                  voltages=voltages, master_seed=seed)
     coupling = ro.Coupling.capacitive(0.3)
-    chips = [chipsim.Chip(c, (make_unit(0.2e-9 + 0.01e-9 * c, 1.2e-9, jitter=0.004),
-                              make_unit(1.1e-9, 1.0e-9 - 0.02e-9 * c, coupling, jitter=0.004)))
+    chips = [(make_unit(0.2e-9 + 0.01e-9 * c, 1.2e-9, jitter=0.004),
+              make_unit(1.1e-9, 1.0e-9 - 0.02e-9 * c, coupling, jitter=0.004))
              for c in range(2)]
-    ds = chipsim.run_campaign(chips, cfg, ro.RoParams())
+    ds = HandMadeCampaign(cfg, ro.RoParams(), chip_units=chips.__getitem__).collect()
     b1w, n2 = normal_widths(16)
     assert b1w * 0.21e-9 < n2 * 1.19e-9  # unit 0: B1 half-periods of RO1 fall short
     grid = {v: held(ds, v) for v in voltages}
-    for chip in chips:
-        c = chip.chip_id
-        for u, unit in enumerate(chip.units):
+    for c, units in enumerate(chips):
+        for u, unit in enumerate(units):
             g1 = keyed.keyed_rng(seed, keyed.TAG_RO1, c, u).standard_normal((n_samples, b1w))
             g2 = keyed.keyed_rng(seed, keyed.TAG_RO2, c, u).standard_normal((n_samples, n2))
             enroll = keyed.keyed_rng(seed, keyed.TAG_ENROLL, c, u).standard_normal((reps, b1w + n2))

@@ -1,10 +1,10 @@
 """Memory bounds: a loaded dataset holds its samples packed, eight bits
 to a byte, loading holds little more than those bytes, a report scores
 the packed samples with one chip's scratch and holds no list of chip
-pairs, and `simulate` and `sweep` hold one chip's samples at a time,
-however many chips there are, and sample that chip one chunk of rows at a
-time.  The BCH self-test enumerates the code's 2^16 codewords as 32-bit
-words.
+pairs, and `simulate` and `sweep` realize each chip as they reach it
+and hold one chip's samples at a time, however many chips there are,
+and sample that chip one chunk of rows at a time.  The BCH self-test
+enumerates the code's 2^16 codewords as 32-bit words.
 
 The evaluation datasets are built from random bits, with no sampling, at
 acceptance scale (10 chips x 5000 samples x 32 bits), or with many chips
@@ -101,11 +101,26 @@ def test_campaign_samples_a_chip_in_chunks():
     cfg = CampaignConfig(n_chips=2, pairs_per_id=2, word_length=L // 2, samples_per_chip=T,
                          enroll_repetitions=99, voltages=(1.3,))
     params = ro.RoParams()
-    chips = iter(chipsim.Campaign(chipsim.build_population(cfg, params), cfg, params))
+    chips = iter(chipsim.Campaign(cfg, params))
     next(chips)  # first-use allocations (caches, the streams' setup) stay out
     (refs, cells), peak = _traced(lambda: next(chips))
     assert [len(r) for r in refs] == [L // 8] and [len(s) for s in cells] == [T * L // 8]
     assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
+
+
+def _command_peak(tmp_path, command, campaign, flags) -> int:
+    """The peak a command's run, its arguments parsed, allocates for the
+    run configuration of campaign and flags."""
+    config = to_dict(RunConfig(campaign=campaign, flags=flags))
+    path = tmp_path / f"run{campaign.n_chips}.json"
+    path.write_text(json.dumps(config))
+    # Parsed outside the trace: argparse leaves reference cycles whose
+    # collection would otherwise fall inside one run or the other.
+    args = cli.build_parser().parse_args([command, "--config", str(path),
+                                          "--out", str(tmp_path / str(campaign.n_chips))])
+    code, peak = _traced(lambda: args.func(args))
+    assert code == 0
+    return peak
 
 
 def _chip_growth(tmp_path, command, voltages, flags, phases=None) -> float:
@@ -118,15 +133,7 @@ def _chip_growth(tmp_path, command, voltages, flags, phases=None) -> float:
     def peak(n_chips):
         campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
                                   samples_per_chip=t, voltages=voltages)
-        config = to_dict(RunConfig(campaign=campaign, flags=flags))
-        path = tmp_path / f"run{n_chips}.json"
-        path.write_text(json.dumps(config))
-        # Parsed outside the trace: argparse leaves reference cycles whose
-        # collection would otherwise fall inside one run or the other.
-        args = cli.build_parser().parse_args([command, "--config", str(path),
-                                              "--out", str(tmp_path / str(n_chips))])
-        code, peak = _traced(lambda: args.func(args))
-        assert code == 0
+        peak = _command_peak(tmp_path, command, campaign, flags)
         return peak if phases is None else phases[-1]
 
     block = len(voltages) * t * L
@@ -198,3 +205,24 @@ def test_report_holds_no_chip_pair_list():
     peak(10)  # first-use allocations stay out of the comparison
     growth = (peak(800) - peak(50)) / 750
     assert growth <= 1024, f"compute_report took {growth:.0f} bytes a chip"
+
+
+@pytest.mark.parametrize("command, voltages, bound", [("simulate", (1.3,), 1280),
+                                                       ("sweep", (1.25, 1.3), 256)])
+def test_campaign_commands_realize_each_chip_as_they_reach_it(tmp_path, command, voltages,
+                                                               bound):
+    """A command's peak grows with the chip count by at most bound bytes a
+    chip, from 50 to 400 chips of two samples each, every flag off: each
+    chip is realized as the campaign reaches it, where a population built
+    up front held about 1 KiB a chip.  What simulate still holds a chip for
+    is the sidecar's hex references (about 0.9 KiB)."""
+    flags = Flags(post_bch=False, emit_histograms=False, emit_sweep=False)
+
+    def peak(n_chips):
+        campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
+                                  samples_per_chip=2, enroll_repetitions=1, voltages=voltages)
+        return _command_peak(tmp_path, command, campaign, flags)
+
+    peak(10)  # first-use allocations stay out of the comparison
+    growth = (peak(400) - peak(50)) / 350
+    assert growth <= bound, f"{command} took {growth:.0f} bytes a chip"

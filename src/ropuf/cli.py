@@ -146,8 +146,8 @@ def cmd_cost(args) -> int:
         }, indent=2))
     else:
         print(f"{'':24s}{'Area (transistors)':>20s}{'Clock cycles':>14s}")
-        print(f"{'Waveform RO-PUF':24s}{wave[0]:>20d}{wave[1]:>14d}")
-        print(f"{'Conventional RO-PUF':24s}{conv[0]:>20d}{conv[1]:>14d}")
+        print(f"{'Waveform RO-PUF':24s}{wave[0]:>20d} {wave[1]:>13d}")
+        print(f"{'Conventional RO-PUF':24s}{conv[0]:>20d} {conv[1]:>13d}")
     return EXIT_OK
 
 

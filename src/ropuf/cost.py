@@ -7,7 +7,6 @@ re-explored at other design points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -48,11 +47,11 @@ def waveform_puf_cost(p: CostParams) -> tuple[int, int]:
     pairs (4 ROs) and 64 FFs, read out in 8 cycles.
     """
     p.validate()
-    n_pairs = math.ceil(p.bits_required / (4 * p.bits_per_word))
+    n_pairs = -(-p.bits_required // (4 * p.bits_per_word))
     n_ros = 2 * n_pairs
     n_ffs = min(p.bits_required, n_ros * p.bits_per_word)
     transistors = n_ros * p.transistors_per_ro + n_ffs * p.transistors_per_ff
-    cycles = math.ceil(p.bits_required / p.bits_per_word)
+    cycles = -(-p.bits_required // p.bits_per_word)
     return transistors, cycles
 
 

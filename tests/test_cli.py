@@ -588,6 +588,18 @@ class TestCost:
     def test_negative_override_is_config_error(self, capsys):
         assert cli.main(["cost", "--per-ff", "-3"]) == 2
 
+    def test_columns_stay_apart_at_any_width(self, capsys):
+        assert cli.main(["cost"]) == 0
+        assert capsys.readouterr().out == (
+            "                          Area (transistors)  Clock cycles\n"
+            "Waveform RO-PUF                         2000             8\n"
+            "Conventional RO-PUF                     3240          2048\n")
+        assert cli.main(["cost", "--bits", str(10 ** 23 - 1)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.rsplit(None, 2)[1:] for row in rows] == [
+            ["1562500000000000000000000", "6250000000000000000000"],
+            ["3240", "1599999999999999999999984"]]
+
 
 # Each case exited 0, exited with the wrong code or message, or raised a
 # traceback before the run config and the sidecar shared one schema.  A

@@ -23,6 +23,11 @@ class TestWaveformCost:
         p = cost.CostParams(transistors_per_ff=0)
         assert cost.waveform_puf_cost(p)[0] == 80
 
+    def test_exact_past_the_float_mantissa(self):
+        # 2**53 + 1 bits: a float ceiling rounds to 2**53 and loses a pair and a cycle.
+        p = cost.CostParams(bits_required=2 ** 53 + 1)
+        assert cost.waveform_puf_cost(p) == (140737488355329000, 562949953421313)
+
 
 class TestConventionalCost:
     def test_defaults_match_comparison_table(self):

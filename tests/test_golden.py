@@ -163,7 +163,19 @@ def _evaluate_frozen(root, frozen):
 
 @pytest.fixture(scope="module")
 def frozen_evaluation(tmp_path_factory):
-    return _evaluate_frozen(tmp_path_factory.mktemp("frozen"), FROZEN)
+    """The outputs over the frozen dataset, and over a copy of it whose
+    CSV words and sidecar references are upper case."""
+    upper = tmp_path_factory.mktemp("frozen_upper_case_source")
+    header, *rows = (FROZEN / "dataset.csv").read_bytes().splitlines(keepends=True)
+    fields = [row.rpartition(b",") for row in rows]
+    (upper / "dataset.csv").write_bytes(
+        header + b"".join(head + comma + word.upper() for head, comma, word in fields))
+    sidecar = json.loads((FROZEN / "dataset.json").read_text())
+    sidecar["references"] = {chip: {v: word.upper() for v, word in refs.items()}
+                             for chip, refs in sidecar["references"].items()}
+    (upper / "dataset.json").write_text(json.dumps(sidecar))
+    return (_evaluate_frozen(tmp_path_factory.mktemp("frozen"), FROZEN),
+            _evaluate_frozen(tmp_path_factory.mktemp("frozen_upper_case"), upper))
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +185,11 @@ def frozen_v2_evaluation(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(FROZEN_DIGESTS))
 def test_frozen_dataset_evaluation_digest(frozen_evaluation, name):
-    assert _sha256((frozen_evaluation / name).read_bytes()) == FROZEN_DIGESTS[name]
+    """The pinned outputs, also over the upper-case copy of the dataset."""
+    lower, upper = frozen_evaluation
+    assert _sha256((lower / name).read_bytes()) == FROZEN_DIGESTS[name]
+    if not name.startswith("dataset."):
+        assert _sha256((upper / name).read_bytes()) == FROZEN_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_V2_DIGESTS))

@@ -56,7 +56,7 @@ class PufUnit:
 
     ro1: ro.RoInstance
     ro2: ro.RoInstance
-    coupling: ro.Coupling = ro.Coupling.none()
+    coupling: ro.Coupling = ro.Coupling()
     word_length: int = 16
     reference_voltage: float = 1.3
 
@@ -198,7 +198,7 @@ class Campaign:
 
     config: CampaignConfig
     ro_params: ro.RoParams
-    coupling: ro.Coupling = ro.Coupling.none()
+    coupling: ro.Coupling = ro.Coupling()
     stream_version = STREAM_VERSION
 
     def __post_init__(self):
@@ -262,7 +262,7 @@ def _at_voltages(unit: PufUnit, voltages, g1: np.ndarray, g2: np.ndarray,
 
 
 def run_campaign(config: CampaignConfig, ro_params: ro.RoParams,
-                 coupling: ro.Coupling = ro.Coupling.none()) -> CampaignDataset:
+                 coupling: ro.Coupling = ro.Coupling()) -> CampaignDataset:
     """The Campaign of config collected: every chip's block, held as it
     arrives (no command calls it)."""
     from .dataset import CampaignDataset
@@ -270,8 +270,7 @@ def run_campaign(config: CampaignConfig, ro_params: ro.RoParams,
                            list(Campaign(config, ro_params, coupling)))
 
 
-def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float | None = None
-                  ) -> list[tuple[float, float]]:
+def voltage_sweep(campaign: CampaignDataset | Campaign) -> list[tuple[float, float]]:
     """Shift of the mean Hamming distance at each voltage, vs. operation
     at the reference voltage.
 
@@ -282,7 +281,7 @@ def voltage_sweep(campaign: CampaignDataset | Campaign, reference_voltage: float
     bytes with its reference repeated T times (pad bits are zero in both).
     """
     cfg = campaign.config
-    v0 = campaign.ro_params.reference_voltage if reference_voltage is None else reference_voltage
+    v0 = campaign.ro_params.reference_voltage
     if v0 not in cfg.voltages:
         raise ValueError(f"reference voltage {v0} not in dataset voltages")
     k0, n_samples = cfg.voltages.index(v0), cfg.samples_per_chip

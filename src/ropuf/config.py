@@ -91,7 +91,7 @@ class RunConfig:
 
     ro_params: ro.RoParams = field(default_factory=ro.RoParams)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
-    coupling: ro.Coupling = field(default_factory=ro.Coupling.none)
+    coupling: ro.Coupling = field(default_factory=ro.Coupling)
     flags: Flags = field(default_factory=Flags)
 
 

@@ -15,7 +15,6 @@ that callers do.
 """
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,18 +118,14 @@ class HdHistogram:
             raise ValueError(f"distance {distance} is not in 0..{self.length}")
         return self.counts[distance] / self.total if self.total else 0.0
 
-    def to_rows(self) -> list[dict]:
-        return [{"population": self.population, "distance": d, "count": c}
-                for d, c in enumerate(self.counts)]
-
 
 def write_histogram_csv(path: str | Path, histograms: list[HdHistogram]) -> None:
-    """One row per distance, per population."""
+    """One row per distance, per population, the lines csv.writer would
+    write: no field needs quotes, and each line ends in \r\n."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["population", "distance", "count"])
-        writer.writeheader()
+        fh.write("population,distance,count\r\n")
         for h in histograms:
-            writer.writerows(h.to_rows())
+            fh.writelines(f"{h.population},{d},{c}\r\n" for d, c in enumerate(h.counts))
 
 
 @dataclass

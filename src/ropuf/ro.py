@@ -83,18 +83,9 @@ class Coupling:
             raise ConfigurationError(f"unknown coupling mode: {self.mode!r}")
         if self.mode == COUPLING_CAPACITIVE and not 0.0 <= self.strength <= 1.0:
             raise ConfigurationError("capacitive coupling strength must be in [0, 1]")
-
-    @classmethod
-    def none(cls) -> "Coupling":
-        return cls(COUPLING_NONE)
-
-    @classmethod
-    def inverter_loop(cls) -> "Coupling":
-        return cls(COUPLING_INVERTER_LOOP)
-
-    @classmethod
-    def capacitive(cls, strength: float) -> "Coupling":
-        return cls(COUPLING_CAPACITIVE, strength)
+        if self.mode != COUPLING_CAPACITIVE and self.strength != 0.0:
+            raise ConfigurationError(f"coupling strength applies to capacitive mode only, "
+                                     f"got {self.strength!r} for {self.mode!r}")
 
 
 def realize_ro(params: RoParams, key: tuple[int, ...]) -> RoInstance:

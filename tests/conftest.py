@@ -24,7 +24,7 @@ def make_unit(t1: float, t2: float, coupling: ro.Coupling | None = None,
     return chipsim.PufUnit(
         ro1=ro.RoInstance(period_at_ref=t1, gamma=gamma1, jitter_sigma=jitter),
         ro2=ro.RoInstance(period_at_ref=t2, gamma=gamma2, jitter_sigma=jitter),
-        coupling=coupling or ro.Coupling.none(),
+        coupling=coupling or ro.Coupling(),
         word_length=word_length,
     )
 
@@ -52,7 +52,7 @@ def packed_dataset(cfg, references: dict, samples: dict) -> CampaignDataset:
     (n_chips, T, L) sample bits, packed into the chip blocks it holds."""
     refs = {v: chipsim.pack_rows(r) for v, r in references.items()}
     cells = {v: chipsim.pack_rows(s) for v, s in samples.items()}
-    return CampaignDataset(cfg, ro.RoParams(), ro.Coupling.none(),
+    return CampaignDataset(cfg, ro.RoParams(), ro.Coupling(),
                            [([refs[v][c].tobytes() for v in cfg.voltages],
                              [cells[v][c].tobytes() for v in cfg.voltages])
                             for c in range(cfg.n_chips)])

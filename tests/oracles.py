@@ -5,6 +5,7 @@ of the defining formulas with explicit loops; none of it shares code
 with the implementations under test.
 """
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,30 @@ def toggle_counts(unit, v: float, g1, g2, extension) -> np.ndarray:
         extra = np.cumsum(half_periods(t1, s1, extension.standard_normal(16)))
         b1 = np.concatenate([b1, b1[-1] + extra])
     return np.searchsorted(b1, edges, side="left")
+
+
+def flip_rates(h1: float, h2: float, sigma1: float, sigma2: float, rho: float,
+               length: int) -> list[float]:
+    """Per-bit probability that a jittered enable cycle reads a bit other
+    than the noiseless word's, by the crossing model.  RO1 boundary j sits
+    at j*h1 and RO2's rising edge k at (2k+1)*h2, each a sum of jittered
+    half-periods (T/2)(1 + sigma g), RO2's normals correlated with RO1's
+    by rho; their difference is Gaussian with mean j*h1 - (2k+1)*h2 and
+    variance s1^2 h1^2 j + s2^2 h2^2 (2k+1) - 2 rho s1 s2 h1 h2 min(j, 2k+1).
+    Boundary j lands on the other side of the edge with probability
+    q_j = Phi(-|mean|/sd); taking crossings as independent, bit k flips
+    when an odd number of them do: (1 - prod_j (1 - 2 q_j)) / 2."""
+    rates = []
+    for k in range(length):
+        m = 2 * k + 1
+        keep = 1.0
+        for j in range(1, 2 * math.ceil(m * h2 / h1) + 8):  # far boundaries never cross
+            var = (sigma1 * h1) ** 2 * j + (sigma2 * h2) ** 2 * m \
+                - 2.0 * rho * sigma1 * sigma2 * h1 * h2 * min(j, m)
+            if var > 0.0:
+                keep *= 1.0 - math.erfc(abs(j * h1 - m * h2) / math.sqrt(2.0 * var))
+        rates.append((1.0 - keep) / 2.0)
+    return rates
 
 
 def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
@@ -154,12 +179,12 @@ def line_fit_by_polyfit(points) -> dict:
             "r2": 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot}
 
 
-def sweep_by_numpy(campaign, reference_voltage=None) -> list[tuple[float, float]]:
+def sweep_by_numpy(campaign) -> list[tuple[float, float]]:
     """chipsim.voltage_sweep with each cell's mismatches counted by numpy:
     the packed samples viewed as (T, ceil(L/8)) bytes, XORed with the
     packed reference at V0 and their set bits summed."""
     cfg = campaign.config
-    v0 = campaign.ro_params.reference_voltage if reference_voltage is None else reference_voltage
+    v0 = campaign.ro_params.reference_voltage
     k0 = cfg.voltages.index(v0)
     mismatches = [0] * len(cfg.voltages)
     for refs, cells in campaign:

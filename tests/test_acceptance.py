@@ -63,9 +63,9 @@ def default_campaigns():
                                  enroll_repetitions=99, master_seed=SEED)
     t0 = time.perf_counter()
     datasets = {}
-    for label, coupling in (("none", ro.Coupling.none()),
+    for label, coupling in (("none", ro.Coupling()),
                             ("capacitive",
-                             ro.Coupling.capacitive(ro.DEFAULT_CAPACITIVE_STRENGTH))):
+                             ro.Coupling("capacitive", ro.DEFAULT_CAPACITIVE_STRENGTH))):
         datasets[label] = chipsim.run_campaign(cfg, params, coupling)
     return datasets, cfg, time.perf_counter() - t0
 
@@ -175,7 +175,7 @@ def test_criterion_7_inverter_loop_degeneracy():
     params = ro.RoParams()
     cfg = chipsim.CampaignConfig(n_chips=N_CHIPS, samples_per_chip=50,
                                  enroll_repetitions=25, master_seed=SEED)
-    coupling = ro.Coupling.inverter_loop()
+    coupling = ro.Coupling("inverter_loop")
     ds = chipsim.run_campaign(cfg, params, coupling)
     refs = held(ds, 1.3)[0]
     constant = all(np.array_equal(r, refs[0]) for r in refs)

@@ -277,6 +277,7 @@ class TestSelftest:
         assert all(ok for _, ok in results), results
 
     def test_tampered_generator_fails_distance_check(self, monkeypatch):
+        bch._decoder_tables()  # cached from the true generator before it is tampered
         monkeypatch.setattr(bch, "GENERATOR", bch.GENERATOR ^ 0b10)
         results = dict(bch.selftest(random_error_trials=10))
         assert not results["minimum nonzero codeword weight == 7"]

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import re
@@ -8,13 +9,14 @@ import pytest
 from conftest import held, packed_dataset
 from oracles import bits_word, line_fit_by_polyfit, report_formula, sweep_by_numpy, unpack_rows
 from ropuf import chipsim, cli, config, metrics, ro
+from ropuf.dataset import load_dataset, save_dataset
 from ropuf.errors import ConfigurationError, DatasetError
 
 FAST = dict(n_chips=4, samples_per_chip=20, enroll_repetitions=9)
 
 
 def small_campaign(master_seed=5, voltages=(1.3,), params=None,
-                   coupling=ro.Coupling.none(), **overrides):
+                   coupling=ro.Coupling(), **overrides):
     params = params or ro.RoParams()
     cfg = chipsim.CampaignConfig(voltages=voltages, master_seed=master_seed,
                                  **{**FAST, **overrides})
@@ -129,8 +131,9 @@ class TestVoltageSweep:
 
     def test_missing_reference_voltage(self):
         ds, _, _ = small_campaign(voltages=(1.25, 1.3))
+        ds.ro_params = dataclasses.replace(ds.ro_params, reference_voltage=1.35)
         with pytest.raises(ValueError):
-            chipsim.voltage_sweep(ds, reference_voltage=1.35)
+            chipsim.voltage_sweep(ds)
 
     def test_mismatch_shifts_grow_with_offset(self):
         params = ro.RoParams()
@@ -150,16 +153,17 @@ class TestVoltageSweep:
         for seed in range(5):
             ds = random_dataset(word_length=word_length, n_chips=4, samples=30,
                                 voltages=volts, seed=seed)
-            for v0 in (None, 1.2, 1.4):
-                assert chipsim.voltage_sweep(ds, v0) == sweep_by_numpy(ds, v0), (seed, v0)
+            for v0 in (1.3, 1.2, 1.4):
+                ds.ro_params = dataclasses.replace(ds.ro_params, reference_voltage=v0)
+                assert chipsim.voltage_sweep(ds) == sweep_by_numpy(ds), (seed, v0)
 
     def test_campaign_and_loaded_sources_match_the_numpy_count(self, tmp_path):
         params = ro.RoParams()
         cfg = chipsim.CampaignConfig(voltages=(1.2, 1.25, 1.3, 1.35, 1.4), master_seed=8,
                                      **FAST)
         lazy = chipsim.Campaign(cfg, params)
-        chipsim.save_dataset(lazy, tmp_path / "d.csv", tmp_path / "d.json")
-        loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
+        save_dataset(lazy, tmp_path / "d.csv", tmp_path / "d.json")
+        loaded = load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
         for source in (lazy, loaded):
             series = chipsim.voltage_sweep(source)
             assert series == sweep_by_numpy(source)
@@ -170,8 +174,8 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         ds, cfg, _ = small_campaign(voltages=(1.25, 1.3))
         csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
-        chipsim.save_dataset(ds, csv_path, json_path)
-        loaded = chipsim.load_dataset(csv_path, json_path)
+        save_dataset(ds, csv_path, json_path)
+        loaded = load_dataset(csv_path, json_path)
         assert loaded.config == cfg
         assert loaded.ro_params == ds.ro_params
         assert loaded.coupling == ds.coupling
@@ -183,25 +187,25 @@ class TestSerialization:
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         ds, _, _ = small_campaign()
-        chipsim.save_dataset(ds, tmp_path / "a.csv", tmp_path / "a.json")
-        chipsim.save_dataset(ds, tmp_path / "b.csv", tmp_path / "b.json")
+        save_dataset(ds, tmp_path / "a.csv", tmp_path / "a.json")
+        save_dataset(ds, tmp_path / "b.csv", tmp_path / "b.json")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_incomplete_dataset_rejected(self, tmp_path):
         ds, _, _ = small_campaign()
         csv_path, json_path = tmp_path / "d.csv", tmp_path / "d.json"
-        chipsim.save_dataset(ds, csv_path, json_path)
+        save_dataset(ds, csv_path, json_path)
         lines = csv_path.read_text().splitlines()
         csv_path.write_text("\n".join(lines[:-3]) + "\n")  # drop rows
         with pytest.raises(DatasetError):
-            chipsim.load_dataset(csv_path, json_path)
+            load_dataset(csv_path, json_path)
 
     def test_config_dict_round_trip(self):
         run = config.RunConfig(
             ro_params=ro.RoParams(jitter_sigma=0.002),
             campaign=chipsim.CampaignConfig(voltages=(1.2, 1.3), master_seed=3, **FAST),
-            coupling=ro.Coupling.capacitive(0.7))
+            coupling=ro.Coupling("capacitive", 0.7))
         assert config.from_dict(config.to_dict(run)) == run
 
 
@@ -225,7 +229,7 @@ class TestDigitBuffer:
     def _saved(self, tmp_path, **kwargs):
         ds = random_dataset(**kwargs)
         csv_path = tmp_path / "dataset.csv"
-        chipsim.save_dataset(ds, csv_path, tmp_path / "dataset.json")
+        save_dataset(ds, csv_path, tmp_path / "dataset.json")
         return ds, csv_path, csv_path.read_text().splitlines()
 
     def _metrics_error(self, tmp_path, csv_path, lines, capsys) -> str:
@@ -240,7 +244,7 @@ class TestDigitBuffer:
         body = lines[1:]
         np.random.default_rng(3).shuffle(body)
         csv_path.write_text("\n".join([lines[0], *body]) + "\n")
-        loaded = chipsim.load_dataset(csv_path, tmp_path / "dataset.json")
+        loaded = load_dataset(csv_path, tmp_path / "dataset.json")
         for v in ds.config.voltages:
             (got_refs, got_cells), (refs, cells) = held(loaded, v), held(ds, v)
             assert np.array_equal(got_refs, refs)
@@ -290,8 +294,8 @@ class TestPackedSamples:
         flips = {v: (rng.random((4, 60, length)) < 0.05).astype(np.uint8) for v in cfg.voltages}
         grid = {v: refs[v][:, None] ^ flips[v] for v in cfg.voltages}
         ds = packed_dataset(cfg, refs, grid)
-        chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
-        loaded = chipsim.load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
+        save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
+        loaded = load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
         assert held(loaded, 1.3)[1].shape == (4, 60, -(-length // 8))
         assert sum(len(cells[1]) for _, cells in loaded) == 4 * 60 * -(-length // 8)
         ref_bits = {v: refs[v].tolist() for v in cfg.voltages}
@@ -314,7 +318,7 @@ class TestPackedSamples:
             for v in ds.config.voltages:
                 assert metrics.compute_report(ds, voltage=v, post_bch=post_bch).intra.total == 24
         assert len(chipsim.voltage_sweep(ds)) == 2
-        chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
+        save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         assert len((tmp_path / "d.csv").read_text().splitlines()) == 1 + 3 * 2 * 8
 
 
@@ -328,12 +332,12 @@ class TestChipBlocks:
         cfg = chipsim.CampaignConfig(voltages=(1.25, 1.3, 1.35), master_seed=31, **FAST)
         lazy = chipsim.Campaign(cfg, params)
         held = chipsim.run_campaign(cfg, params)
-        chipsim.save_dataset(held, tmp_path / "held.csv", tmp_path / "held.json")
-        chipsim.save_dataset(lazy, tmp_path / "lazy.csv", tmp_path / "lazy.json")
+        save_dataset(held, tmp_path / "held.csv", tmp_path / "held.json")
+        save_dataset(lazy, tmp_path / "lazy.csv", tmp_path / "lazy.json")
         for suffix in ("csv", "json"):
             assert (tmp_path / f"lazy.{suffix}").read_bytes() == \
                 (tmp_path / f"held.{suffix}").read_bytes()
-        loaded = chipsim.load_dataset(tmp_path / "held.csv", tmp_path / "held.json")
+        loaded = load_dataset(tmp_path / "held.csv", tmp_path / "held.json")
         sources = [lazy, held, loaded]
         for a, b in zip(lazy, loaded):  # blocks: per voltage, packed reference and cells
             assert [len(r) for r in a[0]] == [4] * 3
@@ -366,7 +370,7 @@ class TestChipBlocks:
         before it yields a result or leaves a file."""
         ds = random_dataset()  # 3 chips at (1.25, 1.3) V, 8 samples of 4 bytes
         edit(ds.blocks)
-        save = functools.partial(chipsim.save_dataset, csv_path=tmp_path / "d.csv",
+        save = functools.partial(save_dataset, csv_path=tmp_path / "d.csv",
                                  sidecar_path=tmp_path / "d.json")
         for consume in (metrics.compute_report, chipsim.voltage_sweep, save):
             with pytest.raises(DatasetError, match=f"^missing or ragged {re.escape(message)}$"):
@@ -414,7 +418,7 @@ class TestPostBchDistributions:
         assert post.reliability_pct_mean < 100.0
         want = report_formula({1.3: refs.tolist()}, {1.3: samples.tolist()}, 1.3, 1.3, True)
         assert post.to_json_dict() == want
-        chipsim.save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
+        save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         out = tmp_path / "post"
         assert cli.main(["metrics", str(tmp_path / "d.csv"), "--out", str(out),
                          "--post-bch"]) == 0

@@ -433,7 +433,7 @@ class TestBchSelftest:
 
     @pytest.mark.parametrize("damage", ["drop_leader", "swap_leaders", "weight_4_leader"])
     def test_broken_leader_table_exits_4(self, monkeypatch, capsys, damage):
-        byte_syn, leaders = bch._decoder_tables(bch.GENERATOR)
+        byte_syn, leaders = bch._decoder_tables()
         broken = list(leaders)
         held = [s for s, pattern in enumerate(leaders) if pattern > 0]
         if damage == "drop_leader":
@@ -442,7 +442,7 @@ class TestBchSelftest:
             broken[held[0]], broken[held[1]] = leaders[held[1]], leaders[held[0]]
         else:
             broken[leaders.index(-1)] = 0b1111
-        monkeypatch.setattr(bch, "_decoder_tables", lambda generator: (byte_syn, tuple(broken)))
+        monkeypatch.setattr(bch, "_decoder_tables", lambda: (byte_syn, tuple(broken)))
         assert cli.main(["bch-selftest", "--trials", "10"]) == 4
         assert "FAIL  coset-leader table" in capsys.readouterr().out
 
@@ -622,6 +622,10 @@ RUN_CONFIG_CASES = {
     "coupling_list": (lambda c: c.update(coupling=[]), "config.coupling"),
     "strength_string": (lambda c: c.update(coupling={"mode": "capacitive", "strength": "0.5"}),
                         "strength"),
+    "strength_for_inverter_loop": (
+        lambda c: c.update(coupling={"mode": "inverter_loop", "strength": -5}), "strength"),
+    "strength_for_none": (lambda c: c.update(coupling={"mode": "none", "strength": 0.7}),
+                          "strength"),
     "post_bch_string": (lambda c: c["flags"].update(post_bch="false"), "post_bch"),
     "master_seed_string": (lambda c: c["campaign"].update(master_seed="5"), "master_seed"),
     "field_typo": (lambda c: c["campaign"].update(n_chip=3), "n_chip"),
@@ -634,6 +638,8 @@ SIDECAR_CASES = {
     "n_chips_string": (lambda s: s["config"]["campaign"].update(n_chips="3"), "n_chips"),
     "bad_coupling_mode": (lambda s: s["config"]["coupling"].update(mode="sideways"),
                           "coupling mode"),
+    "strength_for_none": (lambda s: s["config"]["coupling"].update(mode="none", strength=0.7),
+                          "strength"),
     "one_chip": (lambda s: s["config"]["campaign"].update(n_chips=1), "n_chips"),
     "reference_voltage_off_grid": (lambda s: s["config"]["ro"].update(reference_voltage_v=1.25),
                                    "reference_voltage_v"),
@@ -677,7 +683,7 @@ class TestRunConfig:
         if target == "config":
             cfg_path.write_text(mutate(config) or json.dumps(config))
             assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-            assert not (out / "dataset.csv").exists()
+            assert not out.exists()  # refused before any file is written
             err = capsys.readouterr().err
         else:
             assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ropuf import chipsim, cli, metrics
+from ropuf import cli, metrics
+from ropuf.dataset import load_dataset
 
 # Jitter is far above the paper's so that samples at the reference
 # voltage carry up to 3 bit errors: the post-BCH outputs then cover clean
@@ -144,7 +145,7 @@ def test_cli_output_digest(golden_run, name):
 @pytest.mark.parametrize("post_bch", [False, True])
 def test_off_reference_report_digest(golden_run, post_bch):
     sim = golden_run / "sim"
-    ds = chipsim.load_dataset(sim / "dataset.csv", sim / "dataset.json")
+    ds = load_dataset(sim / "dataset.csv", sim / "dataset.json")
     report = metrics.compute_report(ds, voltage=1.25, post_bch=post_bch)
     text = json.dumps(report.to_json_dict())
     assert _sha256(text.encode()) == OFF_REFERENCE_DIGESTS[post_bch]

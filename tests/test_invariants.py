@@ -39,8 +39,8 @@ def campaigns(draw):
     params = ro.RoParams(process_sigma=draw(st.sampled_from([0.04, 0.2])),
                          jitter_sigma=draw(st.sampled_from([0.05, 0.01, 0.0003, 0.0])),
                          voltage_sensitivity_sigma=draw(st.sampled_from([0.0, 0.15])))
-    coupling = draw(st.sampled_from([ro.Coupling.none(), ro.Coupling.capacitive(0.5),
-                                     ro.Coupling.inverter_loop()]))
+    coupling = draw(st.sampled_from([ro.Coupling(), ro.Coupling("capacitive", 0.5),
+                                     ro.Coupling("inverter_loop")]))
     return cfg, params, coupling, draw(st.sampled_from([6.0, 1.0]))
 
 
@@ -209,7 +209,7 @@ def test_stream_layout_rebuilt_row_by_row():
     cfg = chipsim.CampaignConfig(n_chips=2, pairs_per_id=2, word_length=16,
                                  samples_per_chip=n_samples, enroll_repetitions=reps,
                                  voltages=voltages, master_seed=seed)
-    coupling = ro.Coupling.capacitive(0.3)
+    coupling = ro.Coupling("capacitive", 0.3)
     chips = [(make_unit(0.2e-9 + 0.01e-9 * c, 1.2e-9, jitter=0.004),
               make_unit(1.1e-9, 1.0e-9 - 0.02e-9 * c, coupling, jitter=0.004))
              for c in range(2)]

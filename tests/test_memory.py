@@ -23,6 +23,7 @@ import pytest
 from conftest import packed_dataset
 from ropuf import bch, chipsim, cli, metrics, ro
 from ropuf.config import CampaignConfig, Flags, RunConfig, to_dict
+from ropuf.dataset import load_dataset, save_dataset
 
 N_CHIPS, T, L = 10, 5000, 32
 
@@ -38,7 +39,7 @@ def saved(tmp_path_factory):
     samples = refs[:, None, :] ^ (rng.random((N_CHIPS, T, L)) < 0.05).astype(np.uint8)
     dataset = packed_dataset(cfg, {1.3: refs}, {1.3: samples})
     out = tmp_path_factory.mktemp("memory")
-    chipsim.save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
+    save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
     return out / "dataset.csv", out / "dataset.json", samples.nbytes
 
 
@@ -56,15 +57,15 @@ def _traced(fn):
 
 def test_load_holds_packed_samples_within_the_unpacked_size(saved):
     csv_path, sidecar, nbytes = saved
-    dataset, peak = _traced(lambda: chipsim.load_dataset(csv_path, sidecar))
+    dataset, peak = _traced(lambda: load_dataset(csv_path, sidecar))
     assert sum(len(cells[0]) for _, cells in dataset) == nbytes // 8
     assert peak <= 0.3 * nbytes, f"load_dataset peak {peak / nbytes:.2f}x the unpacked samples"
 
 
 def test_post_bch_report_allocates_within_the_samples(saved):
     csv_path, sidecar, nbytes = saved
-    dataset = chipsim.load_dataset(csv_path, sidecar)
-    bch._decoder_tables(bch.GENERATOR)  # built once per process, whichever test runs first
+    dataset = load_dataset(csv_path, sidecar)
+    bch._decoder_tables()  # built once per process, whichever test runs first
     report, peak = _traced(lambda: metrics.compute_report(dataset, post_bch=True))
     assert report.intra.total == N_CHIPS * T
     assert peak <= 0.25 * nbytes, \
@@ -74,7 +75,7 @@ def test_post_bch_report_allocates_within_the_samples(saved):
 def test_bch_selftest_enumerates_codewords_as_words():
     """The minimum-weight check holds the 2^16 codewords as uint32 (256 KiB),
     not a (65536, 16) message matrix and its product (8 MiB and more)."""
-    bch._decoder_tables(bch.GENERATOR)  # built once per process, whichever test runs first
+    bch._decoder_tables()  # built once per process, whichever test runs first
     results, peak = _traced(lambda: bch.selftest(random_error_trials=0))
     assert all(ok for _, ok in results), results
     assert peak <= 3 * 2 ** 20, f"selftest(random_error_trials=0) peak {peak / 2 ** 20:.2f} MiB"
@@ -167,13 +168,12 @@ def test_simulate_scores_its_files_within_the_grid_packed(tmp_path, monkeypatch)
     grows by at most 3 chip blocks for 12 more chips: the loaded grid is
     held packed, and the report scores one chip at a time."""
     phases = []
-    # chipsim.load_dataset is the dataset module's, which simulate calls.
-    load_dataset, compute_report = chipsim.load_dataset, metrics.compute_report
+    compute_report = metrics.compute_report
 
     def load_from_a_fresh_peak(*args):
         tracemalloc.reset_peak()
         phases.append(tracemalloc.get_traced_memory()[0])
-        return load_dataset(*args)
+        return load_dataset(*args)  # the module's own, imported before the patch below
 
     def score_and_read_the_peak(*args, **kwargs):
         report = compute_report(*args, **kwargs)

@@ -63,31 +63,32 @@ class TestVoltage:
 
 class TestCoupling:
     def test_none_identity(self):
-        assert ro.apply_coupling(1.1e-9, 0.9e-9, ro.Coupling.none()) == (1.1e-9, 0.9e-9, 0.0)
+        assert ro.apply_coupling(1.1e-9, 0.9e-9, ro.Coupling()) == (1.1e-9, 0.9e-9, 0.0)
 
     def test_capacitive_zero_is_none(self):
-        t1, t2, rj = ro.apply_coupling(1.1e-9, 0.9e-9, ro.Coupling.capacitive(0.0))
+        t1, t2, rj = ro.apply_coupling(1.1e-9, 0.9e-9, ro.Coupling("capacitive", 0.0))
         assert (t1, t2, rj) == (1.1e-9, 0.9e-9, 0.0)
 
     def test_capacitive_full_pulling(self):
-        t1, t2, _ = ro.apply_coupling(1.1e-9, 0.9e-9, ro.Coupling.capacitive(1.0))
+        t1, t2, _ = ro.apply_coupling(1.1e-9, 0.9e-9, ro.Coupling("capacitive", 1.0))
         assert t1 == pytest.approx(1.0e-9, rel=1e-12)
         assert t2 == pytest.approx(1.0e-9, rel=1e-12)
 
     def test_inverter_loop_locks_periods(self):
-        t1, t2, rj = ro.apply_coupling(1.3e-9, 0.7e-9, ro.Coupling.inverter_loop())
+        t1, t2, rj = ro.apply_coupling(1.3e-9, 0.7e-9, ro.Coupling("inverter_loop"))
         assert t1 == t2 == pytest.approx(1.0e-9, rel=1e-12)
         assert rj == 1.0
         assert t1 / t2 == 1.0
 
     @given(st.floats(0.5e-9, 2e-9), st.floats(0.5e-9, 2e-9), st.floats(0.0, 1.0))
     def test_sum_preserved(self, t1, t2, kappa):
-        a, b, _ = ro.apply_coupling(t1, t2, ro.Coupling.capacitive(kappa))
+        a, b, _ = ro.apply_coupling(t1, t2, ro.Coupling("capacitive", kappa))
         assert a + b == pytest.approx(t1 + t2, rel=1e-12)
 
     def test_bad_strength_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ro.Coupling.capacitive(1.5)
+        for mode, strength in (("capacitive", 1.5), ("none", 0.7), ("inverter_loop", -5)):
+            with pytest.raises(ConfigurationError, match="strength"):
+                ro.Coupling(mode, strength)
         with pytest.raises(ConfigurationError):
             ro.Coupling("sideways")
 

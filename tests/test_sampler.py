@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import held, make_unit, packed_dataset, word_of
-from oracles import (closed_form_word, event_walk_word, hex_word, hex_word_bits,
+from oracles import (closed_form_word, event_walk_word, flip_rates, hex_word, hex_word_bits,
                      modal_row_by_unique, toggle_counts, unpack_rows)
 from ropuf import chipsim, ro
-from ropuf.dataset import hex_words
+from ropuf.dataset import hex_words, load_dataset, save_dataset
 from ropuf.errors import ConfigurationError, DatasetError
 from ropuf.rng import keyed_rng
 
@@ -30,11 +30,11 @@ def loaded_words(tmp_path, words: list[str], length: int) -> np.ndarray:
                                  samples_per_chip=len(words), voltages=(1.3,))
     zeros = np.zeros((2, len(words), length), dtype=np.uint8)
     csv_path, sidecar = tmp_path / "dataset.csv", tmp_path / "dataset.json"
-    chipsim.save_dataset(packed_dataset(cfg, {1.3: zeros[:, 0]}, {1.3: zeros}), csv_path, sidecar)
+    save_dataset(packed_dataset(cfg, {1.3: zeros[:, 0]}, {1.3: zeros}), csv_path, sidecar)
     lines = csv_path.read_text().splitlines()
     lines[1:1 + len(words)] = [f"0,1.3,{t},{w}" for t, w in enumerate(words)]
     csv_path.write_text("\n".join(lines) + "\n")
-    return held(chipsim.load_dataset(csv_path, sidecar), 1.3)[1][0]
+    return held(load_dataset(csv_path, sidecar), 1.3)[1][0]
 
 
 class TestResponseWord:
@@ -175,19 +175,19 @@ class TestCoupledSampling:
         for _ in range(30):
             t1 = float(rng.uniform(0.8e-9, 1.2e-9))
             t2 = float(rng.uniform(0.8e-9, 1.2e-9))
-            unit = make_unit(t1, t2, ro.Coupling.inverter_loop(), jitter=0.03)
+            unit = make_unit(t1, t2, ro.Coupling("inverter_loop"), jitter=0.03)
             w = chipsim.sample_word(unit, 1.3, int(rng.integers(1 << 31)))
             assert not w.any()
 
     def test_capacitive_jitter_determinism(self):
-        unit = make_unit(1.07e-9, 0.95e-9, ro.Coupling.capacitive(0.5), jitter=0.001)
+        unit = make_unit(1.07e-9, 0.95e-9, ro.Coupling("capacitive", 0.5), jitter=0.001)
         assert np.array_equal(chipsim.sample_word(unit, 1.3, 99),
                               chipsim.sample_word(unit, 1.3, 99))
 
     def test_capacitive_pulls_ratio_toward_one(self):
         # strong pulling turns a distinct pattern into the near-locked one
         loose = make_unit(1.2e-9, 1.0e-9)
-        tight = make_unit(1.2e-9, 1.0e-9, ro.Coupling.capacitive(0.95))
+        tight = make_unit(1.2e-9, 1.0e-9, ro.Coupling("capacitive", 0.95))
         w_loose = chipsim.sample_word(loose, 1.3, 0)
         w_tight = chipsim.sample_word(tight, 1.3, 0)
         assert w_tight.sum() < w_loose.sum()
@@ -200,7 +200,7 @@ class TestToggleCount:
     L = 100, 427 at L = 140) and on rows that extend."""
 
     @pytest.mark.parametrize("length", [16, 100, 140])
-    @pytest.mark.parametrize("coupling", [ro.Coupling.none(), ro.Coupling.capacitive(0.2)],
+    @pytest.mark.parametrize("coupling", [ro.Coupling(), ro.Coupling("capacitive", 0.2)],
                              ids=["none", "capacitive"])
     @pytest.mark.parametrize("t2", [1.45e-9, 2.5e-9], ids=["covered", "extends"])
     def test_parity_of_the_searchsorted_count(self, length, coupling, t2):
@@ -218,12 +218,40 @@ class TestToggleCount:
         assert (counts.max() > 255) == (length > 16)
 
 
+class TestFlipRates:
+    """sample_rows' per-bit flip rates, against the noiseless word of the
+    same coupled unit, agree with oracles.flip_rates' crossing model: six
+    period ratios, each with its own jitter, 20,000 rows each."""
+
+    UNITS = [(0.8e-9, 0.003), (0.93e-9, 0.005), (1.0e-9, 0.008), (1.07e-9, 0.01),
+             (1.2e-9, 0.015), (1.45e-9, 0.02)]  # (T1, sigma), T2 = 1 ns
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5, 0.95])
+    def test_per_bit_flip_rates_match_the_crossing_model(self, kappa):
+        n, worst = 20000, []
+        coupling = ro.Coupling("capacitive", kappa)
+        for u, (t1, sigma) in enumerate(self.UNITS):
+            rng = keyed_rng(4, round(100 * kappa), u)
+            g1, g2 = chipsim.draw_rows(rng, n, 16)
+            noisy = make_unit(t1, 1e-9, coupling, jitter=sigma)
+            rows = chipsim.sample_rows(noisy, 1.3, g1, g2, lambda i: keyed_rng(4, u, i))
+            word = chipsim.sample_rows(make_unit(t1, 1e-9, coupling), 1.3, g1[:1], g2[:1],
+                                       None)[0]
+            observed = (rows != word).mean(axis=0)
+            t1e, t2e, rho_j = ro.apply_coupling(t1, 1e-9, coupling)
+            for k, p in enumerate(flip_rates(t1e / 2, t2e / 2, sigma, sigma, rho_j, 16)):
+                se = max((p * (1.0 - p) / n) ** 0.5, 1.0 / n)
+                worst.append((abs(observed[k] - p) / se, t1, k, observed[k], p))
+        assert max(worst)[0] <= 4.5, max(worst)
+        assert max(w[4] for w in worst) > 0.4  # some bit sits on a boundary
+
+
 class TestKernelInputs:
     """A chunk's normals are reused at every voltage, so sample_rows only
     reads g1 and g2: read-only inputs sample the same words."""
 
-    @pytest.mark.parametrize("coupling", [ro.Coupling.none(), ro.Coupling.capacitive(0.5),
-                                          ro.Coupling.inverter_loop()],
+    @pytest.mark.parametrize("coupling", [ro.Coupling(), ro.Coupling("capacitive", 0.5),
+                                          ro.Coupling("inverter_loop")],
                              ids=["none", "capacitive", "inverter_loop"])
     @pytest.mark.parametrize("t1", [0.2e-9, 1.1e-9], ids=["extends", "covered"])
     def test_sample_rows_never_writes_its_normals(self, rng, coupling, t1):

@@ -20,8 +20,8 @@ _HOME = {
     "linear_fit": "chipsim", "run_campaign": "chipsim", "sample_word": "chipsim",
     "voltage_sweep": "chipsim",
     "CampaignDataset": "dataset", "load_dataset": "dataset", "save_dataset": "dataset",
-    "HdHistogram": "metrics", "MetricsReport": "metrics", "compute_report": "metrics",
-    "reliability": "metrics", "uniformity": "metrics", "uniqueness": "metrics",
+    "MetricsReport": "metrics", "compute_report": "metrics", "reliability": "metrics",
+    "uniformity": "metrics", "uniqueness": "metrics",
     "CostParams": "cost", "conventional_puf_cost": "cost", "waveform_puf_cost": "cost",
 }
 _SUBMODULES = ("errors", "ro", "rng", "chipsim", "dataset", "config", "bch", "metrics", "cost")

@@ -78,7 +78,7 @@ def cmd_metrics(args) -> int:
     report = metrics.compute_report(dataset, post_bch=args.post_bch)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report.save(out, args.histograms)
+    report.save(out)
     stage = "post-BCH" if args.post_bch else "raw"
     print(f"metrics at {report.voltage} V ({stage}, L={report.id_length}):")
     for line in report.summary_lines():
@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--post-bch", action="store_true", dest="post_bch",
                    help="evaluate error-corrected words")
-    p.add_argument("--no-histograms", action="store_false", dest="histograms")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("sweep", help="voltage sweep: HD shift series and linear fit")

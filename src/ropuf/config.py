@@ -10,7 +10,7 @@ the same checks.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -96,9 +96,12 @@ class RunConfig:
 
 
 # Exact JSON types, (name in messages, check): neither True nor 3.0 is an
-# int.  A tuple passes as a list, since to_dict leaves `voltages` a tuple.
+# int, and a number is one that a float equals (the comparison of an int
+# with a float is exact, so a 401-digit int fails it without an overflow).
+# A tuple passes as a list, since to_dict leaves `voltages` a tuple.
 INT = ("an integer", lambda v: type(v) is int)
-NUMBER = ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v))
+NUMBER = ("a number that a finite float equals",
+          lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and float(v) == v)
 BOOL = ("true or false", lambda v: type(v) is bool)
 STRING = ("a string", lambda v: type(v) is str)
 OBJECT = ("an object", lambda v: type(v) is dict)

@@ -16,7 +16,7 @@ that callers do.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -92,43 +92,6 @@ def uniformity(responses, length: int) -> float:
 
 
 @dataclass
-class HdHistogram:
-    """Counts of Hamming distances 0..length for one population."""
-
-    population: str  # "intra" | "inter"
-    length: int
-    counts: list[int] = field(repr=False)
-
-    @classmethod
-    def from_distances(cls, population: str, length: int, distances) -> "HdHistogram":
-        counts = [0] * (length + 1)
-        for d in distances:
-            if not 0 <= d <= length:
-                raise ValueError(f"distance {d} is not in 0..{length}")
-            counts[d] += 1
-        return cls(population=population, length=length, counts=counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def mass_at(self, distance: int) -> float:
-        """Fraction of the population at exactly this distance."""
-        if not 0 <= distance <= self.length:
-            raise ValueError(f"distance {distance} is not in 0..{self.length}")
-        return self.counts[distance] / self.total if self.total else 0.0
-
-
-def write_histogram_csv(path: str | Path, histograms: list[HdHistogram]) -> None:
-    """One row per distance, per population, the lines csv.writer would
-    write: no field needs quotes, and each line ends in \r\n."""
-    with open(path, "w", newline="") as fh:
-        fh.write("population,distance,count\r\n")
-        for h in histograms:
-            fh.writelines(f"{h.population},{d},{c}\r\n" for d, c in enumerate(h.counts))
-
-
-@dataclass
 class MetricsReport:
     """Aggregated evaluation results for one campaign at one voltage."""
 
@@ -138,8 +101,8 @@ class MetricsReport:
     uniqueness_pct: float
     reliability_pct_per_chip: dict[int, float]
     uniformity_pct_per_chip: dict[int, float]
-    intra: HdHistogram
-    inter: HdHistogram
+    intra: list[int]  # count of each Hamming distance 0..id_length
+    inter: list[int]
 
     @property
     def reliability_pct_mean(self) -> float:
@@ -161,16 +124,20 @@ class MetricsReport:
             "uniformity_pct_mean": self.uniformity_pct_mean,
             "uniformity_pct_per_chip": {str(k): v for k, v in
                                         self.uniformity_pct_per_chip.items()},
-            "intra_hist": self.intra.counts,
-            "inter_hist": self.inter.counts,
+            "intra_hist": self.intra,
+            "inter_hist": self.inter,
             "voltage_fit": None,  # kept so reports keep their keys
         }
 
-    def save(self, out: Path, histograms: bool = True) -> None:
-        """out/report.json, and out/histograms.csv unless histograms is false."""
+    def save(self, out: Path) -> None:
+        """out/report.json, and out/histograms.csv with one row per
+        distance per population, the lines csv.writer would write: no
+        field needs quotes, and each line ends in \r\n."""
         (out / "report.json").write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-        if histograms:
-            write_histogram_csv(out / "histograms.csv", [self.intra, self.inter])
+        with open(out / "histograms.csv", "w", newline="") as fh:
+            fh.write("population,distance,count\r\n")
+            for population, counts in (("intra", self.intra), ("inter", self.inter)):
+                fh.writelines(f"{population},{d},{c}\r\n" for d, c in enumerate(counts))
 
     def summary_lines(self) -> list[str]:
         """Three-row layout, percentages at two decimals."""
@@ -240,7 +207,7 @@ def compute_report(campaign, voltage: float | None = None,
         raise ValueError(f"ID shorter than the {bch.N}-bit code")
     length = bch.N if post_bch else cfg.id_length
     shift = cfg.id_length - length  # post-BCH words are the top 31 bits of an ID
-    intra = [0] * (length + 1)
+    intra, inter = [0] * (length + 1), [0] * (length + 1)
     reliability_pct, uniformity_pct, refs, anchors = {}, {}, [], []
     for c, (chip_refs, cells) in enumerate(campaign):
         ref, anchor = (int.from_bytes(chip_refs[i], "big") >> shift for i in (k, k0))
@@ -254,6 +221,8 @@ def compute_report(campaign, voltage: float | None = None,
         del words  # freed before the next chip's words are read
         refs.append(ref)
         anchors.append(anchor)
+    for d in _pair_distances(anchors):
+        inter[d] += 1
     return MetricsReport(
         voltage=v,
         bch_stage="post_bch" if post_bch else "raw",
@@ -261,6 +230,6 @@ def compute_report(campaign, voltage: float | None = None,
         uniqueness_pct=uniqueness(refs, length),
         reliability_pct_per_chip=reliability_pct,
         uniformity_pct_per_chip=uniformity_pct,
-        intra=HdHistogram("intra", length, intra),
-        inter=HdHistogram.from_distances("inter", length, _pair_distances(anchors)),
+        intra=intra,
+        inter=inter,
     )

@@ -275,6 +275,24 @@ class TestMetrics:
     def test_missing_dataset_is_data_error(self, tmp_path):
         assert cli.main(["metrics", str(tmp_path / "no.csv"), "--out", str(tmp_path)]) == 3
 
+    def test_named_sidecar_writes_the_default_report(self, tmp_path, capsys):
+        """--sidecar reads a renamed sidecar as the default path reads the
+        CSV stem's .json; a named sidecar that is missing exits 3, named."""
+        csv_path = self._simulated(tmp_path)
+        default, named = tmp_path / "default", tmp_path / "named"
+        assert cli.main(["metrics", str(csv_path), "--out", str(default)]) == 0
+        renamed = csv_path.with_suffix(".json").rename(tmp_path / "renamed.json")
+        assert cli.main(["metrics", str(csv_path), "--out", str(named)]) == 3  # no default now
+        assert cli.main(["metrics", str(csv_path), "--sidecar", str(renamed),
+                         "--out", str(named)]) == 0
+        for name in ("report.json", "histograms.csv"):
+            assert (named / name).read_bytes() == (default / name).read_bytes()
+        missing = tmp_path / "missing.json"
+        capsys.readouterr()
+        assert cli.main(["metrics", str(csv_path), "--sidecar", str(missing),
+                         "--out", str(tmp_path / "m")]) == 3
+        assert str(missing) in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt,where", [
         (lambda s: s.__delitem__("references"), None),
         (lambda s: s.update(references=list(s["references"].values())), None),
@@ -630,6 +648,11 @@ RUN_CONFIG_CASES = {
     "master_seed_string": (lambda c: c["campaign"].update(master_seed="5"), "master_seed"),
     "field_typo": (lambda c: c["campaign"].update(n_chip=3), "n_chip"),
     "deeply_nested": (lambda c: NESTED_JSON, "cannot read config"),
+    "nominal_period_huge_int": (lambda c: c["ro"].update(nominal_period_s=10 ** 400),
+                                "nominal_period_s"),
+    "voltage_inexact_int": (  # no voltage sensitivity, so the model range admits it
+        lambda c: c["ro"].update(voltage_sensitivity_per_v=0, voltage_sensitivity_sigma_per_v=0)
+        or c["campaign"].update(voltages_v=[1.3, 10 ** 20 + 1]), "voltages_v"),
 }
 SIDECAR_CASES = {
     "id_length_40": (lambda s: s["config"]["campaign"].update(id_length=40), "id_length"),
@@ -650,6 +673,8 @@ SIDECAR_CASES = {
     "stream_version_true": (lambda s: s.update(stream_version=True), "stream_version"),
     "stream_version_float": (lambda s: s.update(stream_version=2.0), "stream_version"),
     "deeply_nested": (lambda s: NESTED_JSON, "bad sidecar"),
+    "jitter_huge_int": (lambda s: s["config"]["ro"].update(jitter_sigma=10 ** 400),
+                        "jitter_sigma"),
 }
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -191,27 +192,15 @@ class TestPairwiseMean:
 
 
 class TestHistogram:
-    def test_counts_and_mass(self):
-        h = metrics.HdHistogram.from_distances("intra", 4, [0, 0, 1, 4])
-        assert h.total == 4
-        assert list(h.counts) == [2, 1, 0, 0, 1]
-        assert h.mass_at(0) == 0.5
-
-    def test_distance_beyond_length_rejected(self):
-        with pytest.raises(ValueError):
-            metrics.HdHistogram.from_distances("intra", 2, [3])
-
-    def test_mass_at_distance_outside_length_rejected(self):
-        h = metrics.HdHistogram.from_distances("intra", 4, [0, 0, 1, 4])
-        assert h.mass_at(4) == 0.25
-        for distance in (-1, 5):
-            with pytest.raises(ValueError, match=f"distance {distance} is not in 0..4"):
-                h.mass_at(distance)
-
     def test_csv_emission(self, tmp_path):
-        h = metrics.HdHistogram.from_distances("inter", 2, [0, 1, 1, 2])
-        path = tmp_path / "hist.csv"
-        metrics.write_histogram_csv(path, [h])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "population,distance,count"
-        assert lines[1:] == ["inter,0,1", "inter,1,2", "inter,2,1"]
+        report = metrics.MetricsReport(
+            voltage=1.3, bch_stage="raw", id_length=2, uniqueness_pct=50.0,
+            reliability_pct_per_chip={0: 100.0}, uniformity_pct_per_chip={0: 50.0},
+            intra=[3, 1, 0], inter=[1, 2, 1])
+        report.save(tmp_path)
+        assert (tmp_path / "histograms.csv").read_bytes() == (
+            b"population,distance,count\r\n"
+            b"intra,0,3\r\nintra,1,1\r\nintra,2,0\r\n"
+            b"inter,0,1\r\ninter,1,2\r\ninter,2,1\r\n")
+        saved = json.loads((tmp_path / "report.json").read_text())
+        assert (saved["intra_hist"], saved["inter_hist"]) == ([3, 1, 0], [1, 2, 1])

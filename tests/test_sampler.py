@@ -3,10 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import held, make_unit, packed_dataset, word_of
+from conftest import HandMadeCampaign, held, make_unit, packed_dataset, word_of
 from oracles import (closed_form_word, event_walk_word, flip_rates, hex_word, hex_word_bits,
                      modal_row_by_unique, toggle_counts, unpack_rows)
-from ropuf import chipsim, ro
+from ropuf import chipsim, metrics, ro
 from ropuf.dataset import hex_words, load_dataset, save_dataset
 from ropuf.errors import ConfigurationError, DatasetError
 from ropuf.rng import keyed_rng
@@ -244,6 +244,36 @@ class TestFlipRates:
                 worst.append((abs(observed[k] - p) / se, t1, k, observed[k], p))
         assert max(worst)[0] <= 4.5, max(worst)
         assert max(w[4] for w in worst) > 0.4  # some bit sits on a boundary
+
+    # (T1 in ns, sigma) of each chip's two units, T2 = 1 ns: every p_k < 0.3
+    CHIPS = [((0.83, 0.008), (1.09, 0.006)), ((0.91, 0.008), (1.23, 0.004)),
+             ((1.17, 0.008), (1.03, 0.006)), ((1.37, 0.008), (0.89, 0.004)),
+             ((1.53, 0.008), (1.11, 0.008)), ((1.27, 0.006), (0.83, 0.004))]
+
+    def test_per_chip_raw_reliability_matches_the_crossing_model(self):
+        """compute_report's raw reliability of each chip, against the
+        noiseless word it enrolls, is 100 (1 - mean p_k) over the chip's
+        units and bits, within 4.5 standard errors of the chip's mean
+        fractional distance over its 2000 samples."""
+        n = 2000
+        cfg = chipsim.CampaignConfig(n_chips=len(self.CHIPS), samples_per_chip=n,
+                                     voltages=(1.3,), master_seed=35)
+        ds = HandMadeCampaign(cfg, ro.RoParams(), chip_units=lambda c: tuple(
+            make_unit(t1 * 1e-9, 1e-9, jitter=sigma) for t1, sigma in self.CHIPS[c])).collect()
+        refs, cells = held(ds, 1.3)
+        report = metrics.compute_report(ds)
+        worst = []
+        for c, units in enumerate(self.CHIPS):
+            assert refs[c].tolist() == [b for t1, _ in units for b in closed_form_word(16, t1)]
+            rates = [p for t1, sigma in units
+                     for p in flip_rates(t1 * 1e-9 / 2, 0.5e-9, sigma, sigma, 0.0, 16)]
+            assert max(rates) < 0.3
+            want = 100.0 * (1.0 - sum(rates) / len(rates))
+            distances = (unpack_rows(cells[c], 32) != refs[c]).mean(axis=1) * 100.0
+            se = max(float(distances.std(ddof=1)) / n ** 0.5, 100.0 / (32 * n))
+            worst.append((abs(report.reliability_pct_per_chip[c] - want) / se, c, want))
+        assert max(worst)[0] <= 4.5, max(worst)
+        assert min(w[2] for w in worst) < 99.0  # some chip is visibly unreliable
 
 
 class TestKernelInputs:

@@ -32,8 +32,8 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import ro
-from .config import STREAM_VERSION, CampaignConfig
-from .errors import ConfigurationError
+from .config import CHUNK_ROWS, STREAM_VERSION, CampaignConfig, normal_widths
+from .errors import ConfigurationError, DatasetError
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
 
@@ -63,19 +63,6 @@ class PufUnit:
     def __post_init__(self):
         if self.word_length < 1:
             raise ConfigurationError("word_length must be >= 1")
-
-
-def normal_widths(word_length: int) -> tuple[int, int]:
-    """(B1, n2): standard normals per row for RO1 and RO2.
-
-    RO2 needs n2 = 2L-1 half-periods to reach rising edge L-1.  RO1 gets
-    B1 = (3*n2+1)//2 + 8 (55 for L = 16), enough to cover them while T2/T1
-    stays below about 1.5; a row that runs short extends from its own
-    stream (see sample_rows).  Both depend on L only, so a row is the same
-    enable cycle at every voltage (common random numbers across a sweep).
-    """
-    n2 = 2 * word_length - 1
-    return (3 * n2 + 1) // 2 + 8, n2
 
 
 def draw_rows(rng: np.random.Generator, n: int, word_length: int
@@ -181,12 +168,6 @@ def enroll_id(unit: PufUnit, repetitions: int, v: float, seed: int) -> np.ndarra
                                  lambda i: rng))
 
 
-# Enrollment and sample rows are drawn this many at a time, which bounds
-# the kernel's working memory; rows have a fixed width, so the bits do not
-# depend on it.
-CHUNK_ROWS = 64
-
-
 @dataclass
 class Campaign:
     """A campaign sampled on demand: iterating it realizes each chip (see
@@ -283,7 +264,7 @@ def voltage_sweep(campaign: CampaignDataset | Campaign) -> list[tuple[float, flo
     cfg = campaign.config
     v0 = campaign.ro_params.reference_voltage
     if v0 not in cfg.voltages:
-        raise ValueError(f"reference voltage {v0} not in dataset voltages")
+        raise DatasetError(f"reference voltage {v0} not in dataset voltages")
     k0, n_samples = cfg.voltages.index(v0), cfg.samples_per_chip
     mismatches = [0] * len(cfg.voltages)
     for refs, cells in campaign:

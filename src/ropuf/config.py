@@ -25,6 +25,26 @@ from .errors import ConfigurationError
 STREAM_VERSION = 3
 
 
+def normal_widths(word_length: int) -> tuple[int, int]:
+    """(B1, n2): standard normals per row for RO1 and RO2.
+
+    RO2 needs n2 = 2L-1 half-periods to reach rising edge L-1.  RO1 gets
+    B1 = (3*n2+1)//2 + 8 (55 for L = 16), enough to cover them while T2/T1
+    stays below about 1.5; a row that runs short extends from its own
+    stream (see chipsim.sample_rows).  Both depend on L only, so a row is
+    the same enable cycle at every voltage (common random numbers across a
+    sweep).
+    """
+    n2 = 2 * word_length - 1
+    return (3 * n2 + 1) // 2 + 8, n2
+
+
+# Enrollment and sample rows are drawn this many at a time, which bounds
+# the kernel's working memory; rows have a fixed width, so the bits do not
+# depend on it.
+CHUNK_ROWS = 64
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     n_chips: int = 10
@@ -46,6 +66,22 @@ class CampaignConfig:
             raise ConfigurationError("n_chips must be >= 2 for inter-chip metrics")
         if self.pairs_per_id < 1 or self.word_length < 1:
             raise ConfigurationError("pairs_per_id and word_length must be >= 1")
+        # Each chip's arrays must be ones numpy can index: a larger campaign
+        # is refused here, before any output, not by numpy mid-run.  First,
+        # so that no message below formats an int past str()'s digit limit.
+        bits, n_volts = self.pairs_per_id * self.word_length, len(self.voltages)
+        for array, fields, elements in (
+                ("one chunk's normals", "word_length",
+                 CHUNK_ROWS * sum(normal_widths(self.word_length))),
+                ("a chip's enrollment block",
+                 "voltages_v x enroll_repetitions x pairs_per_id x word_length",
+                 n_volts * self.enroll_repetitions * bits),
+                ("a chip's samples",
+                 "voltages_v x samples_per_chip x ceil(pairs_per_id x word_length / 8)",
+                 n_volts * self.samples_per_chip * -(-bits // 8))):
+            if elements > sys.maxsize:
+                raise ConfigurationError(f"{fields}: {array} would hold more than "
+                                         f"sys.maxsize ({sys.maxsize}) elements")
         if self.id_length != self.pairs_per_id * self.word_length:
             raise ConfigurationError(
                 f"id_length {self.id_length} != pairs_per_id*word_length "

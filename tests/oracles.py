@@ -105,22 +105,24 @@ def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
 
 
 def uniqueness_formula(references: list[list[int]], length: int) -> float:
-    """Direct transcription of the pairwise-distance average."""
+    """Direct transcription of the pairwise-distance average, exact in
+    Fractions and rounded once."""
     n = len(references)
-    total = 0.0
+    total = Fraction(0)
     for i in range(n - 1):
         for j in range(i + 1, n):
             hd = sum(a != b for a, b in zip(references[i], references[j]))
-            total += hd / length
-    return 2.0 / (n * (n - 1)) * total * 100.0
+            total += Fraction(hd, length)
+    return float(Fraction(2, n * (n - 1)) * total * 100)
 
 
 def reliability_formula(reference: list[int], samples: list[list[int]],
                         length: int, t: int) -> float:
-    total = 0.0
+    """[1 - mean fractional HD] * 100, exact in Fractions and rounded once."""
+    total = Fraction(0)
     for s in samples[:t]:
-        total += sum(a != b for a, b in zip(reference, s)) / length
-    return (1.0 - total / t) * 100.0
+        total += Fraction(sum(a != b for a, b in zip(reference, s)), length)
+    return float((1 - total / t) * 100)
 
 
 def hex_word(bits) -> str:
@@ -135,13 +137,9 @@ def hex_word_bits(word: str, length: int) -> list[int]:
 
 
 def uniformity_formula(responses: list[list[int]], length: int) -> float:
-    per_response = [sum(r) / length * 100.0 for r in responses]
-    return sum(per_response) / len(per_response)
-
-
-def mean_by_numpy(values) -> float:
-    """np.mean of floats: numpy's pairwise sum over float64, over the count."""
-    return float(np.mean(np.asarray(values, dtype=np.float64)))
+    """Mean ones-percentage per response, exact in Fractions and rounded once."""
+    per_response = [Fraction(sum(r), length) * 100 for r in responses]
+    return float(sum(per_response) / len(per_response))
 
 
 # --- BCH(31,16,7) algebraic decoder ------------------------------------
@@ -362,52 +360,47 @@ def table_decode(words: list[int], generator: int) -> tuple[list[int], list[int]
 # --- campaign report ---------------------------------------------------
 
 
-def report_formula(references: dict, samples: dict, v: float, v0: float,
-                   post_bch: bool) -> dict:
+def report_formula(references: dict, samples: dict, v0: float, post_bch: bool) -> dict:
     """The JSON report of metrics.compute_report, from (n_chips, L)
-    reference and (n_chips, T, L) sample bit lists per voltage: distances
-    and ones counted bit by bit, post-BCH samples decoded row by row with
-    bch_decode toward the chip's reference at v0, and the floats reduced
-    as the report documents them (reliability and uniqueness summed in
-    order, uniformity and the per-chip means through numpy's mean)."""
-    length = 31 if post_bch else len(references[v][0])
+    reference and (n_chips, T, L) sample bit lists per voltage, of which
+    it reads those at v0: distances and ones counted bit by bit, post-BCH
+    samples decoded row by row with bch_decode toward the chip's
+    reference, each percentage exact in Fractions and rounded once, and
+    each mean over chips the exact sum of the per-chip floats rounded
+    once, over the chip count."""
+    length = 31 if post_bch else len(references[v0][0])
+    refs = [r[:length] for r in references[v0]]
 
-    def stage(volts, chip):  # the chip's samples at volts, each corrected if post_bch
-        rows = [row[:length] for row in samples[volts][chip]]
-        if post_bch:
-            anchor = references[v0][chip][:31]
-            for k, row in enumerate(rows):
-                received = [a ^ b for a, b in zip(row, anchor)]
-                decoded = bch_decode(received)
-                fixed = received if decoded is None else decoded[0]
-                rows[k] = [a ^ b for a, b in zip(fixed, anchor)]
-        return rows
+    def mean(values):
+        return float(sum(map(Fraction, values))) / len(values)
 
     reliability, uniformity, intra = {}, {}, [0] * (length + 1)
-    for chip in range(len(references[v])):
-        rows = stage(v, chip)
-        reliability[str(chip)] = reliability_formula(references[v][chip][:length], rows,
-                                                      length, len(rows))
-        uniformity[str(chip)] = float(np.mean(np.array([sum(r) for r in rows]) / length)
-                                      * 100.0)
-        ref0 = references[v0][chip][:length]
-        for row in stage(v0, chip):
-            intra[sum(a != b for a, b in zip(ref0, row))] += 1
-    refs0 = [r[:length] for r in references[v0]]
+    for chip, ref in enumerate(refs):
+        rows = [row[:length] for row in samples[v0][chip]]
+        if post_bch:
+            for k, row in enumerate(rows):
+                received = [a ^ b for a, b in zip(row, ref)]
+                decoded = bch_decode(received)
+                fixed = received if decoded is None else decoded[0]
+                rows[k] = [a ^ b for a, b in zip(fixed, ref)]
+        reliability[str(chip)] = reliability_formula(ref, rows, length, len(rows))
+        uniformity[str(chip)] = uniformity_formula(rows, length)
+        for row in rows:
+            intra[sum(a != b for a, b in zip(ref, row))] += 1
     inter = [0] * (length + 1)
-    for i in range(len(refs0) - 1):
-        for j in range(i + 1, len(refs0)):
-            inter[sum(a != b for a, b in zip(refs0[i], refs0[j]))] += 1
+    for i in range(len(refs) - 1):
+        for j in range(i + 1, len(refs)):
+            inter[sum(a != b for a, b in zip(refs[i], refs[j]))] += 1
     return {
-        "voltage": v,
+        "voltage": v0,
         "bch_stage": "post_bch" if post_bch else "raw",
         "id_length": length,
-        "uniqueness_pct": uniqueness_formula([r[:length] for r in references[v]], length),
-        "reliability_pct_mean": float(np.mean(list(reliability.values()))),
+        "uniqueness_pct": uniqueness_formula(refs, length),
+        "reliability_pct_mean": mean(reliability.values()),
         "reliability_pct_per_chip": reliability,
-        "uniformity_pct_mean": float(np.mean(list(uniformity.values()))),
+        "uniformity_pct_mean": mean(uniformity.values()),
         "uniformity_pct_per_chip": uniformity,
         "intra_hist": intra,
         "inter_hist": inter,
-        "voltage_fit": None,
+        "report_version": 2,
     }

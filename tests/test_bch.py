@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (GF_EXP, bch_decode, bits_word, codebook, error_word, fe_reproduce,
                      generator_rows, gf_mul, table_decode, word_bits)
 from ropuf import bch, metrics
-from ropuf.errors import DecodeFailure
+from ropuf.errors import DatasetError, DecodeFailure
 from ropuf.chipsim import pack_rows
 
 # g(x) = 1 + x + x^2 + x^3 + x^5 + x^7 + x^8 + x^9 + x^10 + x^11 + x^15,
@@ -185,6 +185,10 @@ class TestDecodeWordsOracle:
                 assert (bits, k) == want
                 miscorrections += want[0] != cw
         assert failures > 0 and miscorrections > 0
+
+    def test_short_id_is_a_data_error(self):
+        with pytest.raises(DatasetError, match="^ID shorter than the 31-bit code$"):
+            metrics.corrected_sample_words(bytes(4 * 3), bytes(4), 30)
 
 
 class TestDecodeWordsTableOracle:

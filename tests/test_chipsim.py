@@ -132,7 +132,7 @@ class TestVoltageSweep:
     def test_missing_reference_voltage(self):
         ds, _, _ = small_campaign(voltages=(1.25, 1.3))
         ds.ro_params = dataclasses.replace(ds.ro_params, reference_voltage=1.35)
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match=r"^reference voltage 1\.35 not in dataset"):
             chipsim.voltage_sweep(ds)
 
     def test_mismatch_shifts_grow_with_offset(self):
@@ -301,11 +301,9 @@ class TestPackedSamples:
         ref_bits = {v: refs[v].tolist() for v in cfg.voltages}
         grid_bits = {v: grid[v].tolist() for v in cfg.voltages}
         for post_bch in (False, True) if length >= 31 else (False,):
-            for v in cfg.voltages:
-                got = metrics.compute_report(loaded, voltage=v, post_bch=post_bch)
-                want = report_formula(ref_bits, grid_bits, v, ds.ro_params.reference_voltage,
-                                      post_bch)
-                assert json.dumps(got.to_json_dict()) == json.dumps(want)
+            got = metrics.compute_report(loaded, post_bch=post_bch)
+            want = report_formula(ref_bits, grid_bits, ds.ro_params.reference_voltage, post_bch)
+            assert json.dumps(got.to_json_dict()) == json.dumps(want)
 
     def test_reports_never_unpack_samples(self, monkeypatch, tmp_path):
         ds = random_dataset(word_length=16)
@@ -315,8 +313,7 @@ class TestPackedSamples:
 
         monkeypatch.setattr(np, "unpackbits", unpack)
         for post_bch in (False, True):
-            for v in ds.config.voltages:
-                assert sum(metrics.compute_report(ds, voltage=v, post_bch=post_bch).intra) == 24
+            assert sum(metrics.compute_report(ds, post_bch=post_bch).intra) == 24
         assert len(chipsim.voltage_sweep(ds)) == 2
         save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         assert len((tmp_path / "d.csv").read_text().splitlines()) == 1 + 3 * 2 * 8
@@ -345,10 +342,9 @@ class TestChipBlocks:
             assert [len(cells) for cells in a[1]] == [20 * 4] * 3
             assert [bytes(cells) for cells in a[1]] == [bytes(cells) for cells in b[1]]
         for post_bch in (False, True):
-            for v in (1.3, 1.35):
-                dumps = {json.dumps(metrics.compute_report(s, voltage=v, post_bch=post_bch)
-                                    .to_json_dict()) for s in sources}
-                assert len(dumps) == 1, (post_bch, v)
+            dumps = {json.dumps(metrics.compute_report(s, post_bch=post_bch).to_json_dict())
+                     for s in sources}
+            assert len(dumps) == 1, post_bch
         sweeps = [chipsim.voltage_sweep(s) for s in sources]
         assert sweeps[0] == sweeps[1] == sweeps[2]
         assert [dv for dv, _ in sweeps[0]] == [1.25 - 1.3, 0.0, 1.35 - 1.3]
@@ -416,7 +412,7 @@ class TestPostBchDistributions:
         assert post.intra[0] == 11 and post.intra[4] == 1
         assert post.reliability_pct_per_chip == {0: 100.0 * (1 - 4 / (31 * 6)), 1: 100.0}
         assert post.reliability_pct_mean < 100.0
-        want = report_formula({1.3: refs.tolist()}, {1.3: samples.tolist()}, 1.3, 1.3, True)
+        want = report_formula({1.3: refs.tolist()}, {1.3: samples.tolist()}, 1.3, True)
         assert post.to_json_dict() == want
         save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         out = tmp_path / "post"

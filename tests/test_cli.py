@@ -310,7 +310,8 @@ class TestMetrics:
          "sidecar reference ['0']['1.3']: 5 must be a hex string"),
         # Claims refused before any buffer is sized from them.
         (lambda s: s["config"]["campaign"].update(samples_per_chip=2**61),
-         f"CSV lines: the sidecar claims 1 voltages x 3 chips x {2**61} samples"),
+         "bad sidecar: voltages_v x samples_per_chip x ceil(pairs_per_id x word_length / 8): "
+         "a chip's samples would hold more than sys.maxsize"),
         (lambda s: s["config"]["campaign"].update(samples_per_chip=2**40),
          f"= {3 * 2**40} words, but the input holds at most"),
         (lambda s: s["config"]["campaign"].update(n_chips=2**61),
@@ -402,6 +403,15 @@ class TestMetrics:
         report = json.loads((out / "report.json").read_text())
         assert report["bch_stage"] == "post_bch"
         assert report["id_length"] == 31
+
+    def test_post_bch_on_a_short_id_is_data_error(self, tmp_path, capsys):
+        """A 16-bit ID is shorter than the 31-bit code: exit 3, no report."""
+        csv_path = self._simulated(tmp_path, pairs_per_id=1)
+        capsys.readouterr()
+        out = tmp_path / "m"
+        assert cli.main(["metrics", str(csv_path), "--out", str(out), "--post-bch"]) == 3
+        assert capsys.readouterr().err == "data error: ID shorter than the 31-bit code\n"
+        assert not out.exists()
 
 
 class TestSweep:
@@ -653,6 +663,9 @@ RUN_CONFIG_CASES = {
     "voltage_inexact_int": (  # no voltage sensitivity, so the model range admits it
         lambda c: c["ro"].update(voltage_sensitivity_per_v=0, voltage_sensitivity_sigma_per_v=0)
         or c["campaign"].update(voltages_v=[1.3, 10 ** 20 + 1]), "voltages_v"),
+    "id_length_past_str_digits": (  # the mismatch would print 8001 digits
+        lambda c: c["campaign"].update(pairs_per_id=10 ** 4000, word_length=10 ** 4000,
+                                       id_length=1), "word_length"),
 }
 SIDECAR_CASES = {
     "id_length_40": (lambda s: s["config"]["campaign"].update(id_length=40), "id_length"),

@@ -6,7 +6,8 @@ corrupt hex words and grid fields and truncate the text.  A `simulate`
 that succeeds must write a dataset its own `metrics` accepts, and a CSV
 whose only edits are non-hex characters in a word, a sign, space or '_'
 in a chip, voltage or sample field, or repeated rows must be rejected
-(exit 3).
+(exit 3).  Each integer campaign field but n_chips, made huge, is refused
+before any output, except the seed, which sizes nothing.
 """
 import copy
 import json
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ropuf import cli
+from ropuf.config import INT, SCHEMA
 
 CONFIG = {
     "ro": {
@@ -169,3 +171,23 @@ def test_fuzzed_dataset(dataset_files, data):
         for name, text in files.items():
             (tmp / name).write_text(text)
         assert _metrics(tmp, tmp / "strict", post_bch) == 3
+
+
+@pytest.mark.parametrize("value", [10 ** 19, 10 ** 400], ids=["1e19", "1e400"])
+@pytest.mark.parametrize("field", [key for key, _, kind, _ in SCHEMA["campaign"][2]
+                                   if kind is INT and key != "n_chips"])
+def test_huge_campaign_int(tmp_path, capsys, field, value):
+    """A field that sizes a chip's arrays past what numpy can index exits
+    2 naming it, before --out is made; n_chips sizes only the work, which
+    streams chip by chip, and a seed of any size keys the streams."""
+    config = copy.deepcopy(CONFIG)
+    config["campaign"][field] = value
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    out = tmp_path / "o"
+    rc = cli.main(["simulate", "--config", str(tmp_path / "run.json"), "--out", str(out)])
+    if field == "master_seed":
+        assert rc == 0 and _metrics(out, tmp_path / "raw", False) == 0
+        return
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("configuration error: ") and field in err, err
+    assert not out.exists()

@@ -150,7 +150,8 @@ COMMANDS = {
     "metrics_odd_raw": _metrics("{odd}"),
     # 18 bits are too short for the code.
     "metrics_odd_post_bch_refused": Command(("metrics", "{odd}", "--out", "out", "--post-bch"),
-                                            rc=3, stderr="error: ID shorter than the 31-bit code\n",
+                                            rc=3,
+                                            stderr="data error: ID shorter than the 31-bit code\n",
                                             no_files=("out",)),
     # The golden campaign sets every flag off: no report, no sweep.
     "simulate": Command(("simulate", "--config", "run.json", "--out", "sim"),

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import (bits_word, mean_by_numpy, reliability_formula, uniformity_formula,
-                     uniqueness_formula)
+from oracles import bits_word, reliability_formula, uniformity_formula, uniqueness_formula
 from ropuf import metrics
 
 bits_lists = st.lists(st.integers(0, 1), min_size=1, max_size=24)
@@ -129,6 +128,9 @@ class TestUniformity:
 
 
 class TestFormulaOracle:
+    """Each percentage is one division of integer counts, so it equals the
+    Fraction-exact formula rounded once, to the last bit."""
+
     def test_random_small_instances(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 6))
@@ -136,21 +138,16 @@ class TestFormulaOracle:
             t = int(rng.integers(1, 5))
             refs = [[int(b) for b in rng.integers(0, 2, length)] for _ in range(n)]
             samples = [[int(b) for b in rng.integers(0, 2, length)] for _ in range(t)]
-            got = metrics.uniqueness([bits_word(r) for r in refs], length)
-            want = uniqueness_formula(refs, length)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-            got = metrics.reliability(bits_word(refs[0]), [bits_word(s) for s in samples],
-                                      length)
-            want = reliability_formula(refs[0], samples, length, t)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-            got = metrics.uniformity([bits_word(s) for s in samples], length)
-            want = uniformity_formula(samples, length)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert metrics.uniqueness([bits_word(r) for r in refs], length) == \
+                uniqueness_formula(refs, length)
+            assert metrics.reliability(bits_word(refs[0]), [bits_word(s) for s in samples],
+                                       length) == reliability_formula(refs[0], samples, length, t)
+            assert metrics.uniformity([bits_word(s) for s in samples], length) == \
+                uniformity_formula(samples, length)
 
     def test_words_of_every_width_up_to_64_bits(self):
         """Reports score 32-bit raw IDs and 31-bit post-BCH words; every
-        width from 1 to 64 bits.  Uniqueness and reliability sum the
-        fractions in the formulas' order, so they agree to the last bit."""
+        width from 1 to 64 bits."""
         rng = np.random.default_rng(64)
         for length, _ in itertools.product(range(1, 65), range(10)):
             n, t = (int(x) for x in rng.integers(2, 12, 2))
@@ -161,34 +158,7 @@ class TestFormulaOracle:
                 uniqueness_formula(refs, length)
             assert metrics.reliability(bits_word(refs[0]), words, length) == \
                 reliability_formula(refs[0], samples, length, t)
-            assert metrics.uniformity(words, length) == pytest.approx(
-                uniformity_formula(samples, length), rel=1e-12, abs=1e-12)
-
-
-class TestPairwiseMean:
-    """metrics._mean, a port of numpy's pairwise float64 sum, against
-    np.mean itself: every size below 300, then the sizes around the
-    128-value blocks and the splits at multiples of 8."""
-
-    SIZES = [*range(1, 300), 511, 512, 513, 1000, 1023, 1024, 1025, 4999, 5000, 5001, 20000]
-
-    def test_random_floats_across_ten_decades(self):
-        rng = np.random.default_rng(17)
-        for n in self.SIZES:
-            for _ in range(20):
-                values = (rng.random(n) * 10.0 ** rng.integers(-5, 5, n)).tolist()
-                assert metrics._mean(values) == mean_by_numpy(values), n
-
-    def test_ones_fractions_as_uniformity_averages_them(self):
-        rng = np.random.default_rng(18)
-        for n in self.SIZES:
-            for _ in range(20):
-                length = int(rng.choice([3, 17, 31, 32, 70]))
-                ones = rng.integers(0, length + 1, n)
-                assert metrics._mean((ones / length).tolist()) == mean_by_numpy(ones / length)
-                words = [(1 << int(k)) - 1 for k in ones]  # k ones each
-                assert metrics.uniformity(words, length) == \
-                    float(np.mean(ones / length) * 100.0), (n, length)
+            assert metrics.uniformity(words, length) == uniformity_formula(samples, length)
 
 
 class TestHistogram:

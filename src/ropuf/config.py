@@ -44,6 +44,12 @@ def normal_widths(word_length: int) -> tuple[int, int]:
 # depend on it.
 CHUNK_ROWS = 64
 
+# csv.reader's default field_size_limit(), in characters: a dataset row
+# holds an ID of at most 4 bits a hex digit times this.  Kept here, since
+# the sampling commands load no csv.
+CSV_FIELD_LIMIT = 131072
+MAX_ID_BITS = 4 * CSV_FIELD_LIMIT
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -82,6 +88,11 @@ class CampaignConfig:
             if elements > sys.maxsize:
                 raise ConfigurationError(f"{fields}: {array} would hold more than "
                                          f"sys.maxsize ({sys.maxsize}) elements")
+        # So that `metrics` reads every dataset `simulate` writes.
+        if bits > MAX_ID_BITS:
+            raise ConfigurationError(f"pairs_per_id x word_length: an ID must fit in a dataset "
+                                     f"row's {CSV_FIELD_LIMIT} hex digits, at most "
+                                     f"{MAX_ID_BITS} bits")
         if self.id_length != self.pairs_per_id * self.word_length:
             raise ConfigurationError(
                 f"id_length {self.id_length} != pairs_per_id*word_length "

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from conftest import packed_dataset
 from ropuf import bch, chipsim, cli, metrics, ro
-from ropuf.config import from_dict, load, to_dict
+from ropuf.config import MAX_ID_BITS, CampaignConfig, from_dict, load, to_dict
+from ropuf.dataset import save_dataset
 from ropuf.errors import ModelRangeError
 
 
@@ -53,14 +55,6 @@ class TestSimulate:
         rows = (tmp_path / "o" / "dataset.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 2 * 10  # header + chips*voltages*samples
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        write_config(cfg)
-        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "a")])
-        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "b")])
-        for name in ("dataset.csv", "dataset.json"):
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
     def test_bad_id_length_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         config = write_config(cfg)
@@ -68,11 +62,6 @@ class TestSimulate:
         cfg.write_text(json.dumps(config))
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "id_length" in capsys.readouterr().err
-
-    def test_missing_config_file(self, tmp_path, capsys):
-        rc = cli.main(["simulate", "--config", str(tmp_path / "nope.json"),
-                       "--out", str(tmp_path / "o")])
-        assert rc == 2
 
     @pytest.mark.parametrize("voltages", [(1.25, 1.3, 1.25), (1.25, 1.35)],
                              ids=["duplicate_voltage", "no_reference_voltage"])
@@ -107,20 +96,6 @@ class TestSimulate:
             cli.main([command, "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert "accepted and ignored" in help_text and "worker" not in help_text
-
-    def test_threads_below_one_rejected(self, tmp_path, monkeypatch, capsys):
-        cfg = tmp_path / "run.json"
-        write_config(cfg, voltages=(1.25, 1.3))
-        out = tmp_path / "o"
-
-        def unreachable(*args):  # --threads is checked before the campaign is built
-            raise AssertionError("campaign built before --threads was checked")
-        monkeypatch.setattr(chipsim, "Campaign", unreachable)
-        for command in ("simulate", "sweep"):
-            assert cli.main([command, "--config", str(cfg), "--out", str(out),
-                             "--threads", "0"]) == 2
-            assert capsys.readouterr().err == "configuration error: threads must be >= 1, got 0\n"
-            assert not out.exists()
 
     def test_negative_seed_fails_before_any_directory(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -396,13 +371,17 @@ class TestMetrics:
         sidecar_path.write_text(json.dumps(sidecar))
         assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 0
 
-    def test_post_bch_flag(self, tmp_path):
-        csv_path = self._simulated(tmp_path)
-        out = tmp_path / "m"
-        assert cli.main(["metrics", str(csv_path), "--out", str(out), "--post-bch"]) == 0
+    def test_widest_id_reads_back(self, tmp_path):
+        """A dataset of MAX_ID_BITS-bit IDs, the widest a run configuration
+        admits, written by save_dataset, is one metrics reads."""
+        cfg = CampaignConfig(n_chips=2, pairs_per_id=MAX_ID_BITS // 16, samples_per_chip=1)
+        refs = np.random.default_rng(19).integers(0, 2, (2, MAX_ID_BITS), dtype=np.uint8)
+        csv_path, out = tmp_path / "dataset.csv", tmp_path / "m"
+        save_dataset(packed_dataset(cfg, {1.3: refs}, {1.3: refs[:, None]}), csv_path,
+                     csv_path.with_suffix(".json"))
+        assert cli.main(["metrics", str(csv_path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        assert report["bch_stage"] == "post_bch"
-        assert report["id_length"] == 31
+        assert (report["id_length"], report["reliability_pct_mean"]) == (MAX_ID_BITS, 100.0)
 
     def test_post_bch_on_a_short_id_is_data_error(self, tmp_path, capsys):
         """A 16-bit ID is shorter than the 31-bit code: exit 3, no report."""
@@ -415,22 +394,6 @@ class TestMetrics:
 
 
 class TestSweep:
-    def test_emits_series_and_fit(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        write_config(cfg, n_chips=4, samples=15, voltages=(1.25, 1.3, 1.35))
-        out = tmp_path / "s"
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-        lines = (out / "sweep.csv").read_text().strip().splitlines()
-        assert lines[0] == "delta_v,abs_delta_v,hd_shift"
-        assert len(lines) == 4
-        fit = json.loads((out / "sweep.json").read_text())["fit_vs_abs_dv"]
-        assert set(fit) == {"slope", "intercept", "r2"}
-
-    def test_single_voltage_rejected(self, tmp_path):
-        cfg = tmp_path / "run.json"
-        write_config(cfg, voltages=(1.3,))
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
-
     @given(st.lists(st.tuples(st.one_of(st.floats(), st.integers()), st.floats()), max_size=6))
     @example([(-0.05, 0.0), (0.0, -0.0), (-0.0, 5e-324), (1e300, -1.7976931348623157e308),
               (-2.5e-308, 1e-300)])
@@ -663,6 +626,10 @@ RUN_CONFIG_CASES = {
     "voltage_inexact_int": (  # no voltage sensitivity, so the model range admits it
         lambda c: c["ro"].update(voltage_sensitivity_per_v=0, voltage_sensitivity_sigma_per_v=0)
         or c["campaign"].update(voltages_v=[1.3, 10 ** 20 + 1]), "voltages_v"),
+    "pairs_per_id_past_a_dataset_row": (lambda c: c["campaign"].update(pairs_per_id=10 ** 12),
+                                        "pairs_per_id x word_length"),
+    "word_length_past_a_dataset_row": (lambda c: c["campaign"].update(word_length=10 ** 12),
+                                       "pairs_per_id x word_length"),
     "id_length_past_str_digits": (  # the mismatch would print 8001 digits
         lambda c: c["campaign"].update(pairs_per_id=10 ** 4000, word_length=10 ** 4000,
                                        id_length=1), "word_length"),
@@ -686,6 +653,8 @@ SIDECAR_CASES = {
     "stream_version_true": (lambda s: s.update(stream_version=True), "stream_version"),
     "stream_version_float": (lambda s: s.update(stream_version=2.0), "stream_version"),
     "deeply_nested": (lambda s: NESTED_JSON, "bad sidecar"),
+    "id_past_a_dataset_row": (lambda s: s["config"]["campaign"].update(pairs_per_id=2 ** 15 + 1),
+                              "bad sidecar: pairs_per_id x word_length"),
     "jitter_huge_int": (lambda s: s["config"]["ro"].update(jitter_sigma=10 ** 400),
                         "jitter_sigma"),
 }

@@ -46,6 +46,12 @@ CONFIG = {
 # the top one partial.  It is too short for the code, so raw only.
 ODD_CONFIG = {**CONFIG, "campaign": {**CONFIG["campaign"], "word_length": 9}}
 
+# The same campaign under each coupling that is not "none": capacitive at
+# the default strength, pinned from simulate to the sweep, and the
+# inverter loop, whose words are all zero, raw only.
+CAPACITIVE_CONFIG = {**CONFIG, "coupling": {"mode": "capacitive", "strength": 0.95}}
+INVERTER_LOOP_CONFIG = {**CONFIG, "coupling": {"mode": "inverter_loop"}}
+
 # Re-pinned for stream version 3 (rows of (3*(2L-1)+1)//2 + 8 RO1 normals,
 # 55 for L = 16, where version 2 drew 4*(2L-1)+8): every file below is
 # computed from freshly sampled bits, so all of them changed with the
@@ -79,6 +85,33 @@ FILE_DIGESTS = {
         "5aae60703f294fc6056b2a72efc362a0e241cdf6d1c257834a3b9fe7f4da8ebf",
     "odd/raw/report.json":
         "d7d5c9c69d808ba52eaf54e2254ddaa9d5de95dbb1a0537c1de904087170c0fc",
+    # Pinned at stream version 3 and report version 2.  At strength 0.95 the
+    # three chips enroll the same reference (uniqueness 0.0), and the sweep's
+    # fit reads slope 10.666666666666664.
+    "cap/sim/dataset.csv":
+        "adece05c3d293a2faa2e5baf11910f253c2c480ba403ce957b3897cb518017d5",
+    "cap/sim/dataset.json":
+        "364e21c426121aded27ea808fc3f961b5d8cf1a2e0a41685405aa6990b0be835",
+    "cap/raw/report.json":
+        "df282af4e48928aa4e3b7e9e6ffa82f853e788ac25fdd3d4c6d5e886caae6278",
+    "cap/raw/histograms.csv":
+        "7196b2ce26619296987cd2d84f4a3f44fc9c84909baa016fd854ecb42371b864",
+    "cap/post/report.json":
+        "d0e4460cedeacc46c5bdc0ba30b00df0b4e6aa04648412362a52f2976ac3ca3a",
+    "cap/post/histograms.csv":
+        "ed24ce940f1300c0c7946e8eef1a7d505831084a3a7d6eab4f9d76bf4edc9dea",
+    "cap/sweep/sweep.csv":
+        "ed054fc7c214698fb599644f6dc3c7729a73a43e50c7febe8ad31493acc927c6",
+    "cap/sweep/sweep.json":
+        "514df3921ab88894c27606354be10247890e44fb1030c10ee2a7f60e509a24e3",
+    "loop/sim/dataset.csv":
+        "71d50fd166fed9e57bbee36f0f2e53d20321af51da33a4bf1222fa4ed2ea4637",
+    "loop/sim/dataset.json":
+        "6c2947863dedca71676ad687f6b74c3708e78667d4a8f128149115146fe026f2",
+    "loop/raw/report.json":
+        "647eda7812ec9471f2468bd90f5593ee44461c523f9107786e1ded832b834fdd",
+    "loop/raw/histograms.csv":
+        "d2a4980306fe6bbe7bc48bcb1c547cfd7321b7a27ec262aa135ab9efb7b7d9bd",
 }
 
 # tests/data holds sim/dataset.{csv,json} of CONFIG as stream version 1
@@ -132,6 +165,8 @@ def golden_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     _run(root, CONFIG, post_bch=True, sweep=True)
     _run(root / "odd", ODD_CONFIG, post_bch=False, sweep=False)
+    _run(root / "cap", CAPACITIVE_CONFIG, post_bch=True, sweep=True)
+    _run(root / "loop", INVERTER_LOOP_CONFIG, post_bch=False, sweep=False)
     return root
 
 

@@ -11,12 +11,13 @@ runs it (`sys.argv`, then `main()`) and in-process (`main(argv)`), in one
 fresh interpreter, and checks every column against that run: exit code,
 stderr, the modules that must not load, the `ropuf` modules that finish
 loading after numpy (a module takes its place in `sys.modules` when its
-import completes), and the files left behind, the sampling rows' against
-the golden digests.  The rows pin that no command loads `multiprocessing`
-or hashlib (with OpenSSL's `_hashlib`, several MiB resident), which
-`numpy.random.bit_generator` would load through `secrets` had `ropuf.rng`
-not loaded it under a stand-in that holds only `randbits`, and that none
-leaves a module blocked, so a later `import hashlib` loads OpenSSL.
+import completes), and the files left behind: each file that `simulate`
+or `sweep` writes must have a golden digest, and match it.  The rows pin
+that no command loads `multiprocessing` or hashlib (with OpenSSL's
+`_hashlib`, several MiB resident), which `numpy.random.bit_generator`
+would load through `secrets` had `ropuf.rng` not loaded it under a
+stand-in that holds only `randbits`, and that none leaves a module
+blocked, so a later `import hashlib` loads OpenSSL.
 `cost`, `--help`, a usage error, `metrics` and `bch-selftest` load no
 numpy: `metrics` scores words as Python integers, as `bch-selftest` checks
 the codec.  `simulate` and `sweep` load three `numpy.random` classes and
@@ -24,8 +25,8 @@ not the package, and neither the codec, the evaluation code, `csv` nor
 heapq; `sweep` loads no dataset module, and in both only `chipsim`, which
 imports numpy, and `rng` finish loading after numpy.  A configuration or
 `--threads` they refuse exits 2 before numpy loads and `--out` is made.
-The tests that held these pins before the table keep their names and
-read the same runs: `probe` starts one interpreter per (row, mode).
+Each of these pins is checked once, by `test_command` on its row's one
+run; no other test reads those runs.
 
 The other tests check the lazy package, the partial load of
 `numpy.random`, numpy's streams, and two scans of the sources: only
@@ -123,7 +124,7 @@ class Command:
     stderr: str = ""  # a pattern the whole stderr matches
     absent: tuple[str, ...] = NO_NUMPY  # fnmatch patterns of modules that must not load
     after_numpy: tuple[str, ...] = ()  # the ropuf modules that finish loading after numpy
-    files: tuple[str, ...] = ()  # must exist afterwards, and match FILE_DIGESTS where pinned
+    files: tuple[str, ...] = ()  # must exist afterwards; sampled ones match FILE_DIGESTS
     no_files: tuple[str, ...] = ()  # must not exist afterwards
     modes: tuple[str, ...] = MODES
 
@@ -193,25 +194,8 @@ def odd_dataset(tmp_path_factory):
     return path
 
 
-# A row's run: its directory, and what PROBE printed (`loaded` in load order).
-Run = namedtuple("Run", "cwd rc err loaded blocked sha256")
-
-
-@pytest.fixture(scope="module")
-def probe(tmp_path_factory, odd_dataset):
-    """The one run of each (row, mode), in its own directory with the
-    CONFIGS files, made on first use and shared by the tests that read it."""
-    runs = {}
-
-    def run(name: str, mode: str) -> Run:
-        if (name, mode) not in runs:
-            cwd = tmp_path_factory.mktemp(f"{name}-{mode}")
-            for file, config in CONFIGS.items():
-                (cwd / file).write_text(json.dumps(config))
-            argv = [arg.format(frozen=DATASET, odd=odd_dataset) for arg in COMMANDS[name].argv]
-            runs[name, mode] = Run(cwd, *json.loads(_child(PROBE, mode, *argv, cwd=cwd)))
-        return runs[name, mode]
-    return run
+# What PROBE printed (`loaded` in load order).
+Run = namedtuple("Run", "rc err loaded blocked sha256")
 
 
 def _digest(path: Path) -> str:
@@ -219,8 +203,13 @@ def _digest(path: Path) -> str:
 
 
 @pytest.mark.parametrize("name, mode", CASES, ids=[f"{name}-{mode}" for name, mode in CASES])
-def test_command(probe, name, mode):
-    row, run = COMMANDS[name], probe(name, mode)
+def test_command(tmp_path, odd_dataset, name, mode):
+    """The row's one run, in a directory that holds the CONFIGS files."""
+    row = COMMANDS[name]
+    for file, config in CONFIGS.items():
+        (tmp_path / file).write_text(json.dumps(config))
+    argv = [arg.format(frozen=DATASET, odd=odd_dataset) for arg in row.argv]
+    run = Run(*json.loads(_child(PROBE, mode, *argv, cwd=tmp_path)))
     assert run.rc == row.rc, run.err
     assert re.fullmatch(row.stderr, run.err, re.DOTALL), run.err
     assert [m for m in run.loaded if any(fnmatchcase(m, p) for p in row.absent)] == []
@@ -228,88 +217,10 @@ def test_command(probe, name, mode):
     assert tuple(m for m in after if m.startswith("ropuf.")) == row.after_numpy
     assert (run.blocked, run.sha256) == ([], "openssl_sha256")
     for file in row.files:
-        assert _digest(run.cwd / file) == FILE_DIGESTS.get(file, _digest(run.cwd / file)), file
-    assert [file for file in row.no_files if (run.cwd / file).exists()] == []
-
-
-# The pins of the tests that came before the table, each under its own
-# name and read from its row's one run.
-def _present(run: Run, modules) -> list[str]:
-    return [m for m in modules if m in run.loaded]
-
-
-def test_bch_selftest_loads_no_campaign_code(probe):
-    run = probe("bch_selftest", "in_process")
-    assert (run.rc, _present(run, ("ropuf.chipsim", "ropuf.config"))) == (0, [])
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_bch_selftest_loads_no_numpy(probe, mode):
-    """The codec and its self-test are integers throughout."""
-    run = probe("bch_selftest", mode)
-    assert (run.rc, [m for m in run.loaded if m.split(".")[0] == "numpy"]) == (0, [])
-
-
-@pytest.mark.parametrize("flags", ["raw", "post_bch"])
-def test_metrics_loads_no_numpy_random_and_no_openssl(probe, flags):
-    run = probe(f"metrics_frozen_{flags}", "in_process")
-    assert (run.rc, _present(run, ("numpy.random", *HASHING))) == (0, [])
-    assert (run.cwd / "out" / "report.json").exists()
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("data", ["frozen_raw", "frozen_post_bch", "odd_raw",
-                                  "odd_post_bch_refused"])
-def test_metrics_loads_no_numpy(probe, mode, data):
-    """On the frozen dataset and on an odd-length one."""
-    run = probe(f"metrics_{data}", mode)
-    assert [m for m in run.loaded if m.split(".")[0] == "numpy"] == []
-    assert (run.cwd / "out" / "report.json").exists() == (run.rc == 0)
-
-
-SAMPLING = [("simulate", "program"), ("sweep", "program"),
-            ("simulate", "in_process"), ("sweep", "in_process")]
-
-
-@pytest.mark.parametrize("name, mode", SAMPLING, ids=["simulate-sim", "sweep-sweep",
-                                                      "simulate-sim-in_process",
-                                                      "sweep-sweep-in_process"])
-def test_program_samples_without_openssl(probe, name, mode):
-    """The draws without OpenSSL are the ones the golden pins were made from."""
-    run = probe(name, mode)
-    assert (run.rc, _present(run, SAMPLING_FREE)) == (0, [])
-    pinned = [file for file in COMMANDS[name].files if file in FILE_DIGESTS]
-    assert len(pinned) == 2
-    assert [file for file in pinned if _digest(run.cwd / file) != FILE_DIGESTS[file]] == []
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_sampling_leaves_openssl_loadable(probe, mode):
-    """No module is blocked: a later `import hashlib` loads OpenSSL."""
-    run = probe("simulate", mode)
-    assert (run.rc, run.blocked, run.sha256) == (0, [], "openssl_sha256")
-
-
-def test_simulate_without_a_report_loads_no_metrics(probe):
-    run = probe("simulate", "in_process")
-    assert (run.rc, "ropuf.metrics" in run.loaded) == (0, False)
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_sweep_loads_no_dataset_module_and_no_csv(probe, mode):
-    """A sweep writes no dataset, and writes sweep.csv's lines by hand."""
-    run = probe("sweep", mode)
-    assert (run.rc, _present(run, ("ropuf.dataset", "csv", "_csv"))) == (0, [])
-
-
-@pytest.mark.parametrize("name, mode", [(n, m) for n in ("simulate", "sweep") for m in MODES],
-                         ids=["program", "in_process", "sweep-program", "sweep-in_process"])
-def test_simulate_loads_the_dataset_module_before_numpy_and_no_csv(probe, name, mode):
-    """Only `chipsim`, which imports numpy, and `rng` finish loading after
-    numpy: `simulate` compiles its dataset module before numpy loads."""
-    run = probe(name, mode)
-    after = [m for m in run.loaded[run.loaded.index("numpy"):] if m.startswith("ropuf.")]
-    assert (run.rc, _present(run, ("csv", "_csv")), after) == (0, [], list(SAMPLED_LAST))
+        digest = _digest(tmp_path / file)  # the file must exist
+        if row.argv[0] in ("simulate", "sweep"):  # and a sampled one must be pinned
+            assert digest == FILE_DIGESTS[file], file
+    assert [file for file in row.no_files if (tmp_path / file).exists()] == []
 
 
 SUBMODULES = ("errors", "ro", "rng", "chipsim", "dataset", "config", "bch", "metrics", "cost")

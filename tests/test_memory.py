@@ -43,14 +43,16 @@ def saved(tmp_path_factory):
     return out / "dataset.csv", out / "dataset.json", samples.nbytes
 
 
-def _traced(fn):
-    """fn's result and the peak bytes it allocated above what was live."""
+def _traced(fn, reset_peaks=()):
+    """fn's result and the peak bytes it allocated above what was live;
+    reset_peaks holds the peak so far at each tracemalloc.reset_peak()
+    made within fn."""
     gc.collect()  # garbage left by earlier work is not fn's to free during the run
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - base
+        return result, max([tracemalloc.get_traced_memory()[1], *reset_peaks]) - base
     finally:
         tracemalloc.stop()
 
@@ -109,9 +111,9 @@ def test_campaign_samples_a_chip_in_chunks():
     assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
 
 
-def _command_peak(tmp_path, command, campaign, flags) -> int:
+def _command_peak(tmp_path, command, campaign, flags, reset_peaks=()) -> int:
     """The peak a command's run, its arguments parsed, allocates for the
-    run configuration of campaign and flags."""
+    run configuration of campaign and flags; see _traced for reset_peaks."""
     config = to_dict(RunConfig(campaign=campaign, flags=flags))
     path = tmp_path / f"run{campaign.n_chips}.json"
     path.write_text(json.dumps(config))
@@ -119,70 +121,87 @@ def _command_peak(tmp_path, command, campaign, flags) -> int:
     # collection would otherwise fall inside one run or the other.
     args = cli.build_parser().parse_args([command, "--config", str(path),
                                           "--out", str(tmp_path / str(campaign.n_chips))])
-    code, peak = _traced(lambda: args.func(args))
+    code, peak = _traced(lambda: args.func(args), reset_peaks)
     assert code == 0
     return peak
 
 
-def _chip_growth(tmp_path, command, voltages, flags, phases=None) -> float:
-    """How much a command's run, its arguments parsed, peaks higher for 16
-    chips than for 4, in chip blocks: one chip's (n_voltages, T, L)
-    unpacked samples.  Given a list, each run reads the last peak appended
-    to phases in place of its own."""
-    t = 1000
+GROWTH_T = 1000  # samples a chip in the runs _chip_growth compares
 
-    def peak(n_chips):
-        campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
-                                  samples_per_chip=t, voltages=voltages)
-        peak = _command_peak(tmp_path, command, campaign, flags)
-        return peak if phases is None else phases[-1]
 
-    block = len(voltages) * t * L
-    peak(2)  # first-use allocations (imports, caches) stay out of the comparison
-    # 4 chips run first, so any first-use allocation the warm-up missed
-    # counts against the smaller run, never for the growth.
-    small = peak(4)
-    return (peak(16) - small) / block
+def _growth_campaign(n_chips, voltages) -> CampaignConfig:
+    return CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
+                          samples_per_chip=GROWTH_T, voltages=voltages)
+
+
+def _chip_growth(peaks, voltages) -> float:
+    """How much a command's run peaks higher for 16 chips than for 4, in
+    chip blocks: one chip's (n_voltages, T, L) unpacked samples.  peaks
+    maps 2, 4 and 16 chips to the peaks of runs made in that order: the
+    first-use allocations (imports, caches) fall in the 2-chip run, and any
+    the warm-up missed count against the smaller run, never for the growth."""
+    return (peaks[16] - peaks[4]) / (len(voltages) * GROWTH_T * L)
 
 
 @pytest.mark.parametrize("command, voltages", [("simulate", (1.3,)), ("sweep", (1.25, 1.3))])
 def test_campaign_commands_hold_one_chip(tmp_path, command, voltages):
     """A command's peak grows with the chip count by less than one chip's
     (n_voltages, T, L) sample block (no report or sweep flags are set)."""
-    growth = _chip_growth(tmp_path, command, voltages, Flags(emit_histograms=False))
+    flags = Flags(emit_histograms=False)
+    peaks = {n: _command_peak(tmp_path, command, _growth_campaign(n, voltages), flags)
+             for n in (2, 4, 16)}
+    growth = _chip_growth(peaks, voltages)
     assert growth < 1, f"{command}: 12 more chips took {growth:.2f} chip blocks"
 
 
-def test_simulate_with_report_holds_the_grid_packed(tmp_path):
-    """With emit_histograms, simulate streams the campaign to its dataset
-    files, then loads them to score its report, as `metrics` does; the 12
-    more chips' samples are held packed (1.5 chip blocks), so the peak
-    grows by at most 3 chip blocks."""
-    growth = _chip_growth(tmp_path, "simulate", (1.3,), Flags(emit_histograms=True))
-    assert growth <= 3, f"simulate with a report: 12 more chips took {growth:.2f} chip blocks"
-
-
-def test_simulate_scores_its_files_within_the_grid_packed(tmp_path, monkeypatch):
-    """The phase from `dataset.load_dataset`'s entry to `compute_report`'s
-    return, which the run's peak above does not see (sampling sets it),
-    grows by at most 3 chip blocks for 12 more chips: the loaded grid is
-    held packed, and the report scores one chip at a time."""
-    phases = []
+@pytest.fixture(scope="module")
+def report_runs(tmp_path_factory):
+    """simulate with emit_histograms on 2, 4 and 16 chips, each run once:
+    by chip count, the peaks of the whole run ("run") and of the phase from
+    `dataset.load_dataset`'s entry to `compute_report`'s return, which the
+    whole run's peak does not show (sampling sets it) ("phase")."""
+    tmp_path = tmp_path_factory.mktemp("report_runs")
+    reset_peaks, phase = [], {}
     compute_report = metrics.compute_report
 
     def load_from_a_fresh_peak(*args):
+        phase["start"], peak = tracemalloc.get_traced_memory()
+        reset_peaks.append(peak)
         tracemalloc.reset_peak()
-        phases.append(tracemalloc.get_traced_memory()[0])
         return load_dataset(*args)  # the module's own, imported before the patch below
 
     def score_and_read_the_peak(*args, **kwargs):
         report = compute_report(*args, **kwargs)
-        phases[-1] = tracemalloc.get_traced_memory()[1] - phases[-1]
+        phase["peak"] = tracemalloc.get_traced_memory()[1] - phase["start"]
         return report
-    monkeypatch.setattr("ropuf.dataset.load_dataset", load_from_a_fresh_peak)
-    monkeypatch.setattr(metrics, "compute_report", score_and_read_the_peak)
-    growth = _chip_growth(tmp_path, "simulate", (1.3,), Flags(emit_histograms=True), phases)
-    assert len(phases) == 3
+    runs = {"run": {}, "phase": {}}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("ropuf.dataset.load_dataset", load_from_a_fresh_peak)
+        patch.setattr(metrics, "compute_report", score_and_read_the_peak)
+        for n in (2, 4, 16):
+            reset_peaks.clear()
+            run = _command_peak(tmp_path, "simulate", _growth_campaign(n, (1.3,)),
+                                Flags(emit_histograms=True), reset_peaks)
+            assert len(reset_peaks) == 1  # each run loads its files once
+            runs["run"][n], runs["phase"][n] = run, phase.pop("peak")
+    return runs
+
+
+def test_simulate_with_report_holds_the_grid_packed(report_runs):
+    """With emit_histograms, simulate streams the campaign to its dataset
+    files, then loads them to score its report, as `metrics` does; the 12
+    more chips' samples are held packed (1.5 chip blocks), so the peak
+    grows by at most 3 chip blocks."""
+    growth = _chip_growth(report_runs["run"], (1.3,))
+    assert growth <= 3, f"simulate with a report: 12 more chips took {growth:.2f} chip blocks"
+
+
+def test_simulate_scores_its_files_within_the_grid_packed(report_runs):
+    """The phase from `dataset.load_dataset`'s entry to `compute_report`'s
+    return, which the run's peak above does not see (sampling sets it),
+    grows by at most 3 chip blocks for 12 more chips: the loaded grid is
+    held packed, and the report scores one chip at a time."""
+    growth = _chip_growth(report_runs["phase"], (1.3,))
     assert growth <= 3, f"loading and scoring: 12 more chips took {growth:.2f} chip blocks"
 
 

@@ -37,20 +37,6 @@ def loaded_words(tmp_path, words: list[str], length: int) -> np.ndarray:
     return held(load_dataset(csv_path, sidecar), 1.3)[1][0]
 
 
-class TestResponseWord:
-    """One response word, an (L,) bit array, as its hex word."""
-
-    def test_hex_round_trip(self, rng, tmp_path):
-        w = rng.integers(0, 2, 32, dtype=np.uint8)
-        words = list(hex_words(chipsim.pack_rows(w[None, :]).tobytes(), 32))
-        assert np.array_equal(hex_to_rows(words, 32)[0], w)
-        assert np.array_equal(unpack_rows(loaded_words(tmp_path, words, 32), 32)[0], w)
-
-    def test_hex_is_msb_first(self):
-        w = word_of([1] + [0] * 15)
-        assert list(hex_words(chipsim.pack_rows(w[None, :]).tobytes(), 16)) == ["8000"]
-
-
 class TestHexCodec:
     """hex_words writes the words; load_dataset decodes them."""
 
@@ -68,6 +54,10 @@ class TestHexCodec:
         assert back.shape == rows.shape and np.array_equal(back, rows)
         upper = loaded_words(tmp_path, [w.upper() for w in words], length)
         assert np.array_equal(unpack_rows(upper, length), rows)
+
+    def test_hex_is_msb_first(self):
+        w = word_of([1] + [0] * 15)
+        assert list(hex_words(chipsim.pack_rows(w[None, :]).tobytes(), 16)) == ["8000"]
 
     @pytest.mark.parametrize("length", range(1, 71))
     def test_packed_bytes_are_the_hex_words(self, rng, tmp_path, length):

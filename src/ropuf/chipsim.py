@@ -32,13 +32,31 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import ro
-from .config import CHUNK_ROWS, STREAM_VERSION, CampaignConfig, normal_widths
+from .config import STREAM_VERSION, CampaignConfig
 from .errors import ConfigurationError, DatasetError
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
 
 if TYPE_CHECKING:
     from .dataset import CampaignDataset
+
+# Enrollment and sample rows are drawn this many at a time, which bounds
+# the kernel's working memory; rows have a fixed width, so the bits do not
+# depend on it.
+CHUNK_ROWS = 64
+
+
+def normal_widths(word_length: int) -> tuple[int, int]:
+    """(B1, n2): standard normals per row for RO1 and RO2.
+
+    RO2 needs n2 = 2L-1 half-periods to reach rising edge L-1.  RO1 gets
+    B1 = (3*n2+1)//2 + 8 (55 for L = 16), enough to cover them while T2/T1
+    stays below about 1.5; a row that runs short extends from its own
+    stream (see sample_rows).  Both depend on L only, so a row is the same
+    enable cycle at every voltage (common random numbers across a sweep).
+    """
+    n2 = 2 * word_length - 1
+    return (3 * n2 + 1) // 2 + 8, n2
 
 
 def pack_rows(rows: np.ndarray) -> np.ndarray:

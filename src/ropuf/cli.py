@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: simulate, metrics, sweep, bch-selftest, cost.  Every
-command is deterministic given its inputs; data files never contain
-timestamps or environment state.  `simulate` streams its dataset to disk
-chip by chip, then scores any report or sweep from the files it wrote,
-so they are the files `metrics` and `sweep` write.
+Subcommands: simulate, metrics, sweep, bch-selftest, cost, one for each
+output.  Every command is deterministic given its inputs; data files
+never contain timestamps or environment state.  `simulate` streams its
+dataset to disk chip by chip and scores nothing: reports come from
+`metrics` and sweeps from `sweep`.
 
 Exit codes: 0 success, 2 configuration error (a configuration too
 large to allocate included), 3 data error, 4 self-test failure.
@@ -47,8 +47,6 @@ def cmd_simulate(args) -> int:
     # The numpy-free modules first (see the module docstring).
     from . import dataset
     cfg = _run_config(args)
-    if cfg.flags.emit_histograms:
-        from . import metrics
     from . import chipsim
     campaign = chipsim.Campaign(cfg.campaign, cfg.ro_params, cfg.coupling)
     out = Path(args.out)
@@ -57,13 +55,6 @@ def cmd_simulate(args) -> int:
     chipsim.save_dataset(campaign, csv_path, sidecar)  # streamed chip by chip
     n_rows = cfg.campaign.n_chips * len(cfg.campaign.voltages) * cfg.campaign.samples_per_chip
     print(f"wrote {csv_path} ({n_rows} rows) and {sidecar}")
-    if cfg.flags.emit_histograms or cfg.flags.emit_sweep:
-        data = dataset.load_dataset(csv_path, sidecar)  # as `metrics` reads them
-    if cfg.flags.emit_histograms:
-        metrics.compute_report(data, post_bch=cfg.flags.post_bch).save(out)
-        print(f"wrote {out / 'report.json'} and {out / 'histograms.csv'}")
-    if cfg.flags.emit_sweep:
-        _write_sweep_files(out, chipsim.voltage_sweep(data))
     return EXIT_OK
 
 
@@ -86,19 +77,6 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _write_sweep_files(out: Path, series) -> dict:
-    from . import chipsim
-    fit = chipsim.fit_sweep(series)
-    # The lines csv.writer would write: no repr of a number needs quotes.
-    with open(out / "sweep.csv", "w", newline="") as fh:  # CSV lines end in \r\n
-        fh.write("delta_v,abs_delta_v,hd_shift\r\n")
-        fh.writelines(f"{dv!r},{abs(dv)!r},{shift!r}\r\n" for dv, shift in series)
-    (out / "sweep.json").write_text(json.dumps(
-        {"series": [[dv, shift] for dv, shift in series], "fit_vs_abs_dv": fit},
-        indent=2) + "\n")
-    return fit
-
-
 def cmd_sweep(args) -> int:
     cfg = _run_config(args)
     if len(cfg.campaign.voltages) < 2:
@@ -107,7 +85,15 @@ def cmd_sweep(args) -> int:
     campaign = chipsim.Campaign(cfg.campaign, cfg.ro_params, cfg.coupling)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fit = _write_sweep_files(out, chipsim.voltage_sweep(campaign))
+    series = chipsim.voltage_sweep(campaign)
+    fit = chipsim.fit_sweep(series)
+    # The lines csv.writer would write: no repr of a number needs quotes.
+    with open(out / "sweep.csv", "w", newline="") as fh:  # CSV lines end in \r\n
+        fh.write("delta_v,abs_delta_v,hd_shift\r\n")
+        fh.writelines(f"{dv!r},{abs(dv)!r},{shift!r}\r\n" for dv, shift in series)
+    (out / "sweep.json").write_text(json.dumps(
+        {"series": [[dv, shift] for dv, shift in series], "fit_vs_abs_dv": fit},
+        indent=2) + "\n")
     print(f"HD shift vs |dV|: slope {fit['slope']:.3f} bits/V, "
           f"intercept {fit['intercept']:.3f}, R^2 {fit['r2']:.4f}")
     return EXIT_OK
@@ -125,17 +111,23 @@ def cmd_bch_selftest(args) -> int:
     return EXIT_SELFTEST if failed else EXIT_OK
 
 
+# `cost` options: (option, the CostParams field it sets, help).  An option
+# left out leaves its field at the CostParams default.
+COST_OPTIONS = (
+    ("--bits", "bits_required", "required output bits"),
+    ("--bits-per-word", "bits_per_word", None),
+    ("--counter-bits", "counter_bits", None),
+    ("--per-ro", "transistors_per_ro", "transistors per RO"),
+    ("--per-ff", "transistors_per_ff", "transistors per FF"),
+    ("--per-mux4", "transistors_per_mux4", "transistors per 4-input MUX"),
+    ("--per-adder", "transistors_per_full_adder", "transistors per full adder"),
+)
+
+
 def cmd_cost(args) -> int:
     from . import cost
-    params = cost.CostParams(
-        transistors_per_ro=args.per_ro,
-        transistors_per_ff=args.per_ff,
-        transistors_per_mux4=args.per_mux4,
-        transistors_per_full_adder=args.per_adder,
-        bits_required=args.bits,
-        bits_per_word=args.bits_per_word,
-        counter_bits=args.counter_bits,
-    )
+    params = cost.CostParams(**{name: getattr(args, name) for _, name, _ in COST_OPTIONS
+                                if getattr(args, name) is not None})
     wave = cost.waveform_puf_cost(params)
     conv = cost.conventional_puf_cost(params)
     if args.json:
@@ -186,13 +178,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bch_selftest)
 
     p = sub.add_parser("cost", help="area/cycle comparison table")
-    p.add_argument("--bits", type=int, default=128, help="required output bits")
-    p.add_argument("--bits-per-word", type=int, default=16)
-    p.add_argument("--counter-bits", type=int, default=16)
-    p.add_argument("--per-ro", type=int, default=20, help="transistors per RO")
-    p.add_argument("--per-ff", type=int, default=30, help="transistors per FF")
-    p.add_argument("--per-mux4", type=int, default=30, help="transistors per 4-input MUX")
-    p.add_argument("--per-adder", type=int, default=20, help="transistors per full adder")
+    for option, name, text in COST_OPTIONS:
+        p.add_argument(option, type=int, dest=name,
+                       metavar=option[2:].replace("-", "_").upper(), help=text)
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
     p.set_defaults(func=cmd_cost)
     return parser

@@ -1,11 +1,11 @@
 """One schema for run configurations and dataset sidecars.
 
-A run configuration has the sections `ro`, `campaign`, `coupling` and
-`flags`; `dataset.json` carries the first three under `config`, next to
-its `stream_version`, whose current value, `STREAM_VERSION`, is kept
-here.  `SCHEMA` lists each field of each section once, and `from_dict`
-and `to_dict` read and write every section from it, so both files pass
-the same checks.
+A run configuration has the sections `ro`, `campaign` and `coupling`,
+which `dataset.json` carries under `config`, next to its
+`stream_version`, whose current value, `STREAM_VERSION`, is kept here.
+`SCHEMA` lists each field of each section once, and `from_dict` and
+`to_dict` read and write every section from it, so both files pass the
+same checks.
 """
 from __future__ import annotations
 
@@ -24,25 +24,6 @@ from .errors import ConfigurationError
 # moved with the voltage.  Datasets of every version load.
 STREAM_VERSION = 3
 
-
-def normal_widths(word_length: int) -> tuple[int, int]:
-    """(B1, n2): standard normals per row for RO1 and RO2.
-
-    RO2 needs n2 = 2L-1 half-periods to reach rising edge L-1.  RO1 gets
-    B1 = (3*n2+1)//2 + 8 (55 for L = 16), enough to cover them while T2/T1
-    stays below about 1.5; a row that runs short extends from its own
-    stream (see chipsim.sample_rows).  Both depend on L only, so a row is
-    the same enable cycle at every voltage (common random numbers across a
-    sweep).
-    """
-    n2 = 2 * word_length - 1
-    return (3 * n2 + 1) // 2 + 8, n2
-
-
-# Enrollment and sample rows are drawn this many at a time, which bounds
-# the kernel's working memory; rows have a fixed width, so the bits do not
-# depend on it.
-CHUNK_ROWS = 64
 
 # csv.reader's default field_size_limit(), in characters: a dataset row
 # holds an ID of at most 4 bits a hex digit times this.  Kept here, since
@@ -72,13 +53,17 @@ class CampaignConfig:
             raise ConfigurationError("n_chips must be >= 2 for inter-chip metrics")
         if self.pairs_per_id < 1 or self.word_length < 1:
             raise ConfigurationError("pairs_per_id and word_length must be >= 1")
-        # Each chip's arrays must be ones numpy can index: a larger campaign
-        # is refused here, before any output, not by numpy mid-run.  First,
-        # so that no message below formats an int past str()'s digit limit.
+        # So that `metrics` reads every dataset `simulate` writes.  First,
+        # with a message of constants only, so that no message below formats
+        # an int past str()'s digit limit.
         bits, n_volts = self.pairs_per_id * self.word_length, len(self.voltages)
+        if bits > MAX_ID_BITS:
+            raise ConfigurationError(f"pairs_per_id x word_length: an ID must fit in a dataset "
+                                     f"row's {CSV_FIELD_LIMIT} hex digits, at most "
+                                     f"{MAX_ID_BITS} bits")
+        # Each chip's arrays must be ones numpy can index: a larger campaign
+        # is refused here, before any output, not by numpy mid-run.
         for array, fields, elements in (
-                ("one chunk's normals", "word_length",
-                 CHUNK_ROWS * sum(normal_widths(self.word_length))),
                 ("a chip's enrollment block",
                  "voltages_v x enroll_repetitions x pairs_per_id x word_length",
                  n_volts * self.enroll_repetitions * bits),
@@ -88,11 +73,6 @@ class CampaignConfig:
             if elements > sys.maxsize:
                 raise ConfigurationError(f"{fields}: {array} would hold more than "
                                          f"sys.maxsize ({sys.maxsize}) elements")
-        # So that `metrics` reads every dataset `simulate` writes.
-        if bits > MAX_ID_BITS:
-            raise ConfigurationError(f"pairs_per_id x word_length: an ID must fit in a dataset "
-                                     f"row's {CSV_FIELD_LIMIT} hex digits, at most "
-                                     f"{MAX_ID_BITS} bits")
         if self.id_length != self.pairs_per_id * self.word_length:
             raise ConfigurationError(
                 f"id_length {self.id_length} != pairs_per_id*word_length "
@@ -124,22 +104,12 @@ class CampaignConfig:
 
 
 @dataclass(frozen=True)
-class Flags:
-    """Reports `simulate` writes next to the dataset."""
-
-    post_bch: bool = False
-    emit_histograms: bool = True
-    emit_sweep: bool = False
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one simulation run needs."""
 
     ro_params: ro.RoParams = field(default_factory=ro.RoParams)
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
     coupling: ro.Coupling = field(default_factory=ro.Coupling)
-    flags: Flags = field(default_factory=Flags)
 
 
 # Exact JSON types, (name in messages, check): neither True nor 3.0 is an
@@ -149,7 +119,6 @@ class RunConfig:
 INT = ("an integer", lambda v: type(v) is int)
 NUMBER = ("a number that a finite float equals",
           lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max and float(v) == v)
-BOOL = ("true or false", lambda v: type(v) is bool)
 STRING = ("a string", lambda v: type(v) is str)
 OBJECT = ("an object", lambda v: type(v) is dict)
 NUMBERS = ("a list of numbers",
@@ -178,11 +147,15 @@ SCHEMA = {
     "coupling": ("coupling", ro.Coupling, (
         ("mode", None, STRING, False),
         ("strength", None, NUMBER, False))),
-    "flags": ("flags", Flags, (
-        ("post_bch", None, BOOL, False),
-        ("emit_histograms", None, BOOL, False),
-        ("emit_sweep", None, BOOL, False))),
 }
+
+# A run configuration written when `simulate` could also score its dataset
+# may still carry that `flags` section, but only asking for nothing:
+# reports come from `ropuf metrics` and sweeps from `ropuf sweep`.
+NO_FLAG = ("false (simulate writes only the dataset: run `ropuf metrics` or `ropuf sweep`)",
+           lambda v: v is False)
+OLD_FLAGS = tuple((key, None, NO_FLAG, False)
+                  for key in ("post_bch", "emit_histograms", "emit_sweep"))
 
 
 def _checked(where: str, values: dict, fields) -> dict:
@@ -212,20 +185,13 @@ def from_dict(data, master_seed: int | None = None) -> RunConfig:
     if master_seed is not None:
         cfg = replace(cfg, campaign=replace(cfg.campaign, master_seed=master_seed))
     cfg.campaign.validate(cfg.ro_params)
-    if cfg.flags.emit_sweep and len(cfg.campaign.voltages) < 2:
-        raise ConfigurationError("flags.emit_sweep: a sweep needs at least two voltages")
-    if cfg.flags.post_bch and cfg.flags.emit_histograms:
-        from .bch import N  # imported on use: sampling and sweeps never decode
-        if cfg.campaign.id_length < N:
-            raise ConfigurationError(f"flags.post_bch needs id_length >= {N} "
-                                     f"(the BCH code length), got {cfg.campaign.id_length}")
     return cfg
 
 
-def to_dict(cfg: RunConfig, sections: tuple[str, ...] = tuple(SCHEMA)) -> dict:
-    """The given sections of cfg, in SCHEMA order with every field, for json.dumps."""
+def to_dict(cfg: RunConfig) -> dict:
+    """Every section of cfg, in SCHEMA order with every field, for json.dumps."""
     return {section: {key: getattr(getattr(cfg, attr), name or key) for key, name, *_ in fields}
-            for section, (attr, _, fields) in SCHEMA.items() if section in sections}
+            for section, (attr, _, fields) in SCHEMA.items()}
 
 
 def load(path: str | Path, master_seed: int | None = None) -> RunConfig:
@@ -234,4 +200,9 @@ def load(path: str | Path, master_seed: int | None = None) -> RunConfig:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or JSON
         raise ConfigurationError(f"cannot read config {path}: {exc}") from exc
+    if type(data) is dict and "flags" in data:  # see OLD_FLAGS
+        flags = data.pop("flags")
+        if type(flags) is not dict:
+            raise ConfigurationError(f"config.flags must be {OBJECT[0]}, got {flags!r}")
+        _checked("config.flags", flags, OLD_FLAGS)
     return from_dict(data, master_seed)

@@ -93,8 +93,7 @@ def save_dataset(campaign, csv_path: str | Path, sidecar_path: str | Path) -> No
                 fh.flush()
         sidecar = {
             "stream_version": campaign.stream_version,
-            "config": to_dict(RunConfig(campaign.ro_params, cfg, campaign.coupling),
-                              ("ro", "campaign", "coupling")),
+            "config": to_dict(RunConfig(campaign.ro_params, cfg, campaign.coupling)),
             "master_seed": cfg.master_seed,
             "references": {str(c): dict(zip(map(repr, cfg.voltages), words))
                            for c, words in enumerate(ref_words)},

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 from unittest import mock
@@ -12,14 +13,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import packed_dataset
-from ropuf import bch, chipsim, cli, metrics, ro
+from ropuf import bch, chipsim, cli, cost, ro
 from ropuf.config import MAX_ID_BITS, CampaignConfig, from_dict, load, to_dict
 from ropuf.dataset import save_dataset
 from ropuf.errors import ModelRangeError
 
 
 def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
-                 coupling=None, pairs_per_id=2, post_bch=False, **ro_overrides):
+                 coupling=None, pairs_per_id=2, **ro_overrides):
     ro_params = {
         "nominal_period_s": 1e-9,
         "process_sigma": 0.04,
@@ -41,7 +42,6 @@ def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
             "master_seed": seed,
         },
         "coupling": coupling or {"mode": "none"},
-        "flags": {"post_bch": post_bch, "emit_histograms": True, "emit_sweep": False},
     }
     path.write_text(json.dumps(config, indent=2))
     return config
@@ -73,14 +73,6 @@ class TestSimulate:
         assert "voltages_v" in capsys.readouterr().err
         assert not (out / "dataset.csv").exists()
 
-    def test_post_bch_with_short_id_fails_before_writing(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        write_config(cfg, pairs_per_id=1, post_bch=True)
-        out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "post_bch" in capsys.readouterr().err
-        assert not (out / "dataset.csv").exists()
-
     def test_threads_accepted_and_ignored(self, tmp_path):
         cfg = tmp_path / "run.json"
         write_config(cfg)
@@ -108,14 +100,12 @@ class TestSimulate:
 
     def test_failed_sampling_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
         """A run that fails while sampling leaves no file in --out and any
-        dataset already there as it was; one that fails while scoring its
-        report, after the dataset is in place, leaves that whole dataset and
-        no report."""
+        dataset already there as it was."""
         cfg = tmp_path / "run.json"
-        write_config(cfg)  # with a report to emit
+        write_config(cfg)
         out = tmp_path / "o"
         argv = ["simulate", "--config", str(cfg), "--out", str(out)]
-        keyed_rng, compute_report = chipsim.keyed_rng, metrics.compute_report
+        keyed_rng = chipsim.keyed_rng
 
         def out_of_range_on_chip_1(seed, tag, chip, *key):
             if chip == 1:
@@ -126,64 +116,13 @@ class TestSimulate:
         assert "non-positive" in capsys.readouterr().err
         assert sorted(out.iterdir()) == []
 
-        def unscorable(*args, **kwargs):
-            raise ValueError("cannot score")
         monkeypatch.setattr(chipsim, "keyed_rng", keyed_rng)
-        monkeypatch.setattr(metrics, "compute_report", unscorable)
-        assert cli.main(argv) == 3
-        assert capsys.readouterr().err == "error: cannot score\n"
-        unscored = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert set(unscored) == {"dataset.csv", "dataset.json"}
-
-        monkeypatch.setattr(metrics, "compute_report", compute_report)
-        config = json.loads(cfg.read_text())
-        config["flags"]["emit_histograms"] = False
-        cfg.write_text(json.dumps(config))
         assert cli.main(argv) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert before == unscored
+        assert set(before) == {"dataset.csv", "dataset.json"}
         monkeypatch.setattr(chipsim, "keyed_rng", out_of_range_on_chip_1)
         assert cli.main([*argv, "--seed", "6"]) == 3
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-
-    def test_streamed_dataset_matches_collected(self, tmp_path):
-        """The dataset is written chip by chip as sampled whatever the
-        flags; with a report and a sweep asked for, simulate then reads it
-        back to score them.  Same dataset bytes either way."""
-        cfg = tmp_path / "run.json"
-        config = write_config(cfg, n_chips=4, voltages=(1.25, 1.3, 1.35))
-        config["flags"]["emit_sweep"] = True
-        cfg.write_text(json.dumps(config))
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "held")]) == 0
-        config["flags"].update(emit_histograms=False, emit_sweep=False)
-        cfg.write_text(json.dumps(config))
-        streamed = tmp_path / "streamed"
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(streamed)]) == 0
-        assert {p.name for p in streamed.iterdir()} == {"dataset.csv", "dataset.json"}
-        for name in ("dataset.csv", "dataset.json"):
-            assert (tmp_path / "held" / name).read_bytes() == (streamed / name).read_bytes()
-
-    @pytest.mark.parametrize("flags, command, files", [
-        ({}, ["metrics"], ("report.json", "histograms.csv")),
-        ({"post_bch": True}, ["metrics", "--post-bch"], ("report.json", "histograms.csv")),
-        ({"emit_histograms": False, "emit_sweep": True}, ["sweep"], ("sweep.json", "sweep.csv")),
-    ], ids=["raw", "post_bch", "sweep"])
-    def test_reports_match_the_commands(self, tmp_path, flags, command, files):
-        """simulate scores the dataset files it wrote: its report and
-        histograms are those `ropuf metrics` writes for its dataset.csv, and
-        its sweep is the one `ropuf sweep` writes for the same configuration."""
-        cfg = tmp_path / "run.json"
-        config = write_config(cfg, n_chips=4, samples=50, voltages=(1.25, 1.3, 1.35),
-                              jitter_sigma=0.008)
-        config["flags"].update(flags)
-        cfg.write_text(json.dumps(config))
-        sim, out = tmp_path / "sim", tmp_path / "cmd"
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
-        assert {p.name for p in sim.iterdir()} == {"dataset.csv", "dataset.json", *files}
-        source = [str(sim / "dataset.csv")] if command[0] == "metrics" else ["--config", str(cfg)]
-        assert cli.main([command[0], *source, *command[1:], "--out", str(out)]) == 0
-        for name in files:
-            assert (sim / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_seed_override_changes_dataset(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -404,11 +343,28 @@ class TestSweep:
         writer = csv.writer(want)
         writer.writerow(["delta_v", "abs_delta_v", "hd_shift"])
         writer.writerows([repr(dv), repr(abs(dv)), repr(shift)] for dv, shift in series)
-        # The fit refuses most of these series; only the CSV is checked.
+        # No campaign sweeps to these series, and the fit refuses most of
+        # them: both are stubbed, and only the CSV is checked.
+        fit = {"slope": 0.0, "intercept": 0.0, "r2": 0.0}
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(chipsim, "fit_sweep", lambda series: {}):
-            cli._write_sweep_files(Path(tmp), series)
+                mock.patch.object(chipsim, "voltage_sweep", lambda campaign: series), \
+                mock.patch.object(chipsim, "fit_sweep", lambda series: fit):
+            write_config(Path(tmp) / "run.json", voltages=(1.25, 1.3))
+            assert cli.main(["sweep", "--config", str(Path(tmp) / "run.json"),
+                             "--out", tmp]) == 0
             assert (Path(tmp) / "sweep.csv").read_bytes() == want.getvalue().encode()
+
+
+    def test_flag_set_is_refused_before_any_output(self, tmp_path, capsys):
+        """`emit_sweep`, which once made simulate write a sweep as well, is
+        refused here too: a run configuration has one schema."""
+        cfg = tmp_path / "run.json"
+        config = write_config(cfg, voltages=(1.25, 1.3))
+        cfg.write_text(json.dumps({**config, "flags": {"emit_sweep": True}}))
+        out = tmp_path / "s"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config.flags.emit_sweep must be false" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBchSelftest:
@@ -501,19 +457,17 @@ class TestOutOfMemory:
     """A schema-valid configuration too large to allocate is a configuration
     error (exit 2) with numpy's message, and leaves no output behind."""
 
-    def _huge_config(self, tmp_path, field, emit_histograms=True):
+    def _huge_config(self, tmp_path, field):
         cfg = tmp_path / "run.json"
         config = write_config(cfg, voltages=(1.25, 1.3))
         config["campaign"][field] = 2 ** 40
-        config["flags"]["emit_histograms"] = emit_histograms
         cfg.write_text(json.dumps(config))
         return cfg
 
-    @pytest.mark.parametrize("emit_histograms", [True, False], ids=["collected", "streamed"])
-    def test_simulate(self, tmp_path, monkeypatch, capsys, emit_histograms):
-        """With a report asked for or not, the campaign is streamed: the
-        first chip's block is refused before any file is written."""
-        cfg = self._huge_config(tmp_path, "samples_per_chip", emit_histograms)
+    def test_simulate(self, tmp_path, monkeypatch, capsys):
+        """The campaign is streamed: the first chip's block is refused
+        before any file is written."""
+        cfg = self._huge_config(tmp_path, "samples_per_chip")
         monkeypatch.setattr(np, "empty", refusing(np.empty))
         out = tmp_path / "o"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
@@ -579,6 +533,18 @@ class TestCost:
     def test_negative_override_is_config_error(self, capsys):
         assert cli.main(["cost", "--per-ff", "-3"]) == 2
 
+    def test_defaults_are_cost_params(self, monkeypatch, capsys):
+        """An option left out takes CostParams' default, not one of its own."""
+        @dataclass(frozen=True)
+        class DearerFlipFlops(cost.CostParams):
+            transistors_per_ff: int = 31
+        monkeypatch.setattr(cost, "CostParams", DearerFlipFlops)
+        assert cli.main(["cost", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["waveform_ro_puf"]["transistors"] == 4 * 20 + 64 * 31
+        assert data["conventional_ro_puf"]["transistors"] == \
+            35 * 20 + 2 * 21 * 30 + 2 * 16 * 31 + 16 * 20
+
     def test_columns_stay_apart_at_any_width(self, capsys):
         assert cli.main(["cost"]) == 0
         assert capsys.readouterr().out == (
@@ -617,7 +583,16 @@ RUN_CONFIG_CASES = {
         lambda c: c.update(coupling={"mode": "inverter_loop", "strength": -5}), "strength"),
     "strength_for_none": (lambda c: c.update(coupling={"mode": "none", "strength": 0.7}),
                           "strength"),
-    "post_bch_string": (lambda c: c["flags"].update(post_bch="false"), "post_bch"),
+    # `flags` may stay in a run configuration, every flag false.
+    "post_bch_string": (lambda c: c.update(flags={"post_bch": "false"}), "post_bch"),
+    "post_bch_true": (lambda c: c.update(flags={"post_bch": True}),
+                      "config.flags.post_bch must be false (simulate writes only the dataset: "
+                      "run `ropuf metrics` or `ropuf sweep`), got True"),
+    "emit_histograms_true": (lambda c: c.update(flags={"emit_histograms": True}),
+                             "config.flags.emit_histograms must be false"),
+    "emit_sweep_true": (lambda c: c.update(flags={"post_bch": False, "emit_sweep": True}),
+                        "config.flags.emit_sweep must be false"),
+    "flag_unknown": (lambda c: c.update(flags={"emit_report": False}), "emit_report"),
     "master_seed_string": (lambda c: c["campaign"].update(master_seed="5"), "master_seed"),
     "field_typo": (lambda c: c["campaign"].update(n_chip=3), "n_chip"),
     "deeply_nested": (lambda c: NESTED_JSON, "cannot read config"),
@@ -666,6 +641,17 @@ class TestRunConfig:
         write_config(cfg_path, coupling={"mode": "capacitive", "strength": 0.7})
         parsed = load(cfg_path)
         assert from_dict(to_dict(parsed)) == parsed
+
+    def test_flags_all_false_load_as_none(self, tmp_path):
+        """A `flags` section from before simulate wrote only the dataset
+        still loads when every flag is false, as if it were absent."""
+        cfg_path = tmp_path / "run.json"
+        config = write_config(cfg_path)
+        cfg_path.write_text(json.dumps({**config, "flags": {
+            "post_bch": False, "emit_histograms": False, "emit_sweep": False}}))
+        flagged = load(cfg_path)
+        cfg_path.write_text(json.dumps(config))
+        assert flagged == load(cfg_path)
 
     def test_capacitive_defaults_documented_strength(self):
         rc = from_dict({

@@ -39,7 +39,6 @@ CONFIG = {
         "master_seed": 7,
     },
     "coupling": {"mode": "capacitive", "strength": 0.5},
-    "flags": {"post_bch": True, "emit_histograms": True, "emit_sweep": True},
 }
 
 # Small values only: a mutated campaign must stay tiny.

@@ -39,7 +39,6 @@ CONFIG = {
         "master_seed": 20170302,
     },
     "coupling": {"mode": "none"},
-    "flags": {"post_bch": False, "emit_histograms": False, "emit_sweep": False},
 }
 
 # The same campaign with 9-bit unit words: an 18-bit ID is 5 hex digits,

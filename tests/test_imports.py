@@ -109,8 +109,7 @@ ONE_VOLTAGE = {**CONFIG["campaign"], "voltages_v": [1.3]}
 CONFIGS = {
     "run.json": CONFIG,
     "one_voltage.json": {**CONFIG, "campaign": ONE_VOLTAGE},
-    "emit_sweep_one_voltage.json": {**CONFIG, "campaign": ONE_VOLTAGE,
-                                    "flags": {**CONFIG["flags"], "emit_sweep": True}},
+    "emit_histograms.json": {**CONFIG, "flags": {"emit_histograms": True}},
 }
 
 
@@ -154,7 +153,6 @@ COMMANDS = {
                                             rc=3,
                                             stderr="data error: ID shorter than the 31-bit code\n",
                                             no_files=("out",)),
-    # The golden campaign sets every flag off: no report, no sweep.
     "simulate": Command(("simulate", "--config", "run.json", "--out", "sim"),
                         absent=SAMPLING_FREE, after_numpy=SAMPLED_LAST,
                         files=("sim/dataset.csv", "sim/dataset.json"),
@@ -172,9 +170,10 @@ COMMANDS = {
                                       r"cannot read config missing\.json: .*No such file.*"),
     "simulate_threads_zero": _refused("simulate", "run.json", "0",
                                       "threads must be >= 1, got 0"),
-    "simulate_emit_sweep_one_voltage": _refused(
-        "simulate", "emit_sweep_one_voltage.json", "1",
-        r"flags\.emit_sweep: a sweep needs at least two voltages"),
+    "simulate_flag_set": _refused(
+        "simulate", "emit_histograms.json", "1",
+        r"config\.flags\.emit_histograms must be false \(simulate writes only the dataset: "
+        r"run `ropuf metrics` or `ropuf sweep`\), got True"),
 }
 CASES = [(name, mode) for name, row in COMMANDS.items() for mode in row.modes]
 

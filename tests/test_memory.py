@@ -3,8 +3,9 @@ to a byte, loading holds little more than those bytes, a report scores
 the packed samples with one chip's scratch and holds no list of chip
 pairs, and `simulate` and `sweep` realize each chip as they reach it
 and hold one chip's samples at a time, however many chips there are,
-and sample that chip one chunk of rows at a time.  The BCH self-test
-enumerates the code's 2^16 codewords as 32-bit words.
+and sample that chip one chunk of rows at a time.  `metrics` holds the
+grid packed.  The BCH self-test enumerates the code's 2^16 codewords as
+32-bit words.
 
 The evaluation datasets are built from random bits, with no sampling, at
 acceptance scale (10 chips x 5000 samples x 32 bits), or with many chips
@@ -22,7 +23,7 @@ import pytest
 
 from conftest import packed_dataset
 from ropuf import bch, chipsim, cli, metrics, ro
-from ropuf.config import CampaignConfig, Flags, RunConfig, to_dict
+from ropuf.config import CampaignConfig, RunConfig, to_dict
 from ropuf.dataset import load_dataset, save_dataset
 
 N_CHIPS, T, L = 10, 5000, 32
@@ -43,16 +44,14 @@ def saved(tmp_path_factory):
     return out / "dataset.csv", out / "dataset.json", samples.nbytes
 
 
-def _traced(fn, reset_peaks=()):
-    """fn's result and the peak bytes it allocated above what was live;
-    reset_peaks holds the peak so far at each tracemalloc.reset_peak()
-    made within fn."""
+def _traced(fn):
+    """fn's result and the peak bytes it allocated above what was live."""
     gc.collect()  # garbage left by earlier work is not fn's to free during the run
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         result = fn()
-        return result, max([tracemalloc.get_traced_memory()[1], *reset_peaks]) - base
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
 
@@ -111,19 +110,24 @@ def test_campaign_samples_a_chip_in_chunks():
     assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
 
 
-def _command_peak(tmp_path, command, campaign, flags, reset_peaks=()) -> int:
-    """The peak a command's run, its arguments parsed, allocates for the
-    run configuration of campaign and flags; see _traced for reset_peaks."""
-    config = to_dict(RunConfig(campaign=campaign, flags=flags))
-    path = tmp_path / f"run{campaign.n_chips}.json"
-    path.write_text(json.dumps(config))
+def _run_peak(argv) -> int:
+    """The peak the run of the command line argv allocates, its arguments
+    parsed."""
     # Parsed outside the trace: argparse leaves reference cycles whose
     # collection would otherwise fall inside one run or the other.
-    args = cli.build_parser().parse_args([command, "--config", str(path),
-                                          "--out", str(tmp_path / str(campaign.n_chips))])
-    code, peak = _traced(lambda: args.func(args), reset_peaks)
+    args = cli.build_parser().parse_args(argv)
+    code, peak = _traced(lambda: args.func(args))
     assert code == 0
     return peak
+
+
+def _command_peak(tmp_path, command, campaign) -> int:
+    """The peak a sampling command's run allocates for the run
+    configuration of campaign, written to tmp_path/<n_chips>."""
+    path = tmp_path / f"run{campaign.n_chips}.json"
+    path.write_text(json.dumps(to_dict(RunConfig(campaign=campaign))))
+    return _run_peak([command, "--config", str(path),
+                      "--out", str(tmp_path / str(campaign.n_chips))])
 
 
 GROWTH_T = 1000  # samples a chip in the runs _chip_growth compares
@@ -146,63 +150,27 @@ def _chip_growth(peaks, voltages) -> float:
 @pytest.mark.parametrize("command, voltages", [("simulate", (1.3,)), ("sweep", (1.25, 1.3))])
 def test_campaign_commands_hold_one_chip(tmp_path, command, voltages):
     """A command's peak grows with the chip count by less than one chip's
-    (n_voltages, T, L) sample block (no report or sweep flags are set)."""
-    flags = Flags(emit_histograms=False)
-    peaks = {n: _command_peak(tmp_path, command, _growth_campaign(n, voltages), flags)
+    (n_voltages, T, L) sample block."""
+    peaks = {n: _command_peak(tmp_path, command, _growth_campaign(n, voltages))
              for n in (2, 4, 16)}
     growth = _chip_growth(peaks, voltages)
     assert growth < 1, f"{command}: 12 more chips took {growth:.2f} chip blocks"
 
 
-@pytest.fixture(scope="module")
-def report_runs(tmp_path_factory):
-    """simulate with emit_histograms on 2, 4 and 16 chips, each run once:
-    by chip count, the peaks of the whole run ("run") and of the phase from
-    `dataset.load_dataset`'s entry to `compute_report`'s return, which the
-    whole run's peak does not show (sampling sets it) ("phase")."""
-    tmp_path = tmp_path_factory.mktemp("report_runs")
-    reset_peaks, phase = [], {}
-    compute_report = metrics.compute_report
-
-    def load_from_a_fresh_peak(*args):
-        phase["start"], peak = tracemalloc.get_traced_memory()
-        reset_peaks.append(peak)
-        tracemalloc.reset_peak()
-        return load_dataset(*args)  # the module's own, imported before the patch below
-
-    def score_and_read_the_peak(*args, **kwargs):
-        report = compute_report(*args, **kwargs)
-        phase["peak"] = tracemalloc.get_traced_memory()[1] - phase["start"]
-        return report
-    runs = {"run": {}, "phase": {}}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("ropuf.dataset.load_dataset", load_from_a_fresh_peak)
-        patch.setattr(metrics, "compute_report", score_and_read_the_peak)
-        for n in (2, 4, 16):
-            reset_peaks.clear()
-            run = _command_peak(tmp_path, "simulate", _growth_campaign(n, (1.3,)),
-                                Flags(emit_histograms=True), reset_peaks)
-            assert len(reset_peaks) == 1  # each run loads its files once
-            runs["run"][n], runs["phase"][n] = run, phase.pop("peak")
-    return runs
-
-
-def test_simulate_with_report_holds_the_grid_packed(report_runs):
-    """With emit_histograms, simulate streams the campaign to its dataset
-    files, then loads them to score its report, as `metrics` does; the 12
-    more chips' samples are held packed (1.5 chip blocks), so the peak
-    grows by at most 3 chip blocks."""
-    growth = _chip_growth(report_runs["run"], (1.3,))
-    assert growth <= 3, f"simulate with a report: 12 more chips took {growth:.2f} chip blocks"
-
-
-def test_simulate_scores_its_files_within_the_grid_packed(report_runs):
-    """The phase from `dataset.load_dataset`'s entry to `compute_report`'s
-    return, which the run's peak above does not see (sampling sets it),
-    grows by at most 3 chip blocks for 12 more chips: the loaded grid is
-    held packed, and the report scores one chip at a time."""
-    growth = _chip_growth(report_runs["phase"], (1.3,))
-    assert growth <= 3, f"loading and scoring: 12 more chips took {growth:.2f} chip blocks"
+def test_metrics_holds_the_grid_packed(tmp_path):
+    """`metrics` over the datasets `simulate` writes for 2, 4 and 16 chips,
+    run in that order: its peak, from loading the files to writing the
+    report, grows by at most 3 chip blocks for 12 more chips.  The loaded
+    grid is held packed (1.5 chip blocks), and the report scores one chip
+    at a time."""
+    peaks = {}
+    for n in (2, 4, 16):
+        path, out = tmp_path / f"run{n}.json", tmp_path / str(n)
+        path.write_text(json.dumps(to_dict(RunConfig(campaign=_growth_campaign(n, (1.3,))))))
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        peaks[n] = _run_peak(["metrics", str(out / "dataset.csv"), "--out", str(out)])
+    growth = _chip_growth(peaks, (1.3,))
+    assert growth <= 3, f"metrics: 12 more chips took {growth:.2f} chip blocks"
 
 
 def test_report_holds_no_chip_pair_list():
@@ -235,12 +203,10 @@ def test_campaign_commands_realize_each_chip_as_they_reach_it(tmp_path, command,
     chip is realized as the campaign reaches it, where a population built
     up front held about 1 KiB a chip.  What simulate still holds a chip for
     is the sidecar's hex references (about 0.9 KiB)."""
-    flags = Flags(post_bch=False, emit_histograms=False, emit_sweep=False)
-
     def peak(n_chips):
         campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
                                   samples_per_chip=2, enroll_repetitions=1, voltages=voltages)
-        return _command_peak(tmp_path, command, campaign, flags)
+        return _command_peak(tmp_path, command, campaign)
 
     peak(10)  # first-use allocations stay out of the comparison
     growth = (peak(400) - peak(50)) / 350

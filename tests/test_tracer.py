@@ -38,42 +38,48 @@ def test_every_boundary_resolves_to_a_callable():
         assert callable(getattr(owner, attr, None)), f"ropuf.{module}.{attr}"
 
 
-def _traced_simulate(tmp_path, config: dict, out: Path) -> set[str]:
-    """The names of the spans that a traced `simulate` of config, written
-    to out, records.  The trace's `names` lists every boundary the tracer
-    patched, whether it ran or not, so only its spans tell what ran."""
-    path, spans = tmp_path / "run.json", tmp_path / "spans.json"
-    path.write_text(json.dumps(config, indent=2))
+def _traced(tmp_path, *argv: str) -> set[str]:
+    """The names of the spans that a traced `ropuf argv` records.  The
+    trace's `names` lists every boundary the tracer patched, whether it ran
+    or not, so only its spans tell what ran."""
+    spans = tmp_path / "spans.json"
     src = str(Path(ropuf.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, str(TRACED_CLI), str(spans), "simulate",
-                           "--config", str(path), "--out", str(out), "--threads", "1"],
+    proc = subprocess.run([sys.executable, str(TRACED_CLI), str(spans), *argv],
                           capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     trace = json.loads(spans.read_text())
     return {trace["names"][row[0]] for row in trace["spans"]}
 
 
-def test_traced_simulate_writes_the_golden_files(tmp_path):
-    ran = _traced_simulate(tmp_path, CONFIG, tmp_path / "sim")
-    pinned = [name for name in FILE_DIGESTS if name.startswith("sim/")]
+def _golden_config(tmp_path) -> str:
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(CONFIG, indent=2))
+    return str(path)
+
+
+def _assert_pinned(root: Path, prefix: str) -> None:
+    pinned = [name for name in FILE_DIGESTS if name.startswith(prefix)]
     assert len(pinned) == 2
     for name in pinned:
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
         assert digest == FILE_DIGESTS[name], name
+
+
+def test_traced_simulate_writes_the_golden_files(tmp_path):
+    ran = _traced(tmp_path, "simulate", "--config", _golden_config(tmp_path),
+                  "--out", str(tmp_path / "sim"), "--threads", "1")
+    _assert_pinned(tmp_path, "sim/")
     assert "chipsim.save_dataset" in ran
     assert not ran & {"chipsim.run_campaign", "metrics.compute_report"}
 
 
-def test_traced_simulate_with_a_report_scores_the_files_it_wrote(tmp_path):
-    """With emit_histograms, simulate streams its chip blocks to the
-    dataset files and scores the files: save_dataset and compute_report
-    run, run_campaign does not, and the report is the untraced run's, byte
-    for byte."""
-    config = {**CONFIG, "flags": {**CONFIG["flags"], "emit_histograms": True}}
-    ran = _traced_simulate(tmp_path, config, tmp_path / "traced")
-    assert {"chipsim.save_dataset", "metrics.compute_report"} <= ran
-    assert "chipsim.run_campaign" not in ran
-    assert cli.main(["simulate", "--config", str(tmp_path / "run.json"),
-                     "--out", str(tmp_path / "untraced")]) == 0
-    assert (tmp_path / "traced" / "report.json").read_bytes() == \
-        (tmp_path / "untraced" / "report.json").read_bytes()
+def test_traced_metrics_writes_the_golden_report(tmp_path):
+    """A traced `metrics --post-bch` scores the golden dataset through the
+    wrapped compute_report and corrected_sample_words, and writes the
+    pinned report and histograms."""
+    assert cli.main(["simulate", "--config", _golden_config(tmp_path),
+                     "--out", str(tmp_path / "sim")]) == 0
+    ran = _traced(tmp_path, "metrics", str(tmp_path / "sim" / "dataset.csv"),
+                  "--out", str(tmp_path / "post"), "--post-bch")
+    _assert_pinned(tmp_path, "post/")
+    assert {"metrics.compute_report", "metrics.corrected_sample_words"} <= ran

@@ -10,24 +10,24 @@ jitter and no coupling this reduces to the closed form
 where an exact-integer argument resolves to the parity of that integer
 minus one: sampling exactly on a toggle instant reads the pre-toggle
 level.  Only the period ratio matters, never the absolute time scale.
-Words here are (L,) rows of bits; a campaign packs them with pack_rows,
+Words here are (L,) rows of bits; a campaign packs them with pack_into,
 and evaluation reads each packed word as an integer.
 
 A campaign realizes N chips from one parameter family, each as it
-reaches it, enrolls a reference ID per chip and voltage, then collects
-T fresh-jitter samples per (chip, voltage) cell.  Every stochastic draw
-comes from a stream keyed by (master seed, purpose, chip, unit) through
-rng.keyed_rng, whose rows have a width that depends on the word length
-only, so the full grid and any sub-grid produce identical bits, and
-sample t is the same enable cycle at every voltage (common random
-numbers).
+reaches it and one unit at a time, enrolls a reference ID per chip and
+voltage, then collects T fresh-jitter samples per (chip, voltage) cell.
+Every stochastic draw comes from a stream keyed by (master seed,
+purpose, chip, unit) through rng.keyed_rng, whose rows have a width
+that depends on the word length only, so the full grid and any sub-grid
+produce identical bits, and sample t is the same enable cycle at every
+voltage (common random numbers).
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -66,6 +66,17 @@ def pack_rows(rows: np.ndarray) -> np.ndarray:
     if pad:  # np.pad copies the rows, so only a partial byte pays for it
         rows = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(pad, 0)])
     return np.packbits(rows, axis=-1)
+
+
+def pack_into(packed: np.ndarray, rows: np.ndarray, at: int) -> None:
+    """OR (..., L) bit rows into packed bytes (..., n) laid out as by
+    pack_rows, with bit 0 of each row at bit `at` of its packed row."""
+    start, shift = divmod(at, 8)
+    width = -(-(shift + rows.shape[-1]) // 8)  # bytes each row reaches
+    # In whole bytes, rows pack as one flat run: far faster than by rows.
+    bits = np.zeros(rows.shape[:-1] + (8 * width,), dtype=np.uint8)
+    bits[..., shift:shift + rows.shape[-1]] = rows
+    packed[..., start:start + width] |= np.packbits(bits).reshape(rows.shape[:-1] + (width,))
 
 
 @dataclass(frozen=True)
@@ -188,12 +199,12 @@ def enroll_id(unit: PufUnit, repetitions: int, v: float, seed: int) -> np.ndarra
 
 @dataclass
 class Campaign:
-    """A campaign sampled on demand: iterating it realizes each chip (see
-    units) and yields, chip by chip, a block (refs, cells) that holds, per
-    voltage, the chip's reference and its T samples as bytes packed by
-    pack_rows, so a consumer holds one chip and its block.  Each unit
-    draws its enrollment block and sample rows once and evaluates them at
-    every voltage, in this process.  Every check runs at creation."""
+    """A campaign sampled on demand: iterating it yields, chip by chip, a
+    block (refs, cells) that holds, per voltage, the chip's reference and
+    its T samples as bytes packed by pack_rows, so a consumer holds one
+    chip and its block.  A chip is sampled one unit at a time (see units):
+    each unit's enrollment block and sample rows are drawn once, evaluated
+    at every voltage and ORed into the block.  Checks run at creation."""
 
     config: CampaignConfig
     ro_params: ro.RoParams
@@ -203,61 +214,52 @@ class Campaign:
     def __post_init__(self):
         self.config.validate(self.ro_params)
 
-    def units(self, c: int) -> tuple[PufUnit, ...]:
-        """The pairs_per_id RO pairs of chip c: oscillator i (0 for RO1, 1
-        for RO2) of unit u is realized from the stream keyed by
-        (master seed, TAG_REALIZE, c, u, i), so chip c is the same whenever
-        it is drawn."""
-        cfg, params = self.config, self.ro_params
-        return tuple(PufUnit(ro1=ro.realize_ro(params, (cfg.master_seed, TAG_REALIZE, c, u, 0)),
-                             ro2=ro.realize_ro(params, (cfg.master_seed, TAG_REALIZE, c, u, 1)),
-                             coupling=self.coupling, word_length=cfg.word_length,
-                             reference_voltage=params.reference_voltage)
-                     for u in range(cfg.pairs_per_id))
+    def units(self, c: int) -> Iterator[PufUnit]:
+        """The pairs_per_id RO pairs of chip c, each realized when reached:
+        oscillator i (0 for RO1, 1 for RO2) of unit u from the stream keyed
+        by (master seed, TAG_REALIZE, c, u, i), the same whenever drawn."""
+        cfg, params, seed = self.config, self.ro_params, self.config.master_seed
+        for u in range(cfg.pairs_per_id):
+            ro1, ro2 = (ro.realize_ro(params, (seed, TAG_REALIZE, c, u, i)) for i in (0, 1))
+            yield PufUnit(ro1, ro2, self.coupling, cfg.word_length, params.reference_voltage)
 
     def __iter__(self):
         cfg = self.config
         seed, voltages, lw = cfg.master_seed, cfg.voltages, cfg.word_length
         b1w, n2 = normal_widths(lw)
-        n_volts, n_samples = len(voltages), cfg.samples_per_chip
+        n_volts, n_bytes = len(voltages), -(-cfg.id_length // 8)
         for c in range(cfg.n_chips):
-            units = self.units(c)
-            refs = pack_rows(np.concatenate([self._enroll(unit, c, u)
-                                             for u, unit in enumerate(units)], axis=-1))
-            streams = [(keyed_rng(seed, TAG_RO1, c, u), keyed_rng(seed, TAG_RO2, c, u))
-                       for u in range(len(units))]
-            cells = np.empty((n_volts, n_samples, refs.shape[-1]), dtype=np.uint8)
-            for start in range(0, n_samples, CHUNK_ROWS):
-                n = min(CHUNK_ROWS, n_samples - start)
-                cells[:, start:start + n] = pack_rows(np.concatenate([
-                    _at_voltages(unit, voltages, ro1.standard_normal((n, b1w)),
-                                 ro2.standard_normal((n, n2)),
-                                 lambda i: keyed_rng(seed, TAG_EXTEND, c, u, start + i))
-                    for u, (unit, (ro1, ro2)) in enumerate(zip(units, streams))], axis=-1))
+            # Allocated first, as each unit's block: one too large fails before any draw.
+            cells = np.empty((n_volts, cfg.samples_per_chip, n_bytes), dtype=np.uint8)
+            cells.fill(0)
+            refs = np.zeros((n_volts, n_bytes), dtype=np.uint8)
+            for u, unit in enumerate(self.units(c)):
+                at = 8 * n_bytes - cfg.id_length + u * lw  # past the pad bits
+                enroll, ro1, ro2 = (keyed_rng(seed, tag, c, u)
+                                    for tag in (TAG_ENROLL, TAG_RO1, TAG_RO2))
+                block = np.empty((n_volts, cfg.enroll_repetitions, lw), dtype=np.uint8)
+                for rows, words in _chunks(unit, voltages, block.shape[1],
+                                           lambda n: draw_rows(enroll, n, lw),
+                                           (seed, TAG_ENROLL_EXTEND, c, u)):
+                    block[:, rows] = words
+                pack_into(refs, np.stack([modal_row(w) for w in block]), at)
+                for rows, words in _chunks(unit, voltages, cells.shape[1],
+                                           lambda n: (ro1.standard_normal((n, b1w)),
+                                                      ro2.standard_normal((n, n2))),
+                                           (seed, TAG_EXTEND, c, u)):
+                    pack_into(cells[:, rows], words, at)
             yield list(map(memoryview, refs)), list(map(memoryview, cells.reshape(n_volts, -1)))
 
-    def _enroll(self, unit: PufUnit, c: int, u: int) -> np.ndarray:
-        """(n_voltages, L) enrolled words of unit u of chip c: at each
-        voltage, the modal row of its enrollment block, whose rows are
-        drawn CHUNK_ROWS at a time from the unit's one enrollment stream."""
-        cfg = self.config
-        seed, reps = cfg.master_seed, cfg.enroll_repetitions
-        rng = keyed_rng(seed, TAG_ENROLL, c, u)
-        # Allocated first: a block too large to hold fails before any draw.
-        words = np.empty((len(cfg.voltages), reps, cfg.word_length), dtype=np.uint8)
-        for start in range(0, reps, CHUNK_ROWS):
-            g1, g2 = draw_rows(rng, min(CHUNK_ROWS, reps - start), cfg.word_length)
-            words[:, start:start + len(g1)] = _at_voltages(
-                unit, cfg.voltages, g1, g2,
-                lambda r: keyed_rng(seed, TAG_ENROLL_EXTEND, c, u, start + r))
-        return np.stack([modal_row(w) for w in words])
 
-
-def _at_voltages(unit: PufUnit, voltages, g1: np.ndarray, g2: np.ndarray,
-                 extension) -> np.ndarray:
-    """(n_voltages, n, L) words of the n enable cycles of g1 and g2 (see
-    sample_rows), the same normals at every voltage."""
-    return np.stack([sample_rows(unit, v, g1, g2, extension) for v in voltages])
+def _chunks(unit: PufUnit, voltages, n_rows: int, draw, extend_key: tuple):
+    """(rows, words) for n_rows enable cycles of unit, CHUNK_ROWS at a time:
+    words (n_voltages, n, L) holds the slice rows at every voltage, from the
+    normals draw(n) gives; row r extends from keyed_rng(*extend_key, r)."""
+    for start in range(0, n_rows, CHUNK_ROWS):
+        g1, g2 = draw(min(CHUNK_ROWS, n_rows - start))
+        yield slice(start, start + len(g1)), np.stack([
+            sample_rows(unit, v, g1, g2, lambda i: keyed_rng(*extend_key, start + i))
+            for v in voltages])
 
 
 def run_campaign(config: CampaignConfig, ro_params: ro.RoParams,

@@ -61,22 +61,19 @@ class CampaignConfig:
             raise ConfigurationError(f"pairs_per_id x word_length: an ID must fit in a dataset "
                                      f"row's {CSV_FIELD_LIMIT} hex digits, at most "
                                      f"{MAX_ID_BITS} bits")
-        # Each chip's arrays must be ones numpy can index: a larger campaign
-        # is refused here, before any output, not by numpy mid-run.
+        # The arrays a campaign allocates must be ones numpy can index: a
+        # larger campaign is refused here, before any output, not mid-run.
         for array, fields, elements in (
-                ("a chip's enrollment block",
-                 "voltages_v x enroll_repetitions x pairs_per_id x word_length",
-                 n_volts * self.enroll_repetitions * bits),
+                ("a unit's enrollment block", "voltages_v x enroll_repetitions x word_length",
+                 n_volts * self.enroll_repetitions * self.word_length),
                 ("a chip's samples",
                  "voltages_v x samples_per_chip x ceil(pairs_per_id x word_length / 8)",
                  n_volts * self.samples_per_chip * -(-bits // 8))):
             if elements > sys.maxsize:
                 raise ConfigurationError(f"{fields}: {array} would hold more than "
                                          f"sys.maxsize ({sys.maxsize}) elements")
-        if self.id_length != self.pairs_per_id * self.word_length:
-            raise ConfigurationError(
-                f"id_length {self.id_length} != pairs_per_id*word_length "
-                f"{self.pairs_per_id * self.word_length}")
+        if self.id_length != bits:
+            raise ConfigurationError(f"id_length {self.id_length} != pairs_per_id*word_length {bits}")
         if self.samples_per_chip < 1:
             raise ConfigurationError("samples_per_chip must be >= 1")
         if self.enroll_repetitions < 1:

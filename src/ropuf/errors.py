@@ -5,7 +5,7 @@ class ConfigurationError(ValueError):
     """Invalid model or campaign parameters."""
 
 
-class ModelRangeError(ValueError):
+class ModelRangeError(ConfigurationError):
     """A query fell outside the range where the timing model is valid."""
 
 

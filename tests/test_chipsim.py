@@ -28,7 +28,7 @@ class TestPopulation:
     def test_shapes(self):
         cfg = chipsim.CampaignConfig(n_chips=10, pairs_per_id=2, word_length=16)
         campaign = chipsim.Campaign(cfg, ro.RoParams())
-        chips = [campaign.units(c) for c in range(cfg.n_chips)]
+        chips = [tuple(campaign.units(c)) for c in range(cfg.n_chips)]
         assert len(chips) == 10
         assert all(len(units) == 2 for units in chips)
         assert cfg.id_length == 32
@@ -37,15 +37,16 @@ class TestPopulation:
         cfg = chipsim.CampaignConfig(master_seed=77, **FAST)
         a = chipsim.Campaign(cfg, ro.RoParams())
         b = chipsim.Campaign(cfg, ro.RoParams())
-        assert [a.units(c) for c in range(cfg.n_chips)] == \
-            [b.units(c) for c in range(cfg.n_chips)]
+        assert [tuple(a.units(c)) for c in range(cfg.n_chips)] == \
+            [tuple(b.units(c)) for c in range(cfg.n_chips)]
 
     def test_zero_process_variation_clones_chips(self):
         params = ro.RoParams(process_sigma=0.0, jitter_sigma=0.0,
                              voltage_sensitivity_sigma=0.0)
         ds, cfg, _ = small_campaign(params=params)
         campaign = chipsim.Campaign(cfg, params)
-        assert all(campaign.units(c) == campaign.units(0) for c in range(cfg.n_chips))
+        assert all(tuple(campaign.units(c)) == tuple(campaign.units(0))
+                   for c in range(cfg.n_chips))
         refs = held(ds, 1.3)[0]
         assert all(np.array_equal(r, refs[0]) for r in refs)
         assert metrics.uniqueness([bits_word(r) for r in refs], cfg.id_length) == 0.0

@@ -99,8 +99,9 @@ class TestSimulate:
         assert not out.exists()
 
     def test_failed_sampling_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
-        """A run that fails while sampling leaves no file in --out and any
-        dataset already there as it was."""
+        """A run that fails while sampling, here on a draw outside the
+        model's range (a configuration error), leaves no file in --out and
+        any dataset already there as it was."""
         cfg = tmp_path / "run.json"
         write_config(cfg)
         out = tmp_path / "o"
@@ -112,8 +113,8 @@ class TestSimulate:
                 raise ModelRangeError("period is non-positive")
             return keyed_rng(seed, tag, chip, *key)
         monkeypatch.setattr(chipsim, "keyed_rng", out_of_range_on_chip_1)
-        assert cli.main(argv) == 3
-        assert "non-positive" in capsys.readouterr().err
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == "configuration error: period is non-positive\n"
         assert sorted(out.iterdir()) == []
 
         monkeypatch.setattr(chipsim, "keyed_rng", keyed_rng)
@@ -121,7 +122,7 @@ class TestSimulate:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert set(before) == {"dataset.csv", "dataset.json"}
         monkeypatch.setattr(chipsim, "keyed_rng", out_of_range_on_chip_1)
-        assert cli.main([*argv, "--seed", "6"]) == 3
+        assert cli.main([*argv, "--seed", "6"]) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_seed_override_changes_dataset(self, tmp_path):

@@ -3,9 +3,9 @@ to a byte, loading holds little more than those bytes, a report scores
 the packed samples with one chip's scratch and holds no list of chip
 pairs, and `simulate` and `sweep` realize each chip as they reach it
 and hold one chip's samples at a time, however many chips there are,
-and sample that chip one chunk of rows at a time.  `metrics` holds the
-grid packed.  The BCH self-test enumerates the code's 2^16 codewords as
-32-bit words.
+and sample that chip one unit and one chunk of rows at a time.
+`metrics` holds the grid packed.  The BCH self-test enumerates the
+code's 2^16 codewords as 32-bit words.
 
 The evaluation datasets are built from random bits, with no sampling, at
 acceptance scale (10 chips x 5000 samples x 32 bits), or with many chips
@@ -108,6 +108,25 @@ def test_campaign_samples_a_chip_in_chunks():
     (refs, cells), peak = _traced(lambda: next(chips))
     assert [len(r) for r in refs] == [L // 8] and [len(s) for s in cells] == [T * L // 8]
     assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
+
+
+def test_campaign_holds_one_unit_at_a_time():
+    """One chip block's peak grows by at most 64 bytes a unit from 256 to
+    2048 units of 4-bit words (1 sample, 1 enrollment repetition), where
+    the block itself grows by 1 byte a unit: each unit is realized, sampled
+    and ORed into the block before the next, where holding every unit of a
+    chip and two open streams a unit took about 2.5 KiB a unit."""
+    def peak(units):
+        cfg = CampaignConfig(n_chips=2, pairs_per_id=units, word_length=4, samples_per_chip=1,
+                             enroll_repetitions=1, voltages=(1.3,))
+        chips = iter(chipsim.Campaign(cfg, ro.RoParams()))
+        next(chips)  # first-use allocations stay out
+        (refs, cells), peak = _traced(lambda: next(chips))
+        assert [len(r) for r in refs] == [len(s) for s in cells] == [units // 2]
+        return peak
+
+    growth = (peak(2048) - peak(256)) / (2048 - 256)
+    assert growth <= 64, f"one chip block took {growth:.1f} bytes a unit"
 
 
 def _run_peak(argv) -> int:

@@ -102,6 +102,37 @@ class TestHexCodec:
             loaded_words(tmp_path, ["0000", word], 16)
 
 
+class TestPackInto:
+    """pack_into ORs bit rows into packed bytes at a bit offset, as a
+    campaign places each unit's words in its chip's packed ID."""
+
+    @pytest.mark.parametrize("at", range(16))
+    def test_every_width_against_an_int_oracle(self, rng, at):
+        """Bytes already set stay set, and the row's word lands at bit at of
+        the packed row read as one big-endian int, a spare byte after it."""
+        for length in range(1, 21):
+            rows = rng.integers(0, 2, (2, 3, length), dtype=np.uint8)
+            n = -(-(at + length) // 8) + 1
+            packed = rng.integers(0, 256, (2, 3, n), dtype=np.uint8)
+            before = [int.from_bytes(r.tobytes(), "big") for r in packed.reshape(6, n)]
+            chipsim.pack_into(packed, rows, at)
+            want = [b | int("".join(map(str, r)), 2) << (8 * n - at - length)
+                    for b, r in zip(before, rows.reshape(6, length))]
+            assert [int.from_bytes(r.tobytes(), "big") for r in packed.reshape(6, n)] == want
+
+    @pytest.mark.parametrize("length", [1, 3, 4, 8, 13, 16])
+    def test_units_of_one_row_are_pack_rows_of_their_concatenation(self, rng, length):
+        """Five units ORed at their offsets into a slice of a zeroed array
+        give pack_rows' bytes of the row they form, and nothing outside it."""
+        units = [rng.integers(0, 2, (4, 7, length), dtype=np.uint8) for _ in range(5)]
+        bits = 5 * length
+        packed = np.zeros((4, 9, -(-bits // 8)), dtype=np.uint8)
+        for u, rows in enumerate(units):
+            chipsim.pack_into(packed[:, 1:8], rows, -bits % 8 + u * length)
+        assert np.array_equal(packed[:, 1:8], chipsim.pack_rows(np.concatenate(units, axis=-1)))
+        assert not packed[:, [0, 8]].any()
+
+
 class TestClosedFormAgreement:
     def test_dense_random_grid(self):
         rng = np.random.default_rng(42)

@@ -59,18 +59,10 @@ def normal_widths(word_length: int) -> tuple[int, int]:
     return (3 * n2 + 1) // 2 + 8, n2
 
 
-def pack_rows(rows: np.ndarray) -> np.ndarray:
-    """(..., ceil(L/8)) bytes of (..., L) bit rows, laid out as their hex
-    words: zero pad bits first, then bit 0 as the most significant bit."""
-    pad = -rows.shape[-1] % 8
-    if pad:  # np.pad copies the rows, so only a partial byte pays for it
-        rows = np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(pad, 0)])
-    return np.packbits(rows, axis=-1)
-
-
 def pack_into(packed: np.ndarray, rows: np.ndarray, at: int) -> None:
-    """OR (..., L) bit rows into packed bytes (..., n) laid out as by
-    pack_rows, with bit 0 of each row at bit `at` of its packed row."""
+    """OR (..., L) bit rows into packed bytes (..., n) laid out as a
+    dataset's words (zero pad bits first, then bit 0 as the most
+    significant bit), with bit 0 of each row at bit `at` of its packed row."""
     start, shift = divmod(at, 8)
     width = -(-(shift + rows.shape[-1]) // 8)  # bytes each row reaches
     # In whole bytes, rows pack as one flat run: far faster than by rows.
@@ -201,7 +193,7 @@ def enroll_id(unit: PufUnit, repetitions: int, v: float, seed: int) -> np.ndarra
 class Campaign:
     """A campaign sampled on demand: iterating it yields, chip by chip, a
     block (refs, cells) that holds, per voltage, the chip's reference and
-    its T samples as bytes packed by pack_rows, so a consumer holds one
+    its T samples as packed bytes (see pack_into), so a consumer holds one
     chip and its block.  A chip is sampled one unit at a time (see units):
     each unit's enrollment block and sample rows are drawn once, evaluated
     at every voltage and ORed into the block.  Checks run at creation."""
@@ -230,8 +222,7 @@ class Campaign:
         n_volts, n_bytes = len(voltages), -(-cfg.id_length // 8)
         for c in range(cfg.n_chips):
             # Allocated first, as each unit's block: one too large fails before any draw.
-            cells = np.empty((n_volts, cfg.samples_per_chip, n_bytes), dtype=np.uint8)
-            cells.fill(0)
+            cells = np.zeros((n_volts, cfg.samples_per_chip, n_bytes), dtype=np.uint8)
             refs = np.zeros((n_volts, n_bytes), dtype=np.uint8)
             for u, unit in enumerate(self.units(c)):
                 at = 8 * n_bytes - cfg.id_length + u * lw  # past the pad bits

@@ -4,7 +4,7 @@ A dataset holds, per chip, its enrolled reference and its samples at
 every voltage as packed bytes: ceil(L/8) bytes per word, zero pad bits
 first, then bit 0 as the most significant bit, so a word's bytes read
 big-endian are its hex word's value.  This is the layout
-chipsim.pack_rows writes.  Nothing here imports numpy, so evaluating a
+chipsim.pack_into writes.  Nothing here imports numpy, so evaluating a
 saved dataset never loads it.  A sidecar records the stream version of
 its samples; the current one, STREAM_VERSION, is defined in config with
 the rest of the sidecar's schema.

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from oracles import unpack_rows
+from oracles import pack_rows, unpack_rows
 from ropuf import chipsim, ro
 from ropuf.dataset import CampaignDataset
 
@@ -50,8 +50,8 @@ def word_of(bits) -> np.ndarray:
 def packed_dataset(cfg, references: dict, samples: dict) -> CampaignDataset:
     """A dataset of per-voltage (n_chips, L) reference bits and
     (n_chips, T, L) sample bits, packed into the chip blocks it holds."""
-    refs = {v: chipsim.pack_rows(r) for v, r in references.items()}
-    cells = {v: chipsim.pack_rows(s) for v, s in samples.items()}
+    refs = {v: pack_rows(r) for v, r in references.items()}
+    cells = {v: pack_rows(s) for v, s in samples.items()}
     return CampaignDataset(cfg, ro.RoParams(), ro.Coupling(),
                            [([refs[v][c].tobytes() for v in cfg.voltages],
                              [cells[v][c].tobytes() for v in cfg.voltages])

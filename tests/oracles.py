@@ -99,8 +99,15 @@ def flip_rates(h1: float, h2: float, sigma1: float, sigma2: float, rho: float,
     return rates
 
 
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """(..., ceil(L/8)) bytes of (..., L) bit rows, laid out as their hex
+    words: zero pad bits first, then bit 0 as the most significant bit."""
+    return np.packbits(np.pad(rows, [(0, 0)] * (rows.ndim - 1) + [(-rows.shape[-1] % 8, 0)]),
+                       axis=-1)
+
+
 def unpack_rows(packed: np.ndarray, length: int) -> np.ndarray:
-    """(..., length) bit rows of chipsim.pack_rows bytes, the pad bits dropped."""
+    """(..., length) bit rows of pack_rows bytes, the pad bits dropped."""
     return np.unpackbits(packed, axis=-1)[..., packed.shape[-1] * 8 - length:]
 
 

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (GF_EXP, bch_decode, bits_word, codebook, error_word, fe_reproduce,
-                     generator_rows, gf_mul, table_decode, word_bits)
+                     generator_rows, gf_mul, pack_rows, table_decode, word_bits)
 from ropuf import bch, metrics
 from ropuf.errors import DatasetError, DecodeFailure
-from ropuf.chipsim import pack_rows
 
 # g(x) = 1 + x + x^2 + x^3 + x^5 + x^7 + x^8 + x^9 + x^10 + x^11 + x^15,
 # frozen from the minimal-polynomial construction and cross-checked below

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,256 @@ def write_config(path, n_chips=3, samples=10, voltages=(1.3,), seed=5,
     return config
 
 
+def _set_reference(chip, voltage, word):
+    """Sidecar edit: references[chip][voltage] = word(chip 0's 1.3 V reference)."""
+    def corrupt(sidecar):
+        hex_word = sidecar["references"]["0"]["1.3"]
+        sidecar["references"].setdefault(chip, {})[voltage] = word(hex_word)
+    return corrupt
+
+
+def _set_word(word):
+    """CSV row edit: the hex word w becomes word(w)."""
+    return lambda line: line.rsplit(",", 1)[0] + "," + word(line.rsplit(",", 1)[1])
+
+
+NESTED_JSON = "[" * 200000 + "]" * 200000  # deeper than json.loads can recurse
+BAD_REFERENCE = "sidecar reference for chip 0 at 1.3 V: bad hex word"
+BAD_WORD = "CSV line for chip 0 at 1.3 V, sample 0: bad hex word"
+BAD_FIELDS = "CSV line 2: chip '0' and index '0' must be digits and voltage"
+
+
+def _section(prefix: str, command: str, file: str, code: int, rows: dict) -> dict:
+    """REFUSALS' rows for {name: (edit, fragment)}, keyed prefix + name."""
+    return {prefix + name: (command, file, edit, code, fragment)
+            for name, (edit, fragment) in rows.items()}
+
+
+# Every refusal of a bad input, keyed "test/case" (see cases): the command,
+# with any options; the file the case edits ("config", "sidecar" or "csv");
+# the edit; the exit code; and a fragment of stderr.  A config or sidecar
+# edit changes the parsed file in place or returns the file's whole text; a
+# csv edit returns line 2, the first row (an appended row is line 3); an
+# edit of None deletes the file.
+REFUSALS = {
+    "id_length_31": ("simulate", "config", lambda c: c["campaign"].update(id_length=31), 2,
+                     "id_length 31 != pairs_per_id*word_length 32"),
+    "negative_seed": ("simulate --seed -1", "config", lambda c: None, 2,
+                      "master_seed must be >= 0, got -1"),
+    "sweep_emit_sweep": ("sweep", "config", lambda c: c.update(flags={"emit_sweep": True})
+                         or c["campaign"].update(voltages_v=[1.25, 1.3]), 2,
+                         "config.flags.emit_sweep must be false"),
+    "missing_dataset": ("metrics", "csv", None, 3, "dataset files not found: "),
+    **_section("grid/", "simulate", "config", 2, {
+        "duplicate_voltage": (lambda c: c["campaign"].update(voltages_v=[1.25, 1.3, 1.25]),
+                              "voltages_v has duplicates"),
+        "no_reference_voltage": (lambda c: c["campaign"].update(voltages_v=[1.25, 1.35]),
+                                 "voltages_v must include reference_voltage_v 1.3"),
+    }),
+    # One schema reads a run configuration and a sidecar's config block.
+    **_section("schema/config-", "simulate", "config", 2, {
+        "n_chips_string": (lambda c: c["campaign"].update(n_chips="3"), "n_chips"),
+        "n_chips_float": (lambda c: c["campaign"].update(n_chips=3.0), "n_chips"),
+        "samples_fractional": (lambda c: c["campaign"].update(samples_per_chip=10.5),
+                               "samples_per_chip"),
+        "voltages_string": (lambda c: c["campaign"].update(voltages_v="1.3"), "voltages_v"),
+        "voltages_number": (lambda c: c["campaign"].update(voltages_v=1.3), "voltages_v"),
+        "voltages_of_strings": (lambda c: c["campaign"].update(voltages_v=["1.3"]),
+                                "voltages_v"),
+        "ro_list": (lambda c: c.update(ro=[]), "config.ro"),
+        "campaign_list": (lambda c: c.update(campaign=[1]), "config.campaign"),
+        "jitter_string": (lambda c: c["ro"].update(jitter_sigma="0.01"), "jitter_sigma"),
+        "reference_voltage_string": (lambda c: c["ro"].update(reference_voltage_v="1.3"),
+                                     "reference_voltage_v"),
+        "flags_list": (lambda c: c.update(flags=[]), "config.flags"),
+        "coupling_list": (lambda c: c.update(coupling=[]), "config.coupling"),
+        "strength_string": (
+            lambda c: c.update(coupling={"mode": "capacitive", "strength": "0.5"}), "strength"),
+        "strength_for_inverter_loop": (
+            lambda c: c.update(coupling={"mode": "inverter_loop", "strength": -5}), "strength"),
+        "strength_for_none": (lambda c: c.update(coupling={"mode": "none", "strength": 0.7}),
+                              "strength"),
+        # `flags` may stay in a run configuration, every flag false.
+        "post_bch_string": (lambda c: c.update(flags={"post_bch": "false"}), "post_bch"),
+        "post_bch_true": (lambda c: c.update(flags={"post_bch": True}),
+                          "config.flags.post_bch must be false (simulate writes only the "
+                          "dataset: run `ropuf metrics` or `ropuf sweep`), got True"),
+        "emit_sweep_true": (lambda c: c.update(flags={"post_bch": False, "emit_sweep": True}),
+                            "config.flags.emit_sweep must be false"),
+        "flag_unknown": (lambda c: c.update(flags={"emit_report": False}), "emit_report"),
+        "master_seed_string": (lambda c: c["campaign"].update(master_seed="5"), "master_seed"),
+        "field_typo": (lambda c: c["campaign"].update(n_chip=3), "n_chip"),
+        "deeply_nested": (lambda c: NESTED_JSON, "cannot read config"),
+        "nominal_period_huge_int": (lambda c: c["ro"].update(nominal_period_s=10 ** 400),
+                                    "nominal_period_s"),
+        "voltage_inexact_int": (  # no voltage sensitivity, so the model range admits it
+            lambda c: c["ro"].update(voltage_sensitivity_per_v=0,
+                                     voltage_sensitivity_sigma_per_v=0)
+            or c["campaign"].update(voltages_v=[1.3, 10 ** 20 + 1]), "voltages_v"),
+        "pairs_per_id_past_a_dataset_row": (
+            lambda c: c["campaign"].update(pairs_per_id=10 ** 12), "pairs_per_id x word_length"),
+        "word_length_past_a_dataset_row": (
+            lambda c: c["campaign"].update(word_length=10 ** 12), "pairs_per_id x word_length"),
+        "id_length_past_str_digits": (  # the mismatch would print 8001 digits
+            lambda c: c["campaign"].update(pairs_per_id=10 ** 4000, word_length=10 ** 4000,
+                                           id_length=1), "word_length"),
+    }),
+    **_section("schema/sidecar-", "metrics", "sidecar", 3, {
+        "id_length_40": (lambda s: s["config"]["campaign"].update(id_length=40), "id_length"),
+        "word_length_8": (lambda s: s["config"]["campaign"].update(word_length=8),
+                          "word_length"),
+        "jitter_string": (lambda s: s["config"]["ro"].update(jitter_sigma="x"), "jitter_sigma"),
+        "n_chips_string": (lambda s: s["config"]["campaign"].update(n_chips="3"), "n_chips"),
+        "bad_coupling_mode": (lambda s: s["config"]["coupling"].update(mode="sideways"),
+                              "coupling mode"),
+        "strength_for_none": (
+            lambda s: s["config"]["coupling"].update(mode="none", strength=0.7), "strength"),
+        "one_chip": (lambda s: s["config"]["campaign"].update(n_chips=1), "n_chips"),
+        "reference_voltage_off_grid": (
+            lambda s: s["config"]["ro"].update(reference_voltage_v=1.25), "reference_voltage_v"),
+        "master_seed_mismatch": (lambda s: s.update(master_seed=6), "master_seed"),
+        "stream_version_4": (lambda s: s.update(stream_version=4), "stream_version"),
+        "stream_version_0": (lambda s: s.update(stream_version=0), "stream_version"),
+        "stream_version_string": (lambda s: s.update(stream_version="3"), "stream_version"),
+        "stream_version_true": (lambda s: s.update(stream_version=True), "stream_version"),
+        "stream_version_float": (lambda s: s.update(stream_version=2.0), "stream_version"),
+        "deeply_nested": (lambda s: NESTED_JSON, "bad sidecar"),
+        "id_past_a_dataset_row": (
+            lambda s: s["config"]["campaign"].update(pairs_per_id=2 ** 15 + 1),
+            "bad sidecar: pairs_per_id x word_length"),
+        "jitter_huge_int": (lambda s: s["config"]["ro"].update(jitter_sigma=10 ** 400),
+                            "jitter_sigma"),
+    }),
+    # The sidecar's references, and the grid it claims.
+    **_section("sidecar/", "metrics", "sidecar", 3, {
+        "missing_references": (lambda s: s.__delitem__("references"),
+                               "sidecar 'references' must map chip ids"),
+        "references_as_list": (lambda s: s.update(references=list(s["references"].values())),
+                               "sidecar 'references' must map chip ids"),
+        "reference_hex_too_wide": (_set_reference("0", "1.3", lambda w: "f" + w), BAD_REFERENCE),
+        "reference_hex_0x_prefix": (_set_reference("0", "1.3", lambda w: "0x" + w),
+                                    BAD_REFERENCE + " '0x"),
+        "reference_hex_space_underscore": (
+            _set_reference("0", "1.3", lambda w: " " + w[:4] + "_" + w[4:]),
+            BAD_REFERENCE + " ' "),
+        "reference_hex_one_digit_short": (_set_reference("0", "1.3", lambda w: w[1:]),
+                                          BAD_REFERENCE),
+        "reference_chip_outside_grid": (_set_reference("99", "1.3", lambda w: w),
+                                        "['99']['1.3']: chip 99 at 1.3 V is outside the grid"),
+        "reference_voltage_outside_grid": (_set_reference("0", "1.35", lambda w: w),
+                                           "['0']['1.35']: chip 0 at 1.35 V is outside the grid"),
+        "reference_duplicate_voltage": (_set_reference("0", "1.30", lambda w: w),
+                                        "['0']['1.30']: a second word for chip 0 at 1.3 V"),
+        "sidecar_string": (lambda s: '"x"', "bad sidecar: must be a JSON object, not str"),
+        "sidecar_list": (lambda s: "[1]", "bad sidecar: must be a JSON object, not list"),
+        "sidecar_empty_object": (lambda s: "{}", "bad sidecar: missing key 'config'"),
+        "reference_int": (_set_reference("0", "1.3", lambda w: 5),
+                          "sidecar reference ['0']['1.3']: 5 must be a hex string"),
+        # Claims refused before any buffer is sized from them.
+        "samples_claim_past_index_size": (
+            lambda s: s["config"]["campaign"].update(samples_per_chip=2**61),
+            "bad sidecar: voltages_v x samples_per_chip x ceil(pairs_per_id x word_length / 8): "
+            "a chip's samples would hold more than sys.maxsize"),
+        "samples_claim_past_file": (
+            lambda s: s["config"]["campaign"].update(samples_per_chip=2**40),
+            f"= {3 * 2**40} words, but the input holds at most"),
+        "chips_claim": (
+            lambda s: s["config"]["campaign"].update(n_chips=2**61),
+            f"sidecar references: the sidecar claims 1 voltages x {2**61} chips = {2**61} words, "
+            "but the input holds at most 3"),
+    }),
+    **_section("csv/", "metrics", "csv", 3, {
+        "missing_fields": (lambda line: "0,1.3", "CSV line 2: not enough values to unpack"),
+        "extra_field": (lambda line: line + ",0", "CSV line 2: too many values to unpack"),
+        "non_numeric_chip": (lambda line: "x" + line, "CSV line 2: chip 'x0' and index '0' "),
+        "non_numeric_voltage": (lambda line: line.replace(",1.3,", ",volts,"),
+                                BAD_FIELDS + " 'volts' "),
+        "non_numeric_index": (lambda line: line.replace(",0,", ",first,"),
+                              "CSV line 2: chip '0' and index 'first' "),
+        "bad_hex": (lambda line: line[:-1] + "z", BAD_WORD),
+        "hex_too_wide": (_set_word(lambda w: "1" + w), BAD_WORD + " '1"),
+        "hex_0x_prefix": (_set_word(lambda w: "0x" + w), BAD_WORD + " '0x"),
+        "hex_space_underscore": (_set_word(lambda w: " " + w[:4] + "_" + w[4:]),
+                                 BAD_WORD + " ' "),
+        "hex_one_digit_short": (_set_word(lambda w: w[1:]), BAD_WORD),
+        "chip_outside_grid": (lambda line: line + "\n99,1.3,0,ffffffff",
+                              "CSV line 3: chip 99 at 1.3 V, sample 0 is outside the grid"),
+        "voltage_outside_grid": (lambda line: line + "\n0,1.35,0,ffffffff",
+                                 "CSV line 3: chip 0 at 1.35 V, sample 0 is outside the grid"),
+        "sample_outside_grid": (lambda line: line + "\n0,1.3,10,ffffffff",
+                                "CSV line 3: chip 0 at 1.3 V, sample 10 is outside the grid"),
+        "negative_sample": (lambda line: line + "\n0,1.3,-1,ffffffff",
+                            "CSV line 3: chip '0' and index '-1' "),
+        "duplicate_row": (lambda line: line + "\n" + line,
+                          "CSV line 3: a second word for chip 0 at 1.3 V, sample 0"),
+        "chip_plus_sign": (lambda line: "+" + line, "CSV line 2: chip '+0' and index '0' "),
+        "chip_non_ascii_digit": (lambda line: "\u0660" + line[1:],
+                                 "CSV line 2: chip '\u0660' and index '0' "),
+        "voltage_leading_space": (lambda line: line.replace(",1.3,", ", 1.30,"),
+                                  BAD_FIELDS + " ' 1.30' "),
+        "voltage_plus_sign": (lambda line: line.replace(",1.3,", ",+1.3,"),
+                              BAD_FIELDS + " '+1.3' "),
+        "voltage_trailing_space": (lambda line: line.replace(",1.3,", ",1.3 ,"),
+                                   BAD_FIELDS + " '1.3 ' "),
+        "index_underscore": (lambda line: line.replace(",1.3,0,", ",1.3,0_0,"),
+                             "CSV line 2: chip '0' and index '0_0' "),
+        "field_over_size_limit": (lambda line: line + "f" * 131072,
+                                  "CSV line 2: field larger than field limit"),
+        # A byte that is not UTF-8, written as the surrogate that stands for it.
+        "chip_not_utf8": (lambda line: "\udcff" + line, "CSV line 2: chip '\\udcff0'"),
+        "hex_not_utf8": (_set_word(lambda w: w[:3] + "\udcff" + w[4:]), BAD_WORD),
+    }),
+}
+
+
+def cases(test: str) -> list:
+    """The REFUSALS keys under test/, each as a parameter named by its case."""
+    return [pytest.param(key, id=key.partition("/")[2]) for key in REFUSALS
+            if key.startswith(test + "/")]
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory) -> Path:
+    """A directory holding run.json and the dataset simulate wrote from it, sim/."""
+    root = tmp_path_factory.mktemp("simulated")
+    write_config(root / "run.json")
+    assert cli.main(["simulate", "--config", str(root / "run.json"),
+                     "--out", str(root / "sim")]) == 0
+    return root
+
+
+@pytest.fixture
+def refused(simulated, tmp_path, capsys):
+    """check(key): runs REFUSALS[key] on a copy of the simulated files.  The
+    command exits with the row's code, its stderr starts with that code's
+    prefix and holds the row's fragment, and --out is never created."""
+    def check(key):
+        command, file, edit, code, fragment = REFUSALS[key]
+        shutil.copytree(simulated, tmp_path, dirs_exist_ok=True)
+        config, csv_path = tmp_path / "run.json", tmp_path / "sim" / "dataset.csv"
+        path = {"config": config, "sidecar": csv_path.with_suffix(".json"), "csv": csv_path}[file]
+        if edit is None:
+            path.unlink()
+        elif file == "csv":
+            lines = path.read_text().splitlines()
+            assert lines[1].startswith("0,1.3,0,")
+            lines[1] = edit(lines[1])
+            path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
+        else:
+            parsed = json.loads(path.read_text())
+            path.write_text(edit(parsed) or json.dumps(parsed))
+        name, *options = command.split()
+        source = [str(csv_path)] if name == "metrics" else ["--config", str(config)]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main([name, *source, "--out", str(out), *options]) == code
+        err = capsys.readouterr().err
+        assert err.startswith({2: "configuration error: ", 3: "data error: "}[code]), err
+        assert fragment in err, err
+        assert not out.exists()
+    return check
+
+
 class TestSimulate:
     def test_minimal_run_row_count(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -55,23 +306,12 @@ class TestSimulate:
         rows = (tmp_path / "o" / "dataset.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 2 * 10  # header + chips*voltages*samples
 
-    def test_bad_id_length_names_field(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        config = write_config(cfg)
-        config["campaign"]["id_length"] = 31
-        cfg.write_text(json.dumps(config))
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "id_length" in capsys.readouterr().err
+    def test_bad_id_length_names_field(self, refused):
+        refused("id_length_31")
 
-    @pytest.mark.parametrize("voltages", [(1.25, 1.3, 1.25), (1.25, 1.35)],
-                             ids=["duplicate_voltage", "no_reference_voltage"])
-    def test_bad_voltage_grid_fails_before_writing(self, tmp_path, capsys, voltages):
-        cfg = tmp_path / "run.json"
-        write_config(cfg, voltages=voltages)
-        out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "voltages_v" in capsys.readouterr().err
-        assert not (out / "dataset.csv").exists()
+    @pytest.mark.parametrize("case", cases("grid"))
+    def test_bad_voltage_grid_fails_before_writing(self, refused, case):
+        refused(case)
 
     def test_threads_accepted_and_ignored(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -89,14 +329,8 @@ class TestSimulate:
         help_text = " ".join(capsys.readouterr().out.split())
         assert "accepted and ignored" in help_text and "worker" not in help_text
 
-    def test_negative_seed_fails_before_any_directory(self, tmp_path, capsys):
-        cfg = tmp_path / "run.json"
-        write_config(cfg)
-        out = tmp_path / "o"
-        assert cli.main(["simulate", "--config", str(cfg), "--out", str(out),
-                         "--seed", "-1"]) == 2
-        assert "master_seed" in capsys.readouterr().err
-        assert not out.exists()
+    def test_negative_seed_fails_before_any_directory(self, refused):
+        refused("negative_seed")
 
     def test_failed_sampling_leaves_no_dataset(self, tmp_path, monkeypatch, capsys):
         """A run that fails while sampling, here on a draw outside the
@@ -135,19 +369,6 @@ class TestSimulate:
             (tmp_path / "b" / "dataset.csv").read_bytes()
 
 
-def _set_reference(chip, voltage, word):
-    """Sidecar edit: references[chip][voltage] = word(chip 0's 1.3 V reference)."""
-    def corrupt(sidecar):
-        hex_word = sidecar["references"]["0"]["1.3"]
-        sidecar["references"].setdefault(chip, {})[voltage] = word(hex_word)
-    return corrupt
-
-
-def _set_word(word):
-    """CSV row edit: the hex word w becomes word(w)."""
-    return lambda line: line.rsplit(",", 1)[0] + "," + word(line.rsplit(",", 1)[1])
-
-
 class TestMetrics:
     def _simulated(self, tmp_path, **kwargs):
         cfg = tmp_path / "run.json"
@@ -170,25 +391,8 @@ class TestMetrics:
         assert report["bch_stage"] == "raw"
         assert (out / "histograms.csv").exists()
 
-    def test_golden_small_dataset_matches_oracle(self, tmp_path):
-        import sys
-        sys.path.insert(0, str(tmp_path.parent))
-        from oracles import uniqueness_formula
-        csv_path = self._simulated(tmp_path, n_chips=4, samples=6)
-        out = tmp_path / "m"
-        assert cli.main(["metrics", str(csv_path), "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        sidecar = json.loads((csv_path.with_suffix(".json")).read_text())
-        refs = []
-        for c in sorted(sidecar["references"], key=int):
-            hexword = sidecar["references"][c]["1.3"]
-            value = int(hexword, 16)
-            refs.append([(value >> (32 - 1 - i)) & 1 for i in range(32)])
-        assert report["uniqueness_pct"] == pytest.approx(
-            uniqueness_formula(refs, 32), rel=1e-12)
-
-    def test_missing_dataset_is_data_error(self, tmp_path):
-        assert cli.main(["metrics", str(tmp_path / "no.csv"), "--out", str(tmp_path)]) == 3
+    def test_missing_dataset_is_data_error(self, refused):
+        refused("missing_dataset")
 
     def test_named_sidecar_writes_the_default_report(self, tmp_path, capsys):
         """--sidecar reads a renamed sidecar as the default path reads the
@@ -208,95 +412,13 @@ class TestMetrics:
                          "--out", str(tmp_path / "m")]) == 3
         assert str(missing) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt,where", [
-        (lambda s: s.__delitem__("references"), None),
-        (lambda s: s.update(references=list(s["references"].values())), None),
-        (_set_reference("0", "1.3", lambda w: "f" + w), None),
-        (_set_reference("0", "1.3", lambda w: "0x" + w), None),
-        (_set_reference("0", "1.3", lambda w: " " + w[:4] + "_" + w[4:]), None),
-        (_set_reference("0", "1.3", lambda w: w[1:]), None),
-        (_set_reference("99", "1.3", lambda w: w), "['99']['1.3']"),
-        (_set_reference("0", "1.35", lambda w: w), "['0']['1.35']"),
-        (_set_reference("0", "1.30", lambda w: w), "['0']['1.30']"),
-        (lambda s: "x", "bad sidecar: must be a JSON object, not str"),
-        (lambda s: [1], "bad sidecar: must be a JSON object, not list"),
-        (lambda s: {}, "bad sidecar: missing key 'config'"),
-        (_set_reference("0", "1.3", lambda w: 5),
-         "sidecar reference ['0']['1.3']: 5 must be a hex string"),
-        # Claims refused before any buffer is sized from them.
-        (lambda s: s["config"]["campaign"].update(samples_per_chip=2**61),
-         "bad sidecar: voltages_v x samples_per_chip x ceil(pairs_per_id x word_length / 8): "
-         "a chip's samples would hold more than sys.maxsize"),
-        (lambda s: s["config"]["campaign"].update(samples_per_chip=2**40),
-         f"= {3 * 2**40} words, but the input holds at most"),
-        (lambda s: s["config"]["campaign"].update(n_chips=2**61),
-         f"sidecar references: the sidecar claims 1 voltages x {2**61} chips = {2**61} words, "
-         "but the input holds at most 3"),
-    ], ids=["missing_references", "references_as_list", "reference_hex_too_wide",
-            "reference_hex_0x_prefix", "reference_hex_space_underscore",
-            "reference_hex_one_digit_short", "reference_chip_outside_grid",
-            "reference_voltage_outside_grid", "reference_duplicate_voltage",
-            "sidecar_string", "sidecar_list", "sidecar_empty_object", "reference_int",
-            "samples_claim_past_index_size", "samples_claim_past_file", "chips_claim"])
-    def test_bad_sidecar_is_data_error(self, tmp_path, capsys, corrupt, where):
-        """corrupt edits the sidecar in place, or returns a whole new one."""
-        csv_path = self._simulated(tmp_path)
-        sidecar_path = csv_path.with_suffix(".json")
-        sidecar = json.loads(sidecar_path.read_text())
-        replaced = corrupt(sidecar)
-        sidecar_path.write_text(json.dumps(sidecar if replaced is None else replaced))
-        capsys.readouterr()
-        assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
-        err = capsys.readouterr().err
-        assert "data error:" in err
-        assert where is None or where in err
+    @pytest.mark.parametrize("case", cases("sidecar"))
+    def test_bad_sidecar_is_data_error(self, refused, case):
+        refused(case)
 
-    # Line 2 of the file is the row edited; an appended row is line 3.
-    @pytest.mark.parametrize("corrupt,where", [
-        (lambda line: "0,1.3", None),
-        (lambda line: line + ",0", None),
-        (lambda line: "x" + line, None),
-        (lambda line: line.replace(",1.3,", ",volts,"), None),
-        (lambda line: line.replace(",0,", ",first,"), None),
-        (lambda line: line[:-1] + "z", None),
-        (_set_word(lambda w: "1" + w), None),
-        (_set_word(lambda w: "0x" + w), None),
-        (_set_word(lambda w: " " + w[:4] + "_" + w[4:]), None),
-        (_set_word(lambda w: w[1:]), None),
-        (lambda line: line + "\n99,1.3,0,ffffffff", "CSV line 3"),
-        (lambda line: line + "\n0,1.35,0,ffffffff", "CSV line 3"),
-        (lambda line: line + "\n0,1.3,10,ffffffff", "CSV line 3"),
-        (lambda line: line + "\n0,1.3,-1,ffffffff", "CSV line 3"),
-        (lambda line: line + "\n" + line, "CSV line 3"),
-        (lambda line: "+" + line, "CSV line 2"),
-        (lambda line: "\u0660" + line[1:], "CSV line 2"),
-        (lambda line: line.replace(",1.3,", ", 1.30,"), "CSV line 2"),
-        (lambda line: line.replace(",1.3,", ",+1.3,"), "CSV line 2"),
-        (lambda line: line.replace(",1.3,", ",1.3 ,"), "CSV line 2"),
-        (lambda line: line.replace(",1.3,0,", ",1.3,0_0,"), "CSV line 2"),
-        (lambda line: line + "f" * 131072, "CSV line 2: field larger than field limit"),
-        # A byte that is not UTF-8, written as the surrogate that stands for it.
-        (lambda line: "\udcff" + line, "CSV line 2: chip '\\udcff0'"),
-        (_set_word(lambda w: w[:3] + "\udcff" + w[4:]),
-         "CSV line for chip 0 at 1.3 V, sample 0: bad hex word"),
-    ], ids=["missing_fields", "extra_field", "non_numeric_chip", "non_numeric_voltage",
-            "non_numeric_index", "bad_hex", "hex_too_wide", "hex_0x_prefix",
-            "hex_space_underscore", "hex_one_digit_short", "chip_outside_grid",
-            "voltage_outside_grid", "sample_outside_grid", "negative_sample",
-            "duplicate_row", "chip_plus_sign", "chip_non_ascii_digit",
-            "voltage_leading_space", "voltage_plus_sign", "voltage_trailing_space",
-            "index_underscore", "field_over_size_limit", "chip_not_utf8", "hex_not_utf8"])
-    def test_bad_csv_row_is_data_error(self, tmp_path, capsys, corrupt, where):
-        csv_path = self._simulated(tmp_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[1].startswith("0,1.3,0,")
-        lines[1] = corrupt(lines[1])
-        csv_path.write_text("\n".join(lines) + "\n", errors="surrogateescape")
-        capsys.readouterr()
-        assert cli.main(["metrics", str(csv_path), "--out", str(tmp_path / "m")]) == 3
-        err = capsys.readouterr().err
-        assert "data error:" in err
-        assert where is None or where in err
+    @pytest.mark.parametrize("case", cases("csv"))
+    def test_bad_csv_row_is_data_error(self, refused, case):
+        refused(case)
 
     @pytest.mark.parametrize("version", [None, 1, 2])
     def test_stream_versions_1_and_2_load(self, tmp_path, version):
@@ -323,14 +445,6 @@ class TestMetrics:
         report = json.loads((out / "report.json").read_text())
         assert (report["id_length"], report["reliability_pct_mean"]) == (MAX_ID_BITS, 100.0)
 
-    def test_post_bch_on_a_short_id_is_data_error(self, tmp_path, capsys):
-        """A 16-bit ID is shorter than the 31-bit code: exit 3, no report."""
-        csv_path = self._simulated(tmp_path, pairs_per_id=1)
-        capsys.readouterr()
-        out = tmp_path / "m"
-        assert cli.main(["metrics", str(csv_path), "--out", str(out), "--post-bch"]) == 3
-        assert capsys.readouterr().err == "data error: ID shorter than the 31-bit code\n"
-        assert not out.exists()
 
 
 class TestSweep:
@@ -355,17 +469,10 @@ class TestSweep:
                              "--out", tmp]) == 0
             assert (Path(tmp) / "sweep.csv").read_bytes() == want.getvalue().encode()
 
-
-    def test_flag_set_is_refused_before_any_output(self, tmp_path, capsys):
+    def test_flag_set_is_refused_before_any_output(self, refused):
         """`emit_sweep`, which once made simulate write a sweep as well, is
         refused here too: a run configuration has one schema."""
-        cfg = tmp_path / "run.json"
-        config = write_config(cfg, voltages=(1.25, 1.3))
-        cfg.write_text(json.dumps({**config, "flags": {"emit_sweep": True}}))
-        out = tmp_path / "s"
-        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "config.flags.emit_sweep must be false" in capsys.readouterr().err
-        assert not out.exists()
+        refused("sweep_emit_sweep")
 
 
 class TestBchSelftest:
@@ -423,14 +530,16 @@ HUGE = 2 ** 32
 
 def refusing(alloc):
     """alloc, raising MemoryError in place of any call with a tuple shape or
-    an int count of more than HUGE elements."""
+    an int count of more than HUGE elements; its `refused` lists each one."""
     def guarded(*args, **kwargs):
         for arg in [*args, *kwargs.values()]:
             n = math.prod(arg) if isinstance(arg, tuple) else arg if type(arg) is int else 0
             if n > HUGE:
+                guarded.refused.append(arg)
                 raise MemoryError(f"Unable to allocate {n} elements for an array with shape "
                                   f"{arg} and data type float64")
         return alloc(*args, **kwargs)
+    guarded.refused = []
     return guarded
 
 
@@ -469,11 +578,13 @@ class TestOutOfMemory:
         """The campaign is streamed: the first chip's block is refused
         before any file is written."""
         cfg = self._huge_config(tmp_path, "samples_per_chip")
-        monkeypatch.setattr(np, "empty", refusing(np.empty))
+        zeros = refusing(np.zeros)
+        monkeypatch.setattr(np, "zeros", zeros)
         out = tmp_path / "o"
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: Unable to allocate "), err
+        assert zeros.refused == [(2, 2 ** 40, 4)]  # the cells, not the host, refused the run
         assert sorted(out.iterdir()) == []  # no dataset, no .partial file
 
     def test_sweep(self, tmp_path, monkeypatch, capsys):
@@ -559,83 +670,6 @@ class TestCost:
             ["3240", "1599999999999999999999984"]]
 
 
-# Each case exited 0, exited with the wrong code or message, or raised a
-# traceback before the run config and the sidecar shared one schema.  A
-# case edits the parsed file in place, or returns the file's whole text.
-NESTED_JSON = "[" * 200000 + "]" * 200000  # deeper than json.loads can recurse
-RUN_CONFIG_CASES = {
-    "n_chips_string": (lambda c: c["campaign"].update(n_chips="3"), "n_chips"),
-    "n_chips_float": (lambda c: c["campaign"].update(n_chips=3.0), "n_chips"),
-    "samples_fractional": (lambda c: c["campaign"].update(samples_per_chip=10.5),
-                           "samples_per_chip"),
-    "voltages_string": (lambda c: c["campaign"].update(voltages_v="1.3"), "voltages_v"),
-    "voltages_number": (lambda c: c["campaign"].update(voltages_v=1.3), "voltages_v"),
-    "voltages_of_strings": (lambda c: c["campaign"].update(voltages_v=["1.3"]), "voltages_v"),
-    "ro_list": (lambda c: c.update(ro=[]), "config.ro"),
-    "campaign_list": (lambda c: c.update(campaign=[1]), "config.campaign"),
-    "jitter_string": (lambda c: c["ro"].update(jitter_sigma="0.01"), "jitter_sigma"),
-    "reference_voltage_string": (lambda c: c["ro"].update(reference_voltage_v="1.3"),
-                                 "reference_voltage_v"),
-    "flags_list": (lambda c: c.update(flags=[]), "config.flags"),
-    "coupling_list": (lambda c: c.update(coupling=[]), "config.coupling"),
-    "strength_string": (lambda c: c.update(coupling={"mode": "capacitive", "strength": "0.5"}),
-                        "strength"),
-    "strength_for_inverter_loop": (
-        lambda c: c.update(coupling={"mode": "inverter_loop", "strength": -5}), "strength"),
-    "strength_for_none": (lambda c: c.update(coupling={"mode": "none", "strength": 0.7}),
-                          "strength"),
-    # `flags` may stay in a run configuration, every flag false.
-    "post_bch_string": (lambda c: c.update(flags={"post_bch": "false"}), "post_bch"),
-    "post_bch_true": (lambda c: c.update(flags={"post_bch": True}),
-                      "config.flags.post_bch must be false (simulate writes only the dataset: "
-                      "run `ropuf metrics` or `ropuf sweep`), got True"),
-    "emit_histograms_true": (lambda c: c.update(flags={"emit_histograms": True}),
-                             "config.flags.emit_histograms must be false"),
-    "emit_sweep_true": (lambda c: c.update(flags={"post_bch": False, "emit_sweep": True}),
-                        "config.flags.emit_sweep must be false"),
-    "flag_unknown": (lambda c: c.update(flags={"emit_report": False}), "emit_report"),
-    "master_seed_string": (lambda c: c["campaign"].update(master_seed="5"), "master_seed"),
-    "field_typo": (lambda c: c["campaign"].update(n_chip=3), "n_chip"),
-    "deeply_nested": (lambda c: NESTED_JSON, "cannot read config"),
-    "nominal_period_huge_int": (lambda c: c["ro"].update(nominal_period_s=10 ** 400),
-                                "nominal_period_s"),
-    "voltage_inexact_int": (  # no voltage sensitivity, so the model range admits it
-        lambda c: c["ro"].update(voltage_sensitivity_per_v=0, voltage_sensitivity_sigma_per_v=0)
-        or c["campaign"].update(voltages_v=[1.3, 10 ** 20 + 1]), "voltages_v"),
-    "pairs_per_id_past_a_dataset_row": (lambda c: c["campaign"].update(pairs_per_id=10 ** 12),
-                                        "pairs_per_id x word_length"),
-    "word_length_past_a_dataset_row": (lambda c: c["campaign"].update(word_length=10 ** 12),
-                                       "pairs_per_id x word_length"),
-    "id_length_past_str_digits": (  # the mismatch would print 8001 digits
-        lambda c: c["campaign"].update(pairs_per_id=10 ** 4000, word_length=10 ** 4000,
-                                       id_length=1), "word_length"),
-}
-SIDECAR_CASES = {
-    "id_length_40": (lambda s: s["config"]["campaign"].update(id_length=40), "id_length"),
-    "word_length_8": (lambda s: s["config"]["campaign"].update(word_length=8), "word_length"),
-    "jitter_string": (lambda s: s["config"]["ro"].update(jitter_sigma="x"), "jitter_sigma"),
-    "n_chips_string": (lambda s: s["config"]["campaign"].update(n_chips="3"), "n_chips"),
-    "bad_coupling_mode": (lambda s: s["config"]["coupling"].update(mode="sideways"),
-                          "coupling mode"),
-    "strength_for_none": (lambda s: s["config"]["coupling"].update(mode="none", strength=0.7),
-                          "strength"),
-    "one_chip": (lambda s: s["config"]["campaign"].update(n_chips=1), "n_chips"),
-    "reference_voltage_off_grid": (lambda s: s["config"]["ro"].update(reference_voltage_v=1.25),
-                                   "reference_voltage_v"),
-    "master_seed_mismatch": (lambda s: s.update(master_seed=6), "master_seed"),
-    "stream_version_4": (lambda s: s.update(stream_version=4), "stream_version"),
-    "stream_version_0": (lambda s: s.update(stream_version=0), "stream_version"),
-    "stream_version_string": (lambda s: s.update(stream_version="3"), "stream_version"),
-    "stream_version_true": (lambda s: s.update(stream_version=True), "stream_version"),
-    "stream_version_float": (lambda s: s.update(stream_version=2.0), "stream_version"),
-    "deeply_nested": (lambda s: NESTED_JSON, "bad sidecar"),
-    "id_past_a_dataset_row": (lambda s: s["config"]["campaign"].update(pairs_per_id=2 ** 15 + 1),
-                              "bad sidecar: pairs_per_id x word_length"),
-    "jitter_huge_int": (lambda s: s["config"]["ro"].update(jitter_sigma=10 ** 400),
-                        "jitter_sigma"),
-}
-
-
 class TestRunConfig:
     def test_round_trip_identical_structure(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -667,25 +701,6 @@ class TestRunConfig:
         })
         assert rc.coupling.strength == ro.DEFAULT_CAPACITIVE_STRENGTH
 
-    @pytest.mark.parametrize("target,mutate,field", [
-        pytest.param(target, mutate, field, id=f"{target}-{name}")
-        for target, cases in (("config", RUN_CONFIG_CASES), ("sidecar", SIDECAR_CASES))
-        for name, (mutate, field) in cases.items()])
-    def test_malformed_config_names_field(self, tmp_path, capsys, target, mutate, field):
-        cfg_path, out = tmp_path / "run.json", tmp_path / "o"
-        config = write_config(cfg_path)
-        if target == "config":
-            cfg_path.write_text(mutate(config) or json.dumps(config))
-            assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
-            assert not out.exists()  # refused before any file is written
-            err = capsys.readouterr().err
-        else:
-            assert cli.main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-            sidecar = json.loads((out / "dataset.json").read_text())
-            (out / "dataset.json").write_text(mutate(sidecar) or json.dumps(sidecar))
-            capsys.readouterr()
-            assert cli.main(["metrics", str(out / "dataset.csv"),
-                             "--out", str(tmp_path / "m")]) == 3
-            err = capsys.readouterr().err
-            assert "data error:" in err
-        assert field in err
+    @pytest.mark.parametrize("case", cases("schema"))
+    def test_malformed_config_names_field(self, refused, case):
+        refused(case)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import HandMadeCampaign, held, make_unit, packed_dataset, word_of
 from oracles import (closed_form_word, event_walk_word, flip_rates, hex_word, hex_word_bits,
-                     modal_row_by_unique, toggle_counts, unpack_rows)
+                     modal_row_by_unique, pack_rows, toggle_counts, unpack_rows)
 from ropuf import chipsim, metrics, ro
 from ropuf.dataset import hex_words, load_dataset, save_dataset
 from ropuf.errors import ConfigurationError, DatasetError
@@ -46,7 +46,7 @@ class TestHexCodec:
     def test_agrees_with_int_oracle_and_round_trips(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (12, length), dtype=np.uint8)
         rows[0], rows[1] = 0, 1
-        words = list(hex_words(chipsim.pack_rows(rows).tobytes(), length))
+        words = list(hex_words(pack_rows(rows).tobytes(), length))
         assert words == [hex_word(r) for r in rows]
         assert all(len(w) == -(-length // 4) for w in words)
         assert np.array_equal(hex_to_rows(words, length), rows)
@@ -57,12 +57,12 @@ class TestHexCodec:
 
     def test_hex_is_msb_first(self):
         w = word_of([1] + [0] * 15)
-        assert list(hex_words(chipsim.pack_rows(w[None, :]).tobytes(), 16)) == ["8000"]
+        assert list(hex_words(pack_rows(w[None, :]).tobytes(), 16)) == ["8000"]
 
     @pytest.mark.parametrize("length", range(1, 71))
     def test_packed_bytes_are_the_hex_words(self, rng, tmp_path, length):
         rows = rng.integers(0, 2, (3, 5, length), dtype=np.uint8)
-        packed = chipsim.pack_rows(rows)
+        packed = pack_rows(rows)
         assert packed.shape == (3, 5, -(-length // 8)) and packed.dtype == np.uint8
         assert np.array_equal(unpack_rows(packed, length), rows)
         flat = packed.reshape(15, -1)
@@ -71,23 +71,6 @@ class TestHexCodec:
         # read as one big-endian integer are its hex word's value.
         assert [int.from_bytes(r.tobytes(), "big") for r in flat] == [int(w, 16) for w in words]
         assert np.array_equal(loaded_words(tmp_path, words, length), flat)
-
-    def test_only_a_partial_byte_is_padded(self, rng, monkeypatch):
-        """Whole-byte rows pack without np.pad's copy; 18-bit rows need it."""
-        rows = rng.integers(0, 2, (5, 32), dtype=np.uint8)
-        want = [chipsim.pack_rows(rows), chipsim.pack_rows(rows[:, :18])]
-
-        def no_pad(*args, **kwargs):
-            raise AssertionError("np.pad called")
-
-        monkeypatch.setattr(np, "pad", no_pad)
-        assert np.array_equal(chipsim.pack_rows(rows), want[0])
-        with pytest.raises(AssertionError, match="np.pad called"):
-            chipsim.pack_rows(rows[:, :18])
-        monkeypatch.undo()
-        assert want[1].shape == (5, 3)
-        assert [int.from_bytes(r.tobytes(), "big") for r in want[1]] == \
-            [int.from_bytes(r.tobytes(), "big") >> 14 for r in want[0]]
 
     @pytest.mark.parametrize("length", [n for n in LENGTHS if n % 4])
     def test_one_bit_too_wide_rejected(self, tmp_path, length):
@@ -129,7 +112,7 @@ class TestPackInto:
         packed = np.zeros((4, 9, -(-bits // 8)), dtype=np.uint8)
         for u, rows in enumerate(units):
             chipsim.pack_into(packed[:, 1:8], rows, -bits % 8 + u * length)
-        assert np.array_equal(packed[:, 1:8], chipsim.pack_rows(np.concatenate(units, axis=-1)))
+        assert np.array_equal(packed[:, 1:8], pack_rows(np.concatenate(units, axis=-1)))
         assert not packed[:, [0, 8]].any()
 
 

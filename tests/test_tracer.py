@@ -6,6 +6,7 @@ boundary breaks only the traced benchmark runs, which this suite does
 not otherwise run.  These checks read `perfbench/` and change nothing
 in it.
 """
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -36,6 +37,28 @@ def test_every_boundary_resolves_to_a_callable():
     for module, attr, _ in boundaries:
         owner = importlib.import_module(f"ropuf.{module}")
         assert callable(getattr(owner, attr, None)), f"ropuf.{module}.{attr}"
+
+
+def test_every_public_name_has_a_caller_in_src():
+    """Each public top-level function or class of a ropuf module is named by
+    src code (a name, an attribute or an import), or wrapped by the tracer:
+    no API that only tests call stays in src/."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(ropuf.__file__).parent.glob("*.py"))}
+    named = {attr for _, attr, _ in _boundaries()}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    unnamed = [(file, node.name) for file, tree in trees.items() if file != "__init__.py"
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_") and node.name not in named]
+    assert unnamed == []
 
 
 def _traced(tmp_path, *argv: str) -> set[str]:

@@ -14,8 +14,9 @@ Words here are (L,) rows of bits; a campaign packs them with pack_into,
 and evaluation reads each packed word as an integer.
 
 A campaign realizes N chips from one parameter family, each as it
-reaches it and one unit at a time, enrolls a reference ID per chip and
-voltage, then collects T fresh-jitter samples per (chip, voltage) cell.
+reaches it and one unit at a time, enrolls one reference ID per chip at
+the reference voltage V0, then collects T fresh-jitter samples per
+(chip, voltage) cell.
 Every stochastic draw comes from a stream keyed by (master seed,
 purpose, chip, unit) through rng.keyed_rng, whose rows have a width
 that depends on the word length only, so the full grid and any sub-grid
@@ -192,11 +193,13 @@ def enroll_id(unit: PufUnit, repetitions: int, v: float, seed: int) -> np.ndarra
 @dataclass
 class Campaign:
     """A campaign sampled on demand: iterating it yields, chip by chip, a
-    block (refs, cells) that holds, per voltage, the chip's reference and
-    its T samples as packed bytes (see pack_into), so a consumer holds one
-    chip and its block.  A chip is sampled one unit at a time (see units):
-    each unit's enrollment block and sample rows are drawn once, evaluated
-    at every voltage and ORed into the block.  Checks run at creation."""
+    block (ref, cells): the chip's reference, enrolled at the reference
+    voltage V0, and per voltage its T samples, as packed bytes (see
+    pack_into), so a consumer holds one chip and its block.  A chip is
+    sampled one unit at a time (see units): each unit's enrollment block
+    is drawn once and evaluated at V0, its sample rows drawn once and
+    evaluated at every voltage, and both ORed into the block.  Checks run
+    at creation."""
 
     config: CampaignConfig
     ro_params: ro.RoParams
@@ -220,32 +223,33 @@ class Campaign:
         seed, voltages, lw = cfg.master_seed, cfg.voltages, cfg.word_length
         b1w, n2 = normal_widths(lw)
         n_volts, n_bytes = len(voltages), -(-cfg.id_length // 8)
+        v0 = self.ro_params.reference_voltage
         for c in range(cfg.n_chips):
             # Allocated first, as each unit's block: one too large fails before any draw.
             cells = np.zeros((n_volts, cfg.samples_per_chip, n_bytes), dtype=np.uint8)
-            refs = np.zeros((n_volts, n_bytes), dtype=np.uint8)
+            ref = np.zeros(n_bytes, dtype=np.uint8)
             for u, unit in enumerate(self.units(c)):
                 at = 8 * n_bytes - cfg.id_length + u * lw  # past the pad bits
                 enroll, ro1, ro2 = (keyed_rng(seed, tag, c, u)
                                     for tag in (TAG_ENROLL, TAG_RO1, TAG_RO2))
-                block = np.empty((n_volts, cfg.enroll_repetitions, lw), dtype=np.uint8)
-                for rows, words in _chunks(unit, voltages, block.shape[1],
+                block = np.empty((cfg.enroll_repetitions, lw), dtype=np.uint8)
+                for rows, words in _chunks(unit, (v0,), len(block),
                                            lambda n: draw_rows(enroll, n, lw),
                                            (seed, TAG_ENROLL_EXTEND, c, u)):
-                    block[:, rows] = words
-                pack_into(refs, np.stack([modal_row(w) for w in block]), at)
+                    block[rows] = words[0]
+                pack_into(ref, modal_row(block), at)
                 for rows, words in _chunks(unit, voltages, cells.shape[1],
                                            lambda n: (ro1.standard_normal((n, b1w)),
                                                       ro2.standard_normal((n, n2))),
                                            (seed, TAG_EXTEND, c, u)):
                     pack_into(cells[:, rows], words, at)
-            yield list(map(memoryview, refs)), list(map(memoryview, cells.reshape(n_volts, -1)))
+            yield memoryview(ref), list(map(memoryview, cells.reshape(n_volts, -1)))
 
 
 def _chunks(unit: PufUnit, voltages, n_rows: int, draw, extend_key: tuple):
     """(rows, words) for n_rows enable cycles of unit, CHUNK_ROWS at a time:
-    words (n_voltages, n, L) holds the slice rows at every voltage, from the
-    normals draw(n) gives; row r extends from keyed_rng(*extend_key, r)."""
+    words (n_voltages, n, L) holds the slice rows at each of voltages, from
+    the normals draw(n) gives; row r extends from keyed_rng(*extend_key, r)."""
     for start in range(0, n_rows, CHUNK_ROWS):
         g1, g2 = draw(min(CHUNK_ROWS, n_rows - start))
         yield slice(start, start + len(g1)), np.stack([
@@ -278,8 +282,8 @@ def voltage_sweep(campaign: CampaignDataset | Campaign) -> list[tuple[float, flo
         raise DatasetError(f"reference voltage {v0} not in dataset voltages")
     k0, n_samples = cfg.voltages.index(v0), cfg.samples_per_chip
     mismatches = [0] * len(cfg.voltages)
-    for refs, cells in campaign:
-        ref = int.from_bytes(bytes(refs[k0]) * n_samples, "big")
+    for ref, cells in campaign:
+        ref = int.from_bytes(bytes(ref) * n_samples, "big")
         for k, cell in enumerate(cells):
             mismatches[k] += (int.from_bytes(cell, "big") ^ ref).bit_count()
     n = cfg.n_chips * n_samples

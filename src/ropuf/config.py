@@ -64,8 +64,8 @@ class CampaignConfig:
         # The arrays a campaign allocates must be ones numpy can index: a
         # larger campaign is refused here, before any output, not mid-run.
         for array, fields, elements in (
-                ("a unit's enrollment block", "voltages_v x enroll_repetitions x word_length",
-                 n_volts * self.enroll_repetitions * self.word_length),
+                ("a unit's enrollment block", "enroll_repetitions x word_length",
+                 self.enroll_repetitions * self.word_length),
                 ("a chip's samples",
                  "voltages_v x samples_per_chip x ceil(pairs_per_id x word_length / 8)",
                  n_volts * self.samples_per_chip * -(-bits // 8))):

@@ -1,10 +1,10 @@
 """Campaign datasets held as packed bytes, and their file round trip.
 
-A dataset holds, per chip, its enrolled reference and its samples at
-every voltage as packed bytes: ceil(L/8) bytes per word, zero pad bits
-first, then bit 0 as the most significant bit, so a word's bytes read
-big-endian are its hex word's value.  This is the layout
-chipsim.pack_into writes.  Nothing here imports numpy, so evaluating a
+A dataset holds, per chip, its reference enrolled at the reference
+voltage and its samples at every voltage as packed bytes: ceil(L/8)
+bytes per word, zero pad bits first, then bit 0 as the most significant
+bit, so a word's bytes read big-endian are its hex word's value.  This
+is the layout chipsim.pack_into writes.  Nothing here imports numpy, so evaluating a
 saved dataset never loads it.  A sidecar records the stream version of
 its samples; the current one, STREAM_VERSION, is defined in config with
 the rest of the sidecar's schema.
@@ -38,14 +38,14 @@ def hex_words(packed, length: int) -> Iterator[str]:
 @dataclass
 class CampaignDataset:
     """Complete (chip, voltage, sample) grid plus enrolled references, as
-    the chip blocks a chipsim.Campaign yields: per chip, (refs, cells),
-    its reference and its T samples at each voltage, each as packed bytes
-    (any bytes-like object)."""
+    the chip blocks a chipsim.Campaign yields: per chip, (ref, cells), its
+    reference enrolled at the reference voltage and its T samples at each
+    voltage, each as packed bytes (any bytes-like object)."""
 
     config: CampaignConfig
     ro_params: ro.RoParams
     coupling: ro.Coupling
-    blocks: list[tuple[list, list]] = field(repr=False)
+    blocks: list[tuple[bytes, list]] = field(repr=False)
     stream_version: int = STREAM_VERSION
 
     def __iter__(self):
@@ -56,35 +56,38 @@ class CampaignDataset:
     def check_complete(self) -> None:
         cfg = self.config
         width = -(-cfg.id_length // 8)
-        sizes = {"references": width, "samples": cfg.samples_per_chip * width}
+        size = cfg.samples_per_chip * width
         # A missing chip, or the first one past n_chips, is an empty block.
-        blocks = self.blocks[:cfg.n_chips] + [((), ())] * abs(cfg.n_chips - len(self.blocks))
-        for c, block in enumerate(blocks):
-            for (what, size), parts in zip(sizes.items(), block):
-                lengths = [len(part) for part in parts]
-                if lengths != [size] * len(cfg.voltages):
-                    # The first voltage that is missing or ragged, or the
-                    # last one if only parts past every voltage are.
-                    k = next((k for k, n in enumerate(lengths) if n != size), len(lengths))
-                    v = cfg.voltages[min(k, len(cfg.voltages) - 1)]
-                    raise DatasetError(f"missing or ragged {what} at {v} V for chip {c}")
+        blocks = self.blocks[:cfg.n_chips] + [(b"", ())] * abs(cfg.n_chips - len(self.blocks))
+        for c, (ref, cells) in enumerate(blocks):
+            if len(ref) != width:
+                raise DatasetError(f"missing or ragged reference for chip {c}")
+            lengths = [len(cell) for cell in cells]
+            if lengths != [size] * len(cfg.voltages):
+                # The first voltage that is missing or ragged, or the last
+                # one if only cells past every voltage are.
+                k = next((k for k, n in enumerate(lengths) if n != size), len(lengths))
+                v = cfg.voltages[min(k, len(cfg.voltages) - 1)]
+                raise DatasetError(f"missing or ragged samples at {v} V for chip {c}")
 
 
 def save_dataset(campaign, csv_path: str | Path, sidecar_path: str | Path) -> None:
     """CSV of samples (hex words, bit 0 most significant) plus a JSON
     sidecar carrying the configuration, seed, and enrolled references, of
-    a chipsim.Campaign or a CampaignDataset.  Rows are written chip by
-    chip as the campaign yields them.  Both files are renamed into place,
-    the sidecar last, only once every chip is written; on any error the
-    partial files are removed."""
+    a chipsim.Campaign or a CampaignDataset; a chip's one reference is
+    keyed by the reference voltage as the CSV writes it.  Rows are written
+    chip by chip as the campaign yields them.  Both files are renamed into
+    place, the sidecar last, only once every chip is written; on any error
+    the partial files are removed."""
     cfg = campaign.config
+    v0 = cfg.voltages[cfg.voltages.index(campaign.ro_params.reference_voltage)]  # as in the grid
     partial = [Path(f"{p}.partial") for p in (csv_path, sidecar_path)]
-    ref_words = []  # per chip, its hex reference at each voltage
+    ref_words = []  # per chip, its hex reference
     try:
         with open(partial[0], "w", newline="") as fh:  # CSV lines end in \r\n
             fh.write(",".join(CSV_HEADER) + "\r\n")
-            for c, (refs, cells) in enumerate(campaign):
-                ref_words.append(list(hex_words(b"".join(refs), cfg.id_length)))
+            for c, (ref, cells) in enumerate(campaign):
+                ref_words.extend(hex_words(ref, cfg.id_length))
                 for v, chip_cells in zip(cfg.voltages, cells):
                     fh.writelines(f"{c},{v!r},{t},{word}\r\n"
                                   for t, word in enumerate(hex_words(chip_cells, cfg.id_length)))
@@ -95,8 +98,7 @@ def save_dataset(campaign, csv_path: str | Path, sidecar_path: str | Path) -> No
             "stream_version": campaign.stream_version,
             "config": to_dict(RunConfig(campaign.ro_params, cfg, campaign.coupling)),
             "master_seed": cfg.master_seed,
-            "references": {str(c): dict(zip(map(repr, cfg.voltages), words))
-                           for c, words in enumerate(ref_words)},
+            "references": {str(c): {repr(v0): word} for c, word in enumerate(ref_words)},
         }
         partial[1].write_text(json.dumps(sidecar, indent=2) + "\n")
         os.replace(partial[0], csv_path)
@@ -113,10 +115,11 @@ _INDEX = re.compile(r"[0-9]+")
 _VOLTS = re.compile(r"-?[0-9]+(\.[0-9]+)?(e[+-][0-9]+)?")
 
 
-def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str, room: int) -> bytearray:
+def _decode_grid(rows, cfg: CampaignConfig, voltages, depth: int, what: str,
+                 room: int) -> bytearray:
     """Packed bytes of the hex words in rows, by voltage, chip and index:
     (place, (chip, voltage, index, word)) pairs, the four as strings, that
-    must hold exactly one word per grid cell of n_voltages x n_chips x depth.
+    must hold exactly one word per grid cell of voltages x n_chips x depth.
     Each word is decoded straight into its cell's slot of the packed bytes,
     so no word outlives its row.
     A bad word keeps the message of the first check it fails, in the order
@@ -124,7 +127,7 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str, room: int) ->
     The grid is claimed by the sidecar; a claim of more cells than room,
     the most words the input can hold, is refused before any allocation."""
     n = cfg.n_chips
-    index = {v: k for k, v in enumerate(cfg.voltages)}
+    index = {v: k for k, v in enumerate(voltages)}
     n_cells = len(index) * n * depth
     if n_cells > room:
         grid = f"{len(index)} voltages x {n} chips" + (f" x {depth} samples" if depth > 1 else "")
@@ -176,7 +179,7 @@ def _decode_grid(rows, cfg: CampaignConfig, depth: int, what: str, room: int) ->
     first = min([*bad, n_cells if missing < 0 else missing])
     if first < n_cells:  # name the first missing or bad word, in cell order
         (k, c), t = divmod(first // depth, n), first % depth
-        name = f"{what} for {cell_name(c, cfg.voltages[k], t)}"
+        name = f"{what} for {cell_name(c, voltages[k], t)}"
         if not filled[first]:
             raise DatasetError(f"{name}: missing")
         word, fault = bad[first]
@@ -207,13 +210,19 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
     refs = sidecar.get("references")
     if not isinstance(refs, dict) or not all(isinstance(p, dict) for p in refs.values()):
         raise DatasetError("sidecar 'references' must map chip ids to {voltage: hex word}")
-    for c, per_chip in refs.items():
-        for v, h in per_chip.items():
-            if not isinstance(h, str):
-                raise DatasetError(f"sidecar reference [{c!r}][{v!r}]: {h!r} must be a hex string")
-    refs = _decode_grid(((f"[{c!r}][{v!r}]", (c, v, "0", h)) for c, per_chip in refs.items()
-                         for v, h in per_chip.items()), cfg, 1, "sidecar reference",
-                        sum(map(len, refs.values())))
+    # A chip's one reference is the one at V0.  An older sidecar also holds
+    # one at each other voltage of the grid, keyed as save_dataset wrote
+    # them; those are skipped unread.
+    v0 = cfg.voltages[cfg.voltages.index(run.ro_params.reference_voltage)]  # as in the grid
+    skipped = {repr(v) for v in cfg.voltages if v != v0}
+    entries = [(c, v, h) for c, per_chip in refs.items() for v, h in per_chip.items()
+               if v not in skipped]
+    for c, v, h in entries:
+        if not isinstance(h, str):
+            raise DatasetError(f"sidecar reference [{c!r}][{v!r}]: {h!r} must be a hex string")
+    # One cell per chip, so no more words than chip ids can fill the grid.
+    refs = _decode_grid(((f"[{c!r}][{v!r}]", (c, v, "0", h)) for c, v, h in entries),
+                        cfg, (v0,), 1, "sidecar reference", len(refs))
     # A byte that is not UTF-8 decodes to a lone surrogate, which no field
     # check accepts, so it is reported with its line or cell.
     with open(csv_path, newline="", errors="surrogateescape") as fh:
@@ -225,16 +234,16 @@ def load_dataset(csv_path: str | Path, sidecar_path: str | Path) -> CampaignData
             if (header := next(reader, None)) != CSV_HEADER:
                 raise DatasetError(f"unexpected CSV header: {header}")
             cells = _decode_grid(((reader.line_num, row) for row in reader if row),
-                                 cfg, cfg.samples_per_chip, "CSV line", room)
+                                 cfg, cfg.voltages, cfg.samples_per_chip, "CSV line", room)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise DatasetError(f"CSV line {reader.line_num}: {exc}") from exc
-    # Both grids are voltage-major, cell (k * n_chips + c) for voltage k
+    # The samples are voltage-major, cell (k * n_chips + c) for voltage k
     # and chip c (see _decode_grid): a chip's block is views of its cells.
-    n, n_volts, width = cfg.n_chips, len(cfg.voltages), -(-cfg.id_length // 8)
-
-    def block(grid, size: int, c: int) -> list[memoryview]:
-        return [grid[(k * n + c) * size:(k * n + c + 1) * size] for k in range(n_volts)]
+    n, width = cfg.n_chips, -(-cfg.id_length // 8)
+    size = cfg.samples_per_chip * width
     refs, cells = memoryview(refs), memoryview(cells)
     return CampaignDataset(cfg, run.ro_params, run.coupling,
-                           [(block(refs, width, c), block(cells, cfg.samples_per_chip * width, c))
+                           [(refs[c * width:(c + 1) * width],
+                             [cells[(k * n + c) * size:(k * n + c + 1) * size]
+                              for k in range(len(cfg.voltages))])
                             for c in range(n)], version)

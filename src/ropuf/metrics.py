@@ -174,10 +174,10 @@ def compute_report(campaign, post_bch: bool = False) -> MetricsReport:
     shift = cfg.id_length - length  # post-BCH words are the top 31 bits of an ID
     intra, inter = [0] * (length + 1), [0] * (length + 1)
     reliability_pct, uniformity_pct, anchors = {}, {}, []
-    for c, (chip_refs, cells) in enumerate(campaign):
-        anchor = int.from_bytes(chip_refs[k0], "big") >> shift
+    for c, (ref, cells) in enumerate(campaign):
+        anchor = int.from_bytes(ref, "big") >> shift
         if post_bch:
-            words = corrected_sample_words(cells[k0], chip_refs[k0], cfg.id_length)
+            words = corrected_sample_words(cells[k0], ref, cfg.id_length)
         else:
             words = list(_words(cells[k0], -(-cfg.id_length // 8)))
         reliability_pct[c] = reliability(anchor, words, length)

@@ -47,25 +47,24 @@ def word_of(bits) -> np.ndarray:
     return np.array(list(bits), dtype=np.uint8)
 
 
-def packed_dataset(cfg, references: dict, samples: dict) -> CampaignDataset:
-    """A dataset of per-voltage (n_chips, L) reference bits and
+def packed_dataset(cfg, references: np.ndarray, samples: dict) -> CampaignDataset:
+    """A dataset of (n_chips, L) reference bits and per-voltage
     (n_chips, T, L) sample bits, packed into the chip blocks it holds."""
-    refs = {v: pack_rows(r) for v, r in references.items()}
+    refs = pack_rows(references)
     cells = {v: pack_rows(s) for v, s in samples.items()}
     return CampaignDataset(cfg, ro.RoParams(), ro.Coupling(),
-                           [([refs[v][c].tobytes() for v in cfg.voltages],
-                             [cells[v][c].tobytes() for v in cfg.voltages])
+                           [(refs[c].tobytes(), [cells[v][c].tobytes() for v in cfg.voltages])
                             for c in range(cfg.n_chips)])
 
 
 def held(dataset, v) -> tuple[np.ndarray, np.ndarray]:
     """A dataset's grid at voltage v as arrays read from its chip blocks:
-    the (n_chips, L) reference bits and the (n_chips, T, ceil(L/8)) packed
-    samples."""
+    the (n_chips, L) reference bits, enrolled at the reference voltage, and
+    the (n_chips, T, ceil(L/8)) packed samples at v."""
     cfg = dataset.config
     k = cfg.voltages.index(v)
     blocks = list(dataset)
-    refs = np.frombuffer(b"".join(refs[k] for refs, _ in blocks), dtype=np.uint8)
+    refs = np.frombuffer(b"".join(ref for ref, _ in blocks), dtype=np.uint8)
     cells = np.frombuffer(b"".join(cells[k] for _, cells in blocks), dtype=np.uint8)
     return (unpack_rows(refs.reshape(cfg.n_chips, -1), cfg.id_length),
             cells.reshape(cfg.n_chips, cfg.samples_per_chip, -1))

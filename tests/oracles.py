@@ -192,8 +192,8 @@ def sweep_by_numpy(campaign) -> list[tuple[float, float]]:
     v0 = campaign.ro_params.reference_voltage
     k0 = cfg.voltages.index(v0)
     mismatches = [0] * len(cfg.voltages)
-    for refs, cells in campaign:
-        ref = np.frombuffer(refs[k0], dtype=np.uint8)
+    for ref, cells in campaign:
+        ref = np.frombuffer(ref, dtype=np.uint8)
         for k, chip_cells in enumerate(cells):
             rows = np.frombuffer(chip_cells, dtype=np.uint8).reshape(-1, ref.size)
             mismatches[k] += int(np.bitwise_count(rows ^ ref).sum())
@@ -367,16 +367,16 @@ def table_decode(words: list[int], generator: int) -> tuple[list[int], list[int]
 # --- campaign report ---------------------------------------------------
 
 
-def report_formula(references: dict, samples: dict, v0: float, post_bch: bool) -> dict:
+def report_formula(references: list, samples: dict, v0: float, post_bch: bool) -> dict:
     """The JSON report of metrics.compute_report, from (n_chips, L)
-    reference and (n_chips, T, L) sample bit lists per voltage, of which
-    it reads those at v0: distances and ones counted bit by bit, post-BCH
-    samples decoded row by row with bch_decode toward the chip's
+    reference bit lists and (n_chips, T, L) sample bit lists per voltage,
+    of which it reads those at v0: distances and ones counted bit by bit,
+    post-BCH samples decoded row by row with bch_decode toward the chip's
     reference, each percentage exact in Fractions and rounded once, and
     each mean over chips the exact sum of the per-chip floats rounded
     once, over the chip count."""
-    length = 31 if post_bch else len(references[v0][0])
-    refs = [r[:length] for r in references[v0]]
+    length = 31 if post_bch else len(references[0])
+    refs = [r[:length] for r in references]
 
     def mean(values):
         return float(sum(map(Fraction, values))) / len(values)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import bits_word, line_fit_by_polyfit, report_formula, sweep_by_num
 from ropuf import chipsim, cli, config, metrics, ro
 from ropuf.dataset import load_dataset, save_dataset
 from ropuf.errors import ConfigurationError, DatasetError
+from ropuf.rng import TAG_ENROLL_EXTEND
 
 FAST = dict(n_chips=4, samples_per_chip=20, enroll_repetitions=9)
 
@@ -108,8 +110,42 @@ class TestCampaign:
         a, _, _ = small_campaign(master_seed=21, voltages=(1.3, 1.25))
         b, _, _ = small_campaign(master_seed=21, voltages=(1.25, 1.35, 1.3))
         for v in (1.25, 1.3):
-            for got, want in zip(held(a, v), held(b, v)):
-                assert np.array_equal(got, want)
+            assert np.array_equal(held(a, v)[1], held(b, v)[1])
+
+    def test_references_are_those_of_a_v0_only_campaign(self, monkeypatch):
+        """Enrollment evaluates its rows at V0 alone, so a swept campaign's
+        references are those of the same campaign run at V0 only, also
+        where enrollment rows extend from their own streams and where modal
+        ties fall back to the bitwise majority (process_sigma 0.3 squeezes
+        some units' period ratios past their rows' RO1 normals)."""
+        keys, calls, ties = [], [], []
+        real_rng, real_rows, real_modal = chipsim.keyed_rng, chipsim.sample_rows, chipsim.modal_row
+
+        def recording_rng(*key):
+            keys.append(key)
+            return real_rng(*key)
+
+        def recording_rows(unit, v, g1, g2, extension):
+            calls.append((v, len(g1)))
+            return real_rows(unit, v, g1, g2, extension)
+
+        def counting_modal(words):
+            counts = Counter(map(bytes, words)).values()
+            ties.append(sum(n == max(counts) for n in counts) > 1)
+            return real_modal(words)
+
+        monkeypatch.setattr(chipsim, "keyed_rng", recording_rng)
+        monkeypatch.setattr(chipsim, "sample_rows", recording_rows)
+        monkeypatch.setattr(chipsim, "modal_row", counting_modal)
+        params = ro.RoParams(process_sigma=0.3, jitter_sigma=0.008)
+        swept, cfg, _ = small_campaign(master_seed=8, voltages=(1.25, 1.3, 1.35), params=params)
+        # Enrollment chunks hold 9 rows, sample chunks 20: one of each per
+        # unit and voltage, and enrollment at V0 alone.
+        assert Counter(calls) == {(1.3, 9): 8, **{(v, 20): 8 for v in cfg.voltages}}
+        assert sum(k[1] == TAG_ENROLL_EXTEND for k in keys) == 18
+        assert sum(ties) == 2
+        alone, _, _ = small_campaign(master_seed=8, voltages=(1.3,), params=params)
+        assert np.array_equal(held(swept, 1.3)[0], held(alone, 1.3)[0])
 
     def test_inter_chip_words_look_independent(self):
         ds, cfg, _ = small_campaign(master_seed=2, n_chips=12)
@@ -187,9 +223,8 @@ def random_dataset(word_length=16, n_chips=3, samples=8, voltages=(1.25, 1.3), s
     rng = np.random.default_rng(seed)
     cfg = chipsim.CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=word_length,
                                  samples_per_chip=samples, voltages=voltages)
-    shape = (n_chips, cfg.id_length)
     return packed_dataset(
-        cfg, {v: rng.integers(0, 2, shape, dtype=np.uint8) for v in voltages},
+        cfg, rng.integers(0, 2, (n_chips, cfg.id_length), dtype=np.uint8),
         {v: rng.integers(0, 2, (n_chips, samples, cfg.id_length), dtype=np.uint8)
          for v in voltages})
 
@@ -262,19 +297,19 @@ class TestPackedSamples:
         rng = np.random.default_rng(length)
         cfg = chipsim.CampaignConfig(n_chips=4, pairs_per_id=pairs, word_length=length // pairs,
                                      samples_per_chip=60, voltages=(1.25, 1.3))
-        refs = {v: rng.integers(0, 2, (4, length), dtype=np.uint8) for v in cfg.voltages}
+        refs = rng.integers(0, 2, (4, length), dtype=np.uint8)
         flips = {v: (rng.random((4, 60, length)) < 0.05).astype(np.uint8) for v in cfg.voltages}
-        grid = {v: refs[v][:, None] ^ flips[v] for v in cfg.voltages}
+        grid = {v: refs[:, None] ^ flips[v] for v in cfg.voltages}
         ds = packed_dataset(cfg, refs, grid)
         save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         loaded = load_dataset(tmp_path / "d.csv", tmp_path / "d.json")
         assert held(loaded, 1.3)[1].shape == (4, 60, -(-length // 8))
         assert sum(len(cells[1]) for _, cells in loaded) == 4 * 60 * -(-length // 8)
-        ref_bits = {v: refs[v].tolist() for v in cfg.voltages}
         grid_bits = {v: grid[v].tolist() for v in cfg.voltages}
         for post_bch in (False, True) if length >= 31 else (False,):
             got = metrics.compute_report(loaded, post_bch=post_bch)
-            want = report_formula(ref_bits, grid_bits, ds.ro_params.reference_voltage, post_bch)
+            want = report_formula(refs.tolist(), grid_bits, ds.ro_params.reference_voltage,
+                                  post_bch)
             assert json.dumps(got.to_json_dict()) == json.dumps(want)
 
     def test_reports_never_unpack_samples(self, monkeypatch, tmp_path):
@@ -308,9 +343,8 @@ class TestChipBlocks:
                 (tmp_path / f"held.{suffix}").read_bytes()
         loaded = load_dataset(tmp_path / "held.csv", tmp_path / "held.json")
         sources = [lazy, held, loaded]
-        for a, b in zip(lazy, loaded):  # blocks: per voltage, packed reference and cells
-            assert [len(r) for r in a[0]] == [4] * 3
-            assert [bytes(r) for r in a[0]] == [bytes(r) for r in b[0]]
+        for a, b in zip(lazy, loaded):  # blocks: packed reference, and cells per voltage
+            assert len(a[0]) == 4 and bytes(a[0]) == bytes(b[0])
             assert [len(cells) for cells in a[1]] == [20 * 4] * 3
             assert [bytes(cells) for cells in a[1]] == [bytes(cells) for cells in b[1]]
         for post_bch in (False, True):
@@ -322,12 +356,12 @@ class TestChipBlocks:
         assert [dv for dv, _ in sweeps[0]] == [1.25 - 1.3, 0.0, 1.35 - 1.3]
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda blocks: blocks.pop(), "references at 1.25 V for chip 2"),
-        (lambda blocks: blocks.append(blocks[0]), "references at 1.25 V for chip 3"),
+        (lambda blocks: blocks.pop(), "reference for chip 2"),
+        (lambda blocks: blocks.append(blocks[0]), "reference for chip 3"),
         (lambda blocks: blocks[1][1].pop(), "samples at 1.3 V for chip 1"),
-        (lambda blocks: blocks[1][0].append(blocks[1][0][0]), "references at 1.3 V for chip 1"),
-        (lambda blocks: blocks[2][0].__setitem__(0, blocks[2][0][0][:-1]),
-         "references at 1.25 V for chip 2"),
+        (lambda blocks: blocks[1][1].append(blocks[1][1][0]), "samples at 1.3 V for chip 1"),
+        (lambda blocks: blocks.__setitem__(2, (blocks[2][0][:-1], blocks[2][1])),
+         "reference for chip 2"),
         (lambda blocks: blocks[0][1].__setitem__(1, blocks[0][1][1] + b"\0"),
          "samples at 1.3 V for chip 0"),
     ], ids=["missing_chip", "extra_chip", "missing_voltage", "extra_voltage",
@@ -369,14 +403,14 @@ class TestPostBchDistributions:
         samples = np.repeat(refs[:, None], 6, axis=1)
         samples[0, 1, [0, 7, 15, 30]] ^= 1
         samples[0, 4, [3, 12, 28]] ^= 1
-        ds = packed_dataset(cfg, {1.3: refs}, {1.3: samples})
+        ds = packed_dataset(cfg, refs, {1.3: samples})
         raw = metrics.compute_report(ds, post_bch=False)
         post = metrics.compute_report(ds, post_bch=True)
         assert raw.intra[0] == 10 and raw.intra[3] == raw.intra[4] == 1
         assert post.intra[0] == 11 and post.intra[4] == 1
         assert post.reliability_pct_per_chip == {0: 100.0 * (1 - 4 / (31 * 6)), 1: 100.0}
         assert post.reliability_pct_mean < 100.0
-        want = report_formula({1.3: refs.tolist()}, {1.3: samples.tolist()}, 1.3, True)
+        want = report_formula(refs.tolist(), {1.3: samples.tolist()}, 1.3, True)
         assert post.to_json_dict() == want
         save_dataset(ds, tmp_path / "d.csv", tmp_path / "d.json")
         out = tmp_path / "post"

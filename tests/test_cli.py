@@ -193,6 +193,8 @@ REFUSALS = {
         "sidecar_empty_object": (lambda s: "{}", "bad sidecar: missing key 'config'"),
         "reference_int": (_set_reference("0", "1.3", lambda w: 5),
                           "sidecar reference ['0']['1.3']: 5 must be a hex string"),
+        "reference_missing_at_v0": (lambda s: s["references"]["0"].__delitem__("1.3"),
+                                    "sidecar reference for chip 0 at 1.3 V: missing"),
         # Claims refused before any buffer is sized from them.
         "samples_claim_past_index_size": (
             lambda s: s["config"]["campaign"].update(samples_per_chip=2**61),
@@ -439,7 +441,7 @@ class TestMetrics:
         cfg = CampaignConfig(n_chips=2, pairs_per_id=MAX_ID_BITS // 16, samples_per_chip=1)
         refs = np.random.default_rng(19).integers(0, 2, (2, MAX_ID_BITS), dtype=np.uint8)
         csv_path, out = tmp_path / "dataset.csv", tmp_path / "m"
-        save_dataset(packed_dataset(cfg, {1.3: refs}, {1.3: refs[:, None]}), csv_path,
+        save_dataset(packed_dataset(cfg, refs, {1.3: refs[:, None]}), csv_path,
                      csv_path.with_suffix(".json"))
         assert cli.main(["metrics", str(csv_path), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())

@@ -122,7 +122,8 @@ def test_campaign_never_writes_a_chunks_normals(campaign, rows):
 def test_ro2_jitter_is_common_across_voltages():
     # RO1 and RO2 of each unit speed up differently with the voltage, so
     # T2/T1 moves across the sweep; RO2's normalised jitter for each
-    # enrollment repetition and sample must not.
+    # sample must not.  Enrollment repetitions are evaluated at V0 alone,
+    # before the samples.
     voltages = (1.2, 1.25, 1.3, 1.35, 1.4)
     cfg = chipsim.CampaignConfig(n_chips=2, pairs_per_id=1, samples_per_chip=300,
                                  enroll_repetitions=5, voltages=voltages, master_seed=3)
@@ -139,12 +140,12 @@ def test_ro2_jitter_is_common_across_voltages():
     with mock.patch.object(ro, "jittered_half_periods", record):
         HandMadeCampaign(cfg, ro.RoParams(), chip_units=lambda c: (units[c],)).collect()
     for unit in units:
-        draws = [np.array([row for period, row in calls
-                           if period == ro.period_at_voltage(unit.ro2, v, V0)])
-                 for v in voltages]
-        assert draws[0].shape == (cfg.enroll_repetitions + cfg.samples_per_chip, 31)
-        for v, d in zip(voltages[1:], draws[1:]):
-            assert np.array_equal(d, draws[0]), v
+        draws = {v: np.array([row for period, row in calls
+                              if period == ro.period_at_voltage(unit.ro2, v, V0)])
+                 for v in voltages}
+        assert draws[V0].shape == (cfg.enroll_repetitions + cfg.samples_per_chip, 31)
+        for v in set(voltages) - {V0}:
+            assert np.array_equal(draws[v], draws[V0][cfg.enroll_repetitions:]), v
 
 
 def oracle_row(unit, v, g1, g2, extension):
@@ -228,11 +229,12 @@ def test_stream_layout_rebuilt_row_by_row():
                         for t in range(n_samples)]
                 got = unpack_rows(grid[v][1][c], 32)[:, u * 16:(u + 1) * 16]
                 assert np.array_equal(got, want), (c, u, v)
-                words = [tuple(oracle_row(unit, v, row[:b1w], row[b1w:],
-                                          keyed.keyed_rng(seed, keyed.TAG_ENROLL_EXTEND, c, u, r)))
-                         for r, row in enumerate(enroll)]
-                counts = Counter(words).most_common()
-                leaders = [w for w, n in counts if n == counts[0][1]]
-                want = leaders[0] if len(leaders) == 1 else tuple(
-                    int(2 * ones > reps) for ones in np.sum(words, axis=0))
-                assert tuple(grid[v][0][c, u * 16:(u + 1) * 16]) == want, (c, u, v)
+            # The reference: the modal word of the repetitions at V0.
+            words = [tuple(oracle_row(unit, V0, row[:b1w], row[b1w:],
+                                      keyed.keyed_rng(seed, keyed.TAG_ENROLL_EXTEND, c, u, r)))
+                     for r, row in enumerate(enroll)]
+            counts = Counter(words).most_common()
+            leaders = [w for w, n in counts if n == counts[0][1]]
+            want = leaders[0] if len(leaders) == 1 else tuple(
+                int(2 * ones > reps) for ones in np.sum(words, axis=0))
+            assert tuple(grid[V0][0][c, u * 16:(u + 1) * 16]) == want, (c, u)

@@ -38,7 +38,7 @@ def saved(tmp_path_factory):
     refs = rng.integers(0, 2, (N_CHIPS, L), dtype=np.uint8)
     # About 1.6 flipped bits per row: most rows decode, some fail.
     samples = refs[:, None, :] ^ (rng.random((N_CHIPS, T, L)) < 0.05).astype(np.uint8)
-    dataset = packed_dataset(cfg, {1.3: refs}, {1.3: samples})
+    dataset = packed_dataset(cfg, refs, {1.3: samples})
     out = tmp_path_factory.mktemp("memory")
     save_dataset(dataset, out / "dataset.csv", out / "dataset.json")
     return out / "dataset.csv", out / "dataset.json", samples.nbytes
@@ -87,7 +87,7 @@ def test_voltage_sweep_counts_one_chip_at_a_time():
     rng = np.random.default_rng(8)
     cfg = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
                          samples_per_chip=t, voltages=voltages)
-    refs = {v: rng.integers(0, 2, (n_chips, L), dtype=np.uint8) for v in voltages}
+    refs = rng.integers(0, 2, (n_chips, L), dtype=np.uint8)
     samples = {v: rng.integers(0, 2, (n_chips, t, L), dtype=np.uint8) for v in voltages}
     dataset = packed_dataset(cfg, refs, samples)
     series, peak = _traced(lambda: chipsim.voltage_sweep(dataset))
@@ -105,8 +105,8 @@ def test_campaign_samples_a_chip_in_chunks():
     params = ro.RoParams()
     chips = iter(chipsim.Campaign(cfg, params))
     next(chips)  # first-use allocations (caches, the streams' setup) stay out
-    (refs, cells), peak = _traced(lambda: next(chips))
-    assert [len(r) for r in refs] == [L // 8] and [len(s) for s in cells] == [T * L // 8]
+    (ref, cells), peak = _traced(lambda: next(chips))
+    assert len(ref) == L // 8 and [len(s) for s in cells] == [T * L // 8]
     assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
 
 
@@ -121,8 +121,8 @@ def test_campaign_holds_one_unit_at_a_time():
                              enroll_repetitions=1, voltages=(1.3,))
         chips = iter(chipsim.Campaign(cfg, ro.RoParams()))
         next(chips)  # first-use allocations stay out
-        (refs, cells), peak = _traced(lambda: next(chips))
-        assert [len(r) for r in refs] == [len(s) for s in cells] == [units // 2]
+        (ref, cells), peak = _traced(lambda: next(chips))
+        assert [len(ref)] == [len(s) for s in cells] == [units // 2]
         return peak
 
     growth = (peak(2048) - peak(256)) / (2048 - 256)
@@ -203,7 +203,7 @@ def test_report_holds_no_chip_pair_list():
         cfg = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
                              samples_per_chip=2, voltages=(1.3,))
         refs = rng.integers(0, 2, (n_chips, L), dtype=np.uint8)
-        data = packed_dataset(cfg, {1.3: refs}, {1.3: np.stack([refs, refs], axis=1)})
+        data = packed_dataset(cfg, refs, {1.3: np.stack([refs, refs], axis=1)})
         report, peak = _traced(lambda: metrics.compute_report(data))
         assert sum(report.inter) == n_chips * (n_chips - 1) // 2
         return peak
@@ -221,7 +221,8 @@ def test_campaign_commands_realize_each_chip_as_they_reach_it(tmp_path, command,
     chip, from 50 to 400 chips of two samples each, every flag off: each
     chip is realized as the campaign reaches it, where a population built
     up front held about 1 KiB a chip.  What simulate still holds a chip for
-    is the sidecar's hex references (about 0.9 KiB)."""
+    is the sidecar's hex reference, one a chip whatever the voltage count
+    (about 0.8 KiB; at five voltages, a reference each took 2 KiB)."""
     def peak(n_chips):
         campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
                                   samples_per_chip=2, enroll_repetitions=1, voltages=voltages)

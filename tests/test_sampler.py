@@ -30,7 +30,7 @@ def loaded_words(tmp_path, words: list[str], length: int) -> np.ndarray:
                                  samples_per_chip=len(words), voltages=(1.3,))
     zeros = np.zeros((2, len(words), length), dtype=np.uint8)
     csv_path, sidecar = tmp_path / "dataset.csv", tmp_path / "dataset.json"
-    save_dataset(packed_dataset(cfg, {1.3: zeros[:, 0]}, {1.3: zeros}), csv_path, sidecar)
+    save_dataset(packed_dataset(cfg, zeros[:, 0], {1.3: zeros}), csv_path, sidecar)
     lines = csv_path.read_text().splitlines()
     lines[1:1 + len(words)] = [f"0,1.3,{t},{w}" for t, w in enumerate(words)]
     csv_path.write_text("\n".join(lines) + "\n")

@@ -1,10 +1,12 @@
-"""The benchmark tracer still finds the functions it wraps.
+"""The benchmark tracer still finds the functions it wraps, and the
+benchmark's checks still read the files the commands write.
 
 `perfbench/traced_cli.py` looks up the function at each layer boundary
 by name (its `BOUNDARIES` table) and wraps it, so a deleted or renamed
 boundary breaks only the traced benchmark runs, which this suite does
-not otherwise run.  These checks read `perfbench/` and change nothing
-in it.
+not otherwise run.  `perfbench/run.py` reads datasets and reports
+without the program, so a file layout it cannot read fails only the
+benchmark.  These checks read `perfbench/` and change nothing in it.
 """
 import ast
 import hashlib
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import ropuf
 from ropuf import cli
-from test_golden import CONFIG, FILE_DIGESTS
+from test_golden import CONFIG, FILE_DIGESTS, _run
 
 TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
 
@@ -59,6 +61,23 @@ def test_every_public_name_has_a_caller_in_src():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and not node.name.startswith("_") and node.name not in named]
     assert unnamed == []
+
+
+def test_benchmark_checks_read_the_golden_outputs(tmp_path, monkeypatch):
+    """perfbench/run.py's exact checks of a raw and a post-BCH report,
+    which read the dataset's sidecar references without the program, pass
+    on the golden two-voltage dataset and the reports metrics writes over
+    it.  Neither perfbench module runs anything at import."""
+    for path in (TRACED_CLI, TRACED_CLI.with_name("run.py")):  # run.py imports traced_cli
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, path.stem, run)  # where its dataclasses look
+        spec.loader.exec_module(run)
+    _run(tmp_path, CONFIG, post_bch=True, sweep=False)
+    sim = tmp_path / "sim"
+    assert run.check_raw_report(sim)({"report.json": tmp_path / "raw" / "report.json"}) is None
+    assert run.check_post_bch_exact(sim)(
+        {"report_post_bch.json": tmp_path / "post" / "report.json"}) is None
 
 
 def _traced(tmp_path, *argv: str) -> set[str]:

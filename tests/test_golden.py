@@ -10,12 +10,14 @@ across any change of the sampling streams.
 """
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ropuf import cli
+from ropuf import chipsim, cli, ro
+from ropuf.rng import TAG_ENROLL_EXTEND, TAG_EXTEND
 
 # Jitter is far above the paper's so that samples at the reference
 # voltage carry up to 3 bit errors: the post-BCH outputs then cover clean
@@ -50,6 +52,15 @@ ODD_CONFIG = {**CONFIG, "campaign": {**CONFIG["campaign"], "word_length": 9}}
 # inverter loop, whose words are all zero, raw only.
 CAPACITIVE_CONFIG = {**CONFIG, "coupling": {"mode": "capacitive", "strength": 0.95}}
 INVERTER_LOOP_CONFIG = {**CONFIG, "coupling": {"mode": "inverter_loop"}}
+
+# Two campaigns that reach the sampler's other branches, raw only: with no
+# jitter every row is the closed-form word, and with process_sigma 0.3 one
+# unit's period ratio runs its rows short of RO1 boundaries, so they extend
+# from their own streams in enrollment and in sampling (see
+# test_branch_configs_reach_their_branch).
+NOISELESS_CONFIG = {**CONFIG, "ro": {**CONFIG["ro"], "jitter_sigma": 0.0}}
+SHORT_ROW_CONFIG = {**CONFIG, "ro": {**CONFIG["ro"], "process_sigma": 0.3},
+                    "campaign": {**CONFIG["campaign"], "master_seed": 5}}
 
 # Re-pinned for stream version 3 (rows of (3*(2L-1)+1)//2 + 8 RO1 normals,
 # 55 for L = 16, where version 2 drew 4*(2L-1)+8): every file below is
@@ -120,6 +131,24 @@ FILE_DIGESTS = {
         "647eda7812ec9471f2468bd90f5593ee44461c523f9107786e1ded832b834fdd",
     "loop/raw/histograms.csv":
         "d2a4980306fe6bbe7bc48bcb1c547cfd7321b7a27ec262aa135ab9efb7b7d9bd",
+    # Pinned at stream version 3 and report version 2, before the toggle
+    # count moved to a merge rank.
+    "noiseless/sim/dataset.csv":
+        "ac228981f63063140305d7f8cdf633256ed98a71cc95609e3a38e464d1516b80",
+    "noiseless/sim/dataset.json":
+        "f8799c2d5d310cc0fec0270439c4d2e2424830a5da95d0383f57c9aea58f8cb9",
+    "noiseless/raw/report.json":
+        "325a89e2ae89f494ac3e19f150935644174f0119ba4a1adaeda94bb4eb0c27be",
+    "noiseless/raw/histograms.csv":
+        "2a3ff27677a94dc4084ccd32aa7a8060836c1f1becdff1052c42e3c9b4e6bbe8",
+    "short/sim/dataset.csv":
+        "0ccfeb9994e95ea34e061179d02224e5bac008e585fb1d2ad4d931de1ec6af2a",
+    "short/sim/dataset.json":
+        "62331c3f424dc806c15189a780b902c0e9fa62e8ff3c0ba8ab468c0827495d2d",
+    "short/raw/report.json":
+        "ebbbe60b659221d02b0c36c541e161e2df81568de3ab688a595b54a8d7cf436d",
+    "short/raw/histograms.csv":
+        "3284cf1c33a91b9d04a075f56ff3f5dbe7b7f7b32034c50ff24e40bb78c9a08c",
 }
 
 # tests/data holds sim/dataset.{csv,json} of CONFIG as stream version 1
@@ -175,12 +204,45 @@ def golden_run(tmp_path_factory):
     _run(root / "odd", ODD_CONFIG, post_bch=False, sweep=False)
     _run(root / "cap", CAPACITIVE_CONFIG, post_bch=True, sweep=True)
     _run(root / "loop", INVERTER_LOOP_CONFIG, post_bch=False, sweep=False)
+    _run(root / "noiseless", NOISELESS_CONFIG, post_bch=False, sweep=False)
+    _run(root / "short", SHORT_ROW_CONFIG, post_bch=False, sweep=False)
     return root
 
 
 @pytest.mark.parametrize("name", sorted(FILE_DIGESTS))
 def test_cli_output_digest(golden_run, name):
     assert _sha256((golden_run / name).read_bytes()) == FILE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, config", [("noiseless", NOISELESS_CONFIG),
+                                          ("short", SHORT_ROW_CONFIG)])
+def test_branch_configs_reach_their_branch(tmp_path, monkeypatch, name, config):
+    """The pinned dataset of NOISELESS_CONFIG draws no jittered half-period
+    and extends no row; SHORT_ROW_CONFIG's extends rows in enrollment and
+    in sampling (keyed_rng is asked for both extension streams)."""
+    tags, jittered = Counter(), []
+    real_rng, real_half_periods = chipsim.keyed_rng, ro.jittered_half_periods
+
+    def recording_rng(*key):
+        tags[key[1]] += 1
+        return real_rng(*key)
+
+    def recording_half_periods(*args):
+        jittered.append(args)
+        return real_half_periods(*args)
+
+    monkeypatch.setattr(chipsim, "keyed_rng", recording_rng)
+    monkeypatch.setattr(ro, "jittered_half_periods", recording_half_periods)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config, indent=2))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 0
+    assert _sha256((tmp_path / "sim/dataset.csv").read_bytes()) == \
+        FILE_DIGESTS[f"{name}/sim/dataset.csv"]
+    extended = (tags[TAG_ENROLL_EXTEND], tags[TAG_EXTEND])
+    if name == "noiseless":
+        assert not jittered and extended == (0, 0)
+    else:
+        assert jittered and min(extended) > 0, extended
 
 
 @pytest.mark.parametrize("stage", ["raw", "post"])

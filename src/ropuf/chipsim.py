@@ -42,8 +42,8 @@ if TYPE_CHECKING:
     from .dataset import CampaignDataset
 
 # Enrollment and sample rows are drawn this many at a time, which bounds
-# the kernel's working memory; rows have a fixed width, so the bits do not
-# depend on it.
+# the rows the kernel holds (its memory is linear in their width); rows
+# have a fixed width, so the bits do not depend on it.
 CHUNK_ROWS = 64
 
 
@@ -122,8 +122,7 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
         h1, h2 = 0.5 * t1e, 0.5 * t2e
         edges = h2 * (2.0 * np.arange(lw) + 1.0)
         b1 = h1 * np.arange(1, int(np.ceil(edges[-1] / h1)) + 3)
-        word = (np.count_nonzero(b1 < edges[:, None], axis=1) & 1).astype(np.uint8)
-        return np.tile(word, (len(g1), 1))
+        return np.tile(_toggle_parity(b1[None], edges[None]), (len(g1), 1))
 
     # Each running sum is taken in place in the one array
     # jittered_half_periods returns, so g1 and g2 are only read: a chunk's
@@ -141,9 +140,7 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
         b2 = ro.jittered_half_periods(t2e, sigma2, mixed)
         np.add.accumulate(b2, axis=1, out=b2)
     edges = b2[:, ::2]  # rising edges sit at boundaries 0, 2, ..., n2-1
-    # Toggles of RO1 before each edge, summed in uint8: a count past 255
-    # wraps modulo 256, which is even, so its parity, the bit, is exact.
-    counts = (b1[:, None, :] < edges[:, :, None]).sum(axis=2, dtype=np.uint8)
+    bits = _toggle_parity(b1, edges)
     short = np.flatnonzero(b1[:, -1] <= edges[:, -1])  # rows short of coverage
     if short.size:
         # All short rows extend together, 16 normals a round, each from its
@@ -155,10 +152,18 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
             extra = ro.jittered_half_periods(
                 t1e, sigma1, np.array([rng.standard_normal(16) for rng in streams]))
             parts.append(parts[-1][:, -1:] + np.add.accumulate(extra, axis=1, out=extra))
-        rows = np.concatenate(parts, axis=1)
-        counts[short] = (rows[:, None, :] < edges[short, :, None]).sum(axis=2, dtype=np.uint8)
-    counts &= 1
-    return counts
+        bits[short] = _toggle_parity(np.concatenate(parts, axis=1), edges[short])
+    return bits
+
+
+def _toggle_parity(b1: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """(n, L) parities of how many boundaries of b1 (n, B) lie before each
+    edge (n, L), both sorted along a row: edge k's rank in a stable merge
+    of the row, less k.  The edges go first, so a boundary equal to an
+    edge is not before it (the tie rule)."""
+    order = np.concatenate([edges, b1], axis=1).argsort(axis=1, kind="stable")
+    rank = np.nonzero(order < edges.shape[1])[1].reshape(edges.shape)
+    return ((rank - np.arange(edges.shape[1])) & 1).astype(np.uint8)
 
 
 def modal_row(words: np.ndarray) -> np.ndarray:

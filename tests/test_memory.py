@@ -3,7 +3,8 @@ to a byte, loading holds little more than those bytes, a report scores
 the packed samples with one chip's scratch and holds no list of chip
 pairs, and `simulate` and `sweep` realize each chip as they reach it
 and hold one chip's samples at a time, however many chips there are,
-and sample that chip one unit and one chunk of rows at a time.
+and sample that chip one unit and one chunk of rows at a time, in memory
+linear in a row's width.
 `metrics` holds the grid packed.  The BCH self-test enumerates the
 code's 2^16 codewords as 32-bit words.
 
@@ -110,6 +111,24 @@ def test_campaign_samples_a_chip_in_chunks():
     assert peak <= 350 * 1024, f"one chip block peaked at {peak / 1024:.0f} KiB"
 
 
+def test_sampling_kernel_is_linear_in_the_row_width():
+    """One 64-row sample_rows call at L = 1024 (B1 = 3079 RO1 boundaries a
+    row) peaks within 64 bytes for each of its rows x (L + B1) edges and
+    boundaries: each edge's toggles are its rank in a merge of the row,
+    where comparing every edge with every boundary, (rows, L, B1) at once,
+    peaked at about 780 bytes (195 MiB)."""
+    length, rows = 1024, 64
+    b1w, _ = chipsim.normal_widths(length)
+    unit = chipsim.PufUnit(ro.RoInstance(1e-9, 0.5, 0.0003), ro.RoInstance(1.2e-9, 0.5, 0.0003),
+                           word_length=length)
+    g1, g2 = chipsim.draw_rows(np.random.default_rng(length), rows, length)
+    # T2/T1 = 1.2 stays within the rows' coverage, so no row extends.
+    words, peak = _traced(lambda: chipsim.sample_rows(unit, 1.3, g1, g2, None))
+    assert words.shape == (rows, length)
+    elements = rows * (length + b1w)
+    assert peak <= 64 * elements, f"sample_rows peaked at {peak / elements:.0f} bytes an element"
+
+
 def test_campaign_holds_one_unit_at_a_time():
     """One chip block's peak grows by at most 64 bytes a unit from 256 to
     2048 units of 4-bit words (1 sample, 1 enrollment repetition), where
@@ -213,7 +232,7 @@ def test_report_holds_no_chip_pair_list():
     assert growth <= 1024, f"compute_report took {growth:.0f} bytes a chip"
 
 
-@pytest.mark.parametrize("command, voltages, bound", [("simulate", (1.3,), 1280),
+@pytest.mark.parametrize("command, voltages, bound", [("simulate", (1.3,), 1024),
                                                        ("sweep", (1.25, 1.3), 256)])
 def test_campaign_commands_realize_each_chip_as_they_reach_it(tmp_path, command, voltages,
                                                                bound):
@@ -221,8 +240,9 @@ def test_campaign_commands_realize_each_chip_as_they_reach_it(tmp_path, command,
     chip, from 50 to 400 chips of two samples each, every flag off: each
     chip is realized as the campaign reaches it, where a population built
     up front held about 1 KiB a chip.  What simulate still holds a chip for
-    is the sidecar's hex reference, one a chip whatever the voltage count
-    (about 0.8 KiB; at five voltages, a reference each took 2 KiB)."""
+    is the sidecar's hex reference, one a chip whatever the voltage count:
+    791 bytes at one, two and five voltages and hash seeds 0-7, which the
+    bound clears by 233 (at five voltages, a reference each took 2 KiB)."""
     def peak(n_chips):
         campaign = CampaignConfig(n_chips=n_chips, pairs_per_id=2, word_length=L // 2,
                                   samples_per_chip=2, enroll_repetitions=1, voltages=voltages)

@@ -198,10 +198,11 @@ class TestCoupledSampling:
 
 
 class TestToggleCount:
-    """sample_rows sums each edge's toggles in uint8, which wraps past
-    255: the bits stay the parity of the searchsorted oracle's counts,
-    which do not wrap, on rows wider than 255 columns (B1 = 307 at
-    L = 100, 427 at L = 140) and on rows that extend."""
+    """sample_rows counts each edge's toggles by its rank among the row's
+    RO1 boundaries: the bits are the parity of the searchsorted oracle's
+    counts, also where a count passes 255 on rows wider than 255 columns
+    (B1 = 307 at L = 100, 427 at L = 140) and on rows that extend, and
+    where a boundary sits exactly on an edge."""
 
     @pytest.mark.parametrize("length", [16, 100, 140])
     @pytest.mark.parametrize("coupling", [ro.Coupling(), ro.Coupling("capacitive", 0.2)],
@@ -217,9 +218,24 @@ class TestToggleCount:
                            for i in range(64)])
         assert np.array_equal(got, counts & 1)
         # Every row counts all B1 boundaries of g1 before its last edge
-        # only if it extends; past L = 16 some count wraps.
+        # only if it extends; past L = 16 some count passes 255.
         assert set(counts[:, -1] >= b1w) == {t2 > 2e-9}
         assert (counts.max() > 255) == (length > 16)
+
+    def test_a_boundary_on_an_edge_is_not_before_it(self):
+        """Rows with an RO1 boundary exactly on the first, a middle and the
+        last edge, and one with a boundary on every edge, as under the
+        inverter loop: each tie counts as searchsorted(side="left") does."""
+        rng = np.random.default_rng(16)
+        b1 = np.cumsum(rng.uniform(0.5, 1.5, (4, 60)), axis=1)
+        edges = np.cumsum(rng.uniform(1.0, 2.0, (4, 16)), axis=1)
+        for row, k in enumerate((0, 7, 15)):
+            b1[row, np.searchsorted(b1[row], edges[row, k])] = edges[row, k]
+        edges[3] = b1[3, :32:2]
+        assert [np.flatnonzero(np.isin(e, b)).tolist() for b, e in zip(b1, edges)] == \
+            [[0], [7], [15], list(range(16))]
+        counts = np.array([np.searchsorted(b, e, side="left") for b, e in zip(b1, edges)])
+        assert np.array_equal(chipsim._toggle_parity(b1, edges), counts & 1)
 
 
 class TestFlipRates:

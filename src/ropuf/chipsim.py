@@ -34,7 +34,7 @@ import numpy as np
 
 from . import ro
 from .config import STREAM_VERSION, CampaignConfig
-from .errors import ConfigurationError, DatasetError
+from .errors import ConfigurationError, DatasetError, ModelRangeError
 from .rng import (TAG_ENROLL, TAG_ENROLL_EXTEND, TAG_EXTEND, TAG_REALIZE, TAG_RO1, TAG_RO2,
                   keyed_rng)
 
@@ -82,10 +82,6 @@ class PufUnit:
     word_length: int = 16
     reference_voltage: float = 1.3
 
-    def __post_init__(self):
-        if self.word_length < 1:
-            raise ConfigurationError("word_length must be >= 1")
-
 
 def draw_rows(rng: np.random.Generator, n: int, word_length: int
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -95,6 +91,7 @@ def draw_rows(rng: np.random.Generator, n: int, word_length: int
     return g[:, :b1w], g[:, b1w:]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf and nan times are refused, not warned about
 def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
                 extension: Callable[[int], np.random.Generator]) -> np.ndarray:
     """(n, L) words of n enable cycles at supply voltage v.
@@ -121,6 +118,7 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
         # multiplication so the word depends only on the period ratio.
         h1, h2 = 0.5 * t1e, 0.5 * t2e
         edges = h2 * (2.0 * np.arange(lw) + 1.0)
+        _check_times(np.array([[h1]]), edges[None])  # RO1's first boundary, before edges[-1] / h1
         b1 = h1 * np.arange(1, int(np.ceil(edges[-1] / h1)) + 3)
         return np.tile(_toggle_parity(b1[None], edges[None]), (len(g1), 1))
 
@@ -135,11 +133,11 @@ def sample_rows(unit: PufUnit, v: float, g1: np.ndarray, g2: np.ndarray,
     if unit.coupling.mode == ro.COUPLING_INVERTER_LOOP:
         b2 = b1[:, :n2]
     else:
-        # Without coupling the mix is g2 itself, bit for bit.
-        mixed = g2 if rho_j == 0.0 else rho_j * g1[:, :n2] + np.sqrt(1.0 - rho_j * rho_j) * g2
+        mixed = rho_j * g1[:, :n2] + np.sqrt(1.0 - rho_j * rho_j) * g2
         b2 = ro.jittered_half_periods(t2e, sigma2, mixed)
         np.add.accumulate(b2, axis=1, out=b2)
     edges = b2[:, ::2]  # rising edges sit at boundaries 0, 2, ..., n2-1
+    _check_times(b1, edges)  # before any row extends
     bits = _toggle_parity(b1, edges)
     short = np.flatnonzero(b1[:, -1] <= edges[:, -1])  # rows short of coverage
     if short.size:
@@ -164,6 +162,16 @@ def _toggle_parity(b1: np.ndarray, edges: np.ndarray) -> np.ndarray:
     order = np.concatenate([edges, b1], axis=1).argsort(axis=1, kind="stable")
     rank = np.nonzero(order < edges.shape[1])[1].reshape(edges.shape)
     return ((rank - np.arange(edges.shape[1])) & 1).astype(np.uint8)
+
+
+def _check_times(b1: np.ndarray, edges: np.ndarray) -> None:
+    """Refuse sorted rows of RO1 boundaries b1 and RO2 edges whose first
+    time is not positive or whose last is not finite: a half-period rounded
+    to zero or a time past the float range, where no row extension ends."""
+    first, last = np.minimum(b1[:, 0], edges[:, 0]), np.maximum(b1[:, -1], edges[:, -1])
+    if not (first.min() > 0 and last.max() < np.inf):  # a nan fails both
+        raise ModelRangeError("RO timing outside the float range: a half-period is 0 "
+                              "or a toggle time overflows")
 
 
 def modal_row(words: np.ndarray) -> np.ndarray:

@@ -48,7 +48,7 @@ class CampaignConfig:
         if self.id_length is None:
             object.__setattr__(self, "id_length", self.pairs_per_id * self.word_length)
 
-    def validate(self, params: ro.RoParams | None = None) -> None:
+    def validate(self, params: ro.RoParams) -> None:
         if self.n_chips < 2:
             raise ConfigurationError("n_chips must be >= 2 for inter-chip metrics")
         if self.pairs_per_id < 1 or self.word_length < 1:
@@ -84,20 +84,18 @@ class CampaignConfig:
             raise ConfigurationError("voltages must be non-empty")
         if len(set(self.voltages)) != len(self.voltages):
             raise ConfigurationError(f"voltages_v has duplicates: {list(self.voltages)}")
-        if params is not None:
-            params.validate()
-            # Reject configurations that could leave the linear voltage
-            # model (worst realistic sensitivity draw at the worst voltage).
-            gamma_max = abs(params.voltage_sensitivity_mean) + \
-                6.0 * params.voltage_sensitivity_sigma
-            dv_max = max(abs(v - params.reference_voltage) for v in self.voltages)
-            if gamma_max * dv_max >= 0.5:
-                raise ConfigurationError(
-                    "voltages: |gamma*(V-V0)| may reach 0.5; outside model range")
-            if params.reference_voltage not in self.voltages:
-                raise ConfigurationError(
-                    f"voltages_v must include reference_voltage_v "
-                    f"{params.reference_voltage}: references are enrolled there")
+        params.validate()
+        # Reject configurations that could leave the linear voltage
+        # model (worst realistic sensitivity draw at the worst voltage).
+        gamma_max = abs(params.voltage_sensitivity_mean) + 6.0 * params.voltage_sensitivity_sigma
+        dv_max = max(abs(v - params.reference_voltage) for v in self.voltages)
+        if gamma_max * dv_max >= 0.5:
+            raise ConfigurationError(
+                "voltages: |gamma*(V-V0)| may reach 0.5; outside model range")
+        if params.reference_voltage not in self.voltages:
+            raise ConfigurationError(
+                f"voltages_v must include reference_voltage_v "
+                f"{params.reference_voltage}: references are enrolled there")
 
 
 @dataclass(frozen=True)

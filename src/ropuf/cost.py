@@ -21,15 +21,11 @@ class CostParams:
     bits_required: int = 128
     bits_per_word: int = 16
     counter_bits: int = 16
-    n_ros_conventional: int = 35
-    mux4_per_mux: int = 21
-    n_mux: int = 2
 
     def validate(self) -> None:
         # Structural counts must be positive; per-component transistor
         # costs may be zero (e.g. to isolate one contribution).
-        for name in ("bits_required", "bits_per_word", "counter_bits",
-                     "n_ros_conventional", "mux4_per_mux", "n_mux"):
+        for name in ("bits_required", "bits_per_word", "counter_bits"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1")
         for name in ("transistors_per_ro", "transistors_per_ff",
@@ -58,13 +54,13 @@ def waveform_puf_cost(p: CostParams) -> tuple[int, int]:
 def conventional_puf_cost(p: CostParams) -> tuple[int, int]:
     """(transistors, clock cycles) for the counter-based design.
 
-    ROs feed two MUX trees and two counters; full adders compare the
-    counts.  Each output bit costs a full counter run, so the cycle
-    count is counter_bits * bits_required.
+    35 ROs feed two MUX trees of 21 4-input MUXes each and two counters;
+    full adders compare the counts.  Each output bit costs a full counter
+    run, so the cycle count is counter_bits * bits_required.
     """
     p.validate()
-    transistors = (p.n_ros_conventional * p.transistors_per_ro
-                   + p.n_mux * p.mux4_per_mux * p.transistors_per_mux4
+    transistors = (35 * p.transistors_per_ro
+                   + 2 * 21 * p.transistors_per_mux4
                    + 2 * p.counter_bits * p.transistors_per_ff
                    + p.counter_bits * p.transistors_per_full_adder)
     cycles = p.counter_bits * p.bits_required

@@ -128,8 +128,6 @@ def apply_coupling(t1: float, t2: float, coupling: Coupling) -> tuple[float, flo
     the jitter by kappa.  Pulling is antisymmetric, so t1 + t2 is
     preserved.
     """
-    if t1 <= 0.0 or t2 <= 0.0:
-        raise ModelRangeError("periods must be positive")
     if coupling.mode == COUPLING_NONE:
         return t1, t2, 0.0
     if coupling.mode == COUPLING_INVERTER_LOOP:

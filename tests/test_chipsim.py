@@ -55,9 +55,9 @@ class TestPopulation:
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError, match="n_chips"):
-            chipsim.CampaignConfig(n_chips=1).validate()
+            chipsim.CampaignConfig(n_chips=1).validate(ro.RoParams())
         with pytest.raises(ConfigurationError, match="id_length"):
-            chipsim.CampaignConfig(id_length=31).validate()
+            chipsim.CampaignConfig(id_length=31).validate(ro.RoParams())
         with pytest.raises(ConfigurationError, match="model range"):
             chipsim.CampaignConfig(voltages=(2.8,)).validate(ro.RoParams())
         # |gamma*(V-V0)| is exactly 0.5 at the bound (0.5/V * 1 V) and is
@@ -72,15 +72,15 @@ class TestPopulation:
         """csv.reader refuses a field past its limit, so the widest ID is 4
         bits a hex digit times it: accepted, and 4 bits more refused."""
         assert config.CSV_FIELD_LIMIT == csv.field_size_limit()
-        chipsim.CampaignConfig(pairs_per_id=2 ** 15, word_length=16).validate()
+        chipsim.CampaignConfig(pairs_per_id=2 ** 15, word_length=16).validate(ro.RoParams())
         with pytest.raises(ConfigurationError, match=r"^pairs_per_id x word_length: "):
-            chipsim.CampaignConfig(pairs_per_id=131073, word_length=4).validate()
+            chipsim.CampaignConfig(pairs_per_id=131073, word_length=4).validate(ro.RoParams())
 
     def test_id_length_message_names_the_product(self):
         cfg = chipsim.CampaignConfig(pairs_per_id=2, word_length=16, id_length=31)
         with pytest.raises(ConfigurationError,
                            match=r"^id_length 31 != pairs_per_id\*word_length 32$"):
-            cfg.validate()
+            cfg.validate(ro.RoParams())
 
 
 class TestCampaign:

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -624,6 +627,35 @@ class TestOutOfMemory:
     def test_bch_selftest_draw_past_c_int(self, monkeypatch, capsys):
         err = self._selftest_refused(monkeypatch, capsys, CIntRandom)
         assert err == "configuration error: cannot draw 1000000000000 random messages\n", err
+
+
+# RO timings that the schema admits but whose toggle times leave the float
+# range: a half-period past it or rounded to zero, in the jittered and the
+# noiseless sampler, and a period whose running sums overflow.
+EXTREME_TIMINGS = [{"nominal_period_s": 1e308}, {"nominal_period_s": 5e-324},
+                   {"jitter_sigma": 1e308}, {"nominal_period_s": 1e308, "jitter_sigma": 0},
+                   {"nominal_period_s": 1e307}]
+
+
+@pytest.mark.parametrize("timing", EXTREME_TIMINGS, ids=[
+    ",".join(f"{k}={v!r}" for k, v in t.items()) for t in EXTREME_TIMINGS])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_extreme_ro_timing_is_refused(tmp_path, command, timing):
+    """A configuration error (exit 2) with one line on stderr and no file
+    in --out, not a hang, a traceback, a warning or a dataset of
+    meaningless bits.  Run in a child interpreter with a timeout, so that
+    a sampler that never ends fails the test instead of hanging the suite."""
+    cfg, out = tmp_path / "run.json", tmp_path / "o"
+    write_config(cfg, samples=5, voltages=(1.25, 1.3), **timing)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "ropuf.cli", command, "--config", str(cfg),
+                           "--out", str(out)], capture_output=True, text=True, timeout=20,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("configuration error: ") and proc.stderr.count("\n") == 1, \
+        proc.stderr
+    assert "float range" in proc.stderr
+    assert sorted(out.glob("*")) == []  # no dataset, no .partial file
 
 
 class TestCost:

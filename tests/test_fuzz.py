@@ -41,10 +41,11 @@ CONFIG = {
     "coupling": {"mode": "capacitive", "strength": 0.5},
 }
 
-# Small values only: a mutated campaign must stay tiny.
+# Small values, so that a mutated campaign stays tiny, and the two float
+# extremes, which any number field may take.
 JSON_VALUES = st.sampled_from([
-    None, True, False, 0, -1, 1, 2, 3, 0.01, 0.5, 1.25, 1.3, 1.5, -0.5, 1e-9, "", "x",
-    "3", "none", "zz", "0x1f", "ffffffffff", [], [1.3], ["1.3"], {}, {"mode": "none"}])
+    None, True, False, 0, -1, 1, 2, 3, 0.01, 0.5, 1.25, 1.3, 1.5, -0.5, 1e-9, 1e308, 5e-324,
+    "", "x", "3", "none", "zz", "0x1f", "ffffffffff", [], [1.3], ["1.3"], {}, {"mode": "none"}])
 CSV_TOKENS = st.sampled_from([
     "", "x", "-1", "0", "1", "2", "99", "1.3", "1.25", "nan", "inf", "zz", "0x1f",
     "ffffffff", "1ffffffff", "+0", " 0", "0_0", "+1.3", " 1.30", "1.3 ", "1_3", "1.2_5"])
